@@ -8,18 +8,15 @@ containing b, which always lands inside ``down u``.
 
 from __future__ import annotations
 
-from .errors import NotInclusion
-from .poset import DownSet, Poset, sieves_on
+from .errors import ShapeMismatch
+from .poset import DownSet, Poset, sieve_positions, sieves_on
 from .presheaf import (
     Inclusion,
     Morphism,
     Presheaf,
+    as_inclusion,
     bang,
     can,
-    cst,
-    element_downset,
-    intersection,
-    is_inclusion,
     product,
     terminal,
 )
@@ -67,35 +64,44 @@ def true_inclusion(poset: Poset, om: OmegaObject | None = None) -> Inclusion:
 
 def chi(f: Inclusion, om: OmegaObject | None = None) -> Morphism:
     """Classifying map of an inclusion: b goes to the truth-value of
-    (domain meet smallest-sub-presheaf-containing-b), reindexed as a sieve."""
-    if not is_inclusion(f):
-        raise NotInclusion("chi needs identity components")
+    (domain meet smallest-sub-presheaf-containing-b), reindexed as a sieve.
+
+    That truth-value is read off b's element rows: the points v below u at
+    which the image of b lies in the domain's mask.
+    """
+    f = as_inclusion(f, "chi needs identity components")
     b = f.cod
     poset = b.poset
     om = omega(poset) if om is None else om
-    comp: dict = {}
-    for u in poset.points:
-        down_u = poset.down_mask(u)
-        table = {}
-        for a in b.sets[u]:
-            value = cst(intersection(f, element_downset(b, u, a)).dom)
-            assert value.mask & ~down_u == 0
-            table[a] = value
-        comp[u] = table
-    return Morphism(b, om, comp)
+    if om.poset != poset:
+        raise ShapeMismatch("inclusion and classifier live on different posets")
+    lookup = [
+        (om.sieves[u], sieve_positions(poset, u)) for u in poset.points
+    ]
+    mask = f.mask
+    comp: dict = {u: {} for u in poset.points}
+    index = b.elements()
+    for (u, a), i, row in zip(index.keys, index.point, index.rows):
+        s = 0
+        for pb, eb in row:
+            if mask & eb:
+                s |= pb
+        sieves, pos = lookup[i]
+        comp[u][a] = sieves[pos[s]]
+    return Morphism._trusted(b, om, comp)
 
 
 def sigma(g: Morphism) -> Inclusion:
     """The inclusion classified by a map into the classifier."""
     b = g.dom
     poset = b.poset
-    sets = {
-        u: frozenset(
-            a for a in b.sets[u] if g.comp[u][a].mask == poset.down_mask(u)
-        )
-        for u in poset.points
-    }
-    return Inclusion(b.sub_from_sets(sets), b)
+    tops = [poset.down_mask_at(i) for i in range(len(poset.points))]
+    mask = 0
+    index = b.elements()
+    for k, ((u, a), i) in enumerate(zip(index.keys, index.point)):
+        if g.comp[u][a].mask == tops[i]:
+            mask |= 1 << k
+    return Inclusion._from_mask(b, mask)
 
 
 def omega_square(om: OmegaObject) -> Presheaf:

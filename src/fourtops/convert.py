@@ -142,14 +142,13 @@ def nucleus_to_lt(n: Nucleus) -> LTTopology:
 
 def grotop_inclusion(j: GrothendieckTopology, om: OmegaObject) -> Inclusion:
     """The covering families as a sub-presheaf of the classifier."""
-    poset = j.poset
-    sets = {
-        u: frozenset(
-            s for s in om.sieves[u] if s.mask in j.covers_mask_set(poset.index(u))
-        )
-        for u in poset.points
-    }
-    return Inclusion(om.sub_from_sets(sets), om)
+    families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
+    index = om.elements()
+    mask = 0
+    for k, ((_, s), i) in enumerate(zip(index.keys, index.point)):
+        if s.mask in families[i]:
+            mask |= 1 << k
+    return Inclusion._from_mask(om, mask)
 
 
 def grotop_to_lt(j: GrothendieckTopology, om: OmegaObject | None = None) -> LTTopology:
@@ -205,7 +204,7 @@ def closure_to_nucleus(
     om: OmegaObject | None = None,
 ) -> Nucleus:
     """Close each subterminal inclusion and read off its truth-value."""
-    from .presheaf import Inclusion as Inc, cst, subterminal_of, terminal
+    from .presheaf import cst, subterminal_inclusion, terminal
 
     poset = clop.poset
     algebra = HeytingAlgebra(poset) if algebra is None else algebra
@@ -213,8 +212,7 @@ def closure_to_nucleus(
     one = terminal(poset)
     table = []
     for s in algebra.elements:
-        f = Inc(subterminal_of(poset, s), one)
-        closed = closure_of(clop, f, om)
+        closed = closure_of(clop, subterminal_inclusion(one, s), om)
         table.append(algebra.index(cst(closed.dom)))
     return Nucleus(algebra, tuple(table))
 

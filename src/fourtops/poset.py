@@ -139,6 +139,10 @@ class DownSet:
     def members(self) -> tuple[PointId, ...]:
         return self.poset.names_of(self.mask)
 
+    def __hash__(self) -> int:
+        # equal down-sets share a mask; equality still compares the poset
+        return hash(self.mask)
+
     def __contains__(self, u: PointId) -> bool:
         return bool(self.mask >> self.poset.index(u) & 1)
 

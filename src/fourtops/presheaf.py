@@ -6,6 +6,12 @@ is verified at construction.  An inclusion is a morphism whose components are
 literal identities, so the domain's label sets are genuine subsets of the
 codomain's and the whole subobject calculus (preimage, intersection, image,
 equalizer) stays on the nose.
+
+Every inclusion into B also carries a bitmask over B's elements (u, a), in
+element-poset order: points in order, labels in ``sorted_at`` order.  A
+sub-presheaf is exactly a down-closed mask, so derived subobjects are built
+from masks with that one check and are otherwise trusted: their restrictions
+and composite paths are sliced from B rather than recomposed and revalidated.
 """
 
 from __future__ import annotations
@@ -30,10 +36,78 @@ def _label_key(label):
     return repr(label)
 
 
+def _bits(mask: int):
+    """Positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class ElementIndex:
+    """The elements (u, a) of a presheaf in element-poset order.
+
+    ``bit`` maps an element to its position; ``point[k]`` is the point index
+    of element k; ``rows[k]`` holds one (point bit, element bit) pair per point
+    v below u, the element bit marking the image of element k at v; ``down[k]``
+    is the mask of the smallest sub-presheaf containing element k.
+    """
+
+    __slots__ = ("keys", "bit", "point", "rows", "down", "full")
+
+    def __init__(self, b: "Presheaf"):
+        poset = b.poset
+        self.keys = tuple((u, a) for u in poset.points for a in b.sorted_at(u))
+        self.bit = {key: k for k, key in enumerate(self.keys)}
+        self.full = (1 << len(self.keys)) - 1
+        below = [
+            [(1 << j, v) for j, v in enumerate(poset.points) if poset.above(u, v)]
+            for u in poset.points
+        ]
+        point, rows, down = [], [], []
+        for (u, a) in self.keys:
+            i = poset.index(u)
+            row = tuple(
+                (pb, 1 << self.bit[(v, b._paths[(u, v)][a])]) for pb, v in below[i]
+            )
+            point.append(i)
+            rows.append(row)
+            acc = 0
+            for _, eb in row:
+                acc |= eb
+            down.append(acc)
+        self.point = tuple(point)
+        self.rows = tuple(rows)
+        self.down = tuple(down)
+
+    def mask_of(self, sets: Mapping) -> int:
+        """Mask of the elements named by a point -> labels mapping."""
+        mask = 0
+        for u, labels in sets.items():
+            for a in labels:
+                try:
+                    mask |= 1 << self.bit[(u, a)]
+                except KeyError:
+                    raise UnknownElement(f"{a!r} not in the component at {u!r}") from None
+        return mask
+
+    def require_down_closed(self, mask: int) -> int:
+        """Return mask if it names a sub-presheaf, else raise FunctorialityError."""
+        for k in _bits(mask):
+            missing = self.down[k] & ~mask
+            if missing:
+                u, a = self.keys[k]
+                v, b = self.keys[missing.bit_length() - 1]
+                raise FunctorialityError(
+                    f"{a!r} at {u!r} restricts to {b!r} at {v!r}, outside the sub-presheaf"
+                )
+        return mask
+
+
 class Presheaf:
     """Finite-set-valued functor on a poset, restriction along 'below'."""
 
-    __slots__ = ("poset", "sets", "restr", "_paths", "_support")
+    __slots__ = ("poset", "sets", "restr", "_paths", "_elements", "_hash")
 
     def __init__(
         self,
@@ -51,8 +125,30 @@ class Presheaf:
         for arrow in poset.arrows:
             self.restr.setdefault(arrow, {})
         self._paths = None
-        self._support = None
+        self._elements = None
+        self._hash = None
         self._validate()
+
+    def _sub(self, mask: int) -> "Presheaf":
+        """The sub-presheaf on a down-closed element mask, trusted: the sets are
+        read off the mask and restrictions and paths are sliced, not rebuilt."""
+        sets: dict = {u: [] for u in self.poset.points}
+        keys = self.elements().keys
+        for k in _bits(mask):
+            u, a = keys[k]
+            sets[u].append(a)
+        sub = object.__new__(Presheaf)
+        sub.poset = self.poset
+        sub.sets = {u: frozenset(labels) for u, labels in sets.items()}
+        sub.restr = {
+            (u, v): {a: table[a] for a in sets[u]} for (u, v), table in self.restr.items()
+        }
+        sub._paths = {
+            (u, v): {a: path[a] for a in sets[u]} for (u, v), path in self._paths.items()
+        }
+        sub._elements = None
+        sub._hash = None
+        return sub
 
     def _validate(self) -> None:
         for (u, v), table in self.restr.items():
@@ -105,20 +201,11 @@ class Presheaf:
     def at(self, u) -> frozenset:
         return self.sets[u]
 
-    def element_support(self) -> dict:
-        """(u, a) -> tuple of (v, image of a at v) over the points below u."""
-        if self._support is None:
-            support = {}
-            for u in self.poset.points:
-                below = [
-                    v for v in self.poset.points if self.poset.above(u, v)
-                ]
-                for a in self.sets[u]:
-                    support[(u, a)] = tuple(
-                        (v, self._paths[(u, v)][a]) for v in below
-                    )
-            self._support = support
-        return self._support
+    def elements(self) -> ElementIndex:
+        """The element index, built on first use and kept."""
+        if self._elements is None:
+            self._elements = ElementIndex(self)
+        return self._elements
 
     def sorted_at(self, u) -> tuple:
         return tuple(sorted(self.sets[u], key=_label_key))
@@ -127,7 +214,7 @@ class Presheaf:
         return sum(len(s) for s in self.sets.values())
 
     def __eq__(self, other) -> bool:
-        return (
+        return self is other or (
             isinstance(other, Presheaf)
             and self.poset == other.poset
             and self.sets == other.sets
@@ -135,12 +222,14 @@ class Presheaf:
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (
-                self.poset,
-                tuple(tuple(self.sorted_at(u)) for u in self.poset.points),
+        if self._hash is None:
+            self._hash = hash(
+                (
+                    self.poset,
+                    tuple(tuple(self.sorted_at(u)) for u in self.poset.points),
+                )
             )
-        )
+        return self._hash
 
     def __repr__(self) -> str:
         parts = ", ".join(
@@ -152,9 +241,7 @@ class Presheaf:
 
     def element_poset(self) -> Poset:
         """The poset of elements: points (u, a), with (u, a) above its images."""
-        points = [
-            (u, a) for u in self.poset.points for a in self.sorted_at(u)
-        ]
+        points = self.elements().keys
         arrows = set()
         for (u, v), table in self.restr.items():
             for a, b in table.items():
@@ -196,7 +283,7 @@ def empty_presheaf(poset: Poset) -> Presheaf:
 class Morphism:
     """Natural transformation between presheaves on the same poset."""
 
-    __slots__ = ("dom", "cod", "comp")
+    __slots__ = ("dom", "cod", "comp", "_images")
 
     def __init__(self, dom: Presheaf, cod: Presheaf, comp: Mapping):
         if dom.poset != cod.poset:
@@ -204,6 +291,7 @@ class Morphism:
         self.dom = dom
         self.cod = cod
         self.comp = {u: dict(comp.get(u, {})) for u in dom.poset.points}
+        self._images = None
         self._validate()
 
     def _validate(self) -> None:
@@ -225,6 +313,16 @@ class Morphism:
                         f"square at arrow {(u, v)!r} does not commute on {a!r}"
                     )
 
+    @classmethod
+    def _trusted(cls, dom: Presheaf, cod: Presheaf, comp: dict) -> "Morphism":
+        """A morphism whose naturality holds by construction: no re-check."""
+        self = object.__new__(cls)
+        self.dom = dom
+        self.cod = cod
+        self.comp = comp
+        self._images = None
+        return self
+
     def __call__(self, u, a):
         try:
             return self.comp[u][a]
@@ -241,6 +339,24 @@ class Morphism:
 
     def __hash__(self) -> int:
         return hash((self.dom, self.cod))
+
+    def image_bits(self) -> tuple[int, ...]:
+        """Per element of the domain, in element order, the bit of its image
+        among the codomain's elements; built on first use and kept."""
+        if self._images is None:
+            cod_bit = self.cod.elements().bit
+            self._images = tuple(
+                1 << cod_bit[(u, self.comp[u][a])] for (u, a) in self.dom.elements().keys
+            )
+        return self._images
+
+    def pull_mask(self, mask: int) -> int:
+        """Preimage of a codomain element mask, as a domain element mask."""
+        out = 0
+        for k, img in enumerate(self.image_bits()):
+            if mask & img:
+                out |= 1 << k
+        return out
 
     def is_monic(self) -> bool:
         return all(
@@ -271,7 +387,10 @@ def bang(b: Presheaf, one: Presheaf | None = None) -> Morphism:
 
 
 class Inclusion(Morphism):
-    """A morphism whose components are literal identities (IncSC)."""
+    """A morphism whose components are literal identities (IncSC), with the
+    mask of its domain's elements among the codomain's."""
+
+    __slots__ = ("mask",)
 
     def __init__(self, dom: Presheaf, cod: Presheaf):
         for u in dom.poset.points:
@@ -281,6 +400,18 @@ class Inclusion(Morphism):
                 )
         comp = {u: {a: a for a in dom.sets[u]} for u in dom.poset.points}
         super().__init__(dom, cod, comp)
+        self.mask = cod.elements().mask_of(dom.sets)
+
+    @classmethod
+    def _from_mask(cls, cod: Presheaf, mask: int) -> "Inclusion":
+        """The inclusion of the sub-presheaf on a down-closed element mask;
+        FunctorialityError if the mask is not down-closed."""
+        cod.elements().require_down_closed(mask)
+        dom = cod._sub(mask)
+        comp = {u: {a: a for a in labels} for u, labels in dom.sets.items()}
+        self = cls._trusted(dom, cod, comp)
+        self.mask = mask
+        return self
 
 
 def is_inclusion(m: Morphism) -> bool:
@@ -289,38 +420,49 @@ def is_inclusion(m: Morphism) -> bool:
     )
 
 
+def as_inclusion(m: Morphism, message: str = "expected an inclusion") -> Inclusion:
+    """m itself if it is an Inclusion; else the Inclusion with m's endpoints,
+    provided m has identity components."""
+    if isinstance(m, Inclusion):
+        return m
+    if not is_inclusion(m):
+        raise NotInclusion(message)
+    return Inclusion(m.dom, m.cod)
+
+
+def _same_codomain(f: Morphism, g: Morphism, what: str) -> None:
+    if f.cod is not g.cod and f.cod != g.cod:
+        raise ShapeMismatch(f"{what} needs a shared codomain")
+
+
 def can(f: Morphism) -> Inclusion:
     """The inclusion equivalent to a monic: image sets with inherited restriction."""
     if not f.is_monic():
         raise NotMonic("can() needs a componentwise-injective morphism")
-    image = {u: frozenset(f.comp[u].values()) for u in f.dom.poset.points}
-    return Inclusion(f.cod.sub_from_sets(image), f.cod)
+    mask = 0
+    for img in f.image_bits():
+        mask |= img
+    return Inclusion._from_mask(f.cod, mask)
 
 
 def preimage(f: Morphism, g: Inclusion) -> tuple[Inclusion, Morphism]:
     """Pull an inclusion back along f; returns (left wall, top wall)."""
-    if f.cod != g.cod:
-        raise ShapeMismatch("preimage needs a shared codomain")
-    sets = {
-        u: frozenset(a for a in f.dom.sets[u] if f.comp[u][a] in g.dom.sets[u])
-        for u in f.dom.poset.points
-    }
-    sub = f.dom.sub_from_sets(sets)
-    left = Inclusion(sub, f.dom)
+    _same_codomain(f, g, "preimage")
+    g = as_inclusion(g)
+    left = Inclusion._from_mask(f.dom, f.pull_mask(g.mask))
+    sub = left.dom
     top = Morphism(
         sub,
         g.dom,
-        {u: {a: f.comp[u][a] for a in sets[u]} for u in f.dom.poset.points},
+        {u: {a: f.comp[u][a] for a in sub.sets[u]} for u in f.dom.poset.points},
     )
     return left, top
 
 
 def intersection(f: Inclusion, g: Inclusion) -> Inclusion:
     """Componentwise meet of two inclusions into the same presheaf."""
-    if f.cod != g.cod:
-        raise ShapeMismatch("intersection needs a shared codomain")
-    sets = {u: f.dom.sets[u] & g.dom.sets[u] for u in f.cod.poset.points}
-    return Inclusion(f.cod.sub_from_sets(sets), f.cod)
+    _same_codomain(f, g, "intersection")
+    return Inclusion._from_mask(f.cod, as_inclusion(f).mask & as_inclusion(g).mask)
 
 
 def product(a: Presheaf, b: Presheaf) -> Presheaf:
@@ -364,24 +506,18 @@ def equalizer(f: Morphism, g: Morphism) -> Inclusion:
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("equalizer needs parallel morphisms")
     sets = {
-        u: frozenset(a for a in f.dom.sets[u] if f.comp[u][a] == g.comp[u][a])
+        u: [a for a in f.dom.sets[u] if f.comp[u][a] == g.comp[u][a]]
         for u in f.dom.poset.points
     }
-    return Inclusion(f.dom.sub_from_sets(sets), f.dom)
+    return Inclusion._from_mask(f.dom, f.dom.elements().mask_of(sets))
 
 
 def element_downset(b: Presheaf, u, a) -> Inclusion:
     """The smallest sub-presheaf of b containing a in the component at u."""
     if a not in b.sets[u]:
         raise UnknownElement(f"{a!r} not in the component at {u!r}")
-    poset = b.poset
-    sets = {}
-    for v in poset.points:
-        if poset.above(u, v):
-            sets[v] = frozenset({b.restrict(u, v, a)})
-        else:
-            sets[v] = frozenset()
-    return Inclusion(b.sub_from_sets(sets), b)
+    index = b.elements()
+    return Inclusion._from_mask(b, index.down[index.bit[(u, a)]])
 
 
 def cst(c: Presheaf) -> DownSet:
@@ -405,6 +541,15 @@ def subterminal_of(poset: Poset, s: DownSet) -> Presheaf:
     return Presheaf(poset, sets, restr)
 
 
+def subterminal_inclusion(one: Presheaf, s: DownSet) -> Inclusion:
+    """The subterminal with truth-value s, included into the terminal ``one``.
+
+    The terminal has one element per point, in point order, so the down-set's
+    point mask is already the element mask.
+    """
+    return Inclusion._from_mask(one, s.mask)
+
+
 def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:
     """Inclusions into b, via down-sets of its poset of elements.
 
@@ -418,13 +563,8 @@ def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:
         downs = enumerate_downsets(epo, cap=len(epo.points))
     else:
         downs = limited_downsets(epo, limit)
-    out = []
-    for d in downs:
-        sets: dict = {u: set() for u in b.poset.points}
-        for (u, a) in d.members:
-            sets[u].add(a)
-        out.append(Inclusion(b.sub_from_sets(sets), b))
-    return out
+    # epo's points are b's elements in index order, so its masks are b's
+    return [Inclusion._from_mask(b, d.mask) for d in downs]
 
 
 def _parents_first(poset: Poset) -> list:

@@ -1,6 +1,11 @@
 """Independent brute-force reference implementations used to freeze expected
-values.  Everything here works from first principles on explicit subsets so
-it shares no code path with the package."""
+values.  Everything above the composite-routes section works from first
+principles on explicit subsets so it shares no code path with the package.
+
+The composite routes at the end keep the package's earlier, literal
+constructions of the mask-based fast paths: they build one validated
+sub-presheaf per step from label sets, where the package reads element masks.
+"""
 
 from itertools import combinations, product
 
@@ -76,4 +81,46 @@ def brute_nucleus_tables(elements, meet):
             for j in range(n)
         ):
             out.append(table)
+    return out
+
+
+# -- composite routes ----------------------------------------------------------
+
+
+def chi_composite(f, om):
+    """Classifying map built per element: the smallest sub-presheaf containing
+    the element, met with the domain, read off as a truth-value."""
+    from fourtops.presheaf import Morphism, cst, element_downset, intersection
+
+    b = f.cod
+    poset = b.poset
+    comp = {}
+    for u in poset.points:
+        down_u = poset.down_mask(u)
+        table = {}
+        for a in b.sets[u]:
+            value = cst(intersection(f, element_downset(b, u, a)).dom)
+            assert value.mask & ~down_u == 0
+            table[a] = value
+        comp[u] = table
+    return Morphism(b, om, comp)
+
+
+def subobjects_from_sets(b, limit=None):
+    """Inclusions into b, one validated sub-presheaf per down-set of b's
+    element poset, built from the down-set's member labels."""
+    from fourtops.poset import enumerate_downsets, limited_downsets
+    from fourtops.presheaf import Inclusion
+
+    epo = b.element_poset()
+    if limit is None:
+        downs = enumerate_downsets(epo, cap=len(epo.points))
+    else:
+        downs = limited_downsets(epo, limit)
+    out = []
+    for d in downs:
+        sets = {u: set() for u in b.poset.points}
+        for (u, a) in d.members:
+            sets[u].add(a)
+        out.append(Inclusion(b.sub_from_sets(sets), b))
     return out

@@ -28,6 +28,7 @@ from fourtops.presheaf import (
 )
 
 from .conftest import pile_code_str
+from .oracles import chi_composite
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +162,14 @@ class TestChiSigma:
         one = terminal(P)
         for g in natural_maps(one, om):
             assert chi(sigma(g), om) == g
+
+    def test_chi_matches_composite_route(self, P, om):
+        from fourtops.topology import build_universe
+
+        universe = build_universe(P, om)
+        assert len(universe.inclusions) == 474
+        for f in universe.inclusions:
+            assert chi(f, om) == chi_composite(f, om)
 
     def test_pullback_criterion(self, P, om, worked_pair):
         g = chi(worked_pair, om)

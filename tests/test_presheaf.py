@@ -35,6 +35,11 @@ from fourtops.presheaf import (
 )
 
 from .conftest import pile_code_str
+from .oracles import subobjects_from_sets
+
+
+def _positions(mask):
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +306,38 @@ class TestElementPosets:
     def test_subobjects_are_valid_inclusions(self, big_example):
         for f in subobjects(big_example):
             assert is_inclusion(f)
+
+    @pytest.mark.parametrize("square, limit", [(False, None), (True, 24)])
+    def test_mask_subobjects_keep_the_set_order(self, star_poset_module, square, limit):
+        # the goldens and the universe's pair cap depend on this order
+        from fourtops.classifier import omega
+
+        om = omega(star_poset_module)
+        b = product(om, om) if square else om
+        fast = subobjects(b, limit=limit)
+        slow = subobjects_from_sets(b, limit=limit)
+        assert [f.dom.sets for f in fast] == [f.dom.sets for f in slow]
+        assert fast == slow
+        keys = [(f.mask.bit_count(), _positions(f.mask)) for f in fast]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    def test_from_mask_rejects_a_mask_that_is_not_down_closed(self, big_example):
+        index = big_example.elements()
+        top = 1 << index.bit[("2_", "1")]
+        with pytest.raises(FunctorialityError):
+            Inclusion._from_mask(big_example, top)
+        f = Inclusion._from_mask(big_example, index.down[index.bit[("2_", "1")]])
+        assert f.dom.sets == {"2_": {"1"}, "_2": set(), "1_": {"5"}, "_1": {"7"}}
+        assert f.dom == big_example.sub_from_sets(f.dom.sets)
+
+    def test_public_inclusion_mask_matches_element_index(self, worked_pair):
+        a, b = worked_pair
+        f = Inclusion(a, b)
+        index = b.elements()
+        assert f.mask == sum(
+            1 << index.bit[(u, x)] for u in b.poset.points for x in a.sets[u]
+        )
+        assert Inclusion._from_mask(b, f.mask) == f
 
 
 class TestInclusionLaws:

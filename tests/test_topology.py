@@ -1,5 +1,7 @@
 """Topology axiom suites, closure laws, and covering-sieve checks."""
 
+import random
+
 import pytest
 
 from fourtops.classifier import omega
@@ -8,6 +10,7 @@ from fourtops.convert import (
     lt_to_grotop,
     point_set_to_grotop,
 )
+from fourtops.errors import FunctorialityError
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import DownSet, Poset, sieves_on, star_graph
 from fourtops.presheaf import Inclusion, subterminal_of, terminal
@@ -124,9 +127,12 @@ class TestClosure:
             assert is_dense(clop, f, om)
 
     def test_fused_matches_composite_route(self, P, om, all_lts, universe):
-        clop = ClosureOperator(all_lts[5])
-        for f in universe.inclusions[:40]:
-            assert closure_of(clop, f, om) == closure_of_composite(clop, f, om)
+        # every topology, every universe inclusion, the Omega-squared group included
+        assert any(len(f.cod.sets["2_"]) == 25 for f in universe.inclusions)
+        for lt in all_lts:
+            clop = ClosureOperator(lt)
+            for f in universe.inclusions:
+                assert closure_of(clop, f, om) == closure_of_composite(clop, f, om)
 
     def test_closure_agrees_with_nucleus_on_subterminals(
         self, star, P, om, algebra, subterminals
@@ -175,6 +181,30 @@ class TestClosure:
         broken = ClosureOperator(LTTopology(P, tuple(tuple(t) for t in tables)))
         report = check_closure_axioms(broken, universe, om)
         assert not report.ok
+
+    def test_non_topologies_never_pass(self, P, om, universe):
+        # random endomap tables that break the topology axioms: the closure
+        # laws either reject a closure that is not a sub-presheaf or report a
+        # failed law, never pass; the split pins the sub-presheaf check
+        rng = random.Random(1)
+        sizes = [len(sieves_on(P, u)) for u in P.points]
+        tables = []
+        while len(tables) < 200:
+            lt = LTTopology(
+                P, tuple(tuple(rng.randrange(n) for _ in range(n)) for n in sizes)
+            )
+            if not is_lt_topology(lt, om).ok:
+                tables.append(lt)
+        raised = flagged = 0
+        for lt in tables:
+            try:
+                report = check_closure_axioms(ClosureOperator(lt), universe, om)
+            except FunctorialityError:
+                raised += 1
+                continue
+            assert not report.ok
+            flagged += 1
+        assert (raised, flagged) == (140, 60)
 
     def test_round_trip_j_from_closure(self, P, om, all_lts):
         for lt in all_lts:
