@@ -6,7 +6,6 @@ computes each face, converts between them, renders them, and checks every
 axiom system and route-agreement statement exhaustively on finite instances.
 """
 
-from ._kernels import BACKEND as kernel_backend
 from .convert import (
     Quad,
     check_closure_route,
@@ -89,3 +88,6 @@ from .topology import (
 )
 
 __version__ = "0.1.0"
+
+# The table search has one implementation, in pure Python.
+kernel_backend = "pure"

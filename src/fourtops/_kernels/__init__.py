@@ -1,23 +1,5 @@
-"""Kernel selection: compiled extension when built, pure Python otherwise.
+"""The oracle-mode table search (pure Python)."""
 
-Set ``FOURTOPS_PURE=1`` to force the pure backend (used by the benchmark and
-by the backend-equivalence tests).
-"""
+from .pure import enumerate_operator_tables
 
-import os
-
-if os.environ.get("FOURTOPS_PURE"):
-    from .pure import enumerate_operator_tables
-
-    BACKEND = "pure"
-else:
-    try:
-        from ._fast import enumerate_operator_tables  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        from .pure import enumerate_operator_tables  # type: ignore[no-redef]
-
-        BACKEND = "pure"
-
-__all__ = ["enumerate_operator_tables", "BACKEND"]
+__all__ = ["enumerate_operator_tables"]

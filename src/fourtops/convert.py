@@ -4,9 +4,15 @@ Point sets, nuclei on the down-set algebra, covering-sieve families, and
 classifier endomaps determine each other.  Every conversion here follows its
 defining formula directly; the enumerators double as evidence, with a formula
 mode that generates one structure per point subset and an oracle mode that
-searches every candidate table and filters by the axioms.  The route checkers
-compose conversions along different paths and compare the results by value,
-reporting counterexamples in full rather than asserting.
+searches by the axioms alone and never consults a point set.  The oracle
+searches prune with the axioms they check: LT components are placed along a
+linear extension, and each component's table search (the pure-Python kernel
+in ``_kernels``) only offers values that are natural against the components
+already placed below; covering families are generated as upward-closed sets
+of the sieves that are stable over the covers already placed below, then
+filtered by transitivity.  The route checkers compose conversions along
+different paths and compare the results by value, reporting counterexamples
+in full rather than asserting.
 """
 
 from __future__ import annotations
@@ -242,6 +248,21 @@ def enumerate_nuclei(
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _linear_extension(poset: Poset) -> list[int]:
+    """Point indices, every point after the points below it."""
+    return sorted(
+        range(len(poset.points)), key=lambda i: poset.down_mask_at(i).bit_count()
+    )
+
+
 def enumerate_grotops(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ENUM_POINT_CAP
 ) -> list[GrothendieckTopology]:
@@ -253,65 +274,71 @@ def enumerate_grotops(
         raise SizeCapExceeded(f"oracle enumeration capped at {point_cap} points")
     # assign per-point families minimal-points-first so stab and trans are
     # checkable as soon as a point is placed
-    order = sorted(
-        range(len(poset.points)), key=lambda i: poset.down_mask_at(i).bit_count()
-    )
-    sieve_masks = [
-        [s.mask for s in sieves_on(poset, u)] for u in poset.points
+    order = _linear_extension(poset)
+    sieve_masks = [[s.mask for s in sieves_on(poset, u)] for u in poset.points]
+    # supersets[i][a]: the sieves on point i strictly containing sieve a, as
+    # bits over sieve indices (sieves_on lists subsets before supersets)
+    supersets = [
+        [
+            sum(1 << b for b in range(a + 1, len(masks)) if masks[a] & ~masks[b] == 0)
+            for a in range(len(masks))
+        ]
+        for masks in sieve_masks
     ]
     results: list[GrothendieckTopology] = []
     chosen: dict[int, frozenset] = {}
 
-    def candidates(i: int) -> list[frozenset]:
-        down_u = poset.down_mask_at(i)
-        rest = [m for m in sieve_masks[i] if m != down_u]
-        out = []
-        for k in range(len(rest) + 1):
-            for combo in combinations(rest, k):
-                out.append(frozenset(combo) | {down_u})
-        return out
+    def covered_at(points: int, s: int) -> int:
+        """The placed points among ``points`` where sieve s restricts to a cover."""
+        where = 0
+        for k in _bits(points):
+            if s & poset.down_mask_at(k) in chosen[k]:
+                where |= 1 << k
+        return where
 
-    def consistent(i: int, fam: frozenset) -> bool:
-        down_u = poset.down_mask_at(i)
-        for m in fam:
-            rest = down_u & ~(1 << i)
-            while rest:
-                k = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if m & poset.down_mask_at(k) not in chosen[k]:
-                    return False
-        for s in sieve_masks[i]:
-            if s in fam:
-                continue
-            for cover in fam:
-                ok = True
-                rest = cover
-                while rest:
-                    k = (rest & -rest).bit_length() - 1
-                    rest &= rest - 1
-                    if k == i:
-                        if s not in fam:
-                            ok = False
-                            break
-                    elif s & poset.down_mask_at(k) not in chosen[k]:
-                        ok = False
-                        break
-                if ok:
-                    return False
-        return True
+    def candidates(i: int, stable: list[int]):
+        """Upward-closed families of the stable sieves that hold the maximal
+        sieve, as bits over sieve indices.  Any family that passes trans is
+        one: a sieve above a cover restricts to a maximal sieve at each point
+        of that cover, so it covers too."""
+        sup = supersets[i]
+
+        def grow(pos: int, fam: int):
+            # the sieves above stable[pos] are decided, so it may join
+            # exactly when all of them have
+            if pos < 0:
+                yield fam
+                return
+            yield from grow(pos - 1, fam)
+            a = stable[pos]
+            if sup[a] & ~fam == 0:
+                yield from grow(pos - 1, fam | 1 << a)
+
+        yield from grow(len(stable) - 2, 1 << stable[-1])
 
     def walk(pos: int) -> None:
         if pos == len(order):
-            families = {
-                poset.points[i]: [DownSet(poset, m) for m in fam]
-                for i, fam in chosen.items()
-            }
+            families = {poset.points[i]: fam for i, fam in chosen.items()}
             results.append(make_grotop(poset, families))
             return
         i = order[pos]
-        for fam in candidates(i):
-            if consistent(i, fam):
-                chosen[i] = fam
+        masks = sieve_masks[i]
+        top = len(masks) - 1
+        below = poset.down_mask_at(i) & ~(1 << i)
+        where = [covered_at(below, s) for s in masks]
+        # stab: a cover restricts to a cover at every point below
+        stable = [a for a in range(len(masks)) if where[a] == below]
+        # trans: a sieve covers when it restricts to a cover at every point of
+        # some cover; inside[a] lists the covers other than the maximal sieve
+        # that would force sieve a this way
+        inside = [
+            sum(1 << r for r in range(top) if masks[r] & ~where[a] == 0)
+            for a in range(len(masks))
+        ]
+        everything = (1 << len(masks)) - 1
+        for fam in candidates(i, stable):
+            if all(inside[a] & fam == 0 for a in _bits(everything & ~fam)):
+                chosen[i] = frozenset(masks[a] for a in _bits(fam))
                 walk(pos + 1)
                 del chosen[i]
 
@@ -333,9 +360,9 @@ def enumerate_lts(
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:
         raise SizeCapExceeded(f"oracle enumeration capped at {point_cap} points")
-    per_point: list[list[tuple[int, ...]]] = []
     sieve_lists = [sieves_on(poset, u) for u in poset.points]
-    for u, sieves in zip(poset.points, sieve_lists):
+    lattices = []
+    for sieves in sieve_lists:
         n = len(sieves)
         pos = {s.mask: k for k, s in enumerate(sieves)}
         up = [0] * n
@@ -345,43 +372,44 @@ def enumerate_lts(
                 if sieves[a].mask | sieves[b].mask == sieves[b].mask:
                     up[a] |= 1 << b
                 meet[a * n + b] = pos[sieves[a].mask & sieves[b].mask]
-        per_point.append(
-            enumerate_operator_tables(
-                n, tuple(up), tuple(meet), inflationary=False, top_fixed=True
-            )
-        )
-    arrows = sorted(poset.arrows, key=repr)
-    arrow_info = []
-    for (u, v) in arrows:
+        lattices.append((n, tuple(up), tuple(meet)))
+    # for each arrow u -> v: restr[k] is sieve k on u restricted to v, and
+    # fib[r] the sieves on u that restrict to sieve r on v.  Naturality at the
+    # arrow says t_u[k] lies in fib[t_v[restr[k]]].
+    arrows_below: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
+        [] for _ in poset.points
+    ]
+    for (u, v) in poset.arrows:
         iu, iv = poset.index(u), poset.index(v)
         down_v = poset.down_mask(v)
         pos_v = {s.mask: k for k, s in enumerate(sieve_lists[iv])}
         restr = tuple(pos_v[s.mask & down_v] for s in sieve_lists[iu])
-        arrow_info.append((iu, iv, restr))
+        fib = [0] * len(sieve_lists[iv])
+        for k, r in enumerate(restr):
+            fib[r] |= 1 << k
+        arrows_below[iu].append((iv, restr, tuple(fib)))
+    # place points in a linear extension, so each arrow's lower end is placed
+    # before its upper end and the kernel only sees natural tables
+    order = _linear_extension(poset)
     results: list[LTTopology] = []
-    tables: list[tuple[int, ...] | None] = [None] * len(poset.points)
+    tables: list[tuple[int, ...]] = [()] * len(poset.points)
 
-    def natural_so_far(i: int) -> bool:
-        for (iu, iv, restr) in arrow_info:
-            if tables[iu] is None or tables[iv] is None:
-                continue
-            if iu != i and iv != i:
-                continue
-            tu, tv = tables[iu], tables[iv]
-            for k in range(len(restr)):
-                if restr[tu[k]] != tv[restr[k]]:
-                    return False
-        return True
-
-    def walk(i: int) -> None:
-        if i == len(poset.points):
-            results.append(LTTopology(poset, tuple(tables)))  # type: ignore[arg-type]
+    def walk(pos: int) -> None:
+        if pos == len(order):
+            results.append(LTTopology(poset, tuple(tables)))
             return
-        for cand in per_point[i]:
-            tables[i] = cand
-            if natural_so_far(i):
-                walk(i + 1)
-        tables[i] = None
+        i = order[pos]
+        n, up, meet = lattices[i]
+        allowed = [(1 << n) - 1] * n
+        for iv, restr, fib in arrows_below[i]:
+            tv = tables[iv]
+            for k in range(n):
+                allowed[k] &= fib[tv[restr[k]]]
+        for t in enumerate_operator_tables(
+            n, up, meet, inflationary=False, top_fixed=True, allowed=tuple(allowed)
+        ):
+            tables[i] = t
+            walk(pos + 1)
 
     walk(0)
     results.sort(key=lambda lt: lt.tables)

@@ -2,9 +2,12 @@
 values.  Everything above the composite-routes section works from first
 principles on explicit subsets so it shares no code path with the package.
 
-The composite routes at the end keep the package's earlier, literal
-constructions of the mask-based fast paths: they build one validated
-sub-presheaf per step from label sets, where the package reads element masks.
+The composite routes keep the package's earlier, literal constructions of
+the mask-based fast paths: they build one validated sub-presheaf per step from
+label sets, where the package reads element masks.  The literal oracle
+searches at the end keep the earlier enumerators that generate every candidate
+and filter it by the axioms, where the package prunes with the same axioms
+before it generates.
 """
 
 from itertools import combinations, product
@@ -124,3 +127,182 @@ def subobjects_from_sets(b, limit=None):
             sets[u].add(a)
         out.append(Inclusion(b.sub_from_sets(sets), b))
     return out
+
+
+# -- literal oracle searches ---------------------------------------------------
+
+
+def operator_tables_literal(n, up_masks, meet, inflationary, top_fixed):
+    """The table search testing each candidate value against every axiom in
+    turn, one value at a time, with no precomputed masks."""
+    if n == 0:
+        return [()]
+    results = []
+    table = [0] * n
+    top = n - 1
+
+    def admissible(i, v, must_fix):
+        if inflationary and not up_masks[i] >> v & 1:
+            return False
+        if top_fixed and i == top and v != top:
+            return False
+        if must_fix >> i & 1 and v != i:
+            return False
+        if v < i and table[v] != v:
+            return False
+        base = i * n
+        for k in range(i):
+            tk = table[k]
+            if up_masks[k] >> i & 1:
+                # monotonicity: k <= i forces t[k] <= t[i]
+                if not up_masks[tk] >> v & 1:
+                    return False
+            m = meet[base + k]
+            if meet[tk * n + v] != table[m]:
+                return False
+        return True
+
+    def walk(i, must_fix):
+        if i == n:
+            results.append(tuple(table))
+            return
+        for v in range(n):
+            if admissible(i, v, must_fix):
+                table[i] = v
+                walk(i + 1, must_fix | 1 << v)
+        table[i] = 0
+
+    walk(0, 0)
+    return results
+
+
+def lts_literal(poset):
+    """Oracle LT topologies: every component table the kernel admits on its
+    own, joined point by point in index order and filtered by naturality."""
+    from fourtops.poset import sieves_on
+    from fourtops.topology import LTTopology
+
+    per_point = []
+    sieve_lists = [sieves_on(poset, u) for u in poset.points]
+    for sieves in sieve_lists:
+        n = len(sieves)
+        pos = {s.mask: k for k, s in enumerate(sieves)}
+        up = [0] * n
+        meet = [0] * (n * n)
+        for a in range(n):
+            for b in range(n):
+                if sieves[a].mask | sieves[b].mask == sieves[b].mask:
+                    up[a] |= 1 << b
+                meet[a * n + b] = pos[sieves[a].mask & sieves[b].mask]
+        per_point.append(
+            operator_tables_literal(
+                n, tuple(up), tuple(meet), inflationary=False, top_fixed=True
+            )
+        )
+    arrow_info = []
+    for (u, v) in sorted(poset.arrows, key=repr):
+        iu, iv = poset.index(u), poset.index(v)
+        down_v = poset.down_mask(v)
+        pos_v = {s.mask: k for k, s in enumerate(sieve_lists[iv])}
+        restr = tuple(pos_v[s.mask & down_v] for s in sieve_lists[iu])
+        arrow_info.append((iu, iv, restr))
+    results = []
+    tables = [None] * len(poset.points)
+
+    def natural_so_far(i):
+        for (iu, iv, restr) in arrow_info:
+            if tables[iu] is None or tables[iv] is None:
+                continue
+            if iu != i and iv != i:
+                continue
+            tu, tv = tables[iu], tables[iv]
+            for k in range(len(restr)):
+                if restr[tu[k]] != tv[restr[k]]:
+                    return False
+        return True
+
+    def walk(i):
+        if i == len(poset.points):
+            results.append(LTTopology(poset, tuple(tables)))
+            return
+        for cand in per_point[i]:
+            tables[i] = cand
+            if natural_so_far(i):
+                walk(i + 1)
+        tables[i] = None
+
+    walk(0)
+    results.sort(key=lambda lt: lt.tables)
+    return results
+
+
+def grotops_literal(poset):
+    """Oracle Grothendieck topologies: every family of sieves holding the
+    maximal one, placed minimal points first and filtered by stability and
+    transitivity."""
+    from fourtops.poset import DownSet, sieves_on
+    from fourtops.topology import make_grotop
+
+    order = sorted(
+        range(len(poset.points)), key=lambda i: poset.down_mask_at(i).bit_count()
+    )
+    sieve_masks = [[s.mask for s in sieves_on(poset, u)] for u in poset.points]
+    results = []
+    chosen = {}
+
+    def candidates(i):
+        down_u = poset.down_mask_at(i)
+        rest = [m for m in sieve_masks[i] if m != down_u]
+        out = []
+        for k in range(len(rest) + 1):
+            for combo in combinations(rest, k):
+                out.append(frozenset(combo) | {down_u})
+        return out
+
+    def consistent(i, fam):
+        down_u = poset.down_mask_at(i)
+        for m in fam:
+            rest = down_u & ~(1 << i)
+            while rest:
+                k = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if m & poset.down_mask_at(k) not in chosen[k]:
+                    return False
+        for s in sieve_masks[i]:
+            if s in fam:
+                continue
+            for cover in fam:
+                ok = True
+                rest = cover
+                while rest:
+                    k = (rest & -rest).bit_length() - 1
+                    rest &= rest - 1
+                    if k == i:
+                        if s not in fam:
+                            ok = False
+                            break
+                    elif s & poset.down_mask_at(k) not in chosen[k]:
+                        ok = False
+                        break
+                if ok:
+                    return False
+        return True
+
+    def walk(pos):
+        if pos == len(order):
+            families = {
+                poset.points[i]: [DownSet(poset, m) for m in fam]
+                for i, fam in chosen.items()
+            }
+            results.append(make_grotop(poset, families))
+            return
+        i = order[pos]
+        for fam in candidates(i):
+            if consistent(i, fam):
+                chosen[i] = fam
+                walk(pos + 1)
+                del chosen[i]
+
+    walk(0)
+    results.sort(key=lambda g: g.covers)
+    return results

@@ -29,6 +29,7 @@ from fourtops.poset import Poset, sieves_on, star_graph
 from fourtops.topology import ClosureOperator, largest_grotop, smallest_grotop
 
 from .conftest import pile_code_str
+from .oracles import grotops_literal, lts_literal
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +61,34 @@ def small_posets(draw):
     pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
     arrows = {p for p in pairs if draw(st.booleans())}
     return Poset(points, arrows)
+
+
+@st.composite
+def shuffled_posets(draw):
+    """Up to 5 points listed in a drawn order, so that index order need not
+    be a linear extension."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    names = [f"p{i}" for i in range(n)]
+    pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+    arrows = {p for p in pairs if draw(st.booleans())}
+    return Poset(draw(st.permutations(names)), arrows)
+
+
+def cone(n):
+    """n-1 pairwise incomparable points under one top point."""
+    points = [f"p{i}" for i in range(n)]
+    return Poset(points, {(points[-1], p) for p in points[:-1]})
+
+
+def fan(n):
+    """A cone whose second-highest point also sits above the first."""
+    points = [f"p{i}" for i in range(n)]
+    arrows = {(points[-1], p) for p in points[:-1]} | {(points[-2], points[0])}
+    return Poset(points, arrows)
+
+
+def reversed_order(poset):
+    return Poset(tuple(reversed(poset.points)), poset.arrows)
 
 
 class TestPointSetGrotop:
@@ -206,6 +235,29 @@ class TestEnumerators:
         assert set(nf) == set(no)
         assert set(gf) == set(go)
         assert set(lf) == set(lo)
+
+    @given(shuffled_posets())
+    @settings(max_examples=50, deadline=None)
+    def test_pruned_searches_equal_the_literal_ones(self, poset):
+        assert enumerate_grotops(poset, "oracle") == grotops_literal(poset)
+        assert enumerate_lts(poset, "oracle") == lts_literal(poset)
+
+    def test_cone5_and_fan5_equal_the_literal_searches(self):
+        # the literal covers search takes seconds on the cone, so the cone
+        # runs in one point order only: top point first, against the order
+        # the search places points in
+        for poset in (reversed_order(cone(5)), fan(5), reversed_order(fan(5))):
+            assert enumerate_grotops(poset, "oracle") == grotops_literal(poset)
+            assert enumerate_lts(poset, "oracle") == lts_literal(poset)
+
+    def test_six_point_covers_search_finishes(self):
+        # the full candidate lists would hold 2^24 (fan) and 2^32 (cone)
+        # families at the top point
+        for poset in (fan(6), cone(6)):
+            got = enumerate_grotops(poset, "oracle")
+            assert len(got) == 64
+            formula = enumerate_grotops(poset, "formula")
+            assert got == sorted(formula, key=lambda g: g.covers)
 
 
 class TestQuad:

@@ -1,22 +1,31 @@
-"""The compiled and pure table-search kernels must agree exactly."""
+"""The oracle table search: fixed cases, agreement with the literal search,
+and the ``allowed`` masks."""
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourtops._kernels import BACKEND
 from fourtops._kernels import pure
 from fourtops.heyting import HeytingAlgebra
-from fourtops.poset import Poset
+from fourtops.poset import Poset, sieves_on
 
-try:
-    from fourtops._kernels import _fast
-except ImportError:
-    _fast = None
+from .oracles import operator_tables_literal
 
 
 def lattice_inputs(poset):
     algebra = HeytingAlgebra(poset)
     return len(algebra), algebra.up_masks(), algebra.meet_table()
+
+
+def sieve_lattice_inputs(poset, u):
+    """The sieve lattice on u, as the LT-topology search feeds it."""
+    sieves = sieves_on(poset, u)
+    n = len(sieves)
+    pos = {s.mask: k for k, s in enumerate(sieves)}
+    up = tuple(
+        sum(1 << b for b in range(n) if sieves[a].mask & ~sieves[b].mask == 0)
+        for a in range(n)
+    )
+    meet = tuple(pos[sieves[a].mask & sieves[b].mask] for a in range(n) for b in range(n))
+    return n, up, meet
 
 
 @st.composite
@@ -26,6 +35,9 @@ def small_posets(draw):
     pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
     arrows = {p for p in pairs if draw(st.booleans())}
     return Poset(points, arrows)
+
+
+CONE = sieve_lattice_inputs(Poset(list("abcd"), {("d", x) for x in "abc"}), "d")
 
 
 class TestPureKernel:
@@ -49,19 +61,60 @@ class TestPureKernel:
         assert all(t[1] == 1 for t in got)
 
 
-@pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-class TestBackendAgreement:
+class TestLiteralAgreement:
     @given(small_posets(), st.booleans(), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_same_tables_same_order(self, poset, inflationary, top_fixed):
+    def test_same_tables_same_order_on_downset_lattices(self, poset, inflationary, top_fixed):
         n, up, meet = lattice_inputs(poset)
-        a = pure.enumerate_operator_tables(
+        assert pure.enumerate_operator_tables(
             n, up, meet, inflationary=inflationary, top_fixed=top_fixed
-        )
-        b = _fast.enumerate_operator_tables(
-            n, up, meet, inflationary=inflationary, top_fixed=top_fixed
-        )
-        assert a == b
+        ) == operator_tables_literal(n, up, meet, inflationary, top_fixed)
 
-    def test_backend_label_is_accurate(self):
-        assert BACKEND in ("pure", "compiled")
+    def test_every_flag_combination_on_the_star_and_a_cone(self, star_poset):
+        for n, up, meet in (lattice_inputs(star_poset), CONE):
+            for inflationary in (False, True):
+                for top_fixed in (False, True):
+                    got = pure.enumerate_operator_tables(
+                        n, up, meet, inflationary=inflationary, top_fixed=top_fixed
+                    )
+                    assert got == operator_tables_literal(
+                        n, up, meet, inflationary, top_fixed
+                    )
+                    assert got  # the identity always qualifies
+
+
+def kernel(inputs, allowed=None, inflationary=False, top_fixed=True):
+    n, up, meet = inputs
+    return pure.enumerate_operator_tables(
+        n, up, meet, inflationary=inflationary, top_fixed=top_fixed, allowed=allowed
+    )
+
+
+class TestAllowed:
+    def test_all_ones_equals_unrestricted(self, star_poset):
+        for inputs in (CONE, lattice_inputs(star_poset)):
+            n = inputs[0]
+            for flags in ((False, True), (True, False)):
+                assert kernel(inputs, ((1 << n) - 1,) * n, *flags) == kernel(
+                    inputs, None, *flags
+                )
+
+    @given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6))
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_unrestricted_result_filtered(self, dropped):
+        n = CONE[0]
+        allowed = [(1 << n) - 1] * n
+        for i, v in dropped:
+            allowed[i] &= ~(1 << v)
+        allowed = tuple(allowed)
+        expected = [
+            t for t in kernel(CONE) if all(allowed[i] >> v & 1 for i, v in enumerate(t))
+        ]
+        assert kernel(CONE, allowed) == expected
+
+    def test_a_zero_mask_gives_nothing(self):
+        n = CONE[0]
+        for i in range(n):
+            allowed = tuple(0 if k == i else (1 << n) - 1 for k in range(n))
+            assert kernel(CONE, allowed) == []
+            assert kernel(CONE, allowed, inflationary=True, top_fixed=False) == []
