@@ -9,7 +9,7 @@ containing b, which always lands inside ``down u``.
 from __future__ import annotations
 
 from .errors import ShapeMismatch
-from .poset import DownSet, Poset, sieve_positions, sieves_on
+from .poset import DownSet, Poset, sieve_positions, sieve_restriction, sieves_on
 from .presheaf import (
     Inclusion,
     Morphism,
@@ -29,18 +29,15 @@ class OmegaObject(Presheaf):
 
     def __init__(self, poset: Poset):
         sieves = {u: sieves_on(poset, u) for u in poset.points}
-        sets = {u: sieves[u] for u in poset.points}
         restr = {}
         for (u, v) in poset.arrows:
-            down_v = poset.down_mask(v)
-            restr[(u, v)] = {
-                s: DownSet(poset, s.mask & down_v) for s in sieves[u]
-            }
-        super().__init__(poset, sets, restr)
+            to_v, _ = sieve_restriction(poset, u, v)
+            restr[(u, v)] = {s: sieves[v][r] for s, r in zip(sieves[u], to_v)}
+        super().__init__(poset, sieves, restr)
         self.sieves = sieves
 
     def sieve_index(self, u, s: DownSet) -> int:
-        return self.sieves[u].index(s)
+        return sieve_positions(self.poset, u)[s.mask]
 
 
 def omega(poset: Poset) -> OmegaObject:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .convert import (
+    Quad,
     check_closure_route,
     check_roundtrips,
     check_top_region_covers,
@@ -39,7 +40,7 @@ from .classifier import chi as chi_map
 from .classifier import omega
 from .errors import FourtopsError, ParseError
 from .heyting import HeytingAlgebra, Nucleus, is_nucleus
-from .poset import DownSet, Poset, TwoColumnGraph, sieves_on
+from .poset import DownSet, Poset, TwoColumnGraph, sieve_positions, sieves_on
 from .presheaf import Inclusion, subterminal_of, terminal
 from .render import (
     render_grotop,
@@ -133,28 +134,40 @@ def _parse_arrows(p: _Parser) -> set[tuple[str, str]]:
     return arrows
 
 
-def _parse_pile(p: _Parser, graph: TwoColumnGraph) -> DownSet:
+def _take_count(p: _Parser) -> int:
+    tok = p.take()
+    if not tok.isdigit():
+        raise p.error(f"expected a column height, found {tok!r}")
+    return int(tok)
+
+
+def _parse_pile(p: _Parser, graph: TwoColumnGraph) -> int:
     tok = p.take()
     if not tok.isdigit() or len(tok) != 2:
         raise p.error(f"expected a two-digit pile code, found {tok!r}")
-    return graph.pile(int(tok[0]), int(tok[1]))
+    return graph.pile_mask(int(tok[0]), int(tok[1]))
 
 
 def parse_input(text: str) -> InputSpec:
     """Parse the text grammar, or the JSON schema when text starts with '{'.
 
-    Construction errors (cycles, bad piles, same-column cross arrows) surface
+    Both readers produce the same raw payload, which
+    :func:`_realize_structure` then builds and checks.  Construction errors
+    in the text grammar (cycles, bad piles, same-column cross arrows) surface
     as ParseError with the position of the form that caused them.
     """
     if text.lstrip().startswith("{"):
-        return _parse_json_input(text)
-    p = _Parser(text)
-    try:
-        return _parse_text(p)
-    except ParseError:
-        raise
-    except FourtopsError as e:
-        raise p.error(str(e)) from e
+        spec = _parse_json_input(text)
+    else:
+        p = _Parser(text)
+        try:
+            spec = _parse_text(p)
+        except ParseError:
+            raise
+        except FourtopsError as e:
+            raise p.error(str(e)) from e
+    _realize_structure(spec)
+    return spec
 
 
 def _parse_text(p: _Parser) -> InputSpec:
@@ -164,10 +177,10 @@ def _parse_text(p: _Parser) -> InputSpec:
         if head == "2cg":
             p.take("p")
             p.take("=")
-            pp = int(p.take())
+            pp = _take_count(p)
             p.take("q")
             p.take("=")
-            qq = int(p.take())
+            qq = _take_count(p)
             cross: set = set()
             if p.peek() == "cross":
                 p.take("cross")
@@ -199,19 +212,17 @@ def _parse_text(p: _Parser) -> InputSpec:
             raise ParseError(f"unknown form {head!r}")
     if spec is None:
         raise ParseError("empty input")
-    _realize_structure(spec)
     return spec
 
 
 def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
+    """The raw payload of one structure form; see :func:`_realize_structure`."""
     p.take("{")
     if kind == "y":
         members = []
         while p.peek() != "}":
             members.append(p.take())
         p.take("}")
-        for u in members:
-            spec.poset.index(u)
         return frozenset(members)
     if spec.graph is None:
         raise p.error(f"{kind} payloads use pile codes and need a 2cg input")
@@ -221,8 +232,7 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
         while p.peek() != "}":
             src = _parse_pile(p, graph)
             p.take("->")
-            dst = _parse_pile(p, graph)
-            entries[src] = dst
+            entries[src] = _parse_pile(p, graph)
             if p.peek() == ";":
                 p.take(";")
         p.take("}")
@@ -231,12 +241,10 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
         entries: dict = {}
         while p.peek() != "}":
             point = p.take()
-            spec.poset.index(point)
             p.take(":")
             src = _parse_pile(p, graph)
             p.take("->")
-            dst = _parse_pile(p, graph)
-            entries.setdefault(point, {})[src] = dst
+            entries.setdefault(point, {})[src] = _parse_pile(p, graph)
             if p.peek() == ";":
                 p.take(";")
         p.take("}")
@@ -245,7 +253,6 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
         families: dict = {}
         while p.peek() != "}":
             point = p.take()
-            spec.poset.index(point)
             p.take(":")
             fam = []
             while p.peek() not in (";", "}"):
@@ -258,42 +265,51 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
     raise p.error(f"unknown structure kind {kind!r}")
 
 
+def _position(poset: Poset, positions: dict, mask: int, family: str) -> int:
+    """The index of a payload down-set among ``positions``, or why it has none."""
+    k = positions.get(mask)
+    if k is None:
+        names = "{" + ",".join(str(u) for u in poset.names_of(mask)) + "}"
+        if not poset.is_down_closed(mask):
+            raise ParseError(f"value {names} is not down-closed")
+        raise ParseError(f"value {names} is not one of {family}")
+    return k
+
+
+def _table(poset: Poset, row: dict, positions: dict, family: str) -> tuple[int, ...]:
+    """A total mask-to-mask table on the down-sets ``positions`` indexes."""
+    if set(row) != set(positions):
+        raise ParseError(f"table must be total on {family}")
+    return tuple(_position(poset, positions, row[m], family) for m in positions)
+
+
 def _realize_structure(spec: InputSpec) -> None:
-    """Turn raw payload dictionaries into validated structure objects."""
-    if spec.kind is None:
-        return
-    poset = spec.poset
-    if spec.kind == "y":
-        return
+    """Build and check the structure from the raw payload either reader gives.
+
+    The raw payload is a set of point names for ``y``; a dict from mask to
+    mask for ``nucleus``; and, per point name, a dict from mask to mask for
+    ``lt`` or a list of masks for ``grotop``.  Masks are over the points.
+    """
+    poset, raw = spec.poset, spec.payload
+    if spec.kind in ("y", "lt", "grotop"):
+        for u in raw:
+            poset.index(u)
     if spec.kind == "nucleus":
         algebra = HeytingAlgebra(poset)
-        entries = spec.payload
-        if set(map(lambda s: s.mask, entries)) != {s.mask for s in algebra.elements}:
-            raise ParseError("nucleus table must be total on the down-set algebra")
-        table = tuple(
-            algebra.index(entries[s]) for s in algebra.elements
+        spec.payload = Nucleus(
+            algebra, _table(poset, raw, algebra._pos, "the down-set algebra")
         )
-        spec.payload = Nucleus(algebra, table)
-        return
-    if spec.kind == "lt":
-        entries = spec.payload
-        tables = []
+    elif spec.kind == "lt":
+        rows = []
         for u in poset.points:
-            sieves = sieves_on(poset, u)
-            row = entries.get(u, {})
-            by_mask = {s.mask: t for s, t in row.items()}
-            if set(by_mask) != {s.mask for s in sieves}:
-                raise ParseError(f"j table at {u!r} must be total on the sieves of {u!r}")
-            pos = {s.mask: k for k, s in enumerate(sieves)}
-            for s, t in row.items():
-                if t.mask not in pos:
-                    raise ParseError(f"value {t!r} is not a sieve on {u!r}")
-            tables.append(tuple(pos[by_mask[s.mask].mask] for s in sieves))
-        spec.payload = LTTopology(poset, tuple(tables))
-        return
-    if spec.kind == "grotop":
-        spec.payload = make_grotop(poset, spec.payload)
-        return
+            on_u = f"the sieves on {u!r}"
+            rows.append(_table(poset, raw.get(u, {}), sieve_positions(poset, u), on_u))
+        spec.payload = LTTopology(poset, tuple(rows))
+    elif spec.kind == "grotop":
+        for u, fam in raw.items():
+            for m in fam:
+                _position(poset, sieve_positions(poset, u), m, f"the sieves on {u!r}")
+        spec.payload = make_grotop(poset, raw)
 
 
 # -- JSON schema ---------------------------------------------------------------
@@ -355,9 +371,21 @@ def _parse_json_input(text: str) -> InputSpec:
         data = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}") from None
-    pj = data.get("poset")
-    if not isinstance(pj, dict):
+    if not isinstance(data, dict) or not isinstance(data.get("poset"), dict):
         raise ParseError("JSON input needs a 'poset' object")
+    sj = data.get("structure")
+    if sj is not None and not isinstance(sj, dict):
+        raise ParseError("JSON 'structure' must be an object")
+    try:
+        return _json_spec(data["poset"], sj)
+    except KeyError as e:
+        raise ParseError(f"JSON input lacks the field {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise ParseError(f"malformed JSON input: {e}") from None
+
+
+def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
+    """The poset and the raw structure payload of a decoded JSON document."""
     if pj.get("kind") == "2cg":
         graph = TwoColumnGraph(
             int(pj["p"]), int(pj["q"]), frozenset(tuple(a) for a in pj.get("cross", []))
@@ -367,50 +395,25 @@ def _parse_json_input(text: str) -> InputSpec:
         spec = InputSpec(Poset(pj["points"], {tuple(a) for a in pj.get("arrows", [])}))
     else:
         raise ParseError("poset.kind must be '2cg' or 'poset'")
-    sj = data.get("structure")
     if sj is None:
         return spec
+    mask_of = spec.poset.mask_of
     kind = sj.get("kind")
-    poset = spec.poset
     if kind == "y":
-        spec.kind = "y"
-        spec.payload = frozenset(sj["members"])
-        for u in spec.payload:
-            poset.index(u)
+        raw = frozenset(sj["members"])
     elif kind == "nucleus":
-        algebra = HeytingAlgebra(poset)
-        table_pairs = {
-            poset.mask_of(src): poset.mask_of(dst) for src, dst in sj["table"]
-        }
-        if set(table_pairs) != {s.mask for s in algebra.elements}:
-            raise ParseError("nucleus table must be total on the down-set algebra")
-        table = tuple(
-            algebra.index(DownSet(poset, table_pairs[s.mask]))
-            for s in algebra.elements
-        )
-        spec.kind, spec.payload = "nucleus", Nucleus(algebra, table)
-    elif kind == "grotop":
-        families = {}
-        for name, fams in sj["covers"]:
-            poset.index(name)
-            families[name] = [DownSet(poset, poset.mask_of(f)) for f in fams]
-        spec.kind, spec.payload = "grotop", make_grotop(poset, families)
+        raw = {mask_of(src): mask_of(dst) for src, dst in sj["table"]}
     elif kind == "lt":
-        tables = []
-        rows = dict((name, pairs) for name, pairs in sj["table"])
-        for u in poset.points:
-            sieves = sieves_on(poset, u)
-            pos = {s.mask: k for k, s in enumerate(sieves)}
-            row = {
-                poset.mask_of(src): poset.mask_of(dst)
-                for src, dst in rows.get(str(u), [])
-            }
-            if set(row) != set(pos):
-                raise ParseError(f"j table at {u!r} must be total on the sieves of {u!r}")
-            tables.append(tuple(pos[row[s.mask]] for s in sieves))
-        spec.kind, spec.payload = "lt", LTTopology(poset, tuple(tables))
+        raw = {}
+        for name, pairs in sj["table"]:
+            raw.setdefault(name, {}).update((mask_of(a), mask_of(b)) for a, b in pairs)
+    elif kind == "grotop":
+        raw = {}
+        for name, fams in sj["covers"]:
+            raw.setdefault(name, []).extend(mask_of(f) for f in fams)
     else:
         raise ParseError("structure.kind must be y, nucleus, grotop, or lt")
+    spec.kind, spec.payload = kind, raw
     return spec
 
 
@@ -418,22 +421,25 @@ def emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
 
 
+def _write_result(out, spec: InputSpec, result: dict) -> None:
+    out.write(emit_json({"poset": poset_json(spec), "result": result}))
+
+
 # -- structure conversion helpers ----------------------------------------------
 
 
-def convert_structure(spec: InputSpec, target: str):
-    poset = spec.poset
-    algebra = HeytingAlgebra(poset)
-    kind, value = spec.kind, spec.payload
-    if kind is None:
+def _quad(spec: InputSpec, source: str | None = None) -> Quad:
+    """All four representations of the input's structure, which ``--from``
+    (when given) must name."""
+    if spec.kind is None:
         raise ParseError("this command needs a structure payload in the input")
-    quad = complete_quad(poset, algebra=algebra, **{kind: value})
-    return {
-        "y": quad.y,
-        "nucleus": quad.nucleus,
-        "grotop": quad.grotop,
-        "lt": quad.lt,
-    }[target]
+    if source is not None and spec.kind != source:
+        raise ParseError(f"input structure is {spec.kind!r} but --from says {source!r}")
+    return complete_quad(spec.poset, **{spec.kind: spec.payload})
+
+
+def convert_structure(spec: InputSpec, target: str):
+    return getattr(_quad(spec), target)
 
 
 def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
@@ -498,14 +504,7 @@ def cmd_show(args, out) -> int:
                 raise ParseError("--render needs a 2cg input")
             out.write(render_zha(spec.graph) + "\n")
         elif args.json:
-            out.write(
-                emit_json(
-                    {
-                        "poset": poset_json(spec),
-                        "result": {"h": [_downset_json(s) for s in algebra.elements]},
-                    }
-                )
-            )
+            _write_result(out, spec, {"h": [_downset_json(s) for s in algebra.elements]})
         else:
             out.write(" ".join(_downset_str(spec, s) for s in algebra.elements) + "\n")
         return 0
@@ -520,14 +519,7 @@ def cmd_show(args, out) -> int:
             for u in poset.points
         ]
         if args.json:
-            out.write(
-                emit_json(
-                    {
-                        "poset": poset_json(spec),
-                        "result": {"omega": [[u, v] for u, v in sorted(rows)]},
-                    }
-                )
-            )
+            _write_result(out, spec, {"omega": [[u, v] for u, v in sorted(rows)]})
         else:
             for u in poset.points:
                 line = " ".join(_downset_str(spec, s) for s in sieves_on(poset, u))
@@ -539,14 +531,7 @@ def cmd_show(args, out) -> int:
             for u in poset.points
         ]
         if args.json:
-            out.write(
-                emit_json(
-                    {
-                        "poset": poset_json(spec),
-                        "result": {"true": [[u, v] for u, v in sorted(rows)]},
-                    }
-                )
-            )
+            _write_result(out, spec, {"true": [[u, v] for u, v in sorted(rows)]})
         else:
             for u in poset.points:
                 ds = DownSet(poset, poset.down_mask(u))
@@ -568,14 +553,7 @@ def cmd_chi(args, out) -> int:
     for u in poset.points:
         rows.append((str(u), _downset_json(g.comp[u]["*"])))
     if args.json:
-        out.write(
-            emit_json(
-                {
-                    "poset": poset_json(spec),
-                    "result": {"chi": [[u, v] for u, v in sorted(rows)]},
-                }
-            )
-        )
+        _write_result(out, spec, {"chi": [[u, v] for u, v in sorted(rows)]})
     else:
         for u in poset.points:
             out.write(f"{u}: {_downset_str(spec, g.comp[u]['*'])}\n")
@@ -584,11 +562,7 @@ def cmd_chi(args, out) -> int:
 
 def cmd_convert(args, out) -> int:
     spec = _read_input(args)
-    if spec.kind != args.source:
-        raise ParseError(
-            f"input structure is {spec.kind!r} but --from says {args.source!r}"
-        )
-    value = convert_structure(spec, args.target)
+    value = getattr(_quad(spec, args.source), args.target)
     if args.json:
         out.write(
             emit_json(
@@ -605,41 +579,21 @@ def cmd_convert(args, out) -> int:
 
 def cmd_fouruple(args, out) -> int:
     spec = _read_input(args)
-    if spec.kind != args.source:
-        raise ParseError(
-            f"input structure is {spec.kind!r} but --from says {args.source!r}"
-        )
-    algebra = HeytingAlgebra(spec.poset)
-    quad = complete_quad(
-        spec.poset, algebra=algebra, **{spec.kind: spec.payload}
-    )
+    quad = _quad(spec, args.source)
     if args.render:
         if spec.graph is None:
             raise ParseError("--render needs a 2cg input")
         out.write(render_quad(spec.graph, quad) + "\n")
         return 0
     if args.json:
-        out.write(
-            emit_json(
-                {
-                    "poset": poset_json(spec),
-                    "result": {
-                        "y": structure_json(spec.poset, "y", quad.y),
-                        "nucleus": structure_json(spec.poset, "nucleus", quad.nucleus),
-                        "grotop": structure_json(spec.poset, "grotop", quad.grotop),
-                        "lt": structure_json(spec.poset, "lt", quad.lt),
-                    },
-                }
-            )
+        _write_result(
+            out,
+            spec,
+            {k: structure_json(spec.poset, k, getattr(quad, k)) for k in STRUCTURE_KINDS},
         )
     else:
-        for kind, value in (
-            ("y", quad.y),
-            ("nucleus", quad.nucleus),
-            ("grotop", quad.grotop),
-            ("lt", quad.lt),
-        ):
-            out.write(structure_text(spec, kind, value) + "\n")
+        for kind in STRUCTURE_KINDS:
+            out.write(structure_text(spec, kind, getattr(quad, kind)) + "\n")
     return 0
 
 
@@ -657,19 +611,14 @@ def cmd_enumerate(args, out) -> int:
         items = enumerate_lts(poset, mode, point_cap=args.cap)
         kind = "lt"
     if args.json:
-        out.write(
-            emit_json(
-                {
-                    "poset": poset_json(spec),
-                    "result": {
-                        "count": len(items),
-                        "items": sorted(
-                            (structure_json(poset, kind, v) for v in items),
-                            key=lambda d: json.dumps(d, sort_keys=True),
-                        ),
-                    },
-                }
-            )
+        items_json = (structure_json(poset, kind, v) for v in items)
+        _write_result(
+            out,
+            spec,
+            {
+                "count": len(items),
+                "items": sorted(items_json, key=lambda d: json.dumps(d, sort_keys=True)),
+            },
         )
     else:
         out.write(f"{len(items)}\n")
@@ -714,14 +663,7 @@ def cmd_check(args, out) -> int:
     if args.what == "axioms":
         results, ok = _axiom_results(poset, args.cap)
         if args.json:
-            out.write(
-                emit_json(
-                    {
-                        "poset": poset_json(spec),
-                        "result": {"instances": results, "ok": ok},
-                    }
-                )
-            )
+            _write_result(out, spec, {"instances": results, "ok": ok})
         else:
             out.write(
                 f"{sum(all(v for k, v in e.items() if isinstance(v, bool)) for e in results)}"
@@ -736,29 +678,19 @@ def cmd_check(args, out) -> int:
     outputs = [fn(poset) for fn in reports]
     ok = all(r.ok for r in outputs)
     if args.json:
-        out.write(
-            emit_json(
-                {
-                    "poset": poset_json(spec),
-                    "result": {
-                        "reports": [
-                            {
-                                "name": r.name,
-                                "ok": r.ok,
-                                "agree": sum(v.agrees for v in r.verdicts),
-                                "total": len(r.verdicts),
-                                "counterexamples": [
-                                    {"label": v.label, "detail": v.detail}
-                                    for v in r.counterexamples()
-                                ],
-                            }
-                            for r in outputs
-                        ],
-                        "ok": ok,
-                    },
-                }
-            )
-        )
+        reports_json = [
+            {
+                "name": r.name,
+                "ok": r.ok,
+                "agree": sum(v.agrees for v in r.verdicts),
+                "total": len(r.verdicts),
+                "counterexamples": [
+                    {"label": v.label, "detail": v.detail} for v in r.counterexamples()
+                ],
+            }
+            for r in outputs
+        ]
+        _write_result(out, spec, {"reports": reports_json, "ok": ok})
     else:
         for r in outputs:
             out.write(r.summary() + "\n")
@@ -776,12 +708,7 @@ def cmd_render(args, out) -> int:
     if args.what == "omega":
         out.write(render_omega(graph) + "\n")
         return 0
-    if spec.kind is None:
-        raise ParseError(f"render {args.what} needs a structure payload")
-    algebra = HeytingAlgebra(spec.poset)
-    quad = complete_quad(
-        spec.poset, algebra=algebra, **{spec.kind: spec.payload}
-    )
+    quad = _quad(spec)
     if args.what == "j":
         out.write(render_lt(graph, quad.lt) + "\n")
     elif args.what == "grotop":
@@ -890,11 +817,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, render=False, cap=5000):
+    def add_common(p, render=False, cap=None, json=True):
         p.add_argument("-i", "--input", help="input file ('-' for stdin)")
         p.add_argument("-t", "--text", help="inline input text")
-        p.add_argument("--json", action="store_true", help="structured output")
-        p.add_argument("--cap", type=int, default=cap, help="work cap")
+        if json:
+            p.add_argument("--json", action="store_true", help="structured output")
+        if cap is not None:
+            p.add_argument("--cap", type=int, default=cap, help="work cap")
         if render:
             p.add_argument("--render", action="store_true", help="panel output")
 
@@ -925,13 +854,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "what", choices=["axioms", "conjectures", "topmost", "roundtrips"]
     )
-    add_common(p_check)
+    add_common(p_check, cap=5000)
 
     p_render = sub.add_parser("render", help="text renderings")
     p_render.add_argument(
         "what", choices=["zha", "omega", "j", "grotop", "fouruple"]
     )
-    add_common(p_render)
+    add_common(p_render, json=False)
 
     p_sweep = sub.add_parser("sweep", help="batch checks over a 2cg family")
     p_sweep.add_argument("--pmax", type=int, default=2)
@@ -960,9 +889,6 @@ def main(argv=None, out=None) -> int:
     }
     try:
         return handlers[args.command](args, out)
-    except ParseError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except FourtopsError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

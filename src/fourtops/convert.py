@@ -37,7 +37,14 @@ from .heyting import (
     point_set_of_nucleus,
 )
 from ._kernels import enumerate_operator_tables
-from .poset import DownSet, Poset, sieves_on
+from .poset import (
+    DownSet,
+    Poset,
+    lattice_tables,
+    sieve_positions,
+    sieve_restriction,
+    sieves_on,
+)
 from .presheaf import Inclusion
 from .topology import (
     ClosureOperator,
@@ -133,10 +140,9 @@ def nucleus_to_lt(n: Nucleus) -> LTTopology:
     tables = []
     for u in poset.points:
         down_u = poset.down_mask(u)
-        sieves = sieves_on(poset, u)
-        pos = {s.mask: k for k, s in enumerate(sieves)}
+        pos = sieve_positions(poset, u)
         row = []
-        for s in sieves:
+        for s in sieves_on(poset, u):
             star = algebra.elements[n.table[algebra.index(s)]]
             row.append(pos[star.mask & down_u])
         tables.append(tuple(row))
@@ -174,10 +180,9 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
     tables = []
     for u in poset.points:
         down_u = poset.down_mask(u)
-        sieves = sieves_on(poset, u)
-        pos = {s.mask: k for k, s in enumerate(sieves)}
+        pos = sieve_positions(poset, u)
         row = []
-        for s in sieves:
+        for s in sieves_on(poset, u):
             mask = 0
             rest = down_u
             while rest:
@@ -276,15 +281,8 @@ def enumerate_grotops(
     # checkable as soon as a point is placed
     order = _linear_extension(poset)
     sieve_masks = [[s.mask for s in sieves_on(poset, u)] for u in poset.points]
-    # supersets[i][a]: the sieves on point i strictly containing sieve a, as
-    # bits over sieve indices (sieves_on lists subsets before supersets)
-    supersets = [
-        [
-            sum(1 << b for b in range(a + 1, len(masks)) if masks[a] & ~masks[b] == 0)
-            for a in range(len(masks))
-        ]
-        for masks in sieve_masks
-    ]
+    # ups[i][a]: the sieves on point i containing sieve a, as bits over indices
+    ups = [lattice_tables(masks)[0] for masks in sieve_masks]
     results: list[GrothendieckTopology] = []
     chosen: dict[int, frozenset] = {}
 
@@ -301,7 +299,7 @@ def enumerate_grotops(
         sieve, as bits over sieve indices.  Any family that passes trans is
         one: a sieve above a cover restricts to a maximal sieve at each point
         of that cover, so it covers too."""
-        sup = supersets[i]
+        up = ups[i]
 
         def grow(pos: int, fam: int):
             # the sieves above stable[pos] are decided, so it may join
@@ -311,7 +309,7 @@ def enumerate_grotops(
                 return
             yield from grow(pos - 1, fam)
             a = stable[pos]
-            if sup[a] & ~fam == 0:
+            if up[a] & ~(fam | 1 << a) == 0:
                 yield from grow(pos - 1, fam | 1 << a)
 
         yield from grow(len(stable) - 2, 1 << stable[-1])
@@ -360,34 +358,16 @@ def enumerate_lts(
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:
         raise SizeCapExceeded(f"oracle enumeration capped at {point_cap} points")
-    sieve_lists = [sieves_on(poset, u) for u in poset.points]
-    lattices = []
-    for sieves in sieve_lists:
-        n = len(sieves)
-        pos = {s.mask: k for k, s in enumerate(sieves)}
-        up = [0] * n
-        meet = [0] * (n * n)
-        for a in range(n):
-            for b in range(n):
-                if sieves[a].mask | sieves[b].mask == sieves[b].mask:
-                    up[a] |= 1 << b
-                meet[a * n + b] = pos[sieves[a].mask & sieves[b].mask]
-        lattices.append((n, tuple(up), tuple(meet)))
-    # for each arrow u -> v: restr[k] is sieve k on u restricted to v, and
-    # fib[r] the sieves on u that restrict to sieve r on v.  Naturality at the
-    # arrow says t_u[k] lies in fib[t_v[restr[k]]].
+    lattices = [
+        lattice_tables([s.mask for s in sieves_on(poset, u)]) for u in poset.points
+    ]
+    # naturality at an arrow u -> v says t_u[k] lies in fib[t_v[restr[k]]]
     arrows_below: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
         [] for _ in poset.points
     ]
     for (u, v) in poset.arrows:
-        iu, iv = poset.index(u), poset.index(v)
-        down_v = poset.down_mask(v)
-        pos_v = {s.mask: k for k, s in enumerate(sieve_lists[iv])}
-        restr = tuple(pos_v[s.mask & down_v] for s in sieve_lists[iu])
-        fib = [0] * len(sieve_lists[iv])
-        for k, r in enumerate(restr):
-            fib[r] |= 1 << k
-        arrows_below[iu].append((iv, restr, tuple(fib)))
+        restr, fib = sieve_restriction(poset, u, v)
+        arrows_below[poset.index(u)].append((poset.index(v), restr, fib))
     # place points in a linear extension, so each arrow's lower end is placed
     # before its upper end and the kernel only sees natural tables
     order = _linear_extension(poset)
@@ -399,7 +379,8 @@ def enumerate_lts(
             results.append(LTTopology(poset, tuple(tables)))
             return
         i = order[pos]
-        n, up, meet = lattices[i]
+        up, meet = lattices[i]
+        n = len(up)
         allowed = [(1 << n) - 1] * n
         for iv, restr, fib in arrows_below[i]:
             tv = tables[iv]

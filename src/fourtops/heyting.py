@@ -20,6 +20,7 @@ from .poset import (
     Poset,
     enumerate_downsets,
     interior_mask,
+    lattice_tables,
 )
 
 
@@ -82,21 +83,10 @@ class HeytingAlgebra:
         return self.elements[self._pos[mask]]
 
     def meet_table(self) -> tuple[int, ...]:
-        n = len(self.elements)
-        flat = [0] * (n * n)
-        for i, r in enumerate(self.elements):
-            for j, s in enumerate(self.elements):
-                flat[i * n + j] = self._pos[r.mask & s.mask]
-        return tuple(flat)
+        return lattice_tables([s.mask for s in self.elements])[1]
 
     def up_masks(self) -> tuple[int, ...]:
-        n = len(self.elements)
-        out = [0] * n
-        for i, r in enumerate(self.elements):
-            for j, s in enumerate(self.elements):
-                if r.mask | s.mask == s.mask:
-                    out[i] |= 1 << j
-        return tuple(out)
+        return lattice_tables([s.mask for s in self.elements])[0]
 
 
 @dataclass(frozen=True)
@@ -273,8 +263,7 @@ def enumerate_nucleus_tables(
         )
     return enumerate_operator_tables(
         len(algebra.elements),
-        algebra.up_masks(),
-        algebra.meet_table(),
+        *lattice_tables([s.mask for s in algebra.elements]),
         inflationary=True,
         top_fixed=False,
     )

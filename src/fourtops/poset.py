@@ -195,90 +195,97 @@ def downset_sort_key(poset: Poset, mask: int) -> tuple:
     return (mask.bit_count(), tuple(i for i in range(len(poset.points)) if mask >> i & 1))
 
 
+def _downsets(poset: Poset, top: int, limit: int | None = None) -> tuple[DownSet, ...]:
+    """The first ``limit`` (default: all) down-sets inside ``top``, in (size,
+    membership) order.
+
+    They are generated one size level at a time, so a limit stops the walk
+    early: a down-set of size k + 1 is one of size k plus a point whose
+    strict down-set it holds.
+    """
+    strict = [poset.down_mask_at(i) & ~(1 << i) for i in range(len(poset.points))]
+    masks: list[int] = []
+    level = [0]
+    while level and (limit is None or len(masks) < limit):
+        level.sort(key=lambda m: downset_sort_key(poset, m))
+        masks.extend(level)
+        grown = set()
+        for mask in level:
+            rest = top & ~mask
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if strict[i] & ~mask == 0:
+                    grown.add(mask | 1 << i)
+        level = list(grown)
+    return tuple(DownSet(poset, m) for m in masks[:limit])
+
+
 @lru_cache(maxsize=None)
 def enumerate_downsets(poset: Poset, cap: int = DEFAULT_POINT_CAP) -> tuple[DownSet, ...]:
     """All down-sets, in deterministic (size, membership) order."""
     if len(poset.points) > cap:
         raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {cap}")
-    n = len(poset.points)
-    strict = [poset.down_mask_at(i) & ~(1 << i) for i in range(n)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for i in range(n):
-                if mask >> i & 1:
-                    continue
-                if strict[i] & ~mask:
-                    continue
-                grown = mask | 1 << i
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    masks = sorted(seen, key=lambda m: downset_sort_key(poset, m))
-    return tuple(DownSet(poset, m) for m in masks)
+    return _downsets(poset, poset.full_mask)
 
 
 def limited_downsets(poset: Poset, limit: int) -> tuple[DownSet, ...]:
     """First ``limit`` down-sets in (size, membership) order, generated lazily
     by size level so large posets never materialize their whole lattice."""
-    n = len(poset.points)
-    strict = [poset.down_mask_at(i) & ~(1 << i) for i in range(n)]
-    collected: list[int] = []
-    seen = {0}
-    level = [0]
-    while level and len(collected) < limit:
-        level.sort(key=lambda m: downset_sort_key(poset, m))
-        collected.extend(level)
-        nxt = set()
-        for mask in level:
-            for i in range(n):
-                if mask >> i & 1:
-                    continue
-                if strict[i] & ~mask:
-                    continue
-                grown = mask | 1 << i
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.add(grown)
-        level = list(nxt)
-    return tuple(DownSet(poset, m) for m in collected[:limit])
+    return _downsets(poset, poset.full_mask, limit)
 
 
 @lru_cache(maxsize=None)
 def sieves_on(poset: Poset, u: PointId) -> tuple[DownSet, ...]:
     """All sieves on u: down-sets of the ambient poset contained in ``down u``.
 
-    Deterministic order, consistent with :func:`enumerate_downsets`.
+    They are the principal ideal below ``down u`` of the down-set lattice, in
+    the order of :func:`enumerate_downsets`.
     """
-    top = poset.down_mask(u)
-    n = len(poset.points)
-    strict = [poset.down_mask_at(i) & ~(1 << i) for i in range(n)]
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for mask in frontier:
-            for i in range(n):
-                if not top >> i & 1 or mask >> i & 1:
-                    continue
-                if strict[i] & ~mask:
-                    continue
-                grown = mask | 1 << i
-                if grown not in seen:
-                    seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    masks = sorted(seen, key=lambda m: downset_sort_key(poset, m))
-    return tuple(DownSet(poset, m) for m in masks)
+    return _downsets(poset, poset.down_mask(u))
 
 
 @lru_cache(maxsize=None)
 def sieve_positions(poset: Poset, u: PointId) -> dict:
-    """Mask -> index into :func:`sieves_on`, cached for the hot paths."""
+    """Mask -> index into :func:`sieves_on`, the one index of the sieves on u."""
     return {s.mask: k for k, s in enumerate(sieves_on(poset, u))}
+
+
+def lattice_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Order and meet tables of a family of masks closed under intersection.
+
+    ``up[a]`` has bit b set when ``masks[a]`` is contained in ``masks[b]``;
+    ``meet[a * n + b]`` is the index of ``masks[a] & masks[b]``.  This is the
+    input the oracle table search takes.
+    """
+    n = len(masks)
+    pos = {m: k for k, m in enumerate(masks)}
+    up = [0] * n
+    meet = [0] * (n * n)
+    for a, ma in enumerate(masks):
+        for b, mb in enumerate(masks):
+            if ma | mb == mb:
+                up[a] |= 1 << b
+            meet[a * n + b] = pos[ma & mb]
+    return tuple(up), tuple(meet)
+
+
+def sieve_restriction(
+    poset: Poset, u: PointId, v: PointId
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The classifier's restriction from u to a point v below it, by index.
+
+    ``restr[k]`` is the position of ``sieves_on(u)[k] & down v`` among the
+    sieves on v, and ``fib[r]`` the bitmask of the sieves on u that restrict
+    to sieve r on v.
+    """
+    down_v = poset.down_mask(v)
+    pos_v = sieve_positions(poset, v)
+    restr = tuple(pos_v[s.mask & down_v] for s in sieves_on(poset, u))
+    fib = [0] * len(pos_v)
+    for k, r in enumerate(restr):
+        fib[r] |= 1 << k
+    return restr, tuple(fib)
 
 
 # -- two-column graphs -----------------------------------------------------

@@ -16,7 +16,14 @@ from typing import Iterable
 from .classifier import OmegaObject, chi, omega, sigma, true_inclusion
 from .errors import InvalidTopology, NotInclusion, ShapeMismatch
 from .heyting import AxiomFailure, CheckReport, HeytingAlgebra
-from .poset import DownSet, Poset, downset_sort_key, sieves_on
+from .poset import (
+    DownSet,
+    Poset,
+    downset_sort_key,
+    sieve_positions,
+    sieve_restriction,
+    sieves_on,
+)
 from .presheaf import (
     ElementIndex,
     Inclusion,
@@ -42,12 +49,9 @@ class LTTopology:
     poset: Poset
     tables: tuple[tuple[int, ...], ...]
 
-    def sieve_lists(self) -> dict:
-        return {u: sieves_on(self.poset, u) for u in self.poset.points}
-
     def apply(self, u, s: DownSet) -> DownSet:
-        sieves = sieves_on(self.poset, u)
-        return sieves[self.tables[self.poset.index(u)][sieves.index(s)]]
+        k = sieve_positions(self.poset, u)[s.mask]
+        return sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]]
 
     def as_morphism(self, om: OmegaObject) -> Morphism:
         comp = {}
@@ -71,8 +75,8 @@ def lt_from_morphism(m: Morphism) -> LTTopology:
     poset = om.poset
     tables = []
     for u in poset.points:
-        sieves = om.sieves[u]
-        tables.append(tuple(sieves.index(m.comp[u][s]) for s in sieves))
+        pos = sieve_positions(poset, u)
+        tables.append(tuple(pos[m.comp[u][s].mask] for s in om.sieves[u]))
     return LTTopology(poset, tuple(tables))
 
 
@@ -91,20 +95,16 @@ def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
         if len(j.tables[i]) != n or any(not 0 <= v < n for v in j.tables[i]):
             raise InvalidTopology(f"table at {u!r} does not match the classifier")
     for (u, v) in sorted(poset.arrows, key=repr):
-        iu, iv = poset.index(u), poset.index(v)
-        down_v = poset.down_mask(v)
-        sieves_u, sieves_v = om.sieves[u], om.sieves[v]
-        pos_v = {s.mask: k for k, s in enumerate(sieves_v)}
-        for k, s in enumerate(sieves_u):
-            left = sieves_u[j.tables[iu][k]].mask & down_v
-            right = sieves_v[j.tables[iv][pos_v[s.mask & down_v]]].mask
-            if left != right:
+        restr, _ = sieve_restriction(poset, u, v)
+        tu, tv = j.tables[poset.index(u)], j.tables[poset.index(v)]
+        for k, s in enumerate(om.sieves[u]):
+            if restr[tu[k]] != tv[restr[k]]:
                 failures.append(AxiomFailure("naturality", ((u, v), s)))
                 break
     for i, u in enumerate(poset.points):
         table = j.tables[i]
         sieves = om.sieves[u]
-        pos = {s.mask: k for k, s in enumerate(sieves)}
+        pos = sieve_positions(poset, u)
         top = len(sieves) - 1
         bad_idem = next((k for k in range(len(sieves)) if table[table[k]] != table[k]), None)
         if bad_idem is not None:
@@ -423,12 +423,9 @@ def is_grothendieck(j: GrothendieckTopology) -> CheckReport:
     """Bounds, hasmax, stab, and trans, with witnesses."""
     poset = j.poset
     failures = []
-    sieve_masks = {
-        u: frozenset(s.mask for s in sieves_on(poset, u)) for u in poset.points
-    }
     family = {u: j.covers_mask_set(poset.index(u)) for u in poset.points}
     for u in poset.points:
-        if not family[u] <= sieve_masks[u]:
+        if not family[u] <= sieve_positions(poset, u).keys():
             failures.append(AxiomFailure("bounds", (u,)))
         if poset.down_mask(u) not in family[u]:
             failures.append(AxiomFailure("hasmax", (u,)))
@@ -444,7 +441,7 @@ def is_grothendieck(j: GrothendieckTopology) -> CheckReport:
                         AxiomFailure("stab", (u, v, DownSet(poset, m)))
                     )
                     break
-        for s_mask in sorted(sieve_masks[u]):
+        for s_mask in sorted(sieve_positions(poset, u)):
             if s_mask in family[u]:
                 continue
             for cover in family[u]:

@@ -176,6 +176,21 @@ def operator_tables_literal(n, up_masks, meet, inflationary, top_fixed):
     return results
 
 
+def sieve_lattice_literal(sieves):
+    """The order and meet tables of a list of sieves, by index, written out
+    pair by pair."""
+    n = len(sieves)
+    pos = {s.mask: k for k, s in enumerate(sieves)}
+    up = [0] * n
+    meet = [0] * (n * n)
+    for a in range(n):
+        for b in range(n):
+            if sieves[a].mask | sieves[b].mask == sieves[b].mask:
+                up[a] |= 1 << b
+            meet[a * n + b] = pos[sieves[a].mask & sieves[b].mask]
+    return tuple(up), tuple(meet)
+
+
 def lts_literal(poset):
     """Oracle LT topologies: every component table the kernel admits on its
     own, joined point by point in index order and filtered by naturality."""
@@ -185,18 +200,10 @@ def lts_literal(poset):
     per_point = []
     sieve_lists = [sieves_on(poset, u) for u in poset.points]
     for sieves in sieve_lists:
-        n = len(sieves)
-        pos = {s.mask: k for k, s in enumerate(sieves)}
-        up = [0] * n
-        meet = [0] * (n * n)
-        for a in range(n):
-            for b in range(n):
-                if sieves[a].mask | sieves[b].mask == sieves[b].mask:
-                    up[a] |= 1 << b
-                meet[a * n + b] = pos[sieves[a].mask & sieves[b].mask]
+        up, meet = sieve_lattice_literal(sieves)
         per_point.append(
             operator_tables_literal(
-                n, tuple(up), tuple(meet), inflationary=False, top_fixed=True
+                len(sieves), up, meet, inflationary=False, top_fixed=True
             )
         )
     arrow_info = []

@@ -288,3 +288,121 @@ class TestSweep:
         code, out = run("sweep", "--pmax", "1", "--qmax", "0")
         assert code == 0
         assert out.strip().endswith("instances ok")
+
+
+MALFORMED = {
+    "text-height-not-a-number": "2cg p=x q=1",
+    "json-poset-lacks-q": '{"poset": {"kind": "2cg", "p": 1}}',
+    "json-negative-height": '{"poset": {"kind": "2cg", "p": -1, "q": 1}}',
+    "json-y-lacks-members": (
+        '{"poset": {"kind": "2cg", "p": 1, "q": 1}, "structure": {"kind": "y"}}'
+    ),
+    "json-covers-entry-not-a-pair": (
+        '{"poset": {"kind": "poset", "points": ["a"], "arrows": []},'
+        ' "structure": {"kind": "grotop", "covers": [["a", [["a"]]], 5]}}'
+    ),
+    "json-lt-value-outside-down-u": (
+        '{"poset": {"kind": "2cg", "p": 1, "q": 1}, "structure": {"kind": "lt", "table":'
+        ' [["1_", [[[], []], [["1_"], ["_1"]]]], ["_1", [[[], []], [["_1"], ["_1"]]]]]}}'
+    ),
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_is_a_usage_error(text, capsys):
+    code = main(["convert", "--from", "y", "--to", "lt", "-t", text], out=io.StringIO())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("render", "zha", "--json"),
+        ("render", "zha", "--cap", "3"),
+        ("show", "h", "--cap", "3"),
+        ("chi", "--cap", "3"),
+        ("convert", "--from", "y", "--to", "lt", "--cap", "3"),
+        ("fouruple", "--from", "y", "--cap", "3"),
+    ],
+    ids=" ".join,
+)
+def test_removed_flags_are_refused(argv):
+    assert run(*argv, "-t", STAR + "\ny { _1 }")[0] == 2
+
+
+def _identity_payloads():
+    """The identity nucleus, the identity endomap and the smallest covers on
+    the star, as text and as JSON."""
+    from fourtops.cli import convert_structure, poset_json, structure_json, structure_text
+
+    spec = parse_input(STAR + "\ny { 2_ 1_ _2 _1 }")
+    out = {}
+    for kind in ("nucleus", "lt", "grotop"):
+        value = convert_structure(spec, kind)
+        out[kind, "text"] = structure_text(spec, kind, value)
+        structure = structure_json(spec.poset, kind, value)
+        out[kind, "json"] = {"poset": poset_json(spec), "structure": structure}
+    return out
+
+
+def _json_edit(doc, point, src, dst):
+    """A copy of the JSON payload with the row for ``src`` (at ``point`` for
+    an endomap) sent to ``dst``, or dropped when ``dst`` is None; for covers,
+    with ``dst`` added to the family at ``point``."""
+    doc = json.loads(json.dumps(doc))
+    if doc["structure"]["kind"] == "grotop":
+        next(fams for name, fams in doc["structure"]["covers"] if name == point).append(dst)
+        return json.dumps(doc)
+    rows = doc["structure"]["table"]
+    if point is not None:
+        rows = next(pairs for name, pairs in rows if name == point)
+    k = next(k for k, (s, _) in enumerate(rows) if s == src)
+    if dst is None:
+        del rows[k]
+    else:
+        rows[k][1] = dst
+    return json.dumps(doc)
+
+
+ALL = ["1_", "2_", "_1", "_2"]
+# (kind, defect) -> (text edit, JSON edit); the defects are a table that is
+# not total, a value outside the poset or not a sieve on its point, and a
+# value that is not down-closed; a cover is a value
+BAD_PAYLOADS = {
+    ("nucleus", "not-total"): (("; 22 -> 22", ""), (None, ALL, None)),
+    ("nucleus", "outside-the-poset"): (("22 -> 22", "22 -> 33"), (None, ALL, ["zz"])),
+    ("nucleus", "not-down-closed"): (("22 -> 22", "22 -> 20"), (None, ALL, ["1_", "2_"])),
+    ("lt", "not-total"): (("1_: 10 -> 10; ", ""), ("1_", ["1_"], None)),
+    ("lt", "not-a-sieve"): (("1_: 10 -> 10", "1_: 10 -> 01"), ("1_", ["1_"], ["_1"])),
+    ("lt", "not-down-closed"): (
+        ("2_: 21 -> 21", "2_: 21 -> 20"),
+        ("2_", ["1_", "2_", "_1"], ["1_", "2_"]),
+    ),
+    ("grotop", "not-a-sieve"): (("1_: 10", "1_: 10 01"), ("1_", None, ["_1"])),
+    ("grotop", "not-down-closed"): (("2_: 21", "2_: 21 20"), ("2_", None, ["1_", "2_"])),
+}
+MESSAGES = {
+    "not-total": "must be total",
+    "not-a-sieve": "is not one of the sieves",
+    "not-down-closed": "is not down-closed",
+}
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("kind, defect", BAD_PAYLOADS, ids=["-".join(k) for k in BAD_PAYLOADS])
+def test_both_readers_refuse_the_same_bad_payloads(kind, defect, form, capsys):
+    good = _identity_payloads()[kind, form]
+    text_edit, json_edit = BAD_PAYLOADS[kind, defect]
+    if form == "text":
+        assert text_edit[0] in good
+        good, bad = STAR + "\n" + good, STAR + "\n" + good.replace(*text_edit)
+    else:
+        good, bad = json.dumps(good), _json_edit(good, *json_edit)
+    assert run("show", "h", "-t", good)[0] == 0
+    assert run("show", "h", "-t", bad)[0] == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert MESSAGES.get(defect, "") in err

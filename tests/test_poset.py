@@ -12,13 +12,19 @@ from fourtops.poset import (
     down_of_point,
     enumerate_downsets,
     interior,
+    lattice_tables,
     limited_downsets,
     sieves_on,
     strict_down,
 )
 
 from .conftest import pile_code_str
-from .oracles import brute_down_closure, brute_downsets, brute_interior
+from .oracles import (
+    brute_down_closure,
+    brute_downsets,
+    brute_interior,
+    sieve_lattice_literal,
+)
 
 
 @st.composite
@@ -176,9 +182,18 @@ class TestEnumeration:
 
     @given(small_posets())
     def test_limited_is_a_prefix(self, poset):
+        """The lazy prefixes, and each point's sieves, are read off the full
+        enumeration: Omega(u) is the principal ideal below down u, in the
+        same order, and its tables match the pairwise loops."""
         full = enumerate_downsets(poset)
         for k in (0, 1, 3, len(full)):
             assert limited_downsets(poset, k) == full[:k]
+        for u in poset.points:
+            below = poset.down_mask(u)
+            sieves = sieves_on(poset, u)
+            assert sieves == tuple(d for d in full if d.mask & ~below == 0)
+            tables = lattice_tables([s.mask for s in sieves])
+            assert tables == sieve_lattice_literal(sieves)
 
     def test_sieves_are_downsets_below_the_point(self, star_poset):
         for u in star_poset.points:
