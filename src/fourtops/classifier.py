@@ -25,7 +25,7 @@ from .presheaf import (
 class OmegaObject(Presheaf):
     """The classifier presheaf; caches per-point sieve lists in canonical order."""
 
-    __slots__ = ("sieves",)
+    __slots__ = ("sieves", "_true")
 
     def __init__(self, poset: Poset):
         sieves = {u: sieves_on(poset, u) for u in poset.points}
@@ -35,6 +35,7 @@ class OmegaObject(Presheaf):
             restr[(u, v)] = {s: sieves[v][r] for s, r in zip(sieves[u], to_v)}
         super().__init__(poset, sieves, restr)
         self.sieves = sieves
+        self._true = None
 
     def sieve_index(self, u, s: DownSet) -> int:
         return sieve_positions(self.poset, u)[s.mask]
@@ -55,8 +56,14 @@ def true_map(poset: Poset, om: OmegaObject | None = None) -> Morphism:
 
 
 def true_inclusion(poset: Poset, om: OmegaObject | None = None) -> Inclusion:
-    """The canonical inclusion equivalent to the true map."""
-    return can(true_map(poset, om))
+    """The canonical inclusion equivalent to the true map, built once per
+    classifier object."""
+    om = omega(poset) if om is None else om
+    if om.poset != poset:
+        raise ShapeMismatch("classifier lives on a different poset")
+    if om._true is None:
+        om._true = can(true_map(poset, om))
+    return om._true
 
 
 def chi(f: Inclusion, om: OmegaObject | None = None) -> Morphism:

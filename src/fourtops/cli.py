@@ -61,6 +61,7 @@ from .topology import (
 )
 
 STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
+DEFAULT_PAIR_CAP = 5000
 
 
 @dataclass
@@ -658,10 +659,12 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
 
 
 def cmd_check(args, out) -> int:
+    if args.cap is not None and args.what != "axioms":
+        raise ParseError(f"--cap applies to check axioms only, not check {args.what}")
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "axioms":
-        results, ok = _axiom_results(poset, args.cap)
+        results, ok = _axiom_results(poset, DEFAULT_PAIR_CAP if args.cap is None else args.cap)
         if args.json:
             _write_result(out, spec, {"instances": results, "ok": ok})
         else:
@@ -854,7 +857,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument(
         "what", choices=["axioms", "conjectures", "topmost", "roundtrips"]
     )
-    add_common(p_check, cap=5000)
+    add_common(p_check)
+    p_check.add_argument(
+        "--cap", type=int, help=f"pair cap for check axioms (default {DEFAULT_PAIR_CAP})"
+    )
 
     p_render = sub.add_parser("render", help="text renderings")
     p_render.add_argument(

@@ -18,21 +18,21 @@ in full rather than asserting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
 from .classifier import OmegaObject, chi, omega
 from .errors import (
     IncoherentQuad,
-    InvalidNucleus,
     InvalidTopology,
     SizeCapExceeded,
 )
 from .heyting import (
     HeytingAlgebra,
     Nucleus,
+    _require_nucleus,
     enumerate_nucleus_tables,
-    is_nucleus,
     nucleus_from_point_set,
     point_set_of_nucleus,
 )
@@ -45,12 +45,12 @@ from .poset import (
     sieve_restriction,
     sieves_on,
 )
-from .presheaf import Inclusion
+from .presheaf import Inclusion, terminal
 from .topology import (
     ClosureOperator,
     GrothendieckTopology,
     LTTopology,
-    closure_of,
+    _closure_mask,
     is_grothendieck,
     is_lt_topology,
     make_grotop,
@@ -59,13 +59,10 @@ from .topology import (
 DEFAULT_ENUM_POINT_CAP = 6
 
 
-def _require_nucleus(n: Nucleus) -> None:
-    report = is_nucleus(n.algebra, n.table)
-    if not report.ok:
-        raise InvalidNucleus(report.summary())
-
-
+@lru_cache(maxsize=64)
 def _require_grotop(j: GrothendieckTopology) -> None:
+    """Raise InvalidTopology unless j passes the covering axioms; like
+    ``_require_nucleus``, each passing value is checked once."""
     report = is_grothendieck(j)
     if not report.ok:
         raise InvalidTopology(report.summary())
@@ -209,22 +206,21 @@ def lt_to_grotop(lt: LTTopology) -> GrothendieckTopology:
 # -- closure operator -> nucleus ---------------------------------------------
 
 
-def closure_to_nucleus(
-    clop: ClosureOperator,
-    algebra: HeytingAlgebra | None = None,
-    om: OmegaObject | None = None,
-) -> Nucleus:
-    """Close each subterminal inclusion and read off its truth-value."""
-    from .presheaf import cst, subterminal_inclusion, terminal
+def closure_to_nucleus(clop: ClosureOperator, algebra: HeytingAlgebra | None = None) -> Nucleus:
+    """Close each subterminal of the terminal and read off its truth-value.
 
+    The terminal has one element per point, in point order, so a down-set's
+    point mask is its subterminal's element mask and the closed mask is the
+    closure's truth-value.
+    """
     poset = clop.poset
     algebra = HeytingAlgebra(poset) if algebra is None else algebra
-    om = omega(poset) if om is None else om
-    one = terminal(poset)
+    index = terminal(poset).elements()
+    covering = clop.covering
     table = []
     for s in algebra.elements:
-        closed = closure_of(clop, subterminal_inclusion(one, s), om)
-        table.append(algebra.index(cst(closed.dom)))
+        closed = index.require_down_closed(_closure_mask(covering, index, s.mask))
+        table.append(algebra.index(DownSet(poset, closed)))
     return Nucleus(algebra, tuple(table))
 
 
@@ -539,7 +535,7 @@ def check_closure_route(poset: Poset, algebra: HeytingAlgebra | None = None) -> 
     verdicts = []
     for y in _subsets(poset.points):
         clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
-        direct = closure_to_nucleus(clop, algebra, om)
+        direct = closure_to_nucleus(clop, algebra)
         via = grotop_to_nucleus(lt_to_grotop(j_from_closure(clop, om)), algebra)
         agrees = direct == via
         detail = "" if agrees else f"direct={direct.table} via={via.table}"
@@ -591,7 +587,7 @@ def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> Rou
             lt_to_grotop(grotop_to_lt(j, om)) == j,
             grotop_to_lt(lt_to_grotop(lt), om) == lt,
             j_from_closure(clop, om) == lt,
-            closure_to_nucleus(clop, algebra, om) == n,
+            closure_to_nucleus(clop, algebra) == n,
         )
         agrees = all(cycles)
         detail = "" if agrees else f"failed cycles: {[i for i, c in enumerate(cycles) if not c]}"

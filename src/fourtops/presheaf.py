@@ -16,6 +16,7 @@ and composite paths are sliced from B rather than recomposed and revalidated.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Hashable, Mapping
 
 from .errors import (
@@ -269,8 +270,9 @@ def presheaf_from_element_poset(element_poset: Poset, base: Poset) -> Presheaf:
     return Presheaf(base, sets, restr)
 
 
+@lru_cache(maxsize=None)
 def terminal(poset: Poset) -> Presheaf:
-    """The one-star presheaf."""
+    """The one-star presheaf, built once per poset."""
     sets = {u: ("*",) for u in poset.points}
     restr = {arrow: {"*": "*"} for arrow in poset.arrows}
     return Presheaf(poset, sets, restr)

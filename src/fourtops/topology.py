@@ -399,11 +399,12 @@ def make_grotop(poset: Poset, families: dict) -> GrothendieckTopology:
     """Build from a mapping point -> iterable of sieves (DownSets or masks)."""
     covers = []
     for u in poset.points:
-        fam = []
-        for s in families.get(u, ()):
-            fam.append(s.mask if isinstance(s, DownSet) else int(s))
-        fam = sorted(set(fam), key=lambda m: downset_sort_key(poset, m))
-        covers.append(tuple(fam))
+        fam = {s.mask if isinstance(s, DownSet) else int(s) for s in families.get(u, ())}
+        pos = sieve_positions(poset, u)
+        if fam <= pos.keys():  # sieve index order is downset_sort_key order
+            covers.append(tuple(sorted(fam, key=pos.__getitem__)))
+        else:
+            covers.append(tuple(sorted(fam, key=lambda m: downset_sort_key(poset, m))))
     return GrothendieckTopology(poset, tuple(covers))
 
 

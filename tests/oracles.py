@@ -3,8 +3,8 @@ values.  Everything above the composite-routes section works from first
 principles on explicit subsets so it shares no code path with the package.
 
 The composite routes keep the package's earlier, literal constructions of
-the mask-based fast paths: they build one validated sub-presheaf per step from
-label sets, where the package reads element masks.  The literal oracle
+the mask-based fast paths: they build one sub-presheaf object per step, most
+of them validated from label sets, where the package reads element masks.  The literal oracle
 searches at the end keep the earlier enumerators that generate every candidate
 and filter it by the axioms, where the package prunes with the same axioms
 before it generates.
@@ -127,6 +127,22 @@ def subobjects_from_sets(b, limit=None):
             sets[u].add(a)
         out.append(Inclusion(b.sub_from_sets(sets), b))
     return out
+
+
+def closure_to_nucleus_composite(clop, algebra, om):
+    """Nucleus of a closure operator through presheaf objects: each subterminal
+    inclusion into the terminal is closed with ``closure_of`` and its
+    truth-value read with ``cst``."""
+    from fourtops.heyting import Nucleus
+    from fourtops.presheaf import cst, subterminal_inclusion, terminal
+    from fourtops.topology import closure_of
+
+    one = terminal(clop.poset)
+    table = []
+    for s in algebra.elements:
+        closed = closure_of(clop, subterminal_inclusion(one, s), om)
+        table.append(algebra.index(cst(closed.dom)))
+    return Nucleus(algebra, tuple(table))
 
 
 # -- literal oracle searches ---------------------------------------------------

@@ -333,6 +333,17 @@ def test_removed_flags_are_refused(argv):
     assert run(*argv, "-t", STAR + "\ny { _1 }")[0] == 2
 
 
+@pytest.mark.parametrize("what", ["conjectures", "topmost", "roundtrips"])
+def test_check_cap_is_refused_where_it_is_not_read(what, capsys):
+    assert run("check", what, "--cap", "5000", "-t", STAR)[0] == 2
+    assert capsys.readouterr().err.startswith("error: --cap")
+
+
+def test_check_axioms_still_reads_cap():
+    with_cap = run("check", "axioms", "--cap", "5000", "-t", STAR)
+    assert with_cap == (0, run("check", "axioms", "-t", STAR)[1])
+
+
 def _identity_payloads():
     """The identity nucleus, the identity endomap and the smallest covers on
     the star, as text and as JSON."""

@@ -1,5 +1,7 @@
 """Conversions among the four representations, enumerators, and checkers."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,13 +25,25 @@ from fourtops.convert import (
     nucleus_to_lt,
     point_set_to_grotop,
 )
-from fourtops.errors import IncoherentQuad, SizeCapExceeded
-from fourtops.heyting import HeytingAlgebra, nucleus_from_point_set
+from fourtops.errors import (
+    FunctorialityError,
+    IncoherentQuad,
+    InvalidNucleus,
+    InvalidTopology,
+    SizeCapExceeded,
+)
+from fourtops.heyting import HeytingAlgebra, Nucleus, nucleus_from_point_set
 from fourtops.poset import Poset, sieves_on, star_graph
-from fourtops.topology import ClosureOperator, largest_grotop, smallest_grotop
+from fourtops.topology import (
+    ClosureOperator,
+    LTTopology,
+    largest_grotop,
+    make_grotop,
+    smallest_grotop,
+)
 
 from .conftest import pile_code_str
-from .oracles import grotops_literal, lts_literal
+from .oracles import closure_to_nucleus_composite, grotops_literal, lts_literal
 
 
 @pytest.fixture(scope="module")
@@ -191,7 +205,75 @@ class TestClosureToNucleus:
         for y in all_point_subsets(P):
             n = nucleus_from_point_set(algebra, y)
             clop = ClosureOperator(nucleus_to_lt(n))
-            assert closure_to_nucleus(clop, algebra, om) == n
+            assert closure_to_nucleus(clop, algebra) == n
+            assert closure_to_nucleus_composite(clop, algebra, om) == n
+
+    @given(shuffled_posets())
+    @settings(max_examples=25, deadline=None)
+    def test_equals_composite_route_on_random_posets(self, poset):
+        algebra = HeytingAlgebra(poset)
+        om = omega(poset)
+        for y in all_point_subsets(poset):
+            clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
+            assert closure_to_nucleus(clop, algebra) == closure_to_nucleus_composite(
+                clop, algebra, om
+            )
+
+    def test_equals_composite_route_on_random_tables(self, P, algebra):
+        # endomap tables drawn at random are mostly not topologies: both
+        # routes must give the same table or both reject a closure that is
+        # not a sub-presheaf
+        om = omega(P)
+        rng = random.Random(5)
+        sizes = [len(sieves_on(P, u)) for u in P.points]
+        outcomes = []
+        for _ in range(300):
+            lt = LTTopology(
+                P, tuple(tuple(rng.randrange(n) for _ in range(n)) for n in sizes)
+            )
+            clop = ClosureOperator(lt)
+            try:
+                direct = closure_to_nucleus(clop, algebra)
+            except FunctorialityError:
+                direct = None
+            try:
+                composite = closure_to_nucleus_composite(clop, algebra, om)
+            except FunctorialityError:
+                composite = None
+            assert direct == composite
+            outcomes.append(direct is None)
+        assert (sum(outcomes), outcomes.count(False)) == (204, 96)
+
+
+class TestValidationMemo:
+    def test_invalid_covers_raise_on_every_call(self, P):
+        from fourtops.convert import _require_grotop
+
+        j = make_grotop(P, {u: [] for u in P.points})
+        before = _require_grotop.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(InvalidTopology):
+                grotop_to_nucleus(j)
+        assert _require_grotop.cache_info().currsize == before
+
+    def test_invalid_nucleus_raises_on_every_call(self, algebra):
+        from fourtops.heyting import _require_nucleus
+
+        n = Nucleus(algebra, (0,) * len(algebra))
+        before = _require_nucleus.cache_info().currsize
+        for _ in range(2):
+            with pytest.raises(InvalidNucleus):
+                nucleus_to_grotop(n)
+        assert _require_nucleus.cache_info().currsize == before
+
+    def test_a_valid_value_is_checked_once(self, P):
+        from fourtops.convert import _require_grotop
+
+        j = point_set_to_grotop(P, {"_1"})
+        grotop_to_nucleus(j)
+        hits = _require_grotop.cache_info().hits
+        grotop_to_nucleus(point_set_to_grotop(P, {"_1"}))
+        assert _require_grotop.cache_info().hits == hits + 1
 
 
 class TestEnumerators:

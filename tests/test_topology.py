@@ -12,7 +12,7 @@ from fourtops.convert import (
 )
 from fourtops.errors import FunctorialityError
 from fourtops.heyting import HeytingAlgebra
-from fourtops.poset import DownSet, Poset, sieves_on, star_graph
+from fourtops.poset import DownSet, Poset, downset_sort_key, sieves_on, star_graph
 from fourtops.presheaf import Inclusion, subterminal_of, terminal
 from fourtops.topology import (
     ClosureOperator,
@@ -311,6 +311,31 @@ class TestGrothendieck:
         ]
         report = is_grothendieck(make_grotop(P, families))
         assert any(f.axiom == "trans" for f in report.failures)
+
+    def test_make_grotop_keeps_the_sort_key_order(self):
+        # sieve families sort by sieve index, families holding a mask that is
+        # not a sieve by downset_sort_key; both must give the key's order
+        rng = random.Random(7)
+        mixed = 0
+        for _ in range(200):
+            names = [f"p{i}" for i in range(rng.randrange(6))]
+            pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
+            rng.shuffle(names)
+            poset = Poset(names, {p for p in pairs if rng.random() < 0.5})
+            families = {}
+            for u in poset.points:
+                fam = [s for s in sieves_on(poset, u) if rng.random() < 0.5]
+                fam = [s if rng.random() < 0.5 else s.mask for s in fam]
+                if rng.random() < 0.5:
+                    fam += [rng.randrange(1 << len(names)) for _ in range(3)]
+                families[u] = fam
+            expected = []
+            for u in poset.points:
+                masks = {s.mask if isinstance(s, DownSet) else s for s in families[u]}
+                mixed += not masks <= {s.mask for s in sieves_on(poset, u)}
+                expected.append(tuple(sorted(masks, key=lambda m: downset_sort_key(poset, m))))
+            assert make_grotop(poset, families).covers == tuple(expected)
+        assert mixed > 100
 
     def test_stab_equivalent_to_subpresheaf_condition(self, P):
         # for every candidate family bounded by the sieves, the two readings
