@@ -22,10 +22,11 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .classifier import OmegaObject, chi, omega
+from .classifier import chi_tables, omega
 from .errors import (
     IncoherentQuad,
     InvalidTopology,
+    NotElement,
     SizeCapExceeded,
 )
 from .heyting import (
@@ -38,14 +39,13 @@ from .heyting import (
 )
 from ._kernels import enumerate_operator_tables
 from .poset import (
-    DownSet,
     Poset,
     lattice_tables,
     sieve_positions,
     sieve_restriction,
     sieves_on,
 )
-from .presheaf import Inclusion, terminal
+from .presheaf import terminal
 from .topology import (
     ClosureOperator,
     GrothendieckTopology,
@@ -53,6 +53,7 @@ from .topology import (
     _closure_mask,
     is_grothendieck,
     is_lt_topology,
+    j_from_closure,
     make_grotop,
 )
 
@@ -68,17 +69,27 @@ def _require_grotop(j: GrothendieckTopology) -> None:
         raise InvalidTopology(report.summary())
 
 
+def _algebra_on(poset: Poset, algebra: HeytingAlgebra | None) -> HeytingAlgebra:
+    """The given down-set algebra, or a new one; NotElement if the given one
+    lives on another poset, since its masks index nothing here."""
+    if algebra is None:
+        return HeytingAlgebra(poset)
+    if algebra.poset != poset:
+        raise NotElement("the algebra lives on a different poset")
+    return algebra
+
+
 # -- point set <-> covering families ----------------------------------------
 
 
 def point_set_to_grotop(poset: Poset, kept: Iterable) -> GrothendieckTopology:
     """A sieve covers u exactly when it contains every kept point below u."""
     kept_mask = poset.mask_of(kept)
-    families = {}
-    for u in poset.points:
-        need = kept_mask & poset.down_mask(u)
-        families[u] = [s for s in sieves_on(poset, u) if need & ~s.mask == 0]
-    return make_grotop(poset, families)
+    covers = []
+    for i, u in enumerate(poset.points):
+        need = kept_mask & poset.down_mask_at(i)
+        covers.append(tuple(m for m in sieve_positions(poset, u) if need & ~m == 0))
+    return GrothendieckTopology(poset, tuple(covers))
 
 
 def grotop_to_point_set(j: GrothendieckTopology) -> frozenset:
@@ -100,29 +111,30 @@ def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
     _require_nucleus(n)
     algebra = n.algebra
     poset = algebra.poset
-    families = {}
+    els, pos, table = algebra.elements, algebra._pos, n.table
+    covers = []
     for i, u in enumerate(poset.points):
-        fam = []
-        for s in sieves_on(poset, u):
-            star = algebra.elements[n.table[algebra.index(s)]]
-            if star.mask >> i & 1:
-                fam.append(s)
-        families[u] = fam
-    return make_grotop(poset, families)
+        covers.append(
+            tuple(m for m in sieve_positions(poset, u) if els[table[pos[m]]].mask >> i & 1)
+        )
+    return GrothendieckTopology(poset, tuple(covers))
 
 
 def grotop_to_nucleus(j: GrothendieckTopology, algebra: HeytingAlgebra | None = None) -> Nucleus:
     """Closure of S collects the points u with S-restricted-to-u covering u."""
     _require_grotop(j)
     poset = j.poset
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
+    algebra = _algebra_on(poset, algebra)
+    per_point = [
+        (1 << i, poset.down_mask_at(i), frozenset(fam)) for i, fam in enumerate(j.covers)
+    ]
     table = []
     for s in algebra.elements:
         mask = 0
-        for i, u in enumerate(poset.points):
-            if s.mask & poset.down_mask_at(i) in j.covers_mask_set(i):
-                mask |= 1 << i
-        table.append(algebra.index(DownSet(poset, mask)))
+        for bit, down, fam in per_point:
+            if s.mask & down in fam:
+                mask |= bit
+        table.append(algebra._pos[mask])
     return Nucleus(algebra, tuple(table))
 
 
@@ -134,39 +146,30 @@ def nucleus_to_lt(n: Nucleus) -> LTTopology:
     _require_nucleus(n)
     algebra = n.algebra
     poset = algebra.poset
+    els, pos, table = algebra.elements, algebra._pos, n.table
     tables = []
-    for u in poset.points:
-        down_u = poset.down_mask(u)
-        pos = sieve_positions(poset, u)
-        row = []
-        for s in sieves_on(poset, u):
-            star = algebra.elements[n.table[algebra.index(s)]]
-            row.append(pos[star.mask & down_u])
-        tables.append(tuple(row))
+    for i, u in enumerate(poset.points):
+        down_u = poset.down_mask_at(i)
+        spos = sieve_positions(poset, u)
+        tables.append(tuple(spos[els[table[pos[m]]].mask & down_u] for m in spos))
     return LTTopology(poset, tuple(tables))
 
 
 # -- covering families <-> classifier endomap --------------------------------
 
 
-def grotop_inclusion(j: GrothendieckTopology, om: OmegaObject) -> Inclusion:
-    """The covering families as a sub-presheaf of the classifier."""
-    families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
-    index = om.elements()
-    mask = 0
-    for k, ((_, s), i) in enumerate(zip(index.keys, index.point)):
-        if s.mask in families[i]:
-            mask |= 1 << k
-    return Inclusion._from_mask(om, mask)
-
-
-def grotop_to_lt(j: GrothendieckTopology, om: OmegaObject | None = None) -> LTTopology:
-    """Classifying map of the inclusion of the covering families."""
-    from .topology import lt_from_morphism
-
+def grotop_to_lt(j: GrothendieckTopology) -> LTTopology:
+    """Classifying map of the inclusion of the covering families, computed on
+    the classifier's element masks."""
     _require_grotop(j)
-    om = omega(j.poset) if om is None else om
-    return lt_from_morphism(chi(grotop_inclusion(j, om), om))
+    poset = j.poset
+    om = omega(poset)
+    mask = 0
+    for u, elements, fam in zip(poset.points, om.element_at, j.covers):
+        pos = sieve_positions(poset, u)
+        for m in fam:
+            mask |= 1 << elements[pos[m]]
+    return LTTopology(poset, chi_tables(om, mask))
 
 
 def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
@@ -174,6 +177,7 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
     restricted sieve covers."""
     _require_grotop(j)
     poset = j.poset
+    families = [frozenset(fam) for fam in j.covers]
     tables = []
     for u in poset.points:
         down_u = poset.down_mask(u)
@@ -185,7 +189,7 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
             while rest:
                 i = (rest & -rest).bit_length() - 1
                 rest &= rest - 1
-                if s.mask & poset.down_mask_at(i) in j.covers_mask_set(i):
+                if s.mask & poset.down_mask_at(i) in families[i]:
                     mask |= 1 << i
             row.append(pos[mask])
         tables.append(tuple(row))
@@ -195,12 +199,12 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
 def lt_to_grotop(lt: LTTopology) -> GrothendieckTopology:
     """The sieves sent to the maximal sieve by each component."""
     poset = lt.poset
-    families = {}
+    covers = []
     for i, u in enumerate(poset.points):
-        sieves = sieves_on(poset, u)
-        top = len(sieves) - 1
-        families[u] = [s for k, s in enumerate(sieves) if lt.tables[i][k] == top]
-    return make_grotop(poset, families)
+        pos = sieve_positions(poset, u)
+        top = len(pos) - 1
+        covers.append(tuple(m for m, k in pos.items() if lt.tables[i][k] == top))
+    return GrothendieckTopology(poset, tuple(covers))
 
 
 # -- closure operator -> nucleus ---------------------------------------------
@@ -214,14 +218,14 @@ def closure_to_nucleus(clop: ClosureOperator, algebra: HeytingAlgebra | None = N
     closure's truth-value.
     """
     poset = clop.poset
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
+    algebra = _algebra_on(poset, algebra)
     index = terminal(poset).elements()
     covering = clop.covering
-    table = []
-    for s in algebra.elements:
-        closed = index.require_down_closed(_closure_mask(covering, index, s.mask))
-        table.append(algebra.index(DownSet(poset, closed)))
-    return Nucleus(algebra, tuple(table))
+    table = tuple(
+        algebra._pos[index.require_down_closed(_closure_mask(covering, index, s.mask))]
+        for s in algebra.elements
+    )
+    return Nucleus(algebra, table)
 
 
 # -- enumerators --------------------------------------------------------------
@@ -422,7 +426,7 @@ def complete_quad(
     given = [x is not None for x in (y, nucleus, grotop, lt)]
     if sum(given) != 1:
         raise IncoherentQuad("provide exactly one of y, nucleus, grotop, lt")
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
+    algebra = _algebra_on(poset, algebra)
     if y is not None:
         kept = frozenset(y)
         _ = [poset.index(u) for u in kept]
@@ -436,12 +440,8 @@ def complete_quad(
         if not report.ok:
             raise InvalidTopology(report.summary())
         kept = grotop_to_point_set(lt_to_grotop(lt))
-    built = Quad(
-        kept,
-        nucleus_from_point_set(algebra, kept),
-        point_set_to_grotop(poset, kept),
-        nucleus_to_lt(nucleus_from_point_set(algebra, kept)),
-    )
+    n = nucleus_from_point_set(algebra, kept)
+    built = Quad(kept, n, point_set_to_grotop(poset, kept), nucleus_to_lt(n))
     for name, given_value, built_value in (
         ("nucleus", nucleus, built.nucleus),
         ("grotop", grotop, built.grotop),
@@ -513,13 +513,12 @@ def _y_label(poset: Poset, y: frozenset) -> str:
 
 def check_truncation_route(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
     """nucleus->endomap directly versus nucleus->covers->endomap."""
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
-    om = omega(poset)
+    algebra = _algebra_on(poset, algebra)
     verdicts = []
     for y in _subsets(poset.points):
         n = nucleus_from_point_set(algebra, y)
         direct = nucleus_to_lt(n)
-        via_covers = grotop_to_lt(nucleus_to_grotop(n), om)
+        via_covers = grotop_to_lt(nucleus_to_grotop(n))
         agrees = direct == via_covers
         detail = "" if agrees else f"direct={direct.tables} via={via_covers.tables}"
         verdicts.append(InstanceVerdict(_y_label(poset, y), agrees, detail))
@@ -528,15 +527,12 @@ def check_truncation_route(poset: Poset, algebra: HeytingAlgebra | None = None) 
 
 def check_closure_route(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
     """closure->nucleus directly versus closure->endomap->covers->nucleus."""
-    from .topology import j_from_closure
-
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
-    om = omega(poset)
+    algebra = _algebra_on(poset, algebra)
     verdicts = []
     for y in _subsets(poset.points):
         clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
         direct = closure_to_nucleus(clop, algebra)
-        via = grotop_to_nucleus(lt_to_grotop(j_from_closure(clop, om)), algebra)
+        via = grotop_to_nucleus(lt_to_grotop(j_from_closure(clop)), algebra)
         agrees = direct == via
         detail = "" if agrees else f"direct={direct.table} via={via.table}"
         verdicts.append(InstanceVerdict(_y_label(poset, y), agrees, detail))
@@ -545,7 +541,7 @@ def check_closure_route(poset: Poset, algebra: HeytingAlgebra | None = None) -> 
 
 def check_top_region_covers(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
     """Covers at u versus the class of the maximal sieve under the endomap."""
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
+    algebra = _algebra_on(poset, algebra)
     verdicts = []
     for y in _subsets(poset.points):
         q = complete_quad(poset, y=y, algebra=algebra)
@@ -568,10 +564,7 @@ def check_top_region_covers(poset: Poset, algebra: HeytingAlgebra | None = None)
 
 def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
     """Every conversion cycle through the representations is the identity."""
-    from .topology import j_from_closure
-
-    algebra = HeytingAlgebra(poset) if algebra is None else algebra
-    om = omega(poset)
+    algebra = _algebra_on(poset, algebra)
     verdicts = []
     for y in _subsets(poset.points):
         kept = frozenset(y)
@@ -584,9 +577,9 @@ def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> Rou
             grotop_to_point_set(j) == kept,
             grotop_to_nucleus(nucleus_to_grotop(n), algebra) == n,
             nucleus_to_grotop(grotop_to_nucleus(j, algebra)) == j,
-            lt_to_grotop(grotop_to_lt(j, om)) == j,
-            grotop_to_lt(lt_to_grotop(lt), om) == lt,
-            j_from_closure(clop, om) == lt,
+            lt_to_grotop(grotop_to_lt(j)) == j,
+            grotop_to_lt(lt_to_grotop(lt)) == lt,
+            j_from_closure(clop) == lt,
             closure_to_nucleus(clop, algebra) == n,
         )
         agrees = all(cycles)

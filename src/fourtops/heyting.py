@@ -66,9 +66,6 @@ class HeytingAlgebra:
             raise NotElement(f"mask {mask:#x} is not down-closed here")
         return self.elements[self._pos[mask]]
 
-    def from_names(self, names: Iterable) -> DownSet:
-        return self.element(self.poset.mask_of(names))
-
     def meet(self, r: DownSet, s: DownSet) -> DownSet:
         self.index(r), self.index(s)
         return self.elements[self._pos[r.mask & s.mask]]
@@ -223,12 +220,6 @@ class Slashing:
     algebra: HeytingAlgebra
     classes: tuple[tuple[int, ...], ...]
     region_tops: tuple[int, ...]
-
-    def class_of(self, i: int) -> int:
-        for c, cls in enumerate(self.classes):
-            if i in cls:
-                return c
-        raise NotElement(f"index {i} outside the algebra")
 
     def as_partition(self) -> frozenset:
         return frozenset(frozenset(c) for c in self.classes)

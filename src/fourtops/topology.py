@@ -13,7 +13,16 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .classifier import OmegaObject, chi, omega, sigma, true_inclusion
+from .classifier import (
+    OmegaObject,
+    _truth_values,
+    chi,
+    chi_tables,
+    internal_meet,
+    omega,
+    sigma,
+    true_inclusion,
+)
 from .errors import InvalidTopology, NotInclusion, ShapeMismatch
 from .heyting import AxiomFailure, CheckReport, HeytingAlgebra
 from .poset import (
@@ -32,8 +41,8 @@ from .presheaf import (
     _same_codomain,
     as_inclusion,
     bang,
-    intersection,
     is_inclusion,
+    pairing,
     preimage,
     product,
     subobjects,
@@ -66,18 +75,6 @@ def lt_identity(poset: Poset) -> LTTopology:
         tuple(range(len(sieves_on(poset, u)))) for u in poset.points
     )
     return LTTopology(poset, tables)
-
-
-def lt_from_morphism(m: Morphism) -> LTTopology:
-    om = m.dom
-    if not isinstance(om, OmegaObject) or m.cod != om:
-        raise ShapeMismatch("expected an endomap of the classifier")
-    poset = om.poset
-    tables = []
-    for u in poset.points:
-        pos = sieve_positions(poset, u)
-        tables.append(tuple(pos[m.comp[u][s].mask] for s in om.sieves[u]))
-    return LTTopology(poset, tuple(tables))
 
 
 def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
@@ -124,15 +121,10 @@ def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
             if done:
                 break
     if not failures:
-        from .classifier import meet_map
-        from .presheaf import pairing, proj
-
+        conj, p0, p1 = internal_meet(om)
         jm = j.as_morphism(om)
-        conj = meet_map(poset, om)
-        sq = conj.dom
         after = conj.then(jm)
-        p0, p1 = proj(sq, om, om, 0), proj(sq, om, om, 1)
-        before = pairing(p0.then(jm), p1.then(jm), sq).then(conj)
+        before = pairing(p0.then(jm), p1.then(jm), conj.dom).then(conj)
         if after != before:
             failures.append(AxiomFailure("preserves-meets-as-map", ()))
     return CheckReport("topology axioms", tuple(failures))
@@ -172,11 +164,7 @@ def _closure_mask(covering: tuple, index: ElementIndex, mask: int) -> int:
     """Elements whose sieve of points where they restrict into ``mask`` covers."""
     out = 0
     bit = 1
-    for i, row in zip(index.point, index.rows):
-        s = 0
-        for pb, eb in row:
-            if mask & eb:
-                s |= pb
+    for i, s in zip(index.point, _truth_values(index, mask)):
         if s in covering[i]:
             out |= bit
         bit <<= 1
@@ -206,11 +194,14 @@ def closure_of_composite(
     return sigma(chi(f, om).then(clop.lt.as_morphism(om)))
 
 
-def j_from_closure(clop: ClosureOperator, om: OmegaObject | None = None) -> LTTopology:
-    """Classifying map of the closure of the true inclusion."""
-    om = omega(clop.poset) if om is None else om
-    closed_top = closure_of(clop, true_inclusion(clop.poset, om), om)
-    return lt_from_morphism(chi(closed_top, om))
+def j_from_closure(clop: ClosureOperator) -> LTTopology:
+    """Classifying map of the closure of the true inclusion, computed on the
+    classifier's element masks: FunctorialityError if that closure is not a
+    sub-presheaf."""
+    poset = clop.poset
+    om = omega(poset)
+    closed = _closure_mask(clop.covering, om.elements(), true_inclusion(poset, om).mask)
+    return LTTopology(poset, chi_tables(om, closed))
 
 
 def is_dense(clop: ClosureOperator, f: Inclusion, om: OmegaObject | None = None) -> bool:
@@ -241,15 +232,6 @@ class TestUniverse:
     inclusions: tuple[Inclusion, ...]
     pairs: tuple[tuple[Inclusion, Inclusion], ...]
     map_pairs: tuple[tuple[Morphism, Inclusion], ...]
-
-    @cached_property
-    def triples(self) -> tuple[tuple[Inclusion, Inclusion, Inclusion], ...]:
-        """(meet into f, f, meet) for each pair (f, g), built on first use."""
-        out = []
-        for f, g in self.pairs:
-            meet = intersection(f, g)
-            out.append((Inclusion(meet.dom, f.dom), f, meet))
-        return tuple(out)
 
 
 def build_universe(

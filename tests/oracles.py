@@ -145,6 +145,57 @@ def closure_to_nucleus_composite(clop, algebra, om):
     return Nucleus(algebra, tuple(table))
 
 
+def lt_from_morphism(m):
+    """The sieve-index tables of an endomap of the classifier."""
+    from fourtops.classifier import OmegaObject
+    from fourtops.errors import ShapeMismatch
+    from fourtops.poset import sieve_positions
+    from fourtops.topology import LTTopology
+
+    om = m.dom
+    if not isinstance(om, OmegaObject) or m.cod != om:
+        raise ShapeMismatch("expected an endomap of the classifier")
+    poset = om.poset
+    tables = []
+    for u in poset.points:
+        pos = sieve_positions(poset, u)
+        tables.append(tuple(pos[m.comp[u][s].mask] for s in om.sieves[u]))
+    return LTTopology(poset, tuple(tables))
+
+
+def grotop_inclusion(j, om):
+    """The covering families as a sub-presheaf of the classifier."""
+    from fourtops.presheaf import Inclusion
+
+    families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
+    index = om.elements()
+    mask = 0
+    for k, ((_, s), i) in enumerate(zip(index.keys, index.point)):
+        if s.mask in families[i]:
+            mask |= 1 << k
+    return Inclusion._from_mask(om, mask)
+
+
+def grotop_to_lt_composite(j, om):
+    """Endomap of a covering family through presheaf objects: the classifying
+    map of the families' inclusion, read back as tables."""
+    from fourtops.classifier import chi
+    from fourtops.convert import _require_grotop
+
+    _require_grotop(j)
+    return lt_from_morphism(chi(grotop_inclusion(j, om), om))
+
+
+def j_from_closure_composite(clop, om):
+    """Endomap of a closure operator through presheaf objects: the classifying
+    map of the closed true inclusion, read back as tables."""
+    from fourtops.classifier import chi, true_inclusion
+    from fourtops.topology import closure_of
+
+    closed_top = closure_of(clop, true_inclusion(clop.poset, om), om)
+    return lt_from_morphism(chi(closed_top, om))
+
+
 # -- literal oracle searches ---------------------------------------------------
 
 

@@ -30,20 +30,28 @@ from fourtops.errors import (
     IncoherentQuad,
     InvalidNucleus,
     InvalidTopology,
+    NotElement,
     SizeCapExceeded,
 )
 from fourtops.heyting import HeytingAlgebra, Nucleus, nucleus_from_point_set
-from fourtops.poset import Poset, sieves_on, star_graph
+from fourtops.poset import Poset, TwoColumnGraph, sieves_on, star_graph
 from fourtops.topology import (
     ClosureOperator,
     LTTopology,
+    j_from_closure,
     largest_grotop,
     make_grotop,
     smallest_grotop,
 )
 
 from .conftest import pile_code_str
-from .oracles import closure_to_nucleus_composite, grotops_literal, lts_literal
+from .oracles import (
+    closure_to_nucleus_composite,
+    grotop_to_lt_composite,
+    grotops_literal,
+    j_from_closure_composite,
+    lts_literal,
+)
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +67,21 @@ def P(star):
 @pytest.fixture(scope="module")
 def algebra(P):
     return HeytingAlgebra(P)
+
+
+@pytest.fixture(scope="module")
+def sweep_posets():
+    """The distinct posets of ``sweep --pmax 2 --qmax 2``, keyed as the sweep
+    keys its cache."""
+    from fourtops.cli import cross_configurations
+
+    seen = {}
+    for p in range(3):
+        for q in range(3):
+            for cross in cross_configurations(p, q):
+                poset = TwoColumnGraph(p, q, cross).poset()
+                seen.setdefault((poset.points, tuple(poset._down)), poset)
+    return list(seen.values())
 
 
 def all_point_subsets(P):
@@ -192,6 +215,52 @@ class TestGrotopLT:
             assert grotop_to_lt(lt_to_grotop(lt)) == lt
 
 
+class TestTableRoutes:
+    """The route checkers classify on the classifier's element masks; the
+    composites build the inclusion and the classifying map as objects."""
+
+    def test_grotop_to_lt_equals_composite_on_sweep_posets(self, sweep_posets):
+        assert len(sweep_posets) == 40
+        for poset in sweep_posets:
+            om = omega(poset)
+            for j in enumerate_grotops(poset, "formula"):
+                assert grotop_to_lt(j) == grotop_to_lt_composite(j, om)
+
+    def test_j_from_closure_equals_composite_on_sweep_posets(self, sweep_posets):
+        for poset in sweep_posets:
+            om = omega(poset)
+            for lt in enumerate_lts(poset, "formula"):
+                clop = ClosureOperator(lt)
+                assert j_from_closure(clop) == j_from_closure_composite(clop, om)
+
+    def test_j_from_closure_equals_composite_on_random_tables(self, P):
+        # most random endomap tables are not topologies: both routes must
+        # give the same tables or both refuse a closure that is not a
+        # sub-presheaf
+        om = omega(P)
+        rng = random.Random(7)
+        sizes = [len(sieves_on(P, u)) for u in P.points]
+        refused = 0
+        for _ in range(300):
+            lt = LTTopology(
+                P, tuple(tuple(rng.randrange(n) for _ in range(n)) for n in sizes)
+            )
+            clop = ClosureOperator(lt)
+            try:
+                table = j_from_closure(clop)
+            except FunctorialityError:
+                with pytest.raises(FunctorialityError):
+                    j_from_closure_composite(clop, om)
+                refused += 1
+                continue
+            assert table == j_from_closure_composite(clop, om)
+        assert refused == 207
+
+    def test_one_classifier_per_poset(self, P):
+        assert omega(P) is omega(P)
+        assert omega(P) is not omega(Poset(P.points))
+
+
 class TestClosureToNucleus:
     def test_identity(self, P, algebra):
         from fourtops.topology import lt_identity
@@ -243,6 +312,18 @@ class TestClosureToNucleus:
             assert direct == composite
             outcomes.append(direct is None)
         assert (sum(outcomes), outcomes.count(False)) == (204, 96)
+
+
+class TestAlgebraOnAnotherPoset:
+    def test_conversions_refuse_it(self, P):
+        # the star's points with no arrows: more down-sets, other masks
+        other = HeytingAlgebra(Poset(P.points))
+        j = point_set_to_grotop(P, {"_1"})
+        clop = ClosureOperator(grotop_to_lt(j))
+        with pytest.raises(NotElement):
+            grotop_to_nucleus(j, other)
+        with pytest.raises(NotElement):
+            closure_to_nucleus(clop, other)
 
 
 class TestValidationMemo:

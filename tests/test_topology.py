@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fourtops.classifier import omega
+from fourtops.classifier import internal_meet, omega
 from fourtops.convert import (
     enumerate_lts,
     lt_to_grotop,
@@ -13,7 +13,7 @@ from fourtops.convert import (
 from fourtops.errors import FunctorialityError
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import DownSet, Poset, downset_sort_key, sieves_on, star_graph
-from fourtops.presheaf import Inclusion, subterminal_of, terminal
+from fourtops.presheaf import Inclusion, proj, subterminal_of, terminal
 from fourtops.topology import (
     ClosureOperator,
     LTTopology,
@@ -103,6 +103,23 @@ class TestLTAxioms:
         assert len(all_lts) == 16
         for lt in all_lts:
             assert is_lt_topology(lt, om).ok
+
+    def test_conjunction_is_built_once_per_classifier(self, P, all_lts, monkeypatch):
+        import fourtops.classifier as classifier
+
+        built = []
+        real = classifier.meet_map
+        monkeypatch.setattr(
+            classifier, "meet_map", lambda *args: built.append(args) or real(*args)
+        )
+        om = classifier.OmegaObject(P)  # a fresh classifier, not the cached one
+        for lt in all_lts:
+            assert is_lt_topology(lt, om).ok
+        assert len(built) == 1
+        conj, p0, p1 = internal_meet(om)
+        sq = conj.dom
+        assert conj == real(P, om)
+        assert (p0, p1) == (proj(sq, om, om, 0), proj(sq, om, om, 1))
 
     def test_meet_law_failure_detected(self, P, om):
         # at the big component, swap the images of the two incomparable sieves
@@ -206,9 +223,9 @@ class TestClosure:
             flagged += 1
         assert (raised, flagged) == (140, 60)
 
-    def test_round_trip_j_from_closure(self, P, om, all_lts):
+    def test_round_trip_j_from_closure(self, P, all_lts):
         for lt in all_lts:
-            assert j_from_closure(ClosureOperator(lt), om) == lt
+            assert j_from_closure(ClosureOperator(lt)) == lt
 
 
 class TestDenseClosed:
