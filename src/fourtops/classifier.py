@@ -18,7 +18,6 @@ from .presheaf import (
     Morphism,
     Presheaf,
     as_inclusion,
-    bang,
     can,
     product,
     proj,
@@ -188,9 +187,3 @@ def imp_map(poset: Poset, om: OmegaObject | None = None) -> Morphism:
             table[(s, t)] = DownSet(poset, mask)
         comp[u] = table
     return Morphism(sq, om, comp)
-
-
-def top_composite(b: Presheaf, om: OmegaObject) -> Morphism:
-    """The constantly-true map on b: the bang followed by true."""
-    one = terminal(b.poset)
-    return bang(b, one).then(true_map(b.poset, om))

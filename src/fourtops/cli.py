@@ -40,7 +40,14 @@ from .classifier import chi as chi_map
 from .classifier import omega
 from .errors import FourtopsError, ParseError
 from .heyting import HeytingAlgebra, Nucleus, is_nucleus
-from .poset import DownSet, Poset, TwoColumnGraph, sieve_positions, sieves_on
+from .poset import (
+    DownSet,
+    Poset,
+    TwoColumnGraph,
+    canonical_form,
+    sieve_positions,
+    sieves_on,
+)
 from .presheaf import Inclusion, subterminal_of, terminal
 from .render import (
     render_grotop,
@@ -775,19 +782,28 @@ def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
 
 
 def cmd_sweep(args, out) -> int:
+    """Every check on every configuration, computed once per isomorphism
+    class: each verdict is invariant under relabelling the points.  The
+    labelled poset is looked up first, so the canonical form is computed once
+    per distinct labelled poset."""
     instances = []
     ok = True
-    cache: dict = {}
+    labelled: dict = {}
+    classes: dict = {}
     for p in range(args.pmax + 1):
         for q in range(args.qmax + 1):
             for cross in cross_configurations(p, q):
                 graph = TwoColumnGraph(p, q, cross)
                 poset = graph.poset()
-                key = (poset.points, tuple(poset._down))
-                result = cache.get(key)
+                key = (poset.points, poset._down)
+                result = labelled.get(key)
                 if result is None:
-                    result = sweep_instance(graph, args.cap)
-                    cache[key] = result
+                    form = canonical_form(poset)
+                    result = classes.get(form)
+                    if result is None:
+                        result = sweep_instance(graph, args.cap)
+                        classes[form] = result
+                    labelled[key] = result
                 label = f"p={p} q={q} cross={{{' '.join(f'{u}>{v}' for u, v in sorted(cross))}}}"
                 instances.append(
                     {

@@ -544,17 +544,18 @@ def check_top_region_covers(poset: Poset, algebra: HeytingAlgebra | None = None)
     algebra = _algebra_on(poset, algebra)
     verdicts = []
     for y in _subsets(poset.points):
-        q = complete_quad(poset, y=y, algebra=algebra)
+        tables = nucleus_to_lt(nucleus_from_point_set(algebra, y)).tables
+        grotop = point_set_to_grotop(poset, y)
         agrees = True
         detail = ""
         for i, u in enumerate(poset.points):
             sieves = sieves_on(poset, u)
-            table = q.lt.tables[i]
+            table = tables[i]
             top = len(sieves) - 1
             top_class = frozenset(
                 sieves[k].mask for k in range(len(sieves)) if table[k] == table[top]
             )
-            if top_class != q.grotop.covers_mask_set(i):
+            if top_class != grotop.covers_mask_set(i):
                 agrees = False
                 detail = f"at point {u!r}"
                 break
@@ -563,7 +564,12 @@ def check_top_region_covers(poset: Poset, algebra: HeytingAlgebra | None = None)
 
 
 def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
-    """Every conversion cycle through the representations is the identity."""
+    """Every conversion cycle through the representations is the identity,
+    and every conversion between two faces maps one to the other.
+
+    The eight cycles come first, then the five face-to-face comparisons of
+    ``verify_quad`` that no cycle makes, so a failed index names one check.
+    """
     algebra = _algebra_on(poset, algebra)
     verdicts = []
     for y in _subsets(poset.points):
@@ -572,15 +578,24 @@ def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> Rou
         j = point_set_to_grotop(poset, kept)
         lt = nucleus_to_lt(n)
         clop = ClosureOperator(lt)
+        j_of_n = nucleus_to_grotop(n)
+        n_of_j = grotop_to_nucleus(j, algebra)
+        lt_of_j = grotop_to_lt(j)
+        j_of_lt = lt_to_grotop(lt)
         cycles = (
             point_set_of_nucleus(n) == kept,
             grotop_to_point_set(j) == kept,
-            grotop_to_nucleus(nucleus_to_grotop(n), algebra) == n,
-            nucleus_to_grotop(grotop_to_nucleus(j, algebra)) == j,
-            lt_to_grotop(grotop_to_lt(j)) == j,
-            grotop_to_lt(lt_to_grotop(lt)) == lt,
+            grotop_to_nucleus(j_of_n, algebra) == n,
+            nucleus_to_grotop(n_of_j) == j,
+            lt_to_grotop(lt_of_j) == j,
+            grotop_to_lt(j_of_lt) == lt,
             j_from_closure(clop) == lt,
             closure_to_nucleus(clop, algebra) == n,
+            j_of_n == j,
+            n_of_j == n,
+            j_of_lt == j,
+            lt_of_j == lt,
+            grotop_to_lt_direct(j) == lt,
         )
         agrees = all(cycles)
         detail = "" if agrees else f"failed cycles: {[i for i, c in enumerate(cycles) if not c]}"

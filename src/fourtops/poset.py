@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import groupby, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from .errors import CycleError, NotDownClosed, SizeCapExceeded, UnknownPoint
@@ -286,6 +287,29 @@ def sieve_restriction(
     for k, r in enumerate(restr):
         fib[r] |= 1 << k
     return restr, tuple(fib)
+
+
+def canonical_form(poset: Poset) -> tuple[int, ...]:
+    """The smallest ``_down`` tuple over the relabellings that list the points
+    by (|down|, |up|): two posets are isomorphic exactly when their forms are
+    equal.
+
+    An isomorphism keeps each point's (|down|, |up|), so isomorphic posets
+    have the same such relabellings, and only points within one block of
+    equal pairs are permuted.
+    """
+    down = poset._down
+    n = len(down)
+    shape = [(down[i].bit_count(), sum(d >> i & 1 for d in down)) for i in range(n)]
+    order = sorted(range(n), key=shape.__getitem__)
+    blocks = [tuple(g) for _, g in groupby(order, key=shape.__getitem__)]
+
+    def relabel(choice) -> tuple[int, ...]:
+        old = [i for block in choice for i in block]
+        new = {i: k for k, i in enumerate(old)}
+        return tuple(sum(1 << new[j] for j in range(n) if down[i] >> j & 1) for i in old)
+
+    return min(map(relabel, product(*(permutations(b) for b in blocks))))
 
 
 # -- two-column graphs -----------------------------------------------------

@@ -249,26 +249,6 @@ class Presheaf:
                 arrows.add(((u, a), (v, b)))
         return Poset(points, arrows)
 
-    def sub_from_sets(self, sets: Mapping) -> "Presheaf":
-        """Sub-presheaf on the given subsets, restriction inherited."""
-        sub_restr = {
-            (u, v): {a: table[a] for a in sets.get(u, ())}
-            for (u, v), table in self.restr.items()
-        }
-        return Presheaf(self.poset, sets, sub_restr)
-
-
-def presheaf_from_element_poset(element_poset: Poset, base: Poset) -> Presheaf:
-    """Rebuild a presheaf from (a down-set of) its poset of elements."""
-    sets: dict = {u: set() for u in base.points}
-    for (u, a) in element_poset.points:
-        sets[u].add(a)
-    restr: dict = {arrow: {} for arrow in base.arrows}
-    for ((u, a), (v, b)) in element_poset.arrows:
-        if (u, v) in restr:
-            restr[(u, v)][a] = b
-    return Presheaf(base, sets, restr)
-
 
 @lru_cache(maxsize=None)
 def terminal(poset: Poset) -> Presheaf:
@@ -276,10 +256,6 @@ def terminal(poset: Poset) -> Presheaf:
     sets = {u: ("*",) for u in poset.points}
     restr = {arrow: {"*": "*"} for arrow in poset.arrows}
     return Presheaf(poset, sets, restr)
-
-
-def empty_presheaf(poset: Poset) -> Presheaf:
-    return Presheaf(poset, {}, {})
 
 
 class Morphism:

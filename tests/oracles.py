@@ -4,13 +4,15 @@ principles on explicit subsets so it shares no code path with the package.
 
 The composite routes keep the package's earlier, literal constructions of
 the mask-based fast paths: they build one sub-presheaf object per step, most
-of them validated from label sets, where the package reads element masks.  The literal oracle
+of them validated from label sets, where the package reads element masks.
+The label-set constructions under them build presheaves the way the tests
+write them out, and the package has no use for them.  The literal oracle
 searches at the end keep the earlier enumerators that generate every candidate
 and filter it by the axioms, where the package prunes with the same axioms
 before it generates.
 """
 
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def brute_above(points, arrows):
@@ -63,6 +65,20 @@ def brute_interior(points, arrows, subset):
     return frozenset(
         u for u in subset if all(v in subset for (x, v) in above if x == u)
     )
+
+
+def brute_relabellings(down):
+    """Every relabelling of a table of down-set masks, one per permutation of
+    the points (old point i becomes new point perm[i]): two posets are
+    isomorphic exactly when one's table is among the other's relabellings."""
+    n = len(down)
+    out = set()
+    for perm in permutations(range(n)):
+        new = [0] * n
+        for i, d in enumerate(down):
+            new[perm[i]] = sum(1 << perm[j] for j in range(n) if d >> j & 1)
+        out.add(tuple(new))
+    return out
 
 
 def brute_nucleus_tables(elements, meet):
@@ -125,7 +141,7 @@ def subobjects_from_sets(b, limit=None):
         sets = {u: set() for u in b.poset.points}
         for (u, a) in d.members:
             sets[u].add(a)
-        out.append(Inclusion(b.sub_from_sets(sets), b))
+        out.append(Inclusion(sub_from_sets(b, sets), b))
     return out
 
 
@@ -194,6 +210,48 @@ def j_from_closure_composite(clop, om):
 
     closed_top = closure_of(clop, true_inclusion(clop.poset, om), om)
     return lt_from_morphism(chi(closed_top, om))
+
+
+# -- label-set constructions ---------------------------------------------------
+
+
+def sub_from_sets(b, sets):
+    """Sub-presheaf of b on the given label subsets, restriction inherited."""
+    from fourtops.presheaf import Presheaf
+
+    sub_restr = {
+        (u, v): {a: table[a] for a in sets.get(u, ())}
+        for (u, v), table in b.restr.items()
+    }
+    return Presheaf(b.poset, sets, sub_restr)
+
+
+def presheaf_from_element_poset(element_poset, base):
+    """Rebuild a presheaf from (a down-set of) its poset of elements."""
+    from fourtops.presheaf import Presheaf
+
+    sets = {u: set() for u in base.points}
+    for (u, a) in element_poset.points:
+        sets[u].add(a)
+    restr = {arrow: {} for arrow in base.arrows}
+    for ((u, a), (v, b)) in element_poset.arrows:
+        if (u, v) in restr:
+            restr[(u, v)][a] = b
+    return Presheaf(base, sets, restr)
+
+
+def empty_presheaf(poset):
+    from fourtops.presheaf import Presheaf
+
+    return Presheaf(poset, {}, {})
+
+
+def top_composite(b, om):
+    """The constantly-true map on b: the bang followed by true."""
+    from fourtops.classifier import true_map
+    from fourtops.presheaf import bang, terminal
+
+    return bang(b, terminal(b.poset)).then(true_map(b.poset, om))
 
 
 # -- literal oracle searches ---------------------------------------------------

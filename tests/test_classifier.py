@@ -28,7 +28,7 @@ from fourtops.presheaf import (
 )
 
 from .conftest import pile_code_str
-from .oracles import chi_composite
+from .oracles import chi_composite, top_composite
 
 
 @pytest.fixture(scope="module")
@@ -129,8 +129,6 @@ class TestChiSigma:
 
     def test_sigma_of_constant_true(self, P, om, worked_pair):
         b = worked_pair.cod
-        from fourtops.classifier import top_composite
-
         g = top_composite(b, om)
         assert sigma(g).dom == b
 

@@ -6,8 +6,12 @@ import pathlib
 
 import pytest
 
-from fourtops.cli import cross_configurations, main, parse_input
+from fourtops import cli
+from fourtops.cli import cross_configurations, main, parse_input, sweep_instance
 from fourtops.errors import ParseError
+from fourtops.poset import TwoColumnGraph
+
+from .oracles import brute_relabellings
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -288,6 +292,81 @@ class TestSweep:
         code, out = run("sweep", "--pmax", "1", "--qmax", "0")
         assert code == 0
         assert out.strip().endswith("instances ok")
+
+
+def sweep_graphs(qmax):
+    """Every configuration of ``sweep --pmax 2 --qmax <qmax>``, in sweep order."""
+    return [
+        TwoColumnGraph(p, q, cross)
+        for p in range(3)
+        for q in range(qmax + 1)
+        for cross in cross_configurations(p, q)
+    ]
+
+
+@pytest.fixture(scope="module")
+def literal_2x3():
+    """``sweep_instance`` on each distinct labelled poset of the 2x3 sweep."""
+    out = {}
+    for graph in sweep_graphs(3):
+        poset = graph.poset()
+        key = (poset.points, poset._down)
+        if key not in out:
+            out[key] = sweep_instance(graph, 6)
+    return out
+
+
+class TestSweepByIsomorphism:
+    """The sweep computes one instance per isomorphism class and reports it
+    for every configuration of the class."""
+
+    def entries(self, qmax):
+        code, out = run("sweep", "--pmax", "2", "--qmax", str(qmax), "--json")
+        assert code == 0
+        return json.loads(out)["result"]["instances"]
+
+    @staticmethod
+    def entry(graph, result):
+        cross = sorted([u, v] for (u, v) in graph.cross)
+        return {"p": graph.p, "q": graph.q, "cross": cross, **result}
+
+    def test_2x2_entries_equal_each_configurations_own_graph(self):
+        graphs = sweep_graphs(2)
+        entries = self.entries(2)
+        assert len(entries) == len(graphs) == 76
+        for graph, entry in zip(graphs, entries):
+            assert entry == self.entry(graph, sweep_instance(graph, 6))
+
+    def test_2x3_entries_equal_each_labelled_poset(self, literal_2x3):
+        # configurations with one labelled poset share its down-set table,
+        # which is all an instance reads
+        graphs = sweep_graphs(3)
+        entries = self.entries(3)
+        assert len(entries) == len(graphs) == 401
+        assert len(literal_2x3) == 101
+        for graph, entry in zip(graphs, entries):
+            poset = graph.poset()
+            assert entry == self.entry(graph, literal_2x3[(poset.points, poset._down)])
+
+    @pytest.mark.parametrize("qmax, classes", [(2, 17), (3, 43)])
+    def test_one_instance_per_isomorphism_class(self, qmax, classes, monkeypatch):
+        # each fake result names the graph it was computed on: no two of
+        # those may be isomorphic, and each entry's poset must be isomorphic
+        # to the one its result came from
+        computed = []
+
+        def record(graph, cap):
+            computed.append(graph)
+            return {"ok": True, "rep": len(computed) - 1}
+
+        monkeypatch.setattr(cli, "sweep_instance", record)
+        entries = self.entries(qmax)
+        assert len(computed) == classes
+        orbits = [brute_relabellings(g.poset()._down) for g in computed]
+        for a, graph in enumerate(computed):
+            assert [b for b, orbit in enumerate(orbits) if graph.poset()._down in orbit] == [a]
+        for graph, entry in zip(sweep_graphs(qmax), entries):
+            assert graph.poset()._down in orbits[entry["rep"]]
 
 
 MALFORMED = {

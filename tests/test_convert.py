@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourtops import convert
 from fourtops.classifier import omega
 from fourtops.convert import (
     check_closure_route,
@@ -71,8 +72,8 @@ def algebra(P):
 
 @pytest.fixture(scope="module")
 def sweep_posets():
-    """The distinct posets of ``sweep --pmax 2 --qmax 2``, keyed as the sweep
-    keys its cache."""
+    """The distinct labelled posets of ``sweep --pmax 2 --qmax 2``: one per
+    down-set table, so isomorphic posets with other labels each appear."""
     from fourtops.cli import cross_configurations
 
     seen = {}
@@ -466,6 +467,24 @@ class TestRouteCheckers:
     def test_summaries_count_instances(self, P):
         rep = check_truncation_route(P)
         assert "16/16" in rep.summary()
+
+    def test_round_trips_number_the_face_to_face_checks_after_the_cycles(
+        self, P, monkeypatch
+    ):
+        def bottom(j):
+            return LTTopology(j.poset, tuple((0,) * len(sieves_on(P, u)) for u in P.points))
+
+        monkeypatch.setattr(convert, "grotop_to_lt_direct", bottom)
+        report = check_roundtrips(P)
+        assert len(report.counterexamples()) == 16
+        assert {v.detail for v in report.verdicts} == {"failed cycles: [12]"}
+
+    def test_topmost_check_reads_the_faces_without_a_quad(self, P, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("complete_quad called")
+
+        monkeypatch.setattr(convert, "complete_quad", refuse)
+        assert check_top_region_covers(P).ok
 
     @given(small_posets())
     @settings(max_examples=8, deadline=None)

@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourtops.errors import NotElement
+from fourtops.errors import NotElement, UnknownPoint
 from fourtops.heyting import (
     HeytingAlgebra,
     Nucleus,
+    _nucleus_of,
     enumerate_nucleus_tables,
     is_nucleus,
     modality_on_downset,
@@ -122,6 +123,22 @@ class TestNucleusFromPointSet:
             n = nucleus_from_point_set(algebra, kept)
             assert is_nucleus(algebra, n.table).ok
             assert point_set_of_nucleus(n) == frozenset(kept)
+
+    def test_second_call_is_a_cache_hit(self, star_algebra):
+        first = nucleus_from_point_set(star_algebra, ["_1", "2_"])
+        hits = _nucleus_of.cache_info().hits
+        again = nucleus_from_point_set(star_algebra, iter({"2_", "_1"}))
+        assert again is first
+        assert _nucleus_of.cache_info().hits == hits + 1
+
+    def test_unknown_point_raises_every_time_and_is_not_cached(self, star_algebra):
+        before = _nucleus_of.cache_info()
+        for _ in range(2):
+            with pytest.raises(UnknownPoint):
+                nucleus_from_point_set(star_algebra, {"_1", "zz"})
+        after = _nucleus_of.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses + 2)
+        assert after.currsize == before.currsize
 
     @given(small_posets(), st.data())
     def test_point_set_round_trip(self, poset, data):

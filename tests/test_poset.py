@@ -1,5 +1,8 @@
 """Posets, down-sets, interiors, and two-column graphs."""
 
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -8,6 +11,7 @@ from fourtops.poset import (
     DownSet,
     Poset,
     TwoColumnGraph,
+    canonical_form,
     down_closure,
     down_of_point,
     enumerate_downsets,
@@ -23,6 +27,7 @@ from .oracles import (
     brute_down_closure,
     brute_downsets,
     brute_interior,
+    brute_relabellings,
     sieve_lattice_literal,
 )
 
@@ -243,3 +248,70 @@ class TestTwoColumnGraph:
         g = TwoColumnGraph(p, q)
         downs = enumerate_downsets(g.poset())
         assert len(downs) == (p + 1) * (q + 1)
+
+
+def arrow_subset_posets(n):
+    """The distinct labelled posets given by an acyclic arrow subset on n
+    points."""
+    points = list(range(n))
+    pairs = [(u, v) for u in points for v in points if u != v]
+    seen = {}
+    for k in range(len(pairs) + 1):
+        for combo in combinations(pairs, k):
+            try:
+                poset = Poset(points, combo)
+            except CycleError:
+                continue
+            seen.setdefault(poset._down, poset)
+    return list(seen.values())
+
+
+class TestCanonicalForm:
+    # unlabelled posets on 0..4 points
+    @pytest.mark.parametrize("n, classes", [(0, 1), (1, 1), (2, 2), (3, 5), (4, 16)])
+    def test_forms_are_equal_exactly_for_isomorphic_posets(self, n, classes):
+        posets = arrow_subset_posets(n)
+        orbits = [brute_relabellings(p._down) for p in posets]
+        forms = [canonical_form(p) for p in posets]
+        for a, form in enumerate(forms):
+            assert form in orbits[a]
+            for b, other in enumerate(forms):
+                assert (form == other) == (posets[b]._down in orbits[a])
+        assert len(set(forms)) == classes
+
+    def test_form_separates_posets_with_equal_down_and_up_counts(self):
+        # up to five points the (|down|, |up|) counts alone tell posets apart;
+        # these six-point posets share them and are not isomorphic
+        a = Poset(range(6), [(2, 1), (3, 0), (3, 2), (4, 0), (5, 0)])
+        b = Poset(range(6), [(2, 1), (3, 0), (3, 2), (4, 1), (5, 0)])
+
+        def counts(p):
+            return sorted(
+                (d.bit_count(), sum(e >> i & 1 for e in p._down))
+                for i, d in enumerate(p._down)
+            )
+
+        assert counts(a) == counts(b)
+        assert b._down not in brute_relabellings(a._down)
+        assert canonical_form(a) != canonical_form(b)
+
+    def test_form_ignores_random_relabellings_up_to_seven_points(self):
+        rng = random.Random(3)
+        moved = 0
+        for n in range(8):
+            for density in (0.0, 0.2, 0.5, 1.0):
+                points = [f"p{i}" for i in range(n)]
+                # arrows go from earlier to later names, so acyclicity is free
+                arrows = [
+                    (a, b)
+                    for i, a in enumerate(points)
+                    for b in points[i + 1 :]
+                    if rng.random() < density
+                ]
+                poset = Poset(points, arrows)
+                form = canonical_form(poset)
+                for _ in range(3):
+                    shuffled = Poset(rng.sample(points, n), arrows)
+                    moved += shuffled._down != poset._down
+                    assert canonical_form(shuffled) == form
+        assert moved > 40

@@ -19,14 +19,12 @@ from fourtops.presheaf import (
     can,
     cst,
     element_downset,
-    empty_presheaf,
     equalizer,
     identity,
     intersection,
     is_inclusion,
     natural_maps,
     preimage,
-    presheaf_from_element_poset,
     product,
     proj,
     subobjects,
@@ -35,7 +33,12 @@ from fourtops.presheaf import (
 )
 
 from .conftest import pile_code_str
-from .oracles import subobjects_from_sets
+from .oracles import (
+    empty_presheaf,
+    presheaf_from_element_poset,
+    sub_from_sets,
+    subobjects_from_sets,
+)
 
 
 def _positions(mask):
@@ -328,7 +331,7 @@ class TestElementPosets:
             Inclusion._from_mask(big_example, top)
         f = Inclusion._from_mask(big_example, index.down[index.bit[("2_", "1")]])
         assert f.dom.sets == {"2_": {"1"}, "_2": set(), "1_": {"5"}, "_1": {"7"}}
-        assert f.dom == big_example.sub_from_sets(f.dom.sets)
+        assert f.dom == sub_from_sets(big_example, f.dom.sets)
 
     def test_public_inclusion_mask_matches_element_index(self, worked_pair):
         a, b = worked_pair
@@ -425,8 +428,8 @@ class TestInclusionLaws:
 class TestSubterminals:
     def test_cst_of_displayed_object(self, star, worked_pair):
         a, b = worked_pair
-        sub = a.sub_from_sets(
-            {"2_": set(), "_2": {"4"}, "1_": {"5"}, "_1": {"6"}}
+        sub = sub_from_sets(
+            a, {"2_": set(), "_2": {"4"}, "1_": {"5"}, "_1": {"6"}}
         )
         assert pile_code_str(star, cst(sub)) == "12"
 
