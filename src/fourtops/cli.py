@@ -668,6 +668,8 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
 def cmd_check(args, out) -> int:
     if args.cap is not None and args.what != "axioms":
         raise ParseError(f"--cap applies to check axioms only, not check {args.what}")
+    if args.cap is not None and args.cap < 1:
+        raise ParseError(f"--cap must be at least 1, not {args.cap}")
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "axioms":
@@ -786,6 +788,9 @@ def cmd_sweep(args, out) -> int:
     class: each verdict is invariant under relabelling the points.  The
     labelled poset is looked up first, so the canonical form is computed once
     per distinct labelled poset."""
+    for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax)):
+        if value < 0:
+            raise ParseError(f"{flag} must be at least 0, not {value}")
     instances = []
     ok = True
     labelled: dict = {}

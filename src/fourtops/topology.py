@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from itertools import chain, islice
+from typing import Iterable, NamedTuple
 
 from .classifier import (
     OmegaObject,
@@ -233,6 +234,112 @@ class TestUniverse:
     pairs: tuple[tuple[Inclusion, Inclusion], ...]
     map_pairs: tuple[tuple[Morphism, Inclusion], ...]
 
+    @cached_property
+    def rows(self) -> "_UniverseRows":
+        """The universe validated once and flattened to int rows over
+        codomain indices, with the truth-value groups every closure
+        operator reads: ShapeMismatch if a codomain lives on another poset or
+        a pair does not share its codomain."""
+        codes: dict = {}
+        truths: list[_TruthGroups] = []
+
+        def code(b: Presheaf) -> int:
+            c = codes.get(b)
+            if c is None:
+                if b.poset != self.poset:
+                    raise ShapeMismatch("inclusion lives on a different poset")
+                c = codes[b] = len(truths)
+                truths.append(_TruthGroups(b.elements(), len(self.poset.points)))
+            return c
+
+        inclusions = tuple((code(f.cod), f.mask) for f in self.inclusions)
+        nested: tuple[list, ...] = ([], [], [], [])
+        crossing: tuple[list, ...] = ([], [], [], [])
+        for k, (f, g) in enumerate(self.pairs):
+            _same_codomain(f, g, "a closure pair")
+            row = (k, code(f.cod), f.mask, g.mask)
+            for column, value in zip(crossing if f.mask & ~g.mask else nested, row):
+                column.append(value)
+        map_pairs = []
+        for m, d in self.map_pairs:
+            _same_codomain(m, d, "preimage")
+            map_pairs.append((code(m.dom), code(d.cod), m.pull_mask(d.mask), d.mask))
+        return _UniverseRows(
+            tuple(truths),
+            inclusions,
+            tuple(map(tuple, nested)),
+            tuple(map(tuple, crossing)),
+            tuple(map_pairs),
+        )
+
+
+class _TruthGroups(dict):
+    """Element mask -> its codomain's elements grouped by truth value.
+
+    A group is keyed ``sieve mask * width + point index`` and holds the mask
+    of the elements at that point whose classifying map sends them to that
+    sieve.  The groups depend on no topology, so every closure operator
+    checked against a universe reads the same ones; ``passed`` holds the
+    closed masks already found down-closed.
+    """
+
+    __slots__ = ("index", "width", "passed")
+
+    def __init__(self, index: ElementIndex, width: int):
+        super().__init__()
+        self.index = index
+        self.width = width
+        self.passed: set = set()
+
+    def __missing__(self, mask: int) -> dict:
+        groups: dict = {}
+        width = self.width
+        bit = 1
+        for i, s in zip(self.index.point, _truth_values(self.index, mask)):
+            key = s * width + i
+            groups[key] = groups.get(key, 0) | bit
+            bit <<= 1
+        self[mask] = groups
+        return groups
+
+
+class _Closures(dict):
+    """Element mask -> closed mask, for one closure operator on one codomain.
+
+    The groups are disjoint, so the closure is the sum of the covered ones;
+    a closure that is not a sub-presheaf raises FunctorialityError.
+    """
+
+    __slots__ = ("truths", "cover")
+
+    def __init__(self, truths: _TruthGroups, cover: frozenset):
+        super().__init__()
+        self.truths = truths
+        self.cover = cover
+
+    def __missing__(self, mask: int) -> int:
+        groups = self.truths[mask]
+        got = sum(map(groups.__getitem__, self.cover.intersection(groups)))
+        passed = self.truths.passed
+        if got not in passed:
+            self.truths.index.require_down_closed(got)
+            passed.add(got)
+        self[mask] = got
+        return got
+
+
+class _UniverseRows(NamedTuple):
+    """A universe as ints, in the universe's order: ``(codomain, mask)`` per
+    inclusion; the pairs with f inside g and the rest as two sets of columns
+    (position, codomain, f mask, g mask), which hold no tuple per pair; and
+    ``(domain, codomain, pulled-back mask, mask)`` per map pair."""
+
+    truths: tuple[_TruthGroups, ...]
+    inclusions: tuple[tuple[int, int], ...]
+    nested: tuple[tuple[int, ...], ...]
+    crossing: tuple[tuple[int, ...], ...]
+    map_pairs: tuple[tuple[int, int, int, int], ...]
+
 
 def build_universe(
     poset: Poset,
@@ -241,6 +348,11 @@ def build_universe(
     omega_square_cap: int = 24,
     extra: Iterable[Presheaf] = (),
 ) -> TestUniverse:
+    """Subobjects of 1, of Ω, the first ``omega_square_cap`` of Ω², and of
+    each extra object; as pairs, the first ``pair_cap`` pairs (f, g) of
+    subobjects of one object with g not listed before f; as map pairs, the
+    bang of each object into the subterminals and chi of each subterminal
+    against the first 12 subobjects of Ω."""
     om = omega(poset) if om is None else om
     algebra = HeytingAlgebra(poset)
     objects: list[list[Inclusion]] = []
@@ -253,17 +365,8 @@ def build_universe(
         objects.append(subobjects(b))
 
     inclusions = tuple(f for group in objects for f in group)
-    pairs: list[tuple[Inclusion, Inclusion]] = []
-    for group in objects:
-        for i, f in enumerate(group):
-            for g in group[i:]:
-                pairs.append((f, g))
-                if len(pairs) >= pair_cap:
-                    break
-            if len(pairs) >= pair_cap:
-                break
-        if len(pairs) >= pair_cap:
-            break
+    all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])
+    pairs = tuple(islice(all_pairs, max(pair_cap, 0)))
     map_pairs: list[tuple[Morphism, Inclusion]] = []
     for group in objects:
         if not group:
@@ -277,7 +380,7 @@ def build_universe(
         g = chi(f, om)
         for d in omega_subs[:12]:
             map_pairs.append((g, d))
-    return TestUniverse(poset, inclusions, tuple(pairs), tuple(map_pairs))
+    return TestUniverse(poset, inclusions, pairs, tuple(map_pairs))
 
 
 def check_closure_axioms(
@@ -285,51 +388,53 @@ def check_closure_axioms(
 ) -> CheckReport:
     """The five closure laws, instantiated over the universe.
 
-    Every law compares element masks; closures are memoized by (codomain,
-    mask), and each closure must still be a sub-presheaf (FunctorialityError
-    otherwise, as for any endomap table that is not a topology).
+    Every law compares element masks in the universe's int rows, through one
+    table of closures per codomain (see ``_Closures``), filled lazily in the
+    order the laws ask for them; each closure must still be a sub-presheaf
+    (FunctorialityError otherwise, as for any endomap table that is not a
+    topology).  Witnesses are read back from the universe on failure.
     """
-    poset = clop.poset
-    covering = clop.covering
+    if clop.poset != universe.poset:
+        raise ShapeMismatch("inclusion lives on a different poset")
+    rows = universe.rows
+    width = len(clop.poset.points)
+    cover = frozenset(
+        s * width + i for i, masks in enumerate(clop.covering) for s in masks
+    )
+    closed = [_Closures(truths, cover) for truths in rows.truths]
     failures = []
-    closed: dict = {}
-
-    def close(b: Presheaf, mask: int) -> int:
-        index = b.elements()  # one per codomain object; hashes by identity
-        key = (index, mask)
-        got = closed.get(key)
-        if got is None:
-            if b.poset != poset:
-                raise ShapeMismatch("inclusion lives on a different poset")
-            got = index.require_down_closed(_closure_mask(covering, index, mask))
-            closed[key] = got
-        return got
-
-    for f in universe.inclusions:
-        if f.mask & ~close(f.cod, f.mask):
-            failures.append(AxiomFailure("C1-inflationary", (f.dom,)))
+    for k, (c, f) in enumerate(rows.inclusions):
+        if f & ~closed[c][f]:
+            failures.append(AxiomFailure("C1-inflationary", (universe.inclusions[k].dom,)))
             break
-    for f in universe.inclusions:
-        cf = close(f.cod, f.mask)
-        if close(f.cod, cf) != cf:
-            failures.append(AxiomFailure("C2-idempotent", (f.dom,)))
+    for k, (c, f) in enumerate(rows.inclusions):
+        close = closed[c]
+        cf = close[f]
+        if close[cf] != cf:
+            failures.append(AxiomFailure("C2-idempotent", (universe.inclusions[k].dom,)))
             break
-    for f, g in universe.pairs:
-        _same_codomain(f, g, "a closure pair")
-        if f.mask & ~g.mask == 0:
-            if close(f.cod, f.mask) & ~close(g.cod, g.mask):
-                failures.append(AxiomFailure("C3-monotone", (f.dom, g.dom)))
-                break
-    for f, g in universe.pairs:
-        b = f.cod
-        if close(b, f.mask & g.mask) != close(b, f.mask) & close(b, g.mask):
+    monotone = True
+    for k, c, f, g in zip(*rows.nested):
+        close = closed[c]
+        if close[f] & ~close[g]:
+            f, g = universe.pairs[k]
+            failures.append(AxiomFailure("C3-monotone", (f.dom, g.dom)))
+            monotone = False
+            break
+    # On a nested pair C4 reads close f == close f & close g, which is C3 on
+    # that pair: once C3 holds, only the crossing pairs can fail C4, and the
+    # nested ones would ask for no closure that C3 has not computed.
+    crossing = zip(*rows.crossing)
+    for k, c, f, g in crossing if monotone else sorted(chain(zip(*rows.nested), crossing)):
+        close = closed[c]
+        if close[f & g] != close[f] & close[g]:
+            f, g = universe.pairs[k]
             failures.append(AxiomFailure("C4-meets", (f.dom, g.dom)))
             break
-    for m, d in universe.map_pairs:
-        _same_codomain(m, d, "preimage")
-        lhs = close(m.dom, m.pull_mask(d.mask))
-        if lhs != m.pull_mask(close(d.cod, d.mask)):
-            failures.append(AxiomFailure("C5-pullback-stable", (m.dom, d.dom)))
+    for k, (a, b, pulled, d) in enumerate(rows.map_pairs):
+        m, dm = universe.map_pairs[k]
+        if closed[a][pulled] != m.pull_mask(closed[b][d]):
+            failures.append(AxiomFailure("C5-pullback-stable", (m.dom, dm.dom)))
             break
     return CheckReport("closure axioms", tuple(failures))
 

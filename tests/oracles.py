@@ -212,6 +212,60 @@ def j_from_closure_composite(clop, om):
     return lt_from_morphism(chi(closed_top, om))
 
 
+def check_closure_axioms_literal(clop, universe, om=None):
+    """The five closure laws through a memo of (codomain, mask) closures,
+    one ``_closure_mask`` row loop per miss, with the poset and shared-codomain
+    checks made on every closure miss and every pair."""
+    from fourtops.errors import ShapeMismatch
+    from fourtops.heyting import AxiomFailure, CheckReport
+    from fourtops.presheaf import _same_codomain
+    from fourtops.topology import _closure_mask
+
+    poset = clop.poset
+    covering = clop.covering
+    failures = []
+    closed: dict = {}
+
+    def close(b, mask):
+        index = b.elements()  # one per codomain object; hashes by identity
+        key = (index, mask)
+        got = closed.get(key)
+        if got is None:
+            if b.poset != poset:
+                raise ShapeMismatch("inclusion lives on a different poset")
+            got = index.require_down_closed(_closure_mask(covering, index, mask))
+            closed[key] = got
+        return got
+
+    for f in universe.inclusions:
+        if f.mask & ~close(f.cod, f.mask):
+            failures.append(AxiomFailure("C1-inflationary", (f.dom,)))
+            break
+    for f in universe.inclusions:
+        cf = close(f.cod, f.mask)
+        if close(f.cod, cf) != cf:
+            failures.append(AxiomFailure("C2-idempotent", (f.dom,)))
+            break
+    for f, g in universe.pairs:
+        _same_codomain(f, g, "a closure pair")
+        if f.mask & ~g.mask == 0:
+            if close(f.cod, f.mask) & ~close(g.cod, g.mask):
+                failures.append(AxiomFailure("C3-monotone", (f.dom, g.dom)))
+                break
+    for f, g in universe.pairs:
+        b = f.cod
+        if close(b, f.mask & g.mask) != close(b, f.mask) & close(b, g.mask):
+            failures.append(AxiomFailure("C4-meets", (f.dom, g.dom)))
+            break
+    for m, d in universe.map_pairs:
+        _same_codomain(m, d, "preimage")
+        lhs = close(m.dom, m.pull_mask(d.mask))
+        if lhs != m.pull_mask(close(d.cod, d.mask)):
+            failures.append(AxiomFailure("C5-pullback-stable", (m.dom, d.dom)))
+            break
+    return CheckReport("closure axioms", tuple(failures))
+
+
 # -- label-set constructions ---------------------------------------------------
 
 

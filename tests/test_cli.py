@@ -423,6 +423,19 @@ def test_check_axioms_still_reads_cap():
     assert with_cap == (0, run("check", "axioms", "-t", STAR)[1])
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+def test_check_axioms_refuses_a_cap_below_one(cap, capsys):
+    assert run("check", "axioms", "--cap", cap, "-t", STAR) == (2, "")
+    assert capsys.readouterr().err == f"error: --cap must be at least 1, not {cap}\n"
+
+
+@pytest.mark.parametrize("flag", ["--pmax", "--qmax"])
+def test_sweep_refuses_a_negative_size(flag, capsys):
+    sizes = {"--pmax": "2", "--qmax": "2", flag: "-1"}
+    assert run("sweep", *(x for item in sizes.items() for x in item)) == (2, "")
+    assert capsys.readouterr().err == f"error: {flag} must be at least 0, not -1\n"
+
+
 def _identity_payloads():
     """The identity nucleus, the identity endomap and the smallest covers on
     the star, as text and as JSON."""

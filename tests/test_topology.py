@@ -10,10 +10,10 @@ from fourtops.convert import (
     lt_to_grotop,
     point_set_to_grotop,
 )
-from fourtops.errors import FunctorialityError
-from fourtops.heyting import HeytingAlgebra
+from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
+from fourtops.heyting import CheckReport, HeytingAlgebra
 from fourtops.poset import DownSet, Poset, downset_sort_key, sieves_on, star_graph
-from fourtops.presheaf import Inclusion, proj, subterminal_of, terminal
+from fourtops.presheaf import Inclusion, proj, subobjects, subterminal_of, terminal
 from fourtops.topology import (
     ClosureOperator,
     LTTopology,
@@ -35,8 +35,10 @@ from fourtops.topology import (
     restriction_check,
     smallest_grotop,
 )
+from fourtops.topology import TestUniverse as Universe
 
 from .conftest import pile_code_str
+from .oracles import check_closure_axioms_literal
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +75,14 @@ def universe(P, om):
 def subterminals(P, algebra):
     one = terminal(P)
     return [Inclusion(subterminal_of(P, s), one) for s in algebra.elements]
+
+
+def closure_law_outcome(check, clop, universe, om):
+    """The report of a closure-law check, or the type and text of what it raised."""
+    try:
+        return check(clop, universe, om)
+    except FourtopsError as e:
+        return type(e), str(e)
 
 
 def constant_true_lt(P):
@@ -187,8 +197,12 @@ class TestClosure:
         assert report.ok
 
     def test_closure_axioms_for_all_enumerated(self, P, om, all_lts, universe):
+        # the table kernel and its former memo route give equal reports
         for lt in all_lts:
-            assert check_closure_axioms(ClosureOperator(lt), universe, om).ok
+            clop = ClosureOperator(lt)
+            report = check_closure_axioms(clop, universe, om)
+            assert report.ok
+            assert report == check_closure_axioms_literal(clop, universe, om)
 
     def test_corrupted_table_fails(self, P, om, universe):
         # swap two values inside one component of the constant-true table
@@ -198,11 +212,14 @@ class TestClosure:
         broken = ClosureOperator(LTTopology(P, tuple(tuple(t) for t in tables)))
         report = check_closure_axioms(broken, universe, om)
         assert not report.ok
+        assert report == check_closure_axioms_literal(broken, universe, om)
 
     def test_non_topologies_never_pass(self, P, om, universe):
         # random endomap tables that break the topology axioms: the closure
         # laws either reject a closure that is not a sub-presheaf or report a
-        # failed law, never pass; the split pins the sub-presheaf check
+        # failed law, never pass; the split pins the sub-presheaf check.  The
+        # former memo route gives the same report, witnesses included, or
+        # raises the same exception with the same message.
         rng = random.Random(1)
         sizes = [len(sieves_on(P, u)) for u in P.points]
         tables = []
@@ -213,19 +230,76 @@ class TestClosure:
             if not is_lt_topology(lt, om).ok:
                 tables.append(lt)
         raised = flagged = 0
+        witnessed = set()
         for lt in tables:
-            try:
-                report = check_closure_axioms(ClosureOperator(lt), universe, om)
-            except FunctorialityError:
+            clop = ClosureOperator(lt)
+            got = closure_law_outcome(check_closure_axioms, clop, universe, om)
+            assert got == closure_law_outcome(check_closure_axioms_literal, clop, universe, om)
+            if isinstance(got, CheckReport):
+                assert not got.ok
+                witnessed.update(f.axiom for f in got.failures)
+                flagged += 1
+            else:
+                assert got[0] is FunctorialityError
                 raised += 1
-                continue
-            assert not report.ok
-            flagged += 1
         assert (raised, flagged) == (140, 60)
+        assert {"C3-monotone", "C4-meets"} <= witnessed
 
     def test_round_trip_j_from_closure(self, P, all_lts):
         for lt in all_lts:
             assert j_from_closure(ClosureOperator(lt)) == lt
+
+
+@pytest.fixture(scope="module")
+def full_universe(P, om):
+    """Every pair of the star's universe: no pair cap bites."""
+    return build_universe(P, om, pair_cap=100_000)
+
+
+class TestClosureUniverse:
+    """The pairs a universe lists and the malformed universes the closure
+    laws refuse, on both routes."""
+
+    def test_every_star_topology_passes_on_all_pairs(self, om, all_lts, full_universe):
+        assert len(full_universe.pairs) == 98_239
+        for lt in all_lts:
+            assert check_closure_axioms(ClosureOperator(lt), full_universe, om).ok
+
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 150, 5000])
+    def test_pair_cap_lists_at_most_that_many_pairs(self, P, om, full_universe, cap):
+        pairs = build_universe(P, om, pair_cap=cap).pairs
+        masks = [(f.mask, g.mask) for f, g in full_universe.pairs[: max(cap, 0)]]
+        assert [(f.mask, g.mask) for f, g in pairs] == masks
+
+    def test_pair_across_codomains_is_refused(self, P, om, universe):
+        into_one, into_square = universe.inclusions[0], universe.inclusions[-1]
+        bad = Universe(P, (), ((into_one, into_square),), ())
+        clop = ClosureOperator(lt_identity(P))
+        for check in (check_closure_axioms, check_closure_axioms_literal):
+            with pytest.raises(ShapeMismatch):
+                check(clop, bad, om)
+
+    def test_map_pair_across_codomains_is_refused(self, P, om, universe):
+        to_one, _ = universe.map_pairs[0]
+        bad = Universe(P, (), (), ((to_one, universe.inclusions[-1]),))
+        clop = ClosureOperator(lt_identity(P))
+        for check in (check_closure_axioms, check_closure_axioms_literal):
+            with pytest.raises(ShapeMismatch):
+                check(clop, bad, om)
+
+    def test_codomain_on_another_poset_is_refused(self, P, om):
+        Q = Poset(("a",), set())
+        bad = Universe(P, tuple(subobjects(terminal(Q))), (), ())
+        clop = ClosureOperator(lt_identity(P))
+        for check in (check_closure_axioms, check_closure_axioms_literal):
+            with pytest.raises(ShapeMismatch):
+                check(clop, bad, om)
+
+    def test_closure_operator_on_another_poset_is_refused(self, om, universe):
+        clop = ClosureOperator(lt_identity(Poset(("a",), set())))
+        for check in (check_closure_axioms, check_closure_axioms_literal):
+            with pytest.raises(ShapeMismatch):
+                check(clop, universe, om)
 
 
 class TestDenseClosed:
