@@ -8,10 +8,7 @@ axiom system and route-agreement statement exhaustively on finite instances.
 
 from .convert import (
     Quad,
-    check_closure_route,
-    check_roundtrips,
-    check_top_region_covers,
-    check_truncation_route,
+    check_routes,
     closure_to_nucleus,
     complete_quad,
     enumerate_grotops,

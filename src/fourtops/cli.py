@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -25,10 +26,7 @@ from itertools import combinations
 
 from .convert import (
     Quad,
-    check_closure_route,
-    check_roundtrips,
-    check_top_region_covers,
-    check_truncation_route,
+    check_routes,
     complete_quad,
     enumerate_grotops,
     enumerate_lts,
@@ -39,7 +37,7 @@ from .convert import (
 from .classifier import chi as chi_map
 from .classifier import omega
 from .errors import FourtopsError, ParseError
-from .heyting import HeytingAlgebra, Nucleus, is_nucleus
+from .heyting import DEFAULT_ORACLE_POINT_CAP, HeytingAlgebra, Nucleus, is_nucleus
 from .poset import (
     DownSet,
     Poset,
@@ -57,6 +55,7 @@ from .render import (
     render_zha,
 )
 from .topology import (
+    DEFAULT_PAIR_CAP,
     ClosureOperator,
     LTTopology,
     build_universe,
@@ -68,7 +67,6 @@ from .topology import (
 )
 
 STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
-DEFAULT_PAIR_CAP = 5000
 
 
 @dataclass
@@ -606,17 +604,20 @@ def cmd_fouruple(args, out) -> int:
 
 
 def cmd_enumerate(args, out) -> int:
+    mode = args.mode
+    if args.cap is not None and mode != "oracle":
+        raise ParseError(f"--cap applies to --mode oracle only, not --mode {mode}")
+    cap = DEFAULT_ORACLE_POINT_CAP if args.cap is None else args.cap
     spec = _read_input(args)
     poset = spec.poset
-    mode = args.mode
     if args.family == "nuclei":
-        items = enumerate_nuclei(HeytingAlgebra(poset), mode, point_cap=args.cap)
+        items = enumerate_nuclei(HeytingAlgebra(poset), mode, point_cap=cap)
         kind = "nucleus"
     elif args.family == "grotops":
-        items = enumerate_grotops(poset, mode, point_cap=args.cap)
+        items = enumerate_grotops(poset, mode, point_cap=cap)
         kind = "grotop"
     else:
-        items = enumerate_lts(poset, mode, point_cap=args.cap)
+        items = enumerate_lts(poset, mode, point_cap=cap)
         kind = "lt"
     if args.json:
         items_json = (structure_json(poset, kind, v) for v in items)
@@ -682,12 +683,12 @@ def cmd_check(args, out) -> int:
                 f"/{len(results)} structures pass all axiom suites\n"
             )
         return 0 if ok else 1
-    reports = {
-        "conjectures": (check_truncation_route, check_closure_route),
-        "topmost": (check_top_region_covers,),
-        "roundtrips": (check_roundtrips,),
+    names = {
+        "conjectures": ("truncation route", "closure route"),
+        "topmost": ("topmost region covers",),
+        "roundtrips": ("round trips",),
     }[args.what]
-    outputs = [fn(poset) for fn in reports]
+    outputs = [r for r in check_routes(poset) if r.name in names]
     ok = all(r.ok for r in outputs)
     if args.json:
         reports_json = [
@@ -768,12 +769,8 @@ def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
         "grotops": len(go) == expected and set(gf) == set(go),
         "lts": len(lo) == expected and set(lf) == set(lo),
     }
-    reports = {
-        "roundtrips": check_roundtrips(poset, algebra).ok,
-        "truncation_route": check_truncation_route(poset, algebra).ok,
-        "closure_route": check_closure_route(poset, algebra).ok,
-        "topmost": check_top_region_covers(poset, algebra).ok,
-    }
+    names = ("roundtrips", "truncation_route", "closure_route", "topmost")
+    reports = {name: r.ok for name, r in zip(names, check_routes(poset, algebra))}
     verdict = all(census.values()) and all(reports.values())
     return {
         "census": census,
@@ -841,13 +838,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, render=False, cap=None, json=True):
+    def add_common(p, render=False, json=True):
         p.add_argument("-i", "--input", help="input file ('-' for stdin)")
         p.add_argument("-t", "--text", help="inline input text")
         if json:
             p.add_argument("--json", action="store_true", help="structured output")
-        if cap is not None:
-            p.add_argument("--cap", type=int, default=cap, help="work cap")
         if render:
             p.add_argument("--render", action="store_true", help="panel output")
 
@@ -872,7 +867,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument(
         "--mode", choices=["formula", "oracle"], default="formula"
     )
-    add_common(p_enum, cap=6)
+    add_common(p_enum)
+    p_enum.add_argument(
+        "--cap", type=int, help=f"point cap of --mode oracle (default {DEFAULT_ORACLE_POINT_CAP})"
+    )
 
     p_check = sub.add_parser("check", help="run axiom or agreement checkers")
     p_check.add_argument(
@@ -893,7 +891,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--pmax", type=int, default=2)
     p_sweep.add_argument("--qmax", type=int, default=2)
     p_sweep.add_argument("--json", action="store_true")
-    p_sweep.add_argument("--cap", type=int, default=6)
+    p_sweep.add_argument("--cap", type=int, default=DEFAULT_ORACLE_POINT_CAP)
     return top
 
 
@@ -915,9 +913,19 @@ def main(argv=None, out=None) -> int:
         "sweep": cmd_sweep,
     }
     try:
-        return handlers[args.command](args, out)
+        code = handlers[args.command](args, out)
+        # flush here, so a reader that closed the pipe is caught below
+        out.flush()
+        return code
     except FourtopsError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # Python flushes stdout again at exit; pointing it at devnull keeps
+        # that flush from failing a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        print("error: the output was closed before it was all written", file=sys.stderr)
         return 2
 
 

@@ -10,9 +10,10 @@ linear extension, and each component's table search (the pure-Python kernel
 in ``_kernels``) only offers values that are natural against the components
 already placed below; covering families are generated as upward-closed sets
 of the sieves that are stable over the covers already placed below, then
-filtered by transitivity.  The route checkers compose conversions along
+filtered by transitivity.  The route checks compose conversions along
 different paths and compare the results by value, reporting counterexamples
-in full rather than asserting.
+in full rather than asserting; one pass over the point sets builds each
+point set's faces once for all of them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .errors import (
     SizeCapExceeded,
 )
 from .heyting import (
+    DEFAULT_ORACLE_POINT_CAP,
     HeytingAlgebra,
     Nucleus,
     _require_nucleus,
@@ -56,9 +58,6 @@ from .topology import (
     j_from_closure,
     make_grotop,
 )
-
-DEFAULT_ENUM_POINT_CAP = 6
-
 
 @lru_cache(maxsize=64)
 def _require_grotop(j: GrothendieckTopology) -> None:
@@ -240,7 +239,7 @@ def _subsets(points: tuple) -> list[frozenset]:
 
 
 def enumerate_nuclei(
-    algebra: HeytingAlgebra, mode: str = "formula", point_cap: int = DEFAULT_ENUM_POINT_CAP
+    algebra: HeytingAlgebra, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
     if mode == "formula":
         return [
@@ -269,7 +268,7 @@ def _linear_extension(poset: Poset) -> list[int]:
 
 
 def enumerate_grotops(
-    poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ENUM_POINT_CAP
+    poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[GrothendieckTopology]:
     if mode == "formula":
         return [point_set_to_grotop(poset, y) for y in _subsets(poset.points)]
@@ -346,7 +345,7 @@ def enumerate_grotops(
 
 
 def enumerate_lts(
-    poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ENUM_POINT_CAP
+    poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[LTTopology]:
     if mode == "formula":
         algebra = HeytingAlgebra(poset)
@@ -511,69 +510,34 @@ def _y_label(poset: Poset, y: frozenset) -> str:
     return "y={" + ",".join(names) + "}"
 
 
-def check_truncation_route(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
-    """nucleus->endomap directly versus nucleus->covers->endomap."""
-    algebra = _algebra_on(poset, algebra)
-    verdicts = []
-    for y in _subsets(poset.points):
-        n = nucleus_from_point_set(algebra, y)
-        direct = nucleus_to_lt(n)
-        via_covers = grotop_to_lt(nucleus_to_grotop(n))
-        agrees = direct == via_covers
-        detail = "" if agrees else f"direct={direct.tables} via={via_covers.tables}"
-        verdicts.append(InstanceVerdict(_y_label(poset, y), agrees, detail))
-    return RouteReport("truncation route", tuple(verdicts))
+def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> str:
+    """The first point whose covers differ from the class of the maximal sieve
+    under the endomap, as a counterexample detail; "" if none does."""
+    for i, u in enumerate(poset.points):
+        sieves, table = sieves_on(poset, u), lt.tables[i]
+        top = table[len(sieves) - 1]
+        top_class = frozenset(sieves[k].mask for k in range(len(sieves)) if table[k] == top)
+        if top_class != j.covers_mask_set(i):
+            return f"at point {u!r}"
+    return ""
 
 
-def check_closure_route(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
-    """closure->nucleus directly versus closure->endomap->covers->nucleus."""
-    algebra = _algebra_on(poset, algebra)
-    verdicts = []
-    for y in _subsets(poset.points):
-        clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
-        direct = closure_to_nucleus(clop, algebra)
-        via = grotop_to_nucleus(lt_to_grotop(j_from_closure(clop)), algebra)
-        agrees = direct == via
-        detail = "" if agrees else f"direct={direct.table} via={via.table}"
-        verdicts.append(InstanceVerdict(_y_label(poset, y), agrees, detail))
-    return RouteReport("closure route", tuple(verdicts))
+def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[RouteReport, ...]:
+    """The round trips, the truncation route, the closure route and the
+    topmost region covers, in that order, from one pass over the point sets
+    that builds each face, and each conversion two reports read, once.
 
-
-def check_top_region_covers(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
-    """Covers at u versus the class of the maximal sieve under the endomap."""
-    algebra = _algebra_on(poset, algebra)
-    verdicts = []
-    for y in _subsets(poset.points):
-        tables = nucleus_to_lt(nucleus_from_point_set(algebra, y)).tables
-        grotop = point_set_to_grotop(poset, y)
-        agrees = True
-        detail = ""
-        for i, u in enumerate(poset.points):
-            sieves = sieves_on(poset, u)
-            table = tables[i]
-            top = len(sieves) - 1
-            top_class = frozenset(
-                sieves[k].mask for k in range(len(sieves)) if table[k] == table[top]
-            )
-            if top_class != grotop.covers_mask_set(i):
-                agrees = False
-                detail = f"at point {u!r}"
-                break
-        verdicts.append(InstanceVerdict(_y_label(poset, y), agrees, detail))
-    return RouteReport("topmost region covers", tuple(verdicts))
-
-
-def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> RouteReport:
-    """Every conversion cycle through the representations is the identity,
-    and every conversion between two faces maps one to the other.
-
-    The eight cycles come first, then the five face-to-face comparisons of
-    ``verify_quad`` that no cycle makes, so a failed index names one check.
+    The round trips list the eight conversion cycles, then the five
+    face-to-face comparisons of ``verify_quad`` that no cycle makes, so a
+    failed index names one check.  Truncation compares nucleus->endomap with
+    nucleus->covers->endomap; closure, closure->nucleus with
+    closure->endomap->covers->nucleus; the topmost check, the covers at each
+    point with the class of the maximal sieve under the endomap.
     """
     algebra = _algebra_on(poset, algebra)
-    verdicts = []
-    for y in _subsets(poset.points):
-        kept = frozenset(y)
+    names = ("round trips", "truncation route", "closure route", "topmost region covers")
+    verdicts: tuple[list, ...] = tuple([] for _ in names)
+    for kept in _subsets(poset.points):
         n = nucleus_from_point_set(algebra, kept)
         j = point_set_to_grotop(poset, kept)
         lt = nucleus_to_lt(n)
@@ -582,6 +546,8 @@ def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> Rou
         n_of_j = grotop_to_nucleus(j, algebra)
         lt_of_j = grotop_to_lt(j)
         j_of_lt = lt_to_grotop(lt)
+        lt_of_clop = j_from_closure(clop)
+        n_of_clop = closure_to_nucleus(clop, algebra)
         cycles = (
             point_set_of_nucleus(n) == kept,
             grotop_to_point_set(j) == kept,
@@ -589,15 +555,25 @@ def check_roundtrips(poset: Poset, algebra: HeytingAlgebra | None = None) -> Rou
             nucleus_to_grotop(n_of_j) == j,
             lt_to_grotop(lt_of_j) == j,
             grotop_to_lt(j_of_lt) == lt,
-            j_from_closure(clop) == lt,
-            closure_to_nucleus(clop, algebra) == n,
+            lt_of_clop == lt,
+            n_of_clop == n,
             j_of_n == j,
             n_of_j == n,
             j_of_lt == j,
             lt_of_j == lt,
             grotop_to_lt_direct(j) == lt,
         )
-        agrees = all(cycles)
-        detail = "" if agrees else f"failed cycles: {[i for i, c in enumerate(cycles) if not c]}"
-        verdicts.append(InstanceVerdict(_y_label(poset, kept), agrees, detail))
-    return RouteReport("round trips", tuple(verdicts))
+        failed = [i for i, c in enumerate(cycles) if not c]
+        lt_via = grotop_to_lt(j_of_n)
+        n_via = grotop_to_nucleus(lt_to_grotop(lt_of_clop), algebra)
+        # every detail is empty exactly when its comparison agrees
+        details = (
+            f"failed cycles: {failed}" if failed else "",
+            "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}",
+            "" if n_of_clop == n_via else f"direct={n_of_clop.table} via={n_via.table}",
+            _top_class_miss(poset, lt, j),
+        )
+        label = _y_label(poset, kept)
+        for out, detail in zip(verdicts, details):
+            out.append(InstanceVerdict(label, not detail, detail))
+    return tuple(RouteReport(name, tuple(v)) for name, v in zip(names, verdicts))

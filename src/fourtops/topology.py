@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .classifier import (
     OmegaObject,
@@ -50,6 +50,8 @@ from .presheaf import (
     subterminal_inclusion,
     terminal,
 )
+
+DEFAULT_PAIR_CAP = 5000
 
 
 @dataclass(frozen=True)
@@ -344,15 +346,14 @@ class _UniverseRows(NamedTuple):
 def build_universe(
     poset: Poset,
     om: OmegaObject | None = None,
-    pair_cap: int = 5000,
+    pair_cap: int = DEFAULT_PAIR_CAP,
     omega_square_cap: int = 24,
-    extra: Iterable[Presheaf] = (),
 ) -> TestUniverse:
-    """Subobjects of 1, of Ω, the first ``omega_square_cap`` of Ω², and of
-    each extra object; as pairs, the first ``pair_cap`` pairs (f, g) of
-    subobjects of one object with g not listed before f; as map pairs, the
-    bang of each object into the subterminals and chi of each subterminal
-    against the first 12 subobjects of Ω."""
+    """Subobjects of 1, of Ω and the first ``omega_square_cap`` of Ω²; as
+    pairs, the first ``pair_cap`` pairs (f, g) of subobjects of one object
+    with g not listed before f; as map pairs, the bang of each object into
+    the subterminals and chi of each subterminal against the first 12
+    subobjects of Ω."""
     om = omega(poset) if om is None else om
     algebra = HeytingAlgebra(poset)
     objects: list[list[Inclusion]] = []
@@ -361,8 +362,6 @@ def build_universe(
     objects.append(subterminals)
     objects.append(subobjects(om))
     objects.append(subobjects(product(om, om), limit=omega_square_cap))
-    for b in extra:
-        objects.append(subobjects(b))
 
     inclusions = tuple(f for group in objects for f in group)
     all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])

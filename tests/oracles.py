@@ -9,7 +9,9 @@ The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them.  The literal oracle
 searches at the end keep the earlier enumerators that generate every candidate
 and filter it by the axioms, where the package prunes with the same axioms
-before it generates.
+before it generates.  The literal route reports, last, keep the four route
+checkers that each looped over the point sets and rebuilt every face, where
+the package makes one pass that builds each face once.
 """
 
 from itertools import combinations, permutations, product
@@ -492,3 +494,97 @@ def grotops_literal(poset):
     walk(0)
     results.sort(key=lambda g: g.covers)
     return results
+
+
+def route_reports_literal(poset, algebra=None):
+    """The route reports the way four separate checkers made them, one loop
+    over the point sets each, in the order of ``check_routes``: round trips,
+    truncation route, closure route, topmost region covers.  Every conversion
+    is looked up on the ``convert`` module at call time, so one patched
+    conversion reaches this side and ``check_routes`` alike."""
+    from fourtops import convert
+    from fourtops.convert import InstanceVerdict, RouteReport
+
+    algebra = convert._algebra_on(poset, algebra)
+    subsets = convert._subsets(poset.points)
+
+    def label(y):
+        return convert._y_label(poset, y)
+
+    roundtrips = []
+    for y in subsets:
+        kept = frozenset(y)
+        n = convert.nucleus_from_point_set(algebra, kept)
+        j = convert.point_set_to_grotop(poset, kept)
+        lt = convert.nucleus_to_lt(n)
+        clop = convert.ClosureOperator(lt)
+        j_of_n = convert.nucleus_to_grotop(n)
+        n_of_j = convert.grotop_to_nucleus(j, algebra)
+        lt_of_j = convert.grotop_to_lt(j)
+        j_of_lt = convert.lt_to_grotop(lt)
+        cycles = (
+            convert.point_set_of_nucleus(n) == kept,
+            convert.grotop_to_point_set(j) == kept,
+            convert.grotop_to_nucleus(j_of_n, algebra) == n,
+            convert.nucleus_to_grotop(n_of_j) == j,
+            convert.lt_to_grotop(lt_of_j) == j,
+            convert.grotop_to_lt(j_of_lt) == lt,
+            convert.j_from_closure(clop) == lt,
+            convert.closure_to_nucleus(clop, algebra) == n,
+            j_of_n == j,
+            n_of_j == n,
+            j_of_lt == j,
+            lt_of_j == lt,
+            convert.grotop_to_lt_direct(j) == lt,
+        )
+        agrees = all(cycles)
+        detail = "" if agrees else f"failed cycles: {[i for i, c in enumerate(cycles) if not c]}"
+        roundtrips.append(InstanceVerdict(label(kept), agrees, detail))
+
+    truncation = []
+    for y in subsets:
+        n = convert.nucleus_from_point_set(algebra, y)
+        direct = convert.nucleus_to_lt(n)
+        via_covers = convert.grotop_to_lt(convert.nucleus_to_grotop(n))
+        agrees = direct == via_covers
+        detail = "" if agrees else f"direct={direct.tables} via={via_covers.tables}"
+        truncation.append(InstanceVerdict(label(y), agrees, detail))
+
+    closure = []
+    for y in subsets:
+        clop = convert.ClosureOperator(
+            convert.nucleus_to_lt(convert.nucleus_from_point_set(algebra, y))
+        )
+        direct = convert.closure_to_nucleus(clop, algebra)
+        via = convert.grotop_to_nucleus(
+            convert.lt_to_grotop(convert.j_from_closure(clop)), algebra
+        )
+        agrees = direct == via
+        detail = "" if agrees else f"direct={direct.table} via={via.table}"
+        closure.append(InstanceVerdict(label(y), agrees, detail))
+
+    topmost = []
+    for y in subsets:
+        tables = convert.nucleus_to_lt(convert.nucleus_from_point_set(algebra, y)).tables
+        grotop = convert.point_set_to_grotop(poset, y)
+        agrees = True
+        detail = ""
+        for i, u in enumerate(poset.points):
+            sieves = convert.sieves_on(poset, u)
+            table = tables[i]
+            top = len(sieves) - 1
+            top_class = frozenset(
+                sieves[k].mask for k in range(len(sieves)) if table[k] == table[top]
+            )
+            if top_class != grotop.covers_mask_set(i):
+                agrees = False
+                detail = f"at point {u!r}"
+                break
+        topmost.append(InstanceVerdict(label(y), agrees, detail))
+
+    return (
+        RouteReport("round trips", tuple(roundtrips)),
+        RouteReport("truncation route", tuple(truncation)),
+        RouteReport("closure route", tuple(closure)),
+        RouteReport("topmost region covers", tuple(topmost)),
+    )

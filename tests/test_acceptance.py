@@ -13,10 +13,7 @@ import pytest
 from fourtops.classifier import chi, imp_map, meet_map, omega, sigma
 from fourtops.cli import cross_configurations, main, sweep_instance
 from fourtops.convert import (
-    check_closure_route,
-    check_roundtrips,
-    check_top_region_covers,
-    check_truncation_route,
+    check_routes,
     enumerate_lts,
     lt_to_grotop,
 )
@@ -72,13 +69,14 @@ def family_results():
                 poset = graph.poset()
                 key = (poset.points, tuple(poset._down))
                 if key not in cache:
+                    roundtrips, truncation, closure, topmost = check_routes(poset)
                     cache[key] = {
                         "sweep": sweep_instance(graph, cap=6),
                         "reports": {
-                            "truncation": check_truncation_route(poset),
-                            "closure": check_closure_route(poset),
-                            "topmost": check_top_region_covers(poset),
-                            "roundtrips": check_roundtrips(poset),
+                            "truncation": truncation,
+                            "closure": closure,
+                            "topmost": topmost,
+                            "roundtrips": roundtrips,
                         },
                     }
                 out.append(((p, q, cross), cache[key]))

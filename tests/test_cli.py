@@ -405,6 +405,7 @@ def test_malformed_input_is_a_usage_error(text, capsys):
         ("chi", "--cap", "3"),
         ("convert", "--from", "y", "--to", "lt", "--cap", "3"),
         ("fouruple", "--from", "y", "--cap", "3"),
+        ("enumerate", "nuclei", "--cap", "0"),
     ],
     ids=" ".join,
 )
@@ -416,6 +417,38 @@ def test_removed_flags_are_refused(argv):
 def test_check_cap_is_refused_where_it_is_not_read(what, capsys):
     assert run("check", what, "--cap", "5000", "-t", STAR)[0] == 2
     assert capsys.readouterr().err.startswith("error: --cap")
+
+
+@pytest.mark.parametrize("cap, code", [("3", 2), ("4", 0)])
+def test_enumerate_oracle_still_reads_cap(cap, code, capsys):
+    assert run("enumerate", "nuclei", "--mode", "oracle", "--cap", cap, "-t", STAR)[0] == code
+    err = capsys.readouterr().err
+    assert err == ("error: oracle nucleus enumeration capped at 3 points\n" if code else "")
+
+
+def test_closed_pipe_is_a_usage_error_without_a_traceback():
+    """A reader that closes the pipe early gets exit 2 and one error line."""
+    import os
+    import subprocess
+    import sys
+
+    import fourtops
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "fourtops.cli", "enumerate", "nuclei", "-t", STAR],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_check_axioms_still_reads_cap():

@@ -8,10 +8,7 @@ from hypothesis import given, settings, strategies as st
 from fourtops import convert
 from fourtops.classifier import omega
 from fourtops.convert import (
-    check_closure_route,
-    check_roundtrips,
-    check_top_region_covers,
-    check_truncation_route,
+    check_routes,
     closure_to_nucleus,
     complete_quad,
     enumerate_grotops,
@@ -41,6 +38,7 @@ from fourtops.topology import (
     LTTopology,
     j_from_closure,
     largest_grotop,
+    lt_identity,
     make_grotop,
     smallest_grotop,
 )
@@ -52,6 +50,7 @@ from .oracles import (
     grotops_literal,
     j_from_closure_composite,
     lts_literal,
+    route_reports_literal,
 )
 
 
@@ -459,13 +458,17 @@ class TestQuad:
 
 class TestRouteCheckers:
     def test_star_reports_all_agree(self, P):
-        assert check_truncation_route(P).ok
-        assert check_closure_route(P).ok
-        assert check_top_region_covers(P).ok
-        assert check_roundtrips(P).ok
+        reports = check_routes(P)
+        assert [r.name for r in reports] == [
+            "round trips",
+            "truncation route",
+            "closure route",
+            "topmost region covers",
+        ]
+        assert all(r.ok for r in reports)
 
     def test_summaries_count_instances(self, P):
-        rep = check_truncation_route(P)
+        rep = check_routes(P)[1]
         assert "16/16" in rep.summary()
 
     def test_round_trips_number_the_face_to_face_checks_after_the_cycles(
@@ -475,7 +478,7 @@ class TestRouteCheckers:
             return LTTopology(j.poset, tuple((0,) * len(sieves_on(P, u)) for u in P.points))
 
         monkeypatch.setattr(convert, "grotop_to_lt_direct", bottom)
-        report = check_roundtrips(P)
+        report = check_routes(P)[0]
         assert len(report.counterexamples()) == 16
         assert {v.detail for v in report.verdicts} == {"failed cycles: [12]"}
 
@@ -484,12 +487,72 @@ class TestRouteCheckers:
             raise AssertionError("complete_quad called")
 
         monkeypatch.setattr(convert, "complete_quad", refuse)
-        assert check_top_region_covers(P).ok
+        assert check_routes(P)[3].ok
 
     @given(small_posets())
     @settings(max_examples=8, deadline=None)
     def test_routes_agree_on_random_posets(self, poset):
-        assert check_truncation_route(poset).ok
-        assert check_closure_route(poset).ok
-        assert check_top_region_covers(poset).ok
-        assert check_roundtrips(poset).ok
+        assert all(r.ok for r in check_routes(poset))
+
+
+def _route_mutants():
+    """Wrong conversions, each of which some route report must catch."""
+    nucleus_to_lt_ = convert.nucleus_to_lt
+
+    def lt_of_empty_point_set(n):
+        return nucleus_to_lt_(nucleus_from_point_set(n.algebra, frozenset()))
+
+    def identity_nucleus(clop, algebra=None):
+        algebra = HeytingAlgebra(clop.poset) if algebra is None else algebra
+        return Nucleus(algebra, tuple(range(len(algebra.elements))))
+
+    def bottom_lt(j):
+        return LTTopology(
+            j.poset, tuple((0,) * len(sieves_on(j.poset, u)) for u in j.poset.points)
+        )
+
+    return {
+        "grotop_to_lt": lambda j: lt_identity(j.poset),
+        "closure_to_nucleus": identity_nucleus,
+        "grotop_to_lt_direct": bottom_lt,
+        "nucleus_to_lt": lt_of_empty_point_set,
+        "nucleus_to_grotop": lambda n: point_set_to_grotop(n.algebra.poset, ()),
+        "j_from_closure": lambda clop: lt_identity(clop.poset),
+    }
+
+
+class TestCheckRoutes:
+    """``check_routes`` against the four separate checkers it replaced."""
+
+    def test_equals_the_literal_reports_on_the_star(self, P, algebra):
+        assert check_routes(P) == route_reports_literal(P)
+        assert check_routes(P, algebra) == route_reports_literal(P, algebra)
+
+    def test_equals_the_literal_reports_on_sweep_posets(self, sweep_posets):
+        for poset in sweep_posets:
+            assert check_routes(poset) == route_reports_literal(poset)
+
+    @given(small_posets())
+    @settings(max_examples=20, deadline=None)
+    def test_equals_the_literal_reports_on_random_posets(self, poset):
+        assert check_routes(poset) == route_reports_literal(poset)
+
+    @pytest.mark.parametrize("name", sorted(_route_mutants()))
+    def test_equals_the_literal_reports_under_a_wrong_conversion(
+        self, P, monkeypatch, name
+    ):
+        monkeypatch.setattr(convert, name, _route_mutants()[name])
+        reports = check_routes(P)
+        assert not all(r.ok for r in reports)
+        assert reports == route_reports_literal(P)
+
+    def test_builds_each_face_once_per_point_set(self, P, monkeypatch):
+        calls = {}
+        for name in ("nucleus_to_lt", "j_from_closure", "closure_to_nucleus"):
+            def counted(*args, _fn=getattr(convert, name), _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(convert, name, counted)
+        check_routes(P)
+        assert calls == {"nucleus_to_lt": 16, "j_from_closure": 16, "closure_to_nucleus": 16}
