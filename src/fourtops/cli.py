@@ -21,8 +21,8 @@ import json
 import os
 import re
 import sys
-from dataclasses import dataclass
 from itertools import combinations
+from json.encoder import encode_basestring
 
 from .convert import (
     Quad,
@@ -47,13 +47,6 @@ from .poset import (
     sieves_on,
 )
 from .presheaf import Inclusion, subterminal_of, terminal
-from .render import (
-    render_grotop,
-    render_lt,
-    render_omega,
-    render_quad,
-    render_zha,
-)
 from .topology import (
     DEFAULT_PAIR_CAP,
     ClosureOperator,
@@ -69,15 +62,23 @@ from .topology import (
 STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
 
 
-@dataclass
 class InputSpec:
     """Parsed poset (plus its two-column form when available) and an optional
     structure payload."""
 
-    poset: Poset
-    graph: TwoColumnGraph | None = None
-    kind: str | None = None
-    payload: object = None
+    __slots__ = ("poset", "graph", "kind", "payload")
+
+    def __init__(
+        self,
+        poset: Poset,
+        graph: TwoColumnGraph | None = None,
+        kind: str | None = None,
+        payload: object = None,
+    ):
+        self.poset = poset
+        self.graph = graph
+        self.kind = kind
+        self.payload = payload
 
 
 # -- tokenizer / text grammar -------------------------------------------------
@@ -325,10 +326,6 @@ def _downset_json(ds: DownSet) -> list[str]:
     return sorted(str(u) for u in ds.members)
 
 
-def _names_json(poset: Poset, mask: int) -> list[str]:
-    return sorted(str(u) for u in poset.names_of(mask))
-
-
 def poset_json(spec: InputSpec) -> dict:
     if spec.graph is not None:
         return {
@@ -344,28 +341,43 @@ def poset_json(spec: InputSpec) -> dict:
     }
 
 
-def structure_json(poset: Poset, kind: str, value) -> dict:
+class NameTable(dict):
+    """Mask -> the sorted point names of that mask, each list built on first
+    use.  One table serves every structure of one output document, whose
+    rows then share the lists: read them, do not mutate them."""
+
+    __slots__ = ("poset",)
+
+    def __init__(self, poset: Poset):
+        super().__init__()
+        self.poset = poset
+
+    def __missing__(self, mask: int) -> list[str]:
+        names = self[mask] = sorted(str(u) for u in self.poset.names_of(mask))
+        return names
+
+
+def structure_json(poset: Poset, kind: str, value, names: NameTable | None = None) -> dict:
+    """The JSON form of one structure; pass one ``names`` table to every
+    structure of a document to build each name list once."""
+    names = NameTable(poset) if names is None else names
     if kind == "y":
         return {"kind": "y", "members": sorted(str(u) for u in value)}
     if kind == "nucleus":
-        table = [
-            [_downset_json(s), _downset_json(value.apply(s))]
-            for s in value.algebra.elements
-        ]
+        masks = [s.mask for s in value.algebra.elements]
+        table = [[names[masks[k]], names[masks[t]]] for k, t in enumerate(value.table)]
         return {"kind": "nucleus", "table": sorted(table)}
     if kind == "grotop":
         covers = []
         for i, u in enumerate(poset.points):
-            fams = sorted(_names_json(poset, m) for m in value.covers[i])
-            covers.append([str(u), fams])
+            covers.append([str(u), sorted(names[m] for m in value.covers[i])])
         return {"kind": "grotop", "covers": sorted(covers)}
     if kind == "lt":
         table = []
         for i, u in enumerate(poset.points):
-            sieves = sieves_on(poset, u)
+            masks = [s.mask for s in sieves_on(poset, u)]
             pairs = sorted(
-                [_downset_json(s), _downset_json(sieves[value.tables[i][k]])]
-                for k, s in enumerate(sieves)
+                [names[masks[k]], names[masks[t]]] for k, t in enumerate(value.tables[i])
             )
             table.append([str(u), pairs])
         return {"kind": "lt", "table": sorted(table)}
@@ -424,7 +436,68 @@ def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
 
 
 def emit_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``,
+    byte for byte, for documents of dicts with str keys, lists, tuples, str,
+    int, bool, None and float.  With an indent, ``json`` runs its pure-Python
+    encoder; this writer escapes strings with the C ``encode_basestring``,
+    writes a list of strings with one join, and writes a list of strings
+    that the document holds again at the same indent (the name lists that
+    structure rows share) from its first text."""
+    parts: list[str] = []
+    _emit(obj, "\n", parts, {})
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _emit(obj, newline: str, parts: list, written: dict) -> None:
+    """Append the JSON text of ``obj`` at the indent that ``newline`` (a
+    newline and the indent) gives.  ``written`` maps (id, newline) of each
+    list of strings written so far to its text; the ids stay unique while
+    the document, which holds every list, is alive."""
+    if isinstance(obj, str):
+        parts.append(encode_basestring(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(obj):
+            parts.append(sep + encode_basestring(key) + ": ")
+            _emit(obj[key], inner, parts, written)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        key = (id(obj), newline)
+        text = written.get(key)
+        if text is not None:
+            parts.append(text)
+            return
+        inner = newline + "  "
+        if all(type(x) is str for x in obj):
+            items = ("," + inner).join(map(encode_basestring, obj))
+            text = written[key] = "[" + inner + items + newline + "]"
+            parts.append(text)
+            return
+        sep = "[" + inner
+        for item in obj:
+            parts.append(sep)
+            _emit(item, inner, parts, written)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        parts.append(json.dumps(obj))
 
 
 def _write_result(out, spec: InputSpec, result: dict) -> None:
@@ -491,6 +564,11 @@ def structure_text(spec: InputSpec, kind: str, value) -> str:
 # -- subcommands -----------------------------------------------------------------
 
 
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ParseError(f"{flag} must be at least {least}, not {value}")
+
+
 def _read_input(args) -> InputSpec:
     if getattr(args, "text", None):
         return parse_input(args.text)
@@ -501,6 +579,10 @@ def _read_input(args) -> InputSpec:
 
 
 def cmd_show(args, out) -> int:
+    # the panel renderers are imported by the commands that draw them, so
+    # the other commands do not pay to compile and load them
+    from .render import render_omega, render_zha
+
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "h":
@@ -584,6 +666,8 @@ def cmd_convert(args, out) -> int:
 
 
 def cmd_fouruple(args, out) -> int:
+    from .render import render_quad
+
     spec = _read_input(args)
     quad = _quad(spec, args.source)
     if args.render:
@@ -592,10 +676,11 @@ def cmd_fouruple(args, out) -> int:
         out.write(render_quad(spec.graph, quad) + "\n")
         return 0
     if args.json:
+        names = NameTable(spec.poset)
         _write_result(
             out,
             spec,
-            {k: structure_json(spec.poset, k, getattr(quad, k)) for k in STRUCTURE_KINDS},
+            {k: structure_json(spec.poset, k, getattr(quad, k), names) for k in STRUCTURE_KINDS},
         )
     else:
         for kind in STRUCTURE_KINDS:
@@ -608,6 +693,7 @@ def cmd_enumerate(args, out) -> int:
     if args.cap is not None and mode != "oracle":
         raise ParseError(f"--cap applies to --mode oracle only, not --mode {mode}")
     cap = DEFAULT_ORACLE_POINT_CAP if args.cap is None else args.cap
+    _require_at_least("--cap", cap, 0)
     spec = _read_input(args)
     poset = spec.poset
     if args.family == "nuclei":
@@ -620,7 +706,8 @@ def cmd_enumerate(args, out) -> int:
         items = enumerate_lts(poset, mode, point_cap=cap)
         kind = "lt"
     if args.json:
-        items_json = (structure_json(poset, kind, v) for v in items)
+        names = NameTable(poset)
+        items_json = (structure_json(poset, kind, v, names) for v in items)
         _write_result(
             out,
             spec,
@@ -669,8 +756,8 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
 def cmd_check(args, out) -> int:
     if args.cap is not None and args.what != "axioms":
         raise ParseError(f"--cap applies to check axioms only, not check {args.what}")
-    if args.cap is not None and args.cap < 1:
-        raise ParseError(f"--cap must be at least 1, not {args.cap}")
+    if args.cap is not None:
+        _require_at_least("--cap", args.cap, 1)
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "axioms":
@@ -711,6 +798,8 @@ def cmd_check(args, out) -> int:
 
 
 def cmd_render(args, out) -> int:
+    from .render import render_grotop, render_lt, render_omega, render_quad, render_zha
+
     spec = _read_input(args)
     if spec.graph is None:
         raise ParseError("render needs a 2cg input")
@@ -785,9 +874,8 @@ def cmd_sweep(args, out) -> int:
     class: each verdict is invariant under relabelling the points.  The
     labelled poset is looked up first, so the canonical form is computed once
     per distinct labelled poset."""
-    for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax)):
-        if value < 0:
-            raise ParseError(f"{flag} must be at least 0, not {value}")
+    for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax), ("--cap", args.cap)):
+        _require_at_least(flag, value, 0)
     instances = []
     ok = True
     labelled: dict = {}

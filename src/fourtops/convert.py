@@ -18,7 +18,6 @@ point set's faces once for all of them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
@@ -399,14 +398,30 @@ def enumerate_lts(
 # -- quadruples ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class Quad:
     """A mutually coherent (point set, nucleus, covering families, endomap)."""
 
-    y: frozenset
-    nucleus: Nucleus
-    grotop: GrothendieckTopology
-    lt: LTTopology
+    __slots__ = ("y", "nucleus", "grotop", "lt")
+
+    def __init__(
+        self, y: frozenset, nucleus: Nucleus, grotop: GrothendieckTopology, lt: LTTopology
+    ):
+        self.y = y
+        self.nucleus = nucleus
+        self.grotop = grotop
+        self.lt = lt
+
+    def _key(self) -> tuple:
+        return (self.y, self.nucleus, self.grotop, self.lt)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Quad:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
 
     @property
     def poset(self) -> Poset:
@@ -474,17 +489,43 @@ def verify_quad(q: Quad) -> None:
 # -- route-agreement and round-trip checkers -----------------------------------
 
 
-@dataclass(frozen=True)
 class InstanceVerdict:
-    label: str
-    agrees: bool
-    detail: str = ""
+    __slots__ = ("label", "agrees", "detail")
+
+    def __init__(self, label: str, agrees: bool, detail: str = ""):
+        self.label = label
+        self.agrees = agrees
+        self.detail = detail
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not InstanceVerdict:
+            return NotImplemented
+        return (self.label, self.agrees, self.detail) == (
+            other.label,
+            other.agrees,
+            other.detail,
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.label, self.agrees, self.detail))
 
 
-@dataclass(frozen=True)
+
 class RouteReport:
-    name: str
-    verdicts: tuple[InstanceVerdict, ...]
+    __slots__ = ("name", "verdicts")
+
+    def __init__(self, name: str, verdicts: tuple[InstanceVerdict, ...]):
+        self.name = name
+        self.verdicts = verdicts
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RouteReport:
+            return NotImplemented
+        return (self.name, self.verdicts) == (other.name, other.verdicts)
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.verdicts))
+
 
     @property
     def ok(self) -> bool:

@@ -9,7 +9,6 @@ the nucleus, each with a topmost element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -87,12 +86,23 @@ class HeytingAlgebra:
         return lattice_tables([s.mask for s in self.elements])[0]
 
 
-@dataclass(frozen=True)
 class Nucleus:
     """A total table on a down-set algebra, stored by element index."""
 
-    algebra: HeytingAlgebra
-    table: tuple[int, ...]
+    __slots__ = ("algebra", "table")
+
+    def __init__(self, algebra: HeytingAlgebra, table: tuple[int, ...]):
+        self.algebra = algebra
+        self.table = table
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Nucleus:
+            return NotImplemented
+        return (self.algebra, self.table) == (other.algebra, other.table)
+
+    def __hash__(self) -> int:
+        return hash((self.algebra, self.table))
+
 
     def apply(self, s: DownSet) -> DownSet:
         return self.algebra.elements[self.table[self.algebra.index(s)]]
@@ -101,22 +111,44 @@ class Nucleus:
         return self.apply(s)
 
 
-@dataclass(frozen=True)
 class AxiomFailure:
-    axiom: str
-    witness: tuple
+    __slots__ = ("axiom", "witness")
+
+    def __init__(self, axiom: str, witness: tuple):
+        self.axiom = axiom
+        self.witness = witness
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AxiomFailure:
+            return NotImplemented
+        return (self.axiom, self.witness) == (other.axiom, other.witness)
+
+    def __hash__(self) -> int:
+        return hash((self.axiom, self.witness))
+
 
     def __str__(self) -> str:
         parts = ", ".join(repr(w) for w in self.witness)
         return f"{self.axiom} fails at {parts}"
 
 
-@dataclass(frozen=True)
 class CheckReport:
     """Outcome of an axiom scan: empty failure list means pass."""
 
-    subject: str
-    failures: tuple[AxiomFailure, ...]
+    __slots__ = ("subject", "failures")
+
+    def __init__(self, subject: str, failures: tuple[AxiomFailure, ...]):
+        self.subject = subject
+        self.failures = failures
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not CheckReport:
+            return NotImplemented
+        return (self.subject, self.failures) == (other.subject, other.failures)
+
+    def __hash__(self) -> int:
+        return hash((self.subject, self.failures))
+
 
     @property
     def ok(self) -> bool:
@@ -224,13 +256,21 @@ def modality_on_downset(nucleus: Nucleus, s: DownSet):
     return act
 
 
-@dataclass(frozen=True)
 class Slashing:
     """A partition of the algebra into regions, each with a topmost element."""
 
-    algebra: HeytingAlgebra
-    classes: tuple[tuple[int, ...], ...]
-    region_tops: tuple[int, ...]
+    __slots__ = ("algebra", "classes", "region_tops")
+
+    def __init__(
+        self,
+        algebra: HeytingAlgebra,
+        classes: tuple[tuple[int, ...], ...],
+        region_tops: tuple[int, ...],
+    ):
+        self.algebra = algebra
+        self.classes = classes
+        self.region_tops = region_tops
+
 
     def as_partition(self) -> frozenset:
         return frozenset(frozenset(c) for c in self.classes)

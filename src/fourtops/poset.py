@@ -8,7 +8,6 @@ keeps meets, joins and interiors cheap for the enumerators downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby, permutations, product
 from typing import Hashable, Iterable, Sequence
@@ -123,22 +122,29 @@ class Poset:
         return acc == mask
 
 
-@dataclass(frozen=True)
 class DownSet:
     """A downward-closed subset of a poset, stored as a bitmask."""
 
-    poset: Poset
-    mask: int
+    __slots__ = ("poset", "mask")
 
-    def __post_init__(self):
-        if self.mask & ~self.poset.full_mask:
-            raise UnknownPoint(f"mask {self.mask:#x} has bits outside the poset")
-        if not self.poset.is_down_closed(self.mask):
-            raise NotDownClosed(f"{self.poset.names_of(self.mask)!r} is not down-closed")
+    def __init__(self, poset: Poset, mask: int):
+        if mask & ~poset.full_mask:
+            raise UnknownPoint(f"mask {mask:#x} has bits outside the poset")
+        if not poset.is_down_closed(mask):
+            raise NotDownClosed(f"{poset.names_of(mask)!r} is not down-closed")
+        self.poset = poset
+        self.mask = mask
 
     @property
     def members(self) -> tuple[PointId, ...]:
         return self.poset.names_of(self.mask)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not DownSet:
+            return NotImplemented
+        return self.mask == other.mask and (
+            self.poset is other.poset or self.poset == other.poset
+        )
 
     def __hash__(self) -> int:
         # equal down-sets share a mask; equality still compares the poset
@@ -323,7 +329,6 @@ def right_name(k: int) -> str:
     return f"_{k}"
 
 
-@dataclass(frozen=True)
 class TwoColumnGraph:
     """Two columns of heights p and q with optional cross arrows.
 
@@ -331,23 +336,33 @@ class TwoColumnGraph:
     arrows connect distinct columns and must keep the graph acyclic.
     """
 
-    p: int
-    q: int
-    cross: frozenset = frozenset()
+    __slots__ = ("p", "q", "cross")
 
-    def __post_init__(self):
-        if self.p < 0 or self.q < 0:
+    def __init__(self, p: int, q: int, cross: Iterable = frozenset()):
+        if p < 0 or q < 0:
             raise ValueError("column heights must be nonnegative")
-        left = {left_name(k) for k in range(1, self.p + 1)}
-        right = {right_name(k) for k in range(1, self.q + 1)}
-        for u, v in self.cross:
+        cross = frozenset(cross)
+        left = {left_name(k) for k in range(1, p + 1)}
+        right = {right_name(k) for k in range(1, q + 1)}
+        for u, v in cross:
             if not (
                 (u in left and v in right) or (u in right and v in left)
             ):
                 raise NotDownClosed(
                     f"cross arrow {(u, v)!r} must connect distinct columns"
                 )
-        object.__setattr__(self, "cross", frozenset(self.cross))
+        self.p = p
+        self.q = q
+        self.cross = cross
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not TwoColumnGraph:
+            return NotImplemented
+        return (self.p, self.q, self.cross) == (other.p, other.q, other.cross)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.cross))
+
 
     def point_names(self) -> tuple[str, ...]:
         lefts = [left_name(k) for k in range(self.p, 0, -1)]

@@ -343,14 +343,15 @@ class Morphism:
         )
 
     def then(self, other: "Morphism") -> "Morphism":
-        """Composite self;other (apply self first)."""
+        """Composite self;other (apply self first).  A composite of natural
+        maps is natural, so it is built trusted, not validated again."""
         if self.cod != other.dom:
             raise ShapeMismatch("composite endpoints do not match")
         comp = {
             u: {a: other.comp[u][b] for a, b in self.comp[u].items()}
             for u in self.dom.poset.points
         }
-        return Morphism(self.dom, other.cod, comp)
+        return Morphism._trusted(self.dom, other.cod, comp)
 
 
 def identity(b: Presheaf) -> "Inclusion":

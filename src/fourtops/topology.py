@@ -9,8 +9,6 @@ hasmax / stab / trans and the filter laws).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, islice
 from typing import NamedTuple
 
@@ -54,12 +52,23 @@ from .presheaf import (
 DEFAULT_PAIR_CAP = 5000
 
 
-@dataclass(frozen=True)
 class LTTopology:
     """Per-point endomap of the classifier, stored by sieve index."""
 
-    poset: Poset
-    tables: tuple[tuple[int, ...], ...]
+    __slots__ = ("poset", "tables")
+
+    def __init__(self, poset: Poset, tables: tuple[tuple[int, ...], ...]):
+        self.poset = poset
+        self.tables = tables
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not LTTopology:
+            return NotImplemented
+        return (self.poset, self.tables) == (other.poset, other.tables)
+
+    def __hash__(self) -> int:
+        return hash((self.poset, self.tables))
+
 
     def apply(self, u, s: DownSet) -> DownSet:
         k = sieve_positions(self.poset, u)[s.mask]
@@ -133,7 +142,6 @@ def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
     return CheckReport("topology axioms", tuple(failures))
 
 
-@dataclass(frozen=True)
 class ClosureOperator:
     """Closure on inclusions, represented by its inducing classifier endomap.
 
@@ -142,25 +150,33 @@ class ClosureOperator:
     validated against that action over a finite universe.
     """
 
-    lt: LTTopology
+    __slots__ = ("lt", "_covering")
+
+    def __init__(self, lt: LTTopology):
+        self.lt = lt
+        self._covering = None
+
 
     @property
     def poset(self) -> Poset:
         return self.lt.poset
 
-    @cached_property
+    @property
     def covering(self) -> tuple[frozenset, ...]:
-        """Per point, the masks of the sieves the endomap sends to the maximal one."""
-        poset = self.poset
-        out = []
-        for i, u in enumerate(poset.points):
-            sieves = sieves_on(poset, u)
-            top = poset.down_mask_at(i)
-            table = self.lt.tables[i]
-            out.append(
-                frozenset(s.mask for k, s in enumerate(sieves) if sieves[table[k]].mask == top)
-            )
-        return tuple(out)
+        """Per point, the masks of the sieves the endomap sends to the maximal
+        one; built on first use and kept."""
+        if self._covering is None:
+            poset = self.poset
+            out = []
+            for i, u in enumerate(poset.points):
+                sieves = sieves_on(poset, u)
+                top = poset.down_mask_at(i)
+                table = self.lt.tables[i]
+                out.append(
+                    frozenset(s.mask for k, s in enumerate(sieves) if sieves[table[k]].mask == top)
+                )
+            self._covering = tuple(out)
+        return self._covering
 
 
 def _closure_mask(covering: tuple, index: ElementIndex, mask: int) -> int:
@@ -226,22 +242,36 @@ def dense_closed_factor(
     return dense_part, closed
 
 
-@dataclass(frozen=True)
 class TestUniverse:
     """A finite, deterministic family of inclusions and map/inclusion pairs
     used to instantiate the 'for all inclusions' quantifiers."""
 
-    poset: Poset
-    inclusions: tuple[Inclusion, ...]
-    pairs: tuple[tuple[Inclusion, Inclusion], ...]
-    map_pairs: tuple[tuple[Morphism, Inclusion], ...]
+    __slots__ = ("poset", "inclusions", "pairs", "map_pairs", "_rows")
 
-    @cached_property
+    def __init__(
+        self,
+        poset: Poset,
+        inclusions: tuple[Inclusion, ...],
+        pairs: tuple[tuple[Inclusion, Inclusion], ...],
+        map_pairs: tuple[tuple[Morphism, Inclusion], ...],
+    ):
+        self.poset = poset
+        self.inclusions = inclusions
+        self.pairs = pairs
+        self.map_pairs = map_pairs
+        self._rows = None
+
+    @property
     def rows(self) -> "_UniverseRows":
         """The universe validated once and flattened to int rows over
         codomain indices, with the truth-value groups every closure
         operator reads: ShapeMismatch if a codomain lives on another poset or
-        a pair does not share its codomain."""
+        a pair does not share its codomain.  Built on first use and kept."""
+        if self._rows is None:
+            self._rows = self._flatten()
+        return self._rows
+
+    def _flatten(self) -> "_UniverseRows":
         codes: dict = {}
         truths: list[_TruthGroups] = []
 
@@ -466,12 +496,23 @@ def restriction_check(
 # -- covering-sieve topologies ----------------------------------------------
 
 
-@dataclass(frozen=True)
 class GrothendieckTopology:
     """Per-point families of covering sieves, stored as canonical mask tuples."""
 
-    poset: Poset
-    covers: tuple[tuple[int, ...], ...]
+    __slots__ = ("poset", "covers")
+
+    def __init__(self, poset: Poset, covers: tuple[tuple[int, ...], ...]):
+        self.poset = poset
+        self.covers = covers
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GrothendieckTopology:
+            return NotImplemented
+        return (self.poset, self.covers) == (other.poset, other.covers)
+
+    def __hash__(self) -> int:
+        return hash((self.poset, self.covers))
+
 
     def covers_at(self, u) -> tuple[DownSet, ...]:
         i = self.poset.index(u)
@@ -554,10 +595,13 @@ def is_grothendieck(j: GrothendieckTopology) -> CheckReport:
     return CheckReport("covering axioms", tuple(failures))
 
 
-@dataclass(frozen=True)
 class FilterReport:
-    report: CheckReport
-    generators: tuple[DownSet, ...]
+    __slots__ = ("report", "generators")
+
+    def __init__(self, report: CheckReport, generators: tuple[DownSet, ...]):
+        self.report = report
+        self.generators = generators
+
 
 
 def filter_check(j: GrothendieckTopology) -> FilterReport:

@@ -9,11 +9,15 @@ The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them.  The literal oracle
 searches at the end keep the earlier enumerators that generate every candidate
 and filter it by the axioms, where the package prunes with the same axioms
-before it generates.  The literal route reports, last, keep the four route
+before it generates.  The literal route reports keep the four route
 checkers that each looped over the point sets and rebuilt every face, where
-the package makes one pass that builds each face once.
+the package makes one pass that builds each face once.  The literal JSON
+output, last, keeps the structure rows that sorted each down-set's names
+anew and the ``json.dumps`` call, where the package reads one name table per
+document and writes the text itself.
 """
 
+import json
 from itertools import combinations, permutations, product
 
 
@@ -588,3 +592,39 @@ def route_reports_literal(poset, algebra=None):
         RouteReport("closure route", tuple(closure)),
         RouteReport("topmost region covers", tuple(topmost)),
     )
+
+
+def structure_json_literal(poset, kind, value):
+    """The JSON form of one structure, each row's names sorted anew and a
+    nucleus read through ``apply``."""
+    from fourtops.poset import sieves_on
+
+    def names(mask):
+        return sorted(str(u) for u in poset.names_of(mask))
+
+    if kind == "y":
+        return {"kind": "y", "members": sorted(str(u) for u in value)}
+    if kind == "nucleus":
+        table = [[names(s.mask), names(value.apply(s).mask)] for s in value.algebra.elements]
+        return {"kind": "nucleus", "table": sorted(table)}
+    if kind == "grotop":
+        covers = []
+        for i, u in enumerate(poset.points):
+            covers.append([str(u), sorted(names(m) for m in value.covers[i])])
+        return {"kind": "grotop", "covers": sorted(covers)}
+    if kind == "lt":
+        table = []
+        for i, u in enumerate(poset.points):
+            sieves = sieves_on(poset, u)
+            pairs = sorted(
+                [names(s.mask), names(sieves[value.tables[i][k]].mask)]
+                for k, s in enumerate(sieves)
+            )
+            table.append([str(u), pairs])
+        return {"kind": "lt", "table": sorted(table)}
+    raise ValueError(f"unknown structure kind {kind!r}")
+
+
+def emit_json_literal(obj):
+    """The output text through ``json``'s indenting encoder."""
+    return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

@@ -3,15 +3,27 @@
 import io
 import json
 import pathlib
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fourtops import cli
-from fourtops.cli import cross_configurations, main, parse_input, sweep_instance
+from fourtops.cli import (
+    NameTable,
+    cross_configurations,
+    emit_json,
+    main,
+    parse_input,
+    structure_json,
+    sweep_instance,
+)
+from fourtops.convert import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
-from fourtops.poset import TwoColumnGraph
+from fourtops.heyting import HeytingAlgebra
+from fourtops.poset import Poset, TwoColumnGraph
 
-from .oracles import brute_relabellings
+from .oracles import brute_relabellings, emit_json_literal, structure_json_literal
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -462,6 +474,23 @@ def test_check_axioms_refuses_a_cap_below_one(cap, capsys):
     assert capsys.readouterr().err == f"error: --cap must be at least 1, not {cap}\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the cap is refused before the input, which does not parse, is read
+        ("enumerate", "nuclei", "--mode", "oracle", "--cap", "-1", "-t", "poset {"),
+        ("enumerate", "lttops", "--mode", "oracle", "--json", "--cap", "-3", "-t", STAR),
+        ("sweep", "--cap", "-1"),
+        ("sweep", "--pmax", "3", "--qmax", "3", "--json", "--cap", "-3"),
+    ],
+    ids=" ".join,
+)
+def test_a_negative_oracle_cap_is_refused(argv, capsys):
+    cap = argv[argv.index("--cap") + 1]
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: --cap must be at least 0, not {cap}\n"
+
+
 @pytest.mark.parametrize("flag", ["--pmax", "--qmax"])
 def test_sweep_refuses_a_negative_size(flag, capsys):
     sizes = {"--pmax": "2", "--qmax": "2", flag: "-1"}
@@ -542,3 +571,130 @@ def test_both_readers_refuse_the_same_bad_payloads(kind, defect, form, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert MESSAGES.get(defect, "") in err
+
+
+# -- the JSON writer ----------------------------------------------------------------
+
+CENSUS_POSETS = {
+    "antichain6": ("abcdef", []),
+    "cone5": ("abcde", [("e", x) for x in "abcd"]),
+    "fan6": ("abcdef", [("f", x) for x in "abcde"] + [("e", "a")]),
+}
+
+
+def _oracle_items(poset):
+    """Every structure the oracle enumerators find on ``poset``, with its kind."""
+    items = [("nucleus", n) for n in enumerate_nuclei(HeytingAlgebra(poset), "oracle")]
+    items += [("grotop", j) for j in enumerate_grotops(poset, "oracle")]
+    items += [("lt", lt) for lt in enumerate_lts(poset, "oracle")]
+    return items
+
+
+@pytest.mark.parametrize("shuffled", [False, True], ids=["listed", "shuffled"])
+@pytest.mark.parametrize("name", CENSUS_POSETS)
+def test_structure_json_equals_the_literal_rows_on_the_census(name, shuffled):
+    points, arrows = CENSUS_POSETS[name]
+    points = list(points)
+    if shuffled:
+        random.Random(name).shuffle(points)
+    poset = Poset(points, arrows)
+    items = _oracle_items(poset)
+    assert len(items) == 3 * 2 ** len(points)
+    names = NameTable(poset)
+    for kind, value in items:
+        literal = structure_json_literal(poset, kind, value)
+        assert structure_json(poset, kind, value, names) == literal
+        assert structure_json(poset, kind, value) == literal
+
+
+def _golden_structures():
+    """(file name, poset, structure) for each structure a golden JSON holds."""
+    for path in sorted(GOLDEN.glob("*.json")):
+        doc = json.loads(path.read_text())
+        if "structure" in doc:
+            yield path.name, doc["poset"], doc["structure"]
+        for item in doc.get("result", {}).get("items", []):
+            yield path.name, doc["poset"], item
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.name)
+def test_golden_json_re_emits_byte_for_byte(path):
+    text = path.read_text()
+    assert emit_json(json.loads(text)) == text == emit_json_literal(json.loads(text))
+
+
+def test_structure_json_equals_the_literal_rows_on_the_goldens():
+    seen = set()
+    for file_name, poset_doc, structure in _golden_structures():
+        spec = parse_input(json.dumps({"poset": poset_doc, "structure": structure}))
+        got = structure_json(spec.poset, spec.kind, spec.payload)
+        assert got == structure == structure_json_literal(spec.poset, spec.kind, spec.payload)
+        seen.add(file_name)
+    assert seen == {"convert_y_grotop_star.json", "enumerate_nuclei_oracle_star.json"}
+
+
+# strings with the characters JSON escapes (quotes, backslashes, control
+# characters) and some that it writes as they are once ensure_ascii is off
+JSON_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é漢🙂'), st.characters()),
+    max_size=8,
+)
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), JSON_TEXT, st.lists(JSON_TEXT)
+)
+JSON_DOCS = st.recursive(
+    JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.dictionaries(JSON_TEXT, inner),
+    ),
+    max_leaves=15,
+)
+
+
+@given(JSON_DOCS)
+@settings(max_examples=80, deadline=None)
+def test_emit_json_equals_json_dumps(doc):
+    assert emit_json(doc) == emit_json_literal(doc)
+
+
+NAMES = ["a", "b"]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}]},
+        [[[]]],
+        {"": ""},
+        # one list held at several indents, as structure rows share names
+        {"rows": [[NAMES, NAMES], [NAMES]], "top": NAMES, "deep": [[[NAMES]]]},
+    ],
+)
+def test_emit_json_equals_json_dumps_on_edge_cases(doc):
+    assert emit_json(doc) == emit_json_literal(doc)
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost guard: the CLI's import pulls in neither module (with
+    ``dataclasses`` came ``inspect``, ``ast``, ``dis`` and ``tokenize``),
+    nor the panel renderers, which only the drawing commands import."""
+    import os
+    import subprocess
+    import sys
+
+    import fourtops
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    unwanted = {"dataclasses", "inspect", "fourtops.render"}
+    code = f"import sys, fourtops.cli; print(sorted({unwanted!r} & set(sys.modules)))"
+    got = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (got.returncode, got.stdout) == (0, "[]\n"), got.stderr

@@ -12,8 +12,24 @@ from fourtops.convert import (
 )
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
 from fourtops.heyting import CheckReport, HeytingAlgebra
-from fourtops.poset import DownSet, Poset, downset_sort_key, sieves_on, star_graph
-from fourtops.presheaf import Inclusion, proj, subobjects, subterminal_of, terminal
+from fourtops.poset import (
+    DownSet,
+    Poset,
+    downset_sort_key,
+    interior_mask,
+    sieve_positions,
+    sieves_on,
+    star_graph,
+)
+from fourtops.presheaf import (
+    Inclusion,
+    Morphism,
+    pairing,
+    proj,
+    subobjects,
+    subterminal_of,
+    terminal,
+)
 from fourtops.topology import (
     ClosureOperator,
     LTTopology,
@@ -130,6 +146,38 @@ class TestLTAxioms:
         sq = conj.dom
         assert conj == real(P, om)
         assert (p0, p1) == (proj(sq, om, om, 0), proj(sq, om, om, 1))
+
+    def test_square_composites_equal_their_validated_morphisms(self, P, om, all_lts):
+        """``then`` builds its composite trusted; on every composite of the
+        meet square it equals the validated Morphism of the same components."""
+        conj, p0, p1 = internal_meet(om)
+        for lt in all_lts:
+            jm = lt.as_morphism(om)
+            paired = pairing(p0.then(jm), p1.then(jm), conj.dom)
+            for first, second in ((conj, jm), (p0, jm), (p1, jm), (paired, conj)):
+                comp = {
+                    u: {a: second.comp[u][first.comp[u][a]] for a in first.dom.sets[u]}
+                    for u in P.points
+                }
+                got = first.then(second)
+                assert got == Morphism(first.dom, second.cod, comp)
+                assert (got.dom, got.cod) == (first.dom, second.cod)
+
+    def test_square_still_catches_a_wrong_morphism(self, P, om, monkeypatch):
+        """A natural endomap that is not the tables' and breaks meets (the
+        negation of sieves) fails the square, though every table law holds."""
+
+        def negation(lt, om):
+            comp = {}
+            for u in P.points:
+                sieves, pos = om.sieves[u], sieve_positions(P, u)
+                down = P.down_mask(u)
+                comp[u] = {s: sieves[pos[interior_mask(P, down & ~s.mask)]] for s in sieves}
+            return Morphism(om, om, comp)
+
+        monkeypatch.setattr(LTTopology, "as_morphism", negation)
+        report = is_lt_topology(lt_identity(P), om)
+        assert [f.axiom for f in report.failures] == ["preserves-meets-as-map"]
 
     def test_meet_law_failure_detected(self, P, om):
         # at the big component, swap the images of the two incomparable sieves
