@@ -734,7 +734,7 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
         lt_report = is_lt_topology(lt, om)
         entry["lt_axioms"] = lt_report.ok
         clop = ClosureOperator(lt)
-        closure_report = check_closure_axioms(clop, universe, om)
+        closure_report = check_closure_axioms(clop, universe)
         entry["closure_axioms"] = closure_report.ok
         grotop = lt_to_grotop(lt)
         g_report = is_grothendieck(grotop)

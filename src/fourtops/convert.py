@@ -41,6 +41,7 @@ from .heyting import (
 from ._kernels import enumerate_operator_tables
 from .poset import (
     Poset,
+    _bits,
     lattice_tables,
     sieve_positions,
     sieve_restriction,
@@ -249,14 +250,6 @@ def enumerate_nuclei(
         tables = enumerate_nucleus_tables(algebra, point_cap)
         return [Nucleus(algebra, t) for t in tables]
     raise ValueError(f"unknown mode {mode!r}")
-
-
-def _bits(mask: int):
-    """The indices of the set bits of ``mask``, ascending."""
-    while mask:
-        low = mask & -mask
-        mask ^= low
-        yield low.bit_length() - 1
 
 
 def _linear_extension(poset: Poset) -> list[int]:

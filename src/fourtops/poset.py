@@ -20,6 +20,14 @@ PointId = Hashable
 DEFAULT_POINT_CAP = 16
 
 
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
 class Poset:
     """A finite poset presented by points and generating arrows (a DAG)."""
 

@@ -28,21 +28,13 @@ from .errors import (
     ShapeMismatch,
     UnknownElement,
 )
-from .poset import DownSet, Poset
+from .poset import DownSet, Poset, _bits
 
 Label = Hashable
 
 
 def _label_key(label):
     return repr(label)
-
-
-def _bits(mask: int):
-    """Positions of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 class ElementIndex:
@@ -199,9 +191,6 @@ class Presheaf:
                 raise ShapeMismatch(f"{u!r} is not above {v!r}") from None
             raise UnknownElement(f"{a!r} not in the component at {u!r}") from None
 
-    def at(self, u) -> frozenset:
-        return self.sets[u]
-
     def elements(self) -> ElementIndex:
         """The element index, built on first use and kept."""
         if self._elements is None:
@@ -210,9 +199,6 @@ class Presheaf:
 
     def sorted_at(self, u) -> tuple:
         return tuple(sorted(self.sets[u], key=_label_key))
-
-    def size(self) -> int:
-        return sum(len(s) for s in self.sets.values())
 
     def __eq__(self, other) -> bool:
         return self is other or (
@@ -256,6 +242,16 @@ def terminal(poset: Poset) -> Presheaf:
     sets = {u: ("*",) for u in poset.points}
     restr = {arrow: {"*": "*"} for arrow in poset.arrows}
     return Presheaf(poset, sets, restr)
+
+
+def _pull_mask(images: tuple[int, ...], mask: int) -> int:
+    """Preimage of a codomain element mask under a map given by the image
+    bit of each domain element, as a domain element mask."""
+    out = 0
+    for k, img in enumerate(images):
+        if mask & img:
+            out |= 1 << k
+    return out
 
 
 class Morphism:
@@ -330,11 +326,7 @@ class Morphism:
 
     def pull_mask(self, mask: int) -> int:
         """Preimage of a codomain element mask, as a domain element mask."""
-        out = 0
-        for k, img in enumerate(self.image_bits()):
-            if mask & img:
-                out |= 1 << k
-        return out
+        return _pull_mask(self.image_bits(), mask)
 
     def is_monic(self) -> bool:
         return all(
@@ -546,33 +538,13 @@ def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:
     return [Inclusion._from_mask(b, d.mask) for d in downs]
 
 
-def _parents_first(poset: Poset) -> list:
-    """Point order in which everything above a point comes before it."""
-    points = list(poset.points)
-    points.sort(key=lambda u: -poset.down_mask(u).bit_count())
-    order = []
-    placed = set()
-    pending = points
-    while pending:
-        rest = []
-        for u in pending:
-            if all(w in placed for w, z in poset.arrows if z == u):
-                order.append(u)
-                placed.add(u)
-            else:
-                rest.append(u)
-        if len(rest) == len(pending):
-            raise ShapeMismatch("poset order is not well-founded")
-        pending = rest
-    return order
-
-
 def natural_maps(t: Presheaf, b: Presheaf) -> list[Morphism]:
     """Every natural transformation t -> b (exhaustive; small inputs only)."""
     poset = t.poset
     if poset != b.poset:
         raise ShapeMismatch("natural_maps needs a shared poset")
-    order = _parents_first(poset)
+    # every point above u has the larger down-set, so it comes first
+    order = sorted(poset.points, key=lambda u: -poset.down_mask(u).bit_count())
     parents = {u: [w for (w, z) in poset.arrows if z == u] for u in order}
     assignments: list[dict] = [{}]
     for u in order:

@@ -10,7 +10,6 @@ hasmax / stab / trans and the filter laws).
 from __future__ import annotations
 
 from itertools import chain, islice
-from typing import NamedTuple
 
 from .classifier import (
     OmegaObject,
@@ -23,11 +22,13 @@ from .classifier import (
     true_inclusion,
 )
 from .errors import InvalidTopology, NotInclusion, ShapeMismatch
-from .heyting import AxiomFailure, CheckReport, HeytingAlgebra
+from .heyting import AxiomFailure, CheckReport
 from .poset import (
     DownSet,
     Poset,
     downset_sort_key,
+    enumerate_downsets,
+    limited_downsets,
     sieve_positions,
     sieve_restriction,
     sieves_on,
@@ -37,15 +38,12 @@ from .presheaf import (
     Inclusion,
     Morphism,
     Presheaf,
-    _same_codomain,
+    _pull_mask,
     as_inclusion,
-    bang,
     is_inclusion,
     pairing,
     preimage,
     product,
-    subobjects,
-    subterminal_inclusion,
     terminal,
 )
 
@@ -190,7 +188,7 @@ def _closure_mask(covering: tuple, index: ElementIndex, mask: int) -> int:
     return out
 
 
-def closure_of(clop: ClosureOperator, f: Inclusion, om: OmegaObject | None = None) -> Inclusion:
+def closure_of(clop: ClosureOperator, f: Inclusion) -> Inclusion:
     """The inclusion classified by (endomap after classifying-map).
 
     Computed directly on element masks; ``closure_of_composite`` spells out
@@ -223,86 +221,53 @@ def j_from_closure(clop: ClosureOperator) -> LTTopology:
     return LTTopology(poset, chi_tables(om, closed))
 
 
-def is_dense(clop: ClosureOperator, f: Inclusion, om: OmegaObject | None = None) -> bool:
-    closed = closure_of(clop, f, om)
-    return closed.mask == f.cod.elements().full
+def is_dense(clop: ClosureOperator, f: Inclusion) -> bool:
+    return closure_of(clop, f).mask == f.cod.elements().full
 
 
-def is_closed(clop: ClosureOperator, f: Inclusion, om: OmegaObject | None = None) -> bool:
-    closed = closure_of(clop, f, om)
-    return closed.mask == as_inclusion(f).mask
+def is_closed(clop: ClosureOperator, f: Inclusion) -> bool:
+    return closure_of(clop, f).mask == as_inclusion(f).mask
 
 
-def dense_closed_factor(
-    clop: ClosureOperator, f: Inclusion, om: OmegaObject | None = None
-) -> tuple[Inclusion, Inclusion]:
+def dense_closed_factor(clop: ClosureOperator, f: Inclusion) -> tuple[Inclusion, Inclusion]:
     """Split an inclusion into a dense part followed by a closed part."""
-    closed = closure_of(clop, f, om)
+    closed = closure_of(clop, f)
     dense_part = Inclusion(f.dom, closed.dom)
     return dense_part, closed
 
 
 class TestUniverse:
-    """A finite, deterministic family of inclusions and map/inclusion pairs
-    used to instantiate the 'for all inclusions' quantifiers."""
+    """A finite, deterministic family of subobjects, pairs and map pairs used
+    to instantiate the 'for all inclusions' quantifiers, as element masks.
 
-    __slots__ = ("poset", "inclusions", "pairs", "map_pairs", "_rows")
+    ``codomains`` are the objects the masks live in, each with its
+    truth-value groups in ``truths``.  ``subobjects`` holds ``(codomain,
+    mask)`` per subobject; the pairs with f inside g and the rest are two sets
+    of columns (position, codomain, f mask, g mask), which hold no tuple per
+    pair; ``map_pairs`` holds ``(domain, codomain, image bits, mask)`` per map
+    pair, the image bits naming, per element of the domain, its image among the
+    codomain's elements.
+    """
+
+    __slots__ = ("poset", "codomains", "truths", "subobjects", "nested", "crossing", "map_pairs")
 
     def __init__(
         self,
         poset: Poset,
-        inclusions: tuple[Inclusion, ...],
-        pairs: tuple[tuple[Inclusion, Inclusion], ...],
-        map_pairs: tuple[tuple[Morphism, Inclusion], ...],
+        codomains: tuple[Presheaf, ...],
+        subobjects: tuple[tuple[int, int], ...],
+        nested: tuple[tuple[int, ...], ...],
+        crossing: tuple[tuple[int, ...], ...],
+        map_pairs: tuple[tuple[int, int, tuple[int, ...], int], ...],
     ):
         self.poset = poset
-        self.inclusions = inclusions
-        self.pairs = pairs
+        self.codomains = codomains
+        width = len(poset.points)
+        self.truths = tuple(_TruthGroups(b.elements(), width) for b in codomains)
+        self.subobjects = subobjects
+        self.nested = nested
+        self.crossing = crossing
         self.map_pairs = map_pairs
-        self._rows = None
-
-    @property
-    def rows(self) -> "_UniverseRows":
-        """The universe validated once and flattened to int rows over
-        codomain indices, with the truth-value groups every closure
-        operator reads: ShapeMismatch if a codomain lives on another poset or
-        a pair does not share its codomain.  Built on first use and kept."""
-        if self._rows is None:
-            self._rows = self._flatten()
-        return self._rows
-
-    def _flatten(self) -> "_UniverseRows":
-        codes: dict = {}
-        truths: list[_TruthGroups] = []
-
-        def code(b: Presheaf) -> int:
-            c = codes.get(b)
-            if c is None:
-                if b.poset != self.poset:
-                    raise ShapeMismatch("inclusion lives on a different poset")
-                c = codes[b] = len(truths)
-                truths.append(_TruthGroups(b.elements(), len(self.poset.points)))
-            return c
-
-        inclusions = tuple((code(f.cod), f.mask) for f in self.inclusions)
-        nested: tuple[list, ...] = ([], [], [], [])
-        crossing: tuple[list, ...] = ([], [], [], [])
-        for k, (f, g) in enumerate(self.pairs):
-            _same_codomain(f, g, "a closure pair")
-            row = (k, code(f.cod), f.mask, g.mask)
-            for column, value in zip(crossing if f.mask & ~g.mask else nested, row):
-                column.append(value)
-        map_pairs = []
-        for m, d in self.map_pairs:
-            _same_codomain(m, d, "preimage")
-            map_pairs.append((code(m.dom), code(d.cod), m.pull_mask(d.mask), d.mask))
-        return _UniverseRows(
-            tuple(truths),
-            inclusions,
-            tuple(map(tuple, nested)),
-            tuple(map(tuple, crossing)),
-            tuple(map_pairs),
-        )
 
 
 class _TruthGroups(dict):
@@ -360,19 +325,6 @@ class _Closures(dict):
         return got
 
 
-class _UniverseRows(NamedTuple):
-    """A universe as ints, in the universe's order: ``(codomain, mask)`` per
-    inclusion; the pairs with f inside g and the rest as two sets of columns
-    (position, codomain, f mask, g mask), which hold no tuple per pair; and
-    ``(domain, codomain, pulled-back mask, mask)`` per map pair."""
-
-    truths: tuple[_TruthGroups, ...]
-    inclusions: tuple[tuple[int, int], ...]
-    nested: tuple[tuple[int, ...], ...]
-    crossing: tuple[tuple[int, ...], ...]
-    map_pairs: tuple[tuple[int, int, int, int], ...]
-
-
 def build_universe(
     poset: Poset,
     om: OmegaObject | None = None,
@@ -383,105 +335,124 @@ def build_universe(
     pairs, the first ``pair_cap`` pairs (f, g) of subobjects of one object
     with g not listed before f; as map pairs, the bang of each object into
     the subterminals and chi of each subterminal against the first 12
-    subobjects of Ω."""
+    subobjects of Ω.  ShapeMismatch if ``om`` lives on another poset.
+
+    Every mask comes straight from a down-set enumerator over the object's
+    elements.  The terminal has one element per point, in point order, so
+    its subobjects are the poset's down-sets and the bang sends each element
+    to the bit of its point.
+    """
     om = omega(poset) if om is None else om
-    algebra = HeytingAlgebra(poset)
-    objects: list[list[Inclusion]] = []
+    if om.poset != poset:
+        raise ShapeMismatch("classifier lives on a different poset")
     one = terminal(poset)
-    subterminals = [subterminal_inclusion(one, s) for s in algebra.elements]
-    objects.append(subterminals)
-    objects.append(subobjects(om))
-    objects.append(subobjects(product(om, om), limit=omega_square_cap))
+    square = product(om, om)
+    om_elements = om.element_poset()
+    groups = (
+        tuple(s.mask for s in enumerate_downsets(poset)),
+        tuple(d.mask for d in enumerate_downsets(om_elements, cap=len(om_elements.points))),
+        tuple(d.mask for d in limited_downsets(square.element_poset(), omega_square_cap)),
+    )
+    codomains = (one, om, square)
+    subobjects = tuple((c, mask) for c, masks in enumerate(groups) for mask in masks)
 
-    inclusions = tuple(f for group in objects for f in group)
-    all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])
-    pairs = tuple(islice(all_pairs, max(pair_cap, 0)))
-    map_pairs: list[tuple[Morphism, Inclusion]] = []
-    for group in objects:
-        if not group:
-            continue
-        e = group[0].cod
-        to_one = bang(e, one)
-        for d in subterminals:
-            map_pairs.append((to_one, d))
-    omega_subs = objects[1]
-    for f in objects[0][: len(algebra.elements)]:
-        g = chi(f, om)
-        for d in omega_subs[:12]:
-            map_pairs.append((g, d))
-    return TestUniverse(poset, inclusions, pairs, tuple(map_pairs))
+    all_pairs = (
+        (c, f, g) for c, masks in enumerate(groups) for i, f in enumerate(masks) for g in masks[i:]
+    )
+    nested: tuple[list, ...] = ([], [], [], [])
+    crossing: tuple[list, ...] = ([], [], [], [])
+    for k, (c, f, g) in enumerate(islice(all_pairs, max(pair_cap, 0))):
+        for column, value in zip(crossing if f & ~g else nested, (k, c, f, g)):
+            column.append(value)
+
+    subterminals = groups[0]
+    map_pairs = []
+    for c, b in enumerate(codomains):
+        if groups[c]:
+            to_one = tuple(1 << i for i in b.elements().point)
+            map_pairs.extend((c, 0, to_one, d) for d in subterminals)
+    index = one.elements()
+    positions = [sieve_positions(poset, u) for u in poset.points]
+    for s in subterminals:
+        chi_s = tuple(
+            1 << om.element_at[i][positions[i][v]]
+            for i, v in zip(index.point, _truth_values(index, s))
+        )
+        map_pairs.extend((0, 1, chi_s, d) for d in groups[1][:12])
+    return TestUniverse(
+        poset,
+        codomains,
+        subobjects,
+        tuple(map(tuple, nested)),
+        tuple(map(tuple, crossing)),
+        tuple(map_pairs),
+    )
 
 
-def check_closure_axioms(
-    clop: ClosureOperator, universe: TestUniverse, om: OmegaObject | None = None
-) -> CheckReport:
+def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> CheckReport:
     """The five closure laws, instantiated over the universe.
 
-    Every law compares element masks in the universe's int rows, through one
-    table of closures per codomain (see ``_Closures``), filled lazily in the
-    order the laws ask for them; each closure must still be a sub-presheaf
-    (FunctorialityError otherwise, as for any endomap table that is not a
-    topology).  Witnesses are read back from the universe on failure.
+    Every law compares element masks, through one table of closures per
+    codomain (see ``_Closures``), filled lazily in the order the laws ask for
+    them; each closure must still be a sub-presheaf (FunctorialityError
+    otherwise, as for any endomap table that is not a topology).  Witnesses
+    are sliced from their codomain only on failure.
     """
     if clop.poset != universe.poset:
         raise ShapeMismatch("inclusion lives on a different poset")
-    rows = universe.rows
     width = len(clop.poset.points)
     cover = frozenset(
         s * width + i for i, masks in enumerate(clop.covering) for s in masks
     )
-    closed = [_Closures(truths, cover) for truths in rows.truths]
+    closed = [_Closures(truths, cover) for truths in universe.truths]
+    codomains = universe.codomains
     failures = []
-    for k, (c, f) in enumerate(rows.inclusions):
+    for c, f in universe.subobjects:
         if f & ~closed[c][f]:
-            failures.append(AxiomFailure("C1-inflationary", (universe.inclusions[k].dom,)))
+            failures.append(AxiomFailure("C1-inflationary", (codomains[c]._sub(f),)))
             break
-    for k, (c, f) in enumerate(rows.inclusions):
+    for c, f in universe.subobjects:
         close = closed[c]
         cf = close[f]
         if close[cf] != cf:
-            failures.append(AxiomFailure("C2-idempotent", (universe.inclusions[k].dom,)))
+            failures.append(AxiomFailure("C2-idempotent", (codomains[c]._sub(f),)))
             break
     monotone = True
-    for k, c, f, g in zip(*rows.nested):
+    for _, c, f, g in zip(*universe.nested):
         close = closed[c]
         if close[f] & ~close[g]:
-            f, g = universe.pairs[k]
-            failures.append(AxiomFailure("C3-monotone", (f.dom, g.dom)))
+            cod = codomains[c]
+            failures.append(AxiomFailure("C3-monotone", (cod._sub(f), cod._sub(g))))
             monotone = False
             break
     # On a nested pair C4 reads close f == close f & close g, which is C3 on
     # that pair: once C3 holds, only the crossing pairs can fail C4, and the
     # nested ones would ask for no closure that C3 has not computed.
-    crossing = zip(*rows.crossing)
-    for k, c, f, g in crossing if monotone else sorted(chain(zip(*rows.nested), crossing)):
+    crossing = zip(*universe.crossing)
+    for _, c, f, g in crossing if monotone else sorted(chain(zip(*universe.nested), crossing)):
         close = closed[c]
         if close[f & g] != close[f] & close[g]:
-            f, g = universe.pairs[k]
-            failures.append(AxiomFailure("C4-meets", (f.dom, g.dom)))
+            cod = codomains[c]
+            failures.append(AxiomFailure("C4-meets", (cod._sub(f), cod._sub(g))))
             break
-    for k, (a, b, pulled, d) in enumerate(rows.map_pairs):
-        m, dm = universe.map_pairs[k]
-        if closed[a][pulled] != m.pull_mask(closed[b][d]):
-            failures.append(AxiomFailure("C5-pullback-stable", (m.dom, dm.dom)))
+    for a, b, images, d in universe.map_pairs:
+        if closed[a][_pull_mask(images, d)] != _pull_mask(images, closed[b][d]):
+            failures.append(AxiomFailure("C5-pullback-stable", (codomains[a], codomains[b]._sub(d))))
             break
     return CheckReport("closure axioms", tuple(failures))
 
 
 def restriction_check(
-    clop: ClosureOperator,
-    triple: tuple[Inclusion, Inclusion, Inclusion],
-    om: OmegaObject | None = None,
+    clop: ClosureOperator, triple: tuple[Inclusion, Inclusion, Inclusion]
 ) -> CheckReport:
     """Closure of the middle map computed from closures in the big object.
 
     ``triple`` is (m : C into D, d : D into E, c : C into E).
     """
     m, d, c = triple
-    om = omega(clop.poset) if om is None else om
     failures = []
-    closed_m = closure_of(clop, m, om)
-    closed_c = closure_of(clop, c, om)
+    closed_m = closure_of(clop, m)
+    closed_c = closure_of(clop, c)
     pulled, _ = preimage(d, closed_c)
     if closed_m.dom != pulled.dom:
         failures.append(AxiomFailure("restricted-closure-is-pullback", (m.dom,)))
@@ -648,8 +619,6 @@ def canonical_grothendieck(base: Poset) -> GrothendieckTopology:
     reverse inclusion (bigger opens above), and a sieve covers an open when
     the union of its members is that open.
     """
-    from .poset import enumerate_downsets
-
     opens = enumerate_downsets(base)
     names = tuple("{" + ",".join(str(p) for p in o.members) + "}" for o in opens)
     by_name = dict(zip(names, opens))

@@ -5,6 +5,9 @@ principles on explicit subsets so it shares no code path with the package.
 The composite routes keep the package's earlier, literal constructions of
 the mask-based fast paths: they build one sub-presheaf object per step, most
 of them validated from label sets, where the package reads element masks.
+Among them, the literal closure-law universe builds each subobject, bang and
+classifying map as a validated object, where the package lists masks and
+image bits.
 The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them.  The literal oracle
 searches at the end keep the earlier enumerators that generate every candidate
@@ -18,7 +21,8 @@ document and writes the text itself.
 """
 
 import json
-from itertools import combinations, permutations, product
+from itertools import combinations, islice, permutations, product
+from typing import NamedTuple
 
 
 def brute_above(points, arrows):
@@ -151,7 +155,7 @@ def subobjects_from_sets(b, limit=None):
     return out
 
 
-def closure_to_nucleus_composite(clop, algebra, om):
+def closure_to_nucleus_composite(clop, algebra):
     """Nucleus of a closure operator through presheaf objects: each subterminal
     inclusion into the terminal is closed with ``closure_of`` and its
     truth-value read with ``cst``."""
@@ -162,7 +166,7 @@ def closure_to_nucleus_composite(clop, algebra, om):
     one = terminal(clop.poset)
     table = []
     for s in algebra.elements:
-        closed = closure_of(clop, subterminal_inclusion(one, s), om)
+        closed = closure_of(clop, subterminal_inclusion(one, s))
         table.append(algebra.index(cst(closed.dom)))
     return Nucleus(algebra, tuple(table))
 
@@ -214,14 +218,54 @@ def j_from_closure_composite(clop, om):
     from fourtops.classifier import chi, true_inclusion
     from fourtops.topology import closure_of
 
-    closed_top = closure_of(clop, true_inclusion(clop.poset, om), om)
+    closed_top = closure_of(clop, true_inclusion(clop.poset, om))
     return lt_from_morphism(chi(closed_top, om))
 
 
-def check_closure_axioms_literal(clop, universe, om=None):
-    """The five closure laws through a memo of (codomain, mask) closures,
-    one ``_closure_mask`` row loop per miss, with the poset and shared-codomain
-    checks made on every closure miss and every pair."""
+class ObjectUniverse(NamedTuple):
+    """The closure-law universe as inclusions, inclusion pairs and
+    (morphism, inclusion) map pairs."""
+
+    poset: object
+    inclusions: tuple
+    pairs: tuple
+    map_pairs: tuple
+
+
+def build_universe_literal(poset, om=None, pair_cap=5000, omega_square_cap=24):
+    """The closure-law universe as validated objects: subterminal inclusions,
+    ``subobjects`` of Ω and of Ω², pairs of inclusions, and map pairs of a
+    bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
+    order."""
+    from fourtops.classifier import chi, omega
+    from fourtops.heyting import HeytingAlgebra
+    from fourtops.presheaf import bang, subobjects, subterminal_inclusion, terminal
+    from fourtops.presheaf import product as times
+
+    om = omega(poset) if om is None else om
+    algebra = HeytingAlgebra(poset)
+    one = terminal(poset)
+    subterminals = [subterminal_inclusion(one, s) for s in algebra.elements]
+    objects = [subterminals, subobjects(om), subobjects(times(om, om), limit=omega_square_cap)]
+    inclusions = tuple(f for group in objects for f in group)
+    all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])
+    pairs = tuple(islice(all_pairs, max(pair_cap, 0)))
+    map_pairs = []
+    for group in objects:
+        if group:
+            to_one = bang(group[0].cod, one)
+            map_pairs.extend((to_one, d) for d in subterminals)
+    for f in subterminals:
+        g = chi(f, om)
+        map_pairs.extend((g, d) for d in objects[1][:12])
+    return ObjectUniverse(poset, inclusions, pairs, tuple(map_pairs))
+
+
+def check_closure_axioms_literal(clop, universe):
+    """The five closure laws over an object universe through a memo of
+    (codomain, mask) closures, one ``_closure_mask`` row loop per miss, with
+    the poset and shared-codomain checks made on every closure miss and every
+    pair."""
     from fourtops.errors import ShapeMismatch
     from fourtops.heyting import AxiomFailure, CheckReport
     from fourtops.presheaf import _same_codomain

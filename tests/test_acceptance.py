@@ -195,7 +195,7 @@ def test_criterion_08_axiom_suites(star):
     ok = len(lts) == 16
     for lt in lts:
         ok = ok and is_lt_topology(lt, om).ok
-        ok = ok and check_closure_axioms(ClosureOperator(lt), universe, om).ok
+        ok = ok and check_closure_axioms(ClosureOperator(lt), universe).ok
         grotop = lt_to_grotop(lt)
         ok = ok and is_grothendieck(grotop).ok
         fr = filter_check(grotop)
@@ -214,7 +214,6 @@ def test_criterion_08_axiom_suites(star):
 
 def test_criterion_09_structure_theorems(star):
     P = star.poset()
-    om = omega(P)
     algebra = HeytingAlgebra(P)
     one = terminal(P)
     subterminals = [Inclusion(subterminal_of(P, s), one) for s in algebra.elements]
@@ -233,12 +232,12 @@ def test_criterion_09_structure_theorems(star):
                         Inclusion(subterminal_of(P, t), subterminal_of(P, e)),
                         Inclusion(subterminal_of(P, s), subterminal_of(P, e)),
                     )
-                    ok = ok and restriction_check(clop, triple, om).ok
+                    ok = ok and restriction_check(clop, triple).ok
         for f in subterminals:
-            m, closed = dense_closed_factor(clop, f, om)
-            ok = ok and is_dense(clop, m, om) and is_closed(clop, closed, om)
+            m, closed = dense_closed_factor(clop, f)
+            ok = ok and is_dense(clop, m) and is_closed(clop, closed)
             ok = ok and m.then(closed) == Inclusion(f.dom, f.cod)
-            if is_dense(clop, f, om) and is_closed(clop, f, om):
+            if is_dense(clop, f) and is_closed(clop, f):
                 ok = ok and f.dom == f.cod
     report("09 structure theorems", ok, "restriction and dense-closed factorization")
 

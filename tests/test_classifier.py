@@ -28,7 +28,7 @@ from fourtops.presheaf import (
 )
 
 from .conftest import pile_code_str
-from .oracles import chi_composite, top_composite
+from .oracles import build_universe_literal, chi_composite, top_composite
 
 
 @pytest.fixture(scope="module")
@@ -162,9 +162,7 @@ class TestChiSigma:
             assert chi(sigma(g), om) == g
 
     def test_chi_matches_composite_route(self, P, om):
-        from fourtops.topology import build_universe
-
-        universe = build_universe(P, om)
+        universe = build_universe_literal(P, om)
         assert len(universe.inclusions) == 474
         for f in universe.inclusions:
             assert chi(f, om) == chi_composite(f, om)

@@ -270,29 +270,24 @@ class TestClosureToNucleus:
         assert all(n.table[i] == i for i in range(len(algebra)))
 
     def test_equals_point_set_route_everywhere(self, P, algebra):
-        om = omega(P)
         for y in all_point_subsets(P):
             n = nucleus_from_point_set(algebra, y)
             clop = ClosureOperator(nucleus_to_lt(n))
             assert closure_to_nucleus(clop, algebra) == n
-            assert closure_to_nucleus_composite(clop, algebra, om) == n
+            assert closure_to_nucleus_composite(clop, algebra) == n
 
     @given(shuffled_posets())
     @settings(max_examples=25, deadline=None)
     def test_equals_composite_route_on_random_posets(self, poset):
         algebra = HeytingAlgebra(poset)
-        om = omega(poset)
         for y in all_point_subsets(poset):
             clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
-            assert closure_to_nucleus(clop, algebra) == closure_to_nucleus_composite(
-                clop, algebra, om
-            )
+            assert closure_to_nucleus(clop, algebra) == closure_to_nucleus_composite(clop, algebra)
 
     def test_equals_composite_route_on_random_tables(self, P, algebra):
         # endomap tables drawn at random are mostly not topologies: both
         # routes must give the same table or both reject a closure that is
         # not a sub-presheaf
-        om = omega(P)
         rng = random.Random(5)
         sizes = [len(sieves_on(P, u)) for u in P.points]
         outcomes = []
@@ -306,7 +301,7 @@ class TestClosureToNucleus:
             except FunctorialityError:
                 direct = None
             try:
-                composite = closure_to_nucleus_composite(clop, algebra, om)
+                composite = closure_to_nucleus_composite(clop, algebra)
             except FunctorialityError:
                 composite = None
             assert direct == composite

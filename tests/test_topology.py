@@ -1,6 +1,7 @@
 """Topology axiom suites, closure laws, and covering-sieve checks."""
 
 import random
+from itertools import chain
 
 import pytest
 
@@ -11,7 +12,7 @@ from fourtops.convert import (
     point_set_to_grotop,
 )
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
-from fourtops.heyting import CheckReport, HeytingAlgebra
+from fourtops.heyting import AxiomFailure, CheckReport, HeytingAlgebra
 from fourtops.poset import (
     DownSet,
     Poset,
@@ -24,9 +25,9 @@ from fourtops.poset import (
 from fourtops.presheaf import (
     Inclusion,
     Morphism,
+    _pull_mask,
     pairing,
     proj,
-    subobjects,
     subterminal_of,
     terminal,
 )
@@ -51,10 +52,11 @@ from fourtops.topology import (
     restriction_check,
     smallest_grotop,
 )
+
 from fourtops.topology import TestUniverse as Universe
 
 from .conftest import pile_code_str
-from .oracles import check_closure_axioms_literal
+from .oracles import build_universe_literal, check_closure_axioms_literal
 
 
 @pytest.fixture(scope="module")
@@ -88,15 +90,33 @@ def universe(P, om):
 
 
 @pytest.fixture(scope="module")
+def literal_universe(P, om):
+    return build_universe_literal(P, om, pair_cap=600, omega_square_cap=10)
+
+
+@pytest.fixture(scope="module")
 def subterminals(P, algebra):
     one = terminal(P)
     return [Inclusion(subterminal_of(P, s), one) for s in algebra.elements]
 
 
-def closure_law_outcome(check, clop, universe, om):
+@pytest.fixture(scope="module")
+def non_topologies(P, om):
+    """200 random endomap tables that break the topology axioms."""
+    rng = random.Random(1)
+    sizes = [len(sieves_on(P, u)) for u in P.points]
+    tables = []
+    while len(tables) < 200:
+        lt = LTTopology(P, tuple(tuple(rng.randrange(n) for _ in range(n)) for n in sizes))
+        if not is_lt_topology(lt, om).ok:
+            tables.append(lt)
+    return tables
+
+
+def closure_law_outcome(check, clop, universe):
     """The report of a closure-law check, or the type and text of what it raised."""
     try:
-        return check(clop, universe, om)
+        return check(clop, universe)
     except FourtopsError as e:
         return type(e), str(e)
 
@@ -191,26 +211,26 @@ class TestLTAxioms:
 
 
 class TestClosure:
-    def test_identity_closure_is_identity(self, P, om, subterminals):
+    def test_identity_closure_is_identity(self, P, subterminals):
         clop = ClosureOperator(lt_identity(P))
         for f in subterminals:
-            assert closure_of(clop, f, om).dom == f.dom
+            assert closure_of(clop, f).dom == f.dom
 
-    def test_constant_true_makes_everything_dense(self, P, om, subterminals):
+    def test_constant_true_makes_everything_dense(self, P, subterminals):
         clop = ClosureOperator(constant_true_lt(P))
         for f in subterminals:
-            assert is_dense(clop, f, om)
+            assert is_dense(clop, f)
 
-    def test_fused_matches_composite_route(self, P, om, all_lts, universe):
+    def test_fused_matches_composite_route(self, P, om, all_lts, literal_universe):
         # every topology, every universe inclusion, the Omega-squared group included
-        assert any(len(f.cod.sets["2_"]) == 25 for f in universe.inclusions)
+        assert any(len(f.cod.sets["2_"]) == 25 for f in literal_universe.inclusions)
         for lt in all_lts:
             clop = ClosureOperator(lt)
-            for f in universe.inclusions:
-                assert closure_of(clop, f, om) == closure_of_composite(clop, f, om)
+            for f in literal_universe.inclusions:
+                assert closure_of(clop, f) == closure_of_composite(clop, f, om)
 
     def test_closure_agrees_with_nucleus_on_subterminals(
-        self, star, P, om, algebra, subterminals
+        self, star, P, algebra, subterminals
     ):
         from fourtops.convert import nucleus_to_lt
         from fourtops.heyting import nucleus_from_point_set
@@ -219,11 +239,11 @@ class TestClosure:
         n = nucleus_from_point_set(algebra, {"_1"})
         clop = ClosureOperator(nucleus_to_lt(n))
         for f, s in zip(subterminals, algebra.elements):
-            closed = closure_of(clop, f, om)
+            closed = closure_of(clop, f)
             assert cst(closed.dom) == n.apply(s)
 
     def test_closure_between_subterminals_is_the_capped_nucleus(
-        self, P, om, algebra
+        self, P, algebra
     ):
         # closing R inside S lands on (closure of R) meet S
         from fourtops.convert import nucleus_to_lt
@@ -237,52 +257,45 @@ class TestClosure:
                 if not r <= s:
                     continue
                 f = Inclusion(subterminal_of(P, r), subterminal_of(P, s))
-                closed = closure_of(clop, f, om)
+                closed = closure_of(clop, f)
                 assert cst(closed.dom) == algebra.meet(n.apply(r), s)
 
-    def test_closure_axioms_for_identity(self, P, om, universe):
-        report = check_closure_axioms(ClosureOperator(lt_identity(P)), universe, om)
+    def test_closure_axioms_for_identity(self, P, universe):
+        report = check_closure_axioms(ClosureOperator(lt_identity(P)), universe)
         assert report.ok
 
-    def test_closure_axioms_for_all_enumerated(self, P, om, all_lts, universe):
-        # the table kernel and its former memo route give equal reports
+    def test_closure_axioms_for_all_enumerated(self, all_lts, universe, literal_universe):
+        # the table kernel on the mask universe and its former memo route on
+        # the object universe give equal reports
         for lt in all_lts:
             clop = ClosureOperator(lt)
-            report = check_closure_axioms(clop, universe, om)
+            report = check_closure_axioms(clop, universe)
             assert report.ok
-            assert report == check_closure_axioms_literal(clop, universe, om)
+            assert report == check_closure_axioms_literal(clop, literal_universe)
 
-    def test_corrupted_table_fails(self, P, om, universe):
+    def test_corrupted_table_fails(self, P, universe, literal_universe):
         # swap two values inside one component of the constant-true table
         tables = [list(t) for t in constant_true_lt(P).tables]
         i = P.index("2_")
         tables[i][0] = 0
         broken = ClosureOperator(LTTopology(P, tuple(tuple(t) for t in tables)))
-        report = check_closure_axioms(broken, universe, om)
+        report = check_closure_axioms(broken, universe)
         assert not report.ok
-        assert report == check_closure_axioms_literal(broken, universe, om)
+        assert report == check_closure_axioms_literal(broken, literal_universe)
 
-    def test_non_topologies_never_pass(self, P, om, universe):
+    def test_non_topologies_never_pass(self, non_topologies, universe, literal_universe):
         # random endomap tables that break the topology axioms: the closure
         # laws either reject a closure that is not a sub-presheaf or report a
         # failed law, never pass; the split pins the sub-presheaf check.  The
-        # former memo route gives the same report, witnesses included, or
-        # raises the same exception with the same message.
-        rng = random.Random(1)
-        sizes = [len(sieves_on(P, u)) for u in P.points]
-        tables = []
-        while len(tables) < 200:
-            lt = LTTopology(
-                P, tuple(tuple(rng.randrange(n) for _ in range(n)) for n in sizes)
-            )
-            if not is_lt_topology(lt, om).ok:
-                tables.append(lt)
+        # former memo route on the object universe gives the same report,
+        # witnesses included, or raises the same exception with the same
+        # message.
         raised = flagged = 0
         witnessed = set()
-        for lt in tables:
+        for lt in non_topologies:
             clop = ClosureOperator(lt)
-            got = closure_law_outcome(check_closure_axioms, clop, universe, om)
-            assert got == closure_law_outcome(check_closure_axioms_literal, clop, universe, om)
+            got = closure_law_outcome(check_closure_axioms, clop, universe)
+            assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal_universe)
             if isinstance(got, CheckReport):
                 assert not got.ok
                 witnessed.update(f.axiom for f in got.failures)
@@ -292,6 +305,15 @@ class TestClosure:
                 raised += 1
         assert (raised, flagged) == (140, 60)
         assert {"C3-monotone", "C4-meets"} <= witnessed
+
+    def test_default_universe_equals_the_literal_one(self, P, om, all_lts, non_topologies):
+        # at the default pair cap (5000) and Ω² cap (24), on every star
+        # topology and every random non-topology
+        universe, literal = build_universe(P, om), build_universe_literal(P, om)
+        for lt in all_lts + non_topologies:
+            clop = ClosureOperator(lt)
+            got = closure_law_outcome(check_closure_axioms, clop, universe)
+            assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal)
 
     def test_round_trip_j_from_closure(self, P, all_lts):
         for lt in all_lts:
@@ -304,78 +326,106 @@ def full_universe(P, om):
     return build_universe(P, om, pair_cap=100_000)
 
 
-class TestClosureUniverse:
-    """The pairs a universe lists and the malformed universes the closure
-    laws refuse, on both routes."""
+def flattened(literal):
+    """An object universe as the mask universe's rows: its codomains in order
+    of first use, ``(codomain, mask)`` per inclusion, the nested and crossing
+    pair columns, and ``(domain, codomain, image bits, mask)`` per map pair."""
+    codes: dict = {}
 
-    def test_every_star_topology_passes_on_all_pairs(self, om, all_lts, full_universe):
-        assert len(full_universe.pairs) == 98_239
+    def code(b):
+        return codes.setdefault(b, len(codes))
+
+    subobjects = tuple((code(f.cod), f.mask) for f in literal.inclusions)
+    nested: tuple = ([], [], [], [])
+    crossing: tuple = ([], [], [], [])
+    for k, (f, g) in enumerate(literal.pairs):
+        assert f.cod is g.cod
+        for column, value in zip(crossing if f.mask & ~g.mask else nested, (k, code(f.cod), f.mask, g.mask)):
+            column.append(value)
+    map_pairs = tuple((code(m.dom), code(d.cod), m.image_bits(), d.mask) for m, d in literal.map_pairs)
+    return tuple(codes), subobjects, tuple(map(tuple, nested)), tuple(map(tuple, crossing)), map_pairs
+
+
+class TestClosureUniverse:
+    """The mask universe against the object universe it replaced, the pairs
+    it lists, and the inputs the closure laws refuse."""
+
+    def test_every_star_topology_passes_on_all_pairs(self, all_lts, full_universe):
+        assert len(full_universe.nested[0]) + len(full_universe.crossing[0]) == 98_239
         for lt in all_lts:
-            assert check_closure_axioms(ClosureOperator(lt), full_universe, om).ok
+            assert check_closure_axioms(ClosureOperator(lt), full_universe).ok
 
     @pytest.mark.parametrize("cap", [-1, 0, 1, 150, 5000])
     def test_pair_cap_lists_at_most_that_many_pairs(self, P, om, full_universe, cap):
-        pairs = build_universe(P, om, pair_cap=cap).pairs
-        masks = [(f.mask, g.mask) for f, g in full_universe.pairs[: max(cap, 0)]]
-        assert [(f.mask, g.mask) for f, g in pairs] == masks
+        def pairs(universe):
+            return sorted(chain(zip(*universe.nested), zip(*universe.crossing)))
 
-    def test_pair_across_codomains_is_refused(self, P, om, universe):
-        into_one, into_square = universe.inclusions[0], universe.inclusions[-1]
-        bad = Universe(P, (), ((into_one, into_square),), ())
-        clop = ClosureOperator(lt_identity(P))
-        for check in (check_closure_axioms, check_closure_axioms_literal):
-            with pytest.raises(ShapeMismatch):
-                check(clop, bad, om)
+        assert pairs(build_universe(P, om, pair_cap=cap)) == pairs(full_universe)[: max(cap, 0)]
 
-    def test_map_pair_across_codomains_is_refused(self, P, om, universe):
-        to_one, _ = universe.map_pairs[0]
-        bad = Universe(P, (), (), ((to_one, universe.inclusions[-1]),))
-        clop = ClosureOperator(lt_identity(P))
-        for check in (check_closure_axioms, check_closure_axioms_literal):
-            with pytest.raises(ShapeMismatch):
-                check(clop, bad, om)
+    @pytest.mark.parametrize("square_cap", [10, 24])
+    @pytest.mark.parametrize("cap", [-1, 0, 1, 600, 5000, 100_000])
+    def test_rows_equal_the_literal_universe_flattened(self, P, om, cap, square_cap):
+        rows = build_universe(P, om, pair_cap=cap, omega_square_cap=square_cap)
+        literal = build_universe_literal(P, om, pair_cap=cap, omega_square_cap=square_cap)
+        codomains, subobjects, nested, crossing, map_pairs = flattened(literal)
+        assert rows.codomains == codomains
+        assert rows.subobjects == subobjects
+        assert (rows.nested, rows.crossing) == (nested, crossing)
+        assert rows.map_pairs == map_pairs
+        masks = [[mask for c, mask in subobjects if c == b] for b in range(len(codomains))]
+        for (_, b, images, _), (m, _) in zip(rows.map_pairs, literal.map_pairs):
+            assert [_pull_mask(images, mask) for mask in masks[b]] == list(map(m.pull_mask, masks[b]))
 
-    def test_codomain_on_another_poset_is_refused(self, P, om):
-        Q = Poset(("a",), set())
-        bad = Universe(P, tuple(subobjects(terminal(Q))), (), ())
-        clop = ClosureOperator(lt_identity(P))
-        for check in (check_closure_axioms, check_closure_axioms_literal):
-            with pytest.raises(ShapeMismatch):
-                check(clop, bad, om)
+    def test_map_pair_witness_is_its_domain_and_sliced_subobject(self, P, universe):
+        # image bits that swap the points 2_ and 1_ of the terminal name no
+        # natural map: they pull the subterminal on {1_} back to {2_}, no
+        # sub-presheaf, so even the identity closure fails to commute
+        swap = (1 << 1, 1 << 0, 1 << 2, 1 << 3)
+        d = P.mask_of(["1_"])
+        bad = Universe(P, universe.codomains, (), ((),) * 4, ((),) * 4, ((0, 0, swap, d),))
+        report = check_closure_axioms(ClosureOperator(lt_identity(P)), bad)
+        one = terminal(P)
+        witness = (one, Inclusion._from_mask(one, d).dom)
+        assert report.failures == (AxiomFailure("C5-pullback-stable", witness),)
 
-    def test_closure_operator_on_another_poset_is_refused(self, om, universe):
+    def test_classifier_on_another_poset_is_refused(self, P):
+        with pytest.raises(ShapeMismatch):
+            build_universe(P, omega(Poset(("a",), set())))
+
+    def test_closure_operator_on_another_poset_is_refused(self, universe, literal_universe):
         clop = ClosureOperator(lt_identity(Poset(("a",), set())))
-        for check in (check_closure_axioms, check_closure_axioms_literal):
-            with pytest.raises(ShapeMismatch):
-                check(clop, universe, om)
+        with pytest.raises(ShapeMismatch):
+            check_closure_axioms(clop, universe)
+        with pytest.raises(ShapeMismatch):
+            check_closure_axioms_literal(clop, literal_universe)
 
 
 class TestDenseClosed:
-    def test_identity_inclusion_dense_and_closed(self, P, om, subterminals):
+    def test_identity_inclusion_dense_and_closed(self, P, subterminals):
         clop = ClosureOperator(lt_identity(P))
         f = Inclusion(subterminals[-1].dom, subterminals[-1].dom)
-        assert is_dense(clop, f, om) and is_closed(clop, f, om)
+        assert is_dense(clop, f) and is_closed(clop, f)
 
-    def test_constant_true_only_identities_closed(self, P, om, subterminals):
+    def test_constant_true_only_identities_closed(self, P, subterminals):
         clop = ClosureOperator(constant_true_lt(P))
         for f in subterminals:
             if f.dom.sets != f.cod.sets:
-                assert not is_closed(clop, f, om)
+                assert not is_closed(clop, f)
 
-    def test_dense_and_closed_implies_identity(self, P, om, all_lts, subterminals):
+    def test_dense_and_closed_implies_identity(self, P, all_lts, subterminals):
         for lt in all_lts:
             clop = ClosureOperator(lt)
             for f in subterminals:
-                if is_dense(clop, f, om) and is_closed(clop, f, om):
+                if is_dense(clop, f) and is_closed(clop, f):
                     assert f.dom == f.cod
 
-    def test_factorization(self, P, om, all_lts, subterminals):
+    def test_factorization(self, P, all_lts, subterminals):
         for lt in all_lts:
             clop = ClosureOperator(lt)
             for f in subterminals:
-                m, closed = dense_closed_factor(clop, f, om)
-                assert is_dense(clop, m, om)
-                assert is_closed(clop, closed, om)
+                m, closed = dense_closed_factor(clop, f)
+                assert is_dense(clop, m)
+                assert is_closed(clop, closed)
                 assert m.then(closed) == Inclusion(f.dom, f.cod)
 
 
@@ -397,16 +447,16 @@ class TestRestriction:
                         Inclusion(c_obj, e_obj),
                     )
 
-    def test_degenerate_triples(self, P, om, algebra):
+    def test_degenerate_triples(self, P, algebra):
         clop = ClosureOperator(lt_identity(P))
         for triple in self._triples(P, algebra):
-            assert restriction_check(clop, triple, om).ok
+            assert restriction_check(clop, triple).ok
 
-    def test_all_topologies_all_subterminal_triples(self, P, om, algebra, all_lts):
+    def test_all_topologies_all_subterminal_triples(self, P, algebra, all_lts):
         for lt in all_lts:
             clop = ClosureOperator(lt)
             for triple in self._triples(P, algebra):
-                assert restriction_check(clop, triple, om).ok
+                assert restriction_check(clop, triple).ok
 
 
 class TestGrothendieck:
