@@ -23,19 +23,9 @@ import re
 import sys
 from itertools import combinations
 from json.encoder import encode_basestring
+from typing import TYPE_CHECKING
 
-from .convert import (
-    Quad,
-    check_routes,
-    complete_quad,
-    enumerate_grotops,
-    enumerate_lts,
-    enumerate_nuclei,
-    grotop_to_nucleus,
-    lt_to_grotop,
-)
-from .classifier import chi as chi_map
-from .classifier import omega
+from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from .errors import FourtopsError, ParseError
 from .heyting import DEFAULT_ORACLE_POINT_CAP, HeytingAlgebra, Nucleus, is_nucleus
 from .poset import (
@@ -46,18 +36,14 @@ from .poset import (
     sieve_positions,
     sieves_on,
 )
-from .presheaf import Inclusion, subterminal_of, terminal
-from .topology import (
-    DEFAULT_PAIR_CAP,
-    ClosureOperator,
-    LTTopology,
-    build_universe,
-    check_closure_axioms,
-    filter_check,
-    is_grothendieck,
-    is_lt_topology,
-    make_grotop,
-)
+from .records import DEFAULT_PAIR_CAP, LTTopology, make_grotop
+
+# The conversions, the presheaf layer, the classifier, the closure-law
+# checkers and the panel renderers are imported by the handlers that run
+# them, once per command, so the other commands do not pay to compile and
+# load them: an oracle census loads none of them.
+if TYPE_CHECKING:
+    from .convert import Quad
 
 STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
 
@@ -514,6 +500,8 @@ def _quad(spec: InputSpec, source: str | None = None) -> Quad:
         raise ParseError("this command needs a structure payload in the input")
     if source is not None and spec.kind != source:
         raise ParseError(f"input structure is {spec.kind!r} but --from says {source!r}")
+    from .convert import complete_quad
+
     return complete_quad(spec.poset, **{spec.kind: spec.payload})
 
 
@@ -579,8 +567,6 @@ def _read_input(args) -> InputSpec:
 
 
 def cmd_show(args, out) -> int:
-    # the panel renderers are imported by the commands that draw them, so
-    # the other commands do not pay to compile and load them
     from .render import render_omega, render_zha
 
     spec = _read_input(args)
@@ -629,6 +615,9 @@ def cmd_show(args, out) -> int:
 
 
 def cmd_chi(args, out) -> int:
+    from .classifier import chi as chi_map
+    from .presheaf import Inclusion, subterminal_of, terminal
+
     spec = _read_input(args)
     if spec.kind != "y":
         raise ParseError("chi needs a y payload naming a down-closed subterminal")
@@ -724,6 +713,17 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
+    from .classifier import omega
+    from .convert import grotop_to_nucleus, lt_to_grotop
+    from .topology import (
+        ClosureOperator,
+        build_universe,
+        check_closure_axioms,
+        filter_check,
+        is_grothendieck,
+        is_lt_topology,
+    )
+
     algebra = HeytingAlgebra(poset)
     om = omega(poset)
     universe = build_universe(poset, om, pair_cap=cap)
@@ -770,6 +770,8 @@ def cmd_check(args, out) -> int:
                 f"/{len(results)} structures pass all axiom suites\n"
             )
         return 0 if ok else 1
+    from .convert import check_routes
+
     names = {
         "conjectures": ("truncation route", "closure route"),
         "topmost": ("topmost region covers",),
@@ -844,6 +846,8 @@ def cross_configurations(p: int, q: int) -> list[frozenset]:
 
 def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
     """All acceptance-style checks for one two-column graph."""
+    from .convert import check_routes
+
     poset = graph.poset()
     algebra = HeytingAlgebra(poset)
     expected = 2 ** len(poset.points)

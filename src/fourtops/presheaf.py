@@ -4,8 +4,8 @@ A presheaf assigns a finite label set to each point and a restriction map to
 each generating arrow; composite restrictions must be path-independent, which
 is verified at construction.  An inclusion is a morphism whose components are
 literal identities, so the domain's label sets are genuine subsets of the
-codomain's and the whole subobject calculus (preimage, intersection, image,
-equalizer) stays on the nose.
+codomain's and the whole subobject calculus (preimage, intersection, image)
+stays on the nose.
 
 Every inclusion into B also carries a bitmask over B's elements (u, a), in
 element-poset order: points in order, labels in ``sorted_at`` order.  A
@@ -24,7 +24,6 @@ from .errors import (
     NaturalityError,
     NotInclusion,
     NotMonic,
-    NotSubterminal,
     ShapeMismatch,
     UnknownElement,
 )
@@ -472,37 +471,6 @@ def pairing(f: Morphism, g: Morphism, prod: Presheaf) -> Morphism:
     return Morphism(f.dom, prod, comp)
 
 
-def equalizer(f: Morphism, g: Morphism) -> Inclusion:
-    """The sub-presheaf where two parallel morphisms agree."""
-    if f.dom != g.dom or f.cod != g.cod:
-        raise ShapeMismatch("equalizer needs parallel morphisms")
-    sets = {
-        u: [a for a in f.dom.sets[u] if f.comp[u][a] == g.comp[u][a]]
-        for u in f.dom.poset.points
-    }
-    return Inclusion._from_mask(f.dom, f.dom.elements().mask_of(sets))
-
-
-def element_downset(b: Presheaf, u, a) -> Inclusion:
-    """The smallest sub-presheaf of b containing a in the component at u."""
-    if a not in b.sets[u]:
-        raise UnknownElement(f"{a!r} not in the component at {u!r}")
-    index = b.elements()
-    return Inclusion._from_mask(b, index.down[index.bit[(u, a)]])
-
-
-def cst(c: Presheaf) -> DownSet:
-    """Truth-value of a subterminal: the down-set of points where it is inhabited."""
-    mask = 0
-    for i, u in enumerate(c.poset.points):
-        k = len(c.sets[u])
-        if k > 1:
-            raise NotSubterminal(f"component at {u!r} has {k} elements")
-        if k:
-            mask |= 1 << i
-    return DownSet(c.poset, mask)
-
-
 def subterminal_of(poset: Poset, s: DownSet) -> Presheaf:
     """The subterminal presheaf whose truth-value is the given down-set."""
     sets = {u: ("*",) if u in s else () for u in poset.points}
@@ -536,45 +504,3 @@ def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:
         downs = limited_downsets(epo, limit)
     # epo's points are b's elements in index order, so its masks are b's
     return [Inclusion._from_mask(b, d.mask) for d in downs]
-
-
-def natural_maps(t: Presheaf, b: Presheaf) -> list[Morphism]:
-    """Every natural transformation t -> b (exhaustive; small inputs only)."""
-    poset = t.poset
-    if poset != b.poset:
-        raise ShapeMismatch("natural_maps needs a shared poset")
-    # every point above u has the larger down-set, so it comes first
-    order = sorted(poset.points, key=lambda u: -poset.down_mask(u).bit_count())
-    parents = {u: [w for (w, z) in poset.arrows if z == u] for u in order}
-    assignments: list[dict] = [{}]
-    for u in order:
-        for a in t.sorted_at(u):
-            grown = []
-            for cand in assignments:
-                forced = None
-                consistent = True
-                for w in parents[u]:
-                    for c in t.sets[w]:
-                        if t.restr[(w, u)][c] != a:
-                            continue
-                        want = b.restr[(w, u)][cand[(w, c)]]
-                        if forced is None:
-                            forced = want
-                        elif forced != want:
-                            consistent = False
-                            break
-                    if not consistent:
-                        break
-                if not consistent:
-                    continue
-                options = [forced] if forced is not None else list(b.sorted_at(u))
-                for x in options:
-                    nxt = dict(cand)
-                    nxt[(u, a)] = x
-                    grown.append(nxt)
-            assignments = grown
-    out = []
-    for assignment in assignments:
-        comp = {u: {a: assignment[(u, a)] for a in t.sets[u]} for u in poset.points}
-        out.append(Morphism(t, b, comp))
-    return out

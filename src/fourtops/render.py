@@ -8,11 +8,15 @@ byte-identical; golden files pin the exact layout.
 
 from __future__ import annotations
 
-from .convert import Quad
+from typing import TYPE_CHECKING
+
 from .errors import IncoherentQuad
 from .heyting import Nucleus
 from .poset import TwoColumnGraph, sieves_on
-from .topology import GrothendieckTopology, LTTopology
+from .records import GrothendieckTopology, LTTopology
+
+if TYPE_CHECKING:
+    from .convert import Quad
 
 
 class _Canvas:

@@ -1,10 +1,11 @@
 """Topology structures on presheaves over a poset, with exhaustive checkers.
 
-Three equivalent presentations live here: per-point endomaps of the classifier
-(with the three endomap laws), the closure operators they induce on
-inclusions (checked against the five closure laws over a finite test
+Three equivalent presentations are checked here: per-point endomaps of the
+classifier (with the three endomap laws), the closure operators they induce
+on inclusions (checked against the five closure laws over a finite test
 universe), and per-point families of covering sieves (checked against
-hasmax / stab / trans and the filter laws).
+hasmax / stab / trans and the filter laws).  The endomap and covering-family
+records themselves live in ``records``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from .heyting import AxiomFailure, CheckReport
 from .poset import (
     DownSet,
     Poset,
-    downset_sort_key,
     enumerate_downsets,
     limited_downsets,
     sieve_positions,
@@ -36,7 +36,6 @@ from .poset import (
 from .presheaf import (
     ElementIndex,
     Inclusion,
-    Morphism,
     Presheaf,
     _pull_mask,
     as_inclusion,
@@ -46,38 +45,7 @@ from .presheaf import (
     product,
     terminal,
 )
-
-DEFAULT_PAIR_CAP = 5000
-
-
-class LTTopology:
-    """Per-point endomap of the classifier, stored by sieve index."""
-
-    __slots__ = ("poset", "tables")
-
-    def __init__(self, poset: Poset, tables: tuple[tuple[int, ...], ...]):
-        self.poset = poset
-        self.tables = tables
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LTTopology:
-            return NotImplemented
-        return (self.poset, self.tables) == (other.poset, other.tables)
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self.tables))
-
-
-    def apply(self, u, s: DownSet) -> DownSet:
-        k = sieve_positions(self.poset, u)[s.mask]
-        return sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]]
-
-    def as_morphism(self, om: OmegaObject) -> Morphism:
-        comp = {}
-        for i, u in enumerate(self.poset.points):
-            sieves = om.sieves[u]
-            comp[u] = {s: sieves[self.tables[i][j]] for j, s in enumerate(sieves)}
-        return Morphism(om, om, comp)
+from .records import DEFAULT_PAIR_CAP, GrothendieckTopology, LTTopology, make_grotop
 
 
 def lt_identity(poset: Poset) -> LTTopology:
@@ -465,45 +433,6 @@ def restriction_check(
 
 
 # -- covering-sieve topologies ----------------------------------------------
-
-
-class GrothendieckTopology:
-    """Per-point families of covering sieves, stored as canonical mask tuples."""
-
-    __slots__ = ("poset", "covers")
-
-    def __init__(self, poset: Poset, covers: tuple[tuple[int, ...], ...]):
-        self.poset = poset
-        self.covers = covers
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GrothendieckTopology:
-            return NotImplemented
-        return (self.poset, self.covers) == (other.poset, other.covers)
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self.covers))
-
-
-    def covers_at(self, u) -> tuple[DownSet, ...]:
-        i = self.poset.index(u)
-        return tuple(DownSet(self.poset, m) for m in self.covers[i])
-
-    def covers_mask_set(self, i: int) -> frozenset:
-        return frozenset(self.covers[i])
-
-
-def make_grotop(poset: Poset, families: dict) -> GrothendieckTopology:
-    """Build from a mapping point -> iterable of sieves (DownSets or masks)."""
-    covers = []
-    for u in poset.points:
-        fam = {s.mask if isinstance(s, DownSet) else int(s) for s in families.get(u, ())}
-        pos = sieve_positions(poset, u)
-        if fam <= pos.keys():  # sieve index order is downset_sort_key order
-            covers.append(tuple(sorted(fam, key=pos.__getitem__)))
-        else:
-            covers.append(tuple(sorted(fam, key=lambda m: downset_sort_key(poset, m))))
-    return GrothendieckTopology(poset, tuple(covers))
 
 
 def smallest_grotop(poset: Poset) -> GrothendieckTopology:

@@ -9,15 +9,17 @@ Among them, the literal closure-law universe builds each subobject, bang and
 classifying map as a validated object, where the package lists masks and
 image bits.
 The label-set constructions under them build presheaves the way the tests
-write them out, and the package has no use for them.  The literal oracle
-searches at the end keep the earlier enumerators that generate every candidate
-and filter it by the axioms, where the package prunes with the same axioms
-before it generates.  The literal route reports keep the four route
-checkers that each looped over the point sets and rebuilt every face, where
-the package makes one pass that builds each face once.  The literal JSON
-output, last, keeps the structure rows that sorted each down-set's names
-anew and the ``json.dumps`` call, where the package reads one name table per
-document and writes the text itself.
+write them out, and the package has no use for them; with them are the
+equalizer, the element down-sets, the truth-value ``cst`` of a subterminal
+and the exhaustive list of natural maps, which only the tests read.  The
+literal oracle searches at the end keep the earlier enumerators that
+generate every candidate and filter it by the axioms, where the package
+prunes with the same axioms before it generates.  The literal route reports
+keep the four route checkers that each looped over the point sets and
+rebuilt every face, where the package makes one pass that builds each face
+once.  The literal JSON output, last, keeps the structure rows that sorted
+each down-set's names anew and the ``json.dumps`` call, where the package
+reads one name table per document and writes the text itself.
 """
 
 import json
@@ -119,7 +121,7 @@ def brute_nucleus_tables(elements, meet):
 def chi_composite(f, om):
     """Classifying map built per element: the smallest sub-presheaf containing
     the element, met with the domain, read off as a truth-value."""
-    from fourtops.presheaf import Morphism, cst, element_downset, intersection
+    from fourtops.presheaf import Morphism, intersection
 
     b = f.cod
     poset = b.poset
@@ -160,7 +162,7 @@ def closure_to_nucleus_composite(clop, algebra):
     inclusion into the terminal is closed with ``closure_of`` and its
     truth-value read with ``cst``."""
     from fourtops.heyting import Nucleus
-    from fourtops.presheaf import cst, subterminal_inclusion, terminal
+    from fourtops.presheaf import subterminal_inclusion, terminal
     from fourtops.topology import closure_of
 
     one = terminal(clop.poset)
@@ -176,7 +178,7 @@ def lt_from_morphism(m):
     from fourtops.classifier import OmegaObject
     from fourtops.errors import ShapeMismatch
     from fourtops.poset import sieve_positions
-    from fourtops.topology import LTTopology
+    from fourtops.records import LTTopology
 
     om = m.dom
     if not isinstance(om, OmegaObject) or m.cod != om:
@@ -350,6 +352,91 @@ def empty_presheaf(poset):
     return Presheaf(poset, {}, {})
 
 
+def equalizer(f, g):
+    """The sub-presheaf where two parallel morphisms agree."""
+    from fourtops.errors import ShapeMismatch
+    from fourtops.presheaf import Inclusion
+
+    if f.dom != g.dom or f.cod != g.cod:
+        raise ShapeMismatch("equalizer needs parallel morphisms")
+    sets = {
+        u: [a for a in f.dom.sets[u] if f.comp[u][a] == g.comp[u][a]]
+        for u in f.dom.poset.points
+    }
+    return Inclusion._from_mask(f.dom, f.dom.elements().mask_of(sets))
+
+
+def element_downset(b, u, a):
+    """The smallest sub-presheaf of b containing a in the component at u."""
+    from fourtops.errors import UnknownElement
+    from fourtops.presheaf import Inclusion
+
+    if a not in b.sets[u]:
+        raise UnknownElement(f"{a!r} not in the component at {u!r}")
+    index = b.elements()
+    return Inclusion._from_mask(b, index.down[index.bit[(u, a)]])
+
+
+def cst(c):
+    """Truth-value of a subterminal: the down-set of points where it is inhabited."""
+    from fourtops.errors import NotSubterminal
+    from fourtops.poset import DownSet
+
+    mask = 0
+    for i, u in enumerate(c.poset.points):
+        k = len(c.sets[u])
+        if k > 1:
+            raise NotSubterminal(f"component at {u!r} has {k} elements")
+        if k:
+            mask |= 1 << i
+    return DownSet(c.poset, mask)
+
+
+def natural_maps(t, b):
+    """Every natural transformation t -> b (exhaustive; small inputs only)."""
+    from fourtops.errors import ShapeMismatch
+    from fourtops.presheaf import Morphism
+
+    poset = t.poset
+    if poset != b.poset:
+        raise ShapeMismatch("natural_maps needs a shared poset")
+    # every point above u has the larger down-set, so it comes first
+    order = sorted(poset.points, key=lambda u: -poset.down_mask(u).bit_count())
+    parents = {u: [w for (w, z) in poset.arrows if z == u] for u in order}
+    assignments: list[dict] = [{}]
+    for u in order:
+        for a in t.sorted_at(u):
+            grown = []
+            for cand in assignments:
+                forced = None
+                consistent = True
+                for w in parents[u]:
+                    for c in t.sets[w]:
+                        if t.restr[(w, u)][c] != a:
+                            continue
+                        want = b.restr[(w, u)][cand[(w, c)]]
+                        if forced is None:
+                            forced = want
+                        elif forced != want:
+                            consistent = False
+                            break
+                    if not consistent:
+                        break
+                if not consistent:
+                    continue
+                options = [forced] if forced is not None else list(b.sorted_at(u))
+                for x in options:
+                    nxt = dict(cand)
+                    nxt[(u, a)] = x
+                    grown.append(nxt)
+            assignments = grown
+    out = []
+    for assignment in assignments:
+        comp = {u: {a: assignment[(u, a)] for a in t.sets[u]} for u in poset.points}
+        out.append(Morphism(t, b, comp))
+    return out
+
+
 def top_composite(b, om):
     """The constantly-true map on b: the bang followed by true."""
     from fourtops.classifier import true_map
@@ -424,7 +511,7 @@ def lts_literal(poset):
     """Oracle LT topologies: every component table the kernel admits on its
     own, joined point by point in index order and filtered by naturality."""
     from fourtops.poset import sieves_on
-    from fourtops.topology import LTTopology
+    from fourtops.records import LTTopology
 
     per_point = []
     sieve_lists = [sieves_on(poset, u) for u in poset.points]
@@ -477,7 +564,7 @@ def grotops_literal(poset):
     maximal one, placed minimal points first and filtered by stability and
     transitivity."""
     from fourtops.poset import DownSet, sieves_on
-    from fourtops.topology import make_grotop
+    from fourtops.records import make_grotop
 
     order = sorted(
         range(len(poset.points)), key=lambda i: poset.down_mask_at(i).bit_count()
@@ -551,10 +638,11 @@ def route_reports_literal(poset, algebra=None):
     is looked up on the ``convert`` module at call time, so one patched
     conversion reaches this side and ``check_routes`` alike."""
     from fourtops import convert
+    from fourtops.census import _subsets
     from fourtops.convert import InstanceVerdict, RouteReport
 
     algebra = convert._algebra_on(poset, algebra)
-    subsets = convert._subsets(poset.points)
+    subsets = _subsets(poset.points)
 
     def label(y):
         return convert._y_label(poset, y)

@@ -11,12 +11,9 @@ import pathlib
 import pytest
 
 from fourtops.classifier import chi, imp_map, meet_map, omega, sigma
+from fourtops.census import enumerate_lts
 from fourtops.cli import cross_configurations, main, sweep_instance
-from fourtops.convert import (
-    check_routes,
-    enumerate_lts,
-    lt_to_grotop,
-)
+from fourtops.convert import check_routes, lt_to_grotop
 from fourtops.errors import NotDownClosed
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, TwoColumnGraph, enumerate_downsets, star_graph

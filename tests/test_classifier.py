@@ -17,10 +17,8 @@ from fourtops.presheaf import (
     Inclusion,
     Morphism,
     Presheaf,
-    equalizer,
     identity,
     is_inclusion,
-    natural_maps,
     product,
     proj,
     subobjects,
@@ -28,7 +26,13 @@ from fourtops.presheaf import (
 )
 
 from .conftest import pile_code_str
-from .oracles import build_universe_literal, chi_composite, top_composite
+from .oracles import (
+    build_universe_literal,
+    chi_composite,
+    equalizer,
+    natural_maps,
+    top_composite,
+)
 
 
 @pytest.fixture(scope="module")

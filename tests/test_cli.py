@@ -18,7 +18,7 @@ from fourtops.cli import (
     structure_json,
     sweep_instance,
 )
-from fourtops.convert import enumerate_grotops, enumerate_lts, enumerate_nuclei
+from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, TwoColumnGraph
@@ -679,10 +679,9 @@ def test_emit_json_equals_json_dumps_on_edge_cases(doc):
     assert emit_json(doc) == emit_json_literal(doc)
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    """Start-up cost guard: the CLI's import pulls in neither module (with
-    ``dataclasses`` came ``inspect``, ``ast``, ``dis`` and ``tokenize``),
-    nor the panel renderers, which only the drawing commands import."""
+def _fresh_child(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with the package's sources on the
+    path; its stdout."""
     import os
     import subprocess
     import sys
@@ -692,9 +691,86 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     env = dict(os.environ)
     src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    unwanted = {"dataclasses", "inspect", "fourtops.render"}
-    code = f"import sys, fourtops.cli; print(sorted({unwanted!r} & set(sys.modules)))"
     got = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
-    assert (got.returncode, got.stdout) == (0, "[]\n"), got.stderr
+    assert got.returncode == 0, got.stderr
+    return got.stdout
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    """Start-up cost guard: the CLI's import pulls in neither module (with
+    ``dataclasses`` came ``inspect``, ``ast``, ``dis`` and ``tokenize``),
+    nor the panel renderers, which only the drawing commands import.  Nor
+    does it load the conversions, the closure-law checkers, the classifier or
+    the presheaf layer, and an oracle census runs without them; importing
+    the package alone loads no submodule."""
+    submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
+    assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
+    unwanted = {
+        "dataclasses",
+        "inspect",
+        "fourtops.classifier",
+        "fourtops.convert",
+        "fourtops.presheaf",
+        "fourtops.render",
+        "fourtops.topology",
+    }
+    loaded = f"sorted({unwanted!r} & set(sys.modules))"
+    assert _fresh_child(f"import sys, fourtops.cli; print({loaded})") == "[]\n"
+    for family in ("nuclei", "grotops", "lttops"):
+        argv = ["enumerate", family, "--mode", "oracle", "--json", "-t", STAR]
+        code = (
+            "import io, sys\n"
+            "from fourtops import cli\n"
+            f"rc = cli.main({argv!r}, out=io.StringIO())\n"
+            f"print(rc, {loaded})"
+        )
+        assert _fresh_child(code) == "0 []\n", family
+
+
+# The eager export list of the package before its names were loaded lazily,
+# less the four presheaf helpers that only the tests read (tests/oracles.py).
+EXPORTS = set(
+    """
+    ClosureOperator DownSet GrothendieckTopology HeytingAlgebra Inclusion
+    LTTopology Morphism Nucleus OmegaObject Poset Presheaf Quad Slashing
+    TestUniverse TwoColumnGraph build_universe can canonical_grothendieck
+    check_closure_axioms check_routes chi closure_of closure_to_nucleus
+    complete_quad dense_closed_factor down_closure down_of_point
+    enumerate_downsets enumerate_grotops enumerate_lts enumerate_nuclei
+    filter_check grotop_to_lt grotop_to_lt_direct grotop_to_nucleus
+    grotop_to_point_set imp_map interior intersection is_closed is_dense
+    is_grothendieck is_inclusion is_lt_topology is_nucleus j_from_closure
+    lt_to_grotop meet_map modality_on_downset nucleus_from_point_set
+    nucleus_to_grotop nucleus_to_lt omega point_set_of_nucleus
+    point_set_to_grotop preimage product restriction_check sieves_on sigma
+    slashing_from_erased slashing_from_nucleus slashings_agree star_graph
+    strict_down subobjects subterminal_of terminal true_map
+    """.split()
+)
+
+
+def test_package_exports_each_name_from_the_module_it_lives_in():
+    """Each exported name is the object its home module defines; an unknown
+    name, or a helper moved to the tests, raises AttributeError; and reading
+    ``kernel_backend`` loads no submodule."""
+    import importlib
+
+    import fourtops
+
+    assert set(fourtops.__all__) == EXPORTS
+    assert EXPORTS <= set(dir(fourtops))
+    for name in sorted(EXPORTS):
+        home = importlib.import_module(f"fourtops.{fourtops._EXPORTS[name]}")
+        value = getattr(fourtops, name)
+        assert value is getattr(home, name), name
+        assert value.__module__ == home.__name__, name
+    for name in ("no_such_name", "cst", "element_downset", "equalizer", "natural_maps"):
+        with pytest.raises(AttributeError):
+            getattr(fourtops, name)
+    code = (
+        "import sys, fourtops\n"
+        "print(fourtops.kernel_backend, sorted(m for m in sys.modules if m.startswith('fourtops.')))"
+    )
+    assert _fresh_child(code) == "pure []\n"

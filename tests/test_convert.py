@@ -6,14 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourtops import convert
+from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.classifier import omega
 from fourtops.convert import (
     check_routes,
     closure_to_nucleus,
     complete_quad,
-    enumerate_grotops,
-    enumerate_lts,
-    enumerate_nuclei,
     grotop_to_lt,
     grotop_to_lt_direct,
     grotop_to_nucleus,
@@ -33,13 +31,12 @@ from fourtops.errors import (
 )
 from fourtops.heyting import HeytingAlgebra, Nucleus, nucleus_from_point_set
 from fourtops.poset import Poset, TwoColumnGraph, sieves_on, star_graph
+from fourtops.records import LTTopology, make_grotop
 from fourtops.topology import (
     ClosureOperator,
-    LTTopology,
     j_from_closure,
     largest_grotop,
     lt_identity,
-    make_grotop,
     smallest_grotop,
 )
 

@@ -17,13 +17,9 @@ from fourtops.presheaf import (
     Presheaf,
     bang,
     can,
-    cst,
-    element_downset,
-    equalizer,
     identity,
     intersection,
     is_inclusion,
-    natural_maps,
     preimage,
     product,
     proj,
@@ -34,7 +30,11 @@ from fourtops.presheaf import (
 
 from .conftest import pile_code_str
 from .oracles import (
+    cst,
+    element_downset,
     empty_presheaf,
+    equalizer,
+    natural_maps,
     presheaf_from_element_poset,
     sub_from_sets,
     subobjects_from_sets,

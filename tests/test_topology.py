@@ -5,12 +5,9 @@ from itertools import chain
 
 import pytest
 
+from fourtops.census import enumerate_lts
 from fourtops.classifier import internal_meet, omega
-from fourtops.convert import (
-    enumerate_lts,
-    lt_to_grotop,
-    point_set_to_grotop,
-)
+from fourtops.convert import lt_to_grotop, point_set_to_grotop
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
 from fourtops.heyting import AxiomFailure, CheckReport, HeytingAlgebra
 from fourtops.poset import (
@@ -31,9 +28,9 @@ from fourtops.presheaf import (
     subterminal_of,
     terminal,
 )
+from fourtops.records import LTTopology, make_grotop
 from fourtops.topology import (
     ClosureOperator,
-    LTTopology,
     build_universe,
     canonical_grothendieck,
     check_closure_axioms,
@@ -48,7 +45,6 @@ from fourtops.topology import (
     j_from_closure,
     largest_grotop,
     lt_identity,
-    make_grotop,
     restriction_check,
     smallest_grotop,
 )
@@ -234,7 +230,7 @@ class TestClosure:
     ):
         from fourtops.convert import nucleus_to_lt
         from fourtops.heyting import nucleus_from_point_set
-        from fourtops.presheaf import cst
+        from .oracles import cst
 
         n = nucleus_from_point_set(algebra, {"_1"})
         clop = ClosureOperator(nucleus_to_lt(n))
@@ -248,7 +244,7 @@ class TestClosure:
         # closing R inside S lands on (closure of R) meet S
         from fourtops.convert import nucleus_to_lt
         from fourtops.heyting import nucleus_from_point_set
-        from fourtops.presheaf import cst
+        from .oracles import cst
 
         n = nucleus_from_point_set(algebra, {"_1"})
         clop = ClosureOperator(nucleus_to_lt(n))
