@@ -21,12 +21,11 @@ import json
 import os
 import re
 import sys
-from itertools import combinations
 from json.encoder import encode_basestring
 from typing import TYPE_CHECKING
 
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
-from .errors import FourtopsError, ParseError
+from .errors import FourtopsError, ParseError, SizeCapExceeded
 from .heyting import DEFAULT_ORACLE_POINT_CAP, HeytingAlgebra, Nucleus, is_nucleus
 from .poset import (
     DownSet,
@@ -825,45 +824,51 @@ def cmd_render(args, out) -> int:
 
 
 def cross_configurations(p: int, q: int) -> list[frozenset]:
-    """Every acyclic cross-arrow set for the given column heights,
-    deterministically ordered."""
-    lefts = [f"{i}_" for i in range(1, p + 1)]
-    rights = [f"_{j}" for j in range(1, q + 1)]
-    candidates = sorted(
-        [(l, r) for l in lefts for r in rights]
-        + [(r, l) for l in lefts for r in rights]
-    )
-    configs = []
-    for k in range(len(candidates) + 1):
-        for combo in combinations(candidates, k):
-            try:
-                TwoColumnGraph(p, q, frozenset(combo)).poset()
-            except FourtopsError:
-                continue
-            configs.append(frozenset(combo))
-    return configs
+    """Every acyclic cross-arrow set for the given column heights, by size,
+    then in ``combinations`` order over the sorted candidate arrows.  Each
+    left/right pair gets no arrow or one either way, and a branch stops at
+    its first cycle."""
+    names = [f"{i}_" for i in range(1, p + 1)] + [f"_{j}" for j in range(1, q + 1)]
+    pairs = [(a, b) for a in range(p) for b in range(p, p + q)]
+    found = []
+
+    def walk(pos: int, below: list[int], chosen: frozenset) -> None:
+        # below[k]: the points under point k, as bits, in the graph so far
+        if pos == len(pairs):
+            found.append(chosen)
+            return
+        walk(pos + 1, below, chosen)
+        for a, b in (pairs[pos], pairs[pos][::-1]):
+            if not below[b] >> a & 1:
+                under = below[b] | 1 << b
+                grown = [m | under if k == a or m >> a & 1 else m for k, m in enumerate(below)]
+                walk(pos + 1, grown, chosen | {(names[a], names[b])})
+
+    walk(0, [(1 << k) - 1 for k in range(p)] + [(1 << k) - 1 << p for k in range(q)], frozenset())
+    found.sort(key=lambda c: (len(c), sorted(c)))
+    return found
 
 
 def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
-    """All acceptance-style checks for one two-column graph."""
-    from .convert import check_routes
+    """All acceptance-style checks for one two-column graph; the formula
+    side of the census is the faces the route pass builds."""
+    from .convert import route_pass, route_reports
 
     poset = graph.poset()
     algebra = HeytingAlgebra(poset)
     expected = 2 ** len(poset.points)
-    nf = enumerate_nuclei(algebra, "formula")
     no = enumerate_nuclei(algebra, "oracle", point_cap=cap)
-    gf = enumerate_grotops(poset, "formula")
     go = enumerate_grotops(poset, "oracle", point_cap=cap)
-    lf = enumerate_lts(poset, "formula")
     lo = enumerate_lts(poset, "oracle", point_cap=cap)
+    rows = list(route_pass(poset, algebra))
+    nf, gf, lf = zip(*(faces for _, faces, _ in rows))
     census = {
         "nuclei": len(no) == expected and set(nf) == set(no),
         "grotops": len(go) == expected and set(gf) == set(go),
         "lts": len(lo) == expected and set(lf) == set(lo),
     }
     names = ("roundtrips", "truncation_route", "closure_route", "topmost")
-    reports = {name: r.ok for name, r in zip(names, check_routes(poset, algebra))}
+    reports = {name: r.ok for name, r in zip(names, route_reports(rows))}
     verdict = all(census.values()) and all(reports.values())
     return {
         "census": census,
@@ -880,6 +885,8 @@ def cmd_sweep(args, out) -> int:
     per distinct labelled poset."""
     for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax), ("--cap", args.cap)):
         _require_at_least(flag, value, 0)
+    if args.pmax + args.qmax > args.cap:
+        raise SizeCapExceeded(f"--pmax + --qmax is {args.pmax + args.qmax}, over --cap {args.cap}")
     instances = []
     ok = True
     labelled: dict = {}

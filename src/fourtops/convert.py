@@ -6,7 +6,8 @@ defining formula directly; the enumerators that list each face, by formula
 and by the axioms alone, live in ``census``.  The route checks compose
 conversions along different paths and compare the results by value,
 reporting counterexamples in full rather than asserting; one pass over the
-point sets builds each point set's faces once for all of them.
+point sets builds each point set's faces once for all of them and runs each
+conversion once per distinct input value.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .heyting import (
     nucleus_from_point_set,
     point_set_of_nucleus,
 )
-from .poset import Poset, sieve_positions, sieves_on
+from .poset import Poset, _bits, sieve_positions, sieves_on
 from .presheaf import terminal
 from .records import GrothendieckTopology, LTTopology
 from .topology import (
@@ -153,20 +154,18 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
     restricted sieve covers."""
     _require_grotop(j)
     poset = j.poset
+    downs = poset._down
     families = [frozenset(fam) for fam in j.covers]
     tables = []
-    for u in poset.points:
-        down_u = poset.down_mask(u)
+    for u, down_u in zip(poset.points, downs):
+        below = [(1 << i, downs[i], families[i]) for i in _bits(down_u)]
         pos = sieve_positions(poset, u)
         row = []
-        for s in sieves_on(poset, u):
+        for s in pos:
             mask = 0
-            rest = down_u
-            while rest:
-                i = (rest & -rest).bit_length() - 1
-                rest &= rest - 1
-                if s.mask & poset.down_mask_at(i) in families[i]:
-                    mask |= 1 << i
+            for bit, down, fam in below:
+                if s & down in fam:
+                    mask |= bit
             row.append(pos[mask])
         tables.append(tuple(row))
     return LTTopology(poset, tuple(tables))
@@ -372,39 +371,48 @@ def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> st
     return ""
 
 
-def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[RouteReport, ...]:
-    """The round trips, the truncation route, the closure route and the
-    topmost region covers, in that order, from one pass over the point sets
-    that builds each face, and each conversion two reports read, once.
+ROUTE_NAMES = ("round trips", "truncation route", "closure route", "topmost region covers")
 
-    The round trips list the eight conversion cycles, then the five
-    face-to-face comparisons of ``verify_quad`` that no cycle makes, so a
-    failed index names one check.  Truncation compares nucleus->endomap with
-    nucleus->covers->endomap; closure, closure->nucleus with
-    closure->endomap->covers->nucleus; the topmost check, the covers at each
-    point with the class of the maximal sieve under the endomap.
+
+def route_pass(poset: Poset, algebra: HeytingAlgebra | None = None):
+    """One pass over the point sets that yields, for each, its label, its
+    faces ``(n, j, lt)`` and the details of the four routes of
+    ``check_routes``, each empty exactly when its comparison agrees.
+
+    Each conversion runs once per distinct input value within a point set:
+    the conversions are pure functions of values that hash by value, so a
+    repeated input gets the value a second call would give.  Every
+    conversion is looked up here at call time, so a patched one reaches
+    every route.
     """
     algebra = _algebra_on(poset, algebra)
-    names = ("round trips", "truncation route", "closure route", "topmost region covers")
-    verdicts: tuple[list, ...] = tuple([] for _ in names)
     for kept in _subsets(poset.points):
+        memo: dict = {}
+
+        def once(conversion, value, *algebra_arg):
+            key = (conversion, value)
+            out = memo.get(key)
+            if out is None:
+                out = memo[key] = conversion(value, *algebra_arg)
+            return out
+
         n = nucleus_from_point_set(algebra, kept)
         j = point_set_to_grotop(poset, kept)
         lt = nucleus_to_lt(n)
         clop = ClosureOperator(lt)
-        j_of_n = nucleus_to_grotop(n)
-        n_of_j = grotop_to_nucleus(j, algebra)
-        lt_of_j = grotop_to_lt(j)
-        j_of_lt = lt_to_grotop(lt)
+        j_of_n = once(nucleus_to_grotop, n)
+        n_of_j = once(grotop_to_nucleus, j, algebra)
+        lt_of_j = once(grotop_to_lt, j)
+        j_of_lt = once(lt_to_grotop, lt)
         lt_of_clop = j_from_closure(clop)
         n_of_clop = closure_to_nucleus(clop, algebra)
         cycles = (
             point_set_of_nucleus(n) == kept,
             grotop_to_point_set(j) == kept,
-            grotop_to_nucleus(j_of_n, algebra) == n,
-            nucleus_to_grotop(n_of_j) == j,
-            lt_to_grotop(lt_of_j) == j,
-            grotop_to_lt(j_of_lt) == lt,
+            once(grotop_to_nucleus, j_of_n, algebra) == n,
+            once(nucleus_to_grotop, n_of_j) == j,
+            once(lt_to_grotop, lt_of_j) == j,
+            once(grotop_to_lt, j_of_lt) == lt,
             lt_of_clop == lt,
             n_of_clop == n,
             j_of_n == j,
@@ -414,16 +422,35 @@ def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[R
             grotop_to_lt_direct(j) == lt,
         )
         failed = [i for i, c in enumerate(cycles) if not c]
-        lt_via = grotop_to_lt(j_of_n)
-        n_via = grotop_to_nucleus(lt_to_grotop(lt_of_clop), algebra)
-        # every detail is empty exactly when its comparison agrees
+        lt_via = once(grotop_to_lt, j_of_n)
+        n_via = once(grotop_to_nucleus, once(lt_to_grotop, lt_of_clop), algebra)
         details = (
             f"failed cycles: {failed}" if failed else "",
             "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}",
             "" if n_of_clop == n_via else f"direct={n_of_clop.table} via={n_via.table}",
             _top_class_miss(poset, lt, j),
         )
-        label = _y_label(poset, kept)
+        yield _y_label(poset, kept), (n, j, lt), details
+
+
+def route_reports(rows: Iterable) -> tuple[RouteReport, ...]:
+    """The four route reports of the rows ``route_pass`` yields."""
+    verdicts: tuple[list, ...] = tuple([] for _ in ROUTE_NAMES)
+    for label, _, details in rows:
         for out, detail in zip(verdicts, details):
             out.append(InstanceVerdict(label, not detail, detail))
-    return tuple(RouteReport(name, tuple(v)) for name, v in zip(names, verdicts))
+    return tuple(RouteReport(name, tuple(v)) for name, v in zip(ROUTE_NAMES, verdicts))
+
+
+def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[RouteReport, ...]:
+    """The round trips, the truncation route, the closure route and the
+    topmost region covers, in that order, from one ``route_pass``.
+
+    The round trips list the eight conversion cycles, then the five
+    face-to-face comparisons of ``verify_quad`` that no cycle makes, so a
+    failed index names one check.  Truncation compares nucleus->endomap with
+    nucleus->covers->endomap; closure, closure->nucleus with
+    closure->endomap->covers->nucleus; the topmost check, the covers at each
+    point with the class of the maximal sieve under the endomap.
+    """
+    return route_reports(route_pass(poset, algebra))

@@ -195,12 +195,13 @@ def interior(poset: Poset, names: Iterable[PointId]) -> DownSet:
 
 
 def interior_mask(poset: Poset, mask: int) -> int:
+    downs = poset._down
     out = 0
     rest = mask
     while rest:
         i = (rest & -rest).bit_length() - 1
         rest &= rest - 1
-        if poset.down_mask_at(i) & ~mask == 0:
+        if downs[i] & ~mask == 0:
             out |= 1 << i
     return out
 

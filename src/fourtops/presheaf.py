@@ -85,8 +85,11 @@ class ElementIndex:
 
     def require_down_closed(self, mask: int) -> int:
         """Return mask if it names a sub-presheaf, else raise FunctorialityError."""
-        for k in _bits(mask):
-            missing = self.down[k] & ~mask
+        down, rest = self.down, mask
+        while rest:
+            k = (rest & -rest).bit_length() - 1
+            rest &= rest - 1
+            missing = down[k] & ~mask
             if missing:
                 u, a = self.keys[k]
                 v, b = self.keys[missing.bit_length() - 1]

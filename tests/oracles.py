@@ -17,7 +17,10 @@ generate every candidate and filter it by the axioms, where the package
 prunes with the same axioms before it generates.  The literal route reports
 keep the four route checkers that each looped over the point sets and
 rebuilt every face, where the package makes one pass that builds each face
-once.  The literal JSON output, last, keeps the structure rows that sorted
+once, and the literal configuration list keeps the sweep's earlier
+generator, which built every arrow subset and kept the acyclic ones, where
+the package backtracks and drops a branch at its first cycle.  The literal
+JSON output, last, keeps the structure rows that sorted
 each down-set's names anew and the ``json.dumps`` call, where the package
 reads one name table per document and writes the text itself.
 """
@@ -724,6 +727,30 @@ def route_reports_literal(poset, algebra=None):
         RouteReport("closure route", tuple(closure)),
         RouteReport("topmost region covers", tuple(topmost)),
     )
+
+
+def cross_configurations_literal(p, q):
+    """Every acyclic cross-arrow set for the given column heights: each
+    subset of the candidate arrows, by size and in ``combinations`` order,
+    kept when its two-column graph is a poset."""
+    from fourtops.errors import FourtopsError
+    from fourtops.poset import TwoColumnGraph
+
+    lefts = [f"{i}_" for i in range(1, p + 1)]
+    rights = [f"_{j}" for j in range(1, q + 1)]
+    candidates = sorted(
+        [(l, r) for l in lefts for r in rights]
+        + [(r, l) for l in lefts for r in rights]
+    )
+    configs = []
+    for k in range(len(candidates) + 1):
+        for combo in combinations(candidates, k):
+            try:
+                TwoColumnGraph(p, q, frozenset(combo)).poset()
+            except FourtopsError:
+                continue
+            configs.append(frozenset(combo))
+    return configs
 
 
 def structure_json_literal(poset, kind, value):

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +24,12 @@ from fourtops.errors import ParseError
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, TwoColumnGraph
 
-from .oracles import brute_relabellings, emit_json_literal, structure_json_literal
+from .oracles import (
+    brute_relabellings,
+    cross_configurations_literal,
+    emit_json_literal,
+    structure_json_literal,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -295,6 +301,12 @@ class TestSweep:
 
             TwoColumnGraph(2, 2, cross).poset()
 
+    @pytest.mark.parametrize(
+        "p, q", [(p, q) for p in range(3) for q in range(3)] + [(2, 3), (3, 2)]
+    )
+    def test_cross_configurations_equal_the_literal_list(self, p, q):
+        assert cross_configurations(p, q) == cross_configurations_literal(p, q)
+
     def test_small_sweep_golden(self):
         code, out = run("sweep", "--pmax", "1", "--qmax", "1", "--json")
         assert code == 0
@@ -304,6 +316,32 @@ class TestSweep:
         code, out = run("sweep", "--pmax", "1", "--qmax", "0")
         assert code == 0
         assert out.strip().endswith("instances ok")
+
+
+class TestSweepInstance:
+    def test_makes_no_formula_enumerator_call(self, monkeypatch):
+        from fourtops import census
+
+        modes = []
+        for name in ("enumerate_nuclei", "enumerate_grotops", "enumerate_lts"):
+            def recorded(target, mode="formula", _fn=getattr(census, name), **kwargs):
+                modes.append(mode)
+                return _fn(target, mode, **kwargs)
+
+            monkeypatch.setattr(census, name, recorded)
+            monkeypatch.setattr(cli, name, recorded)
+        result = sweep_instance(TwoColumnGraph(2, 2, {("2_", "_1")}), 6)
+        assert result["ok"]
+        assert modes == ["oracle"] * 3
+
+    def test_a_wrong_point_set_to_grotop_fails_the_grotop_census(self, monkeypatch):
+        from fourtops import convert
+
+        right = convert.point_set_to_grotop
+        monkeypatch.setattr(convert, "point_set_to_grotop", lambda poset, kept: right(poset, ()))
+        result = sweep_instance(TwoColumnGraph(2, 2, {("2_", "_1")}), 6)
+        assert result["census"] == {"nuclei": True, "grotops": False, "lts": True}
+        assert not result["ok"]
 
 
 def sweep_graphs(qmax):
@@ -496,6 +534,29 @@ def test_sweep_refuses_a_negative_size(flag, capsys):
     sizes = {"--pmax": "2", "--qmax": "2", flag: "-1"}
     assert run("sweep", *(x for item in sizes.items() for x in item)) == (2, "")
     assert capsys.readouterr().err == f"error: {flag} must be at least 0, not -1\n"
+
+
+def test_an_over_cap_sweep_is_refused_up_front(capsys):
+    start = time.perf_counter()
+    assert run("sweep", "--pmax", "4", "--qmax", "3") == (2, "")
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().err == "error: --pmax + --qmax is 7, over --cap 6\n"
+
+
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        (("--pmax", "3", "--qmax", "3"), False),
+        (("--pmax", "2", "--qmax", "2", "--cap", "4"), False),
+        (("--pmax", "2", "--qmax", "2", "--cap", "3"), True),
+    ],
+    ids=lambda x: " ".join(x) if isinstance(x, tuple) else str(x),
+)
+def test_the_sweep_refuses_exactly_the_sizes_over_the_cap(argv, refused, monkeypatch):
+    # the checks are faked: only the refusal is under test
+    monkeypatch.setattr(cli, "sweep_instance", lambda graph, cap: {"ok": True})
+    code, out = run("sweep", *argv)
+    assert (code, out == "") == ((2, True) if refused else (0, False))
 
 
 def _identity_payloads():

@@ -548,3 +548,25 @@ class TestCheckRoutes:
             monkeypatch.setattr(convert, name, counted)
         check_routes(P)
         assert calls == {"nucleus_to_lt": 16, "j_from_closure": 16, "closure_to_nucleus": 16}
+
+    def test_runs_each_conversion_once_per_point_set(self, P, monkeypatch):
+        # a repeated input within a point set reads the value its first call
+        # gave, so the conversions the routes share run once each
+        names = (
+            "grotop_to_lt",
+            "grotop_to_nucleus",
+            "lt_to_grotop",
+            "nucleus_to_grotop",
+            "nucleus_to_lt",
+            "j_from_closure",
+            "closure_to_nucleus",
+        )
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            def counted(*args, _fn=getattr(convert, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(convert, name, counted)
+        assert all(r.ok for r in check_routes(P))
+        assert calls == dict.fromkeys(names, 16)
