@@ -13,10 +13,10 @@ from functools import lru_cache
 from .errors import ShapeMismatch
 from .poset import DownSet, Poset, sieve_positions, sieve_restriction, sieves_on
 from .presheaf import (
-    ElementIndex,
     Inclusion,
     Morphism,
     Presheaf,
+    _truth_values,
     as_inclusion,
     can,
     product,
@@ -80,20 +80,6 @@ def true_inclusion(poset: Poset, om: OmegaObject | None = None) -> Inclusion:
     if om._true is None:
         om._true = can(true_map(poset, om))
     return om._true
-
-
-def _truth_values(index: ElementIndex, mask: int) -> list[int]:
-    """Per element of ``index``, in order, the point mask of the points below
-    it where its image lies in ``mask``: the sieve a classifying map sends it
-    to."""
-    out = []
-    for row in index.rows:
-        s = 0
-        for pb, eb in row:
-            if mask & eb:
-                s |= pb
-        out.append(s)
-    return out
 
 
 def chi(f: Inclusion, om: OmegaObject | None = None) -> Morphism:

@@ -28,13 +28,7 @@ from .heyting import (
 from .poset import Poset, _bits, sieve_positions, sieves_on
 from .presheaf import terminal
 from .records import GrothendieckTopology, LTTopology
-from .topology import (
-    ClosureOperator,
-    _closure_mask,
-    is_grothendieck,
-    is_lt_topology,
-    j_from_closure,
-)
+from .topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
 
 
 @lru_cache(maxsize=64)
@@ -194,13 +188,8 @@ def closure_to_nucleus(clop: ClosureOperator, algebra: HeytingAlgebra | None = N
     """
     poset = clop.poset
     algebra = _algebra_on(poset, algebra)
-    index = terminal(poset).elements()
-    covering = clop.covering
-    table = tuple(
-        algebra._pos[index.require_down_closed(_closure_mask(covering, index, s.mask))]
-        for s in algebra.elements
-    )
-    return Nucleus(algebra, table)
+    closed = clop.closures(terminal(poset).elements())
+    return Nucleus(algebra, tuple(algebra._pos[closed[s.mask]] for s in algebra.elements))
 
 
 # -- quadruples ----------------------------------------------------------------
@@ -244,7 +233,12 @@ def complete_quad(
     lt: LTTopology | None = None,
     algebra: HeytingAlgebra | None = None,
 ) -> Quad:
-    """Fill in the other three representations from any single one."""
+    """Fill in the other three representations from any single one.
+
+    The quad is the point set's faces in its ``route_row``, and it is
+    coherent when every route of that row agrees: IncoherentQuad names the
+    failed detail otherwise.
+    """
     given = [x is not None for x in (y, nucleus, grotop, lt)]
     if sum(given) != 1:
         raise IncoherentQuad("provide exactly one of y, nucleus, grotop, lt")
@@ -262,8 +256,8 @@ def complete_quad(
         if not report.ok:
             raise InvalidTopology(report.summary())
         kept = grotop_to_point_set(lt_to_grotop(lt))
-    n = nucleus_from_point_set(algebra, kept)
-    built = Quad(kept, n, point_set_to_grotop(poset, kept), nucleus_to_lt(n))
+    _, faces, details = route_row(poset, algebra, kept)
+    built = Quad(kept, *faces)
     for name, given_value, built_value in (
         ("nucleus", nucleus, built.nucleus),
         ("grotop", grotop, built.grotop),
@@ -273,25 +267,10 @@ def complete_quad(
             raise IncoherentQuad(
                 f"supplied {name} disagrees with the structure it induces"
             )
-    verify_quad(built)
+    failed = "; ".join(detail for detail in details if detail)
+    if failed:
+        raise IncoherentQuad(f"pairwise conversions disagree: {failed}")
     return built
-
-
-def verify_quad(q: Quad) -> None:
-    """All pairwise conversions must map each member to the others."""
-    checks = (
-        point_set_of_nucleus(q.nucleus) == q.y,
-        grotop_to_point_set(q.grotop) == q.y,
-        nucleus_to_grotop(q.nucleus) == q.grotop,
-        grotop_to_nucleus(q.grotop, q.nucleus.algebra) == q.nucleus,
-        nucleus_to_lt(q.nucleus) == q.lt,
-        lt_to_grotop(q.lt) == q.grotop,
-        grotop_to_lt_direct(q.grotop) == q.lt,
-        point_set_to_grotop(q.poset, q.y) == q.grotop,
-        nucleus_from_point_set(q.nucleus.algebra, q.y) == q.nucleus,
-    )
-    if not all(checks):
-        raise IncoherentQuad("pairwise conversions disagree")
 
 
 # -- route-agreement and round-trip checkers -----------------------------------
@@ -374,63 +353,67 @@ def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> st
 ROUTE_NAMES = ("round trips", "truncation route", "closure route", "topmost region covers")
 
 
-def route_pass(poset: Poset, algebra: HeytingAlgebra | None = None):
-    """One pass over the point sets that yields, for each, its label, its
-    faces ``(n, j, lt)`` and the details of the four routes of
-    ``check_routes``, each empty exactly when its comparison agrees.
+def route_row(poset: Poset, algebra: HeytingAlgebra, kept: frozenset) -> tuple:
+    """One point set's label, its faces ``(n, j, lt)`` and the details of
+    the four routes of ``check_routes``, each empty exactly when its
+    comparison agrees.
 
-    Each conversion runs once per distinct input value within a point set:
-    the conversions are pure functions of values that hash by value, so a
-    repeated input gets the value a second call would give.  Every
-    conversion is looked up here at call time, so a patched one reaches
-    every route.
+    Each conversion runs once per distinct input value: the conversions are
+    pure functions of values that hash by value, so a repeated input gets
+    the value a second call would give.  Every conversion is looked up here
+    at call time, so a patched one reaches every route.
     """
+    memo: dict = {}
+
+    def once(conversion, value, *algebra_arg):
+        key = (conversion, value)
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = conversion(value, *algebra_arg)
+        return out
+
+    n = nucleus_from_point_set(algebra, kept)
+    j = point_set_to_grotop(poset, kept)
+    lt = nucleus_to_lt(n)
+    clop = ClosureOperator(lt)
+    j_of_n = once(nucleus_to_grotop, n)
+    n_of_j = once(grotop_to_nucleus, j, algebra)
+    lt_of_j = once(grotop_to_lt, j)
+    j_of_lt = once(lt_to_grotop, lt)
+    lt_of_clop = j_from_closure(clop)
+    n_of_clop = closure_to_nucleus(clop, algebra)
+    cycles = (
+        point_set_of_nucleus(n) == kept,
+        grotop_to_point_set(j) == kept,
+        once(grotop_to_nucleus, j_of_n, algebra) == n,
+        once(nucleus_to_grotop, n_of_j) == j,
+        once(lt_to_grotop, lt_of_j) == j,
+        once(grotop_to_lt, j_of_lt) == lt,
+        lt_of_clop == lt,
+        n_of_clop == n,
+        j_of_n == j,
+        n_of_j == n,
+        j_of_lt == j,
+        lt_of_j == lt,
+        grotop_to_lt_direct(j) == lt,
+    )
+    failed = [i for i, c in enumerate(cycles) if not c]
+    lt_via = once(grotop_to_lt, j_of_n)
+    n_via = once(grotop_to_nucleus, once(lt_to_grotop, lt_of_clop), algebra)
+    details = (
+        f"failed cycles: {failed}" if failed else "",
+        "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}",
+        "" if n_of_clop == n_via else f"direct={n_of_clop.table} via={n_via.table}",
+        _top_class_miss(poset, lt, j),
+    )
+    return _y_label(poset, kept), (n, j, lt), details
+
+
+def route_pass(poset: Poset, algebra: HeytingAlgebra | None = None):
+    """The ``route_row`` of each point set, in ``_subsets`` order."""
     algebra = _algebra_on(poset, algebra)
     for kept in _subsets(poset.points):
-        memo: dict = {}
-
-        def once(conversion, value, *algebra_arg):
-            key = (conversion, value)
-            out = memo.get(key)
-            if out is None:
-                out = memo[key] = conversion(value, *algebra_arg)
-            return out
-
-        n = nucleus_from_point_set(algebra, kept)
-        j = point_set_to_grotop(poset, kept)
-        lt = nucleus_to_lt(n)
-        clop = ClosureOperator(lt)
-        j_of_n = once(nucleus_to_grotop, n)
-        n_of_j = once(grotop_to_nucleus, j, algebra)
-        lt_of_j = once(grotop_to_lt, j)
-        j_of_lt = once(lt_to_grotop, lt)
-        lt_of_clop = j_from_closure(clop)
-        n_of_clop = closure_to_nucleus(clop, algebra)
-        cycles = (
-            point_set_of_nucleus(n) == kept,
-            grotop_to_point_set(j) == kept,
-            once(grotop_to_nucleus, j_of_n, algebra) == n,
-            once(nucleus_to_grotop, n_of_j) == j,
-            once(lt_to_grotop, lt_of_j) == j,
-            once(grotop_to_lt, j_of_lt) == lt,
-            lt_of_clop == lt,
-            n_of_clop == n,
-            j_of_n == j,
-            n_of_j == n,
-            j_of_lt == j,
-            lt_of_j == lt,
-            grotop_to_lt_direct(j) == lt,
-        )
-        failed = [i for i, c in enumerate(cycles) if not c]
-        lt_via = once(grotop_to_lt, j_of_n)
-        n_via = once(grotop_to_nucleus, once(lt_to_grotop, lt_of_clop), algebra)
-        details = (
-            f"failed cycles: {failed}" if failed else "",
-            "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}",
-            "" if n_of_clop == n_via else f"direct={n_of_clop.table} via={n_via.table}",
-            _top_class_miss(poset, lt, j),
-        )
-        yield _y_label(poset, kept), (n, j, lt), details
+        yield route_row(poset, algebra, kept)
 
 
 def route_reports(rows: Iterable) -> tuple[RouteReport, ...]:
@@ -447,8 +430,8 @@ def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[R
     topmost region covers, in that order, from one ``route_pass``.
 
     The round trips list the eight conversion cycles, then the five
-    face-to-face comparisons of ``verify_quad`` that no cycle makes, so a
-    failed index names one check.  Truncation compares nucleus->endomap with
+    face-to-face comparisons that no cycle makes, so a failed index names
+    one check; ``complete_quad`` reads the same row.  Truncation compares nucleus->endomap with
     nucleus->covers->endomap; closure, closure->nucleus with
     closure->endomap->covers->nucleus; the topmost check, the covers at each
     point with the class of the maximal sieve under the endomap.

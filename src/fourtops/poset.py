@@ -256,8 +256,10 @@ def sieves_on(poset: Poset, u: PointId) -> tuple[DownSet, ...]:
     """All sieves on u: down-sets of the ambient poset contained in ``down u``.
 
     They are the principal ideal below ``down u`` of the down-set lattice, in
-    the order of :func:`enumerate_downsets`.
+    the order of :func:`enumerate_downsets`, under the same point cap.
     """
+    if len(poset.points) > DEFAULT_POINT_CAP:
+        raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {DEFAULT_POINT_CAP}")
     return _downsets(poset, poset.down_mask(u))
 
 

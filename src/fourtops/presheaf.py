@@ -43,15 +43,23 @@ class ElementIndex:
     of element k; ``rows[k]`` holds one (point bit, element bit) pair per point
     v below u, the element bit marking the image of element k at v; ``down[k]``
     is the mask of the smallest sub-presheaf containing element k.
+
+    The elements grouped by truth value against a mask (see
+    :meth:`truth_groups`) depend on no topology, so they are kept here for
+    every closure operator that reads them; ``passed`` holds the masks a
+    closure has already found down-closed.
     """
 
-    __slots__ = ("keys", "bit", "point", "rows", "down", "full")
+    __slots__ = ("keys", "bit", "point", "rows", "down", "full", "width", "_groups", "passed")
 
     def __init__(self, b: "Presheaf"):
         poset = b.poset
         self.keys = tuple((u, a) for u in poset.points for a in b.sorted_at(u))
         self.bit = {key: k for k, key in enumerate(self.keys)}
         self.full = (1 << len(self.keys)) - 1
+        self.width = len(poset.points)
+        self._groups: dict = {}
+        self.passed: set = set()
         below = [
             [(1 << j, v) for j, v in enumerate(poset.points) if poset.above(u, v)]
             for u in poset.points
@@ -97,6 +105,44 @@ class ElementIndex:
                     f"{a!r} at {u!r} restricts to {b!r} at {v!r}, outside the sub-presheaf"
                 )
         return mask
+
+    def truth_groups(self, mask: int) -> dict:
+        """The elements grouped by the truth value a classifying map of
+        ``mask`` sends them to; built on first use and kept.
+
+        A group is keyed ``sieve mask * width + point index`` and holds the
+        mask of the elements at that point sent to that sieve.
+        """
+        groups = self._groups.get(mask)
+        if groups is None:
+            groups = self._groups[mask] = _truth_groups(self, mask)
+        return groups
+
+
+def _truth_values(index: ElementIndex, mask: int) -> list[int]:
+    """Per element of ``index``, in order, the point mask of the points below
+    it where its image lies in ``mask``: the sieve a classifying map sends it
+    to."""
+    out = []
+    for row in index.rows:
+        s = 0
+        for pb, eb in row:
+            if mask & eb:
+                s |= pb
+        out.append(s)
+    return out
+
+
+def _truth_groups(index: ElementIndex, mask: int) -> dict:
+    """The groups :meth:`ElementIndex.truth_groups` keeps, built anew."""
+    groups: dict = {}
+    width = index.width
+    bit = 1
+    for i, s in zip(index.point, _truth_values(index, mask)):
+        key = s * width + i
+        groups[key] = groups.get(key, 0) | bit
+        bit <<= 1
+    return groups
 
 
 class Presheaf:

@@ -12,17 +12,8 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .classifier import (
-    OmegaObject,
-    _truth_values,
-    chi,
-    chi_tables,
-    internal_meet,
-    omega,
-    sigma,
-    true_inclusion,
-)
-from .errors import InvalidTopology, NotInclusion, ShapeMismatch
+from .classifier import OmegaObject, chi_tables, internal_meet, omega, true_inclusion
+from .errors import InvalidTopology, ShapeMismatch
 from .heyting import AxiomFailure, CheckReport
 from .poset import (
     DownSet,
@@ -39,8 +30,8 @@ from .presheaf import (
     Inclusion,
     Presheaf,
     _pull_mask,
+    _truth_values,
     as_inclusion,
-    is_inclusion,
     pairing,
     preimage,
     product,
@@ -114,70 +105,75 @@ class ClosureOperator:
 
     A free-standing table over every object would be infinite; the inducing
     endomap determines the action on any inclusion, and the closure laws are
-    validated against that action over a finite universe.
+    validated against that action over a finite universe.  ``cover`` holds
+    one key ``sieve mask * width + point index`` per sieve the endomap sends
+    to the maximal one, the keys of the truth-value groups an element index
+    keeps; the closed masks are read through one table per element index
+    (see ``_Closures``).
     """
 
-    __slots__ = ("lt", "_covering")
+    __slots__ = ("lt", "cover", "_closures")
 
     def __init__(self, lt: LTTopology):
         self.lt = lt
-        self._covering = None
-
+        poset = lt.poset
+        width = len(poset.points)
+        cover = []
+        for i, u in enumerate(poset.points):
+            sieves = sieves_on(poset, u)
+            top = len(sieves) - 1
+            cover.extend(s.mask * width + i for s, k in zip(sieves, lt.tables[i]) if k == top)
+        self.cover = frozenset(cover)
+        self._closures: dict = {}
 
     @property
     def poset(self) -> Poset:
         return self.lt.poset
 
-    @property
-    def covering(self) -> tuple[frozenset, ...]:
-        """Per point, the masks of the sieves the endomap sends to the maximal
-        one; built on first use and kept."""
-        if self._covering is None:
-            poset = self.poset
-            out = []
-            for i, u in enumerate(poset.points):
-                sieves = sieves_on(poset, u)
-                top = poset.down_mask_at(i)
-                table = self.lt.tables[i]
-                out.append(
-                    frozenset(s.mask for k, s in enumerate(sieves) if sieves[table[k]].mask == top)
-                )
-            self._covering = tuple(out)
-        return self._covering
+    def closures(self, index: ElementIndex) -> "_Closures":
+        """Element mask -> closed mask over ``index``, kept per index."""
+        table = self._closures.get(index)
+        if table is None:
+            table = self._closures[index] = _Closures(index, self.cover)
+        return table
 
 
-def _closure_mask(covering: tuple, index: ElementIndex, mask: int) -> int:
-    """Elements whose sieve of points where they restrict into ``mask`` covers."""
-    out = 0
-    bit = 1
-    for i, s in zip(index.point, _truth_values(index, mask)):
-        if s in covering[i]:
-            out |= bit
-        bit <<= 1
-    return out
+class _Closures(dict):
+    """Element mask -> closed mask, for one closure operator on one element
+    index.
+
+    The index's truth-value groups are disjoint, so the closure is the sum
+    of the covered ones; a closure that is not a sub-presheaf raises
+    FunctorialityError.
+    """
+
+    __slots__ = ("index", "cover")
+
+    def __init__(self, index: ElementIndex, cover: frozenset):
+        super().__init__()
+        self.index = index
+        self.cover = cover
+
+    def __missing__(self, mask: int) -> int:
+        index = self.index
+        groups = index.truth_groups(mask)
+        got = sum(map(groups.__getitem__, self.cover.intersection(groups)))
+        if got not in index.passed:
+            index.require_down_closed(got)
+            index.passed.add(got)
+        self[mask] = got
+        return got
 
 
 def closure_of(clop: ClosureOperator, f: Inclusion) -> Inclusion:
-    """The inclusion classified by (endomap after classifying-map).
-
-    Computed directly on element masks; ``closure_of_composite`` spells out
-    the same composite through the classifier and the two must agree.
-    """
+    """The inclusion classified by (endomap after classifying-map), computed
+    on element masks; the tests spell out the same composite through the
+    classifier and the two must agree."""
     f = as_inclusion(f, "closure acts on inclusions")
     b = f.cod
     if b.poset != clop.poset:
         raise ShapeMismatch("inclusion lives on a different poset")
-    return Inclusion._from_mask(b, _closure_mask(clop.covering, b.elements(), f.mask))
-
-
-def closure_of_composite(
-    clop: ClosureOperator, f: Inclusion, om: OmegaObject | None = None
-) -> Inclusion:
-    """Reference route for :func:`closure_of`, via chi and sigma."""
-    if not is_inclusion(f):
-        raise NotInclusion("closure acts on inclusions")
-    om = omega(clop.poset) if om is None else om
-    return sigma(chi(f, om).then(clop.lt.as_morphism(om)))
+    return Inclusion._from_mask(b, clop.closures(b.elements())[f.mask])
 
 
 def j_from_closure(clop: ClosureOperator) -> LTTopology:
@@ -186,7 +182,7 @@ def j_from_closure(clop: ClosureOperator) -> LTTopology:
     sub-presheaf."""
     poset = clop.poset
     om = omega(poset)
-    closed = _closure_mask(clop.covering, om.elements(), true_inclusion(poset, om).mask)
+    closed = clop.closures(om.elements())[true_inclusion(poset, om).mask]
     return LTTopology(poset, chi_tables(om, closed))
 
 
@@ -209,16 +205,15 @@ class TestUniverse:
     """A finite, deterministic family of subobjects, pairs and map pairs used
     to instantiate the 'for all inclusions' quantifiers, as element masks.
 
-    ``codomains`` are the objects the masks live in, each with its
-    truth-value groups in ``truths``.  ``subobjects`` holds ``(codomain,
-    mask)`` per subobject; the pairs with f inside g and the rest are two sets
-    of columns (position, codomain, f mask, g mask), which hold no tuple per
-    pair; ``map_pairs`` holds ``(domain, codomain, image bits, mask)`` per map
-    pair, the image bits naming, per element of the domain, its image among the
-    codomain's elements.
+    ``codomains`` are the objects the masks live in.  ``subobjects`` holds
+    ``(codomain, mask)`` per subobject; the pairs with f inside g and the rest
+    are two sets of columns (position, codomain, f mask, g mask), which hold no
+    tuple per pair; ``map_pairs`` holds ``(domain, codomain, image bits,
+    mask)`` per map pair, the image bits naming, per element of the domain,
+    its image among the codomain's elements.
     """
 
-    __slots__ = ("poset", "codomains", "truths", "subobjects", "nested", "crossing", "map_pairs")
+    __slots__ = ("poset", "codomains", "subobjects", "nested", "crossing", "map_pairs")
 
     def __init__(
         self,
@@ -231,67 +226,10 @@ class TestUniverse:
     ):
         self.poset = poset
         self.codomains = codomains
-        width = len(poset.points)
-        self.truths = tuple(_TruthGroups(b.elements(), width) for b in codomains)
         self.subobjects = subobjects
         self.nested = nested
         self.crossing = crossing
         self.map_pairs = map_pairs
-
-
-class _TruthGroups(dict):
-    """Element mask -> its codomain's elements grouped by truth value.
-
-    A group is keyed ``sieve mask * width + point index`` and holds the mask
-    of the elements at that point whose classifying map sends them to that
-    sieve.  The groups depend on no topology, so every closure operator
-    checked against a universe reads the same ones; ``passed`` holds the
-    closed masks already found down-closed.
-    """
-
-    __slots__ = ("index", "width", "passed")
-
-    def __init__(self, index: ElementIndex, width: int):
-        super().__init__()
-        self.index = index
-        self.width = width
-        self.passed: set = set()
-
-    def __missing__(self, mask: int) -> dict:
-        groups: dict = {}
-        width = self.width
-        bit = 1
-        for i, s in zip(self.index.point, _truth_values(self.index, mask)):
-            key = s * width + i
-            groups[key] = groups.get(key, 0) | bit
-            bit <<= 1
-        self[mask] = groups
-        return groups
-
-
-class _Closures(dict):
-    """Element mask -> closed mask, for one closure operator on one codomain.
-
-    The groups are disjoint, so the closure is the sum of the covered ones;
-    a closure that is not a sub-presheaf raises FunctorialityError.
-    """
-
-    __slots__ = ("truths", "cover")
-
-    def __init__(self, truths: _TruthGroups, cover: frozenset):
-        super().__init__()
-        self.truths = truths
-        self.cover = cover
-
-    def __missing__(self, mask: int) -> int:
-        groups = self.truths[mask]
-        got = sum(map(groups.__getitem__, self.cover.intersection(groups)))
-        passed = self.truths.passed
-        if got not in passed:
-            self.truths.index.require_down_closed(got)
-            passed.add(got)
-        self[mask] = got
-        return got
 
 
 def build_universe(
@@ -361,19 +299,15 @@ def build_universe(
 def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> CheckReport:
     """The five closure laws, instantiated over the universe.
 
-    Every law compares element masks, through one table of closures per
-    codomain (see ``_Closures``), filled lazily in the order the laws ask for
-    them; each closure must still be a sub-presheaf (FunctorialityError
-    otherwise, as for any endomap table that is not a topology).  Witnesses
-    are sliced from their codomain only on failure.
+    Every law compares element masks, through the operator's table of
+    closures over each codomain's element index, filled lazily in the order
+    the laws ask for them; each closure must still be a sub-presheaf
+    (FunctorialityError otherwise, as for any endomap table that is not a
+    topology).  Witnesses are sliced from their codomain only on failure.
     """
     if clop.poset != universe.poset:
         raise ShapeMismatch("inclusion lives on a different poset")
-    width = len(clop.poset.points)
-    cover = frozenset(
-        s * width + i for i, masks in enumerate(clop.covering) for s in masks
-    )
-    closed = [_Closures(truths, cover) for truths in universe.truths]
+    closed = [clop.closures(b.elements()) for b in universe.codomains]
     codomains = universe.codomains
     failures = []
     for c, f in universe.subobjects:

@@ -217,6 +217,19 @@ def grotop_to_lt_composite(j, om):
     return lt_from_morphism(chi(grotop_inclusion(j, om), om))
 
 
+def closure_of_composite(clop, f, om=None):
+    """Closure of an inclusion through presheaf objects: the inclusion
+    classified by the endomap after the classifying map."""
+    from fourtops.classifier import chi, omega, sigma
+    from fourtops.errors import NotInclusion
+    from fourtops.presheaf import is_inclusion
+
+    if not is_inclusion(f):
+        raise NotInclusion("closure acts on inclusions")
+    om = omega(clop.poset) if om is None else om
+    return sigma(chi(f, om).then(clop.lt.as_morphism(om)))
+
+
 def j_from_closure_composite(clop, om):
     """Endomap of a closure operator through presheaf objects: the classifying
     map of the closed true inclusion, read back as tables."""
@@ -268,16 +281,20 @@ def build_universe_literal(poset, om=None, pair_cap=5000, omega_square_cap=24):
 
 def check_closure_axioms_literal(clop, universe):
     """The five closure laws over an object universe through a memo of
-    (codomain, mask) closures, one ``_closure_mask`` row loop per miss, with
-    the poset and shared-codomain checks made on every closure miss and every
-    pair."""
+    (codomain, mask) closures, one row loop per miss against the covering
+    read off the endomap tables, with the poset and shared-codomain checks
+    made on every closure miss and every pair."""
     from fourtops.errors import ShapeMismatch
     from fourtops.heyting import AxiomFailure, CheckReport
+    from fourtops.poset import sieves_on
     from fourtops.presheaf import _same_codomain
-    from fourtops.topology import _closure_mask
 
     poset = clop.poset
-    covering = clop.covering
+    covering = []
+    for i, u in enumerate(poset.points):
+        sieves, table = sieves_on(poset, u), clop.lt.tables[i]
+        top = poset.down_mask_at(i)
+        covering.append({s.mask for k, s in enumerate(sieves) if sieves[table[k]].mask == top})
     failures = []
     closed: dict = {}
 
@@ -288,8 +305,15 @@ def check_closure_axioms_literal(clop, universe):
         if got is None:
             if b.poset != poset:
                 raise ShapeMismatch("inclusion lives on a different poset")
-            got = index.require_down_closed(_closure_mask(covering, index, mask))
-            closed[key] = got
+            got = 0
+            for k, (i, row) in enumerate(zip(index.point, index.rows)):
+                s = 0
+                for pb, eb in row:
+                    if mask & eb:
+                        s |= pb
+                if s in covering[i]:
+                    got |= 1 << k
+            closed[key] = index.require_down_closed(got)
         return got
 
     for f in universe.inclusions:

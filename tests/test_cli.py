@@ -501,6 +501,30 @@ def test_closed_pipe_is_a_usage_error_without_a_traceback():
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("show", "omega"), ("chi",)])
+def test_sieve_enumeration_is_refused_over_the_point_cap(argv):
+    """On a 23-point cone (one top over 22 points) the top has 2^22 sieves:
+    the classifier commands exit 2 at once with one error line, as the
+    enumerators do."""
+    import os
+    import subprocess
+    import sys
+
+    import fourtops
+
+    below = [f"p{i}" for i in range(22)]
+    arrows = " ".join(f"t > {p}" for p in below)
+    text = f"poset {{ points: t {' '.join(below)} ; arrows: {arrows} }}\ny {{ p0 }}"
+    env = dict(os.environ)
+    src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    got = subprocess.run(
+        [sys.executable, "-m", "fourtops.cli", *argv, "-t", text],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (got.returncode, got.stdout, got.stderr) == (2, "", "error: 23 points exceeds cap 16\n")
+
+
 def test_check_axioms_still_reads_cap():
     with_cap = run("check", "axioms", "--cap", "5000", "-t", STAR)
     assert with_cap == (0, run("check", "axioms", "-t", STAR)[1])

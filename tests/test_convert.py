@@ -437,15 +437,15 @@ class TestQuad:
         with pytest.raises(IncoherentQuad):
             complete_quad(P, algebra=algebra)
 
-    def test_rejects_mismatched_input(self, P, algebra):
-        n = nucleus_from_point_set(algebra, {"_1"})
-        quad = complete_quad(P, y=P.points, algebra=algebra)
-        with pytest.raises(IncoherentQuad):
-            from fourtops.convert import verify_quad, Quad
+    def test_rejects_mismatched_input(self, P, algebra, monkeypatch):
+        # a wrong conversion reaches the quad through the route row it reads
+        def bottom(j):
+            return LTTopology(j.poset, tuple((0,) * len(sieves_on(P, u)) for u in P.points))
 
-            verify_quad(
-                Quad(frozenset(P.points), n, quad.grotop, quad.lt)
-            )
+        monkeypatch.setattr(convert, "grotop_to_lt_direct", bottom)
+        message = r"^pairwise conversions disagree: failed cycles: \[12\]$"
+        with pytest.raises(IncoherentQuad, match=message):
+            complete_quad(P, y={"_1"}, algebra=algebra)
 
 
 class TestRouteCheckers:

@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 
 from fourtops.census import enumerate_lts
-from fourtops.classifier import internal_meet, omega
+from fourtops.classifier import internal_meet, omega, true_inclusion
 from fourtops.convert import lt_to_grotop, point_set_to_grotop
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
 from fourtops.heyting import AxiomFailure, CheckReport, HeytingAlgebra
@@ -35,7 +35,6 @@ from fourtops.topology import (
     canonical_grothendieck,
     check_closure_axioms,
     closure_of,
-    closure_of_composite,
     dense_closed_factor,
     filter_check,
     is_closed,
@@ -52,7 +51,7 @@ from fourtops.topology import (
 from fourtops.topology import TestUniverse as Universe
 
 from .conftest import pile_code_str
-from .oracles import build_universe_literal, check_closure_axioms_literal
+from .oracles import build_universe_literal, check_closure_axioms_literal, closure_of_composite
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +313,74 @@ class TestClosure:
     def test_round_trip_j_from_closure(self, P, all_lts):
         for lt in all_lts:
             assert j_from_closure(ClosureOperator(lt)) == lt
+
+
+class TestOneKernel:
+    """Every closed mask is read through the operator's table over an element
+    index, from truth-value groups that the index keeps for every operator."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The (index, mask) pairs whose groups are built, on fresh
+        classifier and terminal caches."""
+        from fourtops import presheaf
+
+        omega.cache_clear()
+        terminal.cache_clear()
+        calls = []
+        build = presheaf._truth_groups
+
+        def counted(index, mask):
+            calls.append((index, mask))
+            return build(index, mask)
+
+        monkeypatch.setattr(presheaf, "_truth_groups", counted)
+        return calls
+
+    def test_route_pass_builds_each_group_once(self, P, built):
+        from fourtops.convert import check_routes
+
+        assert all(r.ok for r in check_routes(P))
+        assert len(built) == len({(id(index), mask) for index, mask in built}) == 9
+        # the true mask of the classifier, and the 8 subterminals
+        assert sorted(mask for index, mask in built if index is omega(P).elements()) == [
+            true_inclusion(P).mask
+        ]
+        assert sorted(mask for index, mask in built if index is terminal(P).elements()) == sorted(
+            s.mask for s in HeytingAlgebra(P).elements
+        )
+
+    def test_second_operator_builds_no_group(self, P, all_lts, built):
+        from fourtops.convert import closure_to_nucleus
+
+        first, second = (ClosureOperator(lt) for lt in all_lts[:2])
+        j_from_closure(first)
+        closure_to_nucleus(first)
+        assert len(built) == 9
+        j_from_closure(second)
+        closure_to_nucleus(second)
+        assert len(built) == 9
+
+    def test_closure_not_a_sub_presheaf_is_refused(self, P):
+        # at 2_ every sieve goes to the maximal one, at 1_ below it the
+        # empty sieve does not, so the closure of the empty subterminal holds
+        # 2_ but not its restriction to 1_
+        from fourtops.convert import closure_to_nucleus
+
+        tables = list(lt_identity(P).tables)
+        tables[P.index("2_")] = constant_true_lt(P).tables[P.index("2_")]
+        clop = ClosureOperator(LTTopology(P, tuple(tables)))
+        one = terminal(P)
+        for _ in range(2):
+            # a refused closure is kept neither as closed nor as passed
+            with pytest.raises(FunctorialityError):
+                closure_of(clop, Inclusion._from_mask(one, 0))
+            with pytest.raises(FunctorialityError):
+                j_from_closure(clop)
+            with pytest.raises(FunctorialityError):
+                closure_to_nucleus(clop)
+            assert 0 not in clop.closures(one.elements())
+        assert 1 << P.index("2_") not in one.elements().passed
 
 
 @pytest.fixture(scope="module")
