@@ -12,6 +12,7 @@ submodule, and the first use of a name imports the module it lives in.
 from importlib import import_module
 
 _HOMES = {
+    "axioms": ("TestUniverse", "build_universe", "check_closure_axioms", "filter_check"),
     "census": ("enumerate_grotops", "enumerate_lts", "enumerate_nuclei"),
     "classifier": ("OmegaObject", "chi", "imp_map", "meet_map", "omega", "sigma", "true_map"),
     "convert": (
@@ -68,13 +69,9 @@ _HOMES = {
     "records": ("GrothendieckTopology", "LTTopology"),
     "topology": (
         "ClosureOperator",
-        "TestUniverse",
-        "build_universe",
         "canonical_grothendieck",
-        "check_closure_axioms",
         "closure_of",
         "dense_closed_factor",
-        "filter_check",
         "is_closed",
         "is_dense",
         "is_grothendieck",

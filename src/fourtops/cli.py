@@ -27,20 +27,13 @@ from typing import TYPE_CHECKING
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from .errors import FourtopsError, ParseError, SizeCapExceeded
 from .heyting import DEFAULT_ORACLE_POINT_CAP, HeytingAlgebra, Nucleus, is_nucleus
-from .poset import (
-    DownSet,
-    Poset,
-    TwoColumnGraph,
-    canonical_form,
-    sieve_positions,
-    sieves_on,
-)
+from .poset import DownSet, Poset, TwoColumnGraph, sieve_positions, sieves_on
 from .records import DEFAULT_PAIR_CAP, LTTopology, make_grotop
 
 # The conversions, the presheaf layer, the classifier, the closure-law
-# checkers and the panel renderers are imported by the handlers that run
-# them, once per command, so the other commands do not pay to compile and
-# load them: an oracle census loads none of them.
+# checkers (``axioms``), the sweep and the panel renderers are imported by
+# the handlers that run them, once per command, so the other commands do not
+# pay to compile and load them: an oracle census loads none of them.
 if TYPE_CHECKING:
     from .convert import Quad
 
@@ -387,33 +380,74 @@ def _parse_json_input(text: str) -> InputSpec:
         raise ParseError(f"malformed JSON input: {e}") from None
 
 
+def _json_list(value, field: str, length: int | None = None) -> list:
+    """``value`` if it is a JSON list, of ``length`` items when given."""
+    if type(value) is not list or length is not None and len(value) != length:
+        shape = "a list" if length is None else f"a list of {length}"
+        raise ParseError(f"JSON {field!r} must be {shape}, not {type(value).__name__}")
+    return value
+
+
+def _json_typed(value, kind: type, field: str):
+    """``value`` if its type is exactly ``kind``, so a bool is no int."""
+    if type(value) is not kind:
+        got = type(value).__name__
+        raise ParseError(f"JSON {field!r} must hold {kind.__name__} values, not {got}")
+    return value
+
+
+def _json_names(value, field: str, length: int | None = None) -> list[str]:
+    return [_json_typed(u, str, field) for u in _json_list(value, field, length)]
+
+
 def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
-    """The poset and the raw structure payload of a decoded JSON document."""
+    """The poset and the raw structure payload of a decoded JSON document.
+
+    Every list, point name, arrow and column height is type-checked here, so
+    a string is never read as the set of its characters, nor a boolean or a
+    fraction as a height."""
     if pj.get("kind") == "2cg":
+        cross = _json_list(pj.get("cross", []), "cross")
         graph = TwoColumnGraph(
-            int(pj["p"]), int(pj["q"]), frozenset(tuple(a) for a in pj.get("cross", []))
+            _json_typed(pj["p"], int, "p"),
+            _json_typed(pj["q"], int, "q"),
+            frozenset(tuple(_json_names(a, "cross", 2)) for a in cross),
         )
         spec = InputSpec(graph.poset(), graph)
     elif pj.get("kind") == "poset":
-        spec = InputSpec(Poset(pj["points"], {tuple(a) for a in pj.get("arrows", [])}))
+        points = _json_names(pj["points"], "points")
+        arrows = _json_list(pj.get("arrows", []), "arrows")
+        spec = InputSpec(Poset(points, {tuple(_json_names(a, "arrows", 2)) for a in arrows}))
     else:
         raise ParseError("poset.kind must be '2cg' or 'poset'")
     if sj is None:
         return spec
-    mask_of = spec.poset.mask_of
+
+    def mask(names, field: str) -> int:
+        return spec.poset.mask_of(_json_names(names, field))
+
     kind = sj.get("kind")
     if kind == "y":
-        raw = frozenset(sj["members"])
+        raw = frozenset(_json_names(sj["members"], "members"))
     elif kind == "nucleus":
-        raw = {mask_of(src): mask_of(dst) for src, dst in sj["table"]}
+        raw = {}
+        for row in _json_list(sj["table"], "table"):
+            src, dst = _json_list(row, "table", 2)
+            raw[mask(src, "table")] = mask(dst, "table")
     elif kind == "lt":
         raw = {}
-        for name, pairs in sj["table"]:
-            raw.setdefault(name, {}).update((mask_of(a), mask_of(b)) for a, b in pairs)
+        for row in _json_list(sj["table"], "table"):
+            name, pairs = _json_list(row, "table", 2)
+            on_u = raw.setdefault(_json_typed(name, str, "table"), {})
+            for pair in _json_list(pairs, "table"):
+                a, b = _json_list(pair, "table", 2)
+                on_u[mask(a, "table")] = mask(b, "table")
     elif kind == "grotop":
         raw = {}
-        for name, fams in sj["covers"]:
-            raw.setdefault(name, []).extend(mask_of(f) for f in fams)
+        for row in _json_list(sj["covers"], "covers"):
+            name, fams = _json_list(row, "covers", 2)
+            fams = [mask(f, "covers") for f in _json_list(fams, "covers")]
+            raw.setdefault(_json_typed(name, str, "covers"), []).extend(fams)
     else:
         raise ParseError("structure.kind must be y, nucleus, grotop, or lt")
     spec.kind, spec.payload = kind, raw
@@ -568,6 +602,8 @@ def _read_input(args) -> InputSpec:
 def cmd_show(args, out) -> int:
     from .render import render_omega, render_zha
 
+    if args.render and args.what == "true":
+        raise ParseError("--render applies to show h and show omega only, not show true")
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "h":
@@ -712,16 +748,10 @@ def cmd_enumerate(args, out) -> int:
 
 
 def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
+    from .axioms import build_universe, check_closure_axioms, filter_check
     from .classifier import omega
     from .convert import grotop_to_nucleus, lt_to_grotop
-    from .topology import (
-        ClosureOperator,
-        build_universe,
-        check_closure_axioms,
-        filter_check,
-        is_grothendieck,
-        is_lt_topology,
-    )
+    from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
     algebra = HeytingAlgebra(poset)
     om = omega(poset)
@@ -823,100 +853,22 @@ def cmd_render(args, out) -> int:
     return 0
 
 
-def cross_configurations(p: int, q: int) -> list[frozenset]:
-    """Every acyclic cross-arrow set for the given column heights, by size,
-    then in ``combinations`` order over the sorted candidate arrows.  Each
-    left/right pair gets no arrow or one either way, and a branch stops at
-    its first cycle."""
-    names = [f"{i}_" for i in range(1, p + 1)] + [f"_{j}" for j in range(1, q + 1)]
-    pairs = [(a, b) for a in range(p) for b in range(p, p + q)]
-    found = []
-
-    def walk(pos: int, below: list[int], chosen: frozenset) -> None:
-        # below[k]: the points under point k, as bits, in the graph so far
-        if pos == len(pairs):
-            found.append(chosen)
-            return
-        walk(pos + 1, below, chosen)
-        for a, b in (pairs[pos], pairs[pos][::-1]):
-            if not below[b] >> a & 1:
-                under = below[b] | 1 << b
-                grown = [m | under if k == a or m >> a & 1 else m for k, m in enumerate(below)]
-                walk(pos + 1, grown, chosen | {(names[a], names[b])})
-
-    walk(0, [(1 << k) - 1 for k in range(p)] + [(1 << k) - 1 << p for k in range(q)], frozenset())
-    found.sort(key=lambda c: (len(c), sorted(c)))
-    return found
-
-
-def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
-    """All acceptance-style checks for one two-column graph; the formula
-    side of the census is the faces the route pass builds."""
-    from .convert import route_pass, route_reports
-
-    poset = graph.poset()
-    algebra = HeytingAlgebra(poset)
-    expected = 2 ** len(poset.points)
-    no = enumerate_nuclei(algebra, "oracle", point_cap=cap)
-    go = enumerate_grotops(poset, "oracle", point_cap=cap)
-    lo = enumerate_lts(poset, "oracle", point_cap=cap)
-    rows = list(route_pass(poset, algebra))
-    nf, gf, lf = zip(*(faces for _, faces, _ in rows))
-    census = {
-        "nuclei": len(no) == expected and set(nf) == set(no),
-        "grotops": len(go) == expected and set(gf) == set(go),
-        "lts": len(lo) == expected and set(lf) == set(lo),
-    }
-    names = ("roundtrips", "truncation_route", "closure_route", "topmost")
-    reports = {name: r.ok for name, r in zip(names, route_reports(rows))}
-    verdict = all(census.values()) and all(reports.values())
-    return {
-        "census": census,
-        "checks": reports,
-        "expected_count": expected,
-        "ok": verdict,
-    }
-
-
 def cmd_sweep(args, out) -> int:
     """Every check on every configuration, computed once per isomorphism
-    class: each verdict is invariant under relabelling the points.  The
-    labelled poset is looked up first, so the canonical form is computed once
-    per distinct labelled poset."""
+    class (see ``sweep.sweep_entries``)."""
     for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax), ("--cap", args.cap)):
         _require_at_least(flag, value, 0)
     if args.pmax + args.qmax > args.cap:
         raise SizeCapExceeded(f"--pmax + --qmax is {args.pmax + args.qmax}, over --cap {args.cap}")
+    from .sweep import sweep_entries
+
     instances = []
     ok = True
-    labelled: dict = {}
-    classes: dict = {}
-    for p in range(args.pmax + 1):
-        for q in range(args.qmax + 1):
-            for cross in cross_configurations(p, q):
-                graph = TwoColumnGraph(p, q, cross)
-                poset = graph.poset()
-                key = (poset.points, poset._down)
-                result = labelled.get(key)
-                if result is None:
-                    form = canonical_form(poset)
-                    result = classes.get(form)
-                    if result is None:
-                        result = sweep_instance(graph, args.cap)
-                        classes[form] = result
-                    labelled[key] = result
-                label = f"p={p} q={q} cross={{{' '.join(f'{u}>{v}' for u, v in sorted(cross))}}}"
-                instances.append(
-                    {
-                        "p": p,
-                        "q": q,
-                        "cross": sorted([u, v] for (u, v) in cross),
-                        **result,
-                    }
-                )
-                ok = ok and result["ok"]
-                if not args.json:
-                    out.write(f"{label}: {'ok' if result['ok'] else 'FAIL'}\n")
+    for label, entry in sweep_entries(args.pmax, args.qmax, args.cap):
+        instances.append(entry)
+        ok = ok and entry["ok"]
+        if not args.json:
+            out.write(f"{label}: {'ok' if entry['ok'] else 'FAIL'}\n")
     if args.json:
         out.write(emit_json({"result": {"instances": instances, "ok": ok}}))
     else:

@@ -216,10 +216,6 @@ class Quad:
             return NotImplemented
         return self._key() == other._key()
 
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-
     @property
     def poset(self) -> Poset:
         return self.nucleus.algebra.poset
@@ -293,10 +289,6 @@ class InstanceVerdict:
             other.detail,
         )
 
-    def __hash__(self) -> int:
-        return hash((self.label, self.agrees, self.detail))
-
-
 
 class RouteReport:
     __slots__ = ("name", "verdicts")
@@ -309,10 +301,6 @@ class RouteReport:
         if other.__class__ is not RouteReport:
             return NotImplemented
         return (self.name, self.verdicts) == (other.name, other.verdicts)
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.verdicts))
-
 
     @property
     def ok(self) -> bool:

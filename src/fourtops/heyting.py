@@ -29,9 +29,9 @@ class HeytingAlgebra:
 
     __slots__ = ("poset", "elements", "_pos", "_hash")
 
-    def __init__(self, poset: Poset, cap: int = DEFAULT_POINT_CAP):
+    def __init__(self, poset: Poset):
         self.poset = poset
-        self.elements = enumerate_downsets(poset, cap)
+        self.elements = enumerate_downsets(poset, DEFAULT_POINT_CAP)
         self._pos = {s.mask: i for i, s in enumerate(self.elements)}
         self._hash = hash(poset)
 
@@ -192,17 +192,6 @@ def is_nucleus(algebra: HeytingAlgebra, table: tuple[int, ...]) -> CheckReport:
 
 def nucleus_from_point_set(algebra: HeytingAlgebra, kept: Iterable) -> Nucleus:
     """Nucleus induced by a point set Y: S -> interior(Q | S), Q the complement."""
-    return _nucleus_of(algebra, frozenset(kept))
-
-
-@lru_cache(maxsize=64)
-def _nucleus_of(algebra: HeytingAlgebra, kept: frozenset) -> Nucleus:
-    """The nucleus of one point set, built once per (algebra, point set).
-
-    As with ``_require_nucleus``, 64 entries hold every point set of a poset
-    up to six points while the route checkers revisit them; an unknown point
-    raises UnknownPoint and leaves nothing in the cache.
-    """
     poset = algebra.poset
     q_mask = poset.full_mask & ~poset.mask_of(kept)
     table = tuple(

@@ -394,17 +394,6 @@ class Morphism:
         return Morphism._trusted(self.dom, other.cod, comp)
 
 
-def identity(b: Presheaf) -> "Inclusion":
-    return Inclusion(b, b)
-
-
-def bang(b: Presheaf, one: Presheaf | None = None) -> Morphism:
-    """The unique map to the terminal."""
-    one = terminal(b.poset) if one is None else one
-    comp = {u: {a: "*" for a in b.sets[u]} for u in b.poset.points}
-    return Morphism(b, one, comp)
-
-
 class Inclusion(Morphism):
     """A morphism whose components are literal identities (IncSC), with the
     mask of its domain's elements among the codomain's."""
@@ -527,15 +516,6 @@ def subterminal_of(poset: Poset, s: DownSet) -> Presheaf:
         (u, v): ({"*": "*"} if u in s else {}) for (u, v) in poset.arrows
     }
     return Presheaf(poset, sets, restr)
-
-
-def subterminal_inclusion(one: Presheaf, s: DownSet) -> Inclusion:
-    """The subterminal with truth-value s, included into the terminal ``one``.
-
-    The terminal has one element per point, in point order, so the down-set's
-    point mask is already the element mask.
-    """
-    return Inclusion._from_mask(one, s.mask)
 
 
 def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:

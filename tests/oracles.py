@@ -10,9 +10,10 @@ classifying map as a validated object, where the package lists masks and
 image bits.
 The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them; with them are the
-equalizer, the element down-sets, the truth-value ``cst`` of a subterminal
-and the exhaustive list of natural maps, which only the tests read.  The
-literal oracle searches at the end keep the earlier enumerators that
+subterminal inclusion, the identity, the bang, the identity endomap, the
+smallest and largest covering families, the equalizer, the element
+down-sets, the truth-value ``cst`` of a subterminal and the exhaustive list
+of natural maps, which only the tests read.  The literal oracle searches at the end keep the earlier enumerators that
 generate every candidate and filter it by the axioms, where the package
 prunes with the same axioms before it generates.  The literal route reports
 keep the four route checkers that each looped over the point sets and
@@ -165,7 +166,7 @@ def closure_to_nucleus_composite(clop, algebra):
     inclusion into the terminal is closed with ``closure_of`` and its
     truth-value read with ``cst``."""
     from fourtops.heyting import Nucleus
-    from fourtops.presheaf import subterminal_inclusion, terminal
+    from fourtops.presheaf import terminal
     from fourtops.topology import closure_of
 
     one = terminal(clop.poset)
@@ -257,8 +258,8 @@ def build_universe_literal(poset, om=None, pair_cap=5000, omega_square_cap=24):
     order."""
     from fourtops.classifier import chi, omega
     from fourtops.heyting import HeytingAlgebra
-    from fourtops.presheaf import bang, subobjects, subterminal_inclusion, terminal
     from fourtops.presheaf import product as times
+    from fourtops.presheaf import subobjects, terminal
 
     om = omega(poset) if om is None else om
     algebra = HeytingAlgebra(poset)
@@ -346,6 +347,57 @@ def check_closure_axioms_literal(clop, universe):
 
 
 # -- label-set constructions ---------------------------------------------------
+
+
+def subterminal_inclusion(one, s):
+    """The subterminal with truth-value s, included into the terminal ``one``.
+
+    The terminal has one element per point, in point order, so the down-set's
+    point mask is already the element mask.
+    """
+    from fourtops.presheaf import Inclusion
+
+    return Inclusion._from_mask(one, s.mask)
+
+
+def identity(b):
+    """The identity of b, as an inclusion."""
+    from fourtops.presheaf import Inclusion
+
+    return Inclusion(b, b)
+
+
+def bang(b, one=None):
+    """The unique map to the terminal."""
+    from fourtops.presheaf import Morphism, terminal
+
+    one = terminal(b.poset) if one is None else one
+    comp = {u: {a: "*" for a in b.sets[u]} for u in b.poset.points}
+    return Morphism(b, one, comp)
+
+
+def lt_identity(poset):
+    """The identity endomap of the classifier: every sieve to itself."""
+    from fourtops.poset import sieves_on
+    from fourtops.records import LTTopology
+
+    tables = tuple(tuple(range(len(sieves_on(poset, u)))) for u in poset.points)
+    return LTTopology(poset, tables)
+
+
+def smallest_grotop(poset):
+    """Only the maximal sieve covers each point."""
+    from fourtops.records import GrothendieckTopology
+
+    return GrothendieckTopology(poset, tuple((poset.down_mask(u),) for u in poset.points))
+
+
+def largest_grotop(poset):
+    """Every sieve covers."""
+    from fourtops.poset import sieves_on
+    from fourtops.records import make_grotop
+
+    return make_grotop(poset, {u: sieves_on(poset, u) for u in poset.points})
 
 
 def sub_from_sets(b, sets):
@@ -467,7 +519,7 @@ def natural_maps(t, b):
 def top_composite(b, om):
     """The constantly-true map on b: the bang followed by true."""
     from fourtops.classifier import true_map
-    from fourtops.presheaf import bang, terminal
+    from fourtops.presheaf import terminal
 
     return bang(b, terminal(b.poset)).then(true_map(b.poset, om))
 

@@ -12,7 +12,8 @@ import pytest
 
 from fourtops.classifier import chi, imp_map, meet_map, omega, sigma
 from fourtops.census import enumerate_lts
-from fourtops.cli import cross_configurations, main, sweep_instance
+from fourtops.axioms import build_universe, check_closure_axioms, filter_check
+from fourtops.cli import main
 from fourtops.convert import check_routes, lt_to_grotop
 from fourtops.errors import NotDownClosed
 from fourtops.heyting import HeytingAlgebra
@@ -20,17 +21,15 @@ from fourtops.poset import Poset, TwoColumnGraph, enumerate_downsets, star_graph
 from fourtops.presheaf import Inclusion, Presheaf, subterminal_of, terminal
 from fourtops.topology import (
     ClosureOperator,
-    build_universe,
     canonical_grothendieck,
-    check_closure_axioms,
     dense_closed_factor,
-    filter_check,
     is_closed,
     is_dense,
     is_grothendieck,
     is_lt_topology,
     restriction_check,
 )
+from fourtops.sweep import cross_configurations, sweep_instance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STAR_TEXT = "2cg p=2 q=2 cross { 2_ > _1 }"

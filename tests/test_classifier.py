@@ -17,7 +17,6 @@ from fourtops.presheaf import (
     Inclusion,
     Morphism,
     Presheaf,
-    identity,
     is_inclusion,
     product,
     proj,
@@ -30,6 +29,7 @@ from .oracles import (
     build_universe_literal,
     chi_composite,
     equalizer,
+    identity,
     natural_maps,
     top_composite,
 )

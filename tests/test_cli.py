@@ -9,20 +9,13 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourtops import cli
-from fourtops.cli import (
-    NameTable,
-    cross_configurations,
-    emit_json,
-    main,
-    parse_input,
-    structure_json,
-    sweep_instance,
-)
+from fourtops import sweep
+from fourtops.cli import NameTable, emit_json, main, parse_input, structure_json
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, TwoColumnGraph
+from fourtops.sweep import cross_configurations, sweep_instance
 
 from .oracles import (
     brute_relabellings,
@@ -329,7 +322,7 @@ class TestSweepInstance:
                 return _fn(target, mode, **kwargs)
 
             monkeypatch.setattr(census, name, recorded)
-            monkeypatch.setattr(cli, name, recorded)
+            monkeypatch.setattr(sweep, name, recorded)
         result = sweep_instance(TwoColumnGraph(2, 2, {("2_", "_1")}), 6)
         assert result["ok"]
         assert modes == ["oracle"] * 3
@@ -409,7 +402,7 @@ class TestSweepByIsomorphism:
             computed.append(graph)
             return {"ok": True, "rep": len(computed) - 1}
 
-        monkeypatch.setattr(cli, "sweep_instance", record)
+        monkeypatch.setattr(sweep, "sweep_instance", record)
         entries = self.entries(qmax)
         assert len(computed) == classes
         orbits = [brute_relabellings(g.poset()._down) for g in computed]
@@ -444,6 +437,49 @@ def test_malformed_input_is_a_usage_error(text, capsys):
     assert code == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def _json_doc(poset: dict, structure: dict | None = None) -> str:
+    return json.dumps({"poset": poset, **({"structure": structure} if structure else {})})
+
+
+AB = {"kind": "poset", "points": ["a", "b", "ab"], "arrows": []}
+ILL_TYPED = {
+    # each was read without complaint: "ab" as the points a and b, true and
+    # 1.9 as heights 1, and 1 next to "1" as two points whose JSON output
+    # could not be read back
+    "members-string-names-a-point": (_json_doc(AB, {"kind": "y", "members": "ab"}), "members"),
+    "heights-bool-and-float": (_json_doc({"kind": "2cg", "p": True, "q": 1.9}), "p"),
+    "points-int-and-str": (
+        _json_doc({"kind": "poset", "points": [1, "1"], "arrows": []}),
+        "points",
+    ),
+    # one case per rule
+    "points-not-a-list": (_json_doc({"kind": "poset", "points": "ab", "arrows": []}), "points"),
+    "arrows-not-a-list": (_json_doc({**AB, "arrows": {"a": "b"}}), "arrows"),
+    "cross-not-a-list": (_json_doc({"kind": "2cg", "p": 1, "q": 1, "cross": "x"}), "cross"),
+    "members-not-a-list": (_json_doc(AB, {"kind": "y", "members": 5}), "members"),
+    "table-not-a-list": (_json_doc(AB, {"kind": "nucleus", "table": {}}), "table"),
+    "covers-not-a-list": (_json_doc(AB, {"kind": "grotop", "covers": "a"}), "covers"),
+    "point-name-not-a-string": (_json_doc(AB, {"kind": "y", "members": [1]}), "members"),
+    "arrow-not-a-pair": (_json_doc({**AB, "arrows": [["ab", "a", "b"]]}), "arrows"),
+    "height-not-an-int": (_json_doc({"kind": "2cg", "p": 1, "q": "2"}), "q"),
+}
+
+
+@pytest.mark.parametrize("text, field", ILL_TYPED.values(), ids=ILL_TYPED.keys())
+def test_ill_typed_json_is_refused_at_the_boundary(text, field, capsys):
+    assert run("show", "h", "-t", text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: JSON {field!r} must ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_show_true_refuses_render(capsys):
+    assert run("show", "true", "--render", "-t", STAR) == (2, "")
+    assert capsys.readouterr().err == (
+        "error: --render applies to show h and show omega only, not show true\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -578,7 +614,7 @@ def test_an_over_cap_sweep_is_refused_up_front(capsys):
 )
 def test_the_sweep_refuses_exactly_the_sizes_over_the_cap(argv, refused, monkeypatch):
     # the checks are faked: only the refusal is under test
-    monkeypatch.setattr(cli, "sweep_instance", lambda graph, cap: {"ok": True})
+    monkeypatch.setattr(sweep, "sweep_instance", lambda graph, cap: {"ok": True})
     code, out = run("sweep", *argv)
     assert (code, out == "") == ((2, True) if refused else (0, False))
 
@@ -787,31 +823,67 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up cost guard: the CLI's import pulls in neither module (with
     ``dataclasses`` came ``inspect``, ``ast``, ``dis`` and ``tokenize``),
     nor the panel renderers, which only the drawing commands import.  Nor
-    does it load the conversions, the closure-law checkers, the classifier or
-    the presheaf layer, and an oracle census runs without them; importing
-    the package alone loads no submodule."""
+    does it load the conversions, the closure-law checkers, the sweep, the
+    classifier or the presheaf layer, and an oracle census runs without
+    them; a sweep loads no closure-law checker and ``check axioms`` no
+    sweep; importing the package alone loads no submodule."""
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
     unwanted = {
         "dataclasses",
         "inspect",
+        "fourtops.axioms",
         "fourtops.classifier",
         "fourtops.convert",
         "fourtops.presheaf",
         "fourtops.render",
+        "fourtops.sweep",
         "fourtops.topology",
     }
     loaded = f"sorted({unwanted!r} & set(sys.modules))"
     assert _fresh_child(f"import sys, fourtops.cli; print({loaded})") == "[]\n"
-    for family in ("nuclei", "grotops", "lttops"):
-        argv = ["enumerate", family, "--mode", "oracle", "--json", "-t", STAR]
+
+    def run_child(argv):
         code = (
             "import io, sys\n"
             "from fourtops import cli\n"
             f"rc = cli.main({argv!r}, out=io.StringIO())\n"
             f"print(rc, {loaded})"
         )
-        assert _fresh_child(code) == "0 []\n", family
+        return _fresh_child(code)
+
+    for family in ("nuclei", "grotops", "lttops"):
+        argv = ["enumerate", family, "--mode", "oracle", "--json", "-t", STAR]
+        assert run_child(argv) == "0 []\n", family
+    sweep_loads = run_child(["sweep", "--pmax", "1", "--qmax", "1", "--json"])
+    assert sweep_loads.startswith("0 ") and "fourtops.sweep" in sweep_loads
+    assert "fourtops.axioms" not in sweep_loads
+    axioms_loads = run_child(["check", "axioms", "--json", "-t", STAR])
+    assert axioms_loads.startswith("0 ") and "fourtops.axioms" in axioms_loads
+    assert "fourtops.sweep" not in axioms_loads
+
+
+def test_sweep_does_not_import_the_cli_module_again():
+    """Under ``python -m fourtops.cli`` the CLI module is ``__main__``, so a
+    module that imported ``fourtops.cli`` would load and compile it a second
+    time; the import-time report of a sweep names no ``fourtops.cli``."""
+    import os
+    import subprocess
+    import sys
+
+    import fourtops
+
+    env = dict(os.environ)
+    src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    argv = ["-X", "importtime", "-m", "fourtops.cli", "sweep", "--pmax", "1", "--qmax", "1"]
+    got = subprocess.run(
+        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert got.returncode == 0, got.stderr
+    imported = [line for line in got.stderr.splitlines() if line.startswith("import time:")]
+    assert any("fourtops.sweep" in line for line in imported)
+    assert not [line for line in imported if "fourtops.cli" in line]
 
 
 # The eager export list of the package before its names were loaded lazily,

@@ -32,13 +32,7 @@ from fourtops.errors import (
 from fourtops.heyting import HeytingAlgebra, Nucleus, nucleus_from_point_set
 from fourtops.poset import Poset, TwoColumnGraph, sieves_on, star_graph
 from fourtops.records import LTTopology, make_grotop
-from fourtops.topology import (
-    ClosureOperator,
-    j_from_closure,
-    largest_grotop,
-    lt_identity,
-    smallest_grotop,
-)
+from fourtops.topology import ClosureOperator, j_from_closure
 
 from .conftest import pile_code_str
 from .oracles import (
@@ -46,8 +40,11 @@ from .oracles import (
     grotop_to_lt_composite,
     grotops_literal,
     j_from_closure_composite,
+    largest_grotop,
+    lt_identity,
     lts_literal,
     route_reports_literal,
+    smallest_grotop,
 )
 
 
@@ -70,7 +67,7 @@ def algebra(P):
 def sweep_posets():
     """The distinct labelled posets of ``sweep --pmax 2 --qmax 2``: one per
     down-set table, so isomorphic posets with other labels each appear."""
-    from fourtops.cli import cross_configurations
+    from fourtops.sweep import cross_configurations
 
     seen = {}
     for p in range(3):
@@ -162,8 +159,6 @@ class TestNucleusGrotop:
 
 class TestNucleusLT:
     def test_identity_to_identity(self, P, algebra):
-        from fourtops.topology import lt_identity
-
         n = nucleus_from_point_set(algebra, P.points)
         assert nucleus_to_lt(n) == lt_identity(P)
 
@@ -189,8 +184,6 @@ class TestNucleusLT:
 
 class TestGrotopLT:
     def test_smallest_to_identity(self, P):
-        from fourtops.topology import lt_identity
-
         assert grotop_to_lt(smallest_grotop(P)) == lt_identity(P)
 
     def test_largest_to_constant_true(self, P):
@@ -260,8 +253,6 @@ class TestTableRoutes:
 
 class TestClosureToNucleus:
     def test_identity(self, P, algebra):
-        from fourtops.topology import lt_identity
-
         clop = ClosureOperator(lt_identity(P))
         n = closure_to_nucleus(clop, algebra)
         assert all(n.table[i] == i for i in range(len(algebra)))

@@ -3,7 +3,7 @@ and the ``allowed`` masks."""
 
 from hypothesis import given, settings, strategies as st
 
-from fourtops._kernels import pure
+from fourtops import _kernels
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, sieves_on
 
@@ -42,19 +42,19 @@ CONE = sieve_lattice_inputs(Poset(list("abcd"), {("d", x) for x in "abc"}), "d")
 
 class TestPureKernel:
     def test_single_element_lattice(self):
-        assert pure.enumerate_operator_tables(
+        assert _kernels.enumerate_operator_tables(
             1, (1,), (0,), inflationary=True, top_fixed=False
         ) == [(0,)]
 
     def test_two_chain_nucleus_tables(self):
         # lattice 0 < 1: inflationary idempotent meet-preserving maps
-        got = pure.enumerate_operator_tables(
+        got = _kernels.enumerate_operator_tables(
             2, (0b11, 0b10), (0, 0, 0, 1), inflationary=True, top_fixed=False
         )
         assert got == [(0, 1), (1, 1)]
 
     def test_top_fixed_drops_collapse(self):
-        got = pure.enumerate_operator_tables(
+        got = _kernels.enumerate_operator_tables(
             2, (0b11, 0b10), (0, 0, 0, 1), inflationary=False, top_fixed=True
         )
         assert (0, 1) in got and (1, 1) in got
@@ -66,7 +66,7 @@ class TestLiteralAgreement:
     @settings(max_examples=30, deadline=None)
     def test_same_tables_same_order_on_downset_lattices(self, poset, inflationary, top_fixed):
         n, up, meet = lattice_inputs(poset)
-        assert pure.enumerate_operator_tables(
+        assert _kernels.enumerate_operator_tables(
             n, up, meet, inflationary=inflationary, top_fixed=top_fixed
         ) == operator_tables_literal(n, up, meet, inflationary, top_fixed)
 
@@ -74,7 +74,7 @@ class TestLiteralAgreement:
         for n, up, meet in (lattice_inputs(star_poset), CONE):
             for inflationary in (False, True):
                 for top_fixed in (False, True):
-                    got = pure.enumerate_operator_tables(
+                    got = _kernels.enumerate_operator_tables(
                         n, up, meet, inflationary=inflationary, top_fixed=top_fixed
                     )
                     assert got == operator_tables_literal(
@@ -85,7 +85,7 @@ class TestLiteralAgreement:
 
 def kernel(inputs, allowed=None, inflationary=False, top_fixed=True):
     n, up, meet = inputs
-    return pure.enumerate_operator_tables(
+    return _kernels.enumerate_operator_tables(
         n, up, meet, inflationary=inflationary, top_fixed=top_fixed, allowed=allowed
     )
 

@@ -15,9 +15,7 @@ from fourtops.presheaf import (
     Inclusion,
     Morphism,
     Presheaf,
-    bang,
     can,
-    identity,
     intersection,
     is_inclusion,
     preimage,
@@ -30,10 +28,12 @@ from fourtops.presheaf import (
 
 from .conftest import pile_code_str
 from .oracles import (
+    bang,
     cst,
     element_downset,
     empty_presheaf,
     equalizer,
+    identity,
     natural_maps,
     presheaf_from_element_poset,
     sub_from_sets,

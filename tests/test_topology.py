@@ -29,29 +29,30 @@ from fourtops.presheaf import (
     terminal,
 )
 from fourtops.records import LTTopology, make_grotop
+from fourtops.axioms import TestUniverse as Universe
+from fourtops.axioms import build_universe, check_closure_axioms, filter_check
 from fourtops.topology import (
     ClosureOperator,
-    build_universe,
     canonical_grothendieck,
-    check_closure_axioms,
     closure_of,
     dense_closed_factor,
-    filter_check,
     is_closed,
     is_dense,
     is_grothendieck,
     is_lt_topology,
     j_from_closure,
-    largest_grotop,
-    lt_identity,
     restriction_check,
-    smallest_grotop,
 )
 
-from fourtops.topology import TestUniverse as Universe
-
 from .conftest import pile_code_str
-from .oracles import build_universe_literal, check_closure_axioms_literal, closure_of_composite
+from .oracles import (
+    build_universe_literal,
+    check_closure_axioms_literal,
+    closure_of_composite,
+    largest_grotop,
+    lt_identity,
+    smallest_grotop,
+)
 
 
 @pytest.fixture(scope="module")
