@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size flags' bound check."""
 
 
 class FourtopsError(Exception):
@@ -74,3 +74,8 @@ class ParseError(FourtopsError):
         super().__init__(message)
         self.line = line
         self.column = column
+
+
+def _require_at_least(flag: str, value: int, least: int) -> None:
+    if value < least:
+        raise ParseError(f"{flag} must be at least {least}, not {value}")

@@ -20,6 +20,10 @@ if TYPE_CHECKING:
 # the closure-law universe's default pair cap, read by the CLI's help text
 DEFAULT_PAIR_CAP = 5000
 
+# the kinds of structure an input or an output names: a point set (``y``) and
+# the three faces built from it
+STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
+
 
 class LTTopology:
     """Per-point endomap of the classifier, stored by sieve index."""

@@ -2,15 +2,19 @@
 
 import io
 import json
+import os
 import pathlib
 import random
+import threading
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourtops import sweep
-from fourtops.cli import NameTable, emit_json, main, parse_input, structure_json
+from fourtops.cli import main
+from fourtops.commands import NameTable, parse_input, structure_json
+from fourtops.emit import emit_json
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
 from fourtops.heyting import HeytingAlgebra
@@ -76,14 +80,14 @@ class TestGrammar:
 
     def test_text_round_trip_through_parser(self):
         spec = parse_input(STAR + "\ny { _1 }")
-        from fourtops.cli import structure_text
+        from fourtops.commands import structure_text
 
         text = structure_text(spec, "y", spec.payload)
         again = parse_input(STAR + "\n" + text)
         assert again.payload == spec.payload
 
     def test_every_structure_kind_round_trips_as_text(self):
-        from fourtops.cli import convert_structure, structure_text
+        from fourtops.commands import convert_structure, structure_text
 
         base = parse_input(STAR + "\ny { _1 }")
         for kind in ("y", "nucleus", "grotop", "lt"):
@@ -393,23 +397,142 @@ class TestSweepByIsomorphism:
 
     @pytest.mark.parametrize("qmax, classes", [(2, 17), (3, 43)])
     def test_one_instance_per_isomorphism_class(self, qmax, classes, monkeypatch):
-        # each fake result names the graph it was computed on: no two of
-        # those may be isomorphic, and each entry's poset must be isomorphic
-        # to the one its result came from
-        computed = []
+        # each fake result names the graph it was computed on, so the classes
+        # are read back from the entries wherever they were computed: no two
+        # of those graphs may be isomorphic, and each entry's poset must be
+        # isomorphic to the one its result came from.  With one CPU every
+        # call is made here; with two, this process makes share 0's.
+        calls = []
 
         def record(graph, cap):
-            computed.append(graph)
-            return {"ok": True, "rep": len(computed) - 1}
+            calls.append(graph)
+            return {"ok": True, "rep": [graph.p, graph.q, sorted(graph.cross)]}
 
         monkeypatch.setattr(sweep, "sweep_instance", record)
-        entries = self.entries(qmax)
-        assert len(computed) == classes
-        orbits = [brute_relabellings(g.poset()._down) for g in computed]
-        for a, graph in enumerate(computed):
-            assert [b for b, orbit in enumerate(orbits) if graph.poset()._down in orbit] == [a]
-        for graph, entry in zip(sweep_graphs(qmax), entries):
-            assert graph.poset()._down in orbits[entry["rep"]]
+        for cpus, here in ((1, classes), (2, (classes + 1) // 2)):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            calls.clear()
+            entries = self.entries(qmax)
+            assert len(calls) == here
+            reps = list(dict.fromkeys(json.dumps(e["rep"]) for e in entries))
+            assert len(reps) == classes
+            computed = [
+                TwoColumnGraph(p, q, frozenset(map(tuple, cross)))
+                for p, q, cross in map(json.loads, reps)
+            ]
+            orbits = [brute_relabellings(g.poset()._down) for g in computed]
+            for a, graph in enumerate(computed):
+                assert [b for b, orbit in enumerate(orbits) if graph.poset()._down in orbit] == [a]
+            for graph, entry in zip(sweep_graphs(qmax), entries):
+                assert graph.poset()._down in orbits[reps.index(json.dumps(entry["rep"]))]
+
+
+def _allow_cpus(monkeypatch, cpus: int) -> list:
+    """Let the sweep see ``cpus`` allowed CPUs; the list records each fork."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or fork())
+    return forks
+
+
+def _no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestSweepOnWorkers:
+    """The classes are computed on one forked worker per allowed CPU (faked
+    here, at most 3), with the same output as in one process."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_output_does_not_depend_on_the_cpus(self, cpus, monkeypatch):
+        import hashlib
+
+        config = json.loads((GOLDEN.parents[1] / "perfbench" / "config.json").read_text())
+        commands = config["workloads"]["sweep-2x2"]["commands"]
+        (pinned,) = [c["sha256"] for c in commands if c["name"] == "sweep"]
+        forks = _allow_cpus(monkeypatch, cpus)
+        assert run("sweep", "--pmax", "1", "--qmax", "1", "--json") == (
+            0, (GOLDEN / "sweep_1_1.json").read_text()
+        )
+        code, out = run("sweep", "--pmax", "2", "--qmax", "2", "--json")
+        assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == pinned
+        assert len(forks) == 2 * (cpus - 1)
+        _no_child_is_left()
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_an_error_in_a_worker_is_the_sweeps_error(self, cpus, monkeypatch, capsys):
+        from fourtops.errors import SizeCapExceeded
+
+        def refuse(graph, cap):
+            # the one-point poset is class 1, in worker 1's share
+            if graph.p + graph.q == 1:
+                raise SizeCapExceeded(f"refused p={graph.p} q={graph.q}")
+            return {"ok": True}
+
+        forks = _allow_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(sweep, "sweep_instance", refuse)
+        assert run("sweep", "--pmax", "2", "--qmax", "2", "--json") == (2, "")
+        assert capsys.readouterr().err == "error: refused p=0 q=1\n"
+        assert len(forks) == cpus - 1
+        _no_child_is_left()
+
+    def test_an_error_in_the_parent_kills_the_workers(self, monkeypatch, capsys):
+        from fourtops.errors import SizeCapExceeded
+
+        tester, slept = os.getpid(), []
+
+        def refuse(graph, cap):
+            # the empty poset is class 0, in the parent's share; each worker
+            # would take 30 s over its first class unless it is killed
+            if os.getpid() != tester and not slept:
+                slept.append(graph)
+                time.sleep(30)
+            if graph.p + graph.q == 0:
+                raise SizeCapExceeded("refused the empty poset")
+            return {"ok": True}
+
+        _allow_cpus(monkeypatch, 3)
+        monkeypatch.setattr(sweep, "sweep_instance", refuse)
+        start = time.perf_counter()
+        assert run("sweep", "--pmax", "2", "--qmax", "2") == (2, "")
+        assert time.perf_counter() - start < 10
+        assert capsys.readouterr().err == "error: refused the empty poset\n"
+        _no_child_is_left()
+
+    def test_a_worker_that_dies_without_a_result_is_named(self, monkeypatch, capsys):
+        tester = os.getpid()
+
+        def die(graph, cap):
+            if graph.p + graph.q == 1:
+                assert os.getpid() != tester
+                os._exit(3)
+            return {"ok": True}
+
+        _allow_cpus(monkeypatch, 2)
+        monkeypatch.setattr(sweep, "sweep_instance", die)
+        assert run("sweep", "--pmax", "2", "--qmax", "2", "--json") == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: sweep worker 1 (pid ") and err.endswith(" gave no result, exit 3\n")
+        _no_child_is_left()
+
+    def test_a_process_with_another_thread_forks_nothing(self, monkeypatch):
+        def refuse_to_fork():
+            raise AssertionError("forked while another thread ran")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        monkeypatch.setattr(os, "fork", refuse_to_fork)
+        done = threading.Event()
+        waiter = threading.Thread(target=done.wait)
+        waiter.start()
+        try:
+            code, out = run("sweep", "--pmax", "1", "--qmax", "1", "--json")
+        finally:
+            done.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert (code, out) == (0, (GOLDEN / "sweep_1_1.json").read_text())
 
 
 MALFORMED = {
@@ -622,7 +745,7 @@ def test_the_sweep_refuses_exactly_the_sizes_over_the_cap(argv, refused, monkeyp
 def _identity_payloads():
     """The identity nucleus, the identity endomap and the smallest covers on
     the star, as text and as JSON."""
-    from fourtops.cli import convert_structure, poset_json, structure_json, structure_text
+    from fourtops.commands import convert_structure, poset_json, structure_json, structure_text
 
     spec = parse_input(STAR + "\ny { 2_ 1_ _2 _1 }")
     out = {}
@@ -826,7 +949,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     does it load the conversions, the closure-law checkers, the sweep, the
     classifier or the presheaf layer, and an oracle census runs without
     them; a sweep loads no closure-law checker and ``check axioms`` no
-    sweep; importing the package alone loads no submodule."""
+    sweep; importing the package alone loads no submodule.  Importing the CLI
+    loads neither the other commands' handlers (``commands``) nor the
+    enumerators (``census``), a sweep loads no handler, and ``show`` and
+    ``fouruple`` load the renderers only with ``--render``."""
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
     unwanted = {
@@ -842,6 +968,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     }
     loaded = f"sorted({unwanted!r} & set(sys.modules))"
     assert _fresh_child(f"import sys, fourtops.cli; print({loaded})") == "[]\n"
+    handlers = "sorted({'fourtops.census', 'fourtops.commands'} & set(sys.modules))"
+    assert _fresh_child(f"import sys, fourtops.cli; print({handlers})") == "[]\n"
 
     def run_child(argv):
         code = (
@@ -858,6 +986,21 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     sweep_loads = run_child(["sweep", "--pmax", "1", "--qmax", "1", "--json"])
     assert sweep_loads.startswith("0 ") and "fourtops.sweep" in sweep_loads
     assert "fourtops.axioms" not in sweep_loads
+
+    def loads(argv, module):
+        code = (
+            "import io, sys\n"
+            "from fourtops import cli\n"
+            f"rc = cli.main({argv!r}, out=io.StringIO())\n"
+            f"print(rc, {module!r} in sys.modules)"
+        )
+        return _fresh_child(code)
+
+    assert loads(["sweep", "--pmax", "1", "--qmax", "1", "--json"], "fourtops.commands") == "0 False\n"
+    # the panel renderers load only with --render
+    for argv in (["show", "omega"], ["show", "h"], ["fouruple", "--from", "y"]):
+        text = "2cg p=1 q=1" + ("\ny { 1_ }" if argv[0] == "fouruple" else "")
+        assert loads([*argv, "-t", text], "fourtops.render") == "0 False\n", argv
     axioms_loads = run_child(["check", "axioms", "--json", "-t", STAR])
     assert axioms_loads.startswith("0 ") and "fourtops.axioms" in axioms_loads
     assert "fourtops.sweep" not in axioms_loads
@@ -866,7 +1009,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 def test_sweep_does_not_import_the_cli_module_again():
     """Under ``python -m fourtops.cli`` the CLI module is ``__main__``, so a
     module that imported ``fourtops.cli`` would load and compile it a second
-    time; the import-time report of a sweep names no ``fourtops.cli``."""
+    time; the import-time report of a sweep, of an oracle census and of
+    ``check axioms`` names no ``fourtops.cli``."""
     import os
     import subprocess
     import sys
@@ -876,14 +1020,20 @@ def test_sweep_does_not_import_the_cli_module_again():
     env = dict(os.environ)
     src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    argv = ["-X", "importtime", "-m", "fourtops.cli", "sweep", "--pmax", "1", "--qmax", "1"]
-    got = subprocess.run(
-        [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert got.returncode == 0, got.stderr
-    imported = [line for line in got.stderr.splitlines() if line.startswith("import time:")]
-    assert any("fourtops.sweep" in line for line in imported)
-    assert not [line for line in imported if "fourtops.cli" in line]
+    commands = {
+        "fourtops.sweep": ["sweep", "--pmax", "1", "--qmax", "1"],
+        "fourtops.census": ["enumerate", "nuclei", "--mode", "oracle", "-t", STAR],
+        "fourtops.axioms": ["check", "axioms", "-t", STAR],
+    }
+    for module, command in commands.items():
+        argv = ["-X", "importtime", "-m", "fourtops.cli", *command]
+        got = subprocess.run(
+            [sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert got.returncode == 0, got.stderr
+        imported = [line for line in got.stderr.splitlines() if line.startswith("import time:")]
+        assert any(module in line for line in imported)
+        assert not [line for line in imported if "fourtops.cli" in line]
 
 
 # The eager export list of the package before its names were loaded lazily,
