@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import chain, islice
 
-from .classifier import OmegaObject, omega
+from .classifier import omega
 from .errors import ShapeMismatch
 from .heyting import AxiomFailure, CheckReport
 from .poset import (
@@ -60,25 +60,20 @@ class TestUniverse:
 
 
 def build_universe(
-    poset: Poset,
-    om: OmegaObject | None = None,
-    pair_cap: int = DEFAULT_PAIR_CAP,
-    omega_square_cap: int = 24,
+    poset: Poset, pair_cap: int = DEFAULT_PAIR_CAP, omega_square_cap: int = 24
 ) -> TestUniverse:
     """Subobjects of 1, of Ω and the first ``omega_square_cap`` of Ω²; as
     pairs, the first ``pair_cap`` pairs (f, g) of subobjects of one object
     with g not listed before f; as map pairs, the bang of each object into
     the subterminals and chi of each subterminal against the first 12
-    subobjects of Ω.  ShapeMismatch if ``om`` lives on another poset.
+    subobjects of Ω.
 
     Every mask comes straight from a down-set enumerator over the object's
     elements.  The terminal has one element per point, in point order, so
     its subobjects are the poset's down-sets and the bang sends each element
     to the bit of its point.
     """
-    om = omega(poset) if om is None else om
-    if om.poset != poset:
-        raise ShapeMismatch("classifier lives on a different poset")
+    om = omega(poset)
     one = terminal(poset)
     square = product(om, om)
     om_elements = om.element_poset()

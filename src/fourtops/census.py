@@ -24,8 +24,8 @@ from ._kernels import enumerate_operator_tables
 from .errors import SizeCapExceeded
 from .heyting import (
     DEFAULT_ORACLE_POINT_CAP,
-    HeytingAlgebra,
     Nucleus,
+    algebra_of,
     enumerate_nucleus_tables,
     nucleus_from_point_set,
 )
@@ -42,13 +42,11 @@ def _subsets(points: tuple) -> list[frozenset]:
 
 
 def enumerate_nuclei(
-    algebra: HeytingAlgebra, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
+    poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
+    algebra = algebra_of(poset)
     if mode == "formula":
-        return [
-            nucleus_from_point_set(algebra, y)
-            for y in _subsets(algebra.poset.points)
-        ]
+        return [nucleus_from_point_set(algebra, y) for y in _subsets(poset.points)]
     if mode == "oracle":
         tables = enumerate_nucleus_tables(algebra, point_cap)
         return [Nucleus(algebra, t) for t in tables]
@@ -147,7 +145,7 @@ def enumerate_lts(
     if mode == "formula":
         from .convert import nucleus_to_lt
 
-        algebra = HeytingAlgebra(poset)
+        algebra = algebra_of(poset)
         return [
             nucleus_to_lt(nucleus_from_point_set(algebra, y))
             for y in _subsets(poset.points)

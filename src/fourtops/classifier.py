@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .errors import ShapeMismatch
 from .poset import DownSet, Poset, sieve_positions, sieve_restriction, sieves_on
 from .presheaf import (
     Inclusion,
@@ -61,28 +60,24 @@ def omega(poset: Poset) -> OmegaObject:
     return OmegaObject(poset)
 
 
-def true_map(poset: Poset, om: OmegaObject | None = None) -> Morphism:
+def true_map(poset: Poset) -> Morphism:
     """The point of the classifier that marks everything below as present."""
-    om = omega(poset) if om is None else om
-    one = terminal(poset)
     comp = {
         u: {"*": DownSet(poset, poset.down_mask(u))} for u in poset.points
     }
-    return Morphism(one, om, comp)
+    return Morphism(terminal(poset), omega(poset), comp)
 
 
-def true_inclusion(poset: Poset, om: OmegaObject | None = None) -> Inclusion:
+def true_inclusion(poset: Poset) -> Inclusion:
     """The canonical inclusion equivalent to the true map, built once per
     classifier object."""
-    om = omega(poset) if om is None else om
-    if om.poset != poset:
-        raise ShapeMismatch("classifier lives on a different poset")
+    om = omega(poset)
     if om._true is None:
-        om._true = can(true_map(poset, om))
+        om._true = can(true_map(poset))
     return om._true
 
 
-def chi(f: Inclusion, om: OmegaObject | None = None) -> Morphism:
+def chi(f: Inclusion) -> Morphism:
     """Classifying map of an inclusion: b goes to the truth-value of
     (domain meet smallest-sub-presheaf-containing-b), reindexed as a sieve.
 
@@ -92,9 +87,7 @@ def chi(f: Inclusion, om: OmegaObject | None = None) -> Morphism:
     f = as_inclusion(f, "chi needs identity components")
     b = f.cod
     poset = b.poset
-    om = omega(poset) if om is None else om
-    if om.poset != poset:
-        raise ShapeMismatch("inclusion and classifier live on different posets")
+    om = omega(poset)
     lookup = [
         (om.sieves[u], sieve_positions(poset, u)) for u in poset.points
     ]
@@ -133,9 +126,9 @@ def sigma(g: Morphism) -> Inclusion:
     return Inclusion._from_mask(b, mask)
 
 
-def meet_map(poset: Poset, om: OmegaObject | None = None) -> Morphism:
+def meet_map(poset: Poset) -> Morphism:
     """Internal conjunction: componentwise intersection of sieve pairs."""
-    om = omega(poset) if om is None else om
+    om = omega(poset)
     sq = product(om, om)
     comp = {
         u: {(s, t): DownSet(poset, s.mask & t.mask) for (s, t) in sq.sets[u]}
@@ -148,15 +141,15 @@ def internal_meet(om: OmegaObject) -> tuple[Morphism, Morphism, Morphism]:
     """The internal conjunction and the two projections out of its domain,
     built once per classifier object."""
     if om._meet is None:
-        conj = meet_map(om.poset, om)
+        conj = meet_map(om.poset)
         sq = conj.dom
         om._meet = (conj, proj(sq, om, om, 0), proj(sq, om, om, 1))
     return om._meet
 
 
-def imp_map(poset: Poset, om: OmegaObject | None = None) -> Morphism:
+def imp_map(poset: Poset) -> Morphism:
     """Internal implication: largest sieve R on u with R meet S inside T."""
-    om = omega(poset) if om is None else om
+    om = omega(poset)
     sq = product(om, om)
     comp: dict = {}
     for u in poset.points:

@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from .emit import emit_json
 from .errors import FourtopsError, ParseError, _require_at_least
-from .heyting import DEFAULT_ORACLE_POINT_CAP, HeytingAlgebra, Nucleus, is_nucleus
+from .heyting import DEFAULT_ORACLE_POINT_CAP, Nucleus, algebra_of, is_nucleus
 from .poset import DownSet, Poset, TwoColumnGraph, sieve_positions, sieves_on
 from .records import DEFAULT_PAIR_CAP, STRUCTURE_KINDS, LTTopology, make_grotop
 
@@ -276,7 +276,7 @@ def _realize_structure(spec: InputSpec) -> None:
         for u in raw:
             poset.index(u)
     if spec.kind == "nucleus":
-        algebra = HeytingAlgebra(poset)
+        algebra = algebra_of(poset)
         spec.payload = Nucleus(
             algebra, _table(poset, raw, algebra._pos, "the down-set algebra")
         )
@@ -469,10 +469,6 @@ def _quad(spec: InputSpec, source: str | None = None) -> Quad:
     return complete_quad(spec.poset, **{spec.kind: spec.payload})
 
 
-def convert_structure(spec: InputSpec, target: str):
-    return getattr(_quad(spec), target)
-
-
 def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
     a, b = graph.code_of_mask(mask)
     return f"{a}{b}"
@@ -531,7 +527,7 @@ def cmd_show(args, out) -> int:
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "h":
-        algebra = HeytingAlgebra(poset)
+        algebra = algebra_of(poset)
         if args.render:
             if spec.graph is None:
                 raise ParseError("--render needs a 2cg input")
@@ -649,7 +645,7 @@ def cmd_enumerate(args, out) -> int:
     spec = _read_input(args)
     poset = spec.poset
     if args.family == "nuclei":
-        items = enumerate_nuclei(HeytingAlgebra(poset), mode, point_cap=cap)
+        items = enumerate_nuclei(poset, mode, point_cap=cap)
         kind = "nucleus"
     elif args.family == "grotops":
         items = enumerate_grotops(poset, mode, point_cap=cap)
@@ -677,18 +673,15 @@ def cmd_enumerate(args, out) -> int:
 
 def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
     from .axioms import build_universe, check_closure_axioms, filter_check
-    from .classifier import omega
     from .convert import grotop_to_nucleus, lt_to_grotop
     from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
-    algebra = HeytingAlgebra(poset)
-    om = omega(poset)
-    universe = build_universe(poset, om, pair_cap=cap)
+    universe = build_universe(poset, pair_cap=cap)
     results = []
     all_ok = True
     for i, lt in enumerate(enumerate_lts(poset, "formula")):
         entry = {"index": i}
-        lt_report = is_lt_topology(lt, om)
+        lt_report = is_lt_topology(lt)
         entry["lt_axioms"] = lt_report.ok
         clop = ClosureOperator(lt)
         closure_report = check_closure_axioms(clop, universe)
@@ -701,8 +694,8 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
         entry["filter_generators"] = [
             _downset_json(g) for g in f_report.generators
         ]
-        nucleus = grotop_to_nucleus(grotop, algebra)
-        entry["nucleus_axioms"] = is_nucleus(algebra, nucleus.table).ok
+        nucleus = grotop_to_nucleus(grotop)
+        entry["nucleus_axioms"] = is_nucleus(nucleus.algebra, nucleus.table).ok
         results.append(entry)
         all_ok = all_ok and all(
             v for k, v in entry.items() if isinstance(v, bool)

@@ -17,11 +17,11 @@ from typing import Iterable
 
 from .census import _subsets
 from .classifier import chi_tables, omega
-from .errors import IncoherentQuad, InvalidTopology, NotElement
+from .errors import IncoherentQuad, InvalidTopology
 from .heyting import (
-    HeytingAlgebra,
     Nucleus,
     _require_nucleus,
+    algebra_of,
     nucleus_from_point_set,
     point_set_of_nucleus,
 )
@@ -38,16 +38,6 @@ def _require_grotop(j: GrothendieckTopology) -> None:
     report = is_grothendieck(j)
     if not report.ok:
         raise InvalidTopology(report.summary())
-
-
-def _algebra_on(poset: Poset, algebra: HeytingAlgebra | None) -> HeytingAlgebra:
-    """The given down-set algebra, or a new one; NotElement if the given one
-    lives on another poset, since its masks index nothing here."""
-    if algebra is None:
-        return HeytingAlgebra(poset)
-    if algebra.poset != poset:
-        raise NotElement("the algebra lives on a different poset")
-    return algebra
 
 
 # -- point set <-> covering families ----------------------------------------
@@ -91,11 +81,11 @@ def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
     return GrothendieckTopology(poset, tuple(covers))
 
 
-def grotop_to_nucleus(j: GrothendieckTopology, algebra: HeytingAlgebra | None = None) -> Nucleus:
+def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
     """Closure of S collects the points u with S-restricted-to-u covering u."""
     _require_grotop(j)
     poset = j.poset
-    algebra = _algebra_on(poset, algebra)
+    algebra = algebra_of(poset)
     per_point = [
         (1 << i, poset.down_mask_at(i), frozenset(fam)) for i, fam in enumerate(j.covers)
     ]
@@ -179,7 +169,7 @@ def lt_to_grotop(lt: LTTopology) -> GrothendieckTopology:
 # -- closure operator -> nucleus ---------------------------------------------
 
 
-def closure_to_nucleus(clop: ClosureOperator, algebra: HeytingAlgebra | None = None) -> Nucleus:
+def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
     """Close each subterminal of the terminal and read off its truth-value.
 
     The terminal has one element per point, in point order, so a down-set's
@@ -187,7 +177,7 @@ def closure_to_nucleus(clop: ClosureOperator, algebra: HeytingAlgebra | None = N
     closure's truth-value.
     """
     poset = clop.poset
-    algebra = _algebra_on(poset, algebra)
+    algebra = algebra_of(poset)
     closed = clop.closures(terminal(poset).elements())
     return Nucleus(algebra, tuple(algebra._pos[closed[s.mask]] for s in algebra.elements))
 
@@ -227,7 +217,6 @@ def complete_quad(
     nucleus: Nucleus | None = None,
     grotop: GrothendieckTopology | None = None,
     lt: LTTopology | None = None,
-    algebra: HeytingAlgebra | None = None,
 ) -> Quad:
     """Fill in the other three representations from any single one.
 
@@ -238,7 +227,6 @@ def complete_quad(
     given = [x is not None for x in (y, nucleus, grotop, lt)]
     if sum(given) != 1:
         raise IncoherentQuad("provide exactly one of y, nucleus, grotop, lt")
-    algebra = _algebra_on(poset, algebra)
     if y is not None:
         kept = frozenset(y)
         _ = [poset.index(u) for u in kept]
@@ -252,7 +240,7 @@ def complete_quad(
         if not report.ok:
             raise InvalidTopology(report.summary())
         kept = grotop_to_point_set(lt_to_grotop(lt))
-    _, faces, details = route_row(poset, algebra, kept)
+    _, faces, details = route_row(poset, kept)
     built = Quad(kept, *faces)
     for name, given_value, built_value in (
         ("nucleus", nucleus, built.nucleus),
@@ -341,7 +329,7 @@ def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> st
 ROUTE_NAMES = ("round trips", "truncation route", "closure route", "topmost region covers")
 
 
-def route_row(poset: Poset, algebra: HeytingAlgebra, kept: frozenset) -> tuple:
+def route_row(poset: Poset, kept: frozenset) -> tuple:
     """One point set's label, its faces ``(n, j, lt)`` and the details of
     the four routes of ``check_routes``, each empty exactly when its
     comparison agrees.
@@ -353,27 +341,27 @@ def route_row(poset: Poset, algebra: HeytingAlgebra, kept: frozenset) -> tuple:
     """
     memo: dict = {}
 
-    def once(conversion, value, *algebra_arg):
+    def once(conversion, value):
         key = (conversion, value)
         out = memo.get(key)
         if out is None:
-            out = memo[key] = conversion(value, *algebra_arg)
+            out = memo[key] = conversion(value)
         return out
 
-    n = nucleus_from_point_set(algebra, kept)
+    n = nucleus_from_point_set(algebra_of(poset), kept)
     j = point_set_to_grotop(poset, kept)
     lt = nucleus_to_lt(n)
     clop = ClosureOperator(lt)
     j_of_n = once(nucleus_to_grotop, n)
-    n_of_j = once(grotop_to_nucleus, j, algebra)
+    n_of_j = once(grotop_to_nucleus, j)
     lt_of_j = once(grotop_to_lt, j)
     j_of_lt = once(lt_to_grotop, lt)
     lt_of_clop = j_from_closure(clop)
-    n_of_clop = closure_to_nucleus(clop, algebra)
+    n_of_clop = closure_to_nucleus(clop)
     cycles = (
         point_set_of_nucleus(n) == kept,
         grotop_to_point_set(j) == kept,
-        once(grotop_to_nucleus, j_of_n, algebra) == n,
+        once(grotop_to_nucleus, j_of_n) == n,
         once(nucleus_to_grotop, n_of_j) == j,
         once(lt_to_grotop, lt_of_j) == j,
         once(grotop_to_lt, j_of_lt) == lt,
@@ -387,7 +375,7 @@ def route_row(poset: Poset, algebra: HeytingAlgebra, kept: frozenset) -> tuple:
     )
     failed = [i for i, c in enumerate(cycles) if not c]
     lt_via = once(grotop_to_lt, j_of_n)
-    n_via = once(grotop_to_nucleus, once(lt_to_grotop, lt_of_clop), algebra)
+    n_via = once(grotop_to_nucleus, once(lt_to_grotop, lt_of_clop))
     details = (
         f"failed cycles: {failed}" if failed else "",
         "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}",
@@ -397,11 +385,10 @@ def route_row(poset: Poset, algebra: HeytingAlgebra, kept: frozenset) -> tuple:
     return _y_label(poset, kept), (n, j, lt), details
 
 
-def route_pass(poset: Poset, algebra: HeytingAlgebra | None = None):
+def route_pass(poset: Poset):
     """The ``route_row`` of each point set, in ``_subsets`` order."""
-    algebra = _algebra_on(poset, algebra)
     for kept in _subsets(poset.points):
-        yield route_row(poset, algebra, kept)
+        yield route_row(poset, kept)
 
 
 def route_reports(rows: Iterable) -> tuple[RouteReport, ...]:
@@ -413,7 +400,7 @@ def route_reports(rows: Iterable) -> tuple[RouteReport, ...]:
     return tuple(RouteReport(name, tuple(v)) for name, v in zip(ROUTE_NAMES, verdicts))
 
 
-def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[RouteReport, ...]:
+def check_routes(poset: Poset) -> tuple[RouteReport, ...]:
     """The round trips, the truncation route, the closure route and the
     topmost region covers, in that order, from one ``route_pass``.
 
@@ -424,4 +411,4 @@ def check_routes(poset: Poset, algebra: HeytingAlgebra | None = None) -> tuple[R
     closure->endomap->covers->nucleus; the topmost check, the covers at each
     point with the class of the maximal sieve under the endomap.
     """
-    return route_reports(route_pass(poset, algebra))
+    return route_reports(route_pass(poset))

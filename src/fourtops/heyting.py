@@ -86,6 +86,13 @@ class HeytingAlgebra:
         return lattice_tables([s.mask for s in self.elements])[0]
 
 
+@lru_cache(maxsize=4)
+def algebra_of(poset: Poset) -> HeytingAlgebra:
+    """The down-set algebra, built once per poset and kept, like ``omega``,
+    while the poset is among the last few in use."""
+    return HeytingAlgebra(poset)
+
+
 class Nucleus:
     """A total table on a down-set algebra, stored by element index."""
 

@@ -43,6 +43,8 @@ class Poset:
         for u, v in self.arrows:
             if u not in self._index or v not in self._index:
                 raise UnknownPoint(f"arrow endpoint not a point: {(u, v)!r}")
+            if u == v:
+                raise CycleError(f"self-arrow on {u!r}")
         self._down = self._close()
         self._hash = hash((pts, self.arrows))
 
@@ -347,7 +349,7 @@ class TwoColumnGraph:
     arrows connect distinct columns and must keep the graph acyclic.
     """
 
-    __slots__ = ("p", "q", "cross")
+    __slots__ = ("p", "q", "cross", "_poset")
 
     def __init__(self, p: int, q: int, cross: Iterable = frozenset()):
         if p < 0 or q < 0:
@@ -365,6 +367,7 @@ class TwoColumnGraph:
         self.p = p
         self.q = q
         self.cross = cross
+        self._poset = None
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not TwoColumnGraph:
@@ -381,12 +384,15 @@ class TwoColumnGraph:
         return tuple(lefts + rights)
 
     def poset(self) -> Poset:
-        arrows = set(self.cross)
-        for k in range(1, self.p):
-            arrows.add((left_name(k + 1), left_name(k)))
-        for k in range(1, self.q):
-            arrows.add((right_name(k + 1), right_name(k)))
-        return _tcg_poset_cache(self.p, self.q, frozenset(arrows), self.point_names())
+        """The graph's poset, built on first use and kept while the graph is."""
+        if self._poset is None:
+            arrows = set(self.cross)
+            for k in range(1, self.p):
+                arrows.add((left_name(k + 1), left_name(k)))
+            for k in range(1, self.q):
+                arrows.add((right_name(k + 1), right_name(k)))
+            self._poset = Poset(self.point_names(), arrows)
+        return self._poset
 
     def pile_mask(self, a: int, b: int) -> int:
         if not (0 <= a <= self.p and 0 <= b <= self.q):
@@ -413,18 +419,6 @@ class TwoColumnGraph:
 
     def code_of_mask(self, mask: int) -> tuple[int, int]:
         return self.pile_code(DownSet(self.poset(), mask))
-
-
-_POSET_CACHE: dict = {}
-
-
-def _tcg_poset_cache(p: int, q: int, arrows: frozenset, names: tuple) -> Poset:
-    key = (p, q, arrows)
-    got = _POSET_CACHE.get(key)
-    if got is None:
-        got = Poset(names, arrows)
-        _POSET_CACHE[key] = got
-    return got
 
 
 def star_graph() -> TwoColumnGraph:

@@ -284,9 +284,10 @@ class Presheaf:
         return Poset(points, arrows)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4)
 def terminal(poset: Poset) -> Presheaf:
-    """The one-star presheaf, built once per poset."""
+    """The one-star presheaf, built once per poset and kept, like ``omega``,
+    while the poset is among the last few in use."""
     sets = {u: ("*",) for u in poset.points}
     restr = {arrow: {"*": "*"} for arrow in poset.arrows}
     return Presheaf(poset, sets, restr)

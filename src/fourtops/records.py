@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 from .poset import DownSet, Poset, downset_sort_key, sieve_positions, sieves_on
 
 if TYPE_CHECKING:
-    from .classifier import OmegaObject
     from .presheaf import Morphism
 
 # the closure-law universe's default pair cap, read by the CLI's help text
@@ -47,9 +46,11 @@ class LTTopology:
         k = sieve_positions(self.poset, u)[s.mask]
         return sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]]
 
-    def as_morphism(self, om: OmegaObject) -> Morphism:
+    def as_morphism(self) -> Morphism:
+        from .classifier import omega
         from .presheaf import Morphism
 
+        om = omega(self.poset)
         comp = {}
         for i, u in enumerate(self.poset.points):
             sieves = om.sieves[u]

@@ -19,7 +19,6 @@ import threading
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from .convert import route_pass, route_reports
 from .errors import FourtopsError
-from .heyting import HeytingAlgebra
 from .poset import TwoColumnGraph, canonical_form
 
 
@@ -53,12 +52,11 @@ def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
     """All acceptance-style checks for one two-column graph; the formula
     side of the census is the faces the route pass builds."""
     poset = graph.poset()
-    algebra = HeytingAlgebra(poset)
     expected = 2 ** len(poset.points)
-    no = enumerate_nuclei(algebra, "oracle", point_cap=cap)
+    no = enumerate_nuclei(poset, "oracle", point_cap=cap)
     go = enumerate_grotops(poset, "oracle", point_cap=cap)
     lo = enumerate_lts(poset, "oracle", point_cap=cap)
-    rows = list(route_pass(poset, algebra))
+    rows = list(route_pass(poset))
     nf, gf, lf = zip(*(faces for _, faces, _ in rows))
     census = {
         "nuclei": len(no) == expected and set(nf) == set(no),

@@ -11,7 +11,7 @@ laws over a finite test universe and the filter laws, which only
 
 from __future__ import annotations
 
-from .classifier import OmegaObject, chi_tables, internal_meet, omega, true_inclusion
+from .classifier import chi_tables, internal_meet, omega, true_inclusion
 from .errors import InvalidTopology, ShapeMismatch
 from .heyting import AxiomFailure, CheckReport
 from .poset import (
@@ -27,7 +27,7 @@ from .presheaf import ElementIndex, Inclusion, as_inclusion, pairing, preimage
 from .records import GrothendieckTopology, LTTopology, make_grotop
 
 
-def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
+def is_lt_topology(j: LTTopology) -> CheckReport:
     """Naturality plus the three endomap laws, with witnesses.
 
     Meet preservation is checked twice on purpose: once per point on sieve
@@ -35,7 +35,7 @@ def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
     morphism, to catch representation bugs in either route.
     """
     poset = j.poset
-    om = omega(poset) if om is None else om
+    om = omega(poset)
     failures = []
     for i, u in enumerate(poset.points):
         n = len(om.sieves[u])
@@ -72,7 +72,7 @@ def is_lt_topology(j: LTTopology, om: OmegaObject | None = None) -> CheckReport:
                 break
     if not failures:
         conj, p0, p1 = internal_meet(om)
-        jm = j.as_morphism(om)
+        jm = j.as_morphism()
         after = conj.then(jm)
         before = pairing(p0.then(jm), p1.then(jm), conj.dom).then(conj)
         if after != before:
@@ -162,7 +162,7 @@ def j_from_closure(clop: ClosureOperator) -> LTTopology:
     sub-presheaf."""
     poset = clop.poset
     om = omega(poset)
-    closed = clop.closures(om.elements())[true_inclusion(poset, om).mask]
+    closed = clop.closures(om.elements())[true_inclusion(poset).mask]
     return LTTopology(poset, chi_tables(om, closed))
 
 

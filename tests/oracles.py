@@ -122,9 +122,10 @@ def brute_nucleus_tables(elements, meet):
 # -- composite routes ----------------------------------------------------------
 
 
-def chi_composite(f, om):
+def chi_composite(f):
     """Classifying map built per element: the smallest sub-presheaf containing
     the element, met with the domain, read off as a truth-value."""
+    from fourtops.classifier import omega
     from fourtops.presheaf import Morphism, intersection
 
     b = f.cod
@@ -138,7 +139,7 @@ def chi_composite(f, om):
             assert value.mask & ~down_u == 0
             table[a] = value
         comp[u] = table
-    return Morphism(b, om, comp)
+    return Morphism(b, omega(poset), comp)
 
 
 def subobjects_from_sets(b, limit=None):
@@ -161,14 +162,15 @@ def subobjects_from_sets(b, limit=None):
     return out
 
 
-def closure_to_nucleus_composite(clop, algebra):
+def closure_to_nucleus_composite(clop):
     """Nucleus of a closure operator through presheaf objects: each subterminal
     inclusion into the terminal is closed with ``closure_of`` and its
     truth-value read with ``cst``."""
-    from fourtops.heyting import Nucleus
+    from fourtops.heyting import Nucleus, algebra_of
     from fourtops.presheaf import terminal
     from fourtops.topology import closure_of
 
+    algebra = algebra_of(clop.poset)
     one = terminal(clop.poset)
     table = []
     for s in algebra.elements:
@@ -195,10 +197,12 @@ def lt_from_morphism(m):
     return LTTopology(poset, tuple(tables))
 
 
-def grotop_inclusion(j, om):
+def grotop_inclusion(j):
     """The covering families as a sub-presheaf of the classifier."""
+    from fourtops.classifier import omega
     from fourtops.presheaf import Inclusion
 
+    om = omega(j.poset)
     families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
     index = om.elements()
     mask = 0
@@ -208,37 +212,36 @@ def grotop_inclusion(j, om):
     return Inclusion._from_mask(om, mask)
 
 
-def grotop_to_lt_composite(j, om):
+def grotop_to_lt_composite(j):
     """Endomap of a covering family through presheaf objects: the classifying
     map of the families' inclusion, read back as tables."""
     from fourtops.classifier import chi
     from fourtops.convert import _require_grotop
 
     _require_grotop(j)
-    return lt_from_morphism(chi(grotop_inclusion(j, om), om))
+    return lt_from_morphism(chi(grotop_inclusion(j)))
 
 
-def closure_of_composite(clop, f, om=None):
+def closure_of_composite(clop, f):
     """Closure of an inclusion through presheaf objects: the inclusion
     classified by the endomap after the classifying map."""
-    from fourtops.classifier import chi, omega, sigma
+    from fourtops.classifier import chi, sigma
     from fourtops.errors import NotInclusion
     from fourtops.presheaf import is_inclusion
 
     if not is_inclusion(f):
         raise NotInclusion("closure acts on inclusions")
-    om = omega(clop.poset) if om is None else om
-    return sigma(chi(f, om).then(clop.lt.as_morphism(om)))
+    return sigma(chi(f).then(clop.lt.as_morphism()))
 
 
-def j_from_closure_composite(clop, om):
+def j_from_closure_composite(clop):
     """Endomap of a closure operator through presheaf objects: the classifying
     map of the closed true inclusion, read back as tables."""
     from fourtops.classifier import chi, true_inclusion
     from fourtops.topology import closure_of
 
-    closed_top = closure_of(clop, true_inclusion(clop.poset, om))
-    return lt_from_morphism(chi(closed_top, om))
+    closed_top = closure_of(clop, true_inclusion(clop.poset))
+    return lt_from_morphism(chi(closed_top))
 
 
 class ObjectUniverse(NamedTuple):
@@ -251,18 +254,18 @@ class ObjectUniverse(NamedTuple):
     map_pairs: tuple
 
 
-def build_universe_literal(poset, om=None, pair_cap=5000, omega_square_cap=24):
+def build_universe_literal(poset, pair_cap=5000, omega_square_cap=24):
     """The closure-law universe as validated objects: subterminal inclusions,
     ``subobjects`` of Ω and of Ω², pairs of inclusions, and map pairs of a
     bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
     order."""
     from fourtops.classifier import chi, omega
-    from fourtops.heyting import HeytingAlgebra
+    from fourtops.heyting import algebra_of
     from fourtops.presheaf import product as times
     from fourtops.presheaf import subobjects, terminal
 
-    om = omega(poset) if om is None else om
-    algebra = HeytingAlgebra(poset)
+    om = omega(poset)
+    algebra = algebra_of(poset)
     one = terminal(poset)
     subterminals = [subterminal_inclusion(one, s) for s in algebra.elements]
     objects = [subterminals, subobjects(om), subobjects(times(om, om), limit=omega_square_cap)]
@@ -275,7 +278,7 @@ def build_universe_literal(poset, om=None, pair_cap=5000, omega_square_cap=24):
             to_one = bang(group[0].cod, one)
             map_pairs.extend((to_one, d) for d in subterminals)
     for f in subterminals:
-        g = chi(f, om)
+        g = chi(f)
         map_pairs.extend((g, d) for d in objects[1][:12])
     return ObjectUniverse(poset, inclusions, pairs, tuple(map_pairs))
 
@@ -516,12 +519,12 @@ def natural_maps(t, b):
     return out
 
 
-def top_composite(b, om):
+def top_composite(b):
     """The constantly-true map on b: the bang followed by true."""
     from fourtops.classifier import true_map
     from fourtops.presheaf import terminal
 
-    return bang(b, terminal(b.poset)).then(true_map(b.poset, om))
+    return bang(b, terminal(b.poset)).then(true_map(b.poset))
 
 
 # -- literal oracle searches ---------------------------------------------------
@@ -710,7 +713,7 @@ def grotops_literal(poset):
     return results
 
 
-def route_reports_literal(poset, algebra=None):
+def route_reports_literal(poset):
     """The route reports the way four separate checkers made them, one loop
     over the point sets each, in the order of ``check_routes``: round trips,
     truncation route, closure route, topmost region covers.  Every conversion
@@ -720,7 +723,7 @@ def route_reports_literal(poset, algebra=None):
     from fourtops.census import _subsets
     from fourtops.convert import InstanceVerdict, RouteReport
 
-    algebra = convert._algebra_on(poset, algebra)
+    algebra = convert.algebra_of(poset)
     subsets = _subsets(poset.points)
 
     def label(y):
@@ -734,18 +737,18 @@ def route_reports_literal(poset, algebra=None):
         lt = convert.nucleus_to_lt(n)
         clop = convert.ClosureOperator(lt)
         j_of_n = convert.nucleus_to_grotop(n)
-        n_of_j = convert.grotop_to_nucleus(j, algebra)
+        n_of_j = convert.grotop_to_nucleus(j)
         lt_of_j = convert.grotop_to_lt(j)
         j_of_lt = convert.lt_to_grotop(lt)
         cycles = (
             convert.point_set_of_nucleus(n) == kept,
             convert.grotop_to_point_set(j) == kept,
-            convert.grotop_to_nucleus(j_of_n, algebra) == n,
+            convert.grotop_to_nucleus(j_of_n) == n,
             convert.nucleus_to_grotop(n_of_j) == j,
             convert.lt_to_grotop(lt_of_j) == j,
             convert.grotop_to_lt(j_of_lt) == lt,
             convert.j_from_closure(clop) == lt,
-            convert.closure_to_nucleus(clop, algebra) == n,
+            convert.closure_to_nucleus(clop) == n,
             j_of_n == j,
             n_of_j == n,
             j_of_lt == j,
@@ -770,10 +773,8 @@ def route_reports_literal(poset, algebra=None):
         clop = convert.ClosureOperator(
             convert.nucleus_to_lt(convert.nucleus_from_point_set(algebra, y))
         )
-        direct = convert.closure_to_nucleus(clop, algebra)
-        via = convert.grotop_to_nucleus(
-            convert.lt_to_grotop(convert.j_from_closure(clop)), algebra
-        )
+        direct = convert.closure_to_nucleus(clop)
+        via = convert.grotop_to_nucleus(convert.lt_to_grotop(convert.j_from_closure(clop)))
         agrees = direct == via
         detail = "" if agrees else f"direct={direct.table} via={via.table}"
         closure.append(InstanceVerdict(label(y), agrees, detail))

@@ -10,7 +10,7 @@ import pathlib
 
 import pytest
 
-from fourtops.classifier import chi, imp_map, meet_map, omega, sigma
+from fourtops.classifier import chi, imp_map, meet_map, sigma
 from fourtops.census import enumerate_lts
 from fourtops.axioms import build_universe, check_closure_axioms, filter_check
 from fourtops.cli import main
@@ -132,10 +132,9 @@ def test_criterion_03_worked_classifying_map(star):
 
 def test_criterion_04_one_point_internal_maps():
     P1 = Poset(["u"])
-    om1 = omega(P1)
     lab = lambda d: 1 if d.mask else 0
-    s_and = {(lab(x), lab(y)) for (x, y) in sigma(meet_map(P1, om1)).dom.sets["u"]}
-    s_imp = {(lab(x), lab(y)) for (x, y) in sigma(imp_map(P1, om1)).dom.sets["u"]}
+    s_and = {(lab(x), lab(y)) for (x, y) in sigma(meet_map(P1)).dom.sets["u"]}
+    s_imp = {(lab(x), lab(y)) for (x, y) in sigma(imp_map(P1)).dom.sets["u"]}
     report(
         "04 one-point internal maps",
         s_and == {(1, 1)} and s_imp == {(0, 0), (0, 1), (1, 1)},
@@ -184,13 +183,11 @@ def test_criterion_07_route_agreement_reports(family_results):
 
 def test_criterion_08_axiom_suites(star):
     P = star.poset()
-    om = omega(P)
-    algebra = HeytingAlgebra(P)
-    universe = build_universe(P, om, pair_cap=5000)
+    universe = build_universe(P, pair_cap=5000)
     lts = enumerate_lts(P, "formula")
     ok = len(lts) == 16
     for lt in lts:
-        ok = ok and is_lt_topology(lt, om).ok
+        ok = ok and is_lt_topology(lt).ok
         ok = ok and check_closure_axioms(ClosureOperator(lt), universe).ok
         grotop = lt_to_grotop(lt)
         ok = ok and is_grothendieck(grotop).ok

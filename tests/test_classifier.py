@@ -98,15 +98,15 @@ class TestOmega:
 
 
 class TestTrueMap:
-    def test_picks_the_maximal_sieve(self, P, om):
-        t = true_map(P, om)
+    def test_picks_the_maximal_sieve(self, P):
+        t = true_map(P)
         for u in P.points:
             assert t.comp[u]["*"].mask == P.down_mask(u)
 
-    def test_monic_and_canonicalizable(self, P, om):
-        t = true_map(P, om)
+    def test_monic_and_canonicalizable(self, P):
+        t = true_map(P)
         assert t.is_monic()
-        inc = true_inclusion(P, om)
+        inc = true_inclusion(P)
         assert is_inclusion(inc)
         for u in P.points:
             assert inc.dom.sets[u] == {DownSet(P, P.down_mask(u))}
@@ -121,19 +121,19 @@ class TestChiSigma:
         g = chi(worked_pair)
         assert pile_code_str(star, g("_2", "4")) == "02"
 
-    def test_identity_inclusion_classifies_true(self, P, om, worked_pair):
+    def test_identity_inclusion_classifies_true(self, P, worked_pair):
         b = worked_pair.cod
-        g = chi(identity(b), om)
+        g = chi(identity(b))
         for u in P.points:
             for a in b.sets[u]:
                 assert g(u, a).mask == P.down_mask(u)
 
-    def test_sigma_of_chi_recovers_inclusion(self, worked_pair, om):
-        assert sigma(chi(worked_pair, om)) == worked_pair
+    def test_sigma_of_chi_recovers_inclusion(self, worked_pair):
+        assert sigma(chi(worked_pair)) == worked_pair
 
-    def test_sigma_of_constant_true(self, P, om, worked_pair):
+    def test_sigma_of_constant_true(self, P, worked_pair):
         b = worked_pair.cod
-        g = top_composite(b, om)
+        g = top_composite(b)
         assert sigma(g).dom == b
 
     def test_sigma_of_constant_bottom_is_empty(self, P, om):
@@ -143,7 +143,7 @@ class TestChiSigma:
         g = Morphism(om, om, comp)
         assert all(not sigma(g).dom.sets[u] for u in P.points)
 
-    def test_chi_requires_inclusion(self, P, om, worked_pair):
+    def test_chi_requires_inclusion(self, P, worked_pair):
         b = worked_pair.cod
         relabel = Presheaf(
             P,
@@ -152,27 +152,27 @@ class TestChiSigma:
         )
         f = Morphism(relabel, b, {"_1": {"x": "6"}, "2_": {}, "_2": {}, "1_": {}})
         with pytest.raises(NotInclusion):
-            chi(f, om)
+            chi(f)
 
-    def test_soundness_over_subterminal_inclusions(self, P, om):
+    def test_soundness_over_subterminal_inclusions(self, P):
         one = terminal(P)
         for f in subobjects(one):
-            assert sigma(chi(f, om)) == f
+            assert sigma(chi(f)) == f
 
     def test_chi_sigma_identity_on_natural_maps(self, P, om):
         # every natural map from the terminal into the classifier
         one = terminal(P)
         for g in natural_maps(one, om):
-            assert chi(sigma(g), om) == g
+            assert chi(sigma(g)) == g
 
-    def test_chi_matches_composite_route(self, P, om):
-        universe = build_universe_literal(P, om)
+    def test_chi_matches_composite_route(self, P):
+        universe = build_universe_literal(P)
         assert len(universe.inclusions) == 474
         for f in universe.inclusions:
-            assert chi(f, om) == chi_composite(f, om)
+            assert chi(f) == chi_composite(f)
 
-    def test_pullback_criterion(self, P, om, worked_pair):
-        g = chi(worked_pair, om)
+    def test_pullback_criterion(self, P, worked_pair):
+        g = chi(worked_pair)
         for u in P.points:
             expected = {
                 b for b in worked_pair.cod.sets[u] if g(u, b).mask == P.down_mask(u)
@@ -181,24 +181,23 @@ class TestChiSigma:
 
 
 class TestInternalMaps:
-    def test_meet_of_true_pair(self, P, om):
-        m = meet_map(P, om)
+    def test_meet_of_true_pair(self, P):
+        m = meet_map(P)
         for u in P.points:
             top = DownSet(P, P.down_mask(u))
             assert m.comp[u][(top, top)] == top
 
     def test_imp_residuation_top(self, P, om):
-        m = imp_map(P, om)
+        m = imp_map(P)
         for u in P.points:
             for s in om.sieves[u]:
                 assert m.comp[u][(s, s)].mask == P.down_mask(u)
 
     def test_one_point_sigma_values(self):
         P1 = Poset(["u"])
-        om1 = omega(P1)
         lab = lambda d: 1 if d.mask else 0
-        s_and = sigma(meet_map(P1, om1))
-        s_imp = sigma(imp_map(P1, om1))
+        s_and = sigma(meet_map(P1))
+        s_imp = sigma(imp_map(P1))
         assert {(lab(x), lab(y)) for (x, y) in s_and.dom.sets["u"]} == {(1, 1)}
         assert {(lab(x), lab(y)) for (x, y) in s_imp.dom.sets["u"]} == {
             (0, 0),
@@ -206,14 +205,14 @@ class TestInternalMaps:
             (1, 1),
         }
 
-    def test_sigma_of_meet_is_the_double_true_equalizer(self, P, om):
-        s_and = sigma(meet_map(P, om))
+    def test_sigma_of_meet_is_the_double_true_equalizer(self, P):
+        s_and = sigma(meet_map(P))
         for u in P.points:
             top = DownSet(P, P.down_mask(u))
             assert s_and.dom.sets[u] == {(top, top)}
 
     def test_sigma_of_imp_is_the_inclusion_order(self, P, om):
-        s_imp = sigma(imp_map(P, om))
+        s_imp = sigma(imp_map(P))
         for u in P.points:
             expected = {
                 (s, t)
@@ -225,10 +224,10 @@ class TestInternalMaps:
 
     def test_imp_equals_the_projection_meet_equalizer(self, P, om):
         sq = product(om, om)
-        e = equalizer(proj(sq, om, om, 0), meet_map(P, om))
-        assert e.dom == sigma(imp_map(P, om)).dom
+        e = equalizer(proj(sq, om, om, 0), meet_map(P))
+        assert e.dom == sigma(imp_map(P)).dom
 
-    def test_meet_and_imp_are_natural(self, P, om):
+    def test_meet_and_imp_are_natural(self, P):
         # Morphism construction re-checks naturality; reaching here is the test
-        meet_map(P, om)
-        imp_map(P, om)
+        meet_map(P)
+        imp_map(P)

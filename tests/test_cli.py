@@ -17,7 +17,6 @@ from fourtops.commands import NameTable, parse_input, structure_json
 from fourtops.emit import emit_json
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
-from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, TwoColumnGraph
 from fourtops.sweep import cross_configurations, sweep_instance
 
@@ -87,11 +86,11 @@ class TestGrammar:
         assert again.payload == spec.payload
 
     def test_every_structure_kind_round_trips_as_text(self):
-        from fourtops.commands import convert_structure, structure_text
+        from fourtops.commands import _quad, structure_text
 
         base = parse_input(STAR + "\ny { _1 }")
         for kind in ("y", "nucleus", "grotop", "lt"):
-            value = convert_structure(base, kind)
+            value = getattr(_quad(base), kind)
             text = structure_text(base, kind, value)
             again = parse_input(STAR + "\n" + text)
             assert again.kind == kind
@@ -598,6 +597,21 @@ def test_ill_typed_json_is_refused_at_the_boundary(text, field, capsys):
     assert "Traceback" not in err
 
 
+SELF_ARROW = {
+    "text": "poset { points: a b ; arrows: a > a a > b }",
+    "json": _json_doc({"kind": "poset", "points": ["a", "b"], "arrows": [["a", "a"], ["a", "b"]]}),
+}
+
+
+@pytest.mark.parametrize("text", SELF_ARROW.values(), ids=SELF_ARROW.keys())
+def test_a_self_arrow_is_refused_by_both_readers(text, capsys):
+    """A self-arrow is a cycle: exit 2 with one error line, not an IndexError
+    out of the oracle search and exit 1, the counterexample code."""
+    assert run("enumerate", "lttops", "--mode", "oracle", "-t", text) == (2, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: self-arrow on 'a'") and err.count("\n") == 1
+
+
 def test_show_true_refuses_render(capsys):
     assert run("show", "true", "--render", "-t", STAR) == (2, "")
     assert capsys.readouterr().err == (
@@ -745,12 +759,13 @@ def test_the_sweep_refuses_exactly_the_sizes_over_the_cap(argv, refused, monkeyp
 def _identity_payloads():
     """The identity nucleus, the identity endomap and the smallest covers on
     the star, as text and as JSON."""
-    from fourtops.commands import convert_structure, poset_json, structure_json, structure_text
+    from fourtops.commands import _quad, poset_json, structure_json, structure_text
 
     spec = parse_input(STAR + "\ny { 2_ 1_ _2 _1 }")
+    quad = _quad(spec)
     out = {}
     for kind in ("nucleus", "lt", "grotop"):
-        value = convert_structure(spec, kind)
+        value = getattr(quad, kind)
         out[kind, "text"] = structure_text(spec, kind, value)
         structure = structure_json(spec.poset, kind, value)
         out[kind, "json"] = {"poset": poset_json(spec), "structure": structure}
@@ -828,7 +843,7 @@ CENSUS_POSETS = {
 
 def _oracle_items(poset):
     """Every structure the oracle enumerators find on ``poset``, with its kind."""
-    items = [("nucleus", n) for n in enumerate_nuclei(HeytingAlgebra(poset), "oracle")]
+    items = [("nucleus", n) for n in enumerate_nuclei(poset, "oracle")]
     items += [("grotop", j) for j in enumerate_grotops(poset, "oracle")]
     items += [("lt", lt) for lt in enumerate_lts(poset, "oracle")]
     return items
@@ -940,6 +955,23 @@ def _fresh_child(code: str) -> str:
     )
     assert got.returncode == 0, got.stderr
     return got.stdout
+
+
+def test_a_one_cpu_sweep_keeps_at_most_one_poset_per_class():
+    """No cache keeps the poset of every configuration it has seen: after
+    the 2x2 sweep in one process, at most one poset per isomorphism class is
+    alive (17, of 76 configurations)."""
+    code = (
+        "import gc, os\n"
+        "os.sched_getaffinity = lambda pid: {0}\n"
+        "from fourtops.poset import Poset\n"
+        "from fourtops.sweep import sweep_entries\n"
+        "entries = list(sweep_entries(2, 2, 6))\n"
+        "gc.collect()\n"
+        "print(len(entries), sum(type(o) is Poset for o in gc.get_objects()))\n"
+    )
+    entries, alive = map(int, _fresh_child(code).split())
+    assert entries == 76 and alive <= 17
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

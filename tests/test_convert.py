@@ -26,10 +26,9 @@ from fourtops.errors import (
     IncoherentQuad,
     InvalidNucleus,
     InvalidTopology,
-    NotElement,
     SizeCapExceeded,
 )
-from fourtops.heyting import HeytingAlgebra, Nucleus, nucleus_from_point_set
+from fourtops.heyting import HeytingAlgebra, Nucleus, algebra_of, nucleus_from_point_set
 from fourtops.poset import Poset, TwoColumnGraph, sieves_on, star_graph
 from fourtops.records import LTTopology, make_grotop
 from fourtops.topology import ClosureOperator, j_from_closure
@@ -153,8 +152,8 @@ class TestNucleusGrotop:
         for y in all_point_subsets(P):
             n = nucleus_from_point_set(algebra, y)
             j = point_set_to_grotop(P, y)
-            assert grotop_to_nucleus(nucleus_to_grotop(n), algebra) == n
-            assert nucleus_to_grotop(grotop_to_nucleus(j, algebra)) == j
+            assert grotop_to_nucleus(nucleus_to_grotop(n)) == n
+            assert nucleus_to_grotop(grotop_to_nucleus(j)) == j
 
 
 class TestNucleusLT:
@@ -212,22 +211,19 @@ class TestTableRoutes:
     def test_grotop_to_lt_equals_composite_on_sweep_posets(self, sweep_posets):
         assert len(sweep_posets) == 40
         for poset in sweep_posets:
-            om = omega(poset)
             for j in enumerate_grotops(poset, "formula"):
-                assert grotop_to_lt(j) == grotop_to_lt_composite(j, om)
+                assert grotop_to_lt(j) == grotop_to_lt_composite(j)
 
     def test_j_from_closure_equals_composite_on_sweep_posets(self, sweep_posets):
         for poset in sweep_posets:
-            om = omega(poset)
             for lt in enumerate_lts(poset, "formula"):
                 clop = ClosureOperator(lt)
-                assert j_from_closure(clop) == j_from_closure_composite(clop, om)
+                assert j_from_closure(clop) == j_from_closure_composite(clop)
 
     def test_j_from_closure_equals_composite_on_random_tables(self, P):
         # most random endomap tables are not topologies: both routes must
         # give the same tables or both refuse a closure that is not a
         # sub-presheaf
-        om = omega(P)
         rng = random.Random(7)
         sizes = [len(sieves_on(P, u)) for u in P.points]
         refused = 0
@@ -240,29 +236,37 @@ class TestTableRoutes:
                 table = j_from_closure(clop)
             except FunctorialityError:
                 with pytest.raises(FunctorialityError):
-                    j_from_closure_composite(clop, om)
+                    j_from_closure_composite(clop)
                 refused += 1
                 continue
-            assert table == j_from_closure_composite(clop, om)
+            assert table == j_from_closure_composite(clop)
         assert refused == 207
 
     def test_one_classifier_per_poset(self, P):
         assert omega(P) is omega(P)
         assert omega(P) is not omega(Poset(P.points))
 
+    def test_one_algebra_per_poset(self, P):
+        # the conversions and the census look the algebra up from the poset
+        j = point_set_to_grotop(P, {"_1"})
+        assert grotop_to_nucleus(j).algebra is algebra_of(P)
+        assert closure_to_nucleus(ClosureOperator(grotop_to_lt(j))).algebra is algebra_of(P)
+        assert enumerate_nuclei(P, "oracle")[0].algebra is algebra_of(P)
+        assert algebra_of(P) is not algebra_of(Poset(P.points))
+
 
 class TestClosureToNucleus:
     def test_identity(self, P, algebra):
         clop = ClosureOperator(lt_identity(P))
-        n = closure_to_nucleus(clop, algebra)
+        n = closure_to_nucleus(clop)
         assert all(n.table[i] == i for i in range(len(algebra)))
 
     def test_equals_point_set_route_everywhere(self, P, algebra):
         for y in all_point_subsets(P):
             n = nucleus_from_point_set(algebra, y)
             clop = ClosureOperator(nucleus_to_lt(n))
-            assert closure_to_nucleus(clop, algebra) == n
-            assert closure_to_nucleus_composite(clop, algebra) == n
+            assert closure_to_nucleus(clop) == n
+            assert closure_to_nucleus_composite(clop) == n
 
     @given(shuffled_posets())
     @settings(max_examples=25, deadline=None)
@@ -270,9 +274,9 @@ class TestClosureToNucleus:
         algebra = HeytingAlgebra(poset)
         for y in all_point_subsets(poset):
             clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
-            assert closure_to_nucleus(clop, algebra) == closure_to_nucleus_composite(clop, algebra)
+            assert closure_to_nucleus(clop) == closure_to_nucleus_composite(clop)
 
-    def test_equals_composite_route_on_random_tables(self, P, algebra):
+    def test_equals_composite_route_on_random_tables(self, P):
         # endomap tables drawn at random are mostly not topologies: both
         # routes must give the same table or both reject a closure that is
         # not a sub-presheaf
@@ -285,28 +289,16 @@ class TestClosureToNucleus:
             )
             clop = ClosureOperator(lt)
             try:
-                direct = closure_to_nucleus(clop, algebra)
+                direct = closure_to_nucleus(clop)
             except FunctorialityError:
                 direct = None
             try:
-                composite = closure_to_nucleus_composite(clop, algebra)
+                composite = closure_to_nucleus_composite(clop)
             except FunctorialityError:
                 composite = None
             assert direct == composite
             outcomes.append(direct is None)
         assert (sum(outcomes), outcomes.count(False)) == (204, 96)
-
-
-class TestAlgebraOnAnotherPoset:
-    def test_conversions_refuse_it(self, P):
-        # the star's points with no arrows: more down-sets, other masks
-        other = HeytingAlgebra(Poset(P.points))
-        j = point_set_to_grotop(P, {"_1"})
-        clop = ClosureOperator(grotop_to_lt(j))
-        with pytest.raises(NotElement):
-            grotop_to_nucleus(j, other)
-        with pytest.raises(NotElement):
-            closure_to_nucleus(clop, other)
 
 
 class TestValidationMemo:
@@ -343,9 +335,8 @@ class TestValidationMemo:
 class TestEnumerators:
     def test_one_point_counts(self):
         P1 = Poset(["u"])
-        H1 = HeytingAlgebra(P1)
-        assert len(enumerate_nuclei(H1, "formula")) == 2
-        assert len(enumerate_nuclei(H1, "oracle")) == 2
+        assert len(enumerate_nuclei(P1, "formula")) == 2
+        assert len(enumerate_nuclei(P1, "oracle")) == 2
         assert len(enumerate_grotops(P1, "oracle")) == 2
         assert len(enumerate_lts(P1, "oracle")) == 2
 
@@ -353,12 +344,10 @@ class TestEnumerators:
         P2 = Poset(["a", "b"], {("a", "b")})
         assert len(enumerate_grotops(P2, "oracle")) == 4
         assert len(enumerate_lts(P2, "oracle")) == 4
-        assert len(enumerate_nuclei(HeytingAlgebra(P2), "oracle")) == 4
+        assert len(enumerate_nuclei(P2, "oracle")) == 4
 
-    def test_star_modes_agree(self, P, algebra):
-        assert set(enumerate_nuclei(algebra, "formula")) == set(
-            enumerate_nuclei(algebra, "oracle")
-        )
+    def test_star_modes_agree(self, P):
+        assert set(enumerate_nuclei(P, "formula")) == set(enumerate_nuclei(P, "oracle"))
         assert set(enumerate_grotops(P, "formula")) == set(
             enumerate_grotops(P, "oracle")
         )
@@ -372,9 +361,8 @@ class TestEnumerators:
     @given(small_posets())
     @settings(max_examples=12, deadline=None)
     def test_census_and_agreement_on_random_posets(self, poset):
-        algebra = HeytingAlgebra(poset)
         expected = 2 ** len(poset.points)
-        nf, no = enumerate_nuclei(algebra, "formula"), enumerate_nuclei(algebra, "oracle")
+        nf, no = enumerate_nuclei(poset, "formula"), enumerate_nuclei(poset, "oracle")
         gf, go = enumerate_grotops(poset, "formula"), enumerate_grotops(poset, "oracle")
         lf, lo = enumerate_lts(poset, "formula"), enumerate_lts(poset, "oracle")
         assert len(no) == len(go) == len(lo) == expected
@@ -407,28 +395,28 @@ class TestEnumerators:
 
 
 class TestQuad:
-    def test_from_full_point_set(self, P, algebra):
-        quad = complete_quad(P, y=P.points, algebra=algebra)
+    def test_from_full_point_set(self, P):
+        quad = complete_quad(P, y=P.points)
         assert quad.grotop == smallest_grotop(P)
 
-    def test_from_largest_grotop(self, P, algebra):
-        quad = complete_quad(P, grotop=largest_grotop(P), algebra=algebra)
+    def test_from_largest_grotop(self, P):
+        quad = complete_quad(P, grotop=largest_grotop(P))
         assert quad.y == frozenset()
 
-    def test_every_entry_recovers_the_one_kept_point(self, P, algebra):
-        base = complete_quad(P, y={"_1"}, algebra=algebra)
+    def test_every_entry_recovers_the_one_kept_point(self, P):
+        base = complete_quad(P, y={"_1"})
         for kwargs in (
             {"nucleus": base.nucleus},
             {"grotop": base.grotop},
             {"lt": base.lt},
         ):
-            assert complete_quad(P, algebra=algebra, **kwargs) == base
+            assert complete_quad(P, **kwargs) == base
 
-    def test_requires_exactly_one_input(self, P, algebra):
+    def test_requires_exactly_one_input(self, P):
         with pytest.raises(IncoherentQuad):
-            complete_quad(P, algebra=algebra)
+            complete_quad(P)
 
-    def test_rejects_mismatched_input(self, P, algebra, monkeypatch):
+    def test_rejects_mismatched_input(self, P, monkeypatch):
         # a wrong conversion reaches the quad through the route row it reads
         def bottom(j):
             return LTTopology(j.poset, tuple((0,) * len(sieves_on(P, u)) for u in P.points))
@@ -436,7 +424,7 @@ class TestQuad:
         monkeypatch.setattr(convert, "grotop_to_lt_direct", bottom)
         message = r"^pairwise conversions disagree: failed cycles: \[12\]$"
         with pytest.raises(IncoherentQuad, match=message):
-            complete_quad(P, y={"_1"}, algebra=algebra)
+            complete_quad(P, y={"_1"})
 
 
 class TestRouteCheckers:
@@ -485,8 +473,8 @@ def _route_mutants():
     def lt_of_empty_point_set(n):
         return nucleus_to_lt_(nucleus_from_point_set(n.algebra, frozenset()))
 
-    def identity_nucleus(clop, algebra=None):
-        algebra = HeytingAlgebra(clop.poset) if algebra is None else algebra
+    def identity_nucleus(clop):
+        algebra = HeytingAlgebra(clop.poset)
         return Nucleus(algebra, tuple(range(len(algebra.elements))))
 
     def bottom_lt(j):
@@ -507,9 +495,8 @@ def _route_mutants():
 class TestCheckRoutes:
     """``check_routes`` against the four separate checkers it replaced."""
 
-    def test_equals_the_literal_reports_on_the_star(self, P, algebra):
+    def test_equals_the_literal_reports_on_the_star(self, P):
         assert check_routes(P) == route_reports_literal(P)
-        assert check_routes(P, algebra) == route_reports_literal(P, algebra)
 
     def test_equals_the_literal_reports_on_sweep_posets(self, sweep_posets):
         for poset in sweep_posets:

@@ -58,6 +58,11 @@ class TestPosetConstruction:
         with pytest.raises(CycleError):
             Poset(["a", "b"], {("a", "b"), ("b", "a")})
 
+    def test_self_arrow_rejected(self):
+        # u > u is a cycle of length one; the closure would not see it
+        with pytest.raises(CycleError, match="^self-arrow on 'a'$"):
+            Poset(["a", "b"], {("a", "a"), ("a", "b")})
+
     def test_unknown_arrow_endpoint(self):
         with pytest.raises(UnknownPoint):
             Poset(["a"], {("a", "z")})

@@ -5,7 +5,6 @@ import pathlib
 import pytest
 
 from fourtops.convert import complete_quad
-from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import TwoColumnGraph, star_graph
 from fourtops.render import (
     render_grotop,
@@ -28,7 +27,7 @@ def star():
 @pytest.fixture(scope="module")
 def quad(star):
     P = star.poset()
-    return complete_quad(P, y={"_1"}, algebra=HeytingAlgebra(P))
+    return complete_quad(P, y={"_1"})
 
 
 class TestZha:
@@ -68,14 +67,14 @@ class TestPanels:
 
     def test_identity_lt_has_no_cut_glyphs(self, star):
         P = star.poset()
-        quad = complete_quad(P, y=P.points, algebra=HeytingAlgebra(P))
+        quad = complete_quad(P, y=P.points)
         text = render_lt(star, quad.lt)
         # singleton regions: every drawn edge is a cut, so no plain edges repeat
         assert text.count("*") == 0
 
     def test_smallest_grotop_marks_only_the_top(self, star, quad):
         P = star.poset()
-        full = complete_quad(P, y=P.points, algebra=HeytingAlgebra(P))
+        full = complete_quad(P, y=P.points)
         text = render_grotop(star, full.grotop)
         assert text.count("*") == len(P.points)
 

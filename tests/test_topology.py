@@ -81,13 +81,13 @@ def all_lts(P):
 
 
 @pytest.fixture(scope="module")
-def universe(P, om):
-    return build_universe(P, om, pair_cap=600, omega_square_cap=10)
+def universe(P):
+    return build_universe(P, pair_cap=600, omega_square_cap=10)
 
 
 @pytest.fixture(scope="module")
-def literal_universe(P, om):
-    return build_universe_literal(P, om, pair_cap=600, omega_square_cap=10)
+def literal_universe(P):
+    return build_universe_literal(P, pair_cap=600, omega_square_cap=10)
 
 
 @pytest.fixture(scope="module")
@@ -97,14 +97,14 @@ def subterminals(P, algebra):
 
 
 @pytest.fixture(scope="module")
-def non_topologies(P, om):
+def non_topologies(P):
     """200 random endomap tables that break the topology axioms."""
     rng = random.Random(1)
     sizes = [len(sieves_on(P, u)) for u in P.points]
     tables = []
     while len(tables) < 200:
         lt = LTTopology(P, tuple(tuple(rng.randrange(n) for _ in range(n)) for n in sizes))
-        if not is_lt_topology(lt, om).ok:
+        if not is_lt_topology(lt).ok:
             tables.append(lt)
     return tables
 
@@ -126,25 +126,25 @@ def constant_true_lt(P):
 
 
 class TestLTAxioms:
-    def test_identity_passes(self, P, om):
-        assert is_lt_topology(lt_identity(P), om).ok
+    def test_identity_passes(self, P):
+        assert is_lt_topology(lt_identity(P)).ok
 
-    def test_constant_true_passes(self, P, om):
-        assert is_lt_topology(constant_true_lt(P), om).ok
+    def test_constant_true_passes(self, P):
+        assert is_lt_topology(constant_true_lt(P)).ok
 
-    def test_non_natural_table_reported(self, P, om):
+    def test_non_natural_table_reported(self, P):
         # send the empty sieve to the maximal one at a single point only
         tables = [list(t) for t in lt_identity(P).tables]
         i = P.index("2_")
         tables[i][0] = len(sieves_on(P, "2_")) - 1
-        report = is_lt_topology(LTTopology(P, tuple(tuple(t) for t in tables)), om)
+        report = is_lt_topology(LTTopology(P, tuple(tuple(t) for t in tables)))
         assert not report.ok
         assert any(f.axiom == "naturality" for f in report.failures)
 
-    def test_every_enumerated_lt_passes(self, P, om, all_lts):
+    def test_every_enumerated_lt_passes(self, P, all_lts):
         assert len(all_lts) == 16
         for lt in all_lts:
-            assert is_lt_topology(lt, om).ok
+            assert is_lt_topology(lt).ok
 
     def test_conjunction_is_built_once_per_classifier(self, P, all_lts, monkeypatch):
         import fourtops.classifier as classifier
@@ -154,13 +154,14 @@ class TestLTAxioms:
         monkeypatch.setattr(
             classifier, "meet_map", lambda *args: built.append(args) or real(*args)
         )
-        om = classifier.OmegaObject(P)  # a fresh classifier, not the cached one
+        omega.cache_clear()  # a fresh classifier, with no conjunction built
         for lt in all_lts:
-            assert is_lt_topology(lt, om).ok
+            assert is_lt_topology(lt).ok
         assert len(built) == 1
+        om = omega(P)
         conj, p0, p1 = internal_meet(om)
         sq = conj.dom
-        assert conj == real(P, om)
+        assert conj == real(P)
         assert (p0, p1) == (proj(sq, om, om, 0), proj(sq, om, om, 1))
 
     def test_square_composites_equal_their_validated_morphisms(self, P, om, all_lts):
@@ -168,7 +169,7 @@ class TestLTAxioms:
         meet square it equals the validated Morphism of the same components."""
         conj, p0, p1 = internal_meet(om)
         for lt in all_lts:
-            jm = lt.as_morphism(om)
+            jm = lt.as_morphism()
             paired = pairing(p0.then(jm), p1.then(jm), conj.dom)
             for first, second in ((conj, jm), (p0, jm), (p1, jm), (paired, conj)):
                 comp = {
@@ -179,11 +180,12 @@ class TestLTAxioms:
                 assert got == Morphism(first.dom, second.cod, comp)
                 assert (got.dom, got.cod) == (first.dom, second.cod)
 
-    def test_square_still_catches_a_wrong_morphism(self, P, om, monkeypatch):
+    def test_square_still_catches_a_wrong_morphism(self, P, monkeypatch):
         """A natural endomap that is not the tables' and breaks meets (the
         negation of sieves) fails the square, though every table law holds."""
 
-        def negation(lt, om):
+        def negation(lt):
+            om = omega(lt.poset)
             comp = {}
             for u in P.points:
                 sieves, pos = om.sieves[u], sieve_positions(P, u)
@@ -192,17 +194,17 @@ class TestLTAxioms:
             return Morphism(om, om, comp)
 
         monkeypatch.setattr(LTTopology, "as_morphism", negation)
-        report = is_lt_topology(lt_identity(P), om)
+        report = is_lt_topology(lt_identity(P))
         assert [f.axiom for f in report.failures] == ["preserves-meets-as-map"]
 
-    def test_meet_law_failure_detected(self, P, om):
+    def test_meet_law_failure_detected(self, P):
         # at the big component, swap the images of the two incomparable sieves
         sieves = sieves_on(P, "2_")
         codes = ["%d%d" % (s.mask.bit_count() // 3, 0) for s in sieves]
         tables = [list(t) for t in lt_identity(P).tables]
         i = P.index("2_")
         tables[i][1], tables[i][2] = tables[i][2], tables[i][1]
-        report = is_lt_topology(LTTopology(P, tuple(tuple(t) for t in tables)), om)
+        report = is_lt_topology(LTTopology(P, tuple(tuple(t) for t in tables)))
         assert not report.ok
 
 
@@ -217,13 +219,13 @@ class TestClosure:
         for f in subterminals:
             assert is_dense(clop, f)
 
-    def test_fused_matches_composite_route(self, P, om, all_lts, literal_universe):
+    def test_fused_matches_composite_route(self, P, all_lts, literal_universe):
         # every topology, every universe inclusion, the Omega-squared group included
         assert any(len(f.cod.sets["2_"]) == 25 for f in literal_universe.inclusions)
         for lt in all_lts:
             clop = ClosureOperator(lt)
             for f in literal_universe.inclusions:
-                assert closure_of(clop, f) == closure_of_composite(clop, f, om)
+                assert closure_of(clop, f) == closure_of_composite(clop, f)
 
     def test_closure_agrees_with_nucleus_on_subterminals(
         self, star, P, algebra, subterminals
@@ -302,10 +304,10 @@ class TestClosure:
         assert (raised, flagged) == (140, 60)
         assert {"C3-monotone", "C4-meets"} <= witnessed
 
-    def test_default_universe_equals_the_literal_one(self, P, om, all_lts, non_topologies):
+    def test_default_universe_equals_the_literal_one(self, P, all_lts, non_topologies):
         # at the default pair cap (5000) and Ω² cap (24), on every star
         # topology and every random non-topology
-        universe, literal = build_universe(P, om), build_universe_literal(P, om)
+        universe, literal = build_universe(P), build_universe_literal(P)
         for lt in all_lts + non_topologies:
             clop = ClosureOperator(lt)
             got = closure_law_outcome(check_closure_axioms, clop, universe)
@@ -385,9 +387,9 @@ class TestOneKernel:
 
 
 @pytest.fixture(scope="module")
-def full_universe(P, om):
+def full_universe(P):
     """Every pair of the star's universe: no pair cap bites."""
-    return build_universe(P, om, pair_cap=100_000)
+    return build_universe(P, pair_cap=100_000)
 
 
 def flattened(literal):
@@ -420,17 +422,17 @@ class TestClosureUniverse:
             assert check_closure_axioms(ClosureOperator(lt), full_universe).ok
 
     @pytest.mark.parametrize("cap", [-1, 0, 1, 150, 5000])
-    def test_pair_cap_lists_at_most_that_many_pairs(self, P, om, full_universe, cap):
+    def test_pair_cap_lists_at_most_that_many_pairs(self, P, full_universe, cap):
         def pairs(universe):
             return sorted(chain(zip(*universe.nested), zip(*universe.crossing)))
 
-        assert pairs(build_universe(P, om, pair_cap=cap)) == pairs(full_universe)[: max(cap, 0)]
+        assert pairs(build_universe(P, pair_cap=cap)) == pairs(full_universe)[: max(cap, 0)]
 
     @pytest.mark.parametrize("square_cap", [10, 24])
     @pytest.mark.parametrize("cap", [-1, 0, 1, 600, 5000, 100_000])
-    def test_rows_equal_the_literal_universe_flattened(self, P, om, cap, square_cap):
-        rows = build_universe(P, om, pair_cap=cap, omega_square_cap=square_cap)
-        literal = build_universe_literal(P, om, pair_cap=cap, omega_square_cap=square_cap)
+    def test_rows_equal_the_literal_universe_flattened(self, P, cap, square_cap):
+        rows = build_universe(P, pair_cap=cap, omega_square_cap=square_cap)
+        literal = build_universe_literal(P, pair_cap=cap, omega_square_cap=square_cap)
         codomains, subobjects, nested, crossing, map_pairs = flattened(literal)
         assert rows.codomains == codomains
         assert rows.subobjects == subobjects
@@ -451,10 +453,6 @@ class TestClosureUniverse:
         one = terminal(P)
         witness = (one, Inclusion._from_mask(one, d).dom)
         assert report.failures == (AxiomFailure("C5-pullback-stable", witness),)
-
-    def test_classifier_on_another_poset_is_refused(self, P):
-        with pytest.raises(ShapeMismatch):
-            build_universe(P, omega(Poset(("a",), set())))
 
     def test_closure_operator_on_another_poset_is_refused(self, universe, literal_universe):
         clop = ClosureOperator(lt_identity(Poset(("a",), set())))
