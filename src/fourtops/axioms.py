@@ -15,14 +15,7 @@ from itertools import chain, islice
 from .classifier import omega
 from .errors import ShapeMismatch
 from .heyting import AxiomFailure, CheckReport
-from .poset import (
-    DownSet,
-    Poset,
-    enumerate_downsets,
-    limited_downsets,
-    sieve_positions,
-    sieves_on,
-)
+from .poset import DownSet, Poset, _downsets, enumerate_downsets, sieve_positions, sieves_on
 from .presheaf import Presheaf, _pull_mask, _truth_values, product, terminal
 from .records import DEFAULT_PAIR_CAP, GrothendieckTopology
 from .topology import ClosureOperator
@@ -68,19 +61,20 @@ def build_universe(
     the subterminals and chi of each subterminal against the first 12
     subobjects of Ω.
 
-    Every mask comes straight from a down-set enumerator over the object's
-    elements.  The terminal has one element per point, in point order, so
-    its subobjects are the poset's down-sets and the bang sends each element
-    to the bit of its point.
+    Every mask comes straight from the down-set enumerator over the down
+    table of the object's element index.  The terminal has one element per
+    point, in point order, so its subobjects are the poset's down-sets (the
+    cached ones that ``H`` holds) and the bang sends each element to the bit
+    of its point.
     """
     om = omega(poset)
     one = terminal(poset)
     square = product(om, om)
-    om_elements = om.element_poset()
+    om_index, square_index = om.elements(), square.elements()
     groups = (
-        tuple(s.mask for s in enumerate_downsets(poset)),
-        tuple(d.mask for d in enumerate_downsets(om_elements, cap=len(om_elements.points))),
-        tuple(d.mask for d in limited_downsets(square.element_poset(), omega_square_cap)),
+        enumerate_downsets(poset),
+        _downsets(om_index.down, om_index.full),
+        _downsets(square_index.down, square_index.full, omega_square_cap),
     )
     codomains = (one, om, square)
     subobjects = tuple((c, mask) for c, masks in enumerate(groups) for mask in masks)
@@ -186,7 +180,7 @@ def filter_check(j: GrothendieckTopology) -> FilterReport:
         down_u = poset.down_mask(u)
         if down_u not in fam:
             failures.append(AxiomFailure("filter-top", (u,)))
-        all_sieves = [s.mask for s in sieves_on(poset, u)]
+        all_sieves = sieves_on(poset, u)
         for r in fam:
             for s in all_sieves:
                 if r | s == s and s not in fam:

@@ -44,13 +44,16 @@ def _subsets(points: tuple) -> list[frozenset]:
 def enumerate_nuclei(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
-    algebra = algebra_of(poset)
     if mode == "formula":
+        algebra = algebra_of(poset)
         return [nucleus_from_point_set(algebra, y) for y in _subsets(poset.points)]
-    if mode == "oracle":
-        tables = enumerate_nucleus_tables(algebra, point_cap)
-        return [Nucleus(algebra, t) for t in tables]
-    raise ValueError(f"unknown mode {mode!r}")
+    if mode != "oracle":
+        raise ValueError(f"unknown mode {mode!r}")
+    # the cap is read before the algebra, which has 2^n elements on n points
+    if len(poset.points) > point_cap:
+        raise SizeCapExceeded(f"oracle nucleus enumeration capped at {point_cap} points")
+    algebra = algebra_of(poset)
+    return [Nucleus(algebra, t) for t in enumerate_nucleus_tables(algebra)]
 
 
 def _linear_extension(poset: Poset) -> list[int]:
@@ -74,7 +77,7 @@ def enumerate_grotops(
     # assign per-point families minimal-points-first so stab and trans are
     # checkable as soon as a point is placed
     order = _linear_extension(poset)
-    sieve_masks = [[s.mask for s in sieves_on(poset, u)] for u in poset.points]
+    sieve_masks = [sieves_on(poset, u) for u in poset.points]
     # ups[i][a]: the sieves on point i containing sieve a, as bits over indices
     ups = [lattice_tables(masks)[0] for masks in sieve_masks]
     results: list[GrothendieckTopology] = []
@@ -154,9 +157,7 @@ def enumerate_lts(
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:
         raise SizeCapExceeded(f"oracle enumeration capped at {point_cap} points")
-    lattices = [
-        lattice_tables([s.mask for s in sieves_on(poset, u)]) for u in poset.points
-    ]
+    lattices = [lattice_tables(sieves_on(poset, u)) for u in poset.points]
     # naturality at an arrow u -> v says t_u[k] lies in fib[t_v[restr[k]]]
     arrows_below: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
         [] for _ in poset.points

@@ -34,7 +34,9 @@ class OmegaObject(Presheaf):
     __slots__ = ("sieves", "element_at", "_true", "_meet")
 
     def __init__(self, poset: Poset):
-        sieves = {u: sieves_on(poset, u) for u in poset.points}
+        # the labels are DownSets: ``sorted_at`` orders them by repr, which
+        # fixes the element order and so the closure-law universe
+        sieves = {u: tuple(DownSet(poset, m) for m in sieves_on(poset, u)) for u in poset.points}
         restr = {}
         for (u, v) in poset.arrows:
             to_v, _ = sieve_restriction(poset, u, v)

@@ -51,17 +51,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p, render=False, json=True):
+    def add_common(p, json=True):
         p.add_argument("-i", "--input", help="input file ('-' for stdin)")
         p.add_argument("-t", "--text", help="inline input text")
         if json:
             p.add_argument("--json", action="store_true", help="structured output")
-        if render:
-            p.add_argument("--render", action="store_true", help="panel output")
 
     p_show = sub.add_parser("show", help="display h, omega, or the true map")
     p_show.add_argument("what", choices=["h", "omega", "true"])
-    add_common(p_show, render=True)
+    add_common(p_show)
 
     p_chi = sub.add_parser("chi", help="classifying map of a subterminal (y payload)")
     add_common(p_chi)
@@ -73,7 +71,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_four = sub.add_parser("fouruple", help="complete all four representations")
     p_four.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
-    add_common(p_four, render=True)
+    add_common(p_four)
 
     p_enum = sub.add_parser("enumerate", help="enumerate structures on the poset")
     p_enum.add_argument("family", choices=["nuclei", "grotops", "lttops"])

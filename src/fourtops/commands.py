@@ -278,7 +278,7 @@ def _realize_structure(spec: InputSpec) -> None:
     if spec.kind == "nucleus":
         algebra = algebra_of(poset)
         spec.payload = Nucleus(
-            algebra, _table(poset, raw, algebra._pos, "the down-set algebra")
+            algebra, _table(poset, raw, algebra.pos, "the down-set algebra")
         )
     elif spec.kind == "lt":
         rows = []
@@ -296,8 +296,8 @@ def _realize_structure(spec: InputSpec) -> None:
 # -- JSON schema ---------------------------------------------------------------
 
 
-def _downset_json(ds: DownSet) -> list[str]:
-    return sorted(str(u) for u in ds.members)
+def _downset_json(poset: Poset, mask: int) -> list[str]:
+    return sorted(str(u) for u in poset.names_of(mask))
 
 
 def poset_json(spec: InputSpec) -> dict:
@@ -327,7 +327,7 @@ class NameTable(dict):
         self.poset = poset
 
     def __missing__(self, mask: int) -> list[str]:
-        names = self[mask] = sorted(str(u) for u in self.poset.names_of(mask))
+        names = self[mask] = _downset_json(self.poset, mask)
         return names
 
 
@@ -338,7 +338,7 @@ def structure_json(poset: Poset, kind: str, value, names: NameTable | None = Non
     if kind == "y":
         return {"kind": "y", "members": sorted(str(u) for u in value)}
     if kind == "nucleus":
-        masks = [s.mask for s in value.algebra.elements]
+        masks = value.algebra.elements
         table = [[names[masks[k]], names[masks[t]]] for k, t in enumerate(value.table)]
         return {"kind": "nucleus", "table": sorted(table)}
     if kind == "grotop":
@@ -349,7 +349,7 @@ def structure_json(poset: Poset, kind: str, value, names: NameTable | None = Non
     if kind == "lt":
         table = []
         for i, u in enumerate(poset.points):
-            masks = [s.mask for s in sieves_on(poset, u)]
+            masks = sieves_on(poset, u)
             pairs = sorted(
                 [names[masks[k]], names[masks[t]]] for k, t in enumerate(value.tables[i])
             )
@@ -474,10 +474,10 @@ def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
     return f"{a}{b}"
 
 
-def _downset_str(spec: InputSpec, ds: DownSet) -> str:
+def _downset_str(spec: InputSpec, mask: int) -> str:
     if spec.graph is not None:
-        return _pile_str(spec.graph, ds.mask)
-    return "{" + ",".join(str(u) for u in ds.members) + "}"
+        return _pile_str(spec.graph, mask)
+    return "{" + ",".join(str(u) for u in spec.poset.names_of(mask)) + "}"
 
 
 def structure_text(spec: InputSpec, kind: str, value) -> str:
@@ -485,25 +485,24 @@ def structure_text(spec: InputSpec, kind: str, value) -> str:
     if kind == "y":
         return "y { " + " ".join(str(u) for u in poset.points if u in value) + " }"
     if kind == "nucleus":
+        els = value.algebra.elements
         rows = "; ".join(
-            f"{_downset_str(spec, s)} -> {_downset_str(spec, value.apply(s))}"
-            for s in value.algebra.elements
+            f"{_downset_str(spec, s)} -> {_downset_str(spec, els[t])}"
+            for s, t in zip(els, value.table)
         )
         return "nucleus { " + rows + " }"
     if kind == "grotop":
         rows = []
         for i, u in enumerate(poset.points):
-            fams = " ".join(
-                _downset_str(spec, DownSet(poset, m)) for m in value.covers[i]
-            )
+            fams = " ".join(_downset_str(spec, m) for m in value.covers[i])
             rows.append(f"{u}: {fams}")
         return "grotop { " + "; ".join(rows) + " }"
     if kind == "lt":
         rows = []
         for i, u in enumerate(poset.points):
             sieves = sieves_on(poset, u)
-            for k, s in enumerate(sieves):
-                t = sieves[value.tables[i][k]]
+            for s, k in zip(sieves, value.tables[i]):
+                t = sieves[k]
                 rows.append(f"{u}: {_downset_str(spec, s)} -> {_downset_str(spec, t)}")
         return "j { " + "; ".join(rows) + " }"
     raise ValueError(kind)
@@ -522,33 +521,18 @@ def _read_input(args) -> InputSpec:
 
 
 def cmd_show(args, out) -> int:
-    if args.render and args.what == "true":
-        raise ParseError("--render applies to show h and show omega only, not show true")
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "h":
         algebra = algebra_of(poset)
-        if args.render:
-            if spec.graph is None:
-                raise ParseError("--render needs a 2cg input")
-            from .render import render_zha
-
-            out.write(render_zha(spec.graph) + "\n")
-        elif args.json:
-            _write_result(out, spec, {"h": [_downset_json(s) for s in algebra.elements]})
+        if args.json:
+            _write_result(out, spec, {"h": [_downset_json(poset, s) for s in algebra.elements]})
         else:
             out.write(" ".join(_downset_str(spec, s) for s in algebra.elements) + "\n")
         return 0
     if args.what == "omega":
-        if args.render:
-            if spec.graph is None:
-                raise ParseError("--render needs a 2cg input")
-            from .render import render_omega
-
-            out.write(render_omega(spec.graph) + "\n")
-            return 0
         rows = [
-            (str(u), [_downset_json(s) for s in sieves_on(poset, u)])
+            (str(u), [_downset_json(poset, s) for s in sieves_on(poset, u)])
             for u in poset.points
         ]
         if args.json:
@@ -559,16 +543,12 @@ def cmd_show(args, out) -> int:
                 out.write(f"{u}: {line}\n")
         return 0
     if args.what == "true":
-        rows = [
-            (str(u), _downset_json(DownSet(poset, poset.down_mask(u))))
-            for u in poset.points
-        ]
+        rows = [(str(u), _downset_json(poset, poset.down_mask(u))) for u in poset.points]
         if args.json:
             _write_result(out, spec, {"true": [[u, v] for u, v in sorted(rows)]})
         else:
             for u in poset.points:
-                ds = DownSet(poset, poset.down_mask(u))
-                out.write(f"{u}: {_downset_str(spec, ds)}\n")
+                out.write(f"{u}: {_downset_str(spec, poset.down_mask(u))}\n")
         return 0
     raise ParseError(f"unknown show target {args.what!r}")
 
@@ -585,14 +565,13 @@ def cmd_chi(args, out) -> int:
     one = terminal(poset)
     f = Inclusion(subterminal_of(poset, sub), one)
     g = chi_map(f)
-    rows = []
-    for u in poset.points:
-        rows.append((str(u), _downset_json(g.comp[u]["*"])))
+    values = [g.comp[u]["*"].mask for u in poset.points]
     if args.json:
-        _write_result(out, spec, {"chi": [[u, v] for u, v in sorted(rows)]})
+        rows = sorted((str(u), _downset_json(poset, m)) for u, m in zip(poset.points, values))
+        _write_result(out, spec, {"chi": [[u, v] for u, v in rows]})
     else:
-        for u in poset.points:
-            out.write(f"{u}: {_downset_str(spec, g.comp[u]['*'])}\n")
+        for u, m in zip(poset.points, values):
+            out.write(f"{u}: {_downset_str(spec, m)}\n")
     return 0
 
 
@@ -616,13 +595,6 @@ def cmd_convert(args, out) -> int:
 def cmd_fouruple(args, out) -> int:
     spec = _read_input(args)
     quad = _quad(spec, args.source)
-    if args.render:
-        if spec.graph is None:
-            raise ParseError("--render needs a 2cg input")
-        from .render import render_quad
-
-        out.write(render_quad(spec.graph, quad) + "\n")
-        return 0
     if args.json:
         names = NameTable(spec.poset)
         _write_result(
@@ -691,9 +663,7 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
         entry["covering_axioms"] = g_report.ok
         f_report = filter_check(grotop)
         entry["filter_laws"] = f_report.report.ok
-        entry["filter_generators"] = [
-            _downset_json(g) for g in f_report.generators
-        ]
+        entry["filter_generators"] = [_downset_json(poset, g.mask) for g in f_report.generators]
         nucleus = grotop_to_nucleus(grotop)
         entry["nucleus_axioms"] = is_nucleus(nucleus.algebra, nucleus.table).ok
         results.append(entry)

@@ -72,12 +72,10 @@ def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
     _require_nucleus(n)
     algebra = n.algebra
     poset = algebra.poset
-    els, pos, table = algebra.elements, algebra._pos, n.table
+    els, pos, table = algebra.elements, algebra.pos, n.table
     covers = []
     for i, u in enumerate(poset.points):
-        covers.append(
-            tuple(m for m in sieve_positions(poset, u) if els[table[pos[m]]].mask >> i & 1)
-        )
+        covers.append(tuple(m for m in sieve_positions(poset, u) if els[table[pos[m]]] >> i & 1))
     return GrothendieckTopology(poset, tuple(covers))
 
 
@@ -93,9 +91,9 @@ def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
     for s in algebra.elements:
         mask = 0
         for bit, down, fam in per_point:
-            if s.mask & down in fam:
+            if s & down in fam:
                 mask |= bit
-        table.append(algebra._pos[mask])
+        table.append(algebra.pos[mask])
     return Nucleus(algebra, tuple(table))
 
 
@@ -107,12 +105,12 @@ def nucleus_to_lt(n: Nucleus) -> LTTopology:
     _require_nucleus(n)
     algebra = n.algebra
     poset = algebra.poset
-    els, pos, table = algebra.elements, algebra._pos, n.table
+    els, pos, table = algebra.elements, algebra.pos, n.table
     tables = []
     for i, u in enumerate(poset.points):
         down_u = poset.down_mask_at(i)
         spos = sieve_positions(poset, u)
-        tables.append(tuple(spos[els[table[pos[m]]].mask & down_u] for m in spos))
+        tables.append(tuple(spos[els[table[pos[m]]] & down_u] for m in spos))
     return LTTopology(poset, tuple(tables))
 
 
@@ -179,7 +177,7 @@ def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
     poset = clop.poset
     algebra = algebra_of(poset)
     closed = clop.closures(terminal(poset).elements())
-    return Nucleus(algebra, tuple(algebra._pos[closed[s.mask]] for s in algebra.elements))
+    return Nucleus(algebra, tuple(algebra.pos[closed[s]] for s in algebra.elements))
 
 
 # -- quadruples ----------------------------------------------------------------
@@ -320,7 +318,7 @@ def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> st
     for i, u in enumerate(poset.points):
         sieves, table = sieves_on(poset, u), lt.tables[i]
         top = table[len(sieves) - 1]
-        top_class = frozenset(sieves[k].mask for k in range(len(sieves)) if table[k] == top)
+        top_class = frozenset(m for m, k in zip(sieves, table) if k == top)
         if top_class != j.covers_mask_set(i):
             return f"at point {u!r}"
     return ""

@@ -13,9 +13,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from ._kernels import enumerate_operator_tables
-from .errors import InvalidNucleus, NotElement, SizeCapExceeded
+from .errors import InvalidNucleus, NotElement
 from .poset import (
-    DEFAULT_POINT_CAP,
     DownSet,
     Poset,
     enumerate_downsets,
@@ -25,14 +24,16 @@ from .poset import (
 
 
 class HeytingAlgebra:
-    """All down-sets of a poset, ordered by inclusion."""
+    """All down-sets of a poset, ordered by inclusion: ``elements`` holds
+    their masks and ``pos`` maps a mask to its index.  The methods that take
+    or give a :class:`DownSet` are for callers outside the package."""
 
-    __slots__ = ("poset", "elements", "_pos", "_hash")
+    __slots__ = ("poset", "elements", "pos", "_hash")
 
     def __init__(self, poset: Poset):
         self.poset = poset
-        self.elements = enumerate_downsets(poset, DEFAULT_POINT_CAP)
-        self._pos = {s.mask: i for i, s in enumerate(self.elements)}
+        self.elements = enumerate_downsets(poset)
+        self.pos = {m: i for i, m in enumerate(self.elements)}
         self._hash = hash(poset)
 
     def __len__(self) -> int:
@@ -46,44 +47,37 @@ class HeytingAlgebra:
 
     @property
     def bottom(self) -> DownSet:
-        return self.elements[0]
+        return DownSet(self.poset, self.elements[0])
 
     @property
     def top(self) -> DownSet:
-        return self.elements[-1]
+        return DownSet(self.poset, self.elements[-1])
 
     def index(self, s: DownSet) -> int:
         if s.poset != self.poset:
             raise NotElement(f"{s!r} lives on a different poset")
         try:
-            return self._pos[s.mask]
+            return self.pos[s.mask]
         except KeyError:
             raise NotElement(f"{s!r} is not an element of this algebra") from None
 
     def element(self, mask: int) -> DownSet:
-        if mask not in self._pos:
+        if mask not in self.pos:
             raise NotElement(f"mask {mask:#x} is not down-closed here")
-        return self.elements[self._pos[mask]]
+        return DownSet(self.poset, mask)
 
     def meet(self, r: DownSet, s: DownSet) -> DownSet:
         self.index(r), self.index(s)
-        return self.elements[self._pos[r.mask & s.mask]]
+        return self.element(r.mask & s.mask)
 
     def join(self, r: DownSet, s: DownSet) -> DownSet:
         self.index(r), self.index(s)
-        return self.elements[self._pos[r.mask | s.mask]]
+        return self.element(r.mask | s.mask)
 
     def imp(self, r: DownSet, s: DownSet) -> DownSet:
         """Largest T with T meet R <= S: the interior of (complement of R) | S."""
         self.index(r), self.index(s)
-        mask = interior_mask(self.poset, (self.poset.full_mask & ~r.mask) | s.mask)
-        return self.elements[self._pos[mask]]
-
-    def meet_table(self) -> tuple[int, ...]:
-        return lattice_tables([s.mask for s in self.elements])[1]
-
-    def up_masks(self) -> tuple[int, ...]:
-        return lattice_tables([s.mask for s in self.elements])[0]
+        return self.element(interior_mask(self.poset, (self.poset.full_mask & ~r.mask) | s.mask))
 
 
 @lru_cache(maxsize=4)
@@ -112,7 +106,8 @@ class Nucleus:
 
 
     def apply(self, s: DownSet) -> DownSet:
-        return self.algebra.elements[self.table[self.algebra.index(s)]]
+        algebra = self.algebra
+        return DownSet(algebra.poset, algebra.elements[self.table[algebra.index(s)]])
 
     def __call__(self, s: DownSet) -> DownSet:
         return self.apply(s)
@@ -169,6 +164,27 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def operator_failures(
+    masks: tuple[int, ...], pos: dict, table: tuple[int, ...]
+) -> tuple[int | None, tuple[int, int] | None]:
+    """The first index k with ``table[table[k]] != table[k]``, and the first
+    pair ``(a, b)``, a <= b in row order, where ``table`` does not preserve
+    the meet of ``masks[a]`` and ``masks[b]``; None where there is none.
+
+    ``masks`` is a lattice of down-sets closed under intersection, ``pos``
+    its mask-to-index map and ``table`` an endomap by index: a nucleus on
+    ``H`` or one point's component of an LT topology on ``Omega(u)``.
+    """
+    n = len(masks)
+    idem = next((k for k in range(n) if table[table[k]] != table[k]), None)
+    for a in range(n):
+        ma, ja = masks[a], masks[table[a]]
+        for b in range(a, n):
+            if table[pos[ma & masks[b]]] != pos[ja & masks[table[b]]]:
+                return idem, (a, b)
+    return idem, None
+
+
 def is_nucleus(algebra: HeytingAlgebra, table: tuple[int, ...]) -> CheckReport:
     """Check the three nucleus axioms, reporting a witness per failure."""
     els = algebra.elements
@@ -176,24 +192,15 @@ def is_nucleus(algebra: HeytingAlgebra, table: tuple[int, ...]) -> CheckReport:
     failures = []
     if len(table) != n or any(not 0 <= v < n for v in table):
         raise NotElement("table is not a total map on the algebra")
-    for i in range(n):
-        if els[i].mask & ~els[table[i]].mask:
-            failures.append(AxiomFailure("inflationary", (els[i],)))
-            break
-    for i in range(n):
-        if table[table[i]] != table[i]:
-            failures.append(AxiomFailure("idempotent", (els[i],)))
-            break
-    done = False
-    for i in range(n):
-        for j in range(i, n):
-            m = algebra._pos[els[i].mask & els[j].mask]
-            if table[m] != algebra._pos[els[table[i]].mask & els[table[j]].mask]:
-                failures.append(AxiomFailure("meet-preserving", (els[i], els[j])))
-                done = True
-                break
-        if done:
-            break
+    bad_inflation = next((i for i in range(n) if els[i] & ~els[table[i]]), None)
+    if bad_inflation is not None:
+        failures.append(AxiomFailure("inflationary", (algebra.element(els[bad_inflation]),)))
+    idem, meet = operator_failures(els, algebra.pos, table)
+    if idem is not None:
+        failures.append(AxiomFailure("idempotent", (algebra.element(els[idem]),)))
+    if meet is not None:
+        witness = tuple(algebra.element(els[k]) for k in meet)
+        failures.append(AxiomFailure("meet-preserving", witness))
     return CheckReport("nucleus axioms", tuple(failures))
 
 
@@ -201,9 +208,7 @@ def nucleus_from_point_set(algebra: HeytingAlgebra, kept: Iterable) -> Nucleus:
     """Nucleus induced by a point set Y: S -> interior(Q | S), Q the complement."""
     poset = algebra.poset
     q_mask = poset.full_mask & ~poset.mask_of(kept)
-    table = tuple(
-        algebra._pos[interior_mask(poset, q_mask | s.mask)] for s in algebra.elements
-    )
+    table = tuple(algebra.pos[interior_mask(poset, q_mask | s)] for s in algebra.elements)
     return Nucleus(algebra, table)
 
 
@@ -230,8 +235,8 @@ def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
     poset = algebra.poset
     out = []
     for i, u in enumerate(poset.points):
-        full = algebra._pos[poset.down_mask_at(i)]
-        strict = algebra._pos[poset.down_mask_at(i) & ~(1 << i)]
+        full = algebra.pos[poset.down_mask_at(i)]
+        strict = algebra.pos[poset.down_mask_at(i) & ~(1 << i)]
         if nucleus.table[full] != nucleus.table[strict]:
             out.append(u)
     return frozenset(out)
@@ -240,14 +245,13 @@ def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
 def modality_on_downset(nucleus: Nucleus, s: DownSet):
     """The induced operator R -> (R* meet S) on the elements below S."""
     algebra = nucleus.algebra
-    si = algebra.index(s)
-    els = algebra.elements
+    algebra.index(s)
 
     def act(r: DownSet) -> DownSet:
         ri = algebra.index(r)
-        if els[ri].mask & ~s.mask:
+        if r.mask & ~s.mask:
             raise NotElement(f"{r!r} is not below {s!r}")
-        return algebra.element(els[nucleus.table[ri]].mask & els[si].mask)
+        return algebra.element(algebra.elements[nucleus.table[ri]] & s.mask)
 
     return act
 
@@ -281,8 +285,8 @@ def _build_slashing(algebra: HeytingAlgebra, key_of) -> Slashing:
     for cls in classes:
         union = 0
         for i in cls:
-            union |= algebra.elements[i].mask
-        tops.append(algebra._pos[union])
+            union |= algebra.elements[i]
+        tops.append(algebra.pos[union])
     for cls, top in zip(classes, tops):
         if top not in cls:
             raise InvalidNucleus("region has no topmost member")
@@ -292,7 +296,7 @@ def _build_slashing(algebra: HeytingAlgebra, key_of) -> Slashing:
 def slashing_from_erased(algebra: HeytingAlgebra, erased: Iterable) -> Slashing:
     """Regions of elements that agree once the erased points are removed."""
     q_mask = algebra.poset.mask_of(erased)
-    return _build_slashing(algebra, lambda i: algebra.elements[i].mask & ~q_mask)
+    return _build_slashing(algebra, lambda i: algebra.elements[i] & ~q_mask)
 
 
 def slashing_from_nucleus(nucleus: Nucleus) -> Slashing:
@@ -303,20 +307,16 @@ def slashings_agree(a: Slashing, b: Slashing) -> bool:
     return a.algebra == b.algebra and a.as_partition() == b.as_partition()
 
 
+# the oracle enumerators' default point cap (see ``census``), here so that
+# the CLI's help text reads it without compiling the census
 DEFAULT_ORACLE_POINT_CAP = 6
 
 
-def enumerate_nucleus_tables(
-    algebra: HeytingAlgebra, point_cap: int = DEFAULT_ORACLE_POINT_CAP
-) -> list[tuple[int, ...]]:
+def enumerate_nucleus_tables(algebra: HeytingAlgebra) -> list[tuple[int, ...]]:
     """Brute-force search for every table passing the nucleus axioms."""
-    if len(algebra.poset.points) > point_cap:
-        raise SizeCapExceeded(
-            f"oracle nucleus enumeration capped at {point_cap} points"
-        )
     return enumerate_operator_tables(
         len(algebra.elements),
-        *lattice_tables([s.mask for s in algebra.elements]),
+        *lattice_tables(algebra.elements),
         inflationary=True,
         top_fixed=False,
     )

@@ -133,7 +133,9 @@ class Poset:
 
 
 class DownSet:
-    """A downward-closed subset of a poset, stored as a bitmask."""
+    """A downward-closed subset of a poset, stored as a bitmask and checked
+    on construction: the form a down-set takes where it leaves the package.
+    The enumerators give bare masks."""
 
     __slots__ = ("poset", "mask")
 
@@ -208,24 +210,26 @@ def interior_mask(poset: Poset, mask: int) -> int:
     return out
 
 
-def downset_sort_key(poset: Poset, mask: int) -> tuple:
+def downset_sort_key(mask: int) -> tuple:
     """Order: size first, then lexicographic membership in point order."""
-    return (mask.bit_count(), tuple(i for i in range(len(poset.points)) if mask >> i & 1))
+    return (mask.bit_count(), tuple(_bits(mask)))
 
 
-def _downsets(poset: Poset, top: int, limit: int | None = None) -> tuple[DownSet, ...]:
-    """The first ``limit`` (default: all) down-sets inside ``top``, in (size,
-    membership) order.
+def _downsets(down: Sequence[int], top: int, limit: int | None = None) -> tuple[int, ...]:
+    """The masks of the first ``limit`` (default: all) down-sets inside
+    ``top``, in (size, membership) order, over a down table: ``down[i]`` is
+    the mask of everything at or below i, as ``Poset._down`` gives for a
+    poset's points and ``ElementIndex.down`` for a presheaf's elements.
 
     They are generated one size level at a time, so a limit stops the walk
     early: a down-set of size k + 1 is one of size k plus a point whose
     strict down-set it holds.
     """
-    strict = [poset.down_mask_at(i) & ~(1 << i) for i in range(len(poset.points))]
+    strict = [d & ~(1 << i) for i, d in enumerate(down)]
     masks: list[int] = []
     level = [0]
     while level and (limit is None or len(masks) < limit):
-        level.sort(key=lambda m: downset_sort_key(poset, m))
+        level.sort(key=downset_sort_key)
         masks.extend(level)
         grown = set()
         for mask in level:
@@ -236,39 +240,34 @@ def _downsets(poset: Poset, top: int, limit: int | None = None) -> tuple[DownSet
                 if strict[i] & ~mask == 0:
                     grown.add(mask | 1 << i)
         level = list(grown)
-    return tuple(DownSet(poset, m) for m in masks[:limit])
+    return tuple(masks[:limit])
 
 
 @lru_cache(maxsize=None)
-def enumerate_downsets(poset: Poset, cap: int = DEFAULT_POINT_CAP) -> tuple[DownSet, ...]:
-    """All down-sets, in deterministic (size, membership) order."""
-    if len(poset.points) > cap:
-        raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {cap}")
-    return _downsets(poset, poset.full_mask)
-
-
-def limited_downsets(poset: Poset, limit: int) -> tuple[DownSet, ...]:
-    """First ``limit`` down-sets in (size, membership) order, generated lazily
-    by size level so large posets never materialize their whole lattice."""
-    return _downsets(poset, poset.full_mask, limit)
+def enumerate_downsets(poset: Poset) -> tuple[int, ...]:
+    """The masks of all down-sets, in (size, membership) order."""
+    if len(poset.points) > DEFAULT_POINT_CAP:
+        raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {DEFAULT_POINT_CAP}")
+    return _downsets(poset._down, poset.full_mask)
 
 
 @lru_cache(maxsize=None)
-def sieves_on(poset: Poset, u: PointId) -> tuple[DownSet, ...]:
-    """All sieves on u: down-sets of the ambient poset contained in ``down u``.
+def sieves_on(poset: Poset, u: PointId) -> tuple[int, ...]:
+    """The masks of all sieves on u: down-sets of the ambient poset contained
+    in ``down u``.
 
     They are the principal ideal below ``down u`` of the down-set lattice, in
     the order of :func:`enumerate_downsets`, under the same point cap.
     """
     if len(poset.points) > DEFAULT_POINT_CAP:
         raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {DEFAULT_POINT_CAP}")
-    return _downsets(poset, poset.down_mask(u))
+    return _downsets(poset._down, poset.down_mask(u))
 
 
 @lru_cache(maxsize=None)
 def sieve_positions(poset: Poset, u: PointId) -> dict:
     """Mask -> index into :func:`sieves_on`, the one index of the sieves on u."""
-    return {s.mask: k for k, s in enumerate(sieves_on(poset, u))}
+    return {m: k for k, m in enumerate(sieves_on(poset, u))}
 
 
 def lattice_tables(masks: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -301,7 +300,7 @@ def sieve_restriction(
     """
     down_v = poset.down_mask(v)
     pos_v = sieve_positions(poset, v)
-    restr = tuple(pos_v[s.mask & down_v] for s in sieves_on(poset, u))
+    restr = tuple(pos_v[s & down_v] for s in sieves_on(poset, u))
     fib = [0] * len(pos_v)
     for k, r in enumerate(restr):
         fib[r] |= 1 << k

@@ -8,7 +8,7 @@ codomain's and the whole subobject calculus (preimage, intersection, image)
 stays on the nose.
 
 Every inclusion into B also carries a bitmask over B's elements (u, a), in
-element-poset order: points in order, labels in ``sorted_at`` order.  A
+element order: points in order, labels in ``sorted_at`` order.  A
 sub-presheaf is exactly a down-closed mask, so derived subobjects are built
 from masks with that one check and are otherwise trusted: their restrictions
 and composite paths are sliced from B rather than recomposed and revalidated.
@@ -27,7 +27,7 @@ from .errors import (
     ShapeMismatch,
     UnknownElement,
 )
-from .poset import DownSet, Poset, _bits
+from .poset import DownSet, Poset, _bits, _downsets
 
 Label = Hashable
 
@@ -37,7 +37,7 @@ def _label_key(label):
 
 
 class ElementIndex:
-    """The elements (u, a) of a presheaf in element-poset order.
+    """The elements (u, a) of a presheaf in element order.
 
     ``bit`` maps an element to its position; ``point[k]`` is the point index
     of element k; ``rows[k]`` holds one (point bit, element bit) pair per point
@@ -271,17 +271,6 @@ class Presheaf:
             f"{u}:{{{','.join(map(str, self.sorted_at(u)))}}}" for u in self.poset.points
         )
         return f"Presheaf({parts})"
-
-    # -- derived structure ---------------------------------------------------
-
-    def element_poset(self) -> Poset:
-        """The poset of elements: points (u, a), with (u, a) above its images."""
-        points = self.elements().keys
-        arrows = set()
-        for (u, v), table in self.restr.items():
-            for a, b in table.items():
-                arrows.add(((u, a), (v, b)))
-        return Poset(points, arrows)
 
 
 @lru_cache(maxsize=4)
@@ -520,17 +509,11 @@ def subterminal_of(poset: Poset, s: DownSet) -> Presheaf:
 
 
 def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:
-    """Inclusions into b, via down-sets of its poset of elements.
+    """Inclusions into b, one per down-set of b's elements under the element
+    index's down table.
 
     Deterministic (size, membership) order; ``limit`` keeps only the first
     entries of that order and avoids materializing the rest.
     """
-    from .poset import enumerate_downsets, limited_downsets
-
-    epo = b.element_poset()
-    if limit is None:
-        downs = enumerate_downsets(epo, cap=len(epo.points))
-    else:
-        downs = limited_downsets(epo, limit)
-    # epo's points are b's elements in index order, so its masks are b's
-    return [Inclusion._from_mask(b, d.mask) for d in downs]
+    index = b.elements()
+    return [Inclusion._from_mask(b, m) for m in _downsets(index.down, index.full, limit)]

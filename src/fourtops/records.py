@@ -44,7 +44,7 @@ class LTTopology:
 
     def apply(self, u, s: DownSet) -> DownSet:
         k = sieve_positions(self.poset, u)[s.mask]
-        return sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]]
+        return DownSet(self.poset, sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]])
 
     def as_morphism(self) -> Morphism:
         from .classifier import omega
@@ -93,5 +93,5 @@ def make_grotop(poset: Poset, families: dict) -> GrothendieckTopology:
         if fam <= pos.keys():  # sieve index order is downset_sort_key order
             covers.append(tuple(sorted(fam, key=pos.__getitem__)))
         else:
-            covers.append(tuple(sorted(fam, key=lambda m: downset_sort_key(poset, m))))
+            covers.append(tuple(sorted(fam, key=downset_sort_key)))
     return GrothendieckTopology(poset, tuple(covers))

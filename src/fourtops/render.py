@@ -130,8 +130,7 @@ def render_omega(g: TwoColumnGraph) -> str:
     poset = g.poset()
     blocks = {}
     for u in poset.points:
-        visible = {s.mask for s in sieves_on(poset, u)}
-        blocks[u] = _panel(g, visible)
+        blocks[u] = _panel(g, set(sieves_on(poset, u)))
     return "\n".join(_point_panels(g, blocks))
 
 
@@ -140,10 +139,8 @@ def render_lt(g: TwoColumnGraph, lt: LTTopology) -> str:
     poset = g.poset()
     blocks = {}
     for i, u in enumerate(poset.points):
-        sieves = sieves_on(poset, u)
-        visible = {s.mask for s in sieves}
-        classes = {s.mask: lt.tables[i][k] for k, s in enumerate(sieves)}
-        blocks[u] = _panel(g, visible, classes=classes)
+        classes = dict(zip(sieves_on(poset, u), lt.tables[i]))
+        blocks[u] = _panel(g, set(classes), classes=classes)
     return "\n".join(_point_panels(g, blocks))
 
 
@@ -152,19 +149,14 @@ def render_grotop(g: TwoColumnGraph, j: GrothendieckTopology) -> str:
     poset = g.poset()
     blocks = {}
     for i, u in enumerate(poset.points):
-        visible = {s.mask for s in sieves_on(poset, u)}
-        blocks[u] = _panel(g, visible, marked=set(j.covers[i]))
+        blocks[u] = _panel(g, set(sieves_on(poset, u)), marked=set(j.covers[i]))
     return "\n".join(_point_panels(g, blocks))
 
 
 def render_nucleus(g: TwoColumnGraph, nucleus: Nucleus) -> str:
     """The full lattice slashed by the nucleus's fibers."""
-    algebra = nucleus.algebra
-    visible = {s.mask for s in algebra.elements}
-    classes = {
-        s.mask: nucleus.table[i] for i, s in enumerate(algebra.elements)
-    }
-    return "\n".join(_panel(g, visible, classes=classes))
+    classes = dict(zip(nucleus.algebra.elements, nucleus.table))
+    return "\n".join(_panel(g, set(classes), classes=classes))
 
 
 def render_point_set(g: TwoColumnGraph, kept) -> str:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .classifier import chi_tables, internal_meet, omega, true_inclusion
 from .errors import InvalidTopology, ShapeMismatch
-from .heyting import AxiomFailure, CheckReport
+from .heyting import AxiomFailure, CheckReport, operator_failures
 from .poset import (
     DownSet,
     Poset,
@@ -49,27 +49,14 @@ def is_lt_topology(j: LTTopology) -> CheckReport:
                 failures.append(AxiomFailure("naturality", ((u, v), s)))
                 break
     for i, u in enumerate(poset.points):
-        table = j.tables[i]
-        sieves = om.sieves[u]
-        pos = sieve_positions(poset, u)
-        top = len(sieves) - 1
-        bad_idem = next((k for k in range(len(sieves)) if table[table[k]] != table[k]), None)
-        if bad_idem is not None:
-            failures.append(AxiomFailure("idempotent", (u, sieves[bad_idem])))
-        if table[top] != top:
+        table, labels = j.tables[i], om.sieves[u]
+        idem, meet = operator_failures(sieves_on(poset, u), sieve_positions(poset, u), table)
+        if idem is not None:
+            failures.append(AxiomFailure("idempotent", (u, labels[idem])))
+        if table[-1] != len(table) - 1:
             failures.append(AxiomFailure("preserves-true", (u,)))
-        done = False
-        for a in range(len(sieves)):
-            for b in range(a, len(sieves)):
-                m = pos[sieves[a].mask & sieves[b].mask]
-                if table[m] != pos[sieves[table[a]].mask & sieves[table[b]].mask]:
-                    failures.append(
-                        AxiomFailure("preserves-meets", (u, sieves[a], sieves[b]))
-                    )
-                    done = True
-                    break
-            if done:
-                break
+        if meet is not None:
+            failures.append(AxiomFailure("preserves-meets", (u, *(labels[k] for k in meet))))
     if not failures:
         conj, p0, p1 = internal_meet(om)
         jm = j.as_morphism()
@@ -102,7 +89,7 @@ class ClosureOperator:
         for i, u in enumerate(poset.points):
             sieves = sieves_on(poset, u)
             top = len(sieves) - 1
-            cover.extend(s.mask * width + i for s, k in zip(sieves, lt.tables[i]) if k == top)
+            cover.extend(m * width + i for m, k in zip(sieves, lt.tables[i]) if k == top)
         self.cover = frozenset(cover)
         self._closures: dict = {}
 
@@ -258,23 +245,21 @@ def canonical_grothendieck(base: Poset) -> GrothendieckTopology:
     the union of its members is that open.
     """
     opens = enumerate_downsets(base)
-    names = tuple("{" + ",".join(str(p) for p in o.members) + "}" for o in opens)
-    by_name = dict(zip(names, opens))
+    names = tuple("{" + ",".join(str(p) for p in base.names_of(o)) + "}" for o in opens)
     arrows = set()
     for i, o in enumerate(opens):
         for k, w in enumerate(opens):
-            if i != k and w.mask | o.mask == o.mask:
+            if i != k and w | o == o:
                 arrows.add((names[i], names[k]))
     space = Poset(names, arrows)
     families: dict = {}
-    for name in names:
-        o = by_name[name]
+    for name, o in zip(names, opens):
         fam = []
         for sieve in sieves_on(space, name):
             union = 0
-            for member in sieve.members:
-                union |= by_name[member].mask
-            if union == o.mask:
+            for k in _bits(sieve):
+                union |= opens[k]
+            if union == o:
                 fam.append(sieve)
         families[name] = fam
     return make_grotop(space, families)

@@ -142,21 +142,39 @@ def chi_composite(f):
     return Morphism(b, omega(poset), comp)
 
 
+def element_poset(b):
+    """The poset of elements of b: points (u, a), points in order and labels
+    in ``sorted_at`` order, with (u, a) above its image along each generating
+    arrow.  Its down table is the reference for ``b.elements().down``."""
+    from fourtops.poset import Poset
+
+    points = [(u, a) for u in b.poset.points for a in b.sorted_at(u)]
+    arrows = set()
+    for (u, v), table in b.restr.items():
+        for a, c in table.items():
+            arrows.add(((u, a), (v, c)))
+    return Poset(points, arrows)
+
+
+def element_poset_downsets(b, limit=None):
+    """The masks of the first ``limit`` (default: all) down-sets of b's
+    element poset, in (size, membership) order."""
+    from fourtops.poset import _downsets
+
+    epo = element_poset(b)
+    return _downsets(epo._down, epo.full_mask, limit)
+
+
 def subobjects_from_sets(b, limit=None):
     """Inclusions into b, one validated sub-presheaf per down-set of b's
     element poset, built from the down-set's member labels."""
-    from fourtops.poset import enumerate_downsets, limited_downsets
     from fourtops.presheaf import Inclusion
 
-    epo = b.element_poset()
-    if limit is None:
-        downs = enumerate_downsets(epo, cap=len(epo.points))
-    else:
-        downs = limited_downsets(epo, limit)
+    epo = element_poset(b)
     out = []
-    for d in downs:
+    for d in element_poset_downsets(b, limit):
         sets = {u: set() for u in b.poset.points}
-        for (u, a) in d.members:
+        for (u, a) in epo.names_of(d):
             sets[u].add(a)
         out.append(Inclusion(sub_from_sets(b, sets), b))
     return out
@@ -298,7 +316,7 @@ def check_closure_axioms_literal(clop, universe):
     for i, u in enumerate(poset.points):
         sieves, table = sieves_on(poset, u), clop.lt.tables[i]
         top = poset.down_mask_at(i)
-        covering.append({s.mask for k, s in enumerate(sieves) if sieves[table[k]].mask == top})
+        covering.append({s for k, s in enumerate(sieves) if sieves[table[k]] == top})
     failures = []
     closed: dict = {}
 
@@ -352,15 +370,16 @@ def check_closure_axioms_literal(clop, universe):
 # -- label-set constructions ---------------------------------------------------
 
 
-def subterminal_inclusion(one, s):
-    """The subterminal with truth-value s, included into the terminal ``one``.
+def subterminal_inclusion(one, mask):
+    """The subterminal whose truth-value is the down-set ``mask``, included
+    into the terminal ``one``.
 
     The terminal has one element per point, in point order, so the down-set's
     point mask is already the element mask.
     """
     from fourtops.presheaf import Inclusion
 
-    return Inclusion._from_mask(one, s.mask)
+    return Inclusion._from_mask(one, mask)
 
 
 def identity(b):
@@ -578,14 +597,14 @@ def sieve_lattice_literal(sieves):
     """The order and meet tables of a list of sieves, by index, written out
     pair by pair."""
     n = len(sieves)
-    pos = {s.mask: k for k, s in enumerate(sieves)}
+    pos = {s: k for k, s in enumerate(sieves)}
     up = [0] * n
     meet = [0] * (n * n)
     for a in range(n):
         for b in range(n):
-            if sieves[a].mask | sieves[b].mask == sieves[b].mask:
+            if sieves[a] | sieves[b] == sieves[b]:
                 up[a] |= 1 << b
-            meet[a * n + b] = pos[sieves[a].mask & sieves[b].mask]
+            meet[a * n + b] = pos[sieves[a] & sieves[b]]
     return tuple(up), tuple(meet)
 
 
@@ -608,8 +627,8 @@ def lts_literal(poset):
     for (u, v) in sorted(poset.arrows, key=repr):
         iu, iv = poset.index(u), poset.index(v)
         down_v = poset.down_mask(v)
-        pos_v = {s.mask: k for k, s in enumerate(sieve_lists[iv])}
-        restr = tuple(pos_v[s.mask & down_v] for s in sieve_lists[iu])
+        pos_v = {s: k for k, s in enumerate(sieve_lists[iv])}
+        restr = tuple(pos_v[s & down_v] for s in sieve_lists[iu])
         arrow_info.append((iu, iv, restr))
     results = []
     tables = [None] * len(poset.points)
@@ -651,7 +670,7 @@ def grotops_literal(poset):
     order = sorted(
         range(len(poset.points)), key=lambda i: poset.down_mask_at(i).bit_count()
     )
-    sieve_masks = [[s.mask for s in sieves_on(poset, u)] for u in poset.points]
+    sieve_masks = [sieves_on(poset, u) for u in poset.points]
     results = []
     chosen = {}
 
@@ -790,7 +809,7 @@ def route_reports_literal(poset):
             table = tables[i]
             top = len(sieves) - 1
             top_class = frozenset(
-                sieves[k].mask for k in range(len(sieves)) if table[k] == table[top]
+                sieves[k] for k in range(len(sieves)) if table[k] == table[top]
             )
             if top_class != grotop.covers_mask_set(i):
                 agrees = False
@@ -833,7 +852,7 @@ def cross_configurations_literal(p, q):
 def structure_json_literal(poset, kind, value):
     """The JSON form of one structure, each row's names sorted anew and a
     nucleus read through ``apply``."""
-    from fourtops.poset import sieves_on
+    from fourtops.poset import DownSet, sieves_on
 
     def names(mask):
         return sorted(str(u) for u in poset.names_of(mask))
@@ -841,7 +860,9 @@ def structure_json_literal(poset, kind, value):
     if kind == "y":
         return {"kind": "y", "members": sorted(str(u) for u in value)}
     if kind == "nucleus":
-        table = [[names(s.mask), names(value.apply(s).mask)] for s in value.algebra.elements]
+        table = [
+            [names(s), names(value.apply(DownSet(poset, s)).mask)] for s in value.algebra.elements
+        ]
         return {"kind": "nucleus", "table": sorted(table)}
     if kind == "grotop":
         covers = []
@@ -853,7 +874,7 @@ def structure_json_literal(poset, kind, value):
         for i, u in enumerate(poset.points):
             sieves = sieves_on(poset, u)
             pairs = sorted(
-                [names(s.mask), names(sieves[value.tables[i][k]].mask)]
+                [names(s), names(sieves[value.tables[i][k]])]
                 for k, s in enumerate(sieves)
             )
             table.append([str(u), pairs])

@@ -612,18 +612,14 @@ def test_a_self_arrow_is_refused_by_both_readers(text, capsys):
     assert err.startswith("error: self-arrow on 'a'") and err.count("\n") == 1
 
 
-def test_show_true_refuses_render(capsys):
-    assert run("show", "true", "--render", "-t", STAR) == (2, "")
-    assert capsys.readouterr().err == (
-        "error: --render applies to show h and show omega only, not show true\n"
-    )
-
-
 @pytest.mark.parametrize(
     "argv",
     [
         ("render", "zha", "--json"),
         ("render", "zha", "--cap", "3"),
+        ("show", "h", "--render"),
+        ("show", "omega", "--render"),
+        ("fouruple", "--from", "y", "--render"),
         ("show", "h", "--cap", "3"),
         ("chi", "--cap", "3"),
         ("convert", "--from", "y", "--to", "lt", "--cap", "3"),
@@ -647,6 +643,31 @@ def test_enumerate_oracle_still_reads_cap(cap, code, capsys):
     assert run("enumerate", "nuclei", "--mode", "oracle", "--cap", cap, "-t", STAR)[0] == code
     err = capsys.readouterr().err
     assert err == ("error: oracle nucleus enumeration capped at 3 points\n" if code else "")
+
+
+def test_oracle_nuclei_over_the_cap_build_no_downset(capsys):
+    """The point cap is read before the down-set algebra is built: on a
+    16-point antichain (65,536 down-sets) the refusal enumerates none."""
+    from fourtops.poset import enumerate_downsets
+
+    antichain = "poset { points: " + " ".join(f"p{i}" for i in range(16)) + " ; arrows: }"
+    before = enumerate_downsets.cache_info().misses
+    assert run("enumerate", "nuclei", "--mode", "oracle", "-t", antichain) == (2, "")
+    assert capsys.readouterr().err == "error: oracle nucleus enumeration capped at 6 points\n"
+    assert enumerate_downsets.cache_info().misses == before
+
+
+def test_check_axioms_enumerates_the_downsets_once():
+    """``H`` and the closure-law universe share one cache entry for the
+    poset's down-sets, and the classifier's subobjects add none."""
+    from fourtops.heyting import algebra_of
+    from fourtops.poset import enumerate_downsets
+
+    enumerate_downsets.cache_clear()
+    algebra_of.cache_clear()
+    assert run("check", "axioms", "-t", STAR)[0] == 0
+    info = enumerate_downsets.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_closed_pipe_is_a_usage_error_without_a_traceback():
@@ -984,7 +1005,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     sweep; importing the package alone loads no submodule.  Importing the CLI
     loads neither the other commands' handlers (``commands``) nor the
     enumerators (``census``), a sweep loads no handler, and ``show`` and
-    ``fouruple`` load the renderers only with ``--render``."""
+    ``fouruple`` never load the renderers."""
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
     unwanted = {
@@ -1029,7 +1050,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         return _fresh_child(code)
 
     assert loads(["sweep", "--pmax", "1", "--qmax", "1", "--json"], "fourtops.commands") == "0 False\n"
-    # the panel renderers load only with --render
+    # the panel renderers load only for ``render``
     for argv in (["show", "omega"], ["show", "h"], ["fouruple", "--from", "y"]):
         text = "2cg p=1 q=1" + ("\ny { 1_ }" if argv[0] == "fouruple" else "")
         assert loads([*argv, "-t", text], "fourtops.render") == "0 False\n", argv

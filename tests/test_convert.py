@@ -29,7 +29,7 @@ from fourtops.errors import (
     SizeCapExceeded,
 )
 from fourtops.heyting import HeytingAlgebra, Nucleus, algebra_of, nucleus_from_point_set
-from fourtops.poset import Poset, TwoColumnGraph, sieves_on, star_graph
+from fourtops.poset import DownSet, Poset, TwoColumnGraph, sieves_on, star_graph
 from fourtops.records import LTTopology, make_grotop
 from fourtops.topology import ClosureOperator, j_from_closure
 
@@ -175,7 +175,7 @@ class TestNucleusLT:
         sieves = sieves_on(P, "2_")
         table = lt.tables[P.index("2_")]
         got = {
-            pile_code_str(star, s): pile_code_str(star, sieves[table[k]])
+            pile_code_str(star, DownSet(P, s)): pile_code_str(star, DownSet(P, sieves[table[k]]))
             for k, s in enumerate(sieves)
         }
         assert got == {"00": "10", "10": "10", "01": "21", "11": "21", "21": "21"}

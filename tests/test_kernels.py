@@ -5,26 +5,26 @@ from hypothesis import given, settings, strategies as st
 
 from fourtops import _kernels
 from fourtops.heyting import HeytingAlgebra
-from fourtops.poset import Poset, sieves_on
+from fourtops.poset import Poset, lattice_tables, sieves_on
 
 from .oracles import operator_tables_literal
 
 
 def lattice_inputs(poset):
     algebra = HeytingAlgebra(poset)
-    return len(algebra), algebra.up_masks(), algebra.meet_table()
+    return len(algebra), *lattice_tables(algebra.elements)
 
 
 def sieve_lattice_inputs(poset, u):
     """The sieve lattice on u, as the LT-topology search feeds it."""
     sieves = sieves_on(poset, u)
     n = len(sieves)
-    pos = {s.mask: k for k, s in enumerate(sieves)}
+    pos = {s: k for k, s in enumerate(sieves)}
     up = tuple(
-        sum(1 << b for b in range(n) if sieves[a].mask & ~sieves[b].mask == 0)
+        sum(1 << b for b in range(n) if sieves[a] & ~sieves[b] == 0)
         for a in range(n)
     )
-    meet = tuple(pos[sieves[a].mask & sieves[b].mask] for a in range(n) for b in range(n))
+    meet = tuple(pos[sieves[a] & sieves[b]] for a in range(n) for b in range(n))
     return n, up, meet
 
 

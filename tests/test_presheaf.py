@@ -10,7 +10,7 @@ from fourtops.errors import (
     ShapeMismatch,
     UnknownElement,
 )
-from fourtops.poset import DownSet, Poset, enumerate_downsets
+from fourtops.poset import DownSet, Poset, TwoColumnGraph, enumerate_downsets
 from fourtops.presheaf import (
     Inclusion,
     Morphism,
@@ -31,6 +31,8 @@ from .oracles import (
     bang,
     cst,
     element_downset,
+    element_poset,
+    element_poset_downsets,
     empty_presheaf,
     equalizer,
     identity,
@@ -296,14 +298,14 @@ class TestElementPosets:
             element_downset(big_example, "2_", "9")
 
     def test_po_then_ob_rebuilds(self, big_example):
-        epo = big_example.element_poset()
+        epo = element_poset(big_example)
         back = presheaf_from_element_poset(epo, big_example.poset)
         assert back == big_example
 
     def test_subobject_count_matches_element_downsets(self, big_example):
-        epo = big_example.element_poset()
+        epo = element_poset(big_example)
         assert len(subobjects(big_example)) == len(
-            enumerate_downsets(epo, cap=len(epo.points))
+            enumerate_downsets(epo)
         )
 
     def test_subobjects_are_valid_inclusions(self, big_example):
@@ -323,6 +325,54 @@ class TestElementPosets:
         assert fast == slow
         keys = [(f.mask.bit_count(), _positions(f.mask)) for f in fast]
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("which", ["one", "omega", "square"])
+    def test_subobjects_are_the_element_poset_downsets(self, star_poset_module, which):
+        """On 1, Ω and Ω² of the star and of every class of the 2x2 sweep,
+        the element index's down table is the reference element poset's, and
+        the masks of ``subobjects``, whole and cut at each limit, are that
+        poset's down-sets in order.  The cuts are prefixes of the whole list
+        (Ω² has too many subobjects to list whole, so it is checked cut)."""
+        from fourtops.classifier import omega
+        from fourtops.poset import canonical_form
+        from fourtops.sweep import cross_configurations
+
+        classes = {canonical_form(star_poset_module): star_poset_module}
+        for p in range(3):
+            for q in range(3):
+                for cross in cross_configurations(p, q):
+                    poset = TwoColumnGraph(p, q, cross).poset()
+                    classes.setdefault(canonical_form(poset), poset)
+        assert len(classes) == 17
+        for poset in classes.values():
+            om = omega(poset)
+            b = {"one": terminal(poset), "omega": om, "square": product(om, om)}[which]
+            epo = element_poset(b)
+            assert b.elements().down == epo._down
+            full = None if which == "square" else element_poset_downsets(b)
+            for limit in (0, 1, 3, 24, None):
+                if limit is None and full is None:
+                    continue
+                got = tuple(f.mask for f in subobjects(b, limit=limit))
+                assert got == element_poset_downsets(b, limit)
+                assert full is None or got == full[:limit]
+
+    def test_subobjects_add_no_poset_cache_entry(self):
+        """Subobjects are enumerated over the element index, so no element
+        poset enters the poset caches: 50 fresh presheaves leave all three as
+        they were."""
+        from fourtops import poset as poset_module
+
+        caches = (
+            poset_module.enumerate_downsets,
+            poset_module.sieves_on,
+            poset_module.sieve_positions,
+        )
+        before = [cache.cache_info().currsize for cache in caches]
+        base = Poset(["x"])
+        for k in range(50):
+            assert len(subobjects(Presheaf(base, {"x": {f"a{k}"}}, {}))) == 2
+        assert [cache.cache_info().currsize for cache in caches] == before
 
     def test_from_mask_rejects_a_mask_that_is_not_down_closed(self, big_example):
         index = big_example.elements()
@@ -451,6 +501,7 @@ class TestSubterminals:
 
     def test_subterminal_of_round_trip(self, star_poset_module):
         for d in enumerate_downsets(star_poset_module):
+            d = DownSet(star_poset_module, d)
             assert cst(subterminal_of(star_poset_module, d)) == d
 
     def test_bang_is_natural(self, big_example):
