@@ -8,20 +8,26 @@ conversions along different paths and compare the results by value,
 reporting counterexamples in full rather than asserting; one pass over the
 point sets builds each point set's faces once for all of them and runs each
 conversion once per distinct input value.
+
+The conversions take structures that pass their laws and check nothing: a
+face converted from a valid face is valid, which the route comparisons and
+the census prove by value.  Given an invalid structure, a conversion raises
+a FourtopsError or returns a wrong value, which those checks report.  A
+structure from outside is checked where it enters: by ``complete_quad`` for
+the CLI's payloads, by the ``is_*`` checkers for a library caller.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
 from .census import _subsets
 from .classifier import chi_tables, omega
-from .errors import IncoherentQuad, InvalidTopology
+from .errors import IncoherentQuad, InvalidNucleus, InvalidTopology
 from .heyting import (
     Nucleus,
-    _require_nucleus,
     algebra_of,
+    is_nucleus,
     nucleus_from_point_set,
     point_set_of_nucleus,
 )
@@ -31,13 +37,9 @@ from .records import GrothendieckTopology, LTTopology
 from .topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
 
 
-@lru_cache(maxsize=64)
-def _require_grotop(j: GrothendieckTopology) -> None:
-    """Raise InvalidTopology unless j passes the covering axioms; like
-    ``_require_nucleus``, each passing value is checked once."""
-    report = is_grothendieck(j)
-    if not report.ok:
-        raise InvalidTopology(report.summary())
+# what the two covering-family routes raise when the points where a sieve
+# covers are not down-closed, which a stable family never gives
+_UNSTABLE = "covering families are not stable: the points where a sieve covers are not down-closed"
 
 
 # -- point set <-> covering families ----------------------------------------
@@ -55,7 +57,6 @@ def point_set_to_grotop(poset: Poset, kept: Iterable) -> GrothendieckTopology:
 
 def grotop_to_point_set(j: GrothendieckTopology) -> frozenset:
     """The points whose only cover is the maximal sieve."""
-    _require_grotop(j)
     poset = j.poset
     out = []
     for i, u in enumerate(poset.points):
@@ -69,7 +70,6 @@ def grotop_to_point_set(j: GrothendieckTopology) -> frozenset:
 
 def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
     """A sieve covers u when u lands in the sieve's closure under the nucleus."""
-    _require_nucleus(n)
     algebra = n.algebra
     poset = algebra.poset
     els, pos, table = algebra.elements, algebra.pos, n.table
@@ -81,19 +81,21 @@ def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
 
 def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
     """Closure of S collects the points u with S-restricted-to-u covering u."""
-    _require_grotop(j)
     poset = j.poset
     algebra = algebra_of(poset)
     per_point = [
         (1 << i, poset.down_mask_at(i), frozenset(fam)) for i, fam in enumerate(j.covers)
     ]
     table = []
-    for s in algebra.elements:
-        mask = 0
-        for bit, down, fam in per_point:
-            if s & down in fam:
-                mask |= bit
-        table.append(algebra.pos[mask])
+    try:
+        for s in algebra.elements:
+            mask = 0
+            for bit, down, fam in per_point:
+                if s & down in fam:
+                    mask |= bit
+            table.append(algebra.pos[mask])
+    except KeyError:
+        raise InvalidTopology(_UNSTABLE) from None
     return Nucleus(algebra, tuple(table))
 
 
@@ -102,7 +104,6 @@ def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
 
 def nucleus_to_lt(n: Nucleus) -> LTTopology:
     """Truncate the nucleus to each point's sieve lattice."""
-    _require_nucleus(n)
     algebra = n.algebra
     poset = algebra.poset
     els, pos, table = algebra.elements, algebra.pos, n.table
@@ -120,36 +121,40 @@ def nucleus_to_lt(n: Nucleus) -> LTTopology:
 def grotop_to_lt(j: GrothendieckTopology) -> LTTopology:
     """Classifying map of the inclusion of the covering families, computed on
     the classifier's element masks."""
-    _require_grotop(j)
     poset = j.poset
     om = omega(poset)
     mask = 0
-    for u, elements, fam in zip(poset.points, om.element_at, j.covers):
-        pos = sieve_positions(poset, u)
-        for m in fam:
-            mask |= 1 << elements[pos[m]]
+    try:
+        for u, elements, fam in zip(poset.points, om.element_at, j.covers):
+            pos = sieve_positions(poset, u)
+            for m in fam:
+                mask |= 1 << elements[pos[m]]
+    except KeyError:
+        raise InvalidTopology(f"a covering family at {u!r} holds a mask that is not a sieve") from None
     return LTTopology(poset, chi_tables(om, mask))
 
 
 def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
     """Independent route: j_u(S) collects the points of ``down u`` where the
     restricted sieve covers."""
-    _require_grotop(j)
     poset = j.poset
     downs = poset._down
     families = [frozenset(fam) for fam in j.covers]
     tables = []
-    for u, down_u in zip(poset.points, downs):
-        below = [(1 << i, downs[i], families[i]) for i in _bits(down_u)]
-        pos = sieve_positions(poset, u)
-        row = []
-        for s in pos:
-            mask = 0
-            for bit, down, fam in below:
-                if s & down in fam:
-                    mask |= bit
-            row.append(pos[mask])
-        tables.append(tuple(row))
+    try:
+        for u, down_u in zip(poset.points, downs):
+            below = [(1 << i, downs[i], families[i]) for i in _bits(down_u)]
+            pos = sieve_positions(poset, u)
+            row = []
+            for s in pos:
+                mask = 0
+                for bit, down, fam in below:
+                    if s & down in fam:
+                        mask |= bit
+                row.append(pos[mask])
+            tables.append(tuple(row))
+    except KeyError:
+        raise InvalidTopology(_UNSTABLE) from None
     return LTTopology(poset, tuple(tables))
 
 
@@ -218,9 +223,11 @@ def complete_quad(
 ) -> Quad:
     """Fill in the other three representations from any single one.
 
-    The quad is the point set's faces in its ``route_row``, and it is
-    coherent when every route of that row agrees: IncoherentQuad names the
-    failed detail otherwise.
+    The given face must pass its checker, since no conversion checks it:
+    InvalidNucleus or InvalidTopology carries the checker's summary.  The
+    quad is the point set's faces in its ``route_row``, and it is coherent
+    when every route of that row agrees: IncoherentQuad names the failed
+    detail otherwise.
     """
     given = [x is not None for x in (y, nucleus, grotop, lt)]
     if sum(given) != 1:
@@ -229,8 +236,14 @@ def complete_quad(
         kept = frozenset(y)
         _ = [poset.index(u) for u in kept]
     elif nucleus is not None:
+        report = is_nucleus(nucleus.algebra, nucleus.table)
+        if not report.ok:
+            raise InvalidNucleus(report.summary())
         kept = point_set_of_nucleus(nucleus)
     elif grotop is not None:
+        report = is_grothendieck(grotop)
+        if not report.ok:
+            raise InvalidTopology(report.summary())
         kept = grotop_to_point_set(grotop)
     else:
         assert lt is not None

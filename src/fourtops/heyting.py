@@ -212,25 +212,8 @@ def nucleus_from_point_set(algebra: HeytingAlgebra, kept: Iterable) -> Nucleus:
     return Nucleus(algebra, table)
 
 
-@lru_cache(maxsize=64)
-def _require_nucleus(n: Nucleus) -> None:
-    """Raise InvalidNucleus unless n passes the nucleus axioms.
-
-    Nuclei are frozen and hashed by value, so each passing value is checked
-    once; a failed check raises, and lru_cache keeps nothing for a call that
-    raised, so it raises again on every call.  The route checkers revisit one
-    poset's structures, one per point set, before they move on, so 64 entries
-    hold them all up to six points (the default oracle cap) while memory
-    stays flat over a long sweep.
-    """
-    report = is_nucleus(n.algebra, n.table)
-    if not report.ok:
-        raise InvalidNucleus(report.summary())
-
-
 def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
     """The points where the nucleus separates ``down u`` from ``strictly-down u``."""
-    _require_nucleus(nucleus)
     algebra = nucleus.algebra
     poset = algebra.poset
     out = []

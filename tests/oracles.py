@@ -234,9 +234,12 @@ def grotop_to_lt_composite(j):
     """Endomap of a covering family through presheaf objects: the classifying
     map of the families' inclusion, read back as tables."""
     from fourtops.classifier import chi
-    from fourtops.convert import _require_grotop
+    from fourtops.errors import InvalidTopology
+    from fourtops.topology import is_grothendieck
 
-    _require_grotop(j)
+    report = is_grothendieck(j)
+    if not report.ok:
+        raise InvalidTopology(report.summary())
     return lt_from_morphism(chi(grotop_inclusion(j)))
 
 

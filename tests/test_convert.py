@@ -1,5 +1,6 @@
 """Conversions among the four representations, enumerators, and checkers."""
 
+import itertools
 import random
 
 import pytest
@@ -22,16 +23,31 @@ from fourtops.convert import (
     point_set_to_grotop,
 )
 from fourtops.errors import (
+    FourtopsError,
     FunctorialityError,
     IncoherentQuad,
     InvalidNucleus,
     InvalidTopology,
     SizeCapExceeded,
 )
-from fourtops.heyting import HeytingAlgebra, Nucleus, algebra_of, nucleus_from_point_set
-from fourtops.poset import DownSet, Poset, TwoColumnGraph, sieves_on, star_graph
-from fourtops.records import LTTopology, make_grotop
-from fourtops.topology import ClosureOperator, j_from_closure
+from fourtops.heyting import (
+    HeytingAlgebra,
+    Nucleus,
+    algebra_of,
+    is_nucleus,
+    nucleus_from_point_set,
+    point_set_of_nucleus,
+)
+from fourtops.poset import (
+    DownSet,
+    Poset,
+    TwoColumnGraph,
+    enumerate_downsets,
+    sieves_on,
+    star_graph,
+)
+from fourtops.records import GrothendieckTopology, LTTopology, make_grotop
+from fourtops.topology import ClosureOperator, is_grothendieck, j_from_closure
 
 from .conftest import pile_code_str
 from .oracles import (
@@ -301,35 +317,111 @@ class TestClosureToNucleus:
         assert (sum(outcomes), outcomes.count(False)) == (204, 96)
 
 
-class TestValidationMemo:
-    def test_invalid_covers_raise_on_every_call(self, P):
-        from fourtops.convert import _require_grotop
+def _outcomes(conversions, values) -> dict:
+    """For each conversion, on how many values it returned and on how many
+    it raised a FourtopsError; any other exception fails the test."""
+    outcomes = {f.__name__: [0, 0] for f in conversions}
+    for value in values:
+        for f in conversions:
+            try:
+                f(value)
+            except FourtopsError:
+                outcomes[f.__name__][1] += 1
+            else:
+                outcomes[f.__name__][0] += 1
+    return outcomes
 
-        j = make_grotop(P, {u: [] for u in P.points})
-        before = _require_grotop.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(InvalidTopology):
-                grotop_to_nucleus(j)
-        assert _require_grotop.cache_info().currsize == before
 
-    def test_invalid_nucleus_raises_on_every_call(self, algebra):
-        from fourtops.heyting import _require_nucleus
+GROTOP_CONVERSIONS = (grotop_to_nucleus, grotop_to_lt, grotop_to_lt_direct, grotop_to_point_set)
 
+
+class TestValidationAtTheBoundary:
+    """A given structure is checked where it enters, by ``complete_quad``;
+    the conversions trust what they are given, and on a structure that
+    fails its laws they return or raise a FourtopsError."""
+
+    def test_an_invalid_nucleus_is_refused_where_it_enters(self, P, algebra):
         n = Nucleus(algebra, (0,) * len(algebra))
-        before = _require_nucleus.cache_info().currsize
-        for _ in range(2):
-            with pytest.raises(InvalidNucleus):
-                nucleus_to_grotop(n)
-        assert _require_nucleus.cache_info().currsize == before
+        with pytest.raises(InvalidNucleus) as caught:
+            complete_quad(P, nucleus=n)
+        assert str(caught.value) == is_nucleus(algebra, n.table).summary()
 
-    def test_a_valid_value_is_checked_once(self, P):
-        from fourtops.convert import _require_grotop
+    def test_invalid_covers_are_refused_where_they_enter(self, P):
+        j = make_grotop(P, {u: [] for u in P.points})
+        with pytest.raises(InvalidTopology) as caught:
+            complete_quad(P, grotop=j)
+        assert str(caught.value) == is_grothendieck(j).summary()
 
-        j = point_set_to_grotop(P, {"_1"})
-        grotop_to_nucleus(j)
-        hits = _require_grotop.cache_info().hits
-        grotop_to_nucleus(point_set_to_grotop(P, {"_1"}))
-        assert _require_grotop.cache_info().hits == hits + 1
+    def test_every_invalid_covering_family_on_three_points(self):
+        poset = Poset(["a", "b", "c"], [("c", "a"), ("c", "b")])
+        per_point = [
+            [
+                tuple(m for k, m in enumerate(sieves_on(poset, u)) if bits >> k & 1)
+                for bits in range(1 << len(sieves_on(poset, u)))
+            ]
+            for u in poset.points
+        ]
+        families = [GrothendieckTopology(poset, c) for c in itertools.product(*per_point)]
+        invalid = [j for j in families if not is_grothendieck(j).ok]
+        assert (len(families), len(invalid)) == (512, 504)
+        outcomes = _outcomes(GROTOP_CONVERSIONS, invalid)
+        assert outcomes == {
+            "grotop_to_nucleus": [65, 439],
+            "grotop_to_lt": [65, 439],
+            "grotop_to_lt_direct": [65, 439],
+            "grotop_to_point_set": [504, 0],
+        }
+
+    def test_random_invalid_covering_families_on_the_star(self, P):
+        # some families also hold a down-set that is not a sieve on its point
+        rng = random.Random(21)
+        downsets = enumerate_downsets(P)
+        invalid = []
+        for _ in range(400):
+            covers = []
+            for u in P.points:
+                fam = [m for m in sieves_on(P, u) if rng.random() < 0.5]
+                if rng.random() < 0.25:
+                    fam.append(rng.choice(downsets))
+                covers.append(tuple(fam))
+            j = GrothendieckTopology(P, tuple(covers))
+            if not is_grothendieck(j).ok:
+                invalid.append(j)
+        outcomes = _outcomes(GROTOP_CONVERSIONS, invalid)
+        assert len(invalid) == 399
+        assert outcomes == {
+            "grotop_to_nucleus": [44, 355],
+            "grotop_to_lt": [23, 376],
+            "grotop_to_lt_direct": [44, 355],
+            "grotop_to_point_set": [399, 0],
+        }
+
+    def test_every_invalid_nucleus_table_on_a_two_chain(self):
+        algebra = algebra_of(Poset(["a", "b"], [("b", "a")]))
+        tables = itertools.product(range(len(algebra)), repeat=len(algebra))
+        invalid = [Nucleus(algebra, t) for t in tables if not is_nucleus(algebra, t).ok]
+        outcomes = _outcomes((nucleus_to_grotop, nucleus_to_lt, point_set_of_nucleus), invalid)
+        assert len(invalid) == 23
+        assert all(o == [23, 0] for o in outcomes.values())
+
+    def test_the_census_reports_a_derived_table_that_is_not_a_nucleus(
+        self, star, monkeypatch
+    ):
+        from fourtops.sweep import sweep_instance
+
+        formula = convert.nucleus_from_point_set
+
+        def one_bad(algebra, kept):
+            if kept == frozenset({"_1"}):
+                bad = Nucleus(algebra, (0,) * len(algebra))
+                assert not is_nucleus(algebra, bad.table).ok
+                return bad
+            return formula(algebra, kept)
+
+        monkeypatch.setattr(convert, "nucleus_from_point_set", one_bad)
+        entry = sweep_instance(star, 6)
+        assert entry["census"]["nuclei"] is False
+        assert entry["ok"] is False
 
 
 class TestEnumerators:
