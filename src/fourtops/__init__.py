@@ -32,26 +32,17 @@ _HOMES = {
     "heyting": (
         "HeytingAlgebra",
         "Nucleus",
-        "Slashing",
         "is_nucleus",
-        "modality_on_downset",
         "nucleus_from_point_set",
         "point_set_of_nucleus",
-        "slashing_from_erased",
-        "slashing_from_nucleus",
-        "slashings_agree",
     ),
     "poset": (
         "DownSet",
         "Poset",
         "TwoColumnGraph",
-        "down_closure",
-        "down_of_point",
         "enumerate_downsets",
-        "interior",
         "sieves_on",
         "star_graph",
-        "strict_down",
     ),
     "presheaf": (
         "Inclusion",

@@ -23,7 +23,7 @@ from typing import Iterable
 
 from .census import _subsets
 from .classifier import chi_tables, omega
-from .errors import IncoherentQuad, InvalidNucleus, InvalidTopology
+from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology
 from .heyting import (
     Nucleus,
     algebra_of,
@@ -343,12 +343,14 @@ ROUTE_NAMES = ("round trips", "truncation route", "closure route", "topmost regi
 def route_row(poset: Poset, kept: frozenset) -> tuple:
     """One point set's label, its faces ``(n, j, lt)`` and the details of
     the four routes of ``check_routes``, each empty exactly when its
-    comparison agrees.
+    comparison agrees.  A FourtopsError that a conversion raises fails each
+    route it stops, with the error's type and message as the detail.
 
     Each conversion runs once per distinct input value: the conversions are
-    pure functions of values that hash by value, so a repeated input gets
-    the value a second call would give.  Every conversion is looked up here
-    at call time, so a patched one reaches every route.
+    pure functions of values that hash by value (the row's one closure
+    operator, by identity), so a repeated input gets the value a second
+    call would give.  Every conversion is looked up here at call time, so a
+    patched one reaches every route.
     """
     memo: dict = {}
 
@@ -363,37 +365,46 @@ def route_row(poset: Poset, kept: frozenset) -> tuple:
     j = point_set_to_grotop(poset, kept)
     lt = nucleus_to_lt(n)
     clop = ClosureOperator(lt)
-    j_of_n = once(nucleus_to_grotop, n)
-    n_of_j = once(grotop_to_nucleus, j)
-    lt_of_j = once(grotop_to_lt, j)
-    j_of_lt = once(lt_to_grotop, lt)
-    lt_of_clop = j_from_closure(clop)
-    n_of_clop = closure_to_nucleus(clop)
-    cycles = (
-        point_set_of_nucleus(n) == kept,
-        grotop_to_point_set(j) == kept,
-        once(grotop_to_nucleus, j_of_n) == n,
-        once(nucleus_to_grotop, n_of_j) == j,
-        once(lt_to_grotop, lt_of_j) == j,
-        once(grotop_to_lt, j_of_lt) == lt,
-        lt_of_clop == lt,
-        n_of_clop == n,
-        j_of_n == j,
-        n_of_j == n,
-        j_of_lt == j,
-        lt_of_j == lt,
-        grotop_to_lt_direct(j) == lt,
-    )
-    failed = [i for i, c in enumerate(cycles) if not c]
-    lt_via = once(grotop_to_lt, j_of_n)
-    n_via = once(grotop_to_nucleus, once(lt_to_grotop, lt_of_clop))
-    details = (
-        f"failed cycles: {failed}" if failed else "",
-        "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}",
-        "" if n_of_clop == n_via else f"direct={n_of_clop.table} via={n_via.table}",
-        _top_class_miss(poset, lt, j),
-    )
-    return _y_label(poset, kept), (n, j, lt), details
+
+    def round_trips() -> str:
+        j_of_n = once(nucleus_to_grotop, n)
+        n_of_j = once(grotop_to_nucleus, j)
+        lt_of_j = once(grotop_to_lt, j)
+        j_of_lt = once(lt_to_grotop, lt)
+        cycles = (
+            point_set_of_nucleus(n) == kept,
+            grotop_to_point_set(j) == kept,
+            once(grotop_to_nucleus, j_of_n) == n,
+            once(nucleus_to_grotop, n_of_j) == j,
+            once(lt_to_grotop, lt_of_j) == j,
+            once(grotop_to_lt, j_of_lt) == lt,
+            once(j_from_closure, clop) == lt,
+            once(closure_to_nucleus, clop) == n,
+            j_of_n == j,
+            n_of_j == n,
+            j_of_lt == j,
+            lt_of_j == lt,
+            grotop_to_lt_direct(j) == lt,
+        )
+        failed = [i for i, c in enumerate(cycles) if not c]
+        return f"failed cycles: {failed}" if failed else ""
+
+    def truncation() -> str:
+        lt_via = once(grotop_to_lt, once(nucleus_to_grotop, n))
+        return "" if lt == lt_via else f"direct={lt.tables} via={lt_via.tables}"
+
+    def closure() -> str:
+        n_of_clop = once(closure_to_nucleus, clop)
+        n_via = once(grotop_to_nucleus, once(lt_to_grotop, once(j_from_closure, clop)))
+        return "" if n_of_clop == n_via else f"direct={n_of_clop.table} via={n_via.table}"
+
+    details = []
+    for route in (round_trips, truncation, closure, lambda: _top_class_miss(poset, lt, j)):
+        try:
+            details.append(route())
+        except FourtopsError as err:
+            details.append(f"stopped by {type(err).__name__}: {err}")
+    return _y_label(poset, kept), (n, j, lt), tuple(details)
 
 
 def route_pass(poset: Poset):

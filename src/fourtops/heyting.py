@@ -1,10 +1,9 @@
-"""The Heyting algebra of down-sets, nuclei, and slashings.
+"""The Heyting algebra of down-sets and nuclei.
 
 A nucleus is an inflationary, idempotent, binary-meet-preserving endomap of
 the down-set algebra.  Every subset Y of the points induces one via
 ``S -> interior(Q | S)`` where Q is the complement of Y, and every nucleus
-arises this way; the slashing is the partition of the algebra into fibers of
-the nucleus, each with a topmost element.
+arises this way.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from ._kernels import enumerate_operator_tables
-from .errors import InvalidNucleus, NotElement
+from .errors import NotElement
 from .poset import (
     DownSet,
     Poset,
@@ -223,71 +222,6 @@ def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
         if nucleus.table[full] != nucleus.table[strict]:
             out.append(u)
     return frozenset(out)
-
-
-def modality_on_downset(nucleus: Nucleus, s: DownSet):
-    """The induced operator R -> (R* meet S) on the elements below S."""
-    algebra = nucleus.algebra
-    algebra.index(s)
-
-    def act(r: DownSet) -> DownSet:
-        ri = algebra.index(r)
-        if r.mask & ~s.mask:
-            raise NotElement(f"{r!r} is not below {s!r}")
-        return algebra.element(algebra.elements[nucleus.table[ri]] & s.mask)
-
-    return act
-
-
-class Slashing:
-    """A partition of the algebra into regions, each with a topmost element."""
-
-    __slots__ = ("algebra", "classes", "region_tops")
-
-    def __init__(
-        self,
-        algebra: HeytingAlgebra,
-        classes: tuple[tuple[int, ...], ...],
-        region_tops: tuple[int, ...],
-    ):
-        self.algebra = algebra
-        self.classes = classes
-        self.region_tops = region_tops
-
-
-    def as_partition(self) -> frozenset:
-        return frozenset(frozenset(c) for c in self.classes)
-
-
-def _build_slashing(algebra: HeytingAlgebra, key_of) -> Slashing:
-    groups: dict = {}
-    for i in range(len(algebra.elements)):
-        groups.setdefault(key_of(i), []).append(i)
-    classes = sorted((tuple(v) for v in groups.values()), key=lambda c: c[0])
-    tops = []
-    for cls in classes:
-        union = 0
-        for i in cls:
-            union |= algebra.elements[i]
-        tops.append(algebra.pos[union])
-    for cls, top in zip(classes, tops):
-        if top not in cls:
-            raise InvalidNucleus("region has no topmost member")
-    return Slashing(algebra, tuple(classes), tuple(tops))
-
-
-def slashing_from_erased(algebra: HeytingAlgebra, erased: Iterable) -> Slashing:
-    """Regions of elements that agree once the erased points are removed."""
-    q_mask = algebra.poset.mask_of(erased)
-    return _build_slashing(algebra, lambda i: algebra.elements[i] & ~q_mask)
-
-
-def slashing_from_nucleus(nucleus: Nucleus) -> Slashing:
-    return _build_slashing(nucleus.algebra, lambda i: nucleus.table[i])
-
-
-def slashings_agree(a: Slashing, b: Slashing) -> bool:
-    return a.algebra == b.algebra and a.as_partition() == b.as_partition()
 
 
 # the oracle enumerators' default point cap (see ``census``), here so that

@@ -175,29 +175,6 @@ class DownSet:
         return "{" + ",".join(str(u) for u in self.members) + "}"
 
 
-def down_closure(poset: Poset, names: Iterable[PointId]) -> DownSet:
-    """Smallest down-set containing the given points."""
-    mask = 0
-    for u in names:
-        mask |= poset.down_mask(u)
-    return DownSet(poset, mask)
-
-
-def down_of_point(poset: Poset, u: PointId) -> DownSet:
-    return DownSet(poset, poset.down_mask(u))
-
-
-def strict_down(poset: Poset, u: PointId) -> DownSet:
-    """Everything strictly below u; always a down-set."""
-    return DownSet(poset, poset.down_mask(u) & ~(1 << poset.index(u)))
-
-
-def interior(poset: Poset, names: Iterable[PointId]) -> DownSet:
-    """Largest down-set contained in the given subset."""
-    mask = poset.mask_of(names) if not isinstance(names, int) else names
-    return DownSet(poset, interior_mask(poset, mask))
-
-
 def interior_mask(poset: Poset, mask: int) -> int:
     downs = poset._down
     out = 0

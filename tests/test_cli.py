@@ -339,6 +339,23 @@ class TestSweepInstance:
         assert result["census"] == {"nuclei": True, "grotops": False, "lts": True}
         assert not result["ok"]
 
+    def test_a_conversion_that_raises_is_a_counterexample_not_an_error(self, monkeypatch):
+        from fourtops import convert
+        from fourtops.errors import FunctorialityError
+
+        def raises(clop):
+            raise FunctorialityError("not a sub-presheaf")
+
+        monkeypatch.setattr(convert, "j_from_closure", raises)
+        code, out = run("check", "roundtrips", "-t", STAR)
+        assert code == 1
+        assert "round trips: 0/16 agree" in out
+        assert "counterexample at y={}: stopped by FunctorialityError: not a sub-presheaf" in out
+        code, out = run("check", "conjectures", "-t", STAR)
+        assert code == 1
+        assert "truncation route: 16/16 agree" in out
+        assert "closure route: 0/16 agree" in out
+
 
 def sweep_graphs(qmax):
     """Every configuration of ``sweep --pmax 2 --qmax <qmax>``, in sweep order."""
@@ -1089,32 +1106,73 @@ def test_sweep_does_not_import_the_cli_module_again():
         assert not [line for line in imported if "fourtops.cli" in line]
 
 
+def test_readme_library_quick_tour_gives_its_commented_values():
+    """README's "Library quick tour" runs as written, and each expression
+    line gives the value its comment names: a down-set, the pile codes of
+    some sieves, or a count."""
+    import ast
+
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text()
+    tour = readme.split("## Library quick tour", 1)[1]
+    tour = tour.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = tour.splitlines()
+    namespace: dict = {}
+    said = {}
+    for node in ast.parse(tour).body:
+        if isinstance(node, ast.Expr):
+            comment = lines[node.lineno - 1].split("#", 1)[1].strip()
+            said[comment] = eval(compile(ast.Expression(node.value), "README.md", "eval"), namespace)
+        else:
+            exec(compile(ast.Module([node], type_ignores=[]), "README.md", "exec"), namespace)
+    graph = namespace["graph"]
+    (downset, sieves, count) = said.items()
+    assert downset[0] == "the down-set {1_}" and repr(downset[1]) == "{1_}"
+    assert sieves[0] == "sieves 01, 11, 21"
+    assert ["%d%d" % graph.pile_code(s) for s in sieves[1]] == ["01", "11", "21"]
+    assert count[0].startswith("16,") and count[1] == 16
+
+
 # The eager export list of the package before its names were loaded lazily,
-# less the four presheaf helpers that only the tests read (tests/oracles.py).
+# less the four presheaf helpers that only the tests read (tests/oracles.py)
+# and the library-only slashing, modality and down-set wrappers (REMOVED).
 EXPORTS = set(
     """
     ClosureOperator DownSet GrothendieckTopology HeytingAlgebra Inclusion
-    LTTopology Morphism Nucleus OmegaObject Poset Presheaf Quad Slashing
-    TestUniverse TwoColumnGraph build_universe can canonical_grothendieck
+    LTTopology Morphism Nucleus OmegaObject Poset Presheaf Quad TestUniverse
+    TwoColumnGraph build_universe can canonical_grothendieck
     check_closure_axioms check_routes chi closure_of closure_to_nucleus
-    complete_quad dense_closed_factor down_closure down_of_point
-    enumerate_downsets enumerate_grotops enumerate_lts enumerate_nuclei
-    filter_check grotop_to_lt grotop_to_lt_direct grotop_to_nucleus
-    grotop_to_point_set imp_map interior intersection is_closed is_dense
-    is_grothendieck is_inclusion is_lt_topology is_nucleus j_from_closure
-    lt_to_grotop meet_map modality_on_downset nucleus_from_point_set
-    nucleus_to_grotop nucleus_to_lt omega point_set_of_nucleus
-    point_set_to_grotop preimage product restriction_check sieves_on sigma
-    slashing_from_erased slashing_from_nucleus slashings_agree star_graph
-    strict_down subobjects subterminal_of terminal true_map
+    complete_quad dense_closed_factor enumerate_downsets enumerate_grotops
+    enumerate_lts enumerate_nuclei filter_check grotop_to_lt
+    grotop_to_lt_direct grotop_to_nucleus grotop_to_point_set imp_map
+    intersection is_closed is_dense is_grothendieck is_inclusion
+    is_lt_topology is_nucleus j_from_closure lt_to_grotop meet_map
+    nucleus_from_point_set nucleus_to_grotop nucleus_to_lt omega
+    point_set_of_nucleus point_set_to_grotop preimage product
+    restriction_check sieves_on sigma star_graph subobjects subterminal_of
+    terminal true_map
     """.split()
 )
+
+# Names that no command, route check or test oracle reached, deleted from
+# the module that defined them: the nucleus table is the one slashing, and
+# the package works on down-set masks (down_mask, mask_of, interior_mask).
+REMOVED = {
+    "heyting": (
+        "Slashing",
+        "_build_slashing",
+        "slashing_from_erased",
+        "slashing_from_nucleus",
+        "slashings_agree",
+        "modality_on_downset",
+    ),
+    "poset": ("down_closure", "down_of_point", "strict_down", "interior"),
+}
 
 
 def test_package_exports_each_name_from_the_module_it_lives_in():
     """Each exported name is the object its home module defines; an unknown
-    name, or a helper moved to the tests, raises AttributeError; and reading
-    ``kernel_backend`` loads no submodule."""
+    name, a helper moved to the tests or a deleted name raises
+    AttributeError; and reading ``kernel_backend`` loads no submodule."""
     import importlib
 
     import fourtops
@@ -1129,6 +1187,12 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
     for name in ("no_such_name", "cst", "element_downset", "equalizer", "natural_maps"):
         with pytest.raises(AttributeError):
             getattr(fourtops, name)
+    for module, names in REMOVED.items():
+        home = importlib.import_module(f"fourtops.{module}")
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(fourtops, name)
+            assert not hasattr(home, name), name
     code = (
         "import sys, fourtops\n"
         "print(fourtops.kernel_backend, sorted(m for m in sys.modules if m.startswith('fourtops.')))"

@@ -423,6 +423,28 @@ class TestValidationAtTheBoundary:
         assert entry["census"]["nuclei"] is False
         assert entry["ok"] is False
 
+        # seeded random tables for y={_1}: a conversion that raises on one
+        # fails the routes it stops instead of aborting the row, and the
+        # quad names the error
+        rng = random.Random(1)
+        stopped = 0
+        for _ in range(60):
+            table = tuple(rng.randrange(8) for _ in range(8))
+
+            def random_table(algebra, kept, table=table):
+                if kept == frozenset({"_1"}):
+                    return Nucleus(algebra, table)
+                return formula(algebra, kept)
+
+            monkeypatch.setattr(convert, "nucleus_from_point_set", random_table)
+            assert sweep_instance(star, 6)["ok"] is False
+            details = convert.route_row(star.poset(), frozenset({"_1"}))[2]
+            if any(d.startswith("stopped by FunctorialityError: ") for d in details):
+                stopped += 1
+                with pytest.raises(IncoherentQuad, match="stopped by FunctorialityError"):
+                    complete_quad(star.poset(), y={"_1"})
+        assert stopped == 27
+
 
 class TestEnumerators:
     def test_one_point_counts(self):

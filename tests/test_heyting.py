@@ -1,5 +1,7 @@
 """Down-set algebra operations, nuclei, and slashings."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -9,12 +11,8 @@ from fourtops.heyting import (
     Nucleus,
     enumerate_nucleus_tables,
     is_nucleus,
-    modality_on_downset,
     nucleus_from_point_set,
     point_set_of_nucleus,
-    slashing_from_erased,
-    slashing_from_nucleus,
-    slashings_agree,
 )
 from fourtops.poset import DownSet, Poset
 
@@ -175,8 +173,6 @@ class TestNucleusEnumeration:
         assert len(tables) == 2 ** len(star_algebra.poset.points)
 
     def test_matches_formula_mode_as_sets(self, star_algebra):
-        from itertools import combinations
-
         oracle = {Nucleus(star_algebra, t) for t in enumerate_nucleus_tables(star_algebra)}
         pts = star_algebra.poset.points
         formula = set()
@@ -220,74 +216,64 @@ class TestNucleusEnumeration:
                     assert n.apply(r) <= n.apply(s)
 
 
-class TestModality:
-    def test_top_gives_the_nucleus_itself(self, star_algebra):
-        n = nucleus_from_point_set(star_algebra, {"_1"})
-        act = modality_on_downset(n, star_algebra.top)
-        for r in downsets(star_algebra):
-            assert act(r) == n.apply(r)
+def posets_up_to_three_and_the_star(star_poset):
+    """Every poset on at most 3 points, as labelled DAGs whose arrows go from
+    earlier to later names (every poset has such a listing), then the star."""
+    for n in range(4):
+        points = [f"p{i}" for i in range(n)]
+        pairs = [(a, b) for i, a in enumerate(points) for b in points[i + 1 :]]
+        for k in range(len(pairs) + 1):
+            for arrows in combinations(pairs, k):
+                yield Poset(points, arrows)
+    yield star_poset
 
-    def test_value_at_own_argument(self, star_algebra):
-        n = nucleus_from_point_set(star_algebra, {"_1"})
-        for s in downsets(star_algebra):
-            act = modality_on_downset(n, s)
-            assert act(s) == s
 
-    def test_below_21_frozen_value(self, star, star_algebra):
-        # oracle: 10* = 10, so 10 capped at 21 stays 10
-        n = nucleus_from_point_set(star_algebra, {"_1"})
-        act = modality_on_downset(n, pile(star, star_algebra, "21"))
-        assert pile_code_str(star, act(pile(star, star_algebra, "10"))) == "10"
+def point_sets(poset):
+    for k in range(len(poset.points) + 1):
+        yield from combinations(poset.points, k)
 
-    def test_rejects_elements_not_below(self, star, star_algebra):
-        n = nucleus_from_point_set(star_algebra, {"_1"})
-        act = modality_on_downset(n, pile(star, star_algebra, "10"))
-        with pytest.raises(NotElement):
-            act(pile(star, star_algebra, "01"))
 
-    @given(small_posets(), st.data())
-    def test_modality_laws(self, poset, data):
-        algebra = HeytingAlgebra(poset)
-        kept = (
-            data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
-        )
-        n = nucleus_from_point_set(algebra, kept)
-        s = data.draw(st.sampled_from(downsets(algebra)))
-        act = modality_on_downset(n, s)
-        below = [r for r in downsets(algebra) if r <= s]
-        for r in below:
-            assert r <= act(r)
-            assert act(act(r)) == act(r)
-        for q in below:
-            for r in below:
-                assert algebra.meet(act(q), act(r)) == act(algebra.meet(q, r))
+def fibres(table):
+    """The partition of the algebra's indices by the table's value."""
+    groups: dict = {}
+    for i, v in enumerate(table):
+        groups.setdefault(v, set()).add(i)
+    return {frozenset(c) for c in groups.values()}
 
 
 class TestSlashing:
-    def test_no_erasure_gives_singletons(self, star_algebra):
-        s = slashing_from_erased(star_algebra, ())
-        assert all(len(c) == 1 for c in s.classes)
+    """The slashing of the nucleus of Y: its fibres are the classes of
+    ``S -> S & Y``, and each fibre's join lies in it and is the nucleus's
+    value there, read off ``nucleus_from_point_set(Y).table``."""
 
-    def test_full_erasure_gives_one_class(self, star_algebra):
-        s = slashing_from_erased(star_algebra, star_algebra.poset.points)
-        assert len(s.classes) == 1
+    def test_no_erasure_gives_singletons(self, star_poset):
+        for poset in posets_up_to_three_and_the_star(star_poset):
+            algebra = HeytingAlgebra(poset)
+            n = nucleus_from_point_set(algebra, poset.points)
+            assert all(len(c) == 1 for c in fibres(n.table))
 
-    def test_erasure_agrees_with_nucleus_for_every_point_set(self, star_algebra):
-        from itertools import combinations
+    def test_full_erasure_gives_one_class(self, star_poset):
+        for poset in posets_up_to_three_and_the_star(star_poset):
+            algebra = HeytingAlgebra(poset)
+            assert len(fibres(nucleus_from_point_set(algebra, ()).table)) == 1
 
-        pts = star_algebra.poset.points
-        for k in range(len(pts) + 1):
-            for kept in combinations(pts, k):
-                erased = set(pts) - set(kept)
-                a = slashing_from_erased(star_algebra, erased)
-                b = slashing_from_nucleus(nucleus_from_point_set(star_algebra, kept))
-                assert slashings_agree(a, b)
+    def test_erasure_agrees_with_nucleus_for_every_point_set(self, star_poset):
+        for poset in posets_up_to_three_and_the_star(star_poset):
+            algebra = HeytingAlgebra(poset)
+            for kept in point_sets(poset):
+                y = poset.mask_of(kept)
+                erased = fibres([s & y for s in algebra.elements])
+                assert fibres(nucleus_from_point_set(algebra, kept).table) == erased
 
-    def test_region_tops_are_fixed_points(self, star_algebra):
-        n = nucleus_from_point_set(star_algebra, {"_1"})
-        s = slashing_from_nucleus(n)
-        for cls, top in zip(s.classes, s.region_tops):
-            top_el = downsets(star_algebra)[top]
-            assert n.apply(top_el) == top_el
-            for i in cls:
-                assert n.apply(downsets(star_algebra)[i]) == top_el
+    def test_region_tops_are_fixed_points(self, star_poset):
+        for poset in posets_up_to_three_and_the_star(star_poset):
+            algebra = HeytingAlgebra(poset)
+            for kept in point_sets(poset):
+                table = nucleus_from_point_set(algebra, kept).table
+                for fibre in fibres(table):
+                    join = 0
+                    for i in fibre:
+                        join |= algebra.elements[i]
+                    top = algebra.pos[join]
+                    assert top in fibre
+                    assert all(table[i] == top for i in fibre)

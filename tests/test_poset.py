@@ -12,13 +12,10 @@ from fourtops.poset import (
     Poset,
     TwoColumnGraph,
     canonical_form,
-    down_closure,
-    down_of_point,
     enumerate_downsets,
-    interior,
+    interior_mask,
     lattice_tables,
     sieves_on,
-    strict_down,
 )
 
 from .conftest import pile_code_str
@@ -91,65 +88,85 @@ class TestDownSets:
 
     def test_down_closure_of_top_point(self, star, star_poset):
         # the pile 21 from the drawn lattice
-        assert down_closure(star_poset, ["2_"]).members == ("2_", "1_", "_1")
+        assert star_poset.names_of(star_poset.down_mask("2_")) == ("2_", "1_", "_1")
 
     def test_down_closure_empty(self, star_poset):
-        assert down_closure(star_poset, []).members == ()
+        assert star_poset.mask_of([]) == 0
+        assert star_poset.is_down_closed(0)
+        assert DownSet(star_poset, 0).members == ()
 
     def test_down_closure_two_generators(self, star_poset):
         # frozen from the fixpoint oracle
         assert brute_down_closure(
             star_poset.points, star_poset.arrows, ["1_", "_2"]
         ) == frozenset({"1_", "_2", "_1"})
-        assert set(down_closure(star_poset, ["1_", "_2"]).members) == {"1_", "_2", "_1"}
+        closed = star_poset.down_mask("1_") | star_poset.down_mask("_2")
+        assert set(star_poset.names_of(closed)) == {"1_", "_2", "_1"}
 
     def test_down_of_point_values(self, star_poset):
-        assert set(down_of_point(star_poset, "2_").members) == {"2_", "1_", "_1"}
-        assert strict_down(star_poset, "2_").members == ("1_", "_1")
-        assert down_of_point(star_poset, "_1").members == ("_1",)
-        assert strict_down(star_poset, "_1").members == ()
-        assert set(down_of_point(star_poset, "_2").members) == {"_2", "_1"}
+        def down(u):
+            return set(star_poset.names_of(star_poset.down_mask(u)))
+
+        def strict(u):
+            i = star_poset.index(u)
+            return star_poset.names_of(star_poset.down_mask_at(i) & ~(1 << i))
+
+        assert down("2_") == {"2_", "1_", "_1"}
+        assert strict("2_") == ("1_", "_1")
+        assert down("_1") == {"_1"}
+        assert strict("_1") == ()
+        assert down("_2") == {"_2", "_1"}
 
     def test_unknown_point(self, star_poset):
         with pytest.raises(UnknownPoint):
-            down_of_point(star_poset, "nope")
+            star_poset.down_mask("nope")
 
-    @given(small_posets(), st.data())
-    def test_down_closure_matches_oracle(self, poset, data):
-        seed = data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
-        expected = brute_down_closure(poset.points, poset.arrows, seed)
-        assert frozenset(down_closure(poset, seed).members) == expected
+    @given(small_posets())
+    def test_down_closure_matches_oracle(self, poset):
+        for i, u in enumerate(poset.points):
+            expected = brute_down_closure(poset.points, poset.arrows, [u])
+            assert frozenset(poset.names_of(poset.down_mask(u))) == expected
+            assert poset.down_mask_at(i) == poset.down_mask(u)
 
     @given(small_posets(), st.data())
     def test_down_closure_monotone_idempotent_extensive(self, poset, data):
         seed = data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
-        closed = down_closure(poset, seed)
-        assert set(seed) <= set(closed.members)
-        assert down_closure(poset, closed.members) == closed
+        closed = 0
+        for u in seed:
+            closed |= poset.down_mask(u)
+        assert poset.is_down_closed(closed)
+        assert poset.mask_of(seed) & ~closed == 0
+        for u in poset.names_of(closed):
+            assert poset.down_mask(u) & ~closed == 0
 
 
 class TestInterior:
     def test_whole_set(self, star_poset):
-        assert interior(star_poset, star_poset.points).members == star_poset.points
+        assert interior_mask(star_poset, star_poset.full_mask) == star_poset.full_mask
 
     def test_single_top_point(self, star_poset):
-        assert interior(star_poset, ["2_"]).members == ()
+        assert interior_mask(star_poset, star_poset.mask_of(["2_"])) == 0
 
     def test_already_down_closed(self, star_poset):
-        assert set(interior(star_poset, ["1_", "_1"]).members) == {"1_", "_1"}
+        closed = star_poset.mask_of(["1_", "_1"])
+        assert interior_mask(star_poset, closed) == closed
 
     @given(small_posets(), st.data())
     def test_interior_matches_oracle(self, poset, data):
         subset = data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
         expected = brute_interior(poset.points, poset.arrows, subset)
-        assert frozenset(interior(poset, subset).members) == expected
+        inside = interior_mask(poset, poset.mask_of(subset))
+        assert frozenset(poset.names_of(inside)) == expected
 
     @given(small_posets(), st.data())
     def test_interior_laws(self, poset, data):
-        subset = data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
-        inside = interior(poset, subset)
-        assert set(inside.members) <= set(subset)
-        assert interior(poset, inside.members) == inside
+        subset = poset.mask_of(
+            data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
+        )
+        inside = interior_mask(poset, subset)
+        assert inside & ~subset == 0
+        assert poset.is_down_closed(inside)
+        assert interior_mask(poset, inside) == inside
 
 
 class TestEnumeration:
