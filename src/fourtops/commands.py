@@ -515,8 +515,14 @@ def _read_input(args) -> InputSpec:
     if getattr(args, "text", None):
         return parse_input(args.text)
     if getattr(args, "input", None) and args.input != "-":
-        with open(args.input, "r", encoding="utf-8") as fh:
-            return parse_input(fh.read())
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as e:
+            raise ParseError(f"cannot read {args.input}: {e.strerror}") from None
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{args.input} is not UTF-8 text: byte {e.start} is invalid") from None
+        return parse_input(text)
     return parse_input(sys.stdin.read())
 
 

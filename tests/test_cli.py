@@ -687,22 +687,55 @@ def test_check_axioms_enumerates_the_downsets_once():
     assert (info.misses, info.currsize) == (1, 1)
 
 
-def test_closed_pipe_is_a_usage_error_without_a_traceback():
-    """A reader that closes the pipe early gets exit 2 and one error line."""
-    import os
-    import subprocess
-    import sys
-
+def _cli_env(block_buffered: bool = False) -> dict:
+    """The environment of a fresh ``python -m fourtops.cli`` child, with the
+    package's sources on the path.  ``block_buffered`` drops
+    ``PYTHONUNBUFFERED``, so the child's piped stdout keeps its last block
+    until the CLI flushes it."""
     import fourtops
 
     env = dict(os.environ)
+    if block_buffered:
+        env.pop("PYTHONUNBUFFERED", None)
     src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _cli_child(*argv, block_buffered: bool = False):
+    """``python -m fourtops.cli argv`` in a fresh child; its completed process,
+    with stdout as bytes and stderr as text."""
+    import subprocess
+    import sys
+
+    got = subprocess.run(
+        [sys.executable, "-m", "fourtops.cli", *argv],
+        env=_cli_env(block_buffered), capture_output=True, timeout=60,
+    )
+    got.stderr = got.stderr.decode()
+    return got
+
+
+@pytest.mark.parametrize(
+    "argv, block_buffered",
+    [
+        (("enumerate", "nuclei", "-t", STAR), False),
+        (("enumerate", "nuclei", "-t", STAR), True),
+        # argparse writes the help text, so only the exit path's flush meets the closed pipe
+        (("--help",), True),
+    ],
+    ids=["unbuffered", "block-buffered", "help-block-buffered"],
+)
+def test_closed_pipe_is_a_usage_error_without_a_traceback(argv, block_buffered):
+    """A reader that closes the pipe early gets exit 2 and one error line."""
+    import subprocess
+    import sys
+
     child = subprocess.Popen(
-        [sys.executable, "-m", "fourtops.cli", "enumerate", "nuclei", "-t", STAR],
+        [sys.executable, "-m", "fourtops.cli", *argv],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=_cli_env(block_buffered),
     )
     child.stdout.close()
     err = child.stderr.read().decode()
@@ -710,6 +743,67 @@ def test_closed_pipe_is_a_usage_error_without_a_traceback():
     assert child.wait(timeout=60) == 2
     assert "Traceback" not in err
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_a_block_buffered_census_is_written_in_full():
+    """With stdout block-buffered, the 6-point antichain's oracle nucleus
+    census (about 915 KB) still reaches its reader whole: the bytes match
+    the sha256 that perfbench/config.json pins."""
+    import hashlib
+
+    config = json.loads((GOLDEN.parents[1] / "perfbench" / "config.json").read_text())
+    census = config["workloads"]["census-oracle"]
+    (command,) = [c for c in census["commands"] if c["name"] == "nuclei/antichain6"]
+    poset = census["posets"][command["poset"]]
+    arrows = " ".join(f"{u} > {v}" for u, v in poset["arrows"])
+    text = f"poset {{ points: {' '.join(poset['points'])} ; arrows: {arrows} }}"
+    got = _cli_child(*command["argv"], "-t", text, block_buffered=True)
+    assert (got.returncode, got.stderr) == (0, "")
+    assert hashlib.sha256(got.stdout).hexdigest() == command["sha256"]
+
+
+def test_block_buffered_help_and_usage_errors_match_main(capsys):
+    """``--help`` exits 0 with the stdout that ``main`` prints in process; an
+    unknown subcommand exits 2 with argparse's usage on stderr."""
+    assert main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    got = _cli_child("--help", block_buffered=True)
+    assert (got.returncode, got.stdout.decode(), got.stderr) == (0, help_text, "")
+
+    assert main(["frobnicate"]) == 2
+    usage = capsys.readouterr().err
+    assert usage.startswith("usage: fourtops") and "invalid choice: 'frobnicate'" in usage
+    got = _cli_child("frobnicate", block_buffered=True)
+    assert (got.returncode, got.stdout, got.stderr) == (2, b"", usage)
+
+
+def test_the_fourtops_script_ends_through_run():
+    """The installed ``fourtops`` script enters the CLI where ``python -m
+    fourtops.cli`` does: ``run``, not ``main``."""
+    import importlib
+    import re
+
+    from fourtops import cli
+
+    pyproject = (GOLDEN.parents[1] / "pyproject.toml").read_text()
+    module, name = re.search(r'^fourtops = "(.+):(.+)"$', pyproject, re.M).groups()
+    assert getattr(importlib.import_module(module), name) is cli.run
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf-8"])
+def test_an_unreadable_input_file_is_a_usage_error(kind, tmp_path):
+    """``-i`` naming a missing file, a directory or a file that is not UTF-8
+    gives exit 2 and one error line, not a traceback and the counterexample
+    code."""
+    path = tmp_path / "input.txt"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-utf-8":
+        path.write_bytes(b"poset { points: a\xff ; arrows: }")
+    got = _cli_child("show", "omega", "-i", str(path))
+    assert (got.returncode, got.stdout) == (2, b"")
+    assert "Traceback" not in got.stderr
+    assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [("show", "omega"), ("chi",)])
