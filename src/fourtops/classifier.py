@@ -17,9 +17,7 @@ from .presheaf import (
     Presheaf,
     _truth_values,
     as_inclusion,
-    can,
     product,
-    proj,
     terminal,
 )
 
@@ -28,10 +26,12 @@ class OmegaObject(Presheaf):
     """The classifier presheaf; caches per-point sieve lists in canonical order.
 
     ``element_at[i][k]`` is the element position of sieve k on point i, so sieve
-    indices and element masks convert in both directions.
+    indices and element masks convert in both directions.  ``true_mask`` is
+    the element mask of the maximal sieve at each point: the image of the
+    true map.
     """
 
-    __slots__ = ("sieves", "element_at", "_true", "_meet")
+    __slots__ = ("sieves", "element_at", "true_mask")
 
     def __init__(self, poset: Poset):
         # the labels are DownSets: ``sorted_at`` orders them by repr, which
@@ -45,17 +45,17 @@ class OmegaObject(Presheaf):
         self.sieves = sieves
         bit = self.elements().bit
         self.element_at = tuple(tuple(bit[(u, s)] for s in sieves[u]) for u in poset.points)
-        self._true = None
-        self._meet = None
+        # the maximal sieve on a point is the last in sieve-index order
+        self.true_mask = sum(1 << elements[-1] for elements in self.element_at)
 
 
 @lru_cache(maxsize=4)
 def omega(poset: Poset) -> OmegaObject:
     """The classifier, built once per poset.
 
-    Its caches (element index, true inclusion, internal conjunction) fill on
-    first use and are shared by every caller.  The sweep and the route
-    checkers work through one poset at a time, so a few entries are enough:
+    Every caller shares its element index and the truth-value groups kept
+    there.  The sweep and the route checkers work through one poset at a
+    time, so a few entries are enough:
     on the 2x2 sweep, 16 entries held 0.2 MB more at peak than 4 for the same
     hits.
     """
@@ -68,15 +68,6 @@ def true_map(poset: Poset) -> Morphism:
         u: {"*": DownSet(poset, poset.down_mask(u))} for u in poset.points
     }
     return Morphism(terminal(poset), omega(poset), comp)
-
-
-def true_inclusion(poset: Poset) -> Inclusion:
-    """The canonical inclusion equivalent to the true map, built once per
-    classifier object."""
-    om = omega(poset)
-    if om._true is None:
-        om._true = can(true_map(poset))
-    return om._true
 
 
 def chi(f: Inclusion) -> Morphism:
@@ -137,16 +128,6 @@ def meet_map(poset: Poset) -> Morphism:
         for u in poset.points
     }
     return Morphism(sq, om, comp)
-
-
-def internal_meet(om: OmegaObject) -> tuple[Morphism, Morphism, Morphism]:
-    """The internal conjunction and the two projections out of its domain,
-    built once per classifier object."""
-    if om._meet is None:
-        conj = meet_map(om.poset)
-        sq = conj.dom
-        om._meet = (conj, proj(sq, om, om, 0), proj(sq, om, om, 1))
-    return om._meet
 
 
 def imp_map(poset: Poset) -> Morphism:

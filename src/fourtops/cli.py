@@ -9,6 +9,7 @@ script, ends the process with ``main``'s code once its output is flushed.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import sys
 
@@ -139,6 +140,18 @@ def _output_closed() -> int:
 def run() -> None:
     """Run ``main`` on the command line and end the process with its code
     once stdout and stderr are flushed."""
+    stdout = sys.stdout
+    if isinstance(getattr(stdout, "buffer", None), io.RawIOBase):
+        # Unbuffered (``-u`` or PYTHONUNBUFFERED), the text layer hands each
+        # write to the raw file and drops what a reader that closed the pipe
+        # midway left unwritten; a buffered writer retries it and so meets
+        # the closed pipe.  Line buffering keeps each line prompt.
+        sys.stdout = io.TextIOWrapper(
+            io.BufferedWriter(stdout.buffer),
+            encoding=stdout.encoding,
+            errors=stdout.errors,
+            line_buffering=True,
+        )
     code = main()
     try:
         sys.stdout.flush()

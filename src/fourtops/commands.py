@@ -24,9 +24,9 @@ from typing import TYPE_CHECKING
 
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from .emit import emit_json
-from .errors import FourtopsError, ParseError, _require_at_least
+from .errors import FourtopsError, ParseError, SizeCapExceeded, _require_at_least
 from .heyting import DEFAULT_ORACLE_POINT_CAP, Nucleus, algebra_of, is_nucleus
-from .poset import DownSet, Poset, TwoColumnGraph, sieve_positions, sieves_on
+from .poset import DownSet, Poset, TwoColumnGraph, _require_point_cap, sieve_positions, sieves_on
 from .records import DEFAULT_PAIR_CAP, STRUCTURE_KINDS, LTTopology, make_grotop
 
 # The conversions, the presheaf layer, the classifier, the closure-law
@@ -135,7 +135,8 @@ def parse_input(text: str) -> InputSpec:
     Both readers produce the same raw payload, which
     :func:`_realize_structure` then builds and checks.  Construction errors
     in the text grammar (cycles, bad piles, same-column cross arrows) surface
-    as ParseError with the position of the form that caused them.
+    as ParseError with the position of the form that caused them.  Both
+    readers refuse a poset over the point cap before they build it.
     """
     if text.lstrip().startswith("{"):
         spec = _parse_json_input(text)
@@ -143,7 +144,7 @@ def parse_input(text: str) -> InputSpec:
         p = _Parser(text)
         try:
             spec = _parse_text(p)
-        except ParseError:
+        except (ParseError, SizeCapExceeded):
             raise
         except FourtopsError as e:
             raise p.error(str(e)) from e
@@ -162,6 +163,7 @@ def _parse_text(p: _Parser) -> InputSpec:
             p.take("q")
             p.take("=")
             qq = _take_count(p)
+            _require_point_cap(pp + qq)
             cross: set = set()
             if p.peek() == "cross":
                 p.take("cross")
@@ -178,6 +180,7 @@ def _parse_text(p: _Parser) -> InputSpec:
             while p.peek() not in (";",):
                 points.append(p.take())
             p.take(";")
+            _require_point_cap(len(points))
             p.take("arrows")
             p.take(":")
             arrows = _parse_arrows(p)
@@ -209,11 +212,11 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
         raise p.error(f"{kind} payloads use pile codes and need a 2cg input")
     graph = spec.graph
     if kind == "nucleus":
-        entries = {}
+        entries = []
         while p.peek() != "}":
             src = _parse_pile(p, graph)
             p.take("->")
-            entries[src] = _parse_pile(p, graph)
+            entries.append((src, _parse_pile(p, graph)))
             if p.peek() == ";":
                 p.take(";")
         p.take("}")
@@ -225,7 +228,7 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
             p.take(":")
             src = _parse_pile(p, graph)
             p.take("->")
-            entries.setdefault(point, {})[src] = _parse_pile(p, graph)
+            entries.setdefault(point, []).append((src, _parse_pile(p, graph)))
             if p.peek() == ";":
                 p.take(";")
         p.take("}")
@@ -246,19 +249,28 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
     raise p.error(f"unknown structure kind {kind!r}")
 
 
+def _names(poset: Poset, mask: int) -> str:
+    return "{" + ",".join(str(u) for u in poset.names_of(mask)) + "}"
+
+
 def _position(poset: Poset, positions: dict, mask: int, family: str) -> int:
     """The index of a payload down-set among ``positions``, or why it has none."""
     k = positions.get(mask)
     if k is None:
-        names = "{" + ",".join(str(u) for u in poset.names_of(mask)) + "}"
         if not poset.is_down_closed(mask):
-            raise ParseError(f"value {names} is not down-closed")
-        raise ParseError(f"value {names} is not one of {family}")
+            raise ParseError(f"value {_names(poset, mask)} is not down-closed")
+        raise ParseError(f"value {_names(poset, mask)} is not one of {family}")
     return k
 
 
-def _table(poset: Poset, row: dict, positions: dict, family: str) -> tuple[int, ...]:
-    """A total mask-to-mask table on the down-sets ``positions`` indexes."""
+def _table(poset: Poset, rows: list, positions: dict, family: str) -> tuple[int, ...]:
+    """A total mask-to-mask table on the down-sets ``positions`` indexes,
+    from (source, value) rows that name each source once."""
+    row: dict = {}
+    for src, dst in rows:
+        if src in row:
+            raise ParseError(f"table lists source {_names(poset, src)} twice on {family}")
+        row[src] = dst
     if set(row) != set(positions):
         raise ParseError(f"table must be total on {family}")
     return tuple(_position(poset, positions, row[m], family) for m in positions)
@@ -267,9 +279,10 @@ def _table(poset: Poset, row: dict, positions: dict, family: str) -> tuple[int, 
 def _realize_structure(spec: InputSpec) -> None:
     """Build and check the structure from the raw payload either reader gives.
 
-    The raw payload is a set of point names for ``y``; a dict from mask to
-    mask for ``nucleus``; and, per point name, a dict from mask to mask for
-    ``lt`` or a list of masks for ``grotop``.  Masks are over the points.
+    The raw payload is a set of point names for ``y``; a list of (mask,
+    mask) rows for ``nucleus``; and, per point name, a list of (mask, mask)
+    rows for ``lt`` or a list of masks for ``grotop``.  Masks are over the
+    points.
     """
     poset, raw = spec.poset, spec.payload
     if spec.kind in ("y", "lt", "grotop"):
@@ -284,7 +297,7 @@ def _realize_structure(spec: InputSpec) -> None:
         rows = []
         for u in poset.points:
             on_u = f"the sieves on {u!r}"
-            rows.append(_table(poset, raw.get(u, {}), sieve_positions(poset, u), on_u))
+            rows.append(_table(poset, raw.get(u, []), sieve_positions(poset, u), on_u))
         spec.payload = LTTopology(poset, tuple(rows))
     elif spec.kind == "grotop":
         for u, fam in raw.items():
@@ -403,15 +416,14 @@ def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
     a string is never read as the set of its characters, nor a boolean or a
     fraction as a height."""
     if pj.get("kind") == "2cg":
+        pp, qq = _json_typed(pj["p"], int, "p"), _json_typed(pj["q"], int, "q")
+        _require_point_cap(pp + qq)
         cross = _json_list(pj.get("cross", []), "cross")
-        graph = TwoColumnGraph(
-            _json_typed(pj["p"], int, "p"),
-            _json_typed(pj["q"], int, "q"),
-            frozenset(tuple(_json_names(a, "cross", 2)) for a in cross),
-        )
+        graph = TwoColumnGraph(pp, qq, frozenset(tuple(_json_names(a, "cross", 2)) for a in cross))
         spec = InputSpec(graph.poset(), graph)
     elif pj.get("kind") == "poset":
         points = _json_names(pj["points"], "points")
+        _require_point_cap(len(points))
         arrows = _json_list(pj.get("arrows", []), "arrows")
         spec = InputSpec(Poset(points, {tuple(_json_names(a, "arrows", 2)) for a in arrows}))
     else:
@@ -426,18 +438,18 @@ def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
     if kind == "y":
         raw = frozenset(_json_names(sj["members"], "members"))
     elif kind == "nucleus":
-        raw = {}
+        raw = []
         for row in _json_list(sj["table"], "table"):
             src, dst = _json_list(row, "table", 2)
-            raw[mask(src, "table")] = mask(dst, "table")
+            raw.append((mask(src, "table"), mask(dst, "table")))
     elif kind == "lt":
         raw = {}
         for row in _json_list(sj["table"], "table"):
             name, pairs = _json_list(row, "table", 2)
-            on_u = raw.setdefault(_json_typed(name, str, "table"), {})
+            on_u = raw.setdefault(_json_typed(name, str, "table"), [])
             for pair in _json_list(pairs, "table"):
                 a, b = _json_list(pair, "table", 2)
-                on_u[mask(a, "table")] = mask(b, "table")
+                on_u.append((mask(a, "table"), mask(b, "table")))
     elif kind == "grotop":
         raw = {}
         for row in _json_list(sj["covers"], "covers"):
@@ -477,7 +489,7 @@ def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
 def _downset_str(spec: InputSpec, mask: int) -> str:
     if spec.graph is not None:
         return _pile_str(spec.graph, mask)
-    return "{" + ",".join(str(u) for u in spec.poset.names_of(mask)) + "}"
+    return _names(spec.poset, mask)
 
 
 def structure_text(spec: InputSpec, kind: str, value) -> str:

@@ -220,11 +220,17 @@ def _downsets(down: Sequence[int], top: int, limit: int | None = None) -> tuple[
     return tuple(masks[:limit])
 
 
+def _require_point_cap(n: int) -> None:
+    """SizeCapExceeded if ``n`` points are over the cap of down-set and sieve
+    enumeration."""
+    if n > DEFAULT_POINT_CAP:
+        raise SizeCapExceeded(f"{n} points exceeds cap {DEFAULT_POINT_CAP}")
+
+
 @lru_cache(maxsize=None)
 def enumerate_downsets(poset: Poset) -> tuple[int, ...]:
     """The masks of all down-sets, in (size, membership) order."""
-    if len(poset.points) > DEFAULT_POINT_CAP:
-        raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {DEFAULT_POINT_CAP}")
+    _require_point_cap(len(poset.points))
     return _downsets(poset._down, poset.full_mask)
 
 
@@ -236,8 +242,7 @@ def sieves_on(poset: Poset, u: PointId) -> tuple[int, ...]:
     They are the principal ideal below ``down u`` of the down-set lattice, in
     the order of :func:`enumerate_downsets`, under the same point cap.
     """
-    if len(poset.points) > DEFAULT_POINT_CAP:
-        raise SizeCapExceeded(f"{len(poset.points)} points exceeds cap {DEFAULT_POINT_CAP}")
+    _require_point_cap(len(poset.points))
     return _downsets(poset._down, poset.down_mask(u))
 
 

@@ -481,24 +481,6 @@ def product(a: Presheaf, b: Presheaf) -> Presheaf:
     return Presheaf(a.poset, sets, restr)
 
 
-def proj(p: Presheaf, a: Presheaf, b: Presheaf, which: int) -> Morphism:
-    """Projection out of a product built by :func:`product`."""
-    cod = a if which == 0 else b
-    comp = {u: {pair: pair[which] for pair in p.sets[u]} for u in p.poset.points}
-    return Morphism(p, cod, comp)
-
-
-def pairing(f: Morphism, g: Morphism, prod: Presheaf) -> Morphism:
-    """The map <f, g> into a product of the codomains."""
-    if f.dom != g.dom:
-        raise ShapeMismatch("pairing needs a shared domain")
-    comp = {
-        u: {a: (f.comp[u][a], g.comp[u][a]) for a in f.dom.sets[u]}
-        for u in f.dom.poset.points
-    }
-    return Morphism(f.dom, prod, comp)
-
-
 def subterminal_of(poset: Poset, s: DownSet) -> Presheaf:
     """The subterminal presheaf whose truth-value is the given down-set."""
     sets = {u: ("*",) if u in s else () for u in poset.points}

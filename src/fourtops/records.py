@@ -9,12 +9,7 @@ checkers live in ``topology``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from .poset import DownSet, Poset, downset_sort_key, sieve_positions, sieves_on
-
-if TYPE_CHECKING:
-    from .presheaf import Morphism
 
 # the closure-law universe's default pair cap, read by the CLI's help text
 DEFAULT_PAIR_CAP = 5000
@@ -45,17 +40,6 @@ class LTTopology:
     def apply(self, u, s: DownSet) -> DownSet:
         k = sieve_positions(self.poset, u)[s.mask]
         return DownSet(self.poset, sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]])
-
-    def as_morphism(self) -> Morphism:
-        from .classifier import omega
-        from .presheaf import Morphism
-
-        om = omega(self.poset)
-        comp = {}
-        for i, u in enumerate(self.poset.points):
-            sieves = om.sieves[u]
-            comp[u] = {s: sieves[self.tables[i][j]] for j, s in enumerate(sieves)}
-        return Morphism(om, om, comp)
 
 
 class GrothendieckTopology:

@@ -7,7 +7,10 @@ the mask-based fast paths: they build one sub-presheaf object per step, most
 of them validated from label sets, where the package reads element masks.
 Among them, the literal closure-law universe builds each subobject, bang and
 classifying map as a validated object, where the package lists masks and
-image bits.
+image bits, and the literal endomap laws are equations of validated
+morphisms (the endomap, the true map, the internal conjunction, its
+projections and a pairing), where the package decides them on sieve-index
+tables; every natural endomap of the classifier is listed as their input.
 The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them; with them are the
 subterminal inclusion, the identity, the bang, the identity endomap, the
@@ -27,6 +30,7 @@ reads one name table per document and writes the text itself.
 """
 
 import json
+from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from typing import NamedTuple
 
@@ -215,6 +219,93 @@ def lt_from_morphism(m):
     return LTTopology(poset, tuple(tables))
 
 
+def lt_as_morphism(lt):
+    """The endomap of the classifier that sieve-index tables name, as a
+    validated morphism: NaturalityError if the tables are not natural."""
+    from fourtops.classifier import omega
+    from fourtops.presheaf import Morphism
+
+    om = omega(lt.poset)
+    comp = {}
+    for i, u in enumerate(lt.poset.points):
+        sieves = om.sieves[u]
+        comp[u] = {s: sieves[lt.tables[i][k]] for k, s in enumerate(sieves)}
+    return Morphism(om, om, comp)
+
+
+def true_inclusion(poset):
+    """The inclusion equivalent to the true map; its mask is the classifier's
+    ``true_mask``."""
+    from fourtops.classifier import true_map
+    from fourtops.presheaf import can
+
+    return can(true_map(poset))
+
+
+def proj(p, a, b, which):
+    """Projection out of a product built by ``product``."""
+    from fourtops.presheaf import Morphism
+
+    cod = a if which == 0 else b
+    comp = {u: {pair: pair[which] for pair in p.sets[u]} for u in p.poset.points}
+    return Morphism(p, cod, comp)
+
+
+def pairing(f, g, prod):
+    """The map <f, g> into a product of the codomains."""
+    from fourtops.errors import ShapeMismatch
+    from fourtops.presheaf import Morphism
+
+    if f.dom != g.dom:
+        raise ShapeMismatch("pairing needs a shared domain")
+    comp = {
+        u: {a: (f.comp[u][a], g.comp[u][a]) for a in f.dom.sets[u]}
+        for u in f.dom.poset.points
+    }
+    return Morphism(f.dom, prod, comp)
+
+
+@lru_cache(maxsize=4)
+def meet_square(poset):
+    """The true map, the internal conjunction and the two projections out of
+    its domain, as validated morphisms, built once per poset."""
+    from fourtops.classifier import meet_map, true_map
+
+    conj = meet_map(poset)
+    sq, om = conj.dom, conj.cod
+    return true_map(poset), conj, proj(sq, om, om, 0), proj(sq, om, om, 1)
+
+
+def lt_laws_literal(lt):
+    """The endomap laws the tables fail, decided as equations of presheaf
+    morphisms: idempotent (j∘j = j), preserves-true (true;j = true) and
+    preserves-meets (∧;j = ⟨p0;j, p1;j⟩;∧).  ``is_lt_topology`` decides the
+    same laws on the tables; NaturalityError if they are not natural."""
+    true, conj, p0, p1 = meet_square(lt.poset)
+    jm = lt_as_morphism(lt)
+    failing = set()
+    if jm.then(jm) != jm:
+        failing.add("idempotent")
+    if true.then(jm) != true:
+        failing.add("preserves-true")
+    if conj.then(jm) != pairing(p0.then(jm), p1.then(jm), conj.dom).then(conj):
+        failing.add("preserves-meets")
+    return failing
+
+
+def natural_endomaps(poset):
+    """Every natural endomap of the classifier, as sieve-index tables: each
+    is the classifying map of a subobject of the classifier, so the down-set
+    enumerator lists them over its element index."""
+    from fourtops.classifier import chi_tables, omega
+    from fourtops.poset import _downsets
+    from fourtops.records import LTTopology
+
+    om = omega(poset)
+    index = om.elements()
+    return [LTTopology(poset, chi_tables(om, m)) for m in _downsets(index.down, index.full)]
+
+
 def grotop_inclusion(j):
     """The covering families as a sub-presheaf of the classifier."""
     from fourtops.classifier import omega
@@ -252,13 +343,13 @@ def closure_of_composite(clop, f):
 
     if not is_inclusion(f):
         raise NotInclusion("closure acts on inclusions")
-    return sigma(chi(f).then(clop.lt.as_morphism()))
+    return sigma(chi(f).then(lt_as_morphism(clop.lt)))
 
 
 def j_from_closure_composite(clop):
     """Endomap of a closure operator through presheaf objects: the classifying
     map of the closed true inclusion, read back as tables."""
-    from fourtops.classifier import chi, true_inclusion
+    from fourtops.classifier import chi
     from fourtops.topology import closure_of
 
     closed_top = closure_of(clop, true_inclusion(clop.poset))

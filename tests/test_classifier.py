@@ -8,7 +8,6 @@ from fourtops.classifier import (
     meet_map,
     omega,
     sigma,
-    true_inclusion,
     true_map,
 )
 from fourtops.errors import NotInclusion
@@ -17,9 +16,9 @@ from fourtops.presheaf import (
     Inclusion,
     Morphism,
     Presheaf,
+    can,
     is_inclusion,
     product,
-    proj,
     subobjects,
     terminal,
 )
@@ -30,8 +29,12 @@ from .oracles import (
     chi_composite,
     equalizer,
     identity,
+    lt_from_morphism,
+    natural_endomaps,
     natural_maps,
+    proj,
     top_composite,
+    true_inclusion,
 )
 
 
@@ -111,6 +114,10 @@ class TestTrueMap:
         for u in P.points:
             assert inc.dom.sets[u] == {DownSet(P, P.down_mask(u))}
 
+    def test_true_mask_is_the_image_of_the_true_map(self, sweep_classes):
+        for poset in sweep_classes:
+            assert omega(poset).true_mask == can(true_map(poset)).mask
+
 
 class TestChiSigma:
     def test_worked_value(self, star, worked_pair):
@@ -164,6 +171,20 @@ class TestChiSigma:
         one = terminal(P)
         for g in natural_maps(one, om):
             assert chi(sigma(g)) == g
+
+    @pytest.mark.parametrize(
+        "arrows, count",
+        [({("b", "a")}, 15), ({("a", "b"), ("a", "c")}, 73), ({("b", "a"), ("c", "a")}, 85)],
+        ids=["chain2", "V", "inverted-V"],
+    )
+    def test_natural_endomaps_are_the_natural_maps_of_omega(self, arrows, count):
+        """The classifying maps of the subobjects of Ω are every natural
+        endomap of Ω, each once."""
+        poset = Poset(sorted({u for arrow in arrows for u in arrow}), arrows)
+        listed = natural_endomaps(poset)
+        every = [lt_from_morphism(m) for m in natural_maps(omega(poset), omega(poset))]
+        assert len(listed) == len(set(listed)) == count
+        assert set(listed) == set(every)
 
     def test_chi_matches_composite_route(self, P):
         universe = build_universe_literal(P)

@@ -691,12 +691,14 @@ def _cli_env(block_buffered: bool = False) -> dict:
     """The environment of a fresh ``python -m fourtops.cli`` child, with the
     package's sources on the path.  ``block_buffered`` drops
     ``PYTHONUNBUFFERED``, so the child's piped stdout keeps its last block
-    until the CLI flushes it."""
+    until the CLI flushes it; otherwise it is set, whatever this process has."""
     import fourtops
 
     env = dict(os.environ)
     if block_buffered:
         env.pop("PYTHONUNBUFFERED", None)
+    else:
+        env["PYTHONUNBUFFERED"] = "1"
     src = str(pathlib.Path(fourtops.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
@@ -716,18 +718,32 @@ def _cli_child(*argv, block_buffered: bool = False):
     return got
 
 
+# the oracle nucleus census of the 6-point antichain: about 915 KB in one write
+CENSUS6 = ("enumerate", "nuclei", "--mode", "oracle", "--json", "-t", "poset { points: a b c d e f ; arrows: }")
+
+
 @pytest.mark.parametrize(
-    "argv, block_buffered",
+    "argv, block_buffered, read",
     [
-        (("enumerate", "nuclei", "-t", STAR), False),
-        (("enumerate", "nuclei", "-t", STAR), True),
+        (("enumerate", "nuclei", "-t", STAR), False, 0),
+        (("enumerate", "nuclei", "-t", STAR), True, 0),
         # argparse writes the help text, so only the exit path's flush meets the closed pipe
-        (("--help",), True),
+        (("--help",), True, 0),
+        # the reader takes one byte of a write larger than the pipe holds
+        (CENSUS6, False, 1),
+        (CENSUS6, True, 1),
     ],
-    ids=["unbuffered", "block-buffered", "help-block-buffered"],
+    ids=[
+        "unbuffered",
+        "block-buffered",
+        "help-block-buffered",
+        "partial-read-unbuffered",
+        "partial-read-block-buffered",
+    ],
 )
-def test_closed_pipe_is_a_usage_error_without_a_traceback(argv, block_buffered):
-    """A reader that closes the pipe early gets exit 2 and one error line."""
+def test_closed_pipe_is_a_usage_error_without_a_traceback(argv, block_buffered, read):
+    """A reader that closes the pipe early, before it reads or after its
+    first bytes, gets exit 2 and one error line."""
     import subprocess
     import sys
 
@@ -737,6 +753,7 @@ def test_closed_pipe_is_a_usage_error_without_a_traceback(argv, block_buffered):
         stderr=subprocess.PIPE,
         env=_cli_env(block_buffered),
     )
+    assert len(child.stdout.read(read)) == read
     child.stdout.close()
     err = child.stderr.read().decode()
     child.stderr.close()
@@ -828,6 +845,43 @@ def test_sieve_enumeration_is_refused_over_the_point_cap(argv):
         env=env, capture_output=True, text=True, timeout=10,
     )
     assert (got.returncode, got.stdout, got.stderr) == (2, "", "error: 23 points exceeds cap 16\n")
+
+
+SEVENTEEN = [f"p{i}" for i in range(17)]
+OVER_THE_POINT_CAP = {
+    "2cg-2000": ("2cg p=2000 q=0", 2000),
+    "2cg-20000": ("2cg p=20000 q=0", 20000),
+    "2cg-200000": ("2cg p=200000 q=0", 200000),
+    "json-2cg-100000": ('{"poset": {"kind": "2cg", "p": 100000, "q": 0}}', 100000),
+    "poset-17": (f"poset {{ points: {' '.join(SEVENTEEN)} ; arrows: }}", 17),
+    "json-poset-17": (json.dumps({"poset": {"kind": "poset", "points": SEVENTEEN}}), 17),
+}
+
+
+@pytest.mark.parametrize("what", ["omega", "true"])
+@pytest.mark.parametrize("text, points", OVER_THE_POINT_CAP.values(), ids=OVER_THE_POINT_CAP)
+def test_a_poset_over_the_point_cap_is_refused_before_it_is_built(
+    text, points, what, monkeypatch, capsys
+):
+    """Both readers count the points of a header before they build its
+    poset, so a few bytes cannot ask for a poset of any size; ``show true``,
+    which enumerates nothing, is refused as well."""
+    from fourtops import commands
+
+    built = []
+    monkeypatch.setattr(commands, "Poset", lambda *args: built.append(args))
+    monkeypatch.setattr(commands, "TwoColumnGraph", lambda *args: built.append(args))
+    assert run("show", what, "-t", text) == (2, "")
+    assert capsys.readouterr().err == f"error: {points} points exceeds cap 16\n"
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "text", ["2cg p=10 q=6", f"poset {{ points: {' '.join(SEVENTEEN[:16])} ; arrows: }}"]
+)
+def test_sixteen_points_are_within_the_point_cap(text):
+    code, out = run("show", "true", "-t", text)
+    assert code == 0 and out.count("\n") == 16
 
 
 def test_check_axioms_still_reads_cap():
@@ -962,6 +1016,32 @@ def test_both_readers_refuse_the_same_bad_payloads(kind, defect, form, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert MESSAGES.get(defect, "") in err
+
+
+@pytest.mark.parametrize("where", ["last", "first"])
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("kind", ["nucleus", "lt"])
+def test_a_source_listed_twice_is_refused(kind, form, where, capsys):
+    """A second row for the empty down-set (at 1_, for an endomap) is refused
+    wherever it stands, so no answer depends on the order of the rows."""
+    good = _identity_payloads()[kind, form]
+    if form == "text":
+        row = "00 -> 10" if kind == "nucleus" else "1_: 00 -> 10"
+        if where == "first":
+            bad = good.replace("{ ", "{ " + row + "; ", 1)
+        else:
+            bad = good.replace(" }", "; " + row + " }")
+        bad = STAR + "\n" + bad
+    else:
+        doc = json.loads(json.dumps(good))
+        rows = doc["structure"]["table"]
+        if kind == "lt":
+            rows = next(pairs for name, pairs in rows if name == "1_")
+        rows.insert(0 if where == "first" else len(rows), [[], ["1_"]])
+        bad = json.dumps(doc)
+    family = "the down-set algebra" if kind == "nucleus" else "the sieves on '1_'"
+    assert run("convert", "--from", kind, "--to", "y", "-t", bad) == (2, "")
+    assert capsys.readouterr().err == f"error: table lists source {{}} twice on {family}\n"
 
 
 # -- the JSON writer ----------------------------------------------------------------
@@ -1104,6 +1184,42 @@ def test_a_one_cpu_sweep_keeps_at_most_one_poset_per_class():
     )
     entries, alive = map(int, _fresh_child(code).split())
     assert entries == 76 and alive <= 17
+
+
+@pytest.mark.parametrize(
+    "argv, validates",
+    [
+        (("check", "axioms", "-t", STAR), False),
+        (("sweep", "--pmax", "1", "--qmax", "1"), False),
+        (("chi", "-t", STAR + "\ny { _1 }"), True),
+    ],
+    ids=["check-axioms-star", "sweep-1x1", "chi-star"],
+)
+def test_only_chi_validates_a_presheaf_morphism(argv, validates, monkeypatch):
+    """The laws and the routes run on tables and masks: in one process, with
+    a cold classifier, ``check axioms`` and the sweep enter no
+    ``Morphism._validate``, while ``chi`` builds its inclusion validated."""
+    import sys
+
+    from fourtops.classifier import omega
+    from fourtops.presheaf import Morphism
+
+    _allow_cpus(monkeypatch, 1)
+    omega.cache_clear()
+    validate = Morphism._validate.__code__
+    calls = []
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is validate:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(hook)
+    try:
+        code = main(list(argv), out=io.StringIO())
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert bool(calls) == validates, calls
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():

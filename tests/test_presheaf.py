@@ -10,7 +10,7 @@ from fourtops.errors import (
     ShapeMismatch,
     UnknownElement,
 )
-from fourtops.poset import DownSet, Poset, TwoColumnGraph, enumerate_downsets
+from fourtops.poset import DownSet, Poset, enumerate_downsets
 from fourtops.presheaf import (
     Inclusion,
     Morphism,
@@ -20,7 +20,6 @@ from fourtops.presheaf import (
     is_inclusion,
     preimage,
     product,
-    proj,
     subobjects,
     subterminal_of,
     terminal,
@@ -38,6 +37,7 @@ from .oracles import (
     identity,
     natural_maps,
     presheaf_from_element_poset,
+    proj,
     sub_from_sets,
     subobjects_from_sets,
 )
@@ -327,24 +327,17 @@ class TestElementPosets:
         assert keys == sorted(keys) and len(set(keys)) == len(keys)
 
     @pytest.mark.parametrize("which", ["one", "omega", "square"])
-    def test_subobjects_are_the_element_poset_downsets(self, star_poset_module, which):
-        """On 1, Ω and Ω² of the star and of every class of the 2x2 sweep,
-        the element index's down table is the reference element poset's, and
-        the masks of ``subobjects``, whole and cut at each limit, are that
-        poset's down-sets in order.  The cuts are prefixes of the whole list
-        (Ω² has too many subobjects to list whole, so it is checked cut)."""
+    def test_subobjects_are_the_element_poset_downsets(self, sweep_classes, which):
+        """On 1, Ω and Ω² of every class of the 2x2 sweep (the star among
+        them), the element index's down table is the reference element
+        poset's, and the masks of ``subobjects``, whole and cut at each
+        limit, are that poset's down-sets in order.  The cuts are prefixes of
+        the whole list (Ω² has too many subobjects to list whole, so it is
+        checked cut)."""
         from fourtops.classifier import omega
-        from fourtops.poset import canonical_form
-        from fourtops.sweep import cross_configurations
 
-        classes = {canonical_form(star_poset_module): star_poset_module}
-        for p in range(3):
-            for q in range(3):
-                for cross in cross_configurations(p, q):
-                    poset = TwoColumnGraph(p, q, cross).poset()
-                    classes.setdefault(canonical_form(poset), poset)
-        assert len(classes) == 17
-        for poset in classes.values():
+        assert len(sweep_classes) == 17
+        for poset in sweep_classes:
             om = omega(poset)
             b = {"one": terminal(poset), "omega": om, "square": product(om, om)}[which]
             epo = element_poset(b)

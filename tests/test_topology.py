@@ -6,7 +6,7 @@ from itertools import chain
 import pytest
 
 from fourtops.census import enumerate_lts
-from fourtops.classifier import internal_meet, omega, true_inclusion
+from fourtops.classifier import omega
 from fourtops.convert import lt_to_grotop, point_set_to_grotop
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
 from fourtops.heyting import AxiomFailure, CheckReport, HeytingAlgebra
@@ -23,8 +23,6 @@ from fourtops.presheaf import (
     Inclusion,
     Morphism,
     _pull_mask,
-    pairing,
-    proj,
     subterminal_of,
     terminal,
 )
@@ -44,13 +42,19 @@ from fourtops.topology import (
     restriction_check,
 )
 
+from . import oracles
 from .conftest import pile_code_str
 from .oracles import (
     build_universe_literal,
     check_closure_axioms_literal,
     closure_of_composite,
     largest_grotop,
+    lt_as_morphism,
     lt_identity,
+    lt_laws_literal,
+    meet_square,
+    natural_endomaps,
+    pairing,
     smallest_grotop,
 )
 
@@ -63,11 +67,6 @@ def star():
 @pytest.fixture(scope="module")
 def P(star):
     return star.poset()
-
-
-@pytest.fixture(scope="module")
-def om(P):
-    return omega(P)
 
 
 @pytest.fixture(scope="module")
@@ -146,30 +145,12 @@ class TestLTAxioms:
         for lt in all_lts:
             assert is_lt_topology(lt).ok
 
-    def test_conjunction_is_built_once_per_classifier(self, P, all_lts, monkeypatch):
-        import fourtops.classifier as classifier
-
-        built = []
-        real = classifier.meet_map
-        monkeypatch.setattr(
-            classifier, "meet_map", lambda *args: built.append(args) or real(*args)
-        )
-        omega.cache_clear()  # a fresh classifier, with no conjunction built
-        for lt in all_lts:
-            assert is_lt_topology(lt).ok
-        assert len(built) == 1
-        om = omega(P)
-        conj, p0, p1 = internal_meet(om)
-        sq = conj.dom
-        assert conj == real(P)
-        assert (p0, p1) == (proj(sq, om, om, 0), proj(sq, om, om, 1))
-
-    def test_square_composites_equal_their_validated_morphisms(self, P, om, all_lts):
+    def test_square_composites_equal_their_validated_morphisms(self, P, all_lts):
         """``then`` builds its composite trusted; on every composite of the
         meet square it equals the validated Morphism of the same components."""
-        conj, p0, p1 = internal_meet(om)
+        _, conj, p0, p1 = meet_square(P)
         for lt in all_lts:
-            jm = lt.as_morphism()
+            jm = lt_as_morphism(lt)
             paired = pairing(p0.then(jm), p1.then(jm), conj.dom)
             for first, second in ((conj, jm), (p0, jm), (p1, jm), (paired, conj)):
                 comp = {
@@ -181,8 +162,9 @@ class TestLTAxioms:
                 assert (got.dom, got.cod) == (first.dom, second.cod)
 
     def test_square_still_catches_a_wrong_morphism(self, P, monkeypatch):
-        """A natural endomap that is not the tables' and breaks meets (the
-        negation of sieves) fails the square, though every table law holds."""
+        """The literal laws read the morphism, not the tables: given the
+        negation of sieves for the identity's tables, which pass every law,
+        they report the laws negation breaks, meets among them."""
 
         def negation(lt):
             om = omega(lt.poset)
@@ -193,9 +175,29 @@ class TestLTAxioms:
                 comp[u] = {s: sieves[pos[interior_mask(P, down & ~s.mask)]] for s in sieves}
             return Morphism(om, om, comp)
 
-        monkeypatch.setattr(LTTopology, "as_morphism", negation)
-        report = is_lt_topology(lt_identity(P))
-        assert [f.axiom for f in report.failures] == ["preserves-meets-as-map"]
+        assert is_lt_topology(lt_identity(P)).ok
+        assert lt_laws_literal(lt_identity(P)) == set()
+        monkeypatch.setattr(oracles, "lt_as_morphism", negation)
+        assert lt_laws_literal(lt_identity(P)) == {
+            "idempotent",
+            "preserves-true",
+            "preserves-meets",
+        }
+
+    def test_table_laws_equal_the_literal_laws_on_every_natural_endomap(self, sweep_classes):
+        """On every natural endomap of Ω of every class of the 2x2 sweep, the
+        laws ``is_lt_topology`` finds failing on the tables are the laws that
+        fail as morphism equations, and naturality never fails."""
+        endomaps = verdicts = 0
+        seen = set()
+        for poset in sweep_classes:
+            for lt in natural_endomaps(poset):
+                failing = {f.axiom for f in is_lt_topology(lt).failures}
+                assert failing == lt_laws_literal(lt)
+                endomaps += 1
+                verdicts += not failing
+                seen.add(frozenset(failing))
+        assert (endomaps, verdicts, len(seen)) == (4855, 187, 8)
 
     def test_meet_law_failure_detected(self, P):
         # at the big component, swap the images of the two incomparable sieves
@@ -348,7 +350,7 @@ class TestOneKernel:
         assert len(built) == len({(id(index), mask) for index, mask in built}) == 9
         # the true mask of the classifier, and the 8 subterminals
         assert sorted(mask for index, mask in built if index is omega(P).elements()) == [
-            true_inclusion(P).mask
+            omega(P).true_mask
         ]
         assert sorted(mask for index, mask in built if index is terminal(P).elements()) == sorted(
             HeytingAlgebra(P).elements
