@@ -14,7 +14,7 @@ from importlib import import_module
 _HOMES = {
     "axioms": ("TestUniverse", "build_universe", "check_closure_axioms", "filter_check"),
     "census": ("enumerate_grotops", "enumerate_lts", "enumerate_nuclei"),
-    "classifier": ("OmegaObject", "chi", "imp_map", "meet_map", "omega", "sigma", "true_map"),
+    "classifier": ("OmegaObject", "omega"),
     "convert": (
         "Quad",
         "check_routes",
@@ -44,32 +44,9 @@ _HOMES = {
         "sieves_on",
         "star_graph",
     ),
-    "presheaf": (
-        "Inclusion",
-        "Morphism",
-        "Presheaf",
-        "can",
-        "intersection",
-        "is_inclusion",
-        "preimage",
-        "product",
-        "subobjects",
-        "subterminal_of",
-        "terminal",
-    ),
+    "presheaf": ("Presheaf", "product", "terminal"),
     "records": ("GrothendieckTopology", "LTTopology"),
-    "topology": (
-        "ClosureOperator",
-        "canonical_grothendieck",
-        "closure_of",
-        "dense_closed_factor",
-        "is_closed",
-        "is_dense",
-        "is_grothendieck",
-        "is_lt_topology",
-        "j_from_closure",
-        "restriction_check",
-    ),
+    "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology", "j_from_closure"),
 }
 # exported name -> the submodule it lives in
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}

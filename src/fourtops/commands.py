@@ -572,18 +572,17 @@ def cmd_show(args, out) -> int:
 
 
 def cmd_chi(args, out) -> int:
-    from .classifier import chi as chi_map
-    from .presheaf import Inclusion, subterminal_of, terminal
+    from .presheaf import _truth_values, terminal
 
     spec = _read_input(args)
     if spec.kind != "y":
         raise ParseError("chi needs a y payload naming a down-closed subterminal")
     poset = spec.poset
     sub = DownSet(poset, poset.mask_of(spec.payload))
-    one = terminal(poset)
-    f = Inclusion(subterminal_of(poset, sub), one)
-    g = chi_map(f)
-    values = [g.comp[u]["*"].mask for u in poset.points]
+    # the terminal has one element per point, in point order, so the
+    # down-set's point mask is its subterminal's element mask and the
+    # classifier row loop gives one sieve per point
+    values = _truth_values(terminal(poset).elements(), sub.mask)
     if args.json:
         rows = sorted((str(u), _downset_json(poset, m)) for u, m in zip(poset.points, values))
         _write_result(out, spec, {"chi": [[u, v] for u, v in rows]})

@@ -25,28 +25,8 @@ class SizeCapExceeded(FourtopsError):
     """An exhaustive operation was asked to run beyond its size cap."""
 
 
-class UnknownElement(FourtopsError):
-    """An element label is not present in the named component."""
-
-
 class FunctorialityError(FourtopsError):
     """Restriction maps are not path-independent or not total."""
-
-
-class NaturalityError(FourtopsError):
-    """A component family does not commute with restriction."""
-
-
-class NotMonic(FourtopsError):
-    """A morphism expected to be componentwise injective is not."""
-
-
-class NotInclusion(FourtopsError):
-    """A morphism expected to have identity components does not."""
-
-
-class NotSubterminal(FourtopsError):
-    """A presheaf has a component with more than one element."""
 
 
 class ShapeMismatch(FourtopsError):

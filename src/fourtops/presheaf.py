@@ -1,17 +1,16 @@
-"""Finite presheaves on a poset: morphisms, inclusions, and the limit toolkit.
+"""Finite presheaves on a poset, their element indexes, and products.
 
 A presheaf assigns a finite label set to each point and a restriction map to
 each generating arrow; composite restrictions must be path-independent, which
-is verified at construction.  An inclusion is a morphism whose components are
-literal identities, so the domain's label sets are genuine subsets of the
-codomain's and the whole subobject calculus (preimage, intersection, image)
-stays on the nose.
+is verified at construction.
 
-Every inclusion into B also carries a bitmask over B's elements (u, a), in
-element order: points in order, labels in ``sorted_at`` order.  A
-sub-presheaf is exactly a down-closed mask, so derived subobjects are built
-from masks with that one check and are otherwise trusted: their restrictions
-and composite paths are sliced from B rather than recomposed and revalidated.
+A presheaf's elements (u, a) are indexed in element order: points in order,
+labels in ``sorted_at`` order.  A sub-presheaf is exactly a down-closed mask
+over that index, and a map between presheaves is given by the image bit of
+each element of its domain; those masks are the only form in which the
+package handles subobjects and maps.  A sub-presheaf sliced from a mask
+(``Presheaf._sub``) is trusted: its restrictions and composite paths are
+taken from the presheaf rather than recomposed and revalidated.
 """
 
 from __future__ import annotations
@@ -19,15 +18,8 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Hashable, Mapping
 
-from .errors import (
-    FunctorialityError,
-    NaturalityError,
-    NotInclusion,
-    NotMonic,
-    ShapeMismatch,
-    UnknownElement,
-)
-from .poset import DownSet, Poset, _bits, _downsets
+from .errors import FunctorialityError, ShapeMismatch
+from .poset import Poset, _bits
 
 Label = Hashable
 
@@ -79,17 +71,6 @@ class ElementIndex:
         self.point = tuple(point)
         self.rows = tuple(rows)
         self.down = tuple(down)
-
-    def mask_of(self, sets: Mapping) -> int:
-        """Mask of the elements named by a point -> labels mapping."""
-        mask = 0
-        for u, labels in sets.items():
-            for a in labels:
-                try:
-                    mask |= 1 << self.bit[(u, a)]
-                except KeyError:
-                    raise UnknownElement(f"{a!r} not in the component at {u!r}") from None
-        return mask
 
     def require_down_closed(self, mask: int) -> int:
         """Return mask if it names a sub-presheaf, else raise FunctorialityError."""
@@ -230,15 +211,6 @@ class Presheaf:
                         pending.append(v)
         return out
 
-    def restrict(self, u, v, a):
-        """Image of a in B(u) under the composite restriction to v."""
-        try:
-            return self._paths[(u, v)][a]
-        except KeyError:
-            if (u, v) not in self._paths:
-                raise ShapeMismatch(f"{u!r} is not above {v!r}") from None
-            raise UnknownElement(f"{a!r} not in the component at {u!r}") from None
-
     def elements(self) -> ElementIndex:
         """The element index, built on first use and kept."""
         if self._elements is None:
@@ -292,177 +264,6 @@ def _pull_mask(images: tuple[int, ...], mask: int) -> int:
     return out
 
 
-class Morphism:
-    """Natural transformation between presheaves on the same poset."""
-
-    __slots__ = ("dom", "cod", "comp", "_images")
-
-    def __init__(self, dom: Presheaf, cod: Presheaf, comp: Mapping):
-        if dom.poset != cod.poset:
-            raise ShapeMismatch("domain and codomain live on different posets")
-        self.dom = dom
-        self.cod = cod
-        self.comp = {u: dict(comp.get(u, {})) for u in dom.poset.points}
-        self._images = None
-        self._validate()
-
-    def _validate(self) -> None:
-        for u in self.dom.poset.points:
-            table = self.comp[u]
-            if set(table) != set(self.dom.sets[u]):
-                raise NaturalityError(f"component at {u!r} is not total")
-            for a, b in table.items():
-                if b not in self.cod.sets[u]:
-                    raise NaturalityError(
-                        f"component at {u!r} sends {a!r} outside the codomain"
-                    )
-        for (u, v) in self.dom.poset.arrows:
-            down = self.dom.restr[(u, v)]
-            up = self.cod.restr[(u, v)]
-            for a in self.dom.sets[u]:
-                if self.comp[v][down[a]] != up[self.comp[u][a]]:
-                    raise NaturalityError(
-                        f"square at arrow {(u, v)!r} does not commute on {a!r}"
-                    )
-
-    @classmethod
-    def _trusted(cls, dom: Presheaf, cod: Presheaf, comp: dict) -> "Morphism":
-        """A morphism whose naturality holds by construction: no re-check."""
-        self = object.__new__(cls)
-        self.dom = dom
-        self.cod = cod
-        self.comp = comp
-        self._images = None
-        return self
-
-    def __call__(self, u, a):
-        try:
-            return self.comp[u][a]
-        except KeyError:
-            raise UnknownElement(f"{a!r} not in the domain at {u!r}") from None
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Morphism)
-            and self.dom == other.dom
-            and self.cod == other.cod
-            and self.comp == other.comp
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dom, self.cod))
-
-    def image_bits(self) -> tuple[int, ...]:
-        """Per element of the domain, in element order, the bit of its image
-        among the codomain's elements; built on first use and kept."""
-        if self._images is None:
-            cod_bit = self.cod.elements().bit
-            self._images = tuple(
-                1 << cod_bit[(u, self.comp[u][a])] for (u, a) in self.dom.elements().keys
-            )
-        return self._images
-
-    def pull_mask(self, mask: int) -> int:
-        """Preimage of a codomain element mask, as a domain element mask."""
-        return _pull_mask(self.image_bits(), mask)
-
-    def is_monic(self) -> bool:
-        return all(
-            len(set(self.comp[u].values())) == len(self.comp[u])
-            for u in self.dom.poset.points
-        )
-
-    def then(self, other: "Morphism") -> "Morphism":
-        """Composite self;other (apply self first).  A composite of natural
-        maps is natural, so it is built trusted, not validated again."""
-        if self.cod != other.dom:
-            raise ShapeMismatch("composite endpoints do not match")
-        comp = {
-            u: {a: other.comp[u][b] for a, b in self.comp[u].items()}
-            for u in self.dom.poset.points
-        }
-        return Morphism._trusted(self.dom, other.cod, comp)
-
-
-class Inclusion(Morphism):
-    """A morphism whose components are literal identities (IncSC), with the
-    mask of its domain's elements among the codomain's."""
-
-    __slots__ = ("mask",)
-
-    def __init__(self, dom: Presheaf, cod: Presheaf):
-        for u in dom.poset.points:
-            if not dom.sets[u] <= cod.sets[u]:
-                raise NotInclusion(
-                    f"component at {u!r} is not a subset of the codomain"
-                )
-        comp = {u: {a: a for a in dom.sets[u]} for u in dom.poset.points}
-        super().__init__(dom, cod, comp)
-        self.mask = cod.elements().mask_of(dom.sets)
-
-    @classmethod
-    def _from_mask(cls, cod: Presheaf, mask: int) -> "Inclusion":
-        """The inclusion of the sub-presheaf on a down-closed element mask;
-        FunctorialityError if the mask is not down-closed."""
-        cod.elements().require_down_closed(mask)
-        dom = cod._sub(mask)
-        comp = {u: {a: a for a in labels} for u, labels in dom.sets.items()}
-        self = cls._trusted(dom, cod, comp)
-        self.mask = mask
-        return self
-
-
-def is_inclusion(m: Morphism) -> bool:
-    return all(
-        all(a == b for a, b in m.comp[u].items()) for u in m.dom.poset.points
-    )
-
-
-def as_inclusion(m: Morphism, message: str = "expected an inclusion") -> Inclusion:
-    """m itself if it is an Inclusion; else the Inclusion with m's endpoints,
-    provided m has identity components."""
-    if isinstance(m, Inclusion):
-        return m
-    if not is_inclusion(m):
-        raise NotInclusion(message)
-    return Inclusion(m.dom, m.cod)
-
-
-def _same_codomain(f: Morphism, g: Morphism, what: str) -> None:
-    if f.cod is not g.cod and f.cod != g.cod:
-        raise ShapeMismatch(f"{what} needs a shared codomain")
-
-
-def can(f: Morphism) -> Inclusion:
-    """The inclusion equivalent to a monic: image sets with inherited restriction."""
-    if not f.is_monic():
-        raise NotMonic("can() needs a componentwise-injective morphism")
-    mask = 0
-    for img in f.image_bits():
-        mask |= img
-    return Inclusion._from_mask(f.cod, mask)
-
-
-def preimage(f: Morphism, g: Inclusion) -> tuple[Inclusion, Morphism]:
-    """Pull an inclusion back along f; returns (left wall, top wall)."""
-    _same_codomain(f, g, "preimage")
-    g = as_inclusion(g)
-    left = Inclusion._from_mask(f.dom, f.pull_mask(g.mask))
-    sub = left.dom
-    top = Morphism(
-        sub,
-        g.dom,
-        {u: {a: f.comp[u][a] for a in sub.sets[u]} for u in f.dom.poset.points},
-    )
-    return left, top
-
-
-def intersection(f: Inclusion, g: Inclusion) -> Inclusion:
-    """Componentwise meet of two inclusions into the same presheaf."""
-    _same_codomain(f, g, "intersection")
-    return Inclusion._from_mask(f.cod, as_inclusion(f).mask & as_inclusion(g).mask)
-
-
 def product(a: Presheaf, b: Presheaf) -> Presheaf:
     """Pointwise pairs with pairwise restriction; labels are (left, right)."""
     if a.poset != b.poset:
@@ -479,23 +280,3 @@ def product(a: Presheaf, b: Presheaf) -> Presheaf:
         for (u, v) in a.poset.arrows
     }
     return Presheaf(a.poset, sets, restr)
-
-
-def subterminal_of(poset: Poset, s: DownSet) -> Presheaf:
-    """The subterminal presheaf whose truth-value is the given down-set."""
-    sets = {u: ("*",) if u in s else () for u in poset.points}
-    restr = {
-        (u, v): ({"*": "*"} if u in s else {}) for (u, v) in poset.arrows
-    }
-    return Presheaf(poset, sets, restr)
-
-
-def subobjects(b: Presheaf, limit: int | None = None) -> list[Inclusion]:
-    """Inclusions into b, one per down-set of b's elements under the element
-    index's down table.
-
-    Deterministic (size, membership) order; ``limit`` keeps only the first
-    entries of that order and avoids materializing the rest.
-    """
-    index = b.elements()
-    return [Inclusion._from_mask(b, m) for m in _downsets(index.down, index.full, limit)]

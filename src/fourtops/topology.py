@@ -2,29 +2,21 @@
 
 Three equivalent presentations live here: per-point endomaps of the
 classifier (checked against naturality and the three endomap laws), the
-closure operators they induce on inclusions, and per-point families of
-covering sieves (checked against hasmax / stab / trans).  The endomap and
-covering-family records themselves live in ``records``; the five closure
-laws over a finite test universe and the filter laws, which only
-``check axioms`` runs, live in ``axioms``.
+closure operators they induce on sub-presheaves, read as element masks,
+and per-point families of covering sieves (checked against hasmax / stab /
+trans).  The endomap and covering-family records themselves live in
+``records``; the five closure laws over a finite test universe and the
+filter laws, which only ``check axioms`` runs, live in ``axioms``.
 """
 
 from __future__ import annotations
 
 from .classifier import chi_tables, omega
-from .errors import InvalidTopology, ShapeMismatch
+from .errors import InvalidTopology
 from .heyting import AxiomFailure, CheckReport, operator_failures
-from .poset import (
-    DownSet,
-    Poset,
-    _bits,
-    enumerate_downsets,
-    sieve_positions,
-    sieve_restriction,
-    sieves_on,
-)
-from .presheaf import ElementIndex, Inclusion, as_inclusion, preimage
-from .records import GrothendieckTopology, LTTopology, make_grotop
+from .poset import DownSet, Poset, _bits, sieve_positions, sieve_restriction, sieves_on
+from .presheaf import ElementIndex
+from .records import GrothendieckTopology, LTTopology
 
 
 def is_lt_topology(j: LTTopology) -> CheckReport:
@@ -58,10 +50,11 @@ def is_lt_topology(j: LTTopology) -> CheckReport:
 
 
 class ClosureOperator:
-    """Closure on inclusions, represented by its inducing classifier endomap.
+    """Closure on sub-presheaves, represented by its inducing classifier
+    endomap.
 
     A free-standing table over every object would be infinite; the inducing
-    endomap determines the action on any inclusion, and the closure laws are
+    endomap determines the action on any sub-presheaf, and the closure laws are
     validated against that action over a finite universe.  ``cover`` holds
     one key ``sieve mask * width + point index`` per sieve the endomap sends
     to the maximal one, the keys of the truth-value groups an element index
@@ -122,17 +115,6 @@ class _Closures(dict):
         return got
 
 
-def closure_of(clop: ClosureOperator, f: Inclusion) -> Inclusion:
-    """The inclusion classified by (endomap after classifying-map), computed
-    on element masks; the tests spell out the same composite through the
-    classifier and the two must agree."""
-    f = as_inclusion(f, "closure acts on inclusions")
-    b = f.cod
-    if b.poset != clop.poset:
-        raise ShapeMismatch("inclusion lives on a different poset")
-    return Inclusion._from_mask(b, clop.closures(b.elements())[f.mask])
-
-
 def j_from_closure(clop: ClosureOperator) -> LTTopology:
     """Classifying map of the closure of the true inclusion, computed on the
     classifier's element masks: FunctorialityError if that closure is not a
@@ -140,43 +122,6 @@ def j_from_closure(clop: ClosureOperator) -> LTTopology:
     om = omega(clop.poset)
     closed = clop.closures(om.elements())[om.true_mask]
     return LTTopology(clop.poset, chi_tables(om, closed))
-
-
-def is_dense(clop: ClosureOperator, f: Inclusion) -> bool:
-    return closure_of(clop, f).mask == f.cod.elements().full
-
-
-def is_closed(clop: ClosureOperator, f: Inclusion) -> bool:
-    return closure_of(clop, f).mask == as_inclusion(f).mask
-
-
-def dense_closed_factor(clop: ClosureOperator, f: Inclusion) -> tuple[Inclusion, Inclusion]:
-    """Split an inclusion into a dense part followed by a closed part."""
-    closed = closure_of(clop, f)
-    dense_part = Inclusion(f.dom, closed.dom)
-    return dense_part, closed
-
-
-def restriction_check(
-    clop: ClosureOperator, triple: tuple[Inclusion, Inclusion, Inclusion]
-) -> CheckReport:
-    """Closure of the middle map computed from closures in the big object.
-
-    ``triple`` is (m : C into D, d : D into E, c : C into E).
-    """
-    m, d, c = triple
-    failures = []
-    closed_m = closure_of(clop, m)
-    closed_c = closure_of(clop, c)
-    pulled, _ = preimage(d, closed_c)
-    if closed_m.dom != pulled.dom:
-        failures.append(AxiomFailure("restricted-closure-is-pullback", (m.dom,)))
-    expected = {
-        u: closed_c.dom.sets[u] & d.dom.sets[u] for u in clop.poset.points
-    }
-    if {u: closed_m.dom.sets[u] for u in clop.poset.points} != expected:
-        failures.append(AxiomFailure("restricted-closure-is-meet", (m.dom,)))
-    return CheckReport("restriction identities", tuple(failures))
 
 
 # -- covering-sieve topologies ----------------------------------------------
@@ -224,31 +169,3 @@ def is_grothendieck(j: GrothendieckTopology) -> CheckReport:
                 continue
             break
     return CheckReport("covering axioms", tuple(failures))
-
-
-def canonical_grothendieck(base: Poset) -> GrothendieckTopology:
-    """Covering-by-union topology on the space of down-sets of the base.
-
-    The result is indexed by the poset of down-sets of ``base`` ordered by
-    reverse inclusion (bigger opens above), and a sieve covers an open when
-    the union of its members is that open.
-    """
-    opens = enumerate_downsets(base)
-    names = tuple("{" + ",".join(str(p) for p in base.names_of(o)) + "}" for o in opens)
-    arrows = set()
-    for i, o in enumerate(opens):
-        for k, w in enumerate(opens):
-            if i != k and w | o == o:
-                arrows.add((names[i], names[k]))
-    space = Poset(names, arrows)
-    families: dict = {}
-    for name, o in zip(names, opens):
-        fam = []
-        for sieve in sieves_on(space, name):
-            union = 0
-            for k in _bits(sieve):
-                union |= opens[k]
-            if union == o:
-                fam.append(sieve)
-        families[name] = fam
-    return make_grotop(space, families)

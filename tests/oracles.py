@@ -1,10 +1,24 @@
 """Independent brute-force reference implementations used to freeze expected
-values.  Everything above the composite-routes section works from first
+values.  Everything above the validated presheaf maps works from first
 principles on explicit subsets so it shares no code path with the package.
+
+The validated presheaf maps are the label-dict calculus the package was
+built from and no longer runs: natural transformations validated component
+by component, identity-component inclusions with their preimages and
+intersections, the classifying map ``chi`` read off the label paths, the
+classified inclusion ``sigma``, the true map, the internal conjunction and
+implication, and the closure operator's action on inclusions (``closure_of``,
+a thin wrapper over the package's table of closed masks, with the dense and
+closed tests, the dense-closed factorization and the restriction identities)
+and the canonical covering-by-union topology, with the five exception types
+that only this calculus raises.  The package represents a presheaf map
+only by element masks and image bits.
 
 The composite routes keep the package's earlier, literal constructions of
 the mask-based fast paths: they build one sub-presheaf object per step, most
-of them validated from label sets, where the package reads element masks.
+of them validated from label sets, where the package reads element masks;
+they close inclusions through the classifier (``closure_of_composite``), not
+through the package's table of closed masks.
 Among them, the literal closure-law universe builds each subobject, bang and
 classifying map as a validated object, where the package lists masks and
 image bits, and the literal endomap laws are equations of validated
@@ -33,6 +47,8 @@ import json
 from functools import lru_cache
 from itertools import combinations, islice, permutations, product
 from typing import NamedTuple
+
+from fourtops.errors import FourtopsError, ShapeMismatch
 
 
 def brute_above(points, arrows):
@@ -123,6 +139,396 @@ def brute_nucleus_tables(elements, meet):
     return out
 
 
+# -- validated presheaf maps ---------------------------------------------------
+
+
+class UnknownElement(FourtopsError):
+    """An element label is not present in the named component."""
+
+
+class NaturalityError(FourtopsError):
+    """A component family does not commute with restriction."""
+
+
+class NotMonic(FourtopsError):
+    """A morphism expected to be componentwise injective is not."""
+
+
+class NotInclusion(FourtopsError):
+    """A morphism expected to have identity components does not."""
+
+
+class NotSubterminal(FourtopsError):
+    """A presheaf has a component with more than one element."""
+
+
+class Morphism:
+    """Natural transformation between presheaves on the same poset."""
+
+    __slots__ = ("dom", "cod", "comp", "_images")
+
+    def __init__(self, dom, cod, comp):
+        if dom.poset != cod.poset:
+            raise ShapeMismatch("domain and codomain live on different posets")
+        self.dom = dom
+        self.cod = cod
+        self.comp = {u: dict(comp.get(u, {})) for u in dom.poset.points}
+        self._images = None
+        self._validate()
+
+    def _validate(self):
+        for u in self.dom.poset.points:
+            table = self.comp[u]
+            if set(table) != set(self.dom.sets[u]):
+                raise NaturalityError(f"component at {u!r} is not total")
+            for a, b in table.items():
+                if b not in self.cod.sets[u]:
+                    raise NaturalityError(f"component at {u!r} sends {a!r} outside the codomain")
+        for (u, v) in self.dom.poset.arrows:
+            down = self.dom.restr[(u, v)]
+            up = self.cod.restr[(u, v)]
+            for a in self.dom.sets[u]:
+                if self.comp[v][down[a]] != up[self.comp[u][a]]:
+                    raise NaturalityError(f"square at arrow {(u, v)!r} does not commute on {a!r}")
+
+    @classmethod
+    def _trusted(cls, dom, cod, comp):
+        """A morphism taken as given: its naturality is not checked."""
+        self = object.__new__(cls)
+        self.dom = dom
+        self.cod = cod
+        self.comp = comp
+        self._images = None
+        return self
+
+    def __call__(self, u, a):
+        try:
+            return self.comp[u][a]
+        except KeyError:
+            raise UnknownElement(f"{a!r} not in the domain at {u!r}") from None
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, Morphism)
+            and self.dom == other.dom
+            and self.cod == other.cod
+            and self.comp == other.comp
+        )
+
+    def __hash__(self):
+        return hash((self.dom, self.cod))
+
+    def image_bits(self):
+        """Per element of the domain, in element order, the bit of its image
+        among the codomain's elements; built on first use and kept."""
+        if self._images is None:
+            cod_bit = self.cod.elements().bit
+            self._images = tuple(
+                1 << cod_bit[(u, self.comp[u][a])] for (u, a) in self.dom.elements().keys
+            )
+        return self._images
+
+    def pull_mask(self, mask):
+        """Preimage of a codomain element mask, as a domain element mask."""
+        from fourtops.presheaf import _pull_mask
+
+        return _pull_mask(self.image_bits(), mask)
+
+    def is_monic(self):
+        return all(
+            len(set(self.comp[u].values())) == len(self.comp[u]) for u in self.dom.poset.points
+        )
+
+    def then(self, other):
+        """Composite self;other (apply self first).  A composite of natural
+        maps is natural, so it is built trusted, not validated again."""
+        if self.cod != other.dom:
+            raise ShapeMismatch("composite endpoints do not match")
+        comp = {
+            u: {a: other.comp[u][b] for a, b in self.comp[u].items()}
+            for u in self.dom.poset.points
+        }
+        return Morphism._trusted(self.dom, other.cod, comp)
+
+
+class Inclusion(Morphism):
+    """A morphism whose components are literal identities (IncSC), with the
+    mask of its domain's elements among the codomain's."""
+
+    __slots__ = ("mask",)
+
+    def __init__(self, dom, cod):
+        for u in dom.poset.points:
+            if not dom.sets[u] <= cod.sets[u]:
+                raise NotInclusion(f"component at {u!r} is not a subset of the codomain")
+        comp = {u: {a: a for a in dom.sets[u]} for u in dom.poset.points}
+        super().__init__(dom, cod, comp)
+        self.mask = mask_of(cod.elements(), dom.sets)
+
+    @classmethod
+    def _from_mask(cls, cod, mask):
+        """The inclusion of the sub-presheaf on a down-closed element mask;
+        FunctorialityError if the mask is not down-closed."""
+        cod.elements().require_down_closed(mask)
+        dom = cod._sub(mask)
+        comp = {u: {a: a for a in labels} for u, labels in dom.sets.items()}
+        self = cls._trusted(dom, cod, comp)
+        self.mask = mask
+        return self
+
+
+def restrict(b, u, v, a):
+    """Image of a in B(u) under the composite restriction to v."""
+    try:
+        return b._paths[(u, v)][a]
+    except KeyError:
+        if (u, v) not in b._paths:
+            raise ShapeMismatch(f"{u!r} is not above {v!r}") from None
+        raise UnknownElement(f"{a!r} not in the component at {u!r}") from None
+
+
+def mask_of(index, sets):
+    """Mask of the elements of an element index named by a point -> labels
+    mapping."""
+    mask = 0
+    for u, labels in sets.items():
+        for a in labels:
+            try:
+                mask |= 1 << index.bit[(u, a)]
+            except KeyError:
+                raise UnknownElement(f"{a!r} not in the component at {u!r}") from None
+    return mask
+
+
+def is_inclusion(m):
+    return all(all(a == b for a, b in m.comp[u].items()) for u in m.dom.poset.points)
+
+
+def as_inclusion(m, message="expected an inclusion"):
+    """m itself if it is an Inclusion; else the Inclusion with m's endpoints,
+    provided m has identity components."""
+    if isinstance(m, Inclusion):
+        return m
+    if not is_inclusion(m):
+        raise NotInclusion(message)
+    return Inclusion(m.dom, m.cod)
+
+
+def _same_codomain(f, g, what):
+    if f.cod is not g.cod and f.cod != g.cod:
+        raise ShapeMismatch(f"{what} needs a shared codomain")
+
+
+def can(f):
+    """The inclusion equivalent to a monic: image sets with inherited restriction."""
+    if not f.is_monic():
+        raise NotMonic("can() needs a componentwise-injective morphism")
+    mask = 0
+    for img in f.image_bits():
+        mask |= img
+    return Inclusion._from_mask(f.cod, mask)
+
+
+def preimage(f, g):
+    """Pull an inclusion back along f; returns (left wall, top wall)."""
+    _same_codomain(f, g, "preimage")
+    g = as_inclusion(g)
+    left = Inclusion._from_mask(f.dom, f.pull_mask(g.mask))
+    sub = left.dom
+    top = Morphism(
+        sub, g.dom, {u: {a: f.comp[u][a] for a in sub.sets[u]} for u in f.dom.poset.points}
+    )
+    return left, top
+
+
+def intersection(f, g):
+    """Componentwise meet of two inclusions into the same presheaf."""
+    _same_codomain(f, g, "intersection")
+    return Inclusion._from_mask(f.cod, as_inclusion(f).mask & as_inclusion(g).mask)
+
+
+def subterminal_of(poset, s):
+    """The subterminal presheaf whose truth-value is the given down-set."""
+    from fourtops.presheaf import Presheaf
+
+    sets = {u: ("*",) if u in s else () for u in poset.points}
+    restr = {(u, v): ({"*": "*"} if u in s else {}) for (u, v) in poset.arrows}
+    return Presheaf(poset, sets, restr)
+
+
+def subobjects(b, limit=None):
+    """Inclusions into b, one per down-set of b's elements under the element
+    index's down table, in (size, membership) order; ``limit`` keeps only
+    the first entries of that order."""
+    from fourtops.poset import _downsets
+
+    index = b.elements()
+    return [Inclusion._from_mask(b, m) for m in _downsets(index.down, index.full, limit)]
+
+
+def chi(f):
+    """Classifying map of an inclusion, read off the label paths: b in B(u)
+    goes to the sieve of the points v below u at which b restricts into the
+    domain.  The package reads the same sieves off element masks
+    (``_truth_values``, ``chi_tables``)."""
+    from fourtops.classifier import omega
+    from fourtops.poset import sieve_positions
+
+    f = as_inclusion(f, "chi needs identity components")
+    b, sub = f.cod, f.dom.sets
+    poset = b.poset
+    om = omega(poset)
+    comp = {}
+    for u in poset.points:
+        below = [(1 << k, v) for k, v in enumerate(poset.points) if poset.above(u, v)]
+        sieves, pos = om.sieves[u], sieve_positions(poset, u)
+        comp[u] = {
+            a: sieves[pos[sum(bit for bit, v in below if restrict(b, u, v, a) in sub[v])]]
+            for a in b.sets[u]
+        }
+    return Morphism._trusted(b, om, comp)
+
+
+def sigma(g):
+    """The inclusion classified by a map into the classifier."""
+    b = g.dom
+    poset = b.poset
+    tops = [poset.down_mask_at(i) for i in range(len(poset.points))]
+    mask = 0
+    index = b.elements()
+    for k, ((u, a), i) in enumerate(zip(index.keys, index.point)):
+        if g.comp[u][a].mask == tops[i]:
+            mask |= 1 << k
+    return Inclusion._from_mask(b, mask)
+
+
+def true_map(poset):
+    """The point of the classifier that marks everything below as present."""
+    from fourtops.classifier import omega
+    from fourtops.poset import DownSet
+    from fourtops.presheaf import terminal
+
+    comp = {u: {"*": DownSet(poset, poset.down_mask(u))} for u in poset.points}
+    return Morphism(terminal(poset), omega(poset), comp)
+
+
+def meet_map(poset):
+    """Internal conjunction: componentwise intersection of sieve pairs."""
+    from fourtops.classifier import omega
+    from fourtops.poset import DownSet
+    from fourtops.presheaf import product as times
+
+    om = omega(poset)
+    sq = times(om, om)
+    comp = {
+        u: {(s, t): DownSet(poset, s.mask & t.mask) for (s, t) in sq.sets[u]}
+        for u in poset.points
+    }
+    return Morphism(sq, om, comp)
+
+
+def imp_map(poset):
+    """Internal implication: largest sieve R on u with R meet S inside T."""
+    from fourtops.classifier import omega
+    from fourtops.poset import DownSet
+    from fourtops.presheaf import product as times
+
+    om = omega(poset)
+    sq = times(om, om)
+    comp = {}
+    for u in poset.points:
+        down_u = poset.down_mask(u)
+        table = {}
+        for (s, t) in sq.sets[u]:
+            mask = 0
+            rest = down_u
+            while rest:
+                i = (rest & -rest).bit_length() - 1
+                rest &= rest - 1
+                if poset.down_mask_at(i) & s.mask & ~t.mask == 0:
+                    mask |= 1 << i
+            table[(s, t)] = DownSet(poset, mask)
+        comp[u] = table
+    return Morphism(sq, om, comp)
+
+
+def closure_of(clop, f):
+    """The closure of an inclusion, read through the operator's table of
+    closed masks over its codomain's element index (the package's kernel);
+    ``closure_of_composite`` spells out the same closure through the
+    classifier."""
+    f = as_inclusion(f, "closure acts on inclusions")
+    b = f.cod
+    if b.poset != clop.poset:
+        raise ShapeMismatch("inclusion lives on a different poset")
+    return Inclusion._from_mask(b, clop.closures(b.elements())[f.mask])
+
+
+def is_dense(clop, f):
+    return closure_of(clop, f).mask == f.cod.elements().full
+
+
+def is_closed(clop, f):
+    return closure_of(clop, f).mask == as_inclusion(f).mask
+
+
+def dense_closed_factor(clop, f):
+    """Split an inclusion into a dense part followed by a closed part."""
+    closed = closure_of(clop, f)
+    return Inclusion(f.dom, closed.dom), closed
+
+
+def restriction_check(clop, triple):
+    """Closure of the middle map computed from closures in the big object.
+
+    ``triple`` is (m : C into D, d : D into E, c : C into E).
+    """
+    from fourtops.heyting import AxiomFailure, CheckReport
+
+    m, d, c = triple
+    failures = []
+    closed_m = closure_of(clop, m)
+    closed_c = closure_of(clop, c)
+    pulled, _ = preimage(d, closed_c)
+    if closed_m.dom != pulled.dom:
+        failures.append(AxiomFailure("restricted-closure-is-pullback", (m.dom,)))
+    expected = {u: closed_c.dom.sets[u] & d.dom.sets[u] for u in clop.poset.points}
+    if {u: closed_m.dom.sets[u] for u in clop.poset.points} != expected:
+        failures.append(AxiomFailure("restricted-closure-is-meet", (m.dom,)))
+    return CheckReport("restriction identities", tuple(failures))
+
+
+def canonical_grothendieck(base):
+    """Covering-by-union topology on the space of down-sets of the base.
+
+    The result is indexed by the poset of down-sets of ``base`` ordered by
+    reverse inclusion (bigger opens above), and a sieve covers an open when
+    the union of its members is that open.
+    """
+    from fourtops.poset import Poset, _bits, enumerate_downsets, sieves_on
+    from fourtops.records import make_grotop
+
+    opens = enumerate_downsets(base)
+    names = tuple("{" + ",".join(str(p) for p in base.names_of(o)) + "}" for o in opens)
+    arrows = set()
+    for i, o in enumerate(opens):
+        for k, w in enumerate(opens):
+            if i != k and w | o == o:
+                arrows.add((names[i], names[k]))
+    space = Poset(names, arrows)
+    families = {}
+    for name, o in zip(names, opens):
+        fam = []
+        for sieve in sieves_on(space, name):
+            union = 0
+            for k in _bits(sieve):
+                union |= opens[k]
+            if union == o:
+                fam.append(sieve)
+        families[name] = fam
+    return make_grotop(space, families)
+
+
 # -- composite routes ----------------------------------------------------------
 
 
@@ -130,7 +536,6 @@ def chi_composite(f):
     """Classifying map built per element: the smallest sub-presheaf containing
     the element, met with the domain, read off as a truth-value."""
     from fourtops.classifier import omega
-    from fourtops.presheaf import Morphism, intersection
 
     b = f.cod
     poset = b.poset
@@ -172,8 +577,6 @@ def element_poset_downsets(b, limit=None):
 def subobjects_from_sets(b, limit=None):
     """Inclusions into b, one validated sub-presheaf per down-set of b's
     element poset, built from the down-set's member labels."""
-    from fourtops.presheaf import Inclusion
-
     epo = element_poset(b)
     out = []
     for d in element_poset_downsets(b, limit):
@@ -186,17 +589,16 @@ def subobjects_from_sets(b, limit=None):
 
 def closure_to_nucleus_composite(clop):
     """Nucleus of a closure operator through presheaf objects: each subterminal
-    inclusion into the terminal is closed with ``closure_of`` and its
-    truth-value read with ``cst``."""
+    inclusion into the terminal is closed with ``closure_of_composite`` and
+    its truth-value read with ``cst``."""
     from fourtops.heyting import Nucleus, algebra_of
     from fourtops.presheaf import terminal
-    from fourtops.topology import closure_of
 
     algebra = algebra_of(clop.poset)
     one = terminal(clop.poset)
     table = []
     for s in algebra.elements:
-        closed = closure_of(clop, subterminal_inclusion(one, s))
+        closed = closure_of_composite(clop, subterminal_inclusion(one, s))
         table.append(algebra.index(cst(closed.dom)))
     return Nucleus(algebra, tuple(table))
 
@@ -204,7 +606,6 @@ def closure_to_nucleus_composite(clop):
 def lt_from_morphism(m):
     """The sieve-index tables of an endomap of the classifier."""
     from fourtops.classifier import OmegaObject
-    from fourtops.errors import ShapeMismatch
     from fourtops.poset import sieve_positions
     from fourtops.records import LTTopology
 
@@ -219,33 +620,34 @@ def lt_from_morphism(m):
     return LTTopology(poset, tuple(tables))
 
 
-def lt_as_morphism(lt):
-    """The endomap of the classifier that sieve-index tables name, as a
-    validated morphism: NaturalityError if the tables are not natural."""
+def lt_endomap(lt):
+    """The endomap of the classifier that sieve-index tables name, taken as
+    given: its naturality is not checked."""
     from fourtops.classifier import omega
-    from fourtops.presheaf import Morphism
 
     om = omega(lt.poset)
     comp = {}
     for i, u in enumerate(lt.poset.points):
         sieves = om.sieves[u]
         comp[u] = {s: sieves[lt.tables[i][k]] for k, s in enumerate(sieves)}
-    return Morphism(om, om, comp)
+    return Morphism._trusted(om, om, comp)
+
+
+def lt_as_morphism(lt):
+    """The endomap of the classifier that sieve-index tables name, as a
+    validated morphism: NaturalityError if the tables are not natural."""
+    m = lt_endomap(lt)
+    return Morphism(m.dom, m.cod, m.comp)
 
 
 def true_inclusion(poset):
     """The inclusion equivalent to the true map; its mask is the classifier's
     ``true_mask``."""
-    from fourtops.classifier import true_map
-    from fourtops.presheaf import can
-
     return can(true_map(poset))
 
 
 def proj(p, a, b, which):
     """Projection out of a product built by ``product``."""
-    from fourtops.presheaf import Morphism
-
     cod = a if which == 0 else b
     comp = {u: {pair: pair[which] for pair in p.sets[u]} for u in p.poset.points}
     return Morphism(p, cod, comp)
@@ -253,9 +655,6 @@ def proj(p, a, b, which):
 
 def pairing(f, g, prod):
     """The map <f, g> into a product of the codomains."""
-    from fourtops.errors import ShapeMismatch
-    from fourtops.presheaf import Morphism
-
     if f.dom != g.dom:
         raise ShapeMismatch("pairing needs a shared domain")
     comp = {
@@ -269,8 +668,6 @@ def pairing(f, g, prod):
 def meet_square(poset):
     """The true map, the internal conjunction and the two projections out of
     its domain, as validated morphisms, built once per poset."""
-    from fourtops.classifier import meet_map, true_map
-
     conj = meet_map(poset)
     sq, om = conj.dom, conj.cod
     return true_map(poset), conj, proj(sq, om, om, 0), proj(sq, om, om, 1)
@@ -309,7 +706,6 @@ def natural_endomaps(poset):
 def grotop_inclusion(j):
     """The covering families as a sub-presheaf of the classifier."""
     from fourtops.classifier import omega
-    from fourtops.presheaf import Inclusion
 
     om = omega(j.poset)
     families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
@@ -324,7 +720,6 @@ def grotop_inclusion(j):
 def grotop_to_lt_composite(j):
     """Endomap of a covering family through presheaf objects: the classifying
     map of the families' inclusion, read back as tables."""
-    from fourtops.classifier import chi
     from fourtops.errors import InvalidTopology
     from fourtops.topology import is_grothendieck
 
@@ -336,23 +731,19 @@ def grotop_to_lt_composite(j):
 
 def closure_of_composite(clop, f):
     """Closure of an inclusion through presheaf objects: the inclusion
-    classified by the endomap after the classifying map."""
-    from fourtops.classifier import chi, sigma
-    from fourtops.errors import NotInclusion
-    from fourtops.presheaf import is_inclusion
-
+    classified by the endomap after the classifying map.  The endomap is
+    taken as its tables give it, so tables that are not natural reach the
+    same sub-presheaf check as in the package, not a NaturalityError."""
     if not is_inclusion(f):
         raise NotInclusion("closure acts on inclusions")
-    return sigma(chi(f).then(lt_as_morphism(clop.lt)))
+    return sigma(chi(f).then(lt_endomap(clop.lt)))
 
 
 def j_from_closure_composite(clop):
     """Endomap of a closure operator through presheaf objects: the classifying
-    map of the closed true inclusion, read back as tables."""
-    from fourtops.classifier import chi
-    from fourtops.topology import closure_of
-
-    closed_top = closure_of(clop, true_inclusion(clop.poset))
+    map of the true inclusion closed with ``closure_of_composite``, read
+    back as tables."""
+    closed_top = closure_of_composite(clop, true_inclusion(clop.poset))
     return lt_from_morphism(chi(closed_top))
 
 
@@ -371,10 +762,10 @@ def build_universe_literal(poset, pair_cap=5000, omega_square_cap=24):
     ``subobjects`` of Ω and of Ω², pairs of inclusions, and map pairs of a
     bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
     order."""
-    from fourtops.classifier import chi, omega
+    from fourtops.classifier import omega
     from fourtops.heyting import algebra_of
     from fourtops.presheaf import product as times
-    from fourtops.presheaf import subobjects, terminal
+    from fourtops.presheaf import terminal
 
     om = omega(poset)
     algebra = algebra_of(poset)
@@ -400,10 +791,8 @@ def check_closure_axioms_literal(clop, universe):
     (codomain, mask) closures, one row loop per miss against the covering
     read off the endomap tables, with the poset and shared-codomain checks
     made on every closure miss and every pair."""
-    from fourtops.errors import ShapeMismatch
     from fourtops.heyting import AxiomFailure, CheckReport
     from fourtops.poset import sieves_on
-    from fourtops.presheaf import _same_codomain
 
     poset = clop.poset
     covering = []
@@ -471,21 +860,17 @@ def subterminal_inclusion(one, mask):
     The terminal has one element per point, in point order, so the down-set's
     point mask is already the element mask.
     """
-    from fourtops.presheaf import Inclusion
-
     return Inclusion._from_mask(one, mask)
 
 
 def identity(b):
     """The identity of b, as an inclusion."""
-    from fourtops.presheaf import Inclusion
-
     return Inclusion(b, b)
 
 
 def bang(b, one=None):
     """The unique map to the terminal."""
-    from fourtops.presheaf import Morphism, terminal
+    from fourtops.presheaf import terminal
 
     one = terminal(b.poset) if one is None else one
     comp = {u: {a: "*" for a in b.sets[u]} for u in b.poset.points}
@@ -549,23 +934,17 @@ def empty_presheaf(poset):
 
 def equalizer(f, g):
     """The sub-presheaf where two parallel morphisms agree."""
-    from fourtops.errors import ShapeMismatch
-    from fourtops.presheaf import Inclusion
-
     if f.dom != g.dom or f.cod != g.cod:
         raise ShapeMismatch("equalizer needs parallel morphisms")
     sets = {
         u: [a for a in f.dom.sets[u] if f.comp[u][a] == g.comp[u][a]]
         for u in f.dom.poset.points
     }
-    return Inclusion._from_mask(f.dom, f.dom.elements().mask_of(sets))
+    return Inclusion._from_mask(f.dom, mask_of(f.dom.elements(), sets))
 
 
 def element_downset(b, u, a):
     """The smallest sub-presheaf of b containing a in the component at u."""
-    from fourtops.errors import UnknownElement
-    from fourtops.presheaf import Inclusion
-
     if a not in b.sets[u]:
         raise UnknownElement(f"{a!r} not in the component at {u!r}")
     index = b.elements()
@@ -574,7 +953,6 @@ def element_downset(b, u, a):
 
 def cst(c):
     """Truth-value of a subterminal: the down-set of points where it is inhabited."""
-    from fourtops.errors import NotSubterminal
     from fourtops.poset import DownSet
 
     mask = 0
@@ -589,9 +967,6 @@ def cst(c):
 
 def natural_maps(t, b):
     """Every natural transformation t -> b (exhaustive; small inputs only)."""
-    from fourtops.errors import ShapeMismatch
-    from fourtops.presheaf import Morphism
-
     poset = t.poset
     if poset != b.poset:
         raise ShapeMismatch("natural_maps needs a shared poset")
@@ -634,7 +1009,6 @@ def natural_maps(t, b):
 
 def top_composite(b):
     """The constantly-true map on b: the bang followed by true."""
-    from fourtops.classifier import true_map
     from fourtops.presheaf import terminal
 
     return bang(b, terminal(b.poset)).then(true_map(b.poset))
@@ -923,7 +1297,6 @@ def cross_configurations_literal(p, q):
     """Every acyclic cross-arrow set for the given column heights: each
     subset of the candidate arrows, by size and in ``combinations`` order,
     kept when its two-column graph is a poset."""
-    from fourtops.errors import FourtopsError
     from fourtops.poset import TwoColumnGraph
 
     lefts = [f"{i}_" for i in range(1, p + 1)]

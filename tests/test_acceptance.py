@@ -10,26 +10,38 @@ import pathlib
 
 import pytest
 
-from fourtops.classifier import chi, imp_map, meet_map, sigma
 from fourtops.census import enumerate_lts
 from fourtops.axioms import build_universe, check_closure_axioms, filter_check
 from fourtops.cli import main
 from fourtops.convert import check_routes, lt_to_grotop
 from fourtops.errors import NotDownClosed
 from fourtops.heyting import HeytingAlgebra
-from fourtops.poset import DownSet, Poset, TwoColumnGraph, enumerate_downsets, star_graph
-from fourtops.presheaf import Inclusion, Presheaf, subterminal_of, terminal
-from fourtops.topology import (
-    ClosureOperator,
+from fourtops.poset import (
+    DownSet,
+    Poset,
+    TwoColumnGraph,
+    enumerate_downsets,
+    lattice_tables,
+    sieves_on,
+    star_graph,
+)
+from fourtops.presheaf import Presheaf, _truth_values, terminal
+from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology
+from fourtops.sweep import cross_configurations, sweep_instance
+
+from .oracles import (
+    Inclusion,
     canonical_grothendieck,
+    chi,
     dense_closed_factor,
+    imp_map,
     is_closed,
     is_dense,
-    is_grothendieck,
-    is_lt_topology,
+    meet_map,
     restriction_check,
+    sigma,
+    subterminal_of,
 )
-from fourtops.sweep import cross_configurations, sweep_instance
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 STAR_TEXT = "2cg p=2 q=2 cross { 2_ > _1 }"
@@ -123,21 +135,32 @@ def test_criterion_03_worked_classifying_map(star):
     f = Inclusion(a, b)
     g = chi(f)
     value = "%d%d" % star.pile_code(g("2_", "2"))
+    # the package's classifier row loop on the same element mask
+    index = b.elements()
+    values = _truth_values(index, f.mask)
+    package = "%d%d" % star.pile_code(DownSet(P, values[index.bit[("2_", "2")]]))
     report(
         "03 worked classifying map",
-        value == "11" and sigma(g) == f,
-        f"chi(2 in B(2_)) = {value}",
+        value == package == "11" and sigma(g) == f,
+        f"chi(2 in B(2_)) = {value}, package row loop {package}",
     )
 
 
 def test_criterion_04_one_point_internal_maps():
     P1 = Poset(["u"])
     lab = lambda d: 1 if d.mask else 0
-    s_and = {(lab(x), lab(y)) for (x, y) in sigma(meet_map(P1)).dom.sets["u"]}
+    conj = meet_map(P1)
+    s_and = {(lab(x), lab(y)) for (x, y) in sigma(conj).dom.sets["u"]}
     s_imp = {(lab(x), lab(y)) for (x, y) in sigma(imp_map(P1)).dom.sets["u"]}
+    # the conjunction is the meet table the package builds for Ω(u)
+    sieves = sieves_on(P1, "u")
+    n = len(sieves)
+    _, meet = lattice_tables(sieves)
+    package = {(x, y): sieves[meet[a * n + b]] for a, x in enumerate(sieves) for b, y in enumerate(sieves)}
+    oracle = {(x.mask, y.mask): v.mask for (x, y), v in conj.comp["u"].items()}
     report(
         "04 one-point internal maps",
-        s_and == {(1, 1)} and s_imp == {(0, 0), (0, 1), (1, 1)},
+        s_and == {(1, 1)} and s_imp == {(0, 0), (0, 1), (1, 1)} and oracle == package,
     )
 
 
@@ -194,8 +217,6 @@ def test_criterion_08_axiom_suites(star):
         fr = filter_check(grotop)
         ok = ok and fr.report.ok
         for i, gen in enumerate(fr.generators):
-            from fourtops.poset import sieves_on
-
             members = {
                 m
                 for m in sieves_on(P, P.points[i])
@@ -276,6 +297,8 @@ def test_criterion_11_canonical_topology():
 def test_criterion_12_determinism():
     goldens = {
         ("render", "fouruple", "-t", STAR_TEXT + "\ny { _1 }"): "render_fouruple_star.txt",
+        ("chi", "-t", STAR_TEXT + "\ny { _1 }"): "chi_star.txt",
+        ("chi", "--json", "-t", STAR_TEXT + "\ny { _1 }"): "chi_star.json",
         ("show", "omega", "--json", "-t", STAR_TEXT): "show_omega_star.json",
         (
             "enumerate",

@@ -1,40 +1,35 @@
-"""The classifier, classifying maps, and the internal connectives."""
+"""The classifier, with the test oracle's classifying maps and internal
+connectives checked against the package's tables."""
 
 import pytest
 
-from fourtops.classifier import (
-    chi,
-    imp_map,
-    meet_map,
-    omega,
-    sigma,
-    true_map,
-)
-from fourtops.errors import NotInclusion
-from fourtops.poset import DownSet, Poset, star_graph
-from fourtops.presheaf import (
-    Inclusion,
-    Morphism,
-    Presheaf,
-    can,
-    is_inclusion,
-    product,
-    subobjects,
-    terminal,
-)
+from fourtops.classifier import chi_tables, omega
+from fourtops.poset import DownSet, Poset, lattice_tables, sieve_positions, sieves_on, star_graph
+from fourtops.presheaf import Presheaf, _truth_values, product, terminal
 
 from .conftest import pile_code_str
 from .oracles import (
+    Inclusion,
+    Morphism,
+    NotInclusion,
     build_universe_literal,
+    can,
+    chi,
     chi_composite,
     equalizer,
     identity,
+    imp_map,
+    is_inclusion,
     lt_from_morphism,
+    meet_map,
     natural_endomaps,
     natural_maps,
     proj,
+    sigma,
+    subobjects,
     top_composite,
     true_inclusion,
+    true_map,
 )
 
 
@@ -186,11 +181,20 @@ class TestChiSigma:
         assert len(listed) == len(set(listed)) == count
         assert set(listed) == set(every)
 
-    def test_chi_matches_composite_route(self, P):
+    def test_chi_matches_composite_route(self, P, om):
+        """The oracle's ``chi`` equals the composite route and gives each
+        element the sieve the package's row loop reads off the mask, in
+        ``chi_tables``' sieve indexes when the codomain is Ω."""
         universe = build_universe_literal(P)
         assert len(universe.inclusions) == 474
         for f in universe.inclusions:
-            assert chi(f) == chi_composite(f)
+            g = chi(f)
+            assert g == chi_composite(f)
+            index = f.cod.elements()
+            values = _truth_values(index, f.mask)
+            assert [g.comp[u][a].mask for u, a in index.keys] == values
+            if f.cod is om:
+                assert lt_from_morphism(g).tables == chi_tables(om, f.mask)
 
     def test_pullback_criterion(self, P, worked_pair):
         g = chi(worked_pair)
@@ -202,11 +206,18 @@ class TestChiSigma:
 
 
 class TestInternalMaps:
-    def test_meet_of_true_pair(self, P):
+    def test_meet_of_true_pair(self, P, om):
+        """The conjunction keeps the true pair true, and on every pair it is
+        the meet table ``lattice_tables`` builds for each Ω(u)."""
         m = meet_map(P)
         for u in P.points:
             top = DownSet(P, P.down_mask(u))
             assert m.comp[u][(top, top)] == top
+            sieves, pos = sieves_on(P, u), sieve_positions(P, u)
+            _, meet = lattice_tables(sieves)
+            n = len(sieves)
+            for (s, t), value in m.comp[u].items():
+                assert pos[value.mask] == meet[pos[s.mask] * n + pos[t.mask]]
 
     def test_imp_residuation_top(self, P, om):
         m = imp_map(P)

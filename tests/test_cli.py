@@ -149,6 +149,33 @@ class TestChi:
         code, _ = run("chi", "-t", STAR + "\ny { 2_ }")
         assert code == 2
 
+    def test_every_subterminal_classifies_as_the_oracle_chi(self, sweep_classes):
+        """On every down-set of every class of the 2x2 sweep, the text and
+        the JSON output name at each point the sieve that the oracle's
+        ``chi`` of the subterminal inclusion gives."""
+        from fourtops.poset import enumerate_downsets
+        from fourtops.presheaf import terminal
+
+        from .oracles import chi, subterminal_inclusion
+
+        checked = 0
+        for poset in sweep_classes:
+            arrows = " ".join(f"{u} > {v}" for u, v in sorted(poset.arrows))
+            header = f"poset {{ points: {' '.join(poset.points)} ; arrows: {arrows} }}"
+            for d in enumerate_downsets(poset):
+                g = chi(subterminal_inclusion(terminal(poset), d))
+                want = {u: set(poset.names_of(g.comp[u]["*"].mask)) for u in poset.points}
+                text = f"{header}\ny {{ {' '.join(poset.names_of(d))} }}"
+                code, out = run("chi", "-t", text)
+                assert code == 0
+                rows = (line.split(": ") for line in out.splitlines())
+                assert {u: set(filter(None, s.strip("{}").split(","))) for u, s in rows} == want
+                code, out = run("chi", "--json", "-t", text)
+                assert code == 0
+                assert {u: set(s) for u, s in json.loads(out)["result"]["chi"]} == want
+                checked += 1
+        assert checked == 91
+
 
 class TestConvertAndFouruple:
     def test_convert_text_mode(self):
@@ -1187,22 +1214,26 @@ def test_a_one_cpu_sweep_keeps_at_most_one_poset_per_class():
 
 
 @pytest.mark.parametrize(
-    "argv, validates",
+    "argv, classifies",
     [
         (("check", "axioms", "-t", STAR), False),
         (("sweep", "--pmax", "1", "--qmax", "1"), False),
-        (("chi", "-t", STAR + "\ny { _1 }"), True),
+        (("chi", "--json", "-t", STAR + "\ny { _1 }"), True),
     ],
     ids=["check-axioms-star", "sweep-1x1", "chi-star"],
 )
-def test_only_chi_validates_a_presheaf_morphism(argv, validates, monkeypatch):
+def test_only_chi_validates_a_presheaf_morphism(argv, classifies, monkeypatch):
     """The laws and the routes run on tables and masks: in one process, with
-    a cold classifier, ``check axioms`` and the sweep enter no
-    ``Morphism._validate``, while ``chi`` builds its inclusion validated."""
+    a cold classifier, no command enters the oracle's ``Morphism._validate``.
+    Of these commands only ``chi`` prints a presheaf morphism, 1 -> Omega:
+    its sieves, read back as the oracle's ``Morphism``, pass the naturality
+    check and equal the oracle's classifying map of the subterminal."""
     import sys
 
     from fourtops.classifier import omega
-    from fourtops.presheaf import Morphism
+    from fourtops.presheaf import terminal
+
+    from .oracles import Morphism, chi, subterminal_inclusion
 
     _allow_cpus(monkeypatch, 1)
     omega.cache_clear()
@@ -1213,13 +1244,43 @@ def test_only_chi_validates_a_presheaf_morphism(argv, validates, monkeypatch):
         if event == "call" and frame.f_code is validate:
             calls.append(frame.f_back.f_code.co_name)
 
+    buf = io.StringIO()
     sys.setprofile(hook)
     try:
-        code = main(list(argv), out=io.StringIO())
+        code = main(list(argv), out=buf)
     finally:
         sys.setprofile(None)
     assert code == 0
-    assert bool(calls) == validates, calls
+    assert calls == []
+    if not classifies:
+        return
+    spec = parse_input(argv[-1])
+    poset = spec.poset
+    one, om = terminal(poset), omega(poset)
+    named = dict(json.loads(buf.getvalue())["result"]["chi"])
+    comp = {}
+    for u in poset.points:
+        mask = poset.mask_of(named[u])
+        comp[u] = {"*": next(s for s in om.sieves[u] if s.mask == mask)}
+    printed = Morphism(one, om, comp)
+    assert printed == chi(subterminal_inclusion(one, poset.mask_of(spec.payload)))
+
+
+def test_no_module_defines_a_presheaf_morphism():
+    """Element masks are the package's one form of a presheaf map:
+    ``fourtops.presheaf``, like every other module of the package, defines
+    neither ``Morphism`` nor ``Inclusion``; the validated calculus lives in
+    the test oracle."""
+    import importlib
+    import pkgutil
+
+    import fourtops
+
+    names = [m.name for m in pkgutil.iter_modules(fourtops.__path__)]
+    assert "presheaf" in names
+    for name in names:
+        module = importlib.import_module(f"fourtops.{name}")
+        assert not hasattr(module, "Morphism") and not hasattr(module, "Inclusion"), name
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -1343,25 +1404,52 @@ def test_readme_library_quick_tour_gives_its_commented_values():
 
 
 # The eager export list of the package before its names were loaded lazily,
-# less the four presheaf helpers that only the tests read (tests/oracles.py)
-# and the library-only slashing, modality and down-set wrappers (REMOVED).
+# less the four presheaf helpers that only the tests read (tests/oracles.py),
+# the library-only slashing, modality and down-set wrappers (REMOVED) and
+# the validated presheaf-map calculus (MOVED).
 EXPORTS = set(
     """
-    ClosureOperator DownSet GrothendieckTopology HeytingAlgebra Inclusion
-    LTTopology Morphism Nucleus OmegaObject Poset Presheaf Quad TestUniverse
-    TwoColumnGraph build_universe can canonical_grothendieck
-    check_closure_axioms check_routes chi closure_of closure_to_nucleus
-    complete_quad dense_closed_factor enumerate_downsets enumerate_grotops
+    ClosureOperator DownSet GrothendieckTopology HeytingAlgebra
+    LTTopology Nucleus OmegaObject Poset Presheaf Quad TestUniverse
+    TwoColumnGraph build_universe check_closure_axioms check_routes
+    closure_to_nucleus complete_quad enumerate_downsets enumerate_grotops
     enumerate_lts enumerate_nuclei filter_check grotop_to_lt
-    grotop_to_lt_direct grotop_to_nucleus grotop_to_point_set imp_map
-    intersection is_closed is_dense is_grothendieck is_inclusion
-    is_lt_topology is_nucleus j_from_closure lt_to_grotop meet_map
+    grotop_to_lt_direct grotop_to_nucleus grotop_to_point_set
+    is_grothendieck is_lt_topology is_nucleus j_from_closure lt_to_grotop
     nucleus_from_point_set nucleus_to_grotop nucleus_to_lt omega
-    point_set_of_nucleus point_set_to_grotop preimage product
-    restriction_check sieves_on sigma star_graph subobjects subterminal_of
-    terminal true_map
+    point_set_of_nucleus point_set_to_grotop product sieves_on star_graph
+    terminal
     """.split()
 )
+
+# The validated presheaf-map calculus, by the module it left: no command
+# builds a presheaf morphism, and the tests keep it in tests/oracles.py as
+# the reference for the element masks.  Methods moved as functions of the
+# same name (Presheaf.restrict, ElementIndex.mask_of).
+MOVED = {
+    "presheaf": (
+        "Morphism",
+        "Inclusion",
+        "is_inclusion",
+        "as_inclusion",
+        "_same_codomain",
+        "can",
+        "preimage",
+        "intersection",
+        "subobjects",
+        "subterminal_of",
+    ),
+    "classifier": ("chi", "sigma", "true_map", "meet_map", "imp_map"),
+    "topology": (
+        "closure_of",
+        "is_dense",
+        "is_closed",
+        "dense_closed_factor",
+        "restriction_check",
+        "canonical_grothendieck",
+    ),
+    "errors": ("UnknownElement", "NaturalityError", "NotMonic", "NotInclusion", "NotSubterminal"),
+}
 
 # Names that no command, route check or test oracle reached, deleted from
 # the module that defined them: the nucleus table is the one slashing, and
@@ -1382,10 +1470,14 @@ REMOVED = {
 def test_package_exports_each_name_from_the_module_it_lives_in():
     """Each exported name is the object its home module defines; an unknown
     name, a helper moved to the tests or a deleted name raises
-    AttributeError; and reading ``kernel_backend`` loads no submodule."""
+    AttributeError, and a moved name is gone from its old home and defined
+    in the test oracle; and reading ``kernel_backend`` loads no submodule."""
     import importlib
 
     import fourtops
+    from fourtops.presheaf import ElementIndex, Presheaf
+
+    from . import oracles
 
     assert set(fourtops.__all__) == EXPORTS
     assert EXPORTS <= set(dir(fourtops))
@@ -1403,6 +1495,15 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
             with pytest.raises(AttributeError):
                 getattr(fourtops, name)
             assert not hasattr(home, name), name
+    for module, names in MOVED.items():
+        home = importlib.import_module(f"fourtops.{module}")
+        for name in names:
+            with pytest.raises(AttributeError):
+                getattr(fourtops, name)
+            assert not hasattr(home, name), name
+            assert getattr(oracles, name).__module__ == oracles.__name__, name
+    assert not hasattr(Presheaf, "restrict") and not hasattr(ElementIndex, "mask_of")
+    assert callable(oracles.restrict) and callable(oracles.mask_of)
     code = (
         "import sys, fourtops\n"
         "print(fourtops.kernel_backend, sorted(m for m in sys.modules if m.startswith('fourtops.')))"

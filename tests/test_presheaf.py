@@ -1,33 +1,22 @@
-"""Presheaves, morphisms, inclusions, and the limit toolkit."""
+"""Presheaves and element indexes, with the validated morphisms, inclusions
+and limit toolkit of the test oracle."""
 
 import pytest
 
-from fourtops.errors import (
-    FunctorialityError,
-    NaturalityError,
-    NotMonic,
-    NotSubterminal,
-    ShapeMismatch,
-    UnknownElement,
-)
+from fourtops.errors import FunctorialityError, ShapeMismatch
 from fourtops.poset import DownSet, Poset, enumerate_downsets
-from fourtops.presheaf import (
-    Inclusion,
-    Morphism,
-    Presheaf,
-    can,
-    intersection,
-    is_inclusion,
-    preimage,
-    product,
-    subobjects,
-    subterminal_of,
-    terminal,
-)
+from fourtops.presheaf import Presheaf, product, terminal
 
 from .conftest import pile_code_str
 from .oracles import (
+    Inclusion,
+    Morphism,
+    NaturalityError,
+    NotMonic,
+    NotSubterminal,
+    UnknownElement,
     bang,
+    can,
     cst,
     element_downset,
     element_poset,
@@ -35,11 +24,17 @@ from .oracles import (
     empty_presheaf,
     equalizer,
     identity,
+    intersection,
+    is_inclusion,
     natural_maps,
+    preimage,
     presheaf_from_element_poset,
     proj,
+    restrict,
     sub_from_sets,
+    subobjects,
     subobjects_from_sets,
+    subterminal_of,
 )
 
 
@@ -91,8 +86,8 @@ def worked_pair(star_poset_module):
 
 class TestConstruction:
     def test_big_example_valid(self, big_example):
-        assert big_example.restrict("2_", "_1", "1") == "7"
-        assert big_example.restrict("2_", "1_", "2") == "6"
+        assert restrict(big_example, "2_", "_1", "1") == "7"
+        assert restrict(big_example, "2_", "1_", "2") == "6"
 
     def test_terminal_everywhere_singleton(self, star_poset_module):
         one = terminal(star_poset_module)
