@@ -31,15 +31,19 @@ def enumerate_operator_tables(
     if n == 0:
         return [()]
     full = (1 << n) - 1
-    # fiber[a * n + b]: the values v with meet(a, v) == b.  Preserving the
+    # fibers[a][b]: the values v with meet(a, v) == b.  Preserving the
     # meet of i and an earlier k means t[i] lies in the fiber of t[k] over
     # t[meet(i, k)]; when k <= i that fiber is up_masks[t[k]], so monotonicity
-    # needs no mask of its own.
-    fiber = [0] * (n * n)
+    # needs no mask of its own.  meets[i]: meet(i, k) for each k < i.
+    fibers = []
+    meets = []
     for a in range(n):
-        row = a * n
-        for v in range(n):
-            fiber[row + meet[row + v]] |= 1 << v
+        row = meet[a * n : a * n + n]
+        fiber = [0] * n
+        for v, b in enumerate(row):
+            fiber[b] |= 1 << v
+        fibers.append(fiber)
+        meets.append(row[:a])
     base = [full] * n
     for i in range(n):
         if inflationary:
@@ -62,12 +66,10 @@ def enumerate_operator_tables(
         else:
             # a value v < i is placed, so t[v] == v is required now
             cand = base[i] & (fixed | full >> i << i)
-        row = i * n
-        k = 0
-        while cand and k < i:
-            tk = table[k]
-            cand &= fiber[tk * n + table[meet[row + k]]]
-            k += 1
+        for tk, m in zip(table, meets[i]):
+            cand &= fibers[tk][table[m]]
+            if not cand:
+                return
         while cand:
             low = cand & -cand
             cand ^= low

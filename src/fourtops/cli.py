@@ -1,6 +1,7 @@
 """Command-line front door: the argument parser, the entry point and the
-sweep.  ``main`` imports the other commands' handlers, with the input grammar
-and the JSON schema, from ``fourtops.commands`` only when one of them runs.
+sweep.  ``main`` imports the other commands' handlers only when one of them
+runs: ``enumerate`` with the input reader and the structure JSON writers from
+``fourtops.commands``, the rest from ``fourtops.handlers``.
 Exit codes: 0 all checks pass, 1 counterexample found, 2 usage or parse error.
 ``run``, the entry point of ``python -m fourtops.cli`` and of the ``fourtops``
 script, ends the process with ``main``'s code once its output is flushed.
@@ -112,10 +113,12 @@ def main(argv=None, out=None) -> int:
         return 2 if e.code not in (0, None) else 0
     if args.command == "sweep":
         handler = cmd_sweep
+    elif args.command == "enumerate":
+        from .commands import cmd_enumerate as handler
     else:
-        from . import commands
+        from . import handlers
 
-        handler = getattr(commands, f"cmd_{args.command}")
+        handler = getattr(handlers, f"cmd_{args.command}")
     try:
         code = handler(args, out)
         # flush here, so a reader that closed the pipe is caught below

@@ -11,9 +11,9 @@ def emit_json(obj) -> str:
     byte for byte, for documents of dicts with str keys, lists, tuples, str,
     int, bool, None and float.  With an indent, ``json`` runs its pure-Python
     encoder; this writer escapes strings with the C ``encode_basestring``,
-    writes a list of strings with one join, and writes a list of strings
-    that the document holds again at the same indent (the name lists that
-    structure rows share) from its first text."""
+    writes a list of strings with one join, and writes a list that the
+    document holds again at the same indent (the name lists and the rows
+    that structure tables share) from its first text."""
     parts: list[str] = []
     _emit(obj, "\n", parts, {})
     parts.append("\n")
@@ -23,8 +23,10 @@ def emit_json(obj) -> str:
 def _emit(obj, newline: str, parts: list, written: dict) -> None:
     """Append the JSON text of ``obj`` at the indent that ``newline`` (a
     newline and the indent) gives.  ``written`` maps (id, newline) of each
-    list of strings written so far to its text; the ids stay unique while
-    the document, which holds every list, is alive."""
+    list written so far to its text, or for a list of other values to the
+    (start, end) span of ``parts`` that holds it until the list is written
+    again; the ids stay unique while the document, which holds every list,
+    is alive."""
     if isinstance(obj, str):
         parts.append(encode_basestring(obj))
     elif obj is None:
@@ -53,6 +55,8 @@ def _emit(obj, newline: str, parts: list, written: dict) -> None:
         key = (id(obj), newline)
         text = written.get(key)
         if text is not None:
+            if type(text) is tuple:
+                text = written[key] = "".join(parts[text[0] : text[1]])
             parts.append(text)
             return
         inner = newline + "  "
@@ -61,11 +65,13 @@ def _emit(obj, newline: str, parts: list, written: dict) -> None:
             text = written[key] = "[" + inner + items + newline + "]"
             parts.append(text)
             return
+        start = len(parts)
         sep = "[" + inner
         for item in obj:
             parts.append(sep)
             _emit(item, inner, parts, written)
             sep = "," + inner
         parts.append(newline + "]")
+        written[key] = (start, len(parts))
     else:
         parts.append(json.dumps(obj))

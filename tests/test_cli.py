@@ -1,5 +1,6 @@
 """The command-line surface: grammar, JSON schema, subcommands, exit codes."""
 
+import copy
 import io
 import json
 import os
@@ -79,14 +80,14 @@ class TestGrammar:
 
     def test_text_round_trip_through_parser(self):
         spec = parse_input(STAR + "\ny { _1 }")
-        from fourtops.commands import structure_text
+        from fourtops.handlers import structure_text
 
         text = structure_text(spec, "y", spec.payload)
         again = parse_input(STAR + "\n" + text)
         assert again.payload == spec.payload
 
     def test_every_structure_kind_round_trips_as_text(self):
-        from fourtops.commands import _quad, structure_text
+        from fourtops.handlers import _quad, structure_text
 
         base = parse_input(STAR + "\ny { _1 }")
         for kind in ("y", "nucleus", "grotop", "lt"):
@@ -850,6 +851,40 @@ def test_an_unreadable_input_file_is_a_usage_error(kind, tmp_path):
     assert got.stderr.startswith("error:") and got.stderr.count("\n") == 1
 
 
+POINT = "poset { points: a ; arrows: }"
+
+
+@pytest.mark.parametrize("text", ["", " "], ids=["empty", "blank"])
+def test_an_empty_text_input_is_refused_and_stdin_is_not_read(text, monkeypatch, capsys):
+    """``-t ''`` gives the input, so it is refused as empty; the valid poset
+    on stdin, which ``-t`` was given in place of, is not read."""
+    import sys
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(POINT))
+    assert run("enumerate", "nuclei", "-t", text) == (2, "")
+    assert capsys.readouterr().err == "error: empty input\n"
+    assert sys.stdin.read() == POINT
+
+
+@pytest.mark.parametrize("file", ["missing", "-"])
+@pytest.mark.parametrize("text_first", [True, False], ids=["t-then-i", "i-then-t"])
+def test_text_and_input_file_together_are_refused_before_either_is_read(
+    file, text_first, tmp_path, monkeypatch, capsys
+):
+    """The input comes from ``-t`` or ``-i``, or from stdin when neither is
+    given: both at once exit 2 with one error line, whichever comes first,
+    and neither is read (the missing file would be a read error)."""
+    import sys
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(POINT))
+    path = str(tmp_path / "missing.txt") if file == "missing" else file
+    flags = [["-t", POINT], ["-i", path]]
+    argv = ["enumerate", "nuclei", *flags[not text_first], *flags[text_first]]
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == "error: give the input with -t or with -i, not both\n"
+    assert sys.stdin.read() == POINT
+
+
 @pytest.mark.parametrize("argv", [("show", "omega"), ("chi",)])
 def test_sieve_enumeration_is_refused_over_the_point_cap(argv):
     """On a 23-point cone (one top over 22 points) the top has 2^22 sieves:
@@ -893,11 +928,12 @@ def test_a_poset_over_the_point_cap_is_refused_before_it_is_built(
     """Both readers count the points of a header before they build its
     poset, so a few bytes cannot ask for a poset of any size; ``show true``,
     which enumerates nothing, is refused as well."""
-    from fourtops import commands
+    from fourtops import commands, json_input
 
     built = []
-    monkeypatch.setattr(commands, "Poset", lambda *args: built.append(args))
-    monkeypatch.setattr(commands, "TwoColumnGraph", lambda *args: built.append(args))
+    for reader in (commands, json_input):
+        monkeypatch.setattr(reader, "Poset", lambda *args: built.append(args))
+        monkeypatch.setattr(reader, "TwoColumnGraph", lambda *args: built.append(args))
     assert run("show", what, "-t", text) == (2, "")
     assert capsys.readouterr().err == f"error: {points} points exceeds cap 16\n"
     assert built == []
@@ -972,7 +1008,8 @@ def test_the_sweep_refuses_exactly_the_sizes_over_the_cap(argv, refused, monkeyp
 def _identity_payloads():
     """The identity nucleus, the identity endomap and the smallest covers on
     the star, as text and as JSON."""
-    from fourtops.commands import _quad, poset_json, structure_json, structure_text
+    from fourtops.commands import poset_json, structure_json
+    from fourtops.handlers import _quad, structure_text
 
     spec = parse_input(STAR + "\ny { 2_ 1_ _2 _1 }")
     quad = _quad(spec)
@@ -1099,10 +1136,18 @@ def test_structure_json_equals_the_literal_rows_on_the_census(name, shuffled):
     items = _oracle_items(poset)
     assert len(items) == 3 * 2 ** len(points)
     names = NameTable(poset)
+    doc = []
     for kind, value in items:
         literal = structure_json_literal(poset, kind, value)
-        assert structure_json(poset, kind, value, names) == literal
+        doc.append(structure_json(poset, kind, value, names))
+        assert doc[-1] == literal
         assert structure_json(poset, kind, value) == literal
+    # the structures share the table's name lists and rows, and the writer
+    # writes each again from its first text: neither may change one
+    assert any(type(key) is tuple for key in names)
+    before = copy.deepcopy(dict(names))
+    assert emit_json({"items": doc}) == emit_json_literal({"items": doc})
+    assert names == before
 
 
 def _golden_structures():
@@ -1151,13 +1196,34 @@ JSON_DOCS = st.recursive(
 )
 
 
-@given(JSON_DOCS)
-@settings(max_examples=80, deadline=None)
+@st.composite
+def json_docs_sharing_lists(draw):
+    """A document that holds some lists several times, at one indent or at
+    several, as structure tables hold their shared rows; a later shared list
+    may hold an earlier one."""
+    shared: list = []
+    for _ in range(draw(st.integers(1, 3))):
+        items = st.one_of(JSON_LEAVES, st.sampled_from(shared)) if shared else JSON_LEAVES
+        shared.append(draw(st.lists(items, min_size=1, max_size=3)))
+    leaves = st.one_of(JSON_LEAVES, st.sampled_from(shared))
+    return draw(
+        st.recursive(
+            leaves,
+            lambda inner: st.one_of(st.lists(inner), st.dictionaries(JSON_TEXT, inner)),
+            max_leaves=15,
+        )
+    )
+
+
+@given(st.one_of(JSON_DOCS, json_docs_sharing_lists()))
+@settings(max_examples=120, deadline=None)
 def test_emit_json_equals_json_dumps(doc):
     assert emit_json(doc) == emit_json_literal(doc)
 
 
 NAMES = ["a", "b"]
+ROW = [NAMES, ["c"]]
+TABLE = [ROW, [ROW, ROW]]
 
 
 @pytest.mark.parametrize(
@@ -1171,6 +1237,12 @@ NAMES = ["a", "b"]
         {"": ""},
         # one list held at several indents, as structure rows share names
         {"rows": [[NAMES, NAMES], [NAMES]], "top": NAMES, "deep": [[[NAMES]]]},
+        # one row held several times at one indent, as tables share rows
+        {"table": [ROW, ROW, [NAMES, NAMES], ROW]},
+        # ... at two indents
+        {"table": [ROW, ROW], "at": [["a", [ROW, ROW]], ["b", [ROW]]]},
+        # ... and inside a list that the document holds several times
+        {"tables": [TABLE, TABLE, [TABLE]], "table": TABLE, "row": ROW},
     ],
 )
 def test_emit_json_equals_json_dumps_on_edge_cases(doc):
@@ -1291,9 +1363,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     classifier or the presheaf layer, and an oracle census runs without
     them; a sweep loads no closure-law checker and ``check axioms`` no
     sweep; importing the package alone loads no submodule.  Importing the CLI
-    loads neither the other commands' handlers (``commands``) nor the
-    enumerators (``census``), a sweep loads no handler, and ``show`` and
-    ``fouruple`` never load the renderers."""
+    loads neither the commands' handlers (``commands``) nor the enumerators
+    (``census``), a sweep loads no handler, and ``show`` and ``fouruple``
+    never load the renderers.  A JSON oracle census loads neither the JSON
+    reader (``json_input``) nor the other handlers (``handlers``), within a
+    budget of lines of source; JSON input loads the reader."""
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
     unwanted = {
@@ -1312,20 +1386,54 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     handlers = "sorted({'fourtops.census', 'fourtops.commands'} & set(sys.modules))"
     assert _fresh_child(f"import sys, fourtops.cli; print({handlers})") == "[]\n"
 
+    lazy = "sorted({'fourtops.json_input', 'fourtops.handlers'} & set(sys.modules))"
+    lines = (
+        "sum(open(m.__file__, encoding='utf-8').read().count('\\n')"
+        " for n, m in sys.modules.items() if n.split('.')[0] == 'fourtops')"
+    )
+
     def run_child(argv):
+        """The exit code, the unwanted modules and the lazily loaded command
+        modules the run loaded, and the lines of ``fourtops`` source it loaded."""
         code = (
             "import io, sys\n"
             "from fourtops import cli\n"
             f"rc = cli.main({argv!r}, out=io.StringIO())\n"
-            f"print(rc, {loaded})"
+            f"print(rc, {loaded}, {lazy}, {lines}, sep='|')"
         )
-        return _fresh_child(code)
+        rc, unwanted_loaded, lazy_loaded, lines_loaded = _fresh_child(code).split("|")
+        return int(rc), unwanted_loaded, lazy_loaded, int(lines_loaded)
 
     for family in ("nuclei", "grotops", "lttops"):
         argv = ["enumerate", family, "--mode", "oracle", "--json", "-t", STAR]
-        assert run_child(argv) == "0 []\n", family
-    sweep_loads = run_child(["sweep", "--pmax", "1", "--qmax", "1", "--json"])
-    assert sweep_loads.startswith("0 ") and "fourtops.sweep" in sweep_loads
+        # a JSON census compiles neither the JSON reader nor the other
+        # commands' handlers (2,135 lines of source when it compiled both)
+        rc, unwanted_loaded, lazy_loaded, lines_loaded = run_child(argv)
+        assert (rc, unwanted_loaded, lazy_loaded) == (0, "[]", "[]"), family
+        assert lines_loaded <= 1850, (family, lines_loaded)
+    # JSON input loads the reader, which gives the spec of the text form
+    text_form = STAR + "\ny { _1 }"
+    json_form = json.dumps(
+        {
+            "poset": {"kind": "2cg", "p": 2, "q": 2, "cross": [["2_", "_1"]]},
+            "structure": {"kind": "y", "members": ["_1"]},
+        }
+    )
+    code = (
+        "import sys\n"
+        "from fourtops.commands import parse_input\n"
+        f"text = parse_input({text_form!r})\n"
+        "print('fourtops.json_input' in sys.modules)\n"
+        f"spec = parse_input({json_form!r})\n"
+        "print('fourtops.json_input' in sys.modules)\n"
+        "poset, graph = (text.poset.points, text.poset.arrows), text.graph\n"
+        "print((spec.poset.points, spec.poset.arrows) == poset,\n"
+        "      (spec.graph.p, spec.graph.q, spec.graph.cross) == (graph.p, graph.q, graph.cross),\n"
+        "      (spec.kind, spec.payload) == (text.kind, text.payload))"
+    )
+    assert _fresh_child(code) == "False\nTrue\nTrue True True\n"
+    rc, sweep_loads, _, _ = run_child(["sweep", "--pmax", "1", "--qmax", "1", "--json"])
+    assert rc == 0 and "fourtops.sweep" in sweep_loads
     assert "fourtops.axioms" not in sweep_loads
 
     def loads(argv, module):
@@ -1342,9 +1450,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     for argv in (["show", "omega"], ["show", "h"], ["fouruple", "--from", "y"]):
         text = "2cg p=1 q=1" + ("\ny { 1_ }" if argv[0] == "fouruple" else "")
         assert loads([*argv, "-t", text], "fourtops.render") == "0 False\n", argv
-    axioms_loads = run_child(["check", "axioms", "--json", "-t", STAR])
-    assert axioms_loads.startswith("0 ") and "fourtops.axioms" in axioms_loads
+    argv = ["check", "axioms", "--json", "-t", STAR]
+    rc, axioms_loads, lazy_loaded, lines_loaded = run_child(argv)
+    assert rc == 0 and "fourtops.axioms" in axioms_loads
     assert "fourtops.sweep" not in axioms_loads
+    # ``check axioms`` compiles no more than the 3,298 lines it did when the
+    # JSON reader and every handler were one module
+    assert lazy_loaded == "['fourtops.handlers']" and lines_loaded <= 3298, lines_loaded
 
 
 def test_sweep_does_not_import_the_cli_module_again():
