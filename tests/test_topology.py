@@ -1,7 +1,7 @@
 """Topology axiom suites, closure laws, and covering-sieve checks."""
 
 import random
-from itertools import chain
+from itertools import groupby
 
 import pytest
 
@@ -393,22 +393,33 @@ def full_universe(P):
 
 def flattened(literal):
     """An object universe as the mask universe's rows: its codomains in order
-    of first use, ``(codomain, mask)`` per inclusion, the nested and crossing
-    pair columns, and ``(domain, codomain, image bits, mask)`` per map pair."""
+    of first use, ``(codomain, mask)`` per inclusion, one pair row ``(codomain,
+    f, g's, nested g's, crossing g's, their meets with f)`` per f, and
+    ``(domain, codomain, image bits, mask, pulled mask)`` per map pair."""
     codes: dict = {}
 
     def code(b):
         return codes.setdefault(b, len(codes))
 
     subobjects = tuple((code(f.cod), f.mask) for f in literal.inclusions)
-    nested: tuple = ([], [], [], [])
-    crossing: tuple = ([], [], [], [])
-    for k, (f, g) in enumerate(literal.pairs):
-        assert f.cod is g.cod
-        for column, value in zip(crossing if f.mask & ~g.mask else nested, (k, code(f.cod), f.mask, g.mask)):
-            column.append(value)
-    map_pairs = tuple((code(m.dom), code(d.cod), m.image_bits(), d.mask) for m, d in literal.map_pairs)
-    return tuple(codes), subobjects, tuple(map(tuple, nested)), tuple(map(tuple, crossing)), map_pairs
+    rows = []
+    for (c, f), pairs in groupby(literal.pairs, lambda pair: (code(pair[0].cod), pair[0].mask)):
+        gs = []
+        for left, g in pairs:
+            assert left.cod is g.cod
+            gs.append(g.mask)
+        nested = tuple(g for g in gs if not f & ~g)
+        crossing = tuple(g for g in gs if f & ~g)
+        rows.append((c, f, tuple(gs), nested, crossing, tuple(f & g for g in crossing)))
+    map_pairs = tuple(
+        (code(m.dom), code(d.cod), m.image_bits(), d.mask, m.pull_mask(d.mask)) for m, d in literal.map_pairs
+    )
+    return tuple(codes), subobjects, tuple(rows), map_pairs
+
+
+def pair_list(universe):
+    """The universe's pairs ``(codomain, f, g)``, read off its rows in order."""
+    return [(c, f, g) for c, f, gs, *_ in universe.rows for g in gs]
 
 
 class TestClosureUniverse:
@@ -416,29 +427,26 @@ class TestClosureUniverse:
     it lists, and the inputs the closure laws refuse."""
 
     def test_every_star_topology_passes_on_all_pairs(self, all_lts, full_universe):
-        assert len(full_universe.nested[0]) + len(full_universe.crossing[0]) == 98_239
+        assert len(pair_list(full_universe)) == 98_239
         for lt in all_lts:
             assert check_closure_axioms(ClosureOperator(lt), full_universe).ok
 
     @pytest.mark.parametrize("cap", [-1, 0, 1, 150, 5000])
     def test_pair_cap_lists_at_most_that_many_pairs(self, P, full_universe, cap):
-        def pairs(universe):
-            return sorted(chain(zip(*universe.nested), zip(*universe.crossing)))
-
-        assert pairs(build_universe(P, pair_cap=cap)) == pairs(full_universe)[: max(cap, 0)]
+        assert pair_list(build_universe(P, pair_cap=cap)) == pair_list(full_universe)[: max(cap, 0)]
 
     @pytest.mark.parametrize("square_cap", [10, 24])
     @pytest.mark.parametrize("cap", [-1, 0, 1, 600, 5000, 100_000])
     def test_rows_equal_the_literal_universe_flattened(self, P, cap, square_cap):
         rows = build_universe(P, pair_cap=cap, omega_square_cap=square_cap)
         literal = build_universe_literal(P, pair_cap=cap, omega_square_cap=square_cap)
-        codomains, subobjects, nested, crossing, map_pairs = flattened(literal)
+        codomains, subobjects, pair_rows, map_pairs = flattened(literal)
         assert rows.codomains == codomains
         assert rows.subobjects == subobjects
-        assert (rows.nested, rows.crossing) == (nested, crossing)
+        assert rows.rows == pair_rows
         assert rows.map_pairs == map_pairs
         masks = [[mask for c, mask in subobjects if c == b] for b in range(len(codomains))]
-        for (_, b, images, _), (m, _) in zip(rows.map_pairs, literal.map_pairs):
+        for (_, b, images, *_), (m, _) in zip(rows.map_pairs, literal.map_pairs):
             assert [_pull_mask(images, mask) for mask in masks[b]] == list(map(m.pull_mask, masks[b]))
 
     def test_map_pair_witness_is_its_domain_and_sliced_subobject(self, P, universe):
@@ -447,7 +455,7 @@ class TestClosureUniverse:
         # sub-presheaf, so even the identity closure fails to commute
         swap = (1 << 1, 1 << 0, 1 << 2, 1 << 3)
         d = P.mask_of(["1_"])
-        bad = Universe(P, universe.codomains, (), ((),) * 4, ((),) * 4, ((0, 0, swap, d),))
+        bad = Universe(P, universe.codomains, (), (), ((0, 0, swap, d, _pull_mask(swap, d)),))
         report = check_closure_axioms(ClosureOperator(lt_identity(P)), bad)
         one = terminal(P)
         witness = (one, Inclusion._from_mask(one, d).dom)
@@ -459,6 +467,102 @@ class TestClosureUniverse:
             check_closure_axioms(clop, universe)
         with pytest.raises(ShapeMismatch):
             check_closure_axioms_literal(clop, literal_universe)
+
+
+class TestPackedClosures:
+    """The closures of a codomain's subobjects are read as the fields of one
+    sum of packed truth groups, and the laws are screened whole; the ordered
+    loop runs only when a screen fails or raises."""
+
+    def test_every_natural_endomap_gives_the_literal_outcome(self, P, universe, literal_universe):
+        # the same report, witnesses included, or the same exception type
+        # and message, on all 442 natural endomaps of Ω; a natural endomap
+        # closes every subobject to a sub-presheaf, so none raises
+        passed = 0
+        for lt in natural_endomaps(P):
+            clop = ClosureOperator(lt)
+            got = closure_law_outcome(check_closure_axioms, clop, universe)
+            assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal_universe)
+            passed += got.ok
+        assert passed == 16
+
+    def test_every_cone4_topology_gives_the_literal_outcome(self):
+        # Ω² of cone4 has 93 elements, so its fields are 12 bytes wide and
+        # are read one by one, not through a memoryview cast
+        points = [f"p{i}" for i in range(4)]
+        cone4 = Poset(points, {(points[-1], p) for p in points[:-1]})
+        universe = build_universe(cone4, pair_cap=600, omega_square_cap=10)
+        literal = build_universe_literal(cone4, pair_cap=600, omega_square_cap=10)
+        assert [width for _, width, _ in universe.packed] == [1, 2, 12]
+        lts = enumerate_lts(cone4, "formula")
+        assert len(lts) == 16
+        for lt in lts:
+            clop = ClosureOperator(lt)
+            got = closure_law_outcome(check_closure_axioms, clop, universe)
+            assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal)
+
+    def test_packed_closures_equal_the_row_loop(self, P, all_lts):
+        from fourtops.axioms import _screen
+        from fourtops.topology import _Closures
+
+        universe = build_universe(P)
+        for lt in all_lts:
+            clop = ClosureOperator(lt)
+            closed = [_Closures(b.elements(), clop.cover) for b in universe.codomains]
+            assert _screen(clop.cover, universe, closed)
+            for table, (masks, _, _) in zip(closed, universe.packed):
+                row_loop = _Closures(table.index, clop.cover)
+                assert [table[m] for m in masks] == [row_loop.__missing__(m) for m in masks]
+
+    def test_a_failure_of_c4_alone_is_witnessed(self, P, universe):
+        # on the universe's rows with each nested list cut to f itself, C3
+        # holds, so for the first natural endomap whose closure breaks a
+        # crossing meet, only the meet screen can send the laws to the
+        # ordered loop, which names that first crossing pair
+        rows = tuple((c, f, gs, (f,), crossing, meets) for c, f, gs, _, crossing, meets in universe.rows)
+        cut = Universe(P, universe.codomains, (), rows, ())
+        for lt in natural_endomaps(P):
+            close = [ClosureOperator(lt).closures(b.elements()) for b in cut.codomains]
+            broken = [
+                (c, f, g)
+                for c, f, _, _, crossing, _ in rows
+                for g in crossing
+                if close[c][f & g] != close[c][f] & close[c][g]
+            ]
+            if broken:
+                break
+        c, f, g = broken[0]
+        cod = cut.codomains[c]
+        witness = AxiomFailure("C4-meets", (cod._sub(f), cod._sub(g)))
+        assert check_closure_axioms(ClosureOperator(lt), cut).failures == (witness,)
+
+    def test_topologies_never_enter_the_ordered_loop(self, P, all_lts, full_universe):
+        # a screen that always fell back would pass every other test
+        import sys
+
+        from fourtops import axioms
+
+        def calls(universe, lts):
+            counts = {axioms._screen.__code__: 0, axioms._ordered_laws.__code__: 0}
+
+            def hook(frame, event, arg):
+                if event == "call" and frame.f_code in counts:
+                    counts[frame.f_code] += 1
+
+            sys.setprofile(hook)
+            try:
+                reports = [check_closure_axioms(ClosureOperator(lt), universe) for lt in lts]
+            finally:
+                sys.setprofile(None)
+            return [r.ok for r in reports], list(counts.values())
+
+        for universe in (build_universe(P), full_universe):
+            assert calls(universe, all_lts) == ([True] * 16, [16, 0])
+        # the hook does see the ordered loop when a law fails
+        tables = [list(t) for t in constant_true_lt(P).tables]
+        tables[P.index("2_")][0] = 0
+        broken = LTTopology(P, tuple(map(tuple, tables)))
+        assert calls(build_universe(P), [broken]) == ([False], [1, 1])
 
 
 class TestDenseClosed:
