@@ -16,10 +16,7 @@ _HOMES = {
     "census": ("enumerate_grotops", "enumerate_lts", "enumerate_nuclei"),
     "classifier": ("OmegaObject", "omega"),
     "convert": (
-        "Quad",
-        "check_routes",
         "closure_to_nucleus",
-        "complete_quad",
         "grotop_to_lt",
         "grotop_to_lt_direct",
         "grotop_to_nucleus",
@@ -46,6 +43,7 @@ _HOMES = {
     ),
     "presheaf": ("Presheaf", "product", "terminal"),
     "records": ("GrothendieckTopology", "LTTopology"),
+    "routes": ("Quad", "check_routes", "complete_quad"),
     "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology", "j_from_closure"),
 }
 # exported name -> the submodule it lives in

@@ -24,6 +24,23 @@ from .topology import ClosureOperator
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+class _Pulls(dict):
+    """Codomain element mask -> its pullback along one map, each pulled once
+    per universe: C5 pulls the closure of each map pair's mask back for
+    every operator, and the closures repeat across operators and across the
+    map pairs of one map."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: tuple[int, ...]):
+        super().__init__()
+        self.images = images
+
+    def __missing__(self, mask: int) -> int:
+        got = self[mask] = _pull_mask(self.images, mask)
+        return got
+
+
 class TestUniverse:
     """A finite, deterministic family of subobjects, pairs and map pairs used
     to instantiate the 'for all inclusions' quantifiers, as element masks.
@@ -33,17 +50,20 @@ class TestUniverse:
     ``(codomain, f, its g's, nested g's, crossing g's, their meets with f)``
     per f, in pair order; ``map_pairs`` holds ``(domain, codomain, image
     bits, mask, pulled mask)`` per map pair, the image bits naming each
-    domain element's image among the codomain's elements.  ``packed`` holds
+    domain element's image among the codomain's elements, and ``pulls`` the
+    ``_Pulls`` of each map pair's map, one per distinct map.  ``packed`` holds
     per codomain its subobjects' masks, a field width in bytes and, per
     truth-value key, one int with each subobject's group of that key in its
     field, so that their closures are the fields of one sum.
     """
 
-    __slots__ = ("poset", "codomains", "subobjects", "rows", "map_pairs", "packed")
+    __slots__ = ("poset", "codomains", "subobjects", "rows", "map_pairs", "pulls", "packed")
 
     def __init__(self, poset: Poset, codomains: tuple, subobjects: tuple, rows: tuple, map_pairs: tuple):
         self.poset, self.codomains, self.subobjects = poset, codomains, subobjects
         self.rows, self.map_pairs = rows, map_pairs
+        pulls = {images: _Pulls(images) for _, _, images, _, _ in map_pairs}
+        self.pulls = tuple(pulls[images] for _, _, images, _, _ in map_pairs)
         packed = []
         for c, b in enumerate(codomains):
             index, masks = b.elements(), [mask for k, mask in subobjects if k == c]
@@ -151,7 +171,10 @@ def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
             return False
         if list(map(close.__getitem__, meets)) != list(map(cf.__and__, map(close.__getitem__, crossing))):
             return False
-    return all(closed[a][p] == _pull_mask(images, closed[b][d]) for a, b, images, d, p in universe.map_pairs)
+    return all(
+        closed[a][p] == pulls[closed[b][d]]
+        for (a, b, _, d, p), pulls in zip(universe.map_pairs, universe.pulls)
+    )
 
 
 def _ordered_laws(universe: TestUniverse, closed: list) -> CheckReport:
@@ -185,8 +208,8 @@ def _ordered_laws(universe: TestUniverse, closed: list) -> CheckReport:
             cod = codomains[c]
             failures.append(AxiomFailure("C4-meets", (cod._sub(f), cod._sub(g))))
             break
-    for a, b, images, d, pull in universe.map_pairs:
-        if closed[a][pull] != _pull_mask(images, closed[b][d]):
+    for (a, b, _, d, pull), pulls in zip(universe.map_pairs, universe.pulls):
+        if closed[a][pull] != pulls[closed[b][d]]:
             failures.append(AxiomFailure("C5-pullback-stable", (codomains[a], codomains[b]._sub(d))))
             break
     return CheckReport("closure axioms", tuple(failures))

@@ -12,33 +12,34 @@ already placed below, then filtered by transitivity.
 
 The oracle modes need only the poset's sieve index, the down-set algebra,
 the kernel and the two table records; the formula modes of the covering
-families and the endomaps import their converter from ``convert`` when they
-run.
+families and the endomaps import ``point_set_to_grotop`` and
+``formula_lts`` from ``convert`` when they run.  ``check axioms`` reads
+``formula_lts`` itself, so neither it nor the kernel loads this module.
 """
 
 from __future__ import annotations
-
-from itertools import combinations
 
 from ._kernels import enumerate_operator_tables
 from .errors import SizeCapExceeded
 from .heyting import (
     DEFAULT_ORACLE_POINT_CAP,
+    HeytingAlgebra,
     Nucleus,
     algebra_of,
-    enumerate_nucleus_tables,
     nucleus_from_point_set,
 )
-from .poset import Poset, _bits, lattice_tables, sieve_restriction, sieves_on
+from .poset import Poset, _bits, _subsets, lattice_tables, sieve_restriction, sieves_on
 from .records import GrothendieckTopology, LTTopology, make_grotop
 
 
-def _subsets(points: tuple) -> list[frozenset]:
-    out = []
-    for k in range(len(points) + 1):
-        for combo in combinations(points, k):
-            out.append(frozenset(combo))
-    return out
+def enumerate_nucleus_tables(algebra: HeytingAlgebra) -> list[tuple[int, ...]]:
+    """Brute-force search for every table passing the nucleus axioms."""
+    return enumerate_operator_tables(
+        len(algebra.elements),
+        *lattice_tables(algebra.elements),
+        inflationary=True,
+        top_fixed=False,
+    )
 
 
 def enumerate_nuclei(
@@ -146,13 +147,9 @@ def enumerate_lts(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[LTTopology]:
     if mode == "formula":
-        from .convert import nucleus_to_lt
+        from .convert import formula_lts
 
-        algebra = algebra_of(poset)
-        return [
-            nucleus_to_lt(nucleus_from_point_set(algebra, y))
-            for y in _subsets(poset.points)
-        ]
+        return formula_lts(poset)
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:

@@ -1,7 +1,9 @@
 """Command-line front door: the argument parser, the entry point and the
-sweep.  ``main`` imports the other commands' handlers only when one of them
-runs: ``enumerate`` with the input reader and the structure JSON writers from
-``fourtops.commands``, the rest from ``fourtops.handlers``.
+sweep.  Importing it loads ``fourtops.errors`` alone, and the parser builds
+only the subparser that argv's first word names.  ``main`` imports the other
+commands' handlers only when one of them runs: ``enumerate`` with the input
+reader and the structure JSON writers from ``fourtops.commands``, ``check``
+from ``fourtops.check``, the rest from ``fourtops.handlers``.
 Exit codes: 0 all checks pass, 1 counterexample found, 2 usage or parse error.
 ``run``, the entry point of ``python -m fourtops.cli`` and of the ``fourtops``
 script, ends the process with ``main``'s code once its output is flushed.
@@ -14,9 +16,14 @@ import io
 import os
 import sys
 
-from .errors import FourtopsError, SizeCapExceeded, _require_at_least
-from .heyting import DEFAULT_ORACLE_POINT_CAP
-from .records import DEFAULT_PAIR_CAP, STRUCTURE_KINDS
+from .errors import (
+    DEFAULT_ORACLE_POINT_CAP,
+    DEFAULT_PAIR_CAP,
+    STRUCTURE_KINDS,
+    FourtopsError,
+    SizeCapExceeded,
+    _require_at_least,
+)
 
 
 def cmd_sweep(args, out) -> int:
@@ -47,13 +54,26 @@ def cmd_sweep(args, out) -> int:
 # -- entry point -------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+# the subcommands, in help order
+_SUBCOMMANDS = ("show", "chi", "convert", "fouruple", "enumerate", "check", "render", "sweep")
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The CLI's parser.  When ``argv``'s first word names a subcommand,
+    only that subparser is built; with no word, ``-h`` or an unknown word,
+    all of them are, so the top-level help and usage errors list every
+    subcommand.  The usage line names every subcommand either way."""
     top = argparse.ArgumentParser(
         prog="fourtops",
         description="compute, convert, render, and check topologies on "
         "presheaves over finite posets",
     )
-    sub = top.add_subparsers(dest="command", required=True)
+    # the metavar argparse gives the choices when all of them are built
+    sub = top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}")
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+
+    def wanted(name, help):
+        return sub.add_parser(name, help=help) if named in (None, name) else None
 
     def add_common(p, json=True):
         p.add_argument("-i", "--input", help="input file ('-' for stdin)")
@@ -61,52 +81,53 @@ def build_parser() -> argparse.ArgumentParser:
         if json:
             p.add_argument("--json", action="store_true", help="structured output")
 
-    p_show = sub.add_parser("show", help="display h, omega, or the true map")
-    p_show.add_argument("what", choices=["h", "omega", "true"])
-    add_common(p_show)
+    if p := wanted("show", "display h, omega, or the true map"):
+        p.add_argument("what", choices=["h", "omega", "true"])
+        add_common(p)
 
-    p_chi = sub.add_parser("chi", help="classifying map of a subterminal (y payload)")
-    add_common(p_chi)
+    if p := wanted("chi", "classifying map of a subterminal (y payload)"):
+        add_common(p)
 
-    p_conv = sub.add_parser("convert", help="convert between representations")
-    p_conv.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
-    p_conv.add_argument("--to", dest="target", choices=STRUCTURE_KINDS, required=True)
-    add_common(p_conv)
+    if p := wanted("convert", "convert between representations"):
+        p.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
+        p.add_argument("--to", dest="target", choices=STRUCTURE_KINDS, required=True)
+        add_common(p)
 
-    p_four = sub.add_parser("fouruple", help="complete all four representations")
-    p_four.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
-    add_common(p_four)
+    if p := wanted("fouruple", "complete all four representations"):
+        p.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
+        add_common(p)
 
-    p_enum = sub.add_parser("enumerate", help="enumerate structures on the poset")
-    p_enum.add_argument("family", choices=["nuclei", "grotops", "lttops"])
-    p_enum.add_argument("--mode", choices=["formula", "oracle"], default="formula")
-    add_common(p_enum)
-    p_enum.add_argument(
-        "--cap", type=int, help=f"point cap of --mode oracle (default {DEFAULT_ORACLE_POINT_CAP})"
-    )
+    if p := wanted("enumerate", "enumerate structures on the poset"):
+        p.add_argument("family", choices=["nuclei", "grotops", "lttops"])
+        p.add_argument("--mode", choices=["formula", "oracle"], default="formula")
+        add_common(p)
+        p.add_argument(
+            "--cap", type=int, help=f"point cap of --mode oracle (default {DEFAULT_ORACLE_POINT_CAP})"
+        )
 
-    p_check = sub.add_parser("check", help="run axiom or agreement checkers")
-    p_check.add_argument("what", choices=["axioms", "conjectures", "topmost", "roundtrips"])
-    add_common(p_check)
-    p_check.add_argument(
-        "--cap", type=int, help=f"pair cap for check axioms (default {DEFAULT_PAIR_CAP})"
-    )
+    if p := wanted("check", "run axiom or agreement checkers"):
+        p.add_argument("what", choices=["axioms", "conjectures", "topmost", "roundtrips"])
+        add_common(p)
+        p.add_argument(
+            "--cap", type=int, help=f"pair cap for check axioms (default {DEFAULT_PAIR_CAP})"
+        )
 
-    p_render = sub.add_parser("render", help="text renderings")
-    p_render.add_argument("what", choices=["zha", "omega", "j", "grotop", "fouruple"])
-    add_common(p_render, json=False)
+    if p := wanted("render", "text renderings"):
+        p.add_argument("what", choices=["zha", "omega", "j", "grotop", "fouruple"])
+        add_common(p, json=False)
 
-    p_sweep = sub.add_parser("sweep", help="batch checks over a 2cg family")
-    p_sweep.add_argument("--pmax", type=int, default=2)
-    p_sweep.add_argument("--qmax", type=int, default=2)
-    p_sweep.add_argument("--json", action="store_true")
-    p_sweep.add_argument("--cap", type=int, default=DEFAULT_ORACLE_POINT_CAP)
+    if p := wanted("sweep", "batch checks over a 2cg family"):
+        p.add_argument("--pmax", type=int, default=2)
+        p.add_argument("--qmax", type=int, default=2)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_POINT_CAP)
     return top
 
 
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -115,6 +136,8 @@ def main(argv=None, out=None) -> int:
         handler = cmd_sweep
     elif args.command == "enumerate":
         from .commands import cmd_enumerate as handler
+    elif args.command == "check":
+        from .check import cmd_check as handler
     else:
         from . import handlers
 

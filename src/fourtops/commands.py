@@ -13,8 +13,11 @@ Input grammar (hand-editable, piles name sieves on two-column graphs):
 
 Inputs starting with '{' are parsed as the JSON schema this tool emits, so
 every JSON output can be fed back in unchanged; that reader lives in
-``fourtops.json_input``, imported only for such input.  The other commands'
-handlers and the text writers of structures live in ``fourtops.handlers``.
+``fourtops.json_input``, imported only for such input, and ``cmd_enumerate``
+imports the census when it runs, so ``check`` reads its input through this
+module without it.  The other commands' handlers live in
+``fourtops.check`` and, with the text writers of structures, in
+``fourtops.handlers``.
 Nothing here imports ``fourtops.cli``: under ``python -m`` it is
 ``__main__``, and would compile twice.
 """
@@ -25,7 +28,6 @@ import json
 import re
 import sys
 
-from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from .emit import emit_json
 from .errors import FourtopsError, ParseError, SizeCapExceeded, _require_at_least
 from .heyting import DEFAULT_ORACLE_POINT_CAP, Nucleus, algebra_of
@@ -401,6 +403,8 @@ def _read_input(args) -> InputSpec:
 
 
 def cmd_enumerate(args, out) -> int:
+    from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
+
     mode = args.mode
     if args.cap is not None and mode != "oracle":
         raise ParseError(f"--cap applies to --mode oracle only, not --mode {mode}")

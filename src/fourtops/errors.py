@@ -1,4 +1,19 @@
-"""Exception types shared across the package, and the size flags' bound check."""
+"""Exception types shared across the package, the size flags' bound check
+and the defaults the CLI's parser names.
+
+This module imports nothing, so ``import fourtops.cli`` loads no other
+``fourtops`` module.
+"""
+
+# the oracle enumerators' default point cap (see ``census``)
+DEFAULT_ORACLE_POINT_CAP = 6
+
+# the closure-law universe's default pair cap (see ``axioms.build_universe``)
+DEFAULT_PAIR_CAP = 5000
+
+# the kinds of structure an input or an output names: a point set (``y``) and
+# the three faces built from it
+STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
 
 
 class FourtopsError(Exception):

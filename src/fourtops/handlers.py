@@ -1,18 +1,17 @@
-"""The handlers of every command but ``enumerate`` and ``sweep``, with the
-text writers of structures and the completion of an input's quadruple.
+"""The handlers of ``show``, ``chi``, ``convert``, ``fouruple`` and
+``render``, with the text writers of structures and the completion of an
+input's quadruple.
 
-``cli.main`` imports this module only for ``show``, ``chi``, ``convert``,
-``fouruple``, ``check`` and ``render``, and ``commands.cmd_enumerate`` only
-for its text output, so a JSON census never compiles it.  Nothing here
-imports ``fourtops.cli``: under ``python -m`` it is ``__main__``, and would
-compile twice.
+``cli.main`` imports this module only for those five commands, and
+``commands.cmd_enumerate`` only for its text output, so neither a JSON
+census nor ``check`` compiles it.  Nothing here imports ``fourtops.cli``:
+under ``python -m`` it is ``__main__``, and would compile twice.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .census import enumerate_lts
 from .commands import (
     InputSpec,
     NameTable,
@@ -24,16 +23,15 @@ from .commands import (
     structure_json,
 )
 from .emit import emit_json
-from .errors import ParseError, _require_at_least
-from .heyting import algebra_of, is_nucleus
-from .poset import DownSet, Poset, TwoColumnGraph, sieves_on
-from .records import DEFAULT_PAIR_CAP, STRUCTURE_KINDS
+from .errors import ParseError
+from .heyting import algebra_of
+from .poset import DownSet, TwoColumnGraph, sieves_on
+from .records import STRUCTURE_KINDS
 
-# The conversions, the presheaf layer, the classifier, the closure-law
-# checkers (``axioms``) and the panel renderers are imported where they run,
-# so each command compiles only the ones it uses.
+# The route module, the presheaf layer and the panel renderers are imported
+# where they run, so each command compiles only the ones it uses.
 if TYPE_CHECKING:
-    from .convert import Quad
+    from .routes import Quad
 
 
 def _quad(spec: InputSpec, source: str | None = None) -> Quad:
@@ -43,7 +41,7 @@ def _quad(spec: InputSpec, source: str | None = None) -> Quad:
         raise ParseError("this command needs a structure payload in the input")
     if source is not None and spec.kind != source:
         raise ParseError(f"input structure is {spec.kind!r} but --from says {source!r}")
-    from .convert import complete_quad
+    from .routes import complete_quad
 
     return complete_quad(spec.poset, **{spec.kind: spec.payload})
 
@@ -178,82 +176,6 @@ def cmd_fouruple(args, out) -> int:
         for kind in STRUCTURE_KINDS:
             out.write(structure_text(spec, kind, getattr(quad, kind)) + "\n")
     return 0
-
-
-def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
-    from .axioms import build_universe, check_closure_axioms, filter_check
-    from .convert import grotop_to_nucleus, lt_to_grotop
-    from .topology import ClosureOperator, is_grothendieck, is_lt_topology
-
-    universe = build_universe(poset, pair_cap=cap)
-    results = []
-    all_ok = True
-    for i, lt in enumerate(enumerate_lts(poset, "formula")):
-        entry = {"index": i}
-        lt_report = is_lt_topology(lt)
-        entry["lt_axioms"] = lt_report.ok
-        clop = ClosureOperator(lt)
-        closure_report = check_closure_axioms(clop, universe)
-        entry["closure_axioms"] = closure_report.ok
-        grotop = lt_to_grotop(lt)
-        g_report = is_grothendieck(grotop)
-        entry["covering_axioms"] = g_report.ok
-        f_report = filter_check(grotop)
-        entry["filter_laws"] = f_report.report.ok
-        entry["filter_generators"] = [_downset_json(poset, g.mask) for g in f_report.generators]
-        nucleus = grotop_to_nucleus(grotop)
-        entry["nucleus_axioms"] = is_nucleus(nucleus.algebra, nucleus.table).ok
-        results.append(entry)
-        all_ok = all_ok and all(
-            v for k, v in entry.items() if isinstance(v, bool)
-        )
-    return results, all_ok
-
-
-def cmd_check(args, out) -> int:
-    if args.cap is not None and args.what != "axioms":
-        raise ParseError(f"--cap applies to check axioms only, not check {args.what}")
-    if args.cap is not None:
-        _require_at_least("--cap", args.cap, 1)
-    spec = _read_input(args)
-    poset = spec.poset
-    if args.what == "axioms":
-        results, ok = _axiom_results(poset, DEFAULT_PAIR_CAP if args.cap is None else args.cap)
-        if args.json:
-            _write_result(out, spec, {"instances": results, "ok": ok})
-        else:
-            out.write(
-                f"{sum(all(v for k, v in e.items() if isinstance(v, bool)) for e in results)}"
-                f"/{len(results)} structures pass all axiom suites\n"
-            )
-        return 0 if ok else 1
-    from .convert import check_routes
-
-    names = {
-        "conjectures": ("truncation route", "closure route"),
-        "topmost": ("topmost region covers",),
-        "roundtrips": ("round trips",),
-    }[args.what]
-    outputs = [r for r in check_routes(poset) if r.name in names]
-    ok = all(r.ok for r in outputs)
-    if args.json:
-        reports_json = [
-            {
-                "name": r.name,
-                "ok": r.ok,
-                "agree": sum(v.agrees for v in r.verdicts),
-                "total": len(r.verdicts),
-                "counterexamples": [
-                    {"label": v.label, "detail": v.detail} for v in r.counterexamples()
-                ],
-            }
-            for r in outputs
-        ]
-        _write_result(out, spec, {"reports": reports_json, "ok": ok})
-    else:
-        for r in outputs:
-            out.write(r.summary() + "\n")
-    return 0 if ok else 1
 
 
 def cmd_render(args, out) -> int:

@@ -11,15 +11,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable
 
-from ._kernels import enumerate_operator_tables
-from .errors import NotElement
-from .poset import (
-    DownSet,
-    Poset,
-    enumerate_downsets,
-    interior_mask,
-    lattice_tables,
-)
+# the oracle point cap lives in ``errors``, which the CLI's parser reads
+# alone; the census and ``enumerate`` read it here
+from .errors import DEFAULT_ORACLE_POINT_CAP, NotElement
+from .poset import DownSet, Poset, enumerate_downsets, interior_mask
 
 
 class HeytingAlgebra:
@@ -222,18 +217,3 @@ def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
         if nucleus.table[full] != nucleus.table[strict]:
             out.append(u)
     return frozenset(out)
-
-
-# the oracle enumerators' default point cap (see ``census``), here so that
-# the CLI's help text reads it without compiling the census
-DEFAULT_ORACLE_POINT_CAP = 6
-
-
-def enumerate_nucleus_tables(algebra: HeytingAlgebra) -> list[tuple[int, ...]]:
-    """Brute-force search for every table passing the nucleus axioms."""
-    return enumerate_operator_tables(
-        len(algebra.elements),
-        *lattice_tables(algebra.elements),
-        inflationary=True,
-        top_fixed=False,
-    )

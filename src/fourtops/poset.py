@@ -9,7 +9,7 @@ keeps meets, joins and interiors cheap for the enumerators downstream.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import groupby, permutations, product
+from itertools import combinations, groupby, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from .errors import CycleError, NotDownClosed, SizeCapExceeded, UnknownPoint
@@ -26,6 +26,16 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+def _subsets(points: tuple) -> list[frozenset]:
+    """Every subset of ``points``, by size, then in ``combinations`` order:
+    the order of the formula censuses and of the route pass."""
+    out = []
+    for k in range(len(points) + 1):
+        for combo in combinations(points, k):
+            out.append(frozenset(combo))
+    return out
 
 
 class Poset:

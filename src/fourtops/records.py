@@ -9,14 +9,10 @@ checkers live in ``topology``.
 
 from __future__ import annotations
 
+# the CLI's parser reads these two from ``errors``, which imports nothing;
+# the command handlers and the closure-law universe read them here
+from .errors import DEFAULT_PAIR_CAP, STRUCTURE_KINDS
 from .poset import DownSet, Poset, downset_sort_key, sieve_positions, sieves_on
-
-# the closure-law universe's default pair cap, read by the CLI's help text
-DEFAULT_PAIR_CAP = 5000
-
-# the kinds of structure an input or an output names: a point set (``y``) and
-# the three faces built from it
-STRUCTURE_KINDS = ("y", "nucleus", "grotop", "lt")
 
 
 class LTTopology:

@@ -16,7 +16,7 @@ from .poset import TwoColumnGraph, sieves_on
 from .records import GrothendieckTopology, LTTopology
 
 if TYPE_CHECKING:
-    from .convert import Quad
+    from .routes import Quad
 
 
 class _Canvas:

@@ -17,9 +17,9 @@ import signal
 import threading
 
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
-from .convert import route_pass, route_reports
 from .errors import FourtopsError
 from .poset import TwoColumnGraph, canonical_form
+from .routes import route_pass, route_reports
 
 
 def cross_configurations(p: int, q: int) -> list[frozenset]:

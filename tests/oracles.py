@@ -1206,15 +1206,15 @@ def route_reports_literal(poset):
     truncation route, closure route, topmost region covers.  Every conversion
     is looked up on the ``convert`` module at call time, so one patched
     conversion reaches this side and ``check_routes`` alike."""
-    from fourtops import convert
-    from fourtops.census import _subsets
-    from fourtops.convert import InstanceVerdict, RouteReport
+    from fourtops import convert, routes
+    from fourtops.poset import _subsets, sieves_on
+    from fourtops.routes import InstanceVerdict, RouteReport
 
     algebra = convert.algebra_of(poset)
     subsets = _subsets(poset.points)
 
     def label(y):
-        return convert._y_label(poset, y)
+        return routes._y_label(poset, y)
 
     roundtrips = []
     for y in subsets:
@@ -1273,7 +1273,7 @@ def route_reports_literal(poset):
         agrees = True
         detail = ""
         for i, u in enumerate(poset.points):
-            sieves = convert.sieves_on(poset, u)
+            sieves = sieves_on(poset, u)
             table = tables[i]
             top = len(sieves) - 1
             top_class = frozenset(

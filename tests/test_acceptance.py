@@ -13,7 +13,7 @@ import pytest
 from fourtops.census import enumerate_lts
 from fourtops.axioms import build_universe, check_closure_axioms, filter_check
 from fourtops.cli import main
-from fourtops.convert import check_routes, lt_to_grotop
+from fourtops.convert import lt_to_grotop
 from fourtops.errors import NotDownClosed
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import (
@@ -26,6 +26,7 @@ from fourtops.poset import (
     star_graph,
 )
 from fourtops.presheaf import Presheaf, _truth_values, terminal
+from fourtops.routes import check_routes
 from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology
 from fourtops.sweep import cross_configurations, sweep_instance
 

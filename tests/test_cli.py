@@ -822,6 +822,61 @@ def test_block_buffered_help_and_usage_errors_match_main(capsys):
     assert (got.returncode, got.stdout, got.stderr) == (2, b"", usage)
 
 
+# a line each subcommand parses without error
+VALID_ARGS = {
+    "show": ["h", "-t", STAR],
+    "chi": ["--json"],
+    "convert": ["--from", "y", "--to", "lt", "-i", "-"],
+    "fouruple": ["--from", "grotop"],
+    "enumerate": ["lttops", "--mode", "oracle", "--cap", "3"],
+    "check": ["axioms", "--cap", "7", "--json"],
+    "render": ["zha", "-t", STAR],
+    "sweep": ["--pmax", "1", "--qmax", "0", "--json"],
+}
+
+
+def _parse_outcome(parser, argv):
+    """The namespace ``parser`` reads from ``argv``, or its exit code, with
+    what it printed on stdout and on stderr."""
+    import contextlib
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _subcommands_built(parser):
+    return list(next(a for a in parser._actions if a.dest == "command").choices)
+
+
+@pytest.mark.parametrize("command", sorted(VALID_ARGS))
+def test_the_named_subparser_alone_parses_as_the_full_parser(command):
+    """A first word that names a subcommand builds only its subparser, and
+    help, a missing positional or required option, an invalid choice, an
+    unknown option, a stray word and a valid line give the same namespace or
+    exit code, stdout and stderr as the parser of every subcommand."""
+    from fourtops.cli import build_parser
+
+    full = build_parser()
+    assert _subcommands_built(full) == list(VALID_ARGS)
+    for rest in (["-h"], [], ["bogus"], ["--bogus"], ["--from", "bogus"], [*VALID_ARGS[command], "extra"]):
+        argv = [command, *rest]
+        parser = build_parser(argv)
+        assert _subcommands_built(parser) == [command]
+        assert _parse_outcome(parser, argv) == _parse_outcome(full, argv), argv
+    argv = [command, *VALID_ARGS[command]]
+    result, out, err = _parse_outcome(build_parser(argv), argv)
+    assert (result, out, err) == _parse_outcome(full, argv)
+    assert result["command"] == command and (out, err) == ("", "")
+    # no word, help and an unknown word build every subparser
+    for argv in ([], ["-h"], ["--help"], ["bogus"], ["-t", STAR, command]):
+        assert _subcommands_built(build_parser(argv)) == list(VALID_ARGS), argv
+
+
 def test_the_fourtops_script_ends_through_run():
     """The installed ``fourtops`` script enters the CLI where ``python -m
     fourtops.cli`` does: ``run``, not ``main``."""
@@ -1363,11 +1418,13 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     classifier or the presheaf layer, and an oracle census runs without
     them; a sweep loads no closure-law checker and ``check axioms`` no
     sweep; importing the package alone loads no submodule.  Importing the CLI
-    loads neither the commands' handlers (``commands``) nor the enumerators
-    (``census``), a sweep loads no handler, and ``show`` and ``fouruple``
-    never load the renderers.  A JSON oracle census loads neither the JSON
-    reader (``json_input``) nor the other handlers (``handlers``), within a
-    budget of lines of source; JSON input loads the reader."""
+    loads no ``fourtops`` module but ``fourtops.errors``, a sweep loads no
+    handler, and ``show`` and ``fouruple`` never load the renderers.  A JSON
+    oracle census loads neither the JSON reader (``json_input``) nor the
+    other handlers (``handlers``), within a budget of lines of source; JSON
+    input loads the reader.  ``check axioms`` loads neither the other
+    handlers, the census, the table-search kernel nor the route module,
+    within a budget of lines of source."""
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
     unwanted = {
@@ -1383,8 +1440,8 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     }
     loaded = f"sorted({unwanted!r} & set(sys.modules))"
     assert _fresh_child(f"import sys, fourtops.cli; print({loaded})") == "[]\n"
-    handlers = "sorted({'fourtops.census', 'fourtops.commands'} & set(sys.modules))"
-    assert _fresh_child(f"import sys, fourtops.cli; print({handlers})") == "[]\n"
+    package = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
+    assert _fresh_child(f"import sys, fourtops.cli; print({package})") == "['fourtops.cli', 'fourtops.errors']\n"
 
     lazy = "sorted({'fourtops.json_input', 'fourtops.handlers'} & set(sys.modules))"
     lines = (
@@ -1454,9 +1511,17 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     rc, axioms_loads, lazy_loaded, lines_loaded = run_child(argv)
     assert rc == 0 and "fourtops.axioms" in axioms_loads
     assert "fourtops.sweep" not in axioms_loads
-    # ``check axioms`` compiles no more than the 3,298 lines it did when the
-    # JSON reader and every handler were one module
-    assert lazy_loaded == "['fourtops.handlers']" and lines_loaded <= 3298, lines_loaded
+    # ``check axioms`` compiled 3,297 lines when it loaded every handler, the
+    # census, the kernel and the route checks
+    assert lazy_loaded == "[]" and lines_loaded <= 2643, lines_loaded
+    skipped = {"fourtops.handlers", "fourtops.census", "fourtops._kernels", "fourtops.routes"}
+    code = (
+        "import io, sys\n"
+        "from fourtops import cli\n"
+        f"cli.main({argv!r}, out=io.StringIO())\n"
+        f"print(sorted({skipped!r} & set(sys.modules)))"
+    )
+    assert _fresh_child(code) == "[]\n"
 
 
 def test_sweep_does_not_import_the_cli_module_again():

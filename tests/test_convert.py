@@ -6,13 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourtops import convert
+from fourtops import convert, routes
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.classifier import omega
 from fourtops.convert import (
-    check_routes,
     closure_to_nucleus,
-    complete_quad,
     grotop_to_lt,
     grotop_to_lt_direct,
     grotop_to_nucleus,
@@ -47,6 +45,7 @@ from fourtops.poset import (
     star_graph,
 )
 from fourtops.records import GrothendieckTopology, LTTopology, make_grotop
+from fourtops.routes import check_routes, complete_quad
 from fourtops.topology import ClosureOperator, is_grothendieck, j_from_closure
 
 from .conftest import pile_code_str
@@ -438,7 +437,7 @@ class TestValidationAtTheBoundary:
 
             monkeypatch.setattr(convert, "nucleus_from_point_set", random_table)
             assert sweep_instance(star, 6)["ok"] is False
-            details = convert.route_row(star.poset(), frozenset({"_1"}))[2]
+            details = routes.route_row(star.poset(), frozenset({"_1"}))[2]
             if any(d.startswith("stopped by FunctorialityError: ") for d in details):
                 stopped += 1
                 with pytest.raises(IncoherentQuad, match="stopped by FunctorialityError"):
@@ -571,7 +570,7 @@ class TestRouteCheckers:
         def refuse(*args, **kwargs):
             raise AssertionError("complete_quad called")
 
-        monkeypatch.setattr(convert, "complete_quad", refuse)
+        monkeypatch.setattr(routes, "complete_quad", refuse)
         assert check_routes(P)[3].ok
 
     @given(small_posets())

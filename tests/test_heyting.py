@@ -5,11 +5,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fourtops.census import enumerate_nucleus_tables
 from fourtops.errors import NotElement, UnknownPoint
 from fourtops.heyting import (
     HeytingAlgebra,
     Nucleus,
-    enumerate_nucleus_tables,
     is_nucleus,
     nucleus_from_point_set,
     point_set_of_nucleus,

@@ -4,7 +4,6 @@ import pathlib
 
 import pytest
 
-from fourtops.convert import complete_quad
 from fourtops.poset import TwoColumnGraph, star_graph
 from fourtops.render import (
     render_grotop,
@@ -15,6 +14,7 @@ from fourtops.render import (
     render_quad,
     render_zha,
 )
+from fourtops.routes import complete_quad
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 

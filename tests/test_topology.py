@@ -340,7 +340,7 @@ class TestOneKernel:
         return calls
 
     def test_route_pass_builds_each_group_once(self, P, built):
-        from fourtops.convert import check_routes
+        from fourtops.routes import check_routes
 
         assert all(r.ok for r in check_routes(P))
         assert len(built) == len({(id(index), mask) for index, mask in built}) == 9
@@ -535,6 +535,31 @@ class TestPackedClosures:
         cod = cut.codomains[c]
         witness = AxiomFailure("C4-meets", (cod._sub(f), cod._sub(g)))
         assert check_closure_axioms(ClosureOperator(lt), cut).failures == (witness,)
+
+    def test_c5_pulls_each_closed_mask_back_once_per_map(self, P, all_lts, monkeypatch):
+        # C5 pulls the closure of each map pair's mask back along its map,
+        # for every operator; the universe keeps each pull it makes, one
+        # table per map, so the star's 16 topologies pull no (map, closed
+        # mask) twice, and so no (map pair, closed mask) either
+        from fourtops import axioms
+
+        universe = build_universe(P)
+        calls = []
+
+        def counted(images, mask):
+            calls.append(mask)
+            return _pull_mask(images, mask)
+
+        monkeypatch.setattr(axioms, "_pull_mask", counted)
+        per_map, per_pair = set(), set()
+        for lt in all_lts:
+            clop = ClosureOperator(lt)
+            assert check_closure_axioms(clop, universe).ok
+            closed = [clop.closures(b.elements()) for b in universe.codomains]
+            for k, (_, b, images, d, _) in enumerate(universe.map_pairs):
+                per_map.add((images, closed[b][d]))
+                per_pair.add((k, closed[b][d]))
+        assert 0 < len(calls) <= len(per_map) < len(per_pair) < len(all_lts) * len(universe.map_pairs)
 
     def test_topologies_never_enter_the_ordered_loop(self, P, all_lts, full_universe):
         # a screen that always fell back would pass every other test
