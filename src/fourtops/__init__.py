@@ -41,7 +41,7 @@ _HOMES = {
         "sieves_on",
         "star_graph",
     ),
-    "presheaf": ("Presheaf", "product", "terminal"),
+    "presheaf": ("terminal",),
     "records": ("GrothendieckTopology", "LTTopology"),
     "routes": ("Quad", "check_routes", "complete_quad"),
     "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology", "j_from_closure"),

@@ -124,10 +124,10 @@ def grotop_to_lt(j: GrothendieckTopology) -> LTTopology:
     om = omega(poset)
     mask = 0
     try:
-        for u, elements, fam in zip(poset.points, om.element_at, j.covers):
+        for u, start, fam in zip(poset.points, om.offset, j.covers):
             pos = sieve_positions(poset, u)
             for m in fam:
-                mask |= 1 << elements[pos[m]]
+                mask |= 1 << (start + pos[m])
     except KeyError:
         raise InvalidTopology(f"a covering family at {u!r} holds a mask that is not a sieve") from None
     return LTTopology(poset, chi_tables(om, mask))
@@ -180,7 +180,7 @@ def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
     """
     poset = clop.poset
     algebra = algebra_of(poset)
-    closed = clop.closures(terminal(poset).elements())
+    closed = clop.closures(terminal(poset))
     return Nucleus(algebra, tuple(algebra.pos[closed[s]] for s in algebra.elements))
 
 

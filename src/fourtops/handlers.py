@@ -135,7 +135,7 @@ def cmd_chi(args, out) -> int:
     # the terminal has one element per point, in point order, so the
     # down-set's point mask is its subterminal's element mask and the
     # classifier row loop gives one sieve per point
-    values = _truth_values(terminal(poset).elements(), sub.mask)
+    values = _truth_values(terminal(poset), sub.mask)
     if args.json:
         rows = sorted((str(u), _downset_json(poset, m)) for u, m in zip(poset.points, values))
         _write_result(out, spec, {"chi": [[u, v] for u, v in rows]})

@@ -1,40 +1,33 @@
-"""Finite presheaves on a poset, their element indexes, and products.
+"""Element indexes of the presheaves the package uses, and the classifier
+row loop.
 
-A presheaf assigns a finite label set to each point and a restriction map to
-each generating arrow; composite restrictions must be path-independent, which
-is verified at construction.
-
-A presheaf's elements (u, a) are indexed in element order: points in order,
-labels in ``sorted_at`` order.  A sub-presheaf is exactly a down-closed mask
-over that index, and a map between presheaves is given by the image bit of
-each element of its domain; those masks are the only form in which the
-package handles subobjects and maps.  A sub-presheaf sliced from a mask
-(``Presheaf._sub``) is trusted: its restrictions and composite paths are
-taken from the presheaf rather than recomposed and revalidated.
+The package uses three presheaves, all read off the poset and its sieve
+index: the terminal 1 (``terminal``), the classifier Ω
+(``classifier.OmegaObject``) and Ω×Ω (``axioms.omega_square``).  Each is
+held only as its element index: element (u, k) is position k in the
+component at u, points in order and positions in order.  A sub-presheaf is
+exactly a down-closed mask over that index, and a map between presheaves is
+given by the image bit of each element of its domain; those masks are the
+only form in which the package handles subobjects and maps.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Hashable, Mapping
+from itertools import accumulate
+from typing import Callable, Sequence
 
-from .errors import FunctorialityError, ShapeMismatch
-from .poset import Poset, _bits
-
-Label = Hashable
-
-
-def _label_key(label):
-    return repr(label)
+from .errors import FunctorialityError
+from .poset import Poset
 
 
 class ElementIndex:
-    """The elements (u, a) of a presheaf in element order.
+    """The elements of a presheaf in element order.
 
-    ``bit`` maps an element to its position; ``point[k]`` is the point index
-    of element k; ``rows[k]`` holds one (point bit, element bit) pair per point
-    v below u, the element bit marking the image of element k at v; ``down[k]``
-    is the mask of the smallest sub-presheaf containing element k.
+    ``point[k]`` is the point index of element k; ``rows[k]`` holds one
+    (point bit, element bit) pair per point v below u, the element bit
+    marking the image of element k at v; ``down[k]`` is the mask of the
+    smallest sub-presheaf containing element k.
 
     The elements grouped by truth value against a mask (see
     :meth:`truth_groups`) depend on no topology, so they are kept here for
@@ -42,32 +35,38 @@ class ElementIndex:
     closure has already found down-closed.
     """
 
-    __slots__ = ("keys", "bit", "point", "rows", "down", "full", "width", "_groups", "passed")
+    __slots__ = ("poset", "point", "rows", "down", "full", "width", "_groups", "passed")
 
-    def __init__(self, b: "Presheaf"):
-        poset = b.poset
-        self.keys = tuple((u, a) for u in poset.points for a in b.sorted_at(u))
-        self.bit = {key: k for k, key in enumerate(self.keys)}
-        self.full = (1 << len(self.keys)) - 1
-        self.width = len(poset.points)
+    def __init__(
+        self,
+        poset: Poset,
+        sizes: Sequence[int],
+        restrict: Callable[[object, object], Sequence[int]],
+    ):
+        """``sizes[i]`` elements at point i; ``restrict(u, v)[k]`` is the
+        position at v of the restriction of position k at u, for each point
+        v below u, u itself among them."""
+        points = poset.points
+        offset = tuple(accumulate(sizes, initial=0))
+        self.poset = poset
+        self.full = (1 << offset[-1]) - 1
+        self.width = len(points)
         self._groups: dict = {}
         self.passed: set = set()
-        below = [
-            [(1 << j, v) for j, v in enumerate(poset.points) if poset.above(u, v)]
-            for u in poset.points
-        ]
         point, rows, down = [], [], []
-        for (u, a) in self.keys:
-            i = poset.index(u)
-            row = tuple(
-                (pb, 1 << self.bit[(v, b._paths[(u, v)][a])]) for pb, v in below[i]
-            )
-            point.append(i)
-            rows.append(row)
-            acc = 0
-            for _, eb in row:
-                acc |= eb
-            down.append(acc)
+        for i, u in enumerate(points):
+            below = [
+                (1 << j, offset[j], restrict(u, v))
+                for j, v in enumerate(points) if poset.above(u, v)
+            ]
+            for k in range(sizes[i]):
+                row = tuple((pb, 1 << (off + to_v[k])) for pb, off, to_v in below)
+                point.append(i)
+                rows.append(row)
+                acc = 0
+                for _, eb in row:
+                    acc |= eb
+                down.append(acc)
         self.point = tuple(point)
         self.rows = tuple(rows)
         self.down = tuple(down)
@@ -80,12 +79,16 @@ class ElementIndex:
             rest &= rest - 1
             missing = down[k] & ~mask
             if missing:
-                u, a = self.keys[k]
-                v, b = self.keys[missing.bit_length() - 1]
+                (u, a), (v, b) = map(self._name, (k, missing.bit_length() - 1))
                 raise FunctorialityError(
-                    f"{a!r} at {u!r} restricts to {b!r} at {v!r}, outside the sub-presheaf"
+                    f"element {a} at {u!r} restricts to element {b} at {v!r}, outside the sub-presheaf"
                 )
         return mask
+
+    def _name(self, k: int) -> tuple:
+        """Element k as its point and its position in that point's component."""
+        i = self.point[k]
+        return self.poset.points[i], k - self.point.index(i)
 
     def truth_groups(self, mask: int) -> dict:
         """The elements grouped by the truth value a classifying map of
@@ -126,132 +129,13 @@ def _truth_groups(index: ElementIndex, mask: int) -> dict:
     return groups
 
 
-class Presheaf:
-    """Finite-set-valued functor on a poset, restriction along 'below'."""
-
-    __slots__ = ("poset", "sets", "restr", "_paths", "_elements", "_hash")
-
-    def __init__(
-        self,
-        poset: Poset,
-        sets: Mapping,
-        restr: Mapping,
-    ):
-        self.poset = poset
-        self.sets = {u: frozenset(sets.get(u, ())) for u in poset.points}
-        self.restr = {}
-        for (u, v), table in restr.items():
-            if (u, v) not in poset.arrows:
-                raise FunctorialityError(f"{(u, v)!r} is not a generating arrow")
-            self.restr[(u, v)] = dict(table)
-        for arrow in poset.arrows:
-            self.restr.setdefault(arrow, {})
-        self._paths = None
-        self._elements = None
-        self._hash = None
-        self._validate()
-
-    def _sub(self, mask: int) -> "Presheaf":
-        """The sub-presheaf on a down-closed element mask, trusted: the sets are
-        read off the mask and restrictions and paths are sliced, not rebuilt."""
-        sets: dict = {u: [] for u in self.poset.points}
-        keys = self.elements().keys
-        for k in _bits(mask):
-            u, a = keys[k]
-            sets[u].append(a)
-        sub = object.__new__(Presheaf)
-        sub.poset = self.poset
-        sub.sets = {u: frozenset(labels) for u, labels in sets.items()}
-        sub.restr = {
-            (u, v): {a: table[a] for a in sets[u]} for (u, v), table in self.restr.items()
-        }
-        sub._paths = {
-            (u, v): {a: path[a] for a in sets[u]} for (u, v), path in self._paths.items()
-        }
-        sub._elements = None
-        sub._hash = None
-        return sub
-
-    def _validate(self) -> None:
-        for (u, v), table in self.restr.items():
-            if set(table) != set(self.sets[u]):
-                raise FunctorialityError(
-                    f"restriction along {(u, v)!r} is not total on {sorted(map(_label_key, self.sets[u]))}"
-                )
-            for a, b in table.items():
-                if b not in self.sets[v]:
-                    raise FunctorialityError(
-                        f"restriction along {(u, v)!r} sends {a!r} outside the target set"
-                    )
-        self._paths = self._compose_paths()
-
-    def _compose_paths(self) -> dict:
-        """Maps (u, v) with u above v to the composite restriction, checking
-        that every pair of parallel paths agrees."""
-        poset = self.poset
-        out = {}
-        for u in poset.points:
-            out[(u, u)] = {a: a for a in self.sets[u]}
-        order = poset.points
-        children = {u: [v for (x, v) in poset.arrows if x == u] for u in order}
-        for u in order:
-            pending = [u]
-            while pending:
-                w = pending.pop()
-                for v in children[w]:
-                    step = self.restr[(w, v)]
-                    composite = {a: step[out[(u, w)][a]] for a in self.sets[u]}
-                    if (u, v) in out:
-                        if out[(u, v)] != composite:
-                            raise FunctorialityError(
-                                f"two paths {u!r} ~> {v!r} restrict differently"
-                            )
-                    else:
-                        out[(u, v)] = composite
-                        pending.append(v)
-        return out
-
-    def elements(self) -> ElementIndex:
-        """The element index, built on first use and kept."""
-        if self._elements is None:
-            self._elements = ElementIndex(self)
-        return self._elements
-
-    def sorted_at(self, u) -> tuple:
-        return tuple(sorted(self.sets[u], key=_label_key))
-
-    def __eq__(self, other) -> bool:
-        return self is other or (
-            isinstance(other, Presheaf)
-            and self.poset == other.poset
-            and self.sets == other.sets
-            and self.restr == other.restr
-        )
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(
-                (
-                    self.poset,
-                    tuple(tuple(self.sorted_at(u)) for u in self.poset.points),
-                )
-            )
-        return self._hash
-
-    def __repr__(self) -> str:
-        parts = ", ".join(
-            f"{u}:{{{','.join(map(str, self.sorted_at(u)))}}}" for u in self.poset.points
-        )
-        return f"Presheaf({parts})"
-
-
 @lru_cache(maxsize=4)
-def terminal(poset: Poset) -> Presheaf:
-    """The one-star presheaf, built once per poset and kept, like ``omega``,
-    while the poset is among the last few in use."""
-    sets = {u: ("*",) for u in poset.points}
-    restr = {arrow: {"*": "*"} for arrow in poset.arrows}
-    return Presheaf(poset, sets, restr)
+def terminal(poset: Poset) -> ElementIndex:
+    """The element index of the terminal presheaf: one element per point, in
+    point order, so a down-set's point mask is its subterminal's element
+    mask.  Built once per poset and kept, like ``omega``, while the poset is
+    among the last few in use."""
+    return ElementIndex(poset, (1,) * len(poset.points), lambda u, v: (0,))
 
 
 def _pull_mask(images: tuple[int, ...], mask: int) -> int:
@@ -262,21 +146,3 @@ def _pull_mask(images: tuple[int, ...], mask: int) -> int:
         if mask & img:
             out |= 1 << k
     return out
-
-
-def product(a: Presheaf, b: Presheaf) -> Presheaf:
-    """Pointwise pairs with pairwise restriction; labels are (left, right)."""
-    if a.poset != b.poset:
-        raise ShapeMismatch("product factors live on different posets")
-    sets = {
-        u: frozenset((x, y) for x in a.sets[u] for y in b.sets[u])
-        for u in a.poset.points
-    }
-    restr = {
-        (u, v): {
-            (x, y): (a.restr[(u, v)][x], b.restr[(u, v)][y])
-            for (x, y) in sets[u]
-        }
-        for (u, v) in a.poset.arrows
-    }
-    return Presheaf(a.poset, sets, restr)

@@ -24,28 +24,29 @@ def is_lt_topology(j: LTTopology) -> CheckReport:
     sieve-index tables.  The tests check the verdicts against the same laws
     as equations of presheaf morphisms (``lt_laws_literal``)."""
     poset = j.poset
-    om = omega(poset)
     failures = []
     for i, u in enumerate(poset.points):
-        n = len(om.sieves[u])
+        n = len(sieves_on(poset, u))
         if len(j.tables[i]) != n or any(not 0 <= v < n for v in j.tables[i]):
             raise InvalidTopology(f"table at {u!r} does not match the classifier")
     for (u, v) in sorted(poset.arrows, key=repr):
         restr, _ = sieve_restriction(poset, u, v)
         tu, tv = j.tables[poset.index(u)], j.tables[poset.index(v)]
-        for k, s in enumerate(om.sieves[u]):
+        for k, s in enumerate(sieves_on(poset, u)):
             if restr[tu[k]] != tv[restr[k]]:
-                failures.append(AxiomFailure("naturality", ((u, v), s)))
+                failures.append(AxiomFailure("naturality", ((u, v), DownSet(poset, s))))
                 break
     for i, u in enumerate(poset.points):
-        table, labels = j.tables[i], om.sieves[u]
-        idem, meet = operator_failures(sieves_on(poset, u), sieve_positions(poset, u), table)
+        table, sieves = j.tables[i], sieves_on(poset, u)
+        idem, meet = operator_failures(sieves, sieve_positions(poset, u), table)
         if idem is not None:
-            failures.append(AxiomFailure("idempotent", (u, labels[idem])))
+            failures.append(AxiomFailure("idempotent", (u, DownSet(poset, sieves[idem]))))
         if table[-1] != len(table) - 1:
             failures.append(AxiomFailure("preserves-true", (u,)))
         if meet is not None:
-            failures.append(AxiomFailure("preserves-meets", (u, *(labels[k] for k in meet))))
+            failures.append(
+                AxiomFailure("preserves-meets", (u, *(DownSet(poset, sieves[k]) for k in meet)))
+            )
     return CheckReport("topology axioms", tuple(failures))
 
 
@@ -120,7 +121,7 @@ def j_from_closure(clop: ClosureOperator) -> LTTopology:
     classifier's element masks: FunctorialityError if that closure is not a
     sub-presheaf."""
     om = omega(clop.poset)
-    closed = clop.closures(om.elements())[om.true_mask]
+    closed = clop.closures(om.index)[om.true_mask]
     return LTTopology(clop.poset, chi_tables(om, closed))
 
 

@@ -1,6 +1,17 @@
 """Independent brute-force reference implementations used to freeze expected
-values.  Everything above the validated presheaf maps works from first
+values.  Everything above the label-built presheaves works from first
 principles on explicit subsets so it shares no code path with the package.
+
+The label-built presheaves are the labelled-presheaf class the package was
+built from and no longer has: a ``Presheaf`` assigns a label set to each
+point and a restriction to each arrow, and is validated when built (total
+restrictions, path-independent composites); its elements are ordered by
+``repr`` of their labels (``LabelIndex``, the package's ``ElementIndex``
+read off the label paths).  ``product`` pairs labels, and the terminal and
+the classifier have '*' and the sieves as ``DownSet``s as labels.  The
+package builds its 1, Ω and Ω² straight from the sieve index, in sieve-index
+order; ``direct_positions`` maps each label-built element to its position
+there, the permutation under which the tests equate the two.
 
 The validated presheaf maps are the label-dict calculus the package was
 built from and no longer runs: natural transformations validated component
@@ -21,10 +32,13 @@ they close inclusions through the classifier (``closure_of_composite``), not
 through the package's table of closed masks.
 Among them, the literal closure-law universe builds each subobject, bang and
 classifying map as a validated object, where the package lists masks and
-image bits, and the literal endomap laws are equations of validated
-morphisms (the endomap, the true map, the internal conjunction, its
-projections and a pairing), where the package decides them on sieve-index
-tables; every natural endomap of the classifier is listed as their input.
+image bits; it lists the subobjects in the package's order
+(``direct_subobjects``), and ``direct_report`` moves its witnesses, given
+as inclusions, to the package's ``(codomain name, mask)`` form.  The
+literal endomap laws are equations of validated morphisms (the endomap, the
+true map, the internal conjunction, its projections and a pairing), where
+the package decides them on sieve-index tables; every natural endomap of
+the classifier is listed as their input.
 The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them; with them are the
 subterminal inclusion, the identity, the bang, the identity endomap, the
@@ -45,10 +59,12 @@ reads one name table per document and writes the text itself.
 
 import json
 from functools import lru_cache
-from itertools import combinations, islice, permutations, product
+from itertools import combinations, islice, permutations
+from itertools import product as cartesian
 from typing import NamedTuple
 
-from fourtops.errors import FourtopsError, ShapeMismatch
+from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
+from fourtops.presheaf import ElementIndex
 
 
 def brute_above(points, arrows):
@@ -125,7 +141,7 @@ def brute_nucleus_tables(elements, meet):
         [meet[(i, j)] == i for j in range(n)] for i in range(n)
     ]
     out = []
-    for table in product(range(n), repeat=n):
+    for table in cartesian(range(n), repeat=n):
         if not all(le[i][table[i]] for i in range(n)):
             continue
         if not all(table[table[i]] == table[i] for i in range(n)):
@@ -136,6 +152,257 @@ def brute_nucleus_tables(elements, meet):
             for j in range(n)
         ):
             out.append(table)
+    return out
+
+
+# -- label-built presheaves ---------------------------------------------------
+
+
+def _label_key(label):
+    return repr(label)
+
+
+class LabelIndex(ElementIndex):
+    """The element index of a label-built presheaf, read off its composite
+    restrictions: the elements (u, a), points in order and labels in
+    ``sorted_at`` order.  ``keys`` lists them and ``bit`` maps each to its
+    position; the rest is the package's ``ElementIndex``, so the package's
+    closure tables read it."""
+
+    __slots__ = ("keys", "bit")
+
+    def __init__(self, b):
+        poset = b.poset
+        self.poset = poset
+        self.keys = tuple((u, a) for u in poset.points for a in b.sorted_at(u))
+        self.bit = {key: k for k, key in enumerate(self.keys)}
+        self.full = (1 << len(self.keys)) - 1
+        self.width = len(poset.points)
+        self._groups = {}
+        self.passed = set()
+        below = [
+            [(1 << j, v) for j, v in enumerate(poset.points) if poset.above(u, v)]
+            for u in poset.points
+        ]
+        point, rows, down = [], [], []
+        for (u, a) in self.keys:
+            i = poset.index(u)
+            row = tuple(
+                (pb, 1 << self.bit[(v, b._paths[(u, v)][a])]) for pb, v in below[i]
+            )
+            point.append(i)
+            rows.append(row)
+            acc = 0
+            for _, eb in row:
+                acc |= eb
+            down.append(acc)
+        self.point = tuple(point)
+        self.rows = tuple(rows)
+        self.down = tuple(down)
+
+
+class Presheaf:
+    """Finite-set-valued functor on a poset, restriction along 'below'.
+
+    A presheaf assigns a finite label set to each point and a restriction
+    map to each generating arrow; composite restrictions must be
+    path-independent, which is verified at construction.  A sub-presheaf
+    sliced from a mask (``_sub``) is trusted: its restrictions and composite
+    paths are taken from the presheaf rather than recomposed and
+    revalidated.
+    """
+
+    __slots__ = ("poset", "sets", "restr", "_paths", "_elements", "_hash")
+
+    def __init__(self, poset, sets, restr):
+        self.poset = poset
+        self.sets = {u: frozenset(sets.get(u, ())) for u in poset.points}
+        self.restr = {}
+        for (u, v), table in restr.items():
+            if (u, v) not in poset.arrows:
+                raise FunctorialityError(f"{(u, v)!r} is not a generating arrow")
+            self.restr[(u, v)] = dict(table)
+        for arrow in poset.arrows:
+            self.restr.setdefault(arrow, {})
+        self._paths = None
+        self._elements = None
+        self._hash = None
+        self._validate()
+
+    def _sub(self, mask):
+        """The sub-presheaf on a down-closed element mask, trusted: the sets are
+        read off the mask and restrictions and paths are sliced, not rebuilt."""
+        from fourtops.poset import _bits
+
+        sets = {u: [] for u in self.poset.points}
+        keys = self.elements().keys
+        for k in _bits(mask):
+            u, a = keys[k]
+            sets[u].append(a)
+        sub = object.__new__(Presheaf)
+        sub.poset = self.poset
+        sub.sets = {u: frozenset(labels) for u, labels in sets.items()}
+        sub.restr = {
+            (u, v): {a: table[a] for a in sets[u]} for (u, v), table in self.restr.items()
+        }
+        sub._paths = {
+            (u, v): {a: path[a] for a in sets[u]} for (u, v), path in self._paths.items()
+        }
+        sub._elements = None
+        sub._hash = None
+        return sub
+
+    def _validate(self):
+        for (u, v), table in self.restr.items():
+            if set(table) != set(self.sets[u]):
+                raise FunctorialityError(
+                    f"restriction along {(u, v)!r} is not total on {sorted(map(_label_key, self.sets[u]))}"
+                )
+            for a, b in table.items():
+                if b not in self.sets[v]:
+                    raise FunctorialityError(
+                        f"restriction along {(u, v)!r} sends {a!r} outside the target set"
+                    )
+        self._paths = self._compose_paths()
+
+    def _compose_paths(self):
+        """Maps (u, v) with u above v to the composite restriction, checking
+        that every pair of parallel paths agrees."""
+        poset = self.poset
+        out = {}
+        for u in poset.points:
+            out[(u, u)] = {a: a for a in self.sets[u]}
+        order = poset.points
+        children = {u: [v for (x, v) in poset.arrows if x == u] for u in order}
+        for u in order:
+            pending = [u]
+            while pending:
+                w = pending.pop()
+                for v in children[w]:
+                    step = self.restr[(w, v)]
+                    composite = {a: step[out[(u, w)][a]] for a in self.sets[u]}
+                    if (u, v) in out:
+                        if out[(u, v)] != composite:
+                            raise FunctorialityError(
+                                f"two paths {u!r} ~> {v!r} restrict differently"
+                            )
+                    else:
+                        out[(u, v)] = composite
+                        pending.append(v)
+        return out
+
+    def elements(self):
+        """The element index, built on first use and kept."""
+        if self._elements is None:
+            self._elements = LabelIndex(self)
+        return self._elements
+
+    def sorted_at(self, u):
+        return tuple(sorted(self.sets[u], key=_label_key))
+
+    def __eq__(self, other):
+        return self is other or (
+            isinstance(other, Presheaf)
+            and self.poset == other.poset
+            and self.sets == other.sets
+            and self.restr == other.restr
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash(
+                (
+                    self.poset,
+                    tuple(tuple(self.sorted_at(u)) for u in self.poset.points),
+                )
+            )
+        return self._hash
+
+    def __repr__(self):
+        parts = ", ".join(
+            f"{u}:{{{','.join(map(str, self.sorted_at(u)))}}}" for u in self.poset.points
+        )
+        return f"Presheaf({parts})"
+
+
+def product(a, b):
+    """Pointwise pairs with pairwise restriction; labels are (left, right)."""
+    if a.poset != b.poset:
+        raise ShapeMismatch("product factors live on different posets")
+    sets = {
+        u: frozenset((x, y) for x in a.sets[u] for y in b.sets[u])
+        for u in a.poset.points
+    }
+    restr = {
+        (u, v): {
+            (x, y): (a.restr[(u, v)][x], b.restr[(u, v)][y])
+            for (x, y) in sets[u]
+        }
+        for (u, v) in a.poset.arrows
+    }
+    return Presheaf(a.poset, sets, restr)
+
+
+@lru_cache(maxsize=4)
+def terminal_presheaf(poset):
+    """The one-star presheaf, built once per poset and kept."""
+    sets = {u: ("*",) for u in poset.points}
+    restr = {arrow: {"*": "*"} for arrow in poset.arrows}
+    return Presheaf(poset, sets, restr)
+
+
+def sieve_labels(poset, u):
+    """The sieves on u as ``DownSet`` labels, in sieve-index order."""
+    from fourtops.poset import DownSet, sieves_on
+
+    return tuple(DownSet(poset, m) for m in sieves_on(poset, u))
+
+
+@lru_cache(maxsize=4)
+def omega_presheaf(poset):
+    """The classifier with the sieves on u as its labels at u (``DownSet``s,
+    in ``repr`` order as elements) and restriction the meet with ``down v``,
+    built once per poset and kept."""
+    from fourtops.poset import DownSet
+
+    sets = {u: sieve_labels(poset, u) for u in poset.points}
+    restr = {
+        (u, v): {s: DownSet(poset, s.mask & poset.down_mask(v)) for s in sets[u]}
+        for (u, v) in poset.arrows
+    }
+    return Presheaf(poset, sets, restr)
+
+
+def direct_positions(b):
+    """Per element of a label-built 1, Ω or Ω², in its own element order,
+    the element's position in the package's index of the same object: the
+    component sizes of the points before u, plus the label's position at u
+    (0 for the one star, the sieve index for a sieve, and k1 * n + k2 for
+    the pair of sieves k1, k2 among the n sieves on u)."""
+    from fourtops.poset import sieve_positions
+
+    poset = b.poset
+    out, start = [], 0
+    for u in poset.points:
+        pos = sieve_positions(poset, u)
+        for a in b.sorted_at(u):
+            if a == "*":
+                local = 0
+            elif isinstance(a, tuple):
+                local = pos[a[0].mask] * len(pos) + pos[a[1].mask]
+            else:
+                local = pos[a.mask]
+            out.append(start + local)
+        start += len(b.sets[u])
+    return tuple(out)
+
+
+def permute_mask(positions, mask):
+    """An element mask moved to the order ``positions`` gives each element."""
+    out = 0
+    for k, p in enumerate(positions):
+        if mask >> k & 1:
+            out |= 1 << p
     return out
 
 
@@ -349,8 +616,6 @@ def intersection(f, g):
 
 def subterminal_of(poset, s):
     """The subterminal presheaf whose truth-value is the given down-set."""
-    from fourtops.presheaf import Presheaf
-
     sets = {u: ("*",) if u in s else () for u in poset.points}
     restr = {(u, v): ({"*": "*"} if u in s else {}) for (u, v) in poset.arrows}
     return Presheaf(poset, sets, restr)
@@ -371,17 +636,16 @@ def chi(f):
     goes to the sieve of the points v below u at which b restricts into the
     domain.  The package reads the same sieves off element masks
     (``_truth_values``, ``chi_tables``)."""
-    from fourtops.classifier import omega
     from fourtops.poset import sieve_positions
 
     f = as_inclusion(f, "chi needs identity components")
     b, sub = f.cod, f.dom.sets
     poset = b.poset
-    om = omega(poset)
+    om = omega_presheaf(poset)
     comp = {}
     for u in poset.points:
         below = [(1 << k, v) for k, v in enumerate(poset.points) if poset.above(u, v)]
-        sieves, pos = om.sieves[u], sieve_positions(poset, u)
+        sieves, pos = sieve_labels(poset, u), sieve_positions(poset, u)
         comp[u] = {
             a: sieves[pos[sum(bit for bit, v in below if restrict(b, u, v, a) in sub[v])]]
             for a in b.sets[u]
@@ -404,22 +668,18 @@ def sigma(g):
 
 def true_map(poset):
     """The point of the classifier that marks everything below as present."""
-    from fourtops.classifier import omega
     from fourtops.poset import DownSet
-    from fourtops.presheaf import terminal
 
     comp = {u: {"*": DownSet(poset, poset.down_mask(u))} for u in poset.points}
-    return Morphism(terminal(poset), omega(poset), comp)
+    return Morphism(terminal_presheaf(poset), omega_presheaf(poset), comp)
 
 
 def meet_map(poset):
     """Internal conjunction: componentwise intersection of sieve pairs."""
-    from fourtops.classifier import omega
     from fourtops.poset import DownSet
-    from fourtops.presheaf import product as times
 
-    om = omega(poset)
-    sq = times(om, om)
+    om = omega_presheaf(poset)
+    sq = product(om, om)
     comp = {
         u: {(s, t): DownSet(poset, s.mask & t.mask) for (s, t) in sq.sets[u]}
         for u in poset.points
@@ -429,12 +689,10 @@ def meet_map(poset):
 
 def imp_map(poset):
     """Internal implication: largest sieve R on u with R meet S inside T."""
-    from fourtops.classifier import omega
     from fourtops.poset import DownSet
-    from fourtops.presheaf import product as times
 
-    om = omega(poset)
-    sq = times(om, om)
+    om = omega_presheaf(poset)
+    sq = product(om, om)
     comp = {}
     for u in poset.points:
         down_u = poset.down_mask(u)
@@ -535,8 +793,6 @@ def canonical_grothendieck(base):
 def chi_composite(f):
     """Classifying map built per element: the smallest sub-presheaf containing
     the element, met with the domain, read off as a truth-value."""
-    from fourtops.classifier import omega
-
     b = f.cod
     poset = b.poset
     comp = {}
@@ -548,7 +804,7 @@ def chi_composite(f):
             assert value.mask & ~down_u == 0
             table[a] = value
         comp[u] = table
-    return Morphism(b, omega(poset), comp)
+    return Morphism(b, omega_presheaf(poset), comp)
 
 
 def element_poset(b):
@@ -592,10 +848,9 @@ def closure_to_nucleus_composite(clop):
     inclusion into the terminal is closed with ``closure_of_composite`` and
     its truth-value read with ``cst``."""
     from fourtops.heyting import Nucleus, algebra_of
-    from fourtops.presheaf import terminal
 
     algebra = algebra_of(clop.poset)
-    one = terminal(clop.poset)
+    one = terminal_presheaf(clop.poset)
     table = []
     for s in algebra.elements:
         closed = closure_of_composite(clop, subterminal_inclusion(one, s))
@@ -605,30 +860,26 @@ def closure_to_nucleus_composite(clop):
 
 def lt_from_morphism(m):
     """The sieve-index tables of an endomap of the classifier."""
-    from fourtops.classifier import OmegaObject
     from fourtops.poset import sieve_positions
     from fourtops.records import LTTopology
 
-    om = m.dom
-    if not isinstance(om, OmegaObject) or m.cod != om:
+    poset = m.dom.poset
+    if not m.dom == m.cod == omega_presheaf(poset):
         raise ShapeMismatch("expected an endomap of the classifier")
-    poset = om.poset
     tables = []
     for u in poset.points:
         pos = sieve_positions(poset, u)
-        tables.append(tuple(pos[m.comp[u][s].mask] for s in om.sieves[u]))
+        tables.append(tuple(pos[m.comp[u][s].mask] for s in sieve_labels(poset, u)))
     return LTTopology(poset, tuple(tables))
 
 
 def lt_endomap(lt):
     """The endomap of the classifier that sieve-index tables name, taken as
     given: its naturality is not checked."""
-    from fourtops.classifier import omega
-
-    om = omega(lt.poset)
+    om = omega_presheaf(lt.poset)
     comp = {}
     for i, u in enumerate(lt.poset.points):
-        sieves = om.sieves[u]
+        sieves = sieve_labels(lt.poset, u)
         comp[u] = {s: sieves[lt.tables[i][k]] for k, s in enumerate(sieves)}
     return Morphism._trusted(om, om, comp)
 
@@ -699,15 +950,13 @@ def natural_endomaps(poset):
     from fourtops.records import LTTopology
 
     om = omega(poset)
-    index = om.elements()
+    index = om.index
     return [LTTopology(poset, chi_tables(om, m)) for m in _downsets(index.down, index.full)]
 
 
 def grotop_inclusion(j):
     """The covering families as a sub-presheaf of the classifier."""
-    from fourtops.classifier import omega
-
-    om = omega(j.poset)
+    om = omega_presheaf(j.poset)
     families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
     index = om.elements()
     mask = 0
@@ -749,29 +998,44 @@ def j_from_closure_composite(clop):
 
 class ObjectUniverse(NamedTuple):
     """The closure-law universe as inclusions, inclusion pairs and
-    (morphism, inclusion) map pairs."""
+    (morphism, inclusion) map pairs, with its three codomains 1, Ω and Ω²."""
 
     poset: object
+    codomains: tuple
     inclusions: tuple
     pairs: tuple
     map_pairs: tuple
 
 
+def direct_subobjects(b, limit=None):
+    """Inclusions into a label-built 1, Ω or Ω², one per down-set of its
+    elements, in the order in which the package lists the subobjects of the
+    same object: (size, membership) over ``direct_positions``, not over b's
+    own element order; ``limit`` keeps only the first entries."""
+    from fourtops.poset import _downsets
+
+    positions, index = direct_positions(b), b.elements()
+    back, down = [0] * len(positions), [0] * len(positions)
+    for k, p in enumerate(positions):
+        back[p] = k
+        down[p] = permute_mask(positions, index.down[k])
+    masks = _downsets(tuple(down), index.full, limit)
+    return [Inclusion._from_mask(b, permute_mask(back, m)) for m in masks]
+
+
 def build_universe_literal(poset, pair_cap=5000, omega_square_cap=24):
     """The closure-law universe as validated objects: subterminal inclusions,
-    ``subobjects`` of Ω and of Ω², pairs of inclusions, and map pairs of a
+    the subobjects of Ω and of Ω², pairs of inclusions, and map pairs of a
     bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
-    order."""
-    from fourtops.classifier import omega
+    order (``direct_subobjects``)."""
     from fourtops.heyting import algebra_of
-    from fourtops.presheaf import product as times
-    from fourtops.presheaf import terminal
 
-    om = omega(poset)
+    om = omega_presheaf(poset)
     algebra = algebra_of(poset)
-    one = terminal(poset)
+    one = terminal_presheaf(poset)
+    square = product(om, om)
     subterminals = [subterminal_inclusion(one, s) for s in algebra.elements]
-    objects = [subterminals, subobjects(om), subobjects(times(om, om), limit=omega_square_cap)]
+    objects = [subterminals, direct_subobjects(om), direct_subobjects(square, limit=omega_square_cap)]
     inclusions = tuple(f for group in objects for f in group)
     all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])
     pairs = tuple(islice(all_pairs, max(pair_cap, 0)))
@@ -783,14 +1047,34 @@ def build_universe_literal(poset, pair_cap=5000, omega_square_cap=24):
     for f in subterminals:
         g = chi(f)
         map_pairs.extend((g, d) for d in objects[1][:12])
-    return ObjectUniverse(poset, inclusions, pairs, tuple(map_pairs))
+    return ObjectUniverse(poset, (one, om, square), inclusions, pairs, tuple(map_pairs))
+
+
+def direct_report(universe, report):
+    """A report of ``check_closure_axioms_literal`` with its witnesses in
+    the package's form: an inclusion into a codomain of the universe as
+    ``(codomain name, mask)``, the mask moved to the package's element order,
+    and a codomain as its name."""
+    from fourtops.heyting import AxiomFailure, CheckReport
+
+    names = {id(b): name for b, name in zip(universe.codomains, ("1", "Ω", "Ω²"))}
+
+    def entry(w):
+        if isinstance(w, Inclusion):
+            return names[id(w.cod)], permute_mask(direct_positions(w.cod), w.mask)
+        return names[id(w)]
+
+    failures = (AxiomFailure(f.axiom, tuple(map(entry, f.witness))) for f in report.failures)
+    return CheckReport(report.subject, tuple(failures))
 
 
 def check_closure_axioms_literal(clop, universe):
     """The five closure laws over an object universe through a memo of
     (codomain, mask) closures, one row loop per miss against the covering
     read off the endomap tables, with the poset and shared-codomain checks
-    made on every closure miss and every pair."""
+    made on every closure miss and every pair.  A witness is the failing
+    inclusion or pair of inclusions, and for C5 the map's domain and the
+    inclusion pulled back."""
     from fourtops.heyting import AxiomFailure, CheckReport
     from fourtops.poset import sieves_on
 
@@ -823,29 +1107,29 @@ def check_closure_axioms_literal(clop, universe):
 
     for f in universe.inclusions:
         if f.mask & ~close(f.cod, f.mask):
-            failures.append(AxiomFailure("C1-inflationary", (f.dom,)))
+            failures.append(AxiomFailure("C1-inflationary", (f,)))
             break
     for f in universe.inclusions:
         cf = close(f.cod, f.mask)
         if close(f.cod, cf) != cf:
-            failures.append(AxiomFailure("C2-idempotent", (f.dom,)))
+            failures.append(AxiomFailure("C2-idempotent", (f,)))
             break
     for f, g in universe.pairs:
         _same_codomain(f, g, "a closure pair")
         if f.mask & ~g.mask == 0:
             if close(f.cod, f.mask) & ~close(g.cod, g.mask):
-                failures.append(AxiomFailure("C3-monotone", (f.dom, g.dom)))
+                failures.append(AxiomFailure("C3-monotone", (f, g)))
                 break
     for f, g in universe.pairs:
         b = f.cod
         if close(b, f.mask & g.mask) != close(b, f.mask) & close(b, g.mask):
-            failures.append(AxiomFailure("C4-meets", (f.dom, g.dom)))
+            failures.append(AxiomFailure("C4-meets", (f, g)))
             break
     for m, d in universe.map_pairs:
         _same_codomain(m, d, "preimage")
         lhs = close(m.dom, m.pull_mask(d.mask))
         if lhs != m.pull_mask(close(d.cod, d.mask)):
-            failures.append(AxiomFailure("C5-pullback-stable", (m.dom, d.dom)))
+            failures.append(AxiomFailure("C5-pullback-stable", (m.dom, d)))
             break
     return CheckReport("closure axioms", tuple(failures))
 
@@ -870,9 +1154,7 @@ def identity(b):
 
 def bang(b, one=None):
     """The unique map to the terminal."""
-    from fourtops.presheaf import terminal
-
-    one = terminal(b.poset) if one is None else one
+    one = terminal_presheaf(b.poset) if one is None else one
     comp = {u: {a: "*" for a in b.sets[u]} for u in b.poset.points}
     return Morphism(b, one, comp)
 
@@ -903,8 +1185,6 @@ def largest_grotop(poset):
 
 def sub_from_sets(b, sets):
     """Sub-presheaf of b on the given label subsets, restriction inherited."""
-    from fourtops.presheaf import Presheaf
-
     sub_restr = {
         (u, v): {a: table[a] for a in sets.get(u, ())}
         for (u, v), table in b.restr.items()
@@ -914,8 +1194,6 @@ def sub_from_sets(b, sets):
 
 def presheaf_from_element_poset(element_poset, base):
     """Rebuild a presheaf from (a down-set of) its poset of elements."""
-    from fourtops.presheaf import Presheaf
-
     sets = {u: set() for u in base.points}
     for (u, a) in element_poset.points:
         sets[u].add(a)
@@ -927,8 +1205,6 @@ def presheaf_from_element_poset(element_poset, base):
 
 
 def empty_presheaf(poset):
-    from fourtops.presheaf import Presheaf
-
     return Presheaf(poset, {}, {})
 
 
@@ -1009,9 +1285,7 @@ def natural_maps(t, b):
 
 def top_composite(b):
     """The constantly-true map on b: the bang followed by true."""
-    from fourtops.presheaf import terminal
-
-    return bang(b, terminal(b.poset)).then(true_map(b.poset))
+    return bang(b, terminal_presheaf(b.poset)).then(true_map(b.poset))
 
 
 # -- literal oracle searches ---------------------------------------------------

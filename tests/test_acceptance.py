@@ -25,13 +25,14 @@ from fourtops.poset import (
     sieves_on,
     star_graph,
 )
-from fourtops.presheaf import Presheaf, _truth_values, terminal
+from fourtops.presheaf import _truth_values
 from fourtops.routes import check_routes
 from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology
 from fourtops.sweep import cross_configurations, sweep_instance
 
 from .oracles import (
     Inclusion,
+    Presheaf,
     canonical_grothendieck,
     chi,
     dense_closed_factor,
@@ -42,6 +43,7 @@ from .oracles import (
     restriction_check,
     sigma,
     subterminal_of,
+    terminal_presheaf,
 )
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -230,7 +232,7 @@ def test_criterion_08_axiom_suites(star):
 def test_criterion_09_structure_theorems(star):
     P = star.poset()
     elements = [DownSet(P, m) for m in HeytingAlgebra(P).elements]
-    one = terminal(P)
+    one = terminal_presheaf(P)
     subterminals = [Inclusion(subterminal_of(P, s), one) for s in elements]
     ok = True
     for lt in enumerate_lts(P, "formula"):

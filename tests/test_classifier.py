@@ -5,17 +5,19 @@ import pytest
 
 from fourtops.classifier import chi_tables, omega
 from fourtops.poset import DownSet, Poset, lattice_tables, sieve_positions, sieves_on, star_graph
-from fourtops.presheaf import Presheaf, _truth_values, product, terminal
+from fourtops.presheaf import _truth_values
 
 from .conftest import pile_code_str
 from .oracles import (
     Inclusion,
     Morphism,
     NotInclusion,
+    Presheaf,
     build_universe_literal,
     can,
     chi,
     chi_composite,
+    direct_positions,
     equalizer,
     identity,
     imp_map,
@@ -24,9 +26,13 @@ from .oracles import (
     meet_map,
     natural_endomaps,
     natural_maps,
+    omega_presheaf,
+    permute_mask,
+    product,
     proj,
     sigma,
     subobjects,
+    terminal_presheaf,
     top_composite,
     true_inclusion,
     true_map,
@@ -45,7 +51,7 @@ def P(star):
 
 @pytest.fixture(scope="module")
 def om(P):
-    return omega(P)
+    return omega_presheaf(P)
 
 
 @pytest.fixture(scope="module")
@@ -73,25 +79,40 @@ def codes(star, sieves):
 
 class TestOmega:
     def test_star_components(self, star, P, om):
-        assert codes(star, om.sieves["2_"]) == {"00", "01", "10", "11", "21"}
-        assert codes(star, om.sieves["_2"]) == {"00", "01", "02"}
-        assert codes(star, om.sieves["1_"]) == {"00", "10"}
-        assert codes(star, om.sieves["_1"]) == {"00", "01"}
+        assert codes(star, om.sets["2_"]) == {"00", "01", "10", "11", "21"}
+        assert codes(star, om.sets["_2"]) == {"00", "01", "02"}
+        assert codes(star, om.sets["1_"]) == {"00", "10"}
+        assert codes(star, om.sets["_1"]) == {"00", "01"}
+        # the package's classifier has the same component sizes
+        point = omega(P).index.point
+        assert [point.count(i) for i in range(len(P.points))] == [len(om.sets[u]) for u in P.points]
 
     def test_one_point_classifier_is_two_valued(self):
         P1 = Poset(["u"])
-        assert len(omega(P1).sieves["u"]) == 2
+        assert len(omega_presheaf(P1).sets["u"]) == 2
+        assert omega(P1).index.point == (0, 0)
 
     def test_restriction_is_meet_with_down(self, P, om):
         for (u, v) in P.arrows:
             down_v = P.down_mask(v)
-            for s in om.sieves[u]:
+            for s in om.sets[u]:
                 assert om.restr[(u, v)][s].mask == s.mask & down_v
+        # in the package's index, sieve k on u is element offset[u] + k, and
+        # its row marks at each v below u the element of its meet with down v
+        package = omega(P)
+        for i, u in enumerate(P.points):
+            for k, s in enumerate(sieves_on(P, u)):
+                row = dict(package.index.rows[package.offset[i] + k])
+                below = [j for j, v in enumerate(P.points) if P.above(u, v)]
+                assert sorted(row) == [1 << j for j in below]
+                for j in below:
+                    pos = sieve_positions(P, P.points[j])
+                    assert row[1 << j] == 1 << (package.offset[j] + pos[s & P.down_mask_at(j)])
 
     def test_restriction_lands_in_target_component(self, P, om):
         for (u, v) in P.arrows:
-            target = set(om.sieves[v])
-            for s in om.sieves[u]:
+            target = set(om.sets[v])
+            for s in om.sets[u]:
                 assert om.restr[(u, v)][s] in target
 
 
@@ -111,7 +132,8 @@ class TestTrueMap:
 
     def test_true_mask_is_the_image_of_the_true_map(self, sweep_classes):
         for poset in sweep_classes:
-            assert omega(poset).true_mask == can(true_map(poset)).mask
+            positions = direct_positions(omega_presheaf(poset))
+            assert omega(poset).true_mask == permute_mask(positions, can(true_map(poset)).mask)
 
 
 class TestChiSigma:
@@ -140,7 +162,7 @@ class TestChiSigma:
 
     def test_sigma_of_constant_bottom_is_empty(self, P, om):
         comp = {
-            u: {s: DownSet(P, 0) for s in om.sieves[u]} for u in P.points
+            u: {s: DownSet(P, 0) for s in om.sets[u]} for u in P.points
         }
         g = Morphism(om, om, comp)
         assert all(not sigma(g).dom.sets[u] for u in P.points)
@@ -157,13 +179,13 @@ class TestChiSigma:
             chi(f)
 
     def test_soundness_over_subterminal_inclusions(self, P):
-        one = terminal(P)
+        one = terminal_presheaf(P)
         for f in subobjects(one):
             assert sigma(chi(f)) == f
 
     def test_chi_sigma_identity_on_natural_maps(self, P, om):
         # every natural map from the terminal into the classifier
-        one = terminal(P)
+        one = terminal_presheaf(P)
         for g in natural_maps(one, om):
             assert chi(sigma(g)) == g
 
@@ -177,14 +199,16 @@ class TestChiSigma:
         endomap of Ω, each once."""
         poset = Poset(sorted({u for arrow in arrows for u in arrow}), arrows)
         listed = natural_endomaps(poset)
-        every = [lt_from_morphism(m) for m in natural_maps(omega(poset), omega(poset))]
+        om = omega_presheaf(poset)
+        every = [lt_from_morphism(m) for m in natural_maps(om, om)]
         assert len(listed) == len(set(listed)) == count
         assert set(listed) == set(every)
 
     def test_chi_matches_composite_route(self, P, om):
         """The oracle's ``chi`` equals the composite route and gives each
         element the sieve the package's row loop reads off the mask, in
-        ``chi_tables``' sieve indexes when the codomain is Ω."""
+        ``chi_tables``' sieve indexes when the codomain is Ω (the mask moved
+        to the package's element order)."""
         universe = build_universe_literal(P)
         assert len(universe.inclusions) == 474
         for f in universe.inclusions:
@@ -194,7 +218,8 @@ class TestChiSigma:
             values = _truth_values(index, f.mask)
             assert [g.comp[u][a].mask for u, a in index.keys] == values
             if f.cod is om:
-                assert lt_from_morphism(g).tables == chi_tables(om, f.mask)
+                moved = permute_mask(direct_positions(om), f.mask)
+                assert lt_from_morphism(g).tables == chi_tables(omega(P), moved)
 
     def test_pullback_criterion(self, P, worked_pair):
         g = chi(worked_pair)
@@ -222,7 +247,7 @@ class TestInternalMaps:
     def test_imp_residuation_top(self, P, om):
         m = imp_map(P)
         for u in P.points:
-            for s in om.sieves[u]:
+            for s in om.sets[u]:
                 assert m.comp[u][(s, s)].mask == P.down_mask(u)
 
     def test_one_point_sigma_values(self):
@@ -248,8 +273,8 @@ class TestInternalMaps:
         for u in P.points:
             expected = {
                 (s, t)
-                for s in om.sieves[u]
-                for t in om.sieves[u]
+                for s in om.sets[u]
+                for t in om.sets[u]
                 if s.mask | t.mask == t.mask
             }
             assert s_imp.dom.sets[u] == expected

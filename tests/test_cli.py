@@ -155,16 +155,15 @@ class TestChi:
         the JSON output name at each point the sieve that the oracle's
         ``chi`` of the subterminal inclusion gives."""
         from fourtops.poset import enumerate_downsets
-        from fourtops.presheaf import terminal
 
-        from .oracles import chi, subterminal_inclusion
+        from .oracles import chi, subterminal_inclusion, terminal_presheaf
 
         checked = 0
         for poset in sweep_classes:
             arrows = " ".join(f"{u} > {v}" for u, v in sorted(poset.arrows))
             header = f"poset {{ points: {' '.join(poset.points)} ; arrows: {arrows} }}"
             for d in enumerate_downsets(poset):
-                g = chi(subterminal_inclusion(terminal(poset), d))
+                g = chi(subterminal_inclusion(terminal_presheaf(poset), d))
                 want = {u: set(poset.names_of(g.comp[u]["*"].mask)) for u in poset.points}
                 text = f"{header}\ny {{ {' '.join(poset.names_of(d))} }}"
                 code, out = run("chi", "-t", text)
@@ -1358,9 +1357,8 @@ def test_only_chi_validates_a_presheaf_morphism(argv, classifies, monkeypatch):
     import sys
 
     from fourtops.classifier import omega
-    from fourtops.presheaf import terminal
 
-    from .oracles import Morphism, chi, subterminal_inclusion
+    from .oracles import Morphism, chi, omega_presheaf, subterminal_inclusion, terminal_presheaf
 
     _allow_cpus(monkeypatch, 1)
     omega.cache_clear()
@@ -1383,12 +1381,12 @@ def test_only_chi_validates_a_presheaf_morphism(argv, classifies, monkeypatch):
         return
     spec = parse_input(argv[-1])
     poset = spec.poset
-    one, om = terminal(poset), omega(poset)
+    one, om = terminal_presheaf(poset), omega_presheaf(poset)
     named = dict(json.loads(buf.getvalue())["result"]["chi"])
     comp = {}
     for u in poset.points:
         mask = poset.mask_of(named[u])
-        comp[u] = {"*": next(s for s in om.sieves[u] if s.mask == mask)}
+        comp[u] = {"*": next(s for s in om.sets[u] if s.mask == mask)}
     printed = Morphism(one, om, comp)
     assert printed == chi(subterminal_inclusion(one, poset.mask_of(spec.payload)))
 
@@ -1408,6 +1406,43 @@ def test_no_module_defines_a_presheaf_morphism():
     for name in names:
         module = importlib.import_module(f"fourtops.{name}")
         assert not hasattr(module, "Morphism") and not hasattr(module, "Inclusion"), name
+
+
+def test_check_axioms_builds_only_the_downsets_it_prints():
+    """The presheaf layer is three element indexes read off the sieve index:
+    no module of the package defines ``Presheaf`` or ``product``, and in a
+    fresh process ``check axioms --json`` on the star builds no presheaf and
+    exactly the 64 ``DownSet``s it prints, the filter generators of its 16
+    LTs at 4 points (a profile hook on every ``__init__``).  It built 3
+    presheaves and 76 down-sets, 12 of them Ω's labels, when Ω had labels."""
+    import importlib
+    import itertools
+    import pkgutil
+
+    import fourtops
+
+    for name in (m.name for m in pkgutil.iter_modules(fourtops.__path__)):
+        module = importlib.import_module(f"fourtops.{name}")
+        assert not hasattr(module, "Presheaf"), name
+        assert getattr(module, "product", itertools.product) is itertools.product, name
+    argv = ["check", "axioms", "--json", "-t", STAR]
+    code = (
+        "import io, json, sys\n"
+        "from fourtops import cli\n"
+        "built = {'DownSet': 0, 'Presheaf': 0}\n"
+        "def hook(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_name == '__init__':\n"
+        "        name = type(frame.f_locals.get('self')).__name__\n"
+        "        if name in built:\n"
+        "            built[name] += 1\n"
+        "out = io.StringIO()\n"
+        "sys.setprofile(hook)\n"
+        f"rc = cli.main({argv!r}, out=out)\n"
+        "sys.setprofile(None)\n"
+        "instances = json.loads(out.getvalue())['result']['instances']\n"
+        "print(rc, built['Presheaf'], built['DownSet'], sum(len(e['filter_generators']) for e in instances))"
+    )
+    assert _fresh_child(code) == "0 0 64 64\n"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -1492,6 +1527,10 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     rc, sweep_loads, _, _ = run_child(["sweep", "--pmax", "1", "--qmax", "1", "--json"])
     assert rc == 0 and "fourtops.sweep" in sweep_loads
     assert "fourtops.axioms" not in sweep_loads
+    # the 2x2 sweep compiled 2,566 lines when the presheaf layer built
+    # labelled presheaves
+    rc, _, _, lines_loaded = run_child(["sweep", "--pmax", "2", "--qmax", "2", "--json"])
+    assert rc == 0 and lines_loaded <= 2427, lines_loaded
 
     def loads(argv, module):
         code = (
@@ -1512,8 +1551,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert rc == 0 and "fourtops.axioms" in axioms_loads
     assert "fourtops.sweep" not in axioms_loads
     # ``check axioms`` compiled 3,297 lines when it loaded every handler, the
-    # census, the kernel and the route checks
-    assert lazy_loaded == "[]" and lines_loaded <= 2643, lines_loaded
+    # census, the kernel and the route checks, and 2,643 when the presheaf
+    # layer built labelled presheaves
+    assert lazy_loaded == "[]" and lines_loaded <= 2521, lines_loaded
     skipped = {"fourtops.handlers", "fourtops.census", "fourtops._kernels", "fourtops.routes"}
     code = (
         "import io, sys\n"
@@ -1582,29 +1622,34 @@ def test_readme_library_quick_tour_gives_its_commented_values():
 
 # The eager export list of the package before its names were loaded lazily,
 # less the four presheaf helpers that only the tests read (tests/oracles.py),
-# the library-only slashing, modality and down-set wrappers (REMOVED) and
-# the validated presheaf-map calculus (MOVED).
+# the library-only slashing, modality and down-set wrappers (REMOVED), the
+# validated presheaf-map calculus and the label-built presheaves (MOVED).
 EXPORTS = set(
     """
     ClosureOperator DownSet GrothendieckTopology HeytingAlgebra
-    LTTopology Nucleus OmegaObject Poset Presheaf Quad TestUniverse
+    LTTopology Nucleus OmegaObject Poset Quad TestUniverse
     TwoColumnGraph build_universe check_closure_axioms check_routes
     closure_to_nucleus complete_quad enumerate_downsets enumerate_grotops
     enumerate_lts enumerate_nuclei filter_check grotop_to_lt
     grotop_to_lt_direct grotop_to_nucleus grotop_to_point_set
     is_grothendieck is_lt_topology is_nucleus j_from_closure lt_to_grotop
     nucleus_from_point_set nucleus_to_grotop nucleus_to_lt omega
-    point_set_of_nucleus point_set_to_grotop product sieves_on star_graph
+    point_set_of_nucleus point_set_to_grotop sieves_on star_graph
     terminal
     """.split()
 )
 
-# The validated presheaf-map calculus, by the module it left: no command
-# builds a presheaf morphism, and the tests keep it in tests/oracles.py as
-# the reference for the element masks.  Methods moved as functions of the
-# same name (Presheaf.restrict, ElementIndex.mask_of).
+# The validated presheaf-map calculus and the label-built presheaves, by the
+# module they left: no command builds a presheaf morphism or a labelled
+# presheaf (1, Ω and Ω² are element indexes read off the sieve index), and
+# the tests keep them in tests/oracles.py as the reference for the element
+# masks.  Methods moved as functions of the same name (Presheaf.restrict,
+# ElementIndex.mask_of).
 MOVED = {
     "presheaf": (
+        "Presheaf",
+        "product",
+        "_label_key",
         "Morphism",
         "Inclusion",
         "is_inclusion",
@@ -1652,7 +1697,7 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
     import importlib
 
     import fourtops
-    from fourtops.presheaf import ElementIndex, Presheaf
+    from fourtops.presheaf import ElementIndex
 
     from . import oracles
 
@@ -1679,7 +1724,7 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
                 getattr(fourtops, name)
             assert not hasattr(home, name), name
             assert getattr(oracles, name).__module__ == oracles.__name__, name
-    assert not hasattr(Presheaf, "restrict") and not hasattr(ElementIndex, "mask_of")
+    assert not hasattr(oracles.Presheaf, "restrict") and not hasattr(ElementIndex, "mask_of")
     assert callable(oracles.restrict) and callable(oracles.mask_of)
     code = (
         "import sys, fourtops\n"

@@ -1,11 +1,15 @@
 """Presheaves and element indexes, with the validated morphisms, inclusions
 and limit toolkit of the test oracle."""
 
+from itertools import combinations
+
 import pytest
 
+from fourtops.axioms import omega_square
+from fourtops.classifier import omega
 from fourtops.errors import FunctorialityError, ShapeMismatch
-from fourtops.poset import DownSet, Poset, enumerate_downsets
-from fourtops.presheaf import Presheaf, product, terminal
+from fourtops.poset import DownSet, Poset, enumerate_downsets, sieves_on, star_graph
+from fourtops.presheaf import terminal
 
 from .conftest import pile_code_str
 from .oracles import (
@@ -14,10 +18,12 @@ from .oracles import (
     NaturalityError,
     NotMonic,
     NotSubterminal,
+    Presheaf,
     UnknownElement,
     bang,
     can,
     cst,
+    direct_positions,
     element_downset,
     element_poset,
     element_poset_downsets,
@@ -27,7 +33,10 @@ from .oracles import (
     intersection,
     is_inclusion,
     natural_maps,
+    omega_presheaf,
+    permute_mask,
     preimage,
+    product,
     presheaf_from_element_poset,
     proj,
     restrict,
@@ -35,6 +44,7 @@ from .oracles import (
     subobjects,
     subobjects_from_sets,
     subterminal_of,
+    terminal_presheaf,
 )
 
 
@@ -90,7 +100,7 @@ class TestConstruction:
         assert restrict(big_example, "2_", "1_", "2") == "6"
 
     def test_terminal_everywhere_singleton(self, star_poset_module):
-        one = terminal(star_poset_module)
+        one = terminal_presheaf(star_poset_module)
         assert all(one.sets[u] == {"*"} for u in star_poset_module.points)
 
     def test_partial_restriction_rejected(self, star_poset_module):
@@ -206,7 +216,7 @@ class TestPullbacks:
         f = Inclusion(a, b)
         ed = element_downset(b, "2_", "2")
         left, top = preimage(f, ed)
-        one = terminal(b.poset)
+        one = terminal_presheaf(b.poset)
         # every commuting cone from a subterminal factors uniquely
         for t in subobjects(one):
             for into_a in natural_maps(t.dom, a):
@@ -251,7 +261,7 @@ class TestIntersection:
 
 class TestProductsAndEqualizers:
     def test_terminal_square(self, star_poset_module):
-        one = terminal(star_poset_module)
+        one = terminal_presheaf(star_poset_module)
         sq = product(one, one)
         assert all(len(sq.sets[u]) == 1 for u in star_poset_module.points)
 
@@ -310,9 +320,7 @@ class TestElementPosets:
     @pytest.mark.parametrize("square, limit", [(False, None), (True, 24)])
     def test_mask_subobjects_keep_the_set_order(self, star_poset_module, square, limit):
         # the goldens and the universe's pair cap depend on this order
-        from fourtops.classifier import omega
-
-        om = omega(star_poset_module)
+        om = omega_presheaf(star_poset_module)
         b = product(om, om) if square else om
         fast = subobjects(b, limit=limit)
         slow = subobjects_from_sets(b, limit=limit)
@@ -329,12 +337,10 @@ class TestElementPosets:
         limit, are that poset's down-sets in order.  The cuts are prefixes of
         the whole list (Ω² has too many subobjects to list whole, so it is
         checked cut)."""
-        from fourtops.classifier import omega
-
         assert len(sweep_classes) == 17
         for poset in sweep_classes:
-            om = omega(poset)
-            b = {"one": terminal(poset), "omega": om, "square": product(om, om)}[which]
+            om = omega_presheaf(poset)
+            b = {"one": terminal_presheaf(poset), "omega": om, "square": product(om, om)}[which]
             epo = element_poset(b)
             assert b.elements().down == epo._down
             full = None if which == "square" else element_poset_downsets(b)
@@ -387,7 +393,7 @@ class TestInclusionLaws:
 
     @pytest.fixture()
     def universe(self, big_example):
-        one = terminal(big_example.poset)
+        one = terminal_presheaf(big_example.poset)
         return subobjects(one) + subobjects(big_example)
 
     def test_at_most_one_inclusion_between_two_presheaves(self, universe):
@@ -442,13 +448,13 @@ class TestInclusionLaws:
 
     def test_true_map_canonicalizes_to_an_inclusion(self, big_example):
         # Inc5, checked here through the subterminal case
-        one = terminal(big_example.poset)
+        one = terminal_presheaf(big_example.poset)
         for f in subobjects(one):
             assert is_inclusion(f)
 
     def test_preimage_left_walls_are_inclusions(self, big_example):
         # Inc6
-        one = terminal(big_example.poset)
+        one = terminal_presheaf(big_example.poset)
         f = bang(big_example, one)
         for d in subobjects(one):
             left, top = preimage(f, d)
@@ -472,7 +478,7 @@ class TestSubterminals:
         assert pile_code_str(star, cst(sub)) == "12"
 
     def test_cst_of_terminal(self, star, star_poset_module):
-        assert pile_code_str(star, cst(terminal(star_poset_module))) == "22"
+        assert pile_code_str(star, cst(terminal_presheaf(star_poset_module))) == "22"
 
     def test_cst_of_empty(self, star, star_poset_module):
         assert pile_code_str(star, cst(empty_presheaf(star_poset_module))) == "00"
@@ -482,7 +488,7 @@ class TestSubterminals:
             cst(big_example)
 
     def test_cst_is_down_closed_for_every_subterminal(self, star_poset_module):
-        one = terminal(star_poset_module)
+        one = terminal_presheaf(star_poset_module)
         for f in subobjects(one):
             ds = cst(f.dom)  # DownSet construction itself checks closure
             assert isinstance(ds, DownSet)
@@ -494,3 +500,61 @@ class TestSubterminals:
 
     def test_bang_is_natural(self, big_example):
         assert bang(big_example).cod.sets["2_"] == {"*"}
+
+
+def naturally_labelled_posets(most):
+    """Every poset on the points p0, ..., p(n-1), n from 1 to ``most``, in
+    which each point is above only points of lower number: each poset up to
+    isomorphism at least once, 50 in all up to 4 points."""
+    for n in range(1, most + 1):
+        points = [f"p{i}" for i in range(n)]
+        pairs = [(points[i], points[j]) for i in range(n) for j in range(i)]
+        for k in range(len(pairs) + 1):
+            for chosen in map(set, combinations(pairs, k)):
+                if all((a, d) in chosen for a, b in chosen for c, d in chosen if b == c):
+                    yield Poset(points, chosen)
+
+
+class TestDirectIndexes:
+    """The package builds the element indexes of 1, Ω and Ω² straight from
+    the sieve index; here they equal the indexes of the label-built
+    presheaves of the test oracle, validated as presheaves, up to the
+    element permutation ``direct_positions``."""
+
+    def assert_same(self, label_built, index):
+        built = label_built.elements()
+        positions = direct_positions(label_built)
+        assert sorted(positions) == list(range(len(built.point)))
+        assert (index.full, index.width) == (built.full, built.width)
+        for k, p in enumerate(positions):
+            assert index.point[p] == built.point[k]
+            rows = tuple((pb, permute_mask(positions, eb)) for pb, eb in built.rows[k])
+            assert index.rows[p] == rows
+            assert index.down[p] == permute_mask(positions, built.down[k])
+
+    def check(self, poset):
+        om, labelled = omega(poset), omega_presheaf(poset)
+        self.assert_same(terminal_presheaf(poset), terminal(poset))
+        self.assert_same(labelled, om.index)
+        self.assert_same(product(labelled, labelled), omega_square(poset))
+        # Ω's direct order: sieve k on point i is element offset[i] + k
+        positions, bit = direct_positions(labelled), labelled.elements().bit
+        start = 0
+        for i, u in enumerate(poset.points):
+            assert om.offset[i] == start
+            for k, m in enumerate(sieves_on(poset, u)):
+                assert positions[bit[(u, DownSet(poset, m))]] == start + k
+            start += len(sieves_on(poset, u))
+
+    def test_star(self):
+        self.check(star_graph().poset())
+
+    def test_every_class_of_the_2x2_sweep(self, sweep_classes):
+        for poset in sweep_classes:
+            self.check(poset)
+
+    def test_every_poset_of_up_to_4_points(self):
+        posets = list(naturally_labelled_posets(4))
+        assert len(posets) == 50
+        for poset in posets:
+            self.check(poset)

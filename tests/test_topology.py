@@ -22,7 +22,7 @@ from fourtops.poset import (
 from fourtops.presheaf import _pull_mask, terminal
 from fourtops.records import LTTopology, make_grotop
 from fourtops.axioms import TestUniverse as Universe
-from fourtops.axioms import build_universe, check_closure_axioms, filter_check
+from fourtops.axioms import build_universe, check_closure_axioms, filter_check, omega_square
 from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
 
 from . import oracles
@@ -36,6 +36,8 @@ from .oracles import (
     closure_of,
     closure_of_composite,
     dense_closed_factor,
+    direct_positions,
+    direct_report,
     is_closed,
     is_dense,
     largest_grotop,
@@ -44,10 +46,14 @@ from .oracles import (
     lt_laws_literal,
     meet_square,
     natural_endomaps,
+    omega_presheaf,
     pairing,
+    permute_mask,
     restriction_check,
+    sieve_labels,
     smallest_grotop,
     subterminal_of,
+    terminal_presheaf,
 )
 
 
@@ -83,7 +89,7 @@ def literal_universe(P):
 
 @pytest.fixture(scope="module")
 def subterminals(P, algebra):
-    one = terminal(P)
+    one = terminal_presheaf(P)
     return [Inclusion(subterminal_of(P, DownSet(P, s)), one) for s in algebra.elements]
 
 
@@ -101,11 +107,13 @@ def non_topologies(P):
 
 
 def closure_law_outcome(check, clop, universe):
-    """The report of a closure-law check, or the type and text of what it raised."""
+    """The report of a closure-law check, or the type and text of what it
+    raised; the literal check's witnesses in the package's form."""
     try:
-        return check(clop, universe)
+        report = check(clop, universe)
     except FourtopsError as e:
         return type(e), str(e)
+    return direct_report(universe, report) if check is check_closure_axioms_literal else report
 
 
 def constant_true_lt(P):
@@ -159,10 +167,10 @@ class TestLTAxioms:
         they report the laws negation breaks, meets among them."""
 
         def negation(lt):
-            om = omega(lt.poset)
+            om = omega_presheaf(lt.poset)
             comp = {}
             for u in P.points:
-                sieves, pos = om.sieves[u], sieve_positions(P, u)
+                sieves, pos = sieve_labels(P, u), sieve_positions(P, u)
                 down = P.down_mask(u)
                 comp[u] = {s: sieves[pos[interior_mask(P, down & ~s.mask)]] for s in sieves}
             return Morphism(om, om, comp)
@@ -268,7 +276,7 @@ class TestClosure:
             clop = ClosureOperator(lt)
             report = check_closure_axioms(clop, universe)
             assert report.ok
-            assert report == check_closure_axioms_literal(clop, literal_universe)
+            assert report == closure_law_outcome(check_closure_axioms_literal, clop, literal_universe)
 
     def test_corrupted_table_fails(self, P, universe, literal_universe):
         # swap two values inside one component of the constant-true table
@@ -278,7 +286,7 @@ class TestClosure:
         broken = ClosureOperator(LTTopology(P, tuple(tuple(t) for t in tables)))
         report = check_closure_axioms(broken, universe)
         assert not report.ok
-        assert report == check_closure_axioms_literal(broken, literal_universe)
+        assert report == closure_law_outcome(check_closure_axioms_literal, broken, literal_universe)
 
     def test_non_topologies_never_pass(self, non_topologies, universe, literal_universe):
         # random endomap tables that break the topology axioms: the closure
@@ -345,10 +353,10 @@ class TestOneKernel:
         assert all(r.ok for r in check_routes(P))
         assert len(built) == len({(id(index), mask) for index, mask in built}) == 9
         # the true mask of the classifier, and the 8 subterminals
-        assert sorted(mask for index, mask in built if index is omega(P).elements()) == [
+        assert sorted(mask for index, mask in built if index is omega(P).index) == [
             omega(P).true_mask
         ]
-        assert sorted(mask for index, mask in built if index is terminal(P).elements()) == sorted(
+        assert sorted(mask for index, mask in built if index is terminal(P)) == sorted(
             HeytingAlgebra(P).elements
         )
 
@@ -372,7 +380,10 @@ class TestOneKernel:
         tables = list(lt_identity(P).tables)
         tables[P.index("2_")] = constant_true_lt(P).tables[P.index("2_")]
         clop = ClosureOperator(LTTopology(P, tuple(tables)))
-        one = terminal(P)
+        one = terminal_presheaf(P)
+        # the oracle's terminal and the package's: closure_of reads the
+        # first, closure_to_nucleus the second
+        indexes = (one.elements(), terminal(P))
         for _ in range(2):
             # a refused closure is kept neither as closed nor as passed
             with pytest.raises(FunctorialityError):
@@ -381,8 +392,10 @@ class TestOneKernel:
                 j_from_closure(clop)
             with pytest.raises(FunctorialityError):
                 closure_to_nucleus(clop)
-            assert 0 not in clop.closures(one.elements())
-        assert 1 << P.index("2_") not in one.elements().passed
+            for index in indexes:
+                assert 0 not in clop.closures(index)
+        for index in indexes:
+            assert 1 << P.index("2_") not in index.passed
 
 
 @pytest.fixture(scope="module")
@@ -392,29 +405,42 @@ def full_universe(P):
 
 
 def flattened(literal):
-    """An object universe as the mask universe's rows: its codomains in order
-    of first use, ``(codomain, mask)`` per inclusion, one pair row ``(codomain,
-    f, g's, nested g's, crossing g's, their meets with f)`` per f, and
-    ``(domain, codomain, image bits, mask, pulled mask)`` per map pair."""
-    codes: dict = {}
+    """An object universe as the mask universe's rows, each mask and image
+    bit moved to the package's element order (``direct_positions``):
+    ``(codomain, mask)`` per inclusion, one pair row ``(codomain, f, g's,
+    nested g's, crossing g's, their meets with f)`` per f, and ``(domain,
+    codomain, image bits, mask, pulled mask)`` per map pair, a codomain
+    named by its position in the universe's 1, Ω, Ω²."""
+    codes = {id(b): c for c, b in enumerate(literal.codomains)}
+    moves = [direct_positions(b) for b in literal.codomains]
 
     def code(b):
-        return codes.setdefault(b, len(codes))
+        return codes[id(b)]
 
-    subobjects = tuple((code(f.cod), f.mask) for f in literal.inclusions)
+    def moved(f):
+        return permute_mask(moves[code(f.cod)], f.mask)
+
+    def images(m):
+        out, to = [0] * len(m.image_bits()), moves[code(m.cod)]
+        for k, p in enumerate(moves[code(m.dom)]):
+            out[p] = permute_mask(to, m.image_bits()[k])
+        return tuple(out)
+
+    subobjects = tuple((code(f.cod), moved(f)) for f in literal.inclusions)
     rows = []
-    for (c, f), pairs in groupby(literal.pairs, lambda pair: (code(pair[0].cod), pair[0].mask)):
+    for (c, f), pairs in groupby(literal.pairs, lambda pair: (code(pair[0].cod), moved(pair[0]))):
         gs = []
         for left, g in pairs:
             assert left.cod is g.cod
-            gs.append(g.mask)
+            gs.append(moved(g))
         nested = tuple(g for g in gs if not f & ~g)
         crossing = tuple(g for g in gs if f & ~g)
         rows.append((c, f, tuple(gs), nested, crossing, tuple(f & g for g in crossing)))
     map_pairs = tuple(
-        (code(m.dom), code(d.cod), m.image_bits(), d.mask, m.pull_mask(d.mask)) for m, d in literal.map_pairs
+        (code(m.dom), code(d.cod), images(m), moved(d), permute_mask(moves[code(m.dom)], m.pull_mask(d.mask)))
+        for m, d in literal.map_pairs
     )
-    return tuple(codes), subobjects, tuple(rows), map_pairs
+    return subobjects, tuple(rows), map_pairs
 
 
 def pair_list(universe):
@@ -440,14 +466,22 @@ class TestClosureUniverse:
     def test_rows_equal_the_literal_universe_flattened(self, P, cap, square_cap):
         rows = build_universe(P, pair_cap=cap, omega_square_cap=square_cap)
         literal = build_universe_literal(P, pair_cap=cap, omega_square_cap=square_cap)
-        codomains, subobjects, pair_rows, map_pairs = flattened(literal)
-        assert rows.codomains == codomains
+        subobjects, pair_rows, map_pairs = flattened(literal)
+        # the codomains are the indexes of 1, Ω and Ω², which the bridge
+        # test in test_presheaf equates with the literal ones
+        one, om, square = rows.codomains
+        assert (one, om) == (terminal(P), omega(P).index)
+        assert (square.point, square.down) == (omega_square(P).point, omega_square(P).down)
         assert rows.subobjects == subobjects
         assert rows.rows == pair_rows
         assert rows.map_pairs == map_pairs
-        masks = [[mask for c, mask in subobjects if c == b] for b in range(len(codomains))]
-        for (_, b, images, *_), (m, _) in zip(rows.map_pairs, literal.map_pairs):
-            assert [_pull_mask(images, mask) for mask in masks[b]] == list(map(m.pull_mask, masks[b]))
+        # every subobject of the codomain pulls back alike along the image
+        # bits and along the literal map, in the package's element order
+        moves = [direct_positions(b) for b in literal.codomains]
+        for (a, b, images, *_), (m, _) in zip(rows.map_pairs, literal.map_pairs):
+            masks = [f.mask for f in literal.inclusions if f.cod is literal.codomains[b]]
+            got = [_pull_mask(images, permute_mask(moves[b], mask)) for mask in masks]
+            assert got == [permute_mask(moves[a], m.pull_mask(mask)) for mask in masks]
 
     def test_map_pair_witness_is_its_domain_and_sliced_subobject(self, P, universe):
         # image bits that swap the points 2_ and 1_ of the terminal name no
@@ -457,8 +491,7 @@ class TestClosureUniverse:
         d = P.mask_of(["1_"])
         bad = Universe(P, universe.codomains, (), (), ((0, 0, swap, d, _pull_mask(swap, d)),))
         report = check_closure_axioms(ClosureOperator(lt_identity(P)), bad)
-        one = terminal(P)
-        witness = (one, Inclusion._from_mask(one, d).dom)
+        witness = ("1", ("1", d))
         assert report.failures == (AxiomFailure("C5-pullback-stable", witness),)
 
     def test_closure_operator_on_another_poset_is_refused(self, universe, literal_universe):
@@ -508,7 +541,7 @@ class TestPackedClosures:
         universe = build_universe(P)
         for lt in all_lts:
             clop = ClosureOperator(lt)
-            closed = [_Closures(b.elements(), clop.cover) for b in universe.codomains]
+            closed = [_Closures(index, clop.cover) for index in universe.codomains]
             assert _screen(clop.cover, universe, closed)
             for table, (masks, _, _) in zip(closed, universe.packed):
                 row_loop = _Closures(table.index, clop.cover)
@@ -522,7 +555,7 @@ class TestPackedClosures:
         rows = tuple((c, f, gs, (f,), crossing, meets) for c, f, gs, _, crossing, meets in universe.rows)
         cut = Universe(P, universe.codomains, (), rows, ())
         for lt in natural_endomaps(P):
-            close = [ClosureOperator(lt).closures(b.elements()) for b in cut.codomains]
+            close = [ClosureOperator(lt).closures(index) for index in cut.codomains]
             broken = [
                 (c, f, g)
                 for c, f, _, _, crossing, _ in rows
@@ -532,8 +565,8 @@ class TestPackedClosures:
             if broken:
                 break
         c, f, g = broken[0]
-        cod = cut.codomains[c]
-        witness = AxiomFailure("C4-meets", (cod._sub(f), cod._sub(g)))
+        name = ("1", "Ω", "Ω²")[c]
+        witness = AxiomFailure("C4-meets", ((name, f), (name, g)))
         assert check_closure_axioms(ClosureOperator(lt), cut).failures == (witness,)
 
     def test_c5_pulls_each_closed_mask_back_once_per_map(self, P, all_lts, monkeypatch):
@@ -555,7 +588,7 @@ class TestPackedClosures:
         for lt in all_lts:
             clop = ClosureOperator(lt)
             assert check_closure_axioms(clop, universe).ok
-            closed = [clop.closures(b.elements()) for b in universe.codomains]
+            closed = [clop.closures(index) for index in universe.codomains]
             for k, (_, b, images, d, _) in enumerate(universe.map_pairs):
                 per_map.add((images, closed[b][d]))
                 per_pair.add((k, closed[b][d]))
