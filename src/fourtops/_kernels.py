@@ -6,48 +6,64 @@ and keeps the maps that are idempotent and preserve binary meets, optionally
 inflationary and optionally fixing the top.  The search assigns ``t[i]`` in
 index order.  Each index gets one candidate bitmask, the AND of precomputed
 masks for the axioms that the values already placed constrain, and the walk
-visits only its set bits, in ascending order.
+visits only its set bits, in ascending order.  The masks are built once per
+lattice by ``operator_lattice``, so a caller that searches one lattice under
+many ``allowed`` masks, as the LT census does, builds them once.
 """
 
 from __future__ import annotations
 
 
-def enumerate_operator_tables(
-    n: int,
-    up_masks: tuple[int, ...],
-    meet: tuple[int, ...],
-    inflationary: bool,
-    top_fixed: bool,
-    allowed: tuple[int, ...] | None = None,
-) -> list[tuple[int, ...]]:
-    """All idempotent, binary-meet-preserving tables on an n-element lattice.
-
-    ``up_masks[i]`` is the bitmask of indices j with element_i <= element_j;
-    ``meet`` is the flattened n*n meet table.  The element order must be a
-    linear extension of the lattice order.  ``allowed[i]``, when given, is the
-    bitmask of values ``t[i]`` may take.  Tables come out in lexicographic
-    order.
-    """
-    if n == 0:
-        return [()]
-    full = (1 << n) - 1
-    # fibers[a][b]: the values v with meet(a, v) == b.  Preserving the
-    # meet of i and an earlier k means t[i] lies in the fiber of t[k] over
-    # t[meet(i, k)]; when k <= i that fiber is up_masks[t[k]], so monotonicity
-    # needs no mask of its own.  meets[i]: meet(i, k) for each k < i.
+def operator_lattice(up: tuple[int, ...], meet: tuple[int, ...]) -> tuple:
+    """The tables the search reads on the lattice whose order is ``up`` and
+    whose flattened meet table is ``meet`` (as ``poset.lattice_tables``
+    gives them): the up masks, the meet fibers, each index's meet checks and
+    the down masks."""
+    n = len(up)
+    # fibers[a][b]: the values v with meet(a, v) == b.  Preserving the meet
+    # of i and an earlier k means t[i] lies in the fiber of t[k] over
+    # t[meet(i, k)].  The entries before i already preserve their meets, so
+    # that follows for k from the same check for any earlier k2 >= k:
+    # meet(t[i], t[k]) = meet(t[meet(i, k2)], t[k]) = t[meet(i, k)].  So
+    # checks[i] holds (k, meet(i, k)) for the maximal indices k among
+    # 0..i-1 alone; monotonicity is the case k <= i.
     fibers = []
-    meets = []
+    checks = []
+    down = [0] * n
+    tops = 0  # the maximal indices among 0..a-1
     for a in range(n):
         row = meet[a * n : a * n + n]
         fiber = [0] * n
         for v, b in enumerate(row):
             fiber[b] |= 1 << v
+            if b == v:
+                down[a] |= 1 << v
         fibers.append(fiber)
-        meets.append(row[:a])
+        checks.append([(k, row[k]) for k in range(a) if tops >> k & 1])
+        tops = tops & ~down[a] | 1 << a
+    return up, fibers, checks, down
+
+
+def enumerate_operator_tables(
+    lattice: tuple,
+    inflationary: bool,
+    top_fixed: bool,
+    allowed: tuple[int, ...] | None = None,
+) -> list[tuple[int, ...]]:
+    """All idempotent, binary-meet-preserving tables on the lattice that
+    ``operator_lattice`` prepared; its element order must be a linear
+    extension.  ``allowed[i]``, when given, is the bitmask of values ``t[i]``
+    may take.  Tables come out in lexicographic order.
+    """
+    up, fibers, checks, down = lattice
+    n = len(up)
+    if n == 0:
+        return [()]
+    full = (1 << n) - 1
     base = [full] * n
     for i in range(n):
         if inflationary:
-            base[i] &= up_masks[i]
+            base[i] &= up[i]
         if allowed is not None:
             base[i] &= allowed[i]
     if top_fixed:
@@ -64,10 +80,16 @@ def enumerate_operator_tables(
         if must_fix >> i & 1:
             cand = base[i] & 1 << i
         else:
-            # a value v < i is placed, so t[v] == v is required now
+            # a value v < i is placed, so t[v] == v is required now; a value
+            # v above i is a fixed point, so t[i] <= t[v] == v
             cand = base[i] & (fixed | full >> i << i)
-        for tk, m in zip(table, meets[i]):
-            cand &= fibers[tk][table[m]]
+            above = must_fix & up[i]
+            while above:
+                low = above & -above
+                above ^= low
+                cand &= down[low.bit_length() - 1]
+        for k, m in checks[i]:
+            cand &= fibers[table[k]][table[m]]
             if not cand:
                 return
         while cand:

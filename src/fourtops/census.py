@@ -19,7 +19,7 @@ families and the endomaps import ``point_set_to_grotop`` and
 
 from __future__ import annotations
 
-from ._kernels import enumerate_operator_tables
+from ._kernels import enumerate_operator_tables, operator_lattice
 from .errors import SizeCapExceeded
 from .heyting import (
     DEFAULT_ORACLE_POINT_CAP,
@@ -34,12 +34,8 @@ from .records import GrothendieckTopology, LTTopology, make_grotop
 
 def enumerate_nucleus_tables(algebra: HeytingAlgebra) -> list[tuple[int, ...]]:
     """Brute-force search for every table passing the nucleus axioms."""
-    return enumerate_operator_tables(
-        len(algebra.elements),
-        *lattice_tables(algebra.elements),
-        inflationary=True,
-        top_fixed=False,
-    )
+    lattice = operator_lattice(*lattice_tables(algebra.elements))
+    return enumerate_operator_tables(lattice, inflationary=True, top_fixed=False)
 
 
 def enumerate_nuclei(
@@ -154,7 +150,7 @@ def enumerate_lts(
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:
         raise SizeCapExceeded(f"oracle enumeration capped at {point_cap} points")
-    lattices = [lattice_tables(sieves_on(poset, u)) for u in poset.points]
+    lattices = [operator_lattice(*lattice_tables(sieves_on(poset, u))) for u in poset.points]
     # naturality at an arrow u -> v says t_u[k] lies in fib[t_v[restr[k]]]
     arrows_below: list[list[tuple[int, tuple[int, ...], tuple[int, ...]]]] = [
         [] for _ in poset.points
@@ -173,15 +169,14 @@ def enumerate_lts(
             results.append(LTTopology(poset, tuple(tables)))
             return
         i = order[pos]
-        up, meet = lattices[i]
-        n = len(up)
+        n = len(lattices[i][0])
         allowed = [(1 << n) - 1] * n
         for iv, restr, fib in arrows_below[i]:
             tv = tables[iv]
             for k in range(n):
                 allowed[k] &= fib[tv[restr[k]]]
         for t in enumerate_operator_tables(
-            n, up, meet, inflationary=False, top_fixed=True, allowed=tuple(allowed)
+            lattices[i], inflationary=False, top_fixed=True, allowed=tuple(allowed)
         ):
             tables[i] = t
             walk(pos + 1)

@@ -2,7 +2,7 @@
 sweep.  Importing it loads ``fourtops.errors`` alone, and the parser builds
 only the subparser that argv's first word names.  ``main`` imports the other
 commands' handlers only when one of them runs: ``enumerate`` with the input
-reader and the structure JSON writers from ``fourtops.commands``, ``check``
+reader and the census writer from ``fourtops.commands``, ``check``
 from ``fourtops.check``, the rest from ``fourtops.handlers``.
 Exit codes: 0 all checks pass, 1 counterexample found, 2 usage or parse error.
 ``run``, the entry point of ``python -m fourtops.cli`` and of the ``fourtops``

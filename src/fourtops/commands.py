@@ -1,6 +1,5 @@
-"""The input reader, the structure JSON writers and the ``enumerate``
-command: what an oracle census runs, and all it compiles of the CLI's
-commands.
+"""The input reader, the census writer and the ``enumerate`` command:
+what an oracle census runs, and all it compiles of the CLI's commands.
 
 Input grammar (hand-editable, piles name sieves on two-column graphs):
 
@@ -16,19 +15,18 @@ every JSON output can be fed back in unchanged; that reader lives in
 ``fourtops.json_input``, imported only for such input, and ``cmd_enumerate``
 imports the census when it runs, so ``check`` reads its input through this
 module without it.  The other commands' handlers live in
-``fourtops.check`` and, with the text writers of structures, in
-``fourtops.handlers``.
+``fourtops.check`` and, with the text and JSON writers of one structure,
+in ``fourtops.handlers``.
 Nothing here imports ``fourtops.cli``: under ``python -m`` it is
 ``__main__``, and would compile twice.
 """
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 
-from .emit import emit_json
+from .emit import _emit, emit_json, encode_basestring, encode_basestring_ascii
 from .errors import FourtopsError, ParseError, SizeCapExceeded, _require_at_least
 from .heyting import DEFAULT_ORACLE_POINT_CAP, Nucleus, algebra_of
 from .poset import Poset, TwoColumnGraph, _require_point_cap, sieve_positions, sieves_on
@@ -329,51 +327,93 @@ def poset_json(spec: InputSpec) -> dict:
     }
 
 
-class NameTable(dict):
-    """Mask -> the sorted point names of that mask, and (source mask, value
-    mask) -> the table row ``[source names, value names]``, each built on
-    first use.  One table serves every structure of one output document,
-    whose tables then share the lists and the rows: read them, do not mutate
-    them."""
-
-    __slots__ = ("poset",)
-
-    def __init__(self, poset: Poset):
-        super().__init__()
-        self.poset = poset
-
-    def __missing__(self, key):
-        if type(key) is tuple:
-            src, dst = key
-            value = self[key] = [self[src], self[dst]]
-        else:
-            value = self[key] = _downset_json(self.poset, key)
-        return value
+def _json_list(cells: list, newline: str) -> tuple[str, str]:
+    """The JSON text of a list whose items have the (text, compact text)
+    pairs ``cells``: as ``emit_json`` writes it at the indent of ``newline``,
+    and as ``json.dumps`` writes it."""
+    if not cells:
+        return "[]", "[]"
+    inner = newline + "  "
+    return (
+        "[" + inner + ("," + inner).join([text for text, _ in cells]) + newline + "]",
+        "[" + ", ".join([compact for _, compact in cells]) + "]",
+    )
 
 
-def structure_json(poset: Poset, kind: str, value, names: NameTable | None = None) -> dict:
-    """The JSON form of one structure; pass one ``names`` table to every
-    structure of a document to build each name list and each row once."""
-    names = NameTable(poset) if names is None else names
-    if kind == "y":
-        return {"kind": "y", "members": sorted(str(u) for u in value)}
+def census_json(spec: InputSpec, kind: str, items: list) -> str:
+    """The document ``_write_result`` writes for a census of ``items``, each
+    as ``handlers.structure_json`` gives it and sorted by ``json.dumps(item,
+    sort_keys=True)``, byte for byte.  It is written from the distinct
+    components of the items, each built once: the rows of the nucleus
+    tables, and the per-point entries of LT tables and covering families.
+    Each has its text at its indent in the document and its compact text.
+    ``structure_json`` sorts an item's components into an order that is the
+    same for every item, so the compact text of the joined components sorts
+    the items as ``json.dumps`` does."""
+    poset = spec.poset
+    # a newline and the indent of each depth: the items list is at depth 2,
+    # an item's keys and its table at 4, the table's rows or entries at 5;
+    # a names list is one deeper than its row or covering family
+    at = ["\n" + "  " * depth for depth in range(9)]
+    depth = {"nucleus": 6, "grotop": 7, "lt": 8}[kind]  # of a names list
+    named: dict = {}
+    rows: dict = {}
+    entries: dict = {}
+
+    def names(mask: int) -> tuple[list, tuple[str, str]]:
+        """The sorted point names of ``mask``, and the cell of their list."""
+        got = named.get(mask)
+        if got is None:
+            listed = _downset_json(poset, mask)
+            cells = [(encode_basestring(u), encode_basestring_ascii(u)) for u in listed]
+            got = named[mask] = listed, _json_list(cells, at[depth])
+        return got
+
+    def by_names(masks: tuple[int, ...]) -> list[int]:
+        return sorted(range(len(masks)), key=lambda k: names(masks[k])[0])
+
+    def row(s: int, d: int) -> tuple[str, str]:
+        got = rows.get((s, d))
+        if got is None:
+            got = rows[s, d] = _json_list([names(s)[1], names(d)[1]], at[depth - 1])
+        return got
+
+    def entry(i: int, value: tuple) -> tuple[str, str]:
+        got = entries.get((i, value))
+        if got is None:
+            if kind == "lt":
+                masks, ranked = sieves[i]
+                cells = [row(masks[k], masks[value[k]]) for k in ranked]
+            else:
+                cells = [cell for _, cell in sorted(map(names, value))]
+            u = str(points[i])
+            point = (encode_basestring(u), encode_basestring_ascii(u))
+            got = entries[i, value] = _json_list([point, _json_list(cells, at[6])], at[5])
+        return got
+
+    points = poset.points
     if kind == "nucleus":
-        masks = value.algebra.elements
-        table = [names[s, masks[t]] for s, t in zip(masks, value.table)]
-        return {"kind": "nucleus", "table": sorted(table)}
+        masks = algebra_of(poset).elements
+        order = by_names(masks)
+        tables = [[row(masks[k], masks[v.table[k]]) for k in order] for v in items]
+    else:
+        if kind == "lt":
+            sieves = [(m, by_names(m)) for m in [sieves_on(poset, u) for u in points]]
+        order = sorted(range(len(points)), key=lambda i: str(points[i]))
+        values = (v.tables if kind == "lt" else v.covers for v in items)
+        tables = [[entry(i, vals[i]) for i in order] for vals in values]
     if kind == "grotop":
-        covers = []
-        for i, u in enumerate(poset.points):
-            covers.append([str(u), sorted(names[m] for m in value.covers[i])])
-        return {"kind": "grotop", "covers": sorted(covers)}
-    if kind == "lt":
-        table = []
-        for i, u in enumerate(poset.points):
-            masks = sieves_on(poset, u)
-            pairs = sorted(names[s, masks[t]] for s, t in zip(masks, value.tables[i]))
-            table.append([str(u), pairs])
-        return {"kind": "lt", "table": sorted(table)}
-    raise ValueError(f"unknown structure kind {kind!r}")
+        head, tail = "{" + at[4] + '"covers": ', "," + at[4] + '"kind": "grotop"' + at[3] + "}"
+    else:
+        head, tail = "{" + at[4] + f'"kind": "{kind}",' + at[4] + '"table": ', at[3] + "}"
+    # (compact text, text) of each item's table, in the items' order
+    listed = sorted(_json_list(cells, at[4])[::-1] for cells in tables)
+    parts = ['{\n  "poset": ']
+    _emit(poset_json(spec), at[1], parts)
+    parts.append(f',\n  "result": {{\n    "count": {len(items)},\n    "items": ')
+    parts.append(_json_list([(head + text + tail, "") for _, text in listed], at[2])[0])
+    parts.append("\n  }\n}\n")
+    return "".join(parts)
 
 
 def _write_result(out, spec: InputSpec, result: dict) -> None:
@@ -422,16 +462,7 @@ def cmd_enumerate(args, out) -> int:
         items = enumerate_lts(poset, mode, point_cap=cap)
         kind = "lt"
     if args.json:
-        names = NameTable(poset)
-        items_json = (structure_json(poset, kind, v, names) for v in items)
-        _write_result(
-            out,
-            spec,
-            {
-                "count": len(items),
-                "items": sorted(items_json, key=lambda d: json.dumps(d, sort_keys=True)),
-            },
-        )
+        out.write(census_json(spec, kind, items))
     else:
         from .handlers import structure_text
 

@@ -2,31 +2,27 @@
 
 from __future__ import annotations
 
-import json
-from json.encoder import encode_basestring
+try:  # the C escapes that ``json.encoder`` uses, without loading ``json``
+    from _json import encode_basestring, encode_basestring_ascii
+except ImportError:  # an interpreter without the C accelerator
+    from json.encoder import encode_basestring, encode_basestring_ascii
 
 
 def emit_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\\n"``,
     byte for byte, for documents of dicts with str keys, lists, tuples, str,
     int, bool, None and float.  With an indent, ``json`` runs its pure-Python
-    encoder; this writer escapes strings with the C ``encode_basestring``,
-    writes a list of strings with one join, and writes a list that the
-    document holds again at the same indent (the name lists and the rows
-    that structure tables share) from its first text."""
+    encoder; this writer escapes strings with the C ``encode_basestring`` and
+    writes a list of strings with one join."""
     parts: list[str] = []
-    _emit(obj, "\n", parts, {})
+    _emit(obj, "\n", parts)
     parts.append("\n")
     return "".join(parts)
 
 
-def _emit(obj, newline: str, parts: list, written: dict) -> None:
+def _emit(obj, newline: str, parts: list) -> None:
     """Append the JSON text of ``obj`` at the indent that ``newline`` (a
-    newline and the indent) gives.  ``written`` maps (id, newline) of each
-    list written so far to its text, or for a list of other values to the
-    (start, end) span of ``parts`` that holds it until the list is written
-    again; the ids stay unique while the document, which holds every list,
-    is alive."""
+    newline and the indent) gives."""
     if isinstance(obj, str):
         parts.append(encode_basestring(obj))
     elif obj is None:
@@ -45,33 +41,25 @@ def _emit(obj, newline: str, parts: list, written: dict) -> None:
         sep = "{" + inner
         for key in sorted(obj):
             parts.append(sep + encode_basestring(key) + ": ")
-            _emit(obj[key], inner, parts, written)
+            _emit(obj[key], inner, parts)
             sep = "," + inner
         parts.append(newline + "}")
     elif isinstance(obj, (list, tuple)):
         if not obj:
             parts.append("[]")
             return
-        key = (id(obj), newline)
-        text = written.get(key)
-        if text is not None:
-            if type(text) is tuple:
-                text = written[key] = "".join(parts[text[0] : text[1]])
-            parts.append(text)
-            return
         inner = newline + "  "
         if all(type(x) is str for x in obj):
             items = ("," + inner).join(map(encode_basestring, obj))
-            text = written[key] = "[" + inner + items + newline + "]"
-            parts.append(text)
+            parts.append("[" + inner + items + newline + "]")
             return
-        start = len(parts)
         sep = "[" + inner
         for item in obj:
             parts.append(sep)
-            _emit(item, inner, parts, written)
+            _emit(item, inner, parts)
             sep = "," + inner
         parts.append(newline + "]")
-        written[key] = (start, len(parts))
     else:
+        import json
+
         parts.append(json.dumps(obj))

@@ -1,6 +1,6 @@
 """The handlers of ``show``, ``chi``, ``convert``, ``fouruple`` and
-``render``, with the text writers of structures and the completion of an
-input's quadruple.
+``render``, with the text and JSON writers of one structure and the
+completion of an input's quadruple.
 
 ``cli.main`` imports this module only for those five commands, and
 ``commands.cmd_enumerate`` only for its text output, so neither a JSON
@@ -14,18 +14,16 @@ from typing import TYPE_CHECKING
 
 from .commands import (
     InputSpec,
-    NameTable,
     _downset_json,
     _names,
     _read_input,
     _write_result,
     poset_json,
-    structure_json,
 )
 from .emit import emit_json
 from .errors import ParseError
 from .heyting import algebra_of
-from .poset import DownSet, TwoColumnGraph, sieves_on
+from .poset import DownSet, Poset, TwoColumnGraph, sieves_on
 from .records import STRUCTURE_KINDS
 
 # The route module, the presheaf layer and the panel renderers are imported
@@ -46,7 +44,7 @@ def _quad(spec: InputSpec, source: str | None = None) -> Quad:
     return complete_quad(spec.poset, **{spec.kind: spec.payload})
 
 
-# -- text writers -----------------------------------------------------------------
+# -- structure writers ------------------------------------------------------------
 
 
 def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
@@ -86,6 +84,31 @@ def structure_text(spec: InputSpec, kind: str, value) -> str:
                 rows.append(f"{u}: {_downset_str(spec, s)} -> {_downset_str(spec, t)}")
         return "j { " + "; ".join(rows) + " }"
     raise ValueError(kind)
+
+
+def structure_json(poset: Poset, kind: str, value) -> dict:
+    """The JSON form of one structure."""
+
+    def rows(masks: tuple[int, ...], table: tuple[int, ...]) -> list:
+        pairs = zip(masks, table)
+        return sorted([_downset_json(poset, s), _downset_json(poset, masks[t])] for s, t in pairs)
+
+    if kind == "y":
+        return {"kind": "y", "members": sorted(str(u) for u in value)}
+    if kind == "nucleus":
+        return {"kind": "nucleus", "table": rows(value.algebra.elements, value.table)}
+    if kind == "grotop":
+        covers = [
+            [str(u), sorted(_downset_json(poset, m) for m in value.covers[i])]
+            for i, u in enumerate(poset.points)
+        ]
+        return {"kind": "grotop", "covers": sorted(covers)}
+    if kind == "lt":
+        table = [
+            [str(u), rows(sieves_on(poset, u), value.tables[i])] for i, u in enumerate(poset.points)
+        ]
+        return {"kind": "lt", "table": sorted(table)}
+    raise ValueError(f"unknown structure kind {kind!r}")
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -166,11 +189,8 @@ def cmd_fouruple(args, out) -> int:
     spec = _read_input(args)
     quad = _quad(spec, args.source)
     if args.json:
-        names = NameTable(spec.poset)
         _write_result(
-            out,
-            spec,
-            {k: structure_json(spec.poset, k, getattr(quad, k), names) for k in STRUCTURE_KINDS},
+            out, spec, {k: structure_json(spec.poset, k, getattr(quad, k)) for k in STRUCTURE_KINDS}
         )
     else:
         for kind in STRUCTURE_KINDS:

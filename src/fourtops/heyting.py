@@ -19,8 +19,8 @@ from .poset import DownSet, Poset, enumerate_downsets, interior_mask
 
 class HeytingAlgebra:
     """All down-sets of a poset, ordered by inclusion: ``elements`` holds
-    their masks and ``pos`` maps a mask to its index.  The methods that take
-    or give a :class:`DownSet` are for callers outside the package."""
+    their masks and ``pos`` maps a mask to its index; ``element`` gives the
+    :class:`DownSet` of a mask, as failure witnesses name it."""
 
     __slots__ = ("poset", "elements", "pos", "_hash")
 
@@ -39,39 +39,10 @@ class HeytingAlgebra:
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def bottom(self) -> DownSet:
-        return DownSet(self.poset, self.elements[0])
-
-    @property
-    def top(self) -> DownSet:
-        return DownSet(self.poset, self.elements[-1])
-
-    def index(self, s: DownSet) -> int:
-        if s.poset != self.poset:
-            raise NotElement(f"{s!r} lives on a different poset")
-        try:
-            return self.pos[s.mask]
-        except KeyError:
-            raise NotElement(f"{s!r} is not an element of this algebra") from None
-
     def element(self, mask: int) -> DownSet:
         if mask not in self.pos:
             raise NotElement(f"mask {mask:#x} is not down-closed here")
         return DownSet(self.poset, mask)
-
-    def meet(self, r: DownSet, s: DownSet) -> DownSet:
-        self.index(r), self.index(s)
-        return self.element(r.mask & s.mask)
-
-    def join(self, r: DownSet, s: DownSet) -> DownSet:
-        self.index(r), self.index(s)
-        return self.element(r.mask | s.mask)
-
-    def imp(self, r: DownSet, s: DownSet) -> DownSet:
-        """Largest T with T meet R <= S: the interior of (complement of R) | S."""
-        self.index(r), self.index(s)
-        return self.element(interior_mask(self.poset, (self.poset.full_mask & ~r.mask) | s.mask))
 
 
 @lru_cache(maxsize=4)
@@ -97,14 +68,6 @@ class Nucleus:
 
     def __hash__(self) -> int:
         return hash((self.algebra, self.table))
-
-
-    def apply(self, s: DownSet) -> DownSet:
-        algebra = self.algebra
-        return DownSet(algebra.poset, algebra.elements[self.table[algebra.index(s)]])
-
-    def __call__(self, s: DownSet) -> DownSet:
-        return self.apply(s)
 
 
 class AxiomFailure:

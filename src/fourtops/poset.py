@@ -172,15 +172,6 @@ class DownSet:
         # equal down-sets share a mask; equality still compares the poset
         return hash(self.mask)
 
-    def __contains__(self, u: PointId) -> bool:
-        return bool(self.mask >> self.poset.index(u) & 1)
-
-    def __le__(self, other: "DownSet") -> bool:
-        return self.mask | other.mask == other.mask
-
-    def __len__(self) -> int:
-        return self.mask.bit_count()
-
     def __repr__(self) -> str:
         return "{" + ",".join(str(u) for u in self.members) + "}"
 
@@ -392,10 +383,6 @@ class TwoColumnGraph:
         left_bits = ((1 << a) - 1) << (self.p - a)
         right_bits = ((1 << b) - 1) << (self.q - b)
         return left_bits | right_bits << self.p
-
-    def pile(self, a: int, b: int) -> DownSet:
-        """The down-set {a_, ..., 1_, _1, ..., _b}; NotDownClosed if a cross arrow is violated."""
-        return DownSet(self.poset(), self.pile_mask(a, b))
 
     def pile_code(self, s: DownSet) -> tuple[int, int]:
         """Invert :meth:`pile`.  Every down-set of a 2CG poset is a pile."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 # the CLI's parser reads these two from ``errors``, which imports nothing;
 # the command handlers and the closure-law universe read them here
 from .errors import DEFAULT_PAIR_CAP, STRUCTURE_KINDS
-from .poset import DownSet, Poset, downset_sort_key, sieve_positions, sieves_on
+from .poset import DownSet, Poset, downset_sort_key, sieve_positions
 
 
 class LTTopology:
@@ -33,11 +33,6 @@ class LTTopology:
         return hash((self.poset, self.tables))
 
 
-    def apply(self, u, s: DownSet) -> DownSet:
-        k = sieve_positions(self.poset, u)[s.mask]
-        return DownSet(self.poset, sieves_on(self.poset, u)[self.tables[self.poset.index(u)][k]])
-
-
 class GrothendieckTopology:
     """Per-point families of covering sieves, stored as canonical mask tuples."""
 
@@ -54,11 +49,6 @@ class GrothendieckTopology:
 
     def __hash__(self) -> int:
         return hash((self.poset, self.covers))
-
-
-    def covers_at(self, u) -> tuple[DownSet, ...]:
-        i = self.poset.index(u)
-        return tuple(DownSet(self.poset, m) for m in self.covers[i])
 
     def covers_mask_set(self, i: int) -> frozenset:
         return frozenset(self.covers[i])

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from fourtops.heyting import HeytingAlgebra
@@ -28,6 +30,19 @@ def one_point():
 def pile_code_str(graph: TwoColumnGraph, downset) -> str:
     a, b = graph.pile_code(downset)
     return f"{a}{b}"
+
+
+def naturally_labelled_posets(most):
+    """Every poset on the points p0, ..., p(n-1), n from 1 to ``most``, in
+    which each point is above only points of lower number: each poset up to
+    isomorphism at least once, 50 in all up to 4 points."""
+    for n in range(1, most + 1):
+        points = [f"p{i}" for i in range(n)]
+        pairs = [(points[i], points[j]) for i in range(n) for j in range(i)]
+        for k in range(len(pairs) + 1):
+            for chosen in map(set, combinations(pairs, k)):
+                if all((a, d) in chosen for a, b in chosen for c, d in chosen if b == c):
+                    yield Poset(points, chosen)
 
 
 @pytest.fixture(scope="session")

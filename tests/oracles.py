@@ -44,17 +44,26 @@ write them out, and the package has no use for them; with them are the
 subterminal inclusion, the identity, the bang, the identity endomap, the
 smallest and largest covering families, the equalizer, the element
 down-sets, the truth-value ``cst`` of a subterminal and the exhaustive list
-of natural maps, which only the tests read.  The literal oracle searches at the end keep the earlier enumerators that
-generate every candidate and filter it by the axioms, where the package
-prunes with the same axioms before it generates.  The literal route reports
-keep the four route checkers that each looped over the point sets and
-rebuilt every face, where the package makes one pass that builds each face
+of natural maps, which only the tests read.  The down-set operations that no
+command runs are functions on masks here: the algebra's bottom, top,
+index, meet, join and implication, a nucleus's or an LT topology's value
+on a down-set, the covers at a point, a two-column graph's pile, and
+membership, inclusion and size.  The literal oracle searches at the end
+keep the earlier enumerators that generate every candidate and filter it
+by the axioms, where the package prunes with the same axioms before it
+generates; the literal table search tests each candidate against each
+axiom in turn, where the package's kernel reads masks it builds once per
+lattice and prunes with the bound that forced fixed points give.  The
+literal route reports keep the four route checkers that each looped over
+the point sets and rebuilt every face, where the package makes one pass that builds each face
 once, and the literal configuration list keeps the sweep's earlier
 generator, which built every arrow subset and kept the acyclic ones, where
 the package backtracks and drops a branch at its first cycle.  The literal
 JSON output, last, keeps the structure rows that sorted
-each down-set's names anew and the ``json.dumps`` call, where the package
-reads one name table per document and writes the text itself.
+each down-set's names anew and the ``json.dumps`` call, and the census
+document built from one such dict per item, sorted by its ``json.dumps``,
+where the package writes the text itself and a census from the text of
+each distinct row and per-point entry.
 """
 
 import json
@@ -615,9 +624,10 @@ def intersection(f, g):
 
 
 def subterminal_of(poset, s):
-    """The subterminal presheaf whose truth-value is the given down-set."""
-    sets = {u: ("*",) if u in s else () for u in poset.points}
-    restr = {(u, v): ({"*": "*"} if u in s else {}) for (u, v) in poset.arrows}
+    """The subterminal presheaf whose truth-value is the down-set ``s``, a mask."""
+    inside = {u: downset_contains(poset, s, u) for u in poset.points}
+    sets = {u: ("*",) if inside[u] else () for u in poset.points}
+    restr = {(u, v): ({"*": "*"} if inside[u] else {}) for (u, v) in poset.arrows}
     return Presheaf(poset, sets, restr)
 
 
@@ -854,7 +864,7 @@ def closure_to_nucleus_composite(clop):
     table = []
     for s in algebra.elements:
         closed = closure_of_composite(clop, subterminal_inclusion(one, s))
-        table.append(algebra.index(cst(closed.dom)))
+        table.append(algebra_index(algebra, cst(closed.dom).mask))
     return Nucleus(algebra, tuple(table))
 
 
@@ -1288,12 +1298,94 @@ def top_composite(b):
     return bang(b, terminal_presheaf(b.poset)).then(true_map(b.poset))
 
 
+# -- the down-set operations no command runs, on masks ------------------------
+
+
+def algebra_index(algebra, mask):
+    """The index of the down-set ``mask`` among the algebra's elements."""
+    from fourtops.errors import NotElement
+
+    if mask not in algebra.pos:
+        raise NotElement(f"mask {mask:#x} is not an element of this algebra")
+    return algebra.pos[mask]
+
+
+def algebra_bottom(algebra):
+    return algebra.elements[0]
+
+
+def algebra_top(algebra):
+    return algebra.elements[-1]
+
+
+def algebra_meet(algebra, r, s):
+    algebra_index(algebra, r), algebra_index(algebra, s)
+    return r & s
+
+
+def algebra_join(algebra, r, s):
+    algebra_index(algebra, r), algebra_index(algebra, s)
+    return r | s
+
+
+def algebra_imp(algebra, r, s):
+    """The largest down-set t with t meet r inside s: the union of every
+    such t among the algebra's elements."""
+    algebra_index(algebra, r), algebra_index(algebra, s)
+    out = 0
+    for t in algebra.elements:
+        if t & r & ~s == 0:
+            out |= t
+    return out
+
+
+def nucleus_apply(nucleus, mask):
+    """The down-set the nucleus sends the down-set ``mask`` to."""
+    algebra = nucleus.algebra
+    return algebra.elements[nucleus.table[algebra_index(algebra, mask)]]
+
+
+def lt_apply(lt, u, mask):
+    """The sieve on u that the LT topology's component at u sends the sieve
+    ``mask`` to."""
+    from fourtops.poset import sieves_on
+
+    sieves = sieves_on(lt.poset, u)
+    return sieves[lt.tables[lt.poset.index(u)][sieves.index(mask)]]
+
+
+def covers_at(grotop, u):
+    """The covering sieves on u, as masks."""
+    return grotop.covers[grotop.poset.index(u)]
+
+
+def pile(graph, a, b):
+    """The down-set {a_, ..., 1_, _1, ..., _b} of a two-column graph, as a
+    mask; NotDownClosed if a cross arrow leaves it."""
+    from fourtops.poset import DownSet
+
+    return DownSet(graph.poset(), graph.pile_mask(a, b)).mask
+
+
+def downset_contains(poset, mask, u):
+    return bool(mask >> poset.index(u) & 1)
+
+
+def downset_le(r, s):
+    return r & ~s == 0
+
+
+def downset_len(mask):
+    return mask.bit_count()
+
+
 # -- literal oracle searches ---------------------------------------------------
 
 
-def operator_tables_literal(n, up_masks, meet, inflationary, top_fixed):
+def operator_tables_literal(n, up_masks, meet, inflationary, top_fixed, allowed=None):
     """The table search testing each candidate value against every axiom in
-    turn, one value at a time, with no precomputed masks."""
+    turn, one value at a time, with no precomputed masks; ``allowed[i]``,
+    when given, is the bitmask of values ``t[i]`` may take."""
     if n == 0:
         return [()]
     results = []
@@ -1304,6 +1396,8 @@ def operator_tables_literal(n, up_masks, meet, inflationary, top_fixed):
         if inflationary and not up_masks[i] >> v & 1:
             return False
         if top_fixed and i == top and v != top:
+            return False
+        if allowed is not None and not allowed[i] >> v & 1:
             return False
         if must_fix >> i & 1 and v != i:
             return False
@@ -1592,8 +1686,8 @@ def cross_configurations_literal(p, q):
 
 def structure_json_literal(poset, kind, value):
     """The JSON form of one structure, each row's names sorted anew and a
-    nucleus read through ``apply``."""
-    from fourtops.poset import DownSet, sieves_on
+    nucleus read through ``nucleus_apply``."""
+    from fourtops.poset import sieves_on
 
     def names(mask):
         return sorted(str(u) for u in poset.names_of(mask))
@@ -1602,7 +1696,7 @@ def structure_json_literal(poset, kind, value):
         return {"kind": "y", "members": sorted(str(u) for u in value)}
     if kind == "nucleus":
         table = [
-            [names(s), names(value.apply(DownSet(poset, s)).mask)] for s in value.algebra.elements
+            [names(s), names(nucleus_apply(value, s))] for s in value.algebra.elements
         ]
         return {"kind": "nucleus", "table": sorted(table)}
     if kind == "grotop":
@@ -1626,3 +1720,12 @@ def structure_json_literal(poset, kind, value):
 def emit_json_literal(obj):
     """The output text through ``json``'s indenting encoder."""
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+def census_json_literal(poset_doc, poset, kind, items):
+    """The census document of ``items``: each structure's JSON form built
+    anew, the forms sorted by ``json.dumps(item, sort_keys=True)``, and the
+    document written by ``json``'s indenting encoder."""
+    docs = [structure_json_literal(poset, kind, value) for value in items]
+    docs.sort(key=lambda d: json.dumps(d, sort_keys=True))
+    return emit_json_literal({"poset": poset_doc, "result": {"count": len(items), "items": docs}})

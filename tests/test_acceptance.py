@@ -36,10 +36,12 @@ from .oracles import (
     canonical_grothendieck,
     chi,
     dense_closed_factor,
+    downset_le,
     imp_map,
     is_closed,
     is_dense,
     meet_map,
+    pile,
     restriction_check,
     sigma,
     subterminal_of,
@@ -112,7 +114,7 @@ def test_criterion_02_truth_value_algebra(star):
     codes = {"%d%d" % star.pile_code(DownSet(star.poset(), d)) for d in downs}
     ok = codes == {"00", "01", "10", "11", "02", "12", "21", "22"}
     try:
-        star.pile(2, 0)
+        pile(star, 2, 0)
         rejected = False
     except NotDownClosed:
         rejected = True
@@ -231,7 +233,7 @@ def test_criterion_08_axiom_suites(star):
 
 def test_criterion_09_structure_theorems(star):
     P = star.poset()
-    elements = [DownSet(P, m) for m in HeytingAlgebra(P).elements]
+    elements = HeytingAlgebra(P).elements
     one = terminal_presheaf(P)
     subterminals = [Inclusion(subterminal_of(P, s), one) for s in elements]
     ok = True
@@ -239,10 +241,10 @@ def test_criterion_09_structure_theorems(star):
         clop = ClosureOperator(lt)
         for s in elements:
             for t in elements:
-                if not s <= t:
+                if not downset_le(s, t):
                     continue
                 for e in elements:
-                    if not t <= e:
+                    if not downset_le(t, e):
                         continue
                     triple = (
                         Inclusion(subterminal_of(P, s), subterminal_of(P, t)),

@@ -1,6 +1,5 @@
 """The command-line surface: grammar, JSON schema, subcommands, exit codes."""
 
-import copy
 import io
 import json
 import os
@@ -14,15 +13,18 @@ from hypothesis import given, settings, strategies as st
 
 from fourtops import sweep
 from fourtops.cli import main
-from fourtops.commands import NameTable, parse_input, structure_json
+from fourtops.commands import InputSpec, census_json, parse_input, poset_json
+from fourtops.handlers import structure_json
 from fourtops.emit import emit_json
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
 from fourtops.poset import Poset, TwoColumnGraph
 from fourtops.sweep import cross_configurations, sweep_instance
 
+from .conftest import naturally_labelled_posets
 from .oracles import (
     brute_relabellings,
+    census_json_literal,
     cross_configurations_literal,
     emit_json_literal,
     structure_json_literal,
@@ -1062,7 +1064,6 @@ def test_the_sweep_refuses_exactly_the_sizes_over_the_cap(argv, refused, monkeyp
 def _identity_payloads():
     """The identity nucleus, the identity endomap and the smallest covers on
     the star, as text and as JSON."""
-    from fourtops.commands import poset_json, structure_json
     from fourtops.handlers import _quad, structure_text
 
     spec = parse_input(STAR + "\ny { 2_ 1_ _2 _1 }")
@@ -1171,37 +1172,79 @@ CENSUS_POSETS = {
 }
 
 
-def _oracle_items(poset):
-    """Every structure the oracle enumerators find on ``poset``, with its kind."""
-    items = [("nucleus", n) for n in enumerate_nuclei(poset, "oracle")]
-    items += [("grotop", j) for j in enumerate_grotops(poset, "oracle")]
-    items += [("lt", lt) for lt in enumerate_lts(poset, "oracle")]
-    return items
+FAMILIES = {"nuclei": "nucleus", "grotops": "grotop", "lttops": "lt"}
+ENUMERATORS = {"nuclei": enumerate_nuclei, "grotops": enumerate_grotops, "lttops": enumerate_lts}
+
+
+def _same_document(got, want):
+    """Fail at the first line where two census documents differ: pytest's
+    own diff of two whole documents takes minutes."""
+    if got != want:
+        rows = zip(got.splitlines(), want.splitlines())
+        line = next((k + 1 for k, (a, b) in enumerate(rows) if a != b), "the end")
+        pytest.fail(f"the documents differ at line {line}")
+
+
+def _census_equals_the_literal_route(spec, family, mode):
+    """``census_json`` writes what the literal route writes for the census."""
+    kind = FAMILIES[family]
+    items = ENUMERATORS[family](spec.poset, mode)
+    literal = census_json_literal(poset_json(spec), spec.poset, kind, items)
+    _same_document(census_json(spec, kind, items), literal)
+    return literal
+
+
+def test_the_census_writer_equals_the_literal_route_up_to_four_points():
+    posets = [Poset([])] + list(naturally_labelled_posets(4))
+    assert len(posets) == 51
+    empty = []
+    for poset in posets:
+        for family in FAMILIES:
+            for mode in ("formula", "oracle"):
+                literal = _census_equals_the_literal_route(InputSpec(poset), family, mode)
+                if not poset.points:
+                    empty.append(json.loads(literal)["result"]["items"])
+    # the empty poset's one nucleus maps its one down-set to itself, and its
+    # covering family and LT topology have no points
+    nucleus = {"kind": "nucleus", "table": [[[], []]]}
+    grotop, lt = {"covers": [], "kind": "grotop"}, {"kind": "lt", "table": []}
+    assert empty == [[nucleus]] * 2 + [[grotop]] * 2 + [[lt]] * 2
 
 
 @pytest.mark.parametrize("shuffled", [False, True], ids=["listed", "shuffled"])
 @pytest.mark.parametrize("name", CENSUS_POSETS)
 def test_structure_json_equals_the_literal_rows_on_the_census(name, shuffled):
+    """Each structure's JSON form, and the census writer's document, equal
+    the literal route's on the benchmark's census posets."""
     points, arrows = CENSUS_POSETS[name]
     points = list(points)
     if shuffled:
         random.Random(name).shuffle(points)
-    poset = Poset(points, arrows)
-    items = _oracle_items(poset)
-    assert len(items) == 3 * 2 ** len(points)
-    names = NameTable(poset)
-    doc = []
-    for kind, value in items:
-        literal = structure_json_literal(poset, kind, value)
-        doc.append(structure_json(poset, kind, value, names))
-        assert doc[-1] == literal
-        assert structure_json(poset, kind, value) == literal
-    # the structures share the table's name lists and rows, and the writer
-    # writes each again from its first text: neither may change one
-    assert any(type(key) is tuple for key in names)
-    before = copy.deepcopy(dict(names))
-    assert emit_json({"items": doc}) == emit_json_literal({"items": doc})
-    assert names == before
+    spec = InputSpec(Poset(points, arrows))
+    for family, kind in FAMILIES.items():
+        literal = _census_equals_the_literal_route(spec, family, "oracle")
+        items = json.loads(literal)["result"]["items"]
+        assert len(items) == 2 ** len(points)
+        for value in ENUMERATORS[family](spec.poset, "oracle"):
+            got = structure_json(spec.poset, kind, value)
+            assert got == structure_json_literal(spec.poset, kind, value) and got in items
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_census_writer_orders_names_as_the_literal_route(family):
+    """Point names that JSON escapes, or that sort differently once escaped
+    as ``json.dumps`` escapes them for the item order (``"é"`` is ``"\\u00e9"``
+    there, before ``"z"``), give the literal route's document through the
+    CLI's JSON reader."""
+    names = ["é", "z", 'a"b', "a\\b", "\t"]
+    arrows = [["z", "é"], ['a"b', "\t"], ["a\\b", "\t"], ["a\\b", "é"]]
+    text = json.dumps({"poset": {"kind": "poset", "points": names, "arrows": arrows}})
+    spec = parse_input(text)
+    for mode in ("formula", "oracle"):
+        literal = _census_equals_the_literal_route(spec, family, mode)
+        code, out = run("enumerate", family, "--mode", mode, "--json", "-t", text)
+        assert code == 0
+        _same_document(out, literal)
 
 
 def _golden_structures():

@@ -40,6 +40,7 @@ from fourtops.poset import (
     DownSet,
     Poset,
     TwoColumnGraph,
+    _subsets,
     enumerate_downsets,
     sieves_on,
     star_graph,
@@ -55,8 +56,10 @@ from .oracles import (
     grotops_literal,
     j_from_closure_composite,
     largest_grotop,
+    lt_apply,
     lt_identity,
     lts_literal,
+    nucleus_apply,
     route_reports_literal,
     smallest_grotop,
 )
@@ -194,6 +197,15 @@ class TestNucleusLT:
             for k, s in enumerate(sieves)
         }
         assert got == {"00": "10", "10": "10", "01": "21", "11": "21", "21": "21"}
+
+    def test_each_component_is_the_nucleus_cut_down_to_the_point(self, P, algebra):
+        # j_u(S) = n(S) meet down u, read through the test oracle's functions
+        for kept in _subsets(P.points):
+            n = nucleus_from_point_set(algebra, kept)
+            lt = nucleus_to_lt(n)
+            for u in P.points:
+                for s in sieves_on(P, u):
+                    assert lt_apply(lt, u, s) == nucleus_apply(n, s) & P.down_mask(u)
 
 
 class TestGrotopLT:

@@ -1,9 +1,11 @@
 """The oracle table search: fixed cases, agreement with the literal search,
-and the ``allowed`` masks."""
+on small lattices and on the inputs the census feeds it, and the ``allowed``
+masks."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourtops import _kernels
+from fourtops import _kernels, census
 from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, lattice_tables, sieves_on
 
@@ -39,55 +41,120 @@ def small_posets(draw):
 
 CONE = sieve_lattice_inputs(Poset(list("abcd"), {("d", x) for x in "abc"}), "d")
 
+# the posets of the benchmark's oracle census
+CENSUS_POSETS = {
+    "antichain6": Poset(list("abcdef")),
+    "cone5": Poset(list("abcde"), [("e", x) for x in "abcd"]),
+    "fan6": Poset(list("abcdef"), [("f", x) for x in "abcde"] + [("e", "a")]),
+}
+
+
+def kernel(inputs, allowed=None, inflationary=False, top_fixed=True):
+    n, up, meet = inputs
+    return _kernels.enumerate_operator_tables(
+        _kernels.operator_lattice(up, meet), inflationary, top_fixed, allowed
+    )
+
 
 class TestPureKernel:
     def test_single_element_lattice(self):
-        assert _kernels.enumerate_operator_tables(
-            1, (1,), (0,), inflationary=True, top_fixed=False
-        ) == [(0,)]
+        assert kernel((1, (1,), (0,)), inflationary=True, top_fixed=False) == [(0,)]
+
+    def test_empty_lattice(self):
+        assert kernel((0, (), ())) == [()]
 
     def test_two_chain_nucleus_tables(self):
         # lattice 0 < 1: inflationary idempotent meet-preserving maps
-        got = _kernels.enumerate_operator_tables(
-            2, (0b11, 0b10), (0, 0, 0, 1), inflationary=True, top_fixed=False
-        )
+        got = kernel((2, (0b11, 0b10), (0, 0, 0, 1)), inflationary=True, top_fixed=False)
         assert got == [(0, 1), (1, 1)]
 
     def test_top_fixed_drops_collapse(self):
-        got = _kernels.enumerate_operator_tables(
-            2, (0b11, 0b10), (0, 0, 0, 1), inflationary=False, top_fixed=True
-        )
+        got = kernel((2, (0b11, 0b10), (0, 0, 0, 1)), inflationary=False, top_fixed=True)
         assert (0, 1) in got and (1, 1) in got
         assert all(t[1] == 1 for t in got)
+
+    def test_each_index_checks_the_maximal_earlier_indices(self, star_poset):
+        # the cone's sieve lattice (the empty sieve, three atoms, three
+        # pairs, the base and the maximal sieve) and the star's H
+        for n, up, meet in (CONE, lattice_inputs(star_poset)):
+            _, _, checks, down = _kernels.operator_lattice(up, meet)
+            for i in range(n):
+                tops = [k for k in range(i) if not any(up[k] >> j & 1 for j in range(k + 1, i))]
+                assert checks[i] == [(k, meet[i * n + k]) for k in tops]
+                assert down[i] == sum(1 << k for k in range(n) if up[k] >> i & 1)
+        # an atom is checked against the atoms before it, a pair against the
+        # pairs before it and the atoms they miss, and the maximal sieve
+        # against the base alone, below it
+        checks = [[k for k, _ in c] for c in _kernels.operator_lattice(*CONE[1:])[2]]
+        assert checks == [[], [0], [1], [1, 2], [1, 2, 3], [3, 4], [4, 5], [4, 5, 6], [7]]
 
 
 class TestLiteralAgreement:
     @given(small_posets(), st.booleans(), st.booleans())
     @settings(max_examples=30, deadline=None)
     def test_same_tables_same_order_on_downset_lattices(self, poset, inflationary, top_fixed):
-        n, up, meet = lattice_inputs(poset)
-        assert _kernels.enumerate_operator_tables(
-            n, up, meet, inflationary=inflationary, top_fixed=top_fixed
-        ) == operator_tables_literal(n, up, meet, inflationary, top_fixed)
+        n, up, meet = inputs = lattice_inputs(poset)
+        assert kernel(inputs, None, inflationary, top_fixed) == operator_tables_literal(
+            n, up, meet, inflationary, top_fixed
+        )
 
     def test_every_flag_combination_on_the_star_and_a_cone(self, star_poset):
         for n, up, meet in (lattice_inputs(star_poset), CONE):
             for inflationary in (False, True):
                 for top_fixed in (False, True):
-                    got = _kernels.enumerate_operator_tables(
-                        n, up, meet, inflationary=inflationary, top_fixed=top_fixed
-                    )
+                    got = kernel((n, up, meet), None, inflationary, top_fixed)
                     assert got == operator_tables_literal(
                         n, up, meet, inflationary, top_fixed
                     )
                     assert got  # the identity always qualifies
 
 
-def kernel(inputs, allowed=None, inflationary=False, top_fixed=True):
-    n, up, meet = inputs
-    return _kernels.enumerate_operator_tables(
-        n, up, meet, inflationary=inflationary, top_fixed=top_fixed, allowed=allowed
-    )
+def census_kernel_calls(monkeypatch, poset):
+    """The distinct (up, meet, allowed) inputs, with the flags, that the
+    oracle LT census on ``poset`` passes to the kernel."""
+    raw = {}
+    calls = set()
+    prepare, search = census.operator_lattice, census.enumerate_operator_tables
+
+    def recorded_lattice(up, meet):
+        lattice = prepare(up, meet)
+        raw[id(lattice)] = (up, meet)
+        return lattice
+
+    def recorded_search(lattice, inflationary, top_fixed, allowed=None):
+        calls.add((*raw[id(lattice)], inflationary, top_fixed, allowed))
+        return search(lattice, inflationary, top_fixed, allowed)
+
+    monkeypatch.setattr(census, "operator_lattice", recorded_lattice)
+    monkeypatch.setattr(census, "enumerate_operator_tables", recorded_search)
+    assert len(census.enumerate_lts(poset, "oracle")) == 2 ** len(poset.points)
+    monkeypatch.undo()
+    return calls
+
+
+class TestTheCensusInputs:
+    """The kernel gives the literal search's tables, in its order, on the
+    inputs the census really feeds it."""
+
+    @pytest.mark.parametrize("name, distinct", [("cone5", 17), ("fan6", 35)])
+    def test_every_lt_census_input(self, monkeypatch, name, distinct):
+        calls = census_kernel_calls(monkeypatch, CENSUS_POSETS[name])
+        # the top's lattice and a two-sieve one on cone5, and a three-sieve
+        # one as well on fan6, under the masks that naturality allows
+        assert len(calls) == distinct
+        for up, meet, inflationary, top_fixed, allowed in calls:
+            assert (inflationary, top_fixed) == (False, True)
+            got = kernel((len(up), up, meet), allowed, inflationary, top_fixed)
+            assert got == operator_tables_literal(
+                len(up), up, meet, inflationary, top_fixed, allowed
+            )
+
+    @pytest.mark.parametrize("name", CENSUS_POSETS)
+    def test_the_downset_algebra(self, name):
+        inputs = lattice_inputs(CENSUS_POSETS[name])
+        got = kernel(inputs, None, inflationary=True, top_fixed=False)
+        assert len(got) == 2 ** len(CENSUS_POSETS[name].points)
+        assert got == operator_tables_literal(*inputs, True, False)
 
 
 class TestAllowed:
@@ -111,6 +178,7 @@ class TestAllowed:
             t for t in kernel(CONE) if all(allowed[i] >> v & 1 for i, v in enumerate(t))
         ]
         assert kernel(CONE, allowed) == expected
+        assert operator_tables_literal(*CONE, False, True, allowed) == expected
 
     def test_a_zero_mask_gives_nothing(self):
         n = CONE[0]

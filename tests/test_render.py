@@ -16,6 +16,8 @@ from fourtops.render import (
 )
 from fourtops.routes import complete_quad
 
+from .oracles import pile
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 
@@ -49,7 +51,7 @@ class TestZha:
     def test_every_label_round_trips(self, star):
         for w in render_zha(star).split():
             a, b = int(w[0]), int(w[1])
-            assert star.pile_code(star.pile(a, b)) == (a, b)
+            assert star.code_of_mask(pile(star, a, b)) == (a, b)
 
 
 class TestPanels:
