@@ -14,7 +14,7 @@ from importlib import import_module
 _HOMES = {
     "axioms": ("TestUniverse", "build_universe", "check_closure_axioms", "filter_check"),
     "census": ("enumerate_grotops", "enumerate_lts", "enumerate_nuclei"),
-    "classifier": ("OmegaObject", "omega"),
+    "classifier": ("omega",),
     "convert": (
         "closure_to_nucleus",
         "grotop_to_lt",
@@ -27,7 +27,6 @@ _HOMES = {
         "point_set_to_grotop",
     ),
     "heyting": (
-        "HeytingAlgebra",
         "Nucleus",
         "is_nucleus",
         "nucleus_from_point_set",

@@ -14,11 +14,11 @@ from functools import reduce
 from operator import and_
 
 from .classifier import omega
-from .errors import FunctorialityError, ShapeMismatch
+from .errors import DEFAULT_PAIR_CAP, FunctorialityError, ShapeMismatch
 from .heyting import AxiomFailure, CheckReport
 from .poset import DownSet, Poset, _downsets, enumerate_downsets, sieve_positions, sieve_restriction, sieves_on
 from .presheaf import ElementIndex, _pull_mask, _truth_values, terminal
-from .records import DEFAULT_PAIR_CAP, GrothendieckTopology
+from .records import GrothendieckTopology
 from .topology import ClosureOperator
 
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
@@ -117,10 +117,10 @@ def build_universe(
     om, one, square = omega(poset), terminal(poset), omega_square(poset)
     groups = (
         enumerate_downsets(poset),
-        _downsets(om.index.down, om.index.full),
+        _downsets(om.down, om.full),
         _downsets(square.down, square.full, omega_square_cap),
     )
-    codomains = (one, om.index, square)
+    codomains = (one, om, square)
     subobjects = tuple((c, mask) for c, masks in enumerate(groups) for mask in masks)
     rows, left = [], max(pair_cap, 0)
     for c, masks in enumerate(groups):

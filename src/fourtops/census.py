@@ -20,21 +20,15 @@ families and the endomaps import ``point_set_to_grotop`` and
 from __future__ import annotations
 
 from ._kernels import enumerate_operator_tables, operator_lattice
-from .errors import SizeCapExceeded
-from .heyting import (
-    DEFAULT_ORACLE_POINT_CAP,
-    HeytingAlgebra,
-    Nucleus,
-    algebra_of,
-    nucleus_from_point_set,
-)
-from .poset import Poset, _bits, _subsets, lattice_tables, sieve_restriction, sieves_on
+from .errors import DEFAULT_ORACLE_POINT_CAP, SizeCapExceeded
+from .heyting import Nucleus, nucleus_from_point_set
+from .poset import Poset, _bits, _subsets, enumerate_downsets, lattice_tables, sieve_restriction, sieves_on
 from .records import GrothendieckTopology, LTTopology, make_grotop
 
 
-def enumerate_nucleus_tables(algebra: HeytingAlgebra) -> list[tuple[int, ...]]:
+def enumerate_nucleus_tables(poset: Poset) -> list[tuple[int, ...]]:
     """Brute-force search for every table passing the nucleus axioms."""
-    lattice = operator_lattice(*lattice_tables(algebra.elements))
+    lattice = operator_lattice(*lattice_tables(enumerate_downsets(poset)))
     return enumerate_operator_tables(lattice, inflationary=True, top_fixed=False)
 
 
@@ -42,15 +36,13 @@ def enumerate_nuclei(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
     if mode == "formula":
-        algebra = algebra_of(poset)
-        return [nucleus_from_point_set(algebra, y) for y in _subsets(poset.points)]
+        return [nucleus_from_point_set(poset, y) for y in _subsets(poset.points)]
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     # the cap is read before the algebra, which has 2^n elements on n points
     if len(poset.points) > point_cap:
         raise SizeCapExceeded(f"oracle nucleus enumeration capped at {point_cap} points")
-    algebra = algebra_of(poset)
-    return [Nucleus(algebra, t) for t in enumerate_nucleus_tables(algebra)]
+    return [Nucleus(poset, t) for t in enumerate_nucleus_tables(poset)]
 
 
 def _linear_extension(poset: Poset) -> list[int]:

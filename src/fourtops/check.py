@@ -13,10 +13,9 @@ Nothing here imports ``fourtops.cli``: under ``python -m`` it is
 from __future__ import annotations
 
 from .commands import _downset_json, _read_input, _write_result
-from .errors import ParseError, _require_at_least
+from .errors import DEFAULT_PAIR_CAP, ParseError, _require_at_least
 from .heyting import is_nucleus
 from .poset import Poset
-from .records import DEFAULT_PAIR_CAP
 
 
 def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
@@ -40,8 +39,7 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
         f_report = filter_check(grotop)
         entry["filter_laws"] = f_report.report.ok
         entry["filter_generators"] = [_downset_json(poset, g.mask) for g in f_report.generators]
-        nucleus = grotop_to_nucleus(grotop)
-        entry["nucleus_axioms"] = is_nucleus(nucleus.algebra, nucleus.table).ok
+        entry["nucleus_axioms"] = is_nucleus(grotop_to_nucleus(grotop)).ok
         results.append(entry)
         all_ok = all_ok and all(
             v for k, v in entry.items() if isinstance(v, bool)

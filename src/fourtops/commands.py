@@ -27,10 +27,25 @@ import re
 import sys
 
 from .emit import _emit, emit_json, encode_basestring, encode_basestring_ascii
-from .errors import FourtopsError, ParseError, SizeCapExceeded, _require_at_least
-from .heyting import DEFAULT_ORACLE_POINT_CAP, Nucleus, algebra_of
-from .poset import Poset, TwoColumnGraph, _require_point_cap, sieve_positions, sieves_on
-from .records import STRUCTURE_KINDS, LTTopology, make_grotop
+from .errors import (
+    DEFAULT_ORACLE_POINT_CAP,
+    STRUCTURE_KINDS,
+    FourtopsError,
+    ParseError,
+    SizeCapExceeded,
+    _require_at_least,
+)
+from .heyting import Nucleus
+from .poset import (
+    Poset,
+    TwoColumnGraph,
+    _require_point_cap,
+    downset_positions,
+    enumerate_downsets,
+    sieve_positions,
+    sieves_on,
+)
+from .records import LTTopology, make_grotop
 
 
 class InputSpec:
@@ -133,7 +148,9 @@ def parse_input(text: str) -> InputSpec:
     :func:`_realize_structure` then builds and checks.  Construction errors
     in the text grammar (cycles, bad piles, same-column cross arrows) surface
     as ParseError with the position of the form that caused them.  Both
-    readers refuse a poset over the point cap before they build it.
+    readers refuse a poset over the point cap before they build it, and
+    refuse a repeated form: a second poset or structure form in the text, a
+    repeated key in the JSON.
     """
     if text.lstrip().startswith("{"):
         from .json_input import _parse_json_input
@@ -154,6 +171,11 @@ def parse_input(text: str) -> InputSpec:
 def _parse_text(p: _Parser) -> InputSpec:
     spec: InputSpec | None = None
     while p.peek() is not None:
+        # a repeated form would silently replace the one before it
+        if spec is not None and p.peek() in ("2cg", "poset"):
+            raise p.error("a second poset or 2cg form: an input holds one")
+        if spec is not None and spec.kind is not None and p.peek() in (*STRUCTURE_KINDS, "j"):
+            raise p.error("a second structure form: an input holds at most one")
         head = p.take()
         if head == "2cg":
             p.take("p")
@@ -288,10 +310,7 @@ def _realize_structure(spec: InputSpec) -> None:
         for u in raw:
             poset.index(u)
     if spec.kind == "nucleus":
-        algebra = algebra_of(poset)
-        spec.payload = Nucleus(
-            algebra, _table(poset, raw, algebra.pos, "the down-set algebra")
-        )
+        spec.payload = Nucleus(poset, _table(poset, raw, downset_positions(poset), "the down-set algebra"))
     elif spec.kind == "lt":
         rows = []
         for u in poset.points:
@@ -393,7 +412,7 @@ def census_json(spec: InputSpec, kind: str, items: list) -> str:
 
     points = poset.points
     if kind == "nucleus":
-        masks = algebra_of(poset).elements
+        masks = enumerate_downsets(poset)
         order = by_names(masks)
         tables = [[row(masks[k], masks[v.table[k]]) for k in order] for v in items]
     else:

@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .classifier import chi_tables, omega
 from .errors import InvalidTopology
-from .poset import Poset, _bits, _subsets, sieve_positions
+from .poset import Poset, _bits, _subsets, downset_positions, enumerate_downsets, sieve_positions
 from .presheaf import terminal
 from .records import GrothendieckTopology, LTTopology
 
@@ -32,7 +32,7 @@ from .records import GrothendieckTopology, LTTopology
 # patched one reaches every route; ``nucleus_from_point_set``,
 # ``point_set_of_nucleus`` and ``j_from_closure`` live beside their faces and
 # are looked up here too
-from .heyting import Nucleus, algebra_of, nucleus_from_point_set, point_set_of_nucleus
+from .heyting import Nucleus, nucleus_from_point_set, point_set_of_nucleus
 from .topology import ClosureOperator, j_from_closure
 
 
@@ -69,9 +69,8 @@ def grotop_to_point_set(j: GrothendieckTopology) -> frozenset:
 
 def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
     """A sieve covers u when u lands in the sieve's closure under the nucleus."""
-    algebra = n.algebra
-    poset = algebra.poset
-    els, pos, table = algebra.elements, algebra.pos, n.table
+    poset, table = n.poset, n.table
+    els, pos = enumerate_downsets(poset), downset_positions(poset)
     covers = []
     for i, u in enumerate(poset.points):
         covers.append(tuple(m for m in sieve_positions(poset, u) if els[table[pos[m]]] >> i & 1))
@@ -81,21 +80,21 @@ def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
 def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
     """Closure of S collects the points u with S-restricted-to-u covering u."""
     poset = j.poset
-    algebra = algebra_of(poset)
+    pos = downset_positions(poset)
     per_point = [
         (1 << i, poset.down_mask_at(i), frozenset(fam)) for i, fam in enumerate(j.covers)
     ]
     table = []
     try:
-        for s in algebra.elements:
+        for s in pos:
             mask = 0
             for bit, down, fam in per_point:
                 if s & down in fam:
                     mask |= bit
-            table.append(algebra.pos[mask])
+            table.append(pos[mask])
     except KeyError:
         raise InvalidTopology(_UNSTABLE) from None
-    return Nucleus(algebra, tuple(table))
+    return Nucleus(poset, tuple(table))
 
 
 # -- nucleus -> classifier endomap ------------------------------------------
@@ -103,9 +102,8 @@ def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
 
 def nucleus_to_lt(n: Nucleus) -> LTTopology:
     """Truncate the nucleus to each point's sieve lattice."""
-    algebra = n.algebra
-    poset = algebra.poset
-    els, pos, table = algebra.elements, algebra.pos, n.table
+    poset, table = n.poset, n.table
+    els, pos = enumerate_downsets(poset), downset_positions(poset)
     tables = []
     for i, u in enumerate(poset.points):
         down_u = poset.down_mask_at(i)
@@ -179,9 +177,9 @@ def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
     closure's truth-value.
     """
     poset = clop.poset
-    algebra = algebra_of(poset)
+    pos = downset_positions(poset)
     closed = clop.closures(terminal(poset))
-    return Nucleus(algebra, tuple(algebra.pos[closed[s]] for s in algebra.elements))
+    return Nucleus(poset, tuple(pos[closed[s]] for s in pos))
 
 
 # -- point sets -> classifier endomaps ------------------------------------------
@@ -190,5 +188,4 @@ def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
 def formula_lts(poset: Poset) -> list[LTTopology]:
     """The endomap of each point set, in ``_subsets`` order: the formula
     mode of ``census.enumerate_lts``."""
-    algebra = algebra_of(poset)
-    return [nucleus_to_lt(nucleus_from_point_set(algebra, y)) for y in _subsets(poset.points)]
+    return [nucleus_to_lt(nucleus_from_point_set(poset, y)) for y in _subsets(poset.points)]

@@ -21,10 +21,8 @@ from .commands import (
     poset_json,
 )
 from .emit import emit_json
-from .errors import ParseError
-from .heyting import algebra_of
-from .poset import DownSet, Poset, TwoColumnGraph, sieves_on
-from .records import STRUCTURE_KINDS
+from .errors import STRUCTURE_KINDS, ParseError
+from .poset import DownSet, Poset, TwoColumnGraph, enumerate_downsets, sieves_on
 
 # The route module, the presheaf layer and the panel renderers are imported
 # where they run, so each command compiles only the ones it uses.
@@ -63,7 +61,7 @@ def structure_text(spec: InputSpec, kind: str, value) -> str:
     if kind == "y":
         return "y { " + " ".join(str(u) for u in poset.points if u in value) + " }"
     if kind == "nucleus":
-        els = value.algebra.elements
+        els = enumerate_downsets(poset)
         rows = "; ".join(
             f"{_downset_str(spec, s)} -> {_downset_str(spec, els[t])}"
             for s, t in zip(els, value.table)
@@ -96,7 +94,7 @@ def structure_json(poset: Poset, kind: str, value) -> dict:
     if kind == "y":
         return {"kind": "y", "members": sorted(str(u) for u in value)}
     if kind == "nucleus":
-        return {"kind": "nucleus", "table": rows(value.algebra.elements, value.table)}
+        return {"kind": "nucleus", "table": rows(enumerate_downsets(poset), value.table)}
     if kind == "grotop":
         covers = [
             [str(u), sorted(_downset_json(poset, m) for m in value.covers[i])]
@@ -118,11 +116,11 @@ def cmd_show(args, out) -> int:
     spec = _read_input(args)
     poset = spec.poset
     if args.what == "h":
-        algebra = algebra_of(poset)
+        h = enumerate_downsets(poset)
         if args.json:
-            _write_result(out, spec, {"h": [_downset_json(poset, s) for s in algebra.elements]})
+            _write_result(out, spec, {"h": [_downset_json(poset, s) for s in h]})
         else:
-            out.write(" ".join(_downset_str(spec, s) for s in algebra.elements) + "\n")
+            out.write(" ".join(_downset_str(spec, s) for s in h) + "\n")
         return 0
     if args.what == "omega":
         rows = [

@@ -1,73 +1,37 @@
-"""The Heyting algebra of down-sets and nuclei.
+"""Nuclei on the Heyting algebra H of down-sets, and axiom reports.
 
-A nucleus is an inflationary, idempotent, binary-meet-preserving endomap of
-the down-set algebra.  Every subset Y of the points induces one via
-``S -> interior(Q | S)`` where Q is the complement of Y, and every nucleus
-arises this way.
+H is read off the poset: its elements are ``enumerate_downsets(poset)``
+and ``downset_positions(poset)`` maps each to its index.  A nucleus is an
+inflationary, idempotent, binary-meet-preserving endomap of H.  Every
+subset Y of the points induces one via ``S -> interior(Q | S)`` where Q is
+the complement of Y, and every nucleus arises this way.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable
 
-# the oracle point cap lives in ``errors``, which the CLI's parser reads
-# alone; the census and ``enumerate`` read it here
-from .errors import DEFAULT_ORACLE_POINT_CAP, NotElement
-from .poset import DownSet, Poset, enumerate_downsets, interior_mask
-
-
-class HeytingAlgebra:
-    """All down-sets of a poset, ordered by inclusion: ``elements`` holds
-    their masks and ``pos`` maps a mask to its index; ``element`` gives the
-    :class:`DownSet` of a mask, as failure witnesses name it."""
-
-    __slots__ = ("poset", "elements", "pos", "_hash")
-
-    def __init__(self, poset: Poset):
-        self.poset = poset
-        self.elements = enumerate_downsets(poset)
-        self.pos = {m: i for i, m in enumerate(self.elements)}
-        self._hash = hash(poset)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HeytingAlgebra) and self.poset == other.poset
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def element(self, mask: int) -> DownSet:
-        if mask not in self.pos:
-            raise NotElement(f"mask {mask:#x} is not down-closed here")
-        return DownSet(self.poset, mask)
-
-
-@lru_cache(maxsize=4)
-def algebra_of(poset: Poset) -> HeytingAlgebra:
-    """The down-set algebra, built once per poset and kept, like ``omega``,
-    while the poset is among the last few in use."""
-    return HeytingAlgebra(poset)
+from .errors import NotElement
+from .poset import DownSet, Poset, downset_positions, enumerate_downsets, interior_mask
 
 
 class Nucleus:
-    """A total table on a down-set algebra, stored by element index."""
+    """A total table on the down-set algebra of a poset, stored by the index
+    of each down-set in ``enumerate_downsets``."""
 
-    __slots__ = ("algebra", "table")
+    __slots__ = ("poset", "table")
 
-    def __init__(self, algebra: HeytingAlgebra, table: tuple[int, ...]):
-        self.algebra = algebra
+    def __init__(self, poset: Poset, table: tuple[int, ...]):
+        self.poset = poset
         self.table = table
 
     def __eq__(self, other) -> bool:
         if other.__class__ is not Nucleus:
             return NotImplemented
-        return (self.algebra, self.table) == (other.algebra, other.table)
+        return (self.poset, self.table) == (other.poset, other.table)
 
     def __hash__(self) -> int:
-        return hash((self.algebra, self.table))
+        return hash((self.poset, self.table))
 
 
 class AxiomFailure:
@@ -142,41 +106,41 @@ def operator_failures(
     return idem, None
 
 
-def is_nucleus(algebra: HeytingAlgebra, table: tuple[int, ...]) -> CheckReport:
+def is_nucleus(nucleus: Nucleus) -> CheckReport:
     """Check the three nucleus axioms, reporting a witness per failure."""
-    els = algebra.elements
+    poset, table = nucleus.poset, nucleus.table
+    els = enumerate_downsets(poset)
     n = len(els)
     failures = []
     if len(table) != n or any(not 0 <= v < n for v in table):
         raise NotElement("table is not a total map on the algebra")
     bad_inflation = next((i for i in range(n) if els[i] & ~els[table[i]]), None)
     if bad_inflation is not None:
-        failures.append(AxiomFailure("inflationary", (algebra.element(els[bad_inflation]),)))
-    idem, meet = operator_failures(els, algebra.pos, table)
+        failures.append(AxiomFailure("inflationary", (DownSet(poset, els[bad_inflation]),)))
+    idem, meet = operator_failures(els, downset_positions(poset), table)
     if idem is not None:
-        failures.append(AxiomFailure("idempotent", (algebra.element(els[idem]),)))
+        failures.append(AxiomFailure("idempotent", (DownSet(poset, els[idem]),)))
     if meet is not None:
-        witness = tuple(algebra.element(els[k]) for k in meet)
+        witness = tuple(DownSet(poset, els[k]) for k in meet)
         failures.append(AxiomFailure("meet-preserving", witness))
     return CheckReport("nucleus axioms", tuple(failures))
 
 
-def nucleus_from_point_set(algebra: HeytingAlgebra, kept: Iterable) -> Nucleus:
+def nucleus_from_point_set(poset: Poset, kept: Iterable) -> Nucleus:
     """Nucleus induced by a point set Y: S -> interior(Q | S), Q the complement."""
-    poset = algebra.poset
+    pos = downset_positions(poset)
     q_mask = poset.full_mask & ~poset.mask_of(kept)
-    table = tuple(algebra.pos[interior_mask(poset, q_mask | s)] for s in algebra.elements)
-    return Nucleus(algebra, table)
+    return Nucleus(poset, tuple(pos[interior_mask(poset, q_mask | s)] for s in pos))
 
 
 def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
     """The points where the nucleus separates ``down u`` from ``strictly-down u``."""
-    algebra = nucleus.algebra
-    poset = algebra.poset
+    poset = nucleus.poset
+    pos = downset_positions(poset)
     out = []
     for i, u in enumerate(poset.points):
-        full = algebra.pos[poset.down_mask_at(i)]
-        strict = algebra.pos[poset.down_mask_at(i) & ~(1 << i)]
+        full = pos[poset.down_mask_at(i)]
+        strict = pos[poset.down_mask_at(i) & ~(1 << i)]
         if nucleus.table[full] != nucleus.table[strict]:
             out.append(u)
     return frozenset(out)

@@ -15,9 +15,20 @@ from .errors import ParseError
 from .poset import Poset, TwoColumnGraph, _require_point_cap
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A decoded JSON object, ParseError if it repeats a key: ``json`` keeps
+    the last of the repeats, so the answer would hang on their order."""
+    seen = set()
+    for key, _ in pairs:
+        if key in seen:
+            raise ParseError(f"JSON object repeats the key {key!r}")
+        seen.add(key)
+    return dict(pairs)
+
+
 def _parse_json_input(text: str) -> InputSpec:
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"bad JSON: {e}") from None
     if not isinstance(data, dict) or not isinstance(data.get("poset"), dict):

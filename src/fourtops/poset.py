@@ -236,6 +236,13 @@ def enumerate_downsets(poset: Poset) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
+def downset_positions(poset: Poset) -> dict:
+    """Mask -> index into :func:`enumerate_downsets`: with it, the down-set
+    algebra H, whose elements a nucleus table indexes."""
+    return {m: k for k, m in enumerate(enumerate_downsets(poset))}
+
+
+@lru_cache(maxsize=None)
 def sieves_on(poset: Poset, u: PointId) -> tuple[int, ...]:
     """The masks of all sieves on u: down-sets of the ambient poset contained
     in ``down u``.

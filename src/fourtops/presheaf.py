@@ -3,7 +3,7 @@ row loop.
 
 The package uses three presheaves, all read off the poset and its sieve
 index: the terminal 1 (``terminal``), the classifier Ω
-(``classifier.OmegaObject``) and Ω×Ω (``axioms.omega_square``).  Each is
+(``classifier.omega``) and Ω×Ω (``axioms.omega_square``).  Each is
 held only as its element index: element (u, k) is position k in the
 component at u, points in order and positions in order.  A sub-presheaf is
 exactly a down-closed mask over that index, and a map between presheaves is
@@ -27,7 +27,8 @@ class ElementIndex:
     ``point[k]`` is the point index of element k; ``rows[k]`` holds one
     (point bit, element bit) pair per point v below u, the element bit
     marking the image of element k at v; ``down[k]`` is the mask of the
-    smallest sub-presheaf containing element k.
+    smallest sub-presheaf containing element k; ``offset[i]`` is the first
+    element at point i, and ``offset[-1]`` the number of elements.
 
     The elements grouped by truth value against a mask (see
     :meth:`truth_groups`) depend on no topology, so they are kept here for
@@ -35,7 +36,7 @@ class ElementIndex:
     closure has already found down-closed.
     """
 
-    __slots__ = ("poset", "point", "rows", "down", "full", "width", "_groups", "passed")
+    __slots__ = ("poset", "point", "rows", "down", "offset", "full", "width", "_groups", "passed")
 
     def __init__(
         self,
@@ -47,7 +48,7 @@ class ElementIndex:
         position at v of the restriction of position k at u, for each point
         v below u, u itself among them."""
         points = poset.points
-        offset = tuple(accumulate(sizes, initial=0))
+        self.offset = offset = tuple(accumulate(sizes, initial=0))
         self.poset = poset
         self.full = (1 << offset[-1]) - 1
         self.width = len(points)

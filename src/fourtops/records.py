@@ -9,9 +9,6 @@ checkers live in ``topology``.
 
 from __future__ import annotations
 
-# the CLI's parser reads these two from ``errors``, which imports nothing;
-# the command handlers and the closure-law universe read them here
-from .errors import DEFAULT_PAIR_CAP, STRUCTURE_KINDS
 from .poset import DownSet, Poset, downset_sort_key, sieve_positions
 
 

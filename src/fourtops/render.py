@@ -12,7 +12,7 @@ from typing import TYPE_CHECKING
 
 from .errors import IncoherentQuad
 from .heyting import Nucleus
-from .poset import TwoColumnGraph, sieves_on
+from .poset import TwoColumnGraph, enumerate_downsets, sieves_on
 from .records import GrothendieckTopology, LTTopology
 
 if TYPE_CHECKING:
@@ -155,7 +155,7 @@ def render_grotop(g: TwoColumnGraph, j: GrothendieckTopology) -> str:
 
 def render_nucleus(g: TwoColumnGraph, nucleus: Nucleus) -> str:
     """The full lattice slashed by the nucleus's fibers."""
-    classes = dict(zip(nucleus.algebra.elements, nucleus.table))
+    classes = dict(zip(enumerate_downsets(nucleus.poset), nucleus.table))
     return "\n".join(_panel(g, set(classes), classes=classes))
 
 

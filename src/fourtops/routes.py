@@ -52,7 +52,7 @@ class Quad:
 
     @property
     def poset(self) -> Poset:
-        return self.nucleus.algebra.poset
+        return self.nucleus.poset
 
 
 def complete_quad(
@@ -77,7 +77,7 @@ def complete_quad(
         kept = frozenset(y)
         _ = [poset.index(u) for u in kept]
     elif nucleus is not None:
-        report = is_nucleus(nucleus.algebra, nucleus.table)
+        report = is_nucleus(nucleus)
         if not report.ok:
             raise InvalidNucleus(report.summary())
         kept = convert.point_set_of_nucleus(nucleus)
@@ -202,7 +202,7 @@ def route_row(poset: Poset, kept: frozenset) -> tuple:
             out = memo[key] = conversion(value)
         return out
 
-    n = convert.nucleus_from_point_set(convert.algebra_of(poset), kept)
+    n = convert.nucleus_from_point_set(poset, kept)
     j = convert.point_set_to_grotop(poset, kept)
     lt = convert.nucleus_to_lt(n)
     clop = ClosureOperator(lt)

@@ -121,7 +121,8 @@ def j_from_closure(clop: ClosureOperator) -> LTTopology:
     classifier's element masks: FunctorialityError if that closure is not a
     sub-presheaf."""
     om = omega(clop.poset)
-    closed = clop.closures(om.index)[om.true_mask]
+    # the true map sends each point to its maximal sieve, the last element there
+    closed = clop.closures(om)[sum(1 << (end - 1) for end in om.offset[1:])]
     return LTTopology(clop.poset, chi_tables(om, closed))
 
 

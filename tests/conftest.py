@@ -2,7 +2,6 @@ from itertools import combinations
 
 import pytest
 
-from fourtops.heyting import HeytingAlgebra
 from fourtops.poset import Poset, TwoColumnGraph, star_graph
 
 
@@ -15,11 +14,6 @@ def star():
 @pytest.fixture(scope="session")
 def star_poset(star):
     return star.poset()
-
-
-@pytest.fixture(scope="session")
-def star_algebra(star_poset):
-    return HeytingAlgebra(star_poset)
 
 
 @pytest.fixture(scope="session")

@@ -45,7 +45,7 @@ subterminal inclusion, the identity, the bang, the identity endomap, the
 smallest and largest covering families, the equalizer, the element
 down-sets, the truth-value ``cst`` of a subterminal and the exhaustive list
 of natural maps, which only the tests read.  The down-set operations that no
-command runs are functions on masks here: the algebra's bottom, top,
+command runs are functions of a poset and masks here: its down-set algebra's bottom, top,
 index, meet, join and implication, a nucleus's or an LT topology's value
 on a down-set, the covers at a point, a two-column graph's pile, and
 membership, inclusion and size.  The literal oracle searches at the end
@@ -857,15 +857,15 @@ def closure_to_nucleus_composite(clop):
     """Nucleus of a closure operator through presheaf objects: each subterminal
     inclusion into the terminal is closed with ``closure_of_composite`` and
     its truth-value read with ``cst``."""
-    from fourtops.heyting import Nucleus, algebra_of
+    from fourtops.heyting import Nucleus
+    from fourtops.poset import enumerate_downsets
 
-    algebra = algebra_of(clop.poset)
     one = terminal_presheaf(clop.poset)
     table = []
-    for s in algebra.elements:
+    for s in enumerate_downsets(clop.poset):
         closed = closure_of_composite(clop, subterminal_inclusion(one, s))
-        table.append(algebra_index(algebra, cst(closed.dom).mask))
-    return Nucleus(algebra, tuple(table))
+        table.append(algebra_index(clop.poset, cst(closed.dom).mask))
+    return Nucleus(clop.poset, tuple(table))
 
 
 def lt_from_morphism(m):
@@ -959,9 +959,8 @@ def natural_endomaps(poset):
     from fourtops.poset import _downsets
     from fourtops.records import LTTopology
 
-    om = omega(poset)
-    index = om.index
-    return [LTTopology(poset, chi_tables(om, m)) for m in _downsets(index.down, index.full)]
+    index = omega(poset)
+    return [LTTopology(poset, chi_tables(index, m)) for m in _downsets(index.down, index.full)]
 
 
 def grotop_inclusion(j):
@@ -1038,13 +1037,12 @@ def build_universe_literal(poset, pair_cap=5000, omega_square_cap=24):
     the subobjects of Ω and of Ω², pairs of inclusions, and map pairs of a
     bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
     order (``direct_subobjects``)."""
-    from fourtops.heyting import algebra_of
+    from fourtops.poset import enumerate_downsets
 
     om = omega_presheaf(poset)
-    algebra = algebra_of(poset)
     one = terminal_presheaf(poset)
     square = product(om, om)
-    subterminals = [subterminal_inclusion(one, s) for s in algebra.elements]
+    subterminals = [subterminal_inclusion(one, s) for s in enumerate_downsets(poset)]
     objects = [subterminals, direct_subobjects(om), direct_subobjects(square, limit=omega_square_cap)]
     inclusions = tuple(f for group in objects for f in group)
     all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])
@@ -1301,39 +1299,48 @@ def top_composite(b):
 # -- the down-set operations no command runs, on masks ------------------------
 
 
-def algebra_index(algebra, mask):
-    """The index of the down-set ``mask`` among the algebra's elements."""
+def algebra_index(poset, mask):
+    """The index of the down-set ``mask`` among the elements of the poset's
+    down-set algebra, found by a search of the enumerator's list."""
     from fourtops.errors import NotElement
+    from fourtops.poset import enumerate_downsets
 
-    if mask not in algebra.pos:
+    elements = enumerate_downsets(poset)
+    if mask not in elements:
         raise NotElement(f"mask {mask:#x} is not an element of this algebra")
-    return algebra.pos[mask]
+    return elements.index(mask)
 
 
-def algebra_bottom(algebra):
-    return algebra.elements[0]
+def algebra_bottom(poset):
+    from fourtops.poset import enumerate_downsets
+
+    return enumerate_downsets(poset)[0]
 
 
-def algebra_top(algebra):
-    return algebra.elements[-1]
+def algebra_top(poset):
+    from fourtops.poset import enumerate_downsets
+
+    return enumerate_downsets(poset)[-1]
 
 
-def algebra_meet(algebra, r, s):
-    algebra_index(algebra, r), algebra_index(algebra, s)
+def algebra_meet(poset, r, s):
+    algebra_index(poset, r), algebra_index(poset, s)
     return r & s
 
 
-def algebra_join(algebra, r, s):
-    algebra_index(algebra, r), algebra_index(algebra, s)
+def algebra_join(poset, r, s):
+    algebra_index(poset, r), algebra_index(poset, s)
     return r | s
 
 
-def algebra_imp(algebra, r, s):
+def algebra_imp(poset, r, s):
     """The largest down-set t with t meet r inside s: the union of every
     such t among the algebra's elements."""
-    algebra_index(algebra, r), algebra_index(algebra, s)
+    from fourtops.poset import enumerate_downsets
+
+    algebra_index(poset, r), algebra_index(poset, s)
     out = 0
-    for t in algebra.elements:
+    for t in enumerate_downsets(poset):
         if t & r & ~s == 0:
             out |= t
     return out
@@ -1341,8 +1348,9 @@ def algebra_imp(algebra, r, s):
 
 def nucleus_apply(nucleus, mask):
     """The down-set the nucleus sends the down-set ``mask`` to."""
-    algebra = nucleus.algebra
-    return algebra.elements[nucleus.table[algebra_index(algebra, mask)]]
+    from fourtops.poset import enumerate_downsets
+
+    return enumerate_downsets(nucleus.poset)[nucleus.table[algebra_index(nucleus.poset, mask)]]
 
 
 def lt_apply(lt, u, mask):
@@ -1578,7 +1586,6 @@ def route_reports_literal(poset):
     from fourtops.poset import _subsets, sieves_on
     from fourtops.routes import InstanceVerdict, RouteReport
 
-    algebra = convert.algebra_of(poset)
     subsets = _subsets(poset.points)
 
     def label(y):
@@ -1587,7 +1594,7 @@ def route_reports_literal(poset):
     roundtrips = []
     for y in subsets:
         kept = frozenset(y)
-        n = convert.nucleus_from_point_set(algebra, kept)
+        n = convert.nucleus_from_point_set(poset, kept)
         j = convert.point_set_to_grotop(poset, kept)
         lt = convert.nucleus_to_lt(n)
         clop = convert.ClosureOperator(lt)
@@ -1616,7 +1623,7 @@ def route_reports_literal(poset):
 
     truncation = []
     for y in subsets:
-        n = convert.nucleus_from_point_set(algebra, y)
+        n = convert.nucleus_from_point_set(poset, y)
         direct = convert.nucleus_to_lt(n)
         via_covers = convert.grotop_to_lt(convert.nucleus_to_grotop(n))
         agrees = direct == via_covers
@@ -1626,7 +1633,7 @@ def route_reports_literal(poset):
     closure = []
     for y in subsets:
         clop = convert.ClosureOperator(
-            convert.nucleus_to_lt(convert.nucleus_from_point_set(algebra, y))
+            convert.nucleus_to_lt(convert.nucleus_from_point_set(poset, y))
         )
         direct = convert.closure_to_nucleus(clop)
         via = convert.grotop_to_nucleus(convert.lt_to_grotop(convert.j_from_closure(clop)))
@@ -1636,7 +1643,7 @@ def route_reports_literal(poset):
 
     topmost = []
     for y in subsets:
-        tables = convert.nucleus_to_lt(convert.nucleus_from_point_set(algebra, y)).tables
+        tables = convert.nucleus_to_lt(convert.nucleus_from_point_set(poset, y)).tables
         grotop = convert.point_set_to_grotop(poset, y)
         agrees = True
         detail = ""
@@ -1687,7 +1694,7 @@ def cross_configurations_literal(p, q):
 def structure_json_literal(poset, kind, value):
     """The JSON form of one structure, each row's names sorted anew and a
     nucleus read through ``nucleus_apply``."""
-    from fourtops.poset import sieves_on
+    from fourtops.poset import enumerate_downsets, sieves_on
 
     def names(mask):
         return sorted(str(u) for u in poset.names_of(mask))
@@ -1696,7 +1703,7 @@ def structure_json_literal(poset, kind, value):
         return {"kind": "y", "members": sorted(str(u) for u in value)}
     if kind == "nucleus":
         table = [
-            [names(s), names(nucleus_apply(value, s))] for s in value.algebra.elements
+            [names(s), names(nucleus_apply(value, s))] for s in enumerate_downsets(poset)
         ]
         return {"kind": "nucleus", "table": sorted(table)}
     if kind == "grotop":

@@ -84,13 +84,13 @@ class TestOmega:
         assert codes(star, om.sets["1_"]) == {"00", "10"}
         assert codes(star, om.sets["_1"]) == {"00", "01"}
         # the package's classifier has the same component sizes
-        point = omega(P).index.point
+        point = omega(P).point
         assert [point.count(i) for i in range(len(P.points))] == [len(om.sets[u]) for u in P.points]
 
     def test_one_point_classifier_is_two_valued(self):
         P1 = Poset(["u"])
         assert len(omega_presheaf(P1).sets["u"]) == 2
-        assert omega(P1).index.point == (0, 0)
+        assert omega(P1).point == (0, 0)
 
     def test_restriction_is_meet_with_down(self, P, om):
         for (u, v) in P.arrows:
@@ -102,7 +102,7 @@ class TestOmega:
         package = omega(P)
         for i, u in enumerate(P.points):
             for k, s in enumerate(sieves_on(P, u)):
-                row = dict(package.index.rows[package.offset[i] + k])
+                row = dict(package.rows[package.offset[i] + k])
                 below = [j for j, v in enumerate(P.points) if P.above(u, v)]
                 assert sorted(row) == [1 << j for j in below]
                 for j in below:
@@ -131,9 +131,12 @@ class TestTrueMap:
             assert inc.dom.sets[u] == {DownSet(P, P.down_mask(u))}
 
     def test_true_mask_is_the_image_of_the_true_map(self, sweep_classes):
+        """The last element at each point of Ω's index is the image of the
+        true map there."""
         for poset in sweep_classes:
             positions = direct_positions(omega_presheaf(poset))
-            assert omega(poset).true_mask == permute_mask(positions, can(true_map(poset)).mask)
+            true_mask = sum(1 << (end - 1) for end in omega(poset).offset[1:])
+            assert true_mask == permute_mask(positions, can(true_map(poset)).mask)
 
 
 class TestChiSigma:

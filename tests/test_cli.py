@@ -705,14 +705,16 @@ def test_oracle_nuclei_over_the_cap_build_no_downset(capsys):
 
 def test_check_axioms_enumerates_the_downsets_once():
     """``H`` and the closure-law universe share one cache entry for the
-    poset's down-sets, and the classifier's subobjects add none."""
-    from fourtops.heyting import algebra_of
-    from fourtops.poset import enumerate_downsets
+    poset's down-sets, and the classifier's subobjects add none; H's index
+    is built once on them."""
+    from fourtops.poset import downset_positions, enumerate_downsets
 
     enumerate_downsets.cache_clear()
-    algebra_of.cache_clear()
+    downset_positions.cache_clear()
     assert run("check", "axioms", "-t", STAR)[0] == 0
     info = enumerate_downsets.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    info = downset_positions.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
 
 
@@ -1161,6 +1163,38 @@ def test_a_source_listed_twice_is_refused(kind, form, where, capsys):
     family = "the down-set algebra" if kind == "nucleus" else "the sieves on '1_'"
     assert run("convert", "--from", kind, "--to", "y", "-t", bad) == (2, "")
     assert capsys.readouterr().err == f"error: table lists source {{}} twice on {family}\n"
+
+
+REPEATED_FORMS = {
+    "structure-text": (
+        ("fouruple", "--from", "y", "-t", "2cg p=1 q=1\ny { 1_ }\ny { _1 }"),
+        "a second structure form: an input holds at most one (line 3, column 1)",
+    ),
+    "poset-text": (
+        ("show", "h", "-t", "2cg p=1 q=1 poset { points: a ; arrows: }"),
+        "a second poset or 2cg form: an input holds one (line 1, column 13)",
+    ),
+    "structure-json": (
+        (
+            "fouruple",
+            "--from",
+            "y",
+            "-t",
+            '{"poset": {"kind": "2cg", "p": 1, "q": 1}, "structure": {"kind": "y", "members": ["1_"]},'
+            ' "structure": {"kind": "y", "members": ["_1"]}}',
+        ),
+        "JSON object repeats the key 'structure'",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, message", REPEATED_FORMS.values(), ids=REPEATED_FORMS.keys())
+def test_a_repeated_form_is_refused(argv, message, capsys):
+    """A second poset or structure form, or a repeated JSON key, would
+    replace the one before it, so the answer would hang on their order:
+    exit 2 with one error line at the repeat."""
+    assert run(*argv) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # -- the JSON writer ----------------------------------------------------------------
@@ -1665,12 +1699,13 @@ def test_readme_library_quick_tour_gives_its_commented_values():
 
 # The eager export list of the package before its names were loaded lazily,
 # less the four presheaf helpers that only the tests read (tests/oracles.py),
-# the library-only slashing, modality and down-set wrappers (REMOVED), the
-# validated presheaf-map calculus and the label-built presheaves (MOVED).
+# the library-only slashing, modality and down-set wrappers and the
+# wrappers of H and Ω (REMOVED), the validated presheaf-map calculus and the
+# label-built presheaves (MOVED).
 EXPORTS = set(
     """
-    ClosureOperator DownSet GrothendieckTopology HeytingAlgebra
-    LTTopology Nucleus OmegaObject Poset Quad TestUniverse
+    ClosureOperator DownSet GrothendieckTopology
+    LTTopology Nucleus Poset Quad TestUniverse
     TwoColumnGraph build_universe check_closure_axioms check_routes
     closure_to_nucleus complete_quad enumerate_downsets enumerate_grotops
     enumerate_lts enumerate_nuclei filter_check grotop_to_lt
@@ -1716,9 +1751,11 @@ MOVED = {
     "errors": ("UnknownElement", "NaturalityError", "NotMonic", "NotInclusion", "NotSubterminal"),
 }
 
-# Names that no command, route check or test oracle reached, deleted from
-# the module that defined them: the nucleus table is the one slashing, and
-# the package works on down-set masks (down_mask, mask_of, interior_mask).
+# Names deleted from the module that defined them, since no command, route
+# check or test oracle needs them: the nucleus table is the one slashing, the
+# package works on down-set masks (down_mask, mask_of, interior_mask), and
+# H and Ω are indexes read off the poset (enumerate_downsets with
+# downset_positions, and omega's element index).
 REMOVED = {
     "heyting": (
         "Slashing",
@@ -1727,8 +1764,11 @@ REMOVED = {
         "slashing_from_nucleus",
         "slashings_agree",
         "modality_on_downset",
+        "HeytingAlgebra",
+        "algebra_of",
     ),
     "poset": ("down_closure", "down_of_point", "strict_down", "interior"),
+    "classifier": ("OmegaObject",),
 }
 
 

@@ -28,19 +28,13 @@ from fourtops.errors import (
     InvalidTopology,
     SizeCapExceeded,
 )
-from fourtops.heyting import (
-    HeytingAlgebra,
-    Nucleus,
-    algebra_of,
-    is_nucleus,
-    nucleus_from_point_set,
-    point_set_of_nucleus,
-)
+from fourtops.heyting import Nucleus, is_nucleus, nucleus_from_point_set, point_set_of_nucleus
 from fourtops.poset import (
     DownSet,
     Poset,
     TwoColumnGraph,
     _subsets,
+    downset_positions,
     enumerate_downsets,
     sieves_on,
     star_graph,
@@ -76,8 +70,8 @@ def P(star):
 
 
 @pytest.fixture(scope="module")
-def algebra(P):
-    return HeytingAlgebra(P)
+def elements(P):
+    return enumerate_downsets(P)
 
 
 @pytest.fixture(scope="module")
@@ -158,37 +152,37 @@ class TestPointSetGrotop:
 
 
 class TestNucleusGrotop:
-    def test_identity_nucleus_gives_smallest(self, P, algebra):
-        n = nucleus_from_point_set(algebra, P.points)
+    def test_identity_nucleus_gives_smallest(self, P):
+        n = nucleus_from_point_set(P, P.points)
         assert nucleus_to_grotop(n) == smallest_grotop(P)
 
-    def test_constant_top_gives_largest(self, P, algebra):
-        n = nucleus_from_point_set(algebra, ())
+    def test_constant_top_gives_largest(self, P):
+        n = nucleus_from_point_set(P, ())
         assert nucleus_to_grotop(n) == largest_grotop(P)
 
-    def test_mutually_inverse_on_star(self, P, algebra):
+    def test_mutually_inverse_on_star(self, P):
         for y in all_point_subsets(P):
-            n = nucleus_from_point_set(algebra, y)
+            n = nucleus_from_point_set(P, y)
             j = point_set_to_grotop(P, y)
             assert grotop_to_nucleus(nucleus_to_grotop(n)) == n
             assert nucleus_to_grotop(grotop_to_nucleus(j)) == j
 
 
 class TestNucleusLT:
-    def test_identity_to_identity(self, P, algebra):
-        n = nucleus_from_point_set(algebra, P.points)
+    def test_identity_to_identity(self, P):
+        n = nucleus_from_point_set(P, P.points)
         assert nucleus_to_lt(n) == lt_identity(P)
 
-    def test_constant_top_to_constant_true(self, P, algebra):
-        n = nucleus_from_point_set(algebra, ())
+    def test_constant_top_to_constant_true(self, P):
+        n = nucleus_from_point_set(P, ())
         lt = nucleus_to_lt(n)
         for i, u in enumerate(P.points):
             top = len(sieves_on(P, u)) - 1
             assert all(v == top for v in lt.tables[i])
 
-    def test_frozen_component_values(self, star, P, algebra):
+    def test_frozen_component_values(self, star, P):
         # oracle-confirmed truncations of the one-kept-point nucleus
-        n = nucleus_from_point_set(algebra, {"_1"})
+        n = nucleus_from_point_set(P, {"_1"})
         lt = nucleus_to_lt(n)
         sieves = sieves_on(P, "2_")
         table = lt.tables[P.index("2_")]
@@ -198,10 +192,10 @@ class TestNucleusLT:
         }
         assert got == {"00": "10", "10": "10", "01": "21", "11": "21", "21": "21"}
 
-    def test_each_component_is_the_nucleus_cut_down_to_the_point(self, P, algebra):
+    def test_each_component_is_the_nucleus_cut_down_to_the_point(self, P):
         # j_u(S) = n(S) meet down u, read through the test oracle's functions
         for kept in _subsets(P.points):
-            n = nucleus_from_point_set(algebra, kept)
+            n = nucleus_from_point_set(P, kept)
             lt = nucleus_to_lt(n)
             for u in P.points:
                 for s in sieves_on(P, u):
@@ -223,10 +217,10 @@ class TestGrotopLT:
             j = point_set_to_grotop(P, y)
             assert grotop_to_lt(j) == grotop_to_lt_direct(j)
 
-    def test_round_trips(self, P, algebra):
+    def test_round_trips(self, P):
         for y in all_point_subsets(P):
             j = point_set_to_grotop(P, y)
-            lt = nucleus_to_lt(nucleus_from_point_set(algebra, y))
+            lt = nucleus_to_lt(nucleus_from_point_set(P, y))
             assert lt_to_grotop(grotop_to_lt(j)) == j
             assert grotop_to_lt(lt_to_grotop(lt)) == lt
 
@@ -274,23 +268,24 @@ class TestTableRoutes:
         assert omega(P) is not omega(Poset(P.points))
 
     def test_one_algebra_per_poset(self, P):
-        # the conversions and the census look the algebra up from the poset
+        # a nucleus is keyed by its poset, whose down-set index is built once
         j = point_set_to_grotop(P, {"_1"})
-        assert grotop_to_nucleus(j).algebra is algebra_of(P)
-        assert closure_to_nucleus(ClosureOperator(grotop_to_lt(j))).algebra is algebra_of(P)
-        assert enumerate_nuclei(P, "oracle")[0].algebra is algebra_of(P)
-        assert algebra_of(P) is not algebra_of(Poset(P.points))
+        assert grotop_to_nucleus(j).poset is P
+        assert closure_to_nucleus(ClosureOperator(grotop_to_lt(j))).poset is P
+        assert enumerate_nuclei(P, "oracle")[0].poset is P
+        assert downset_positions(P) is downset_positions(P)
+        assert downset_positions(P) is not downset_positions(Poset(P.points))
 
 
 class TestClosureToNucleus:
-    def test_identity(self, P, algebra):
+    def test_identity(self, P, elements):
         clop = ClosureOperator(lt_identity(P))
         n = closure_to_nucleus(clop)
-        assert all(n.table[i] == i for i in range(len(algebra)))
+        assert all(n.table[i] == i for i in range(len(elements)))
 
-    def test_equals_point_set_route_everywhere(self, P, algebra):
+    def test_equals_point_set_route_everywhere(self, P):
         for y in all_point_subsets(P):
-            n = nucleus_from_point_set(algebra, y)
+            n = nucleus_from_point_set(P, y)
             clop = ClosureOperator(nucleus_to_lt(n))
             assert closure_to_nucleus(clop) == n
             assert closure_to_nucleus_composite(clop) == n
@@ -298,9 +293,8 @@ class TestClosureToNucleus:
     @given(shuffled_posets())
     @settings(max_examples=25, deadline=None)
     def test_equals_composite_route_on_random_posets(self, poset):
-        algebra = HeytingAlgebra(poset)
         for y in all_point_subsets(poset):
-            clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(algebra, y)))
+            clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(poset, y)))
             assert closure_to_nucleus(clop) == closure_to_nucleus_composite(clop)
 
     def test_equals_composite_route_on_random_tables(self, P):
@@ -351,11 +345,11 @@ class TestValidationAtTheBoundary:
     the conversions trust what they are given, and on a structure that
     fails its laws they return or raise a FourtopsError."""
 
-    def test_an_invalid_nucleus_is_refused_where_it_enters(self, P, algebra):
-        n = Nucleus(algebra, (0,) * len(algebra))
+    def test_an_invalid_nucleus_is_refused_where_it_enters(self, P, elements):
+        n = Nucleus(P, (0,) * len(elements))
         with pytest.raises(InvalidNucleus) as caught:
             complete_quad(P, nucleus=n)
-        assert str(caught.value) == is_nucleus(algebra, n.table).summary()
+        assert str(caught.value) == is_nucleus(n).summary()
 
     def test_invalid_covers_are_refused_where_they_enter(self, P):
         j = make_grotop(P, {u: [] for u in P.points})
@@ -408,9 +402,10 @@ class TestValidationAtTheBoundary:
         }
 
     def test_every_invalid_nucleus_table_on_a_two_chain(self):
-        algebra = algebra_of(Poset(["a", "b"], [("b", "a")]))
-        tables = itertools.product(range(len(algebra)), repeat=len(algebra))
-        invalid = [Nucleus(algebra, t) for t in tables if not is_nucleus(algebra, t).ok]
+        chain = Poset(["a", "b"], [("b", "a")])
+        n = len(enumerate_downsets(chain))
+        nuclei = (Nucleus(chain, t) for t in itertools.product(range(n), repeat=n))
+        invalid = [nucleus for nucleus in nuclei if not is_nucleus(nucleus).ok]
         outcomes = _outcomes((nucleus_to_grotop, nucleus_to_lt, point_set_of_nucleus), invalid)
         assert len(invalid) == 23
         assert all(o == [23, 0] for o in outcomes.values())
@@ -422,12 +417,12 @@ class TestValidationAtTheBoundary:
 
         formula = convert.nucleus_from_point_set
 
-        def one_bad(algebra, kept):
+        def one_bad(poset, kept):
             if kept == frozenset({"_1"}):
-                bad = Nucleus(algebra, (0,) * len(algebra))
-                assert not is_nucleus(algebra, bad.table).ok
+                bad = Nucleus(poset, (0,) * len(enumerate_downsets(poset)))
+                assert not is_nucleus(bad).ok
                 return bad
-            return formula(algebra, kept)
+            return formula(poset, kept)
 
         monkeypatch.setattr(convert, "nucleus_from_point_set", one_bad)
         entry = sweep_instance(star, 6)
@@ -442,10 +437,10 @@ class TestValidationAtTheBoundary:
         for _ in range(60):
             table = tuple(rng.randrange(8) for _ in range(8))
 
-            def random_table(algebra, kept, table=table):
+            def random_table(poset, kept, table=table):
                 if kept == frozenset({"_1"}):
-                    return Nucleus(algebra, table)
-                return formula(algebra, kept)
+                    return Nucleus(poset, table)
+                return formula(poset, kept)
 
             monkeypatch.setattr(convert, "nucleus_from_point_set", random_table)
             assert sweep_instance(star, 6)["ok"] is False
@@ -596,11 +591,10 @@ def _route_mutants():
     nucleus_to_lt_ = convert.nucleus_to_lt
 
     def lt_of_empty_point_set(n):
-        return nucleus_to_lt_(nucleus_from_point_set(n.algebra, frozenset()))
+        return nucleus_to_lt_(nucleus_from_point_set(n.poset, frozenset()))
 
     def identity_nucleus(clop):
-        algebra = HeytingAlgebra(clop.poset)
-        return Nucleus(algebra, tuple(range(len(algebra.elements))))
+        return Nucleus(clop.poset, tuple(range(len(enumerate_downsets(clop.poset)))))
 
     def bottom_lt(j):
         return LTTopology(
@@ -612,7 +606,7 @@ def _route_mutants():
         "closure_to_nucleus": identity_nucleus,
         "grotop_to_lt_direct": bottom_lt,
         "nucleus_to_lt": lt_of_empty_point_set,
-        "nucleus_to_grotop": lambda n: point_set_to_grotop(n.algebra.poset, ()),
+        "nucleus_to_grotop": lambda n: point_set_to_grotop(n.poset, ()),
         "j_from_closure": lambda clop: lt_identity(clop.poset),
     }
 

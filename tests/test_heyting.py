@@ -7,14 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from fourtops.census import enumerate_nucleus_tables
 from fourtops.errors import NotElement, UnknownPoint
-from fourtops.heyting import (
-    HeytingAlgebra,
-    Nucleus,
-    is_nucleus,
-    nucleus_from_point_set,
-    point_set_of_nucleus,
-)
-from fourtops.poset import Poset
+from fourtops.heyting import Nucleus, is_nucleus, nucleus_from_point_set, point_set_of_nucleus
+from fourtops.poset import Poset, enumerate_downsets
 
 from .oracles import (
     algebra_bottom,
@@ -46,56 +40,55 @@ class TestLatticeOps:
     """The down-set algebra's operations, on masks (the test oracle's
     functions: no command runs them)."""
 
-    def test_meet_21_12_is_11(self, star, star_algebra):
+    def test_meet_21_12_is_11(self, star, star_poset):
         r, s = pile(star, "21"), pile(star, "12")
-        assert star.code_of_mask(algebra_meet(star_algebra, r, s)) == (1, 1)
-        assert star.code_of_mask(algebra_join(star_algebra, r, s)) == (2, 2)
+        assert star.code_of_mask(algebra_meet(star_poset, r, s)) == (1, 1)
+        assert star.code_of_mask(algebra_join(star_poset, r, s)) == (2, 2)
 
-    def test_imp_residuation_top(self, star_algebra):
-        for s in star_algebra.elements:
-            assert algebra_imp(star_algebra, s, s) == algebra_top(star_algebra)
+    def test_imp_residuation_top(self, star_poset):
+        for s in enumerate_downsets(star_poset):
+            assert algebra_imp(star_poset, s, s) == algebra_top(star_poset)
 
-    def test_imp_top_to_bottom(self, star_algebra):
-        top, bottom = algebra_top(star_algebra), algebra_bottom(star_algebra)
-        assert algebra_imp(star_algebra, top, bottom) == bottom == 0
+    def test_imp_top_to_bottom(self, star_poset):
+        top, bottom = algebra_top(star_poset), algebra_bottom(star_poset)
+        assert algebra_imp(star_poset, top, bottom) == bottom == 0
 
-    def test_foreign_element_rejected(self, star, star_algebra):
+    def test_foreign_element_rejected(self, star, star_poset):
         # the top of a one-point poset is {2_} here, which is not down-closed
-        other = HeytingAlgebra(Poset(["x"]))
         with pytest.raises(NotElement):
-            algebra_meet(star_algebra, algebra_top(star_algebra), algebra_top(other))
+            algebra_meet(star_poset, algebra_top(star_poset), algebra_top(Poset(["x"])))
         with pytest.raises(NotElement):
-            algebra_index(star_algebra, 1 << 4)
+            algebra_index(star_poset, 1 << 4)
 
     @given(small_posets(), st.data())
     def test_imp_is_the_residual(self, poset, data):
-        algebra = HeytingAlgebra(poset)
-        r = data.draw(st.sampled_from(algebra.elements))
-        s = data.draw(st.sampled_from(algebra.elements))
-        t = algebra_imp(algebra, r, s)
-        assert t in algebra.pos
-        assert downset_le(algebra_meet(algebra, t, r), s)
-        for cand in algebra.elements:
-            if downset_le(algebra_meet(algebra, cand, r), s):
+        elements = enumerate_downsets(poset)
+        r = data.draw(st.sampled_from(elements))
+        s = data.draw(st.sampled_from(elements))
+        t = algebra_imp(poset, r, s)
+        assert t in elements
+        assert downset_le(algebra_meet(poset, t, r), s)
+        for cand in elements:
+            if downset_le(algebra_meet(poset, cand, r), s):
                 assert downset_le(cand, t)
 
 
 class TestNucleusFromPointSet:
-    def test_full_point_set_is_identity(self, star_algebra):
-        n = nucleus_from_point_set(star_algebra, star_algebra.poset.points)
-        assert all(n.table[i] == i for i in range(len(star_algebra)))
+    def test_full_point_set_is_identity(self, star_poset):
+        n = nucleus_from_point_set(star_poset, star_poset.points)
+        assert n.table == tuple(range(len(enumerate_downsets(star_poset))))
 
-    def test_empty_point_set_is_constant_top(self, star_algebra):
-        n = nucleus_from_point_set(star_algebra, ())
-        top = len(star_algebra) - 1
+    def test_empty_point_set_is_constant_top(self, star_poset):
+        n = nucleus_from_point_set(star_poset, ())
+        top = len(enumerate_downsets(star_poset)) - 1
         assert all(v == top for v in n.table)
 
-    def test_keep_bottom_right_point(self, star, star_algebra):
+    def test_keep_bottom_right_point(self, star, star_poset):
         # the oracle run fixes these: only 00 and 10 stay below the top
-        n = nucleus_from_point_set(star_algebra, {"_1"})
+        n = nucleus_from_point_set(star_poset, {"_1"})
         table = {
             "%d%d" % star.code_of_mask(s): "%d%d" % star.code_of_mask(nucleus_apply(n, s))
-            for s in star_algebra.elements
+            for s in enumerate_downsets(star_poset)
         }
         assert table == {
             "00": "10",
@@ -110,12 +103,10 @@ class TestNucleusFromPointSet:
 
     @given(small_posets(), st.data())
     def test_always_passes_the_axioms(self, poset, data):
-        algebra = HeytingAlgebra(poset)
         kept = (
             data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
         )
-        n = nucleus_from_point_set(algebra, kept)
-        assert is_nucleus(algebra, n.table).ok
+        assert is_nucleus(nucleus_from_point_set(poset, kept)).ok
 
     def test_axioms_on_a_six_point_poset(self):
         import random
@@ -128,100 +119,97 @@ class TestNucleusFromPointSet:
             for b in points[i + 1 :]
             if rng.random() < 0.4
         }
-        algebra = HeytingAlgebra(Poset(points, arrows))
+        poset = Poset(points, arrows)
         for trial in range(10):
             kept = {u for u in points if rng.random() < 0.5}
-            n = nucleus_from_point_set(algebra, kept)
-            assert is_nucleus(algebra, n.table).ok
+            n = nucleus_from_point_set(poset, kept)
+            assert is_nucleus(n).ok
             assert point_set_of_nucleus(n) == frozenset(kept)
 
-    def test_unknown_point_raises_every_time_and_is_not_cached(self, star_algebra):
+    def test_unknown_point_raises_every_time_and_is_not_cached(self, star_poset):
         for _ in range(2):
             with pytest.raises(UnknownPoint):
-                nucleus_from_point_set(star_algebra, {"_1", "zz"})
+                nucleus_from_point_set(star_poset, {"_1", "zz"})
 
     @given(small_posets(), st.data())
     def test_point_set_round_trip(self, poset, data):
-        algebra = HeytingAlgebra(poset)
         kept = (
             frozenset(data.draw(st.sets(st.sampled_from(poset.points))))
             if poset.points
             else frozenset()
         )
-        n = nucleus_from_point_set(algebra, kept)
+        n = nucleus_from_point_set(poset, kept)
         assert point_set_of_nucleus(n) == kept
 
 
 class TestIsNucleus:
-    def test_identity_passes(self, star_algebra):
-        table = tuple(range(len(star_algebra)))
-        assert is_nucleus(star_algebra, table).ok
+    def test_identity_passes(self, star_poset):
+        table = tuple(range(len(enumerate_downsets(star_poset))))
+        assert is_nucleus(Nucleus(star_poset, table)).ok
 
-    def test_constant_bottom_fails_inflationary_at_top(self, star_algebra):
-        table = tuple(0 for _ in star_algebra.elements)
-        report = is_nucleus(star_algebra, table)
+    def test_constant_bottom_fails_inflationary_at_top(self, star_poset):
+        table = tuple(0 for _ in enumerate_downsets(star_poset))
+        report = is_nucleus(Nucleus(star_poset, table))
         assert not report.ok
         assert report.failures[0].axiom == "inflationary"
 
-    def test_constant_top_passes(self, star_algebra):
-        top = len(star_algebra) - 1
-        assert is_nucleus(star_algebra, (top,) * len(star_algebra)).ok
+    def test_constant_top_passes(self, star_poset):
+        n = len(enumerate_downsets(star_poset))
+        assert is_nucleus(Nucleus(star_poset, (n - 1,) * n)).ok
 
-    def test_report_carries_witnesses(self, star_algebra):
-        n = len(star_algebra)
+    def test_report_carries_witnesses(self, star_poset):
+        n = len(enumerate_downsets(star_poset))
         table = list(range(n))
         table[1] = n - 1  # inflate one element without idempotence issues
         table[2] = 2
-        report = is_nucleus(star_algebra, tuple(table))
+        report = is_nucleus(Nucleus(star_poset, tuple(table)))
         if not report.ok:
             assert all(f.witness for f in report.failures)
 
 
 class TestNucleusEnumeration:
-    def test_star_count_is_two_to_the_points(self, star_algebra):
-        tables = enumerate_nucleus_tables(star_algebra)
-        assert len(tables) == 2 ** len(star_algebra.poset.points)
+    def test_star_count_is_two_to_the_points(self, star_poset):
+        tables = enumerate_nucleus_tables(star_poset)
+        assert len(tables) == 2 ** len(star_poset.points)
 
-    def test_matches_formula_mode_as_sets(self, star_algebra):
-        oracle = {Nucleus(star_algebra, t) for t in enumerate_nucleus_tables(star_algebra)}
-        pts = star_algebra.poset.points
+    def test_matches_formula_mode_as_sets(self, star_poset):
+        oracle = {Nucleus(star_poset, t) for t in enumerate_nucleus_tables(star_poset)}
+        pts = star_poset.points
         formula = set()
         for k in range(len(pts) + 1):
             for combo in combinations(pts, k):
-                formula.add(nucleus_from_point_set(star_algebra, combo))
+                formula.add(nucleus_from_point_set(star_poset, combo))
         assert oracle == formula
 
     @given(small_posets())
     @settings(max_examples=25, deadline=None)
     def test_search_matches_naive_filter(self, poset):
-        algebra = HeytingAlgebra(poset)
-        if len(algebra) > 6:
+        elements = enumerate_downsets(poset)
+        if len(elements) > 6:
             return  # the naive oracle is n**n; keep it tiny
         meet = {
-            (i, j): algebra_index(algebra, algebra_meet(algebra, r, s))
-            for i, r in enumerate(algebra.elements)
-            for j, s in enumerate(algebra.elements)
+            (i, j): algebra_index(poset, algebra_meet(poset, r, s))
+            for i, r in enumerate(elements)
+            for j, s in enumerate(elements)
         }
-        expected = set(brute_nucleus_tables(algebra.elements, meet))
-        got = set(enumerate_nucleus_tables(algebra))
+        expected = set(brute_nucleus_tables(elements, meet))
+        got = set(enumerate_nucleus_tables(poset))
         assert got == expected
 
     @given(small_posets())
     @settings(max_examples=15, deadline=None)
     def test_census_law(self, poset):
-        algebra = HeytingAlgebra(poset)
-        tables = enumerate_nucleus_tables(algebra)
+        tables = enumerate_nucleus_tables(poset)
         assert len(tables) == 2 ** len(poset.points)
 
     @given(small_posets(), st.data())
     def test_every_nucleus_is_monotone(self, poset, data):
-        algebra = HeytingAlgebra(poset)
         kept = (
             data.draw(st.sets(st.sampled_from(poset.points))) if poset.points else set()
         )
-        n = nucleus_from_point_set(algebra, kept)
-        for r in algebra.elements:
-            for s in algebra.elements:
+        n = nucleus_from_point_set(poset, kept)
+        for r in enumerate_downsets(poset):
+            for s in enumerate_downsets(poset):
                 if downset_le(r, s):
                     assert downset_le(nucleus_apply(n, r), nucleus_apply(n, s))
 
@@ -258,32 +246,29 @@ class TestSlashing:
 
     def test_no_erasure_gives_singletons(self, star_poset):
         for poset in posets_up_to_three_and_the_star(star_poset):
-            algebra = HeytingAlgebra(poset)
-            n = nucleus_from_point_set(algebra, poset.points)
+            n = nucleus_from_point_set(poset, poset.points)
             assert all(len(c) == 1 for c in fibres(n.table))
 
     def test_full_erasure_gives_one_class(self, star_poset):
         for poset in posets_up_to_three_and_the_star(star_poset):
-            algebra = HeytingAlgebra(poset)
-            assert len(fibres(nucleus_from_point_set(algebra, ()).table)) == 1
+            assert len(fibres(nucleus_from_point_set(poset, ()).table)) == 1
 
     def test_erasure_agrees_with_nucleus_for_every_point_set(self, star_poset):
         for poset in posets_up_to_three_and_the_star(star_poset):
-            algebra = HeytingAlgebra(poset)
             for kept in point_sets(poset):
                 y = poset.mask_of(kept)
-                erased = fibres([s & y for s in algebra.elements])
-                assert fibres(nucleus_from_point_set(algebra, kept).table) == erased
+                erased = fibres([s & y for s in enumerate_downsets(poset)])
+                assert fibres(nucleus_from_point_set(poset, kept).table) == erased
 
     def test_region_tops_are_fixed_points(self, star_poset):
         for poset in posets_up_to_three_and_the_star(star_poset):
-            algebra = HeytingAlgebra(poset)
+            elements = enumerate_downsets(poset)
             for kept in point_sets(poset):
-                table = nucleus_from_point_set(algebra, kept).table
+                table = nucleus_from_point_set(poset, kept).table
                 for fibre in fibres(table):
                     join = 0
                     for i in fibre:
-                        join |= algebra.elements[i]
-                    top = algebra.pos[join]
+                        join |= elements[i]
+                    top = elements.index(join)
                     assert top in fibre
                     assert all(table[i] == top for i in fibre)

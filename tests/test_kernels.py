@@ -6,15 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fourtops import _kernels, census
-from fourtops.heyting import HeytingAlgebra
-from fourtops.poset import Poset, lattice_tables, sieves_on
+from fourtops.poset import Poset, enumerate_downsets, lattice_tables, sieves_on
 
 from .oracles import operator_tables_literal
 
 
 def lattice_inputs(poset):
-    algebra = HeytingAlgebra(poset)
-    return len(algebra), *lattice_tables(algebra.elements)
+    elements = enumerate_downsets(poset)
+    return len(elements), *lattice_tables(elements)
 
 
 def sieve_lattice_inputs(poset, u):

@@ -12,6 +12,7 @@ from fourtops.poset import (
     Poset,
     TwoColumnGraph,
     canonical_form,
+    downset_positions,
     enumerate_downsets,
     interior_mask,
     lattice_tables,
@@ -223,6 +224,8 @@ class TestEnumeration:
         ]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+        # H's index: each down-set's position in that order
+        assert list(downset_positions(poset).items()) == [(m, k) for k, m in enumerate(got)]
 
     @given(small_posets())
     def test_sieves_are_the_principal_ideal(self, poset):

@@ -520,7 +520,7 @@ class TestDirectIndexes:
     def check(self, poset):
         om, labelled = omega(poset), omega_presheaf(poset)
         self.assert_same(terminal_presheaf(poset), terminal(poset))
-        self.assert_same(labelled, om.index)
+        self.assert_same(labelled, om)
         self.assert_same(product(labelled, labelled), omega_square(poset))
         # Ω's direct order: sieve k on point i is element offset[i] + k
         positions, bit = direct_positions(labelled), labelled.elements().bit
@@ -530,6 +530,7 @@ class TestDirectIndexes:
             for k, m in enumerate(sieves_on(poset, u)):
                 assert positions[bit[(u, DownSet(poset, m))]] == start + k
             start += len(sieves_on(poset, u))
+        assert om.offset[len(poset.points)] == start == len(om.point)
 
     def test_star(self):
         self.check(star_graph().poset())

@@ -9,11 +9,12 @@ from fourtops.census import enumerate_lts
 from fourtops.classifier import omega
 from fourtops.convert import lt_to_grotop, point_set_to_grotop
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
-from fourtops.heyting import AxiomFailure, CheckReport, HeytingAlgebra
+from fourtops.heyting import AxiomFailure, CheckReport
 from fourtops.poset import (
     DownSet,
     Poset,
     downset_sort_key,
+    enumerate_downsets,
     interior_mask,
     sieve_positions,
     sieves_on,
@@ -71,8 +72,8 @@ def P(star):
 
 
 @pytest.fixture(scope="module")
-def algebra(P):
-    return HeytingAlgebra(P)
+def elements(P):
+    return enumerate_downsets(P)
 
 
 @pytest.fixture(scope="module")
@@ -91,9 +92,9 @@ def literal_universe(P):
 
 
 @pytest.fixture(scope="module")
-def subterminals(P, algebra):
+def subterminals(P, elements):
     one = terminal_presheaf(P)
-    return [Inclusion(subterminal_of(P, s), one) for s in algebra.elements]
+    return [Inclusion(subterminal_of(P, s), one) for s in elements]
 
 
 @pytest.fixture(scope="module")
@@ -237,35 +238,35 @@ class TestClosure:
                 assert closure_of(clop, f) == composite
 
     def test_closure_agrees_with_nucleus_on_subterminals(
-        self, star, P, algebra, subterminals
+        self, star, P, elements, subterminals
     ):
         from fourtops.convert import nucleus_to_lt
         from fourtops.heyting import nucleus_from_point_set
         from .oracles import cst
 
-        n = nucleus_from_point_set(algebra, {"_1"})
+        n = nucleus_from_point_set(P, {"_1"})
         clop = ClosureOperator(nucleus_to_lt(n))
-        for f, s in zip(subterminals, algebra.elements):
+        for f, s in zip(subterminals, elements):
             closed = closure_of(clop, f)
             assert cst(closed.dom).mask == nucleus_apply(n, s)
 
     def test_closure_between_subterminals_is_the_capped_nucleus(
-        self, P, algebra
+        self, P, elements
     ):
         # closing R inside S lands on (closure of R) meet S
         from fourtops.convert import nucleus_to_lt
         from fourtops.heyting import nucleus_from_point_set
         from .oracles import cst
 
-        n = nucleus_from_point_set(algebra, {"_1"})
+        n = nucleus_from_point_set(P, {"_1"})
         clop = ClosureOperator(nucleus_to_lt(n))
-        for r in algebra.elements:
-            for s in algebra.elements:
+        for r in elements:
+            for s in elements:
                 if not downset_le(r, s):
                     continue
                 f = Inclusion(subterminal_of(P, r), subterminal_of(P, s))
                 closed = closure_of(clop, f)
-                assert cst(closed.dom).mask == algebra_meet(algebra, nucleus_apply(n, r), s)
+                assert cst(closed.dom).mask == algebra_meet(P, nucleus_apply(n, r), s)
 
     def test_closure_axioms_for_identity(self, P, universe):
         report = check_closure_axioms(ClosureOperator(lt_identity(P)), universe)
@@ -355,11 +356,10 @@ class TestOneKernel:
         assert all(r.ok for r in check_routes(P))
         assert len(built) == len({(id(index), mask) for index, mask in built}) == 9
         # the true mask of the classifier, and the 8 subterminals
-        assert sorted(mask for index, mask in built if index is omega(P).index) == [
-            omega(P).true_mask
-        ]
+        true_mask = sum(1 << (end - 1) for end in omega(P).offset[1:])
+        assert [mask for index, mask in built if index is omega(P)] == [true_mask]
         assert sorted(mask for index, mask in built if index is terminal(P)) == sorted(
-            HeytingAlgebra(P).elements
+            enumerate_downsets(P)
         )
 
     def test_second_operator_builds_no_group(self, P, all_lts, built):
@@ -472,7 +472,7 @@ class TestClosureUniverse:
         # the codomains are the indexes of 1, Ω and Ω², which the bridge
         # test in test_presheaf equates with the literal ones
         one, om, square = rows.codomains
-        assert (one, om) == (terminal(P), omega(P).index)
+        assert (one, om) == (terminal(P), omega(P))
         assert (square.point, square.down) == (omega_square(P).point, omega_square(P).down)
         assert rows.subobjects == subobjects
         assert rows.rows == pair_rows
@@ -655,8 +655,7 @@ class TestDenseClosed:
 
 
 class TestRestriction:
-    def _triples(self, P, algebra):
-        elements = algebra.elements
+    def _triples(self, P, elements):
         for s in elements:
             for t in elements:
                 if not downset_le(s, t):
@@ -673,15 +672,15 @@ class TestRestriction:
                         Inclusion(c_obj, e_obj),
                     )
 
-    def test_degenerate_triples(self, P, algebra):
+    def test_degenerate_triples(self, P, elements):
         clop = ClosureOperator(lt_identity(P))
-        for triple in self._triples(P, algebra):
+        for triple in self._triples(P, elements):
             assert restriction_check(clop, triple).ok
 
-    def test_all_topologies_all_subterminal_triples(self, P, algebra, all_lts):
+    def test_all_topologies_all_subterminal_triples(self, P, elements, all_lts):
         for lt in all_lts:
             clop = ClosureOperator(lt)
-            for triple in self._triples(P, algebra):
+            for triple in self._triples(P, elements):
                 assert restriction_check(clop, triple).ok
 
 
