@@ -2,11 +2,12 @@
 
 ``enumerate_operator_tables`` walks every total map ``t`` on a finite lattice
 given by index ``0..n-1`` in some linear extension (bottom first, top last)
-and keeps the maps that are idempotent and preserve binary meets, optionally
-inflationary and optionally fixing the top.  The search assigns ``t[i]`` in
-index order.  Each index gets one candidate bitmask, the AND of precomputed
-masks for the axioms that the values already placed constrain, and the walk
-visits only its set bits, in ascending order.  The masks are built once per
+and keeps the maps that are idempotent, preserve binary meets and fix the
+top; the nucleus search passes the up masks as the allowed values, so its
+maps are inflationary.  The search assigns ``t[i]`` in index order.  Each
+index gets one candidate bitmask, the AND of precomputed masks for the
+axioms that the values already placed constrain, and the walk visits only
+its set bits, in ascending order.  The masks are built once per
 lattice by ``operator_lattice``, so a caller that searches one lattice under
 many ``allowed`` masks, as the LT census does, builds them once.
 """
@@ -45,29 +46,22 @@ def operator_lattice(up: tuple[int, ...], meet: tuple[int, ...]) -> tuple:
 
 
 def enumerate_operator_tables(
-    lattice: tuple,
-    inflationary: bool,
-    top_fixed: bool,
-    allowed: tuple[int, ...] | None = None,
+    lattice: tuple, allowed: tuple[int, ...] | None = None
 ) -> list[tuple[int, ...]]:
-    """All idempotent, binary-meet-preserving tables on the lattice that
-    ``operator_lattice`` prepared; its element order must be a linear
-    extension.  ``allowed[i]``, when given, is the bitmask of values ``t[i]``
-    may take.  Tables come out in lexicographic order.
+    """All idempotent, binary-meet-preserving tables that fix the top, on
+    the lattice that ``operator_lattice`` prepared; its element order must
+    be a linear extension.  ``allowed[i]``, when given, is the bitmask of
+    values ``t[i]`` may take: an inflationary table is one that ``up``
+    allows, and it fixes the top, which alone is above the top.  Tables
+    come out in lexicographic order.
     """
     up, fibers, checks, down = lattice
     n = len(up)
     if n == 0:
         return [()]
     full = (1 << n) - 1
-    base = [full] * n
-    for i in range(n):
-        if inflationary:
-            base[i] &= up[i]
-        if allowed is not None:
-            base[i] &= allowed[i]
-    if top_fixed:
-        base[n - 1] &= 1 << (n - 1)
+    base = [full] * n if allowed is None else list(allowed)
+    base[n - 1] &= 1 << (n - 1)
     results: list[tuple[int, ...]] = []
     table = [0] * n
 

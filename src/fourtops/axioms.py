@@ -246,22 +246,22 @@ def filter_check(j: GrothendieckTopology) -> FilterReport:
     poset = j.poset
     failures = []
     generators = []
-    for idx, u in enumerate(poset.points):
-        fam = j.covers_mask_set(idx)
+    for u, covers in zip(poset.points, j.covers):
+        pos = sieve_positions(poset, u)
+        fam = [m for m, k in pos.items() if covers >> k & 1]
         down_u = poset.down_mask(u)
-        if down_u not in fam:
+        if not covers >> pos[down_u] & 1:
             failures.append(AxiomFailure("filter-top", (u,)))
-        all_sieves = sieves_on(poset, u)
         for r in fam:
-            for s in all_sieves:
-                if r | s == s and s not in fam:
+            for s, k in pos.items():
+                if r | s == s and not covers >> k & 1:
                     failures.append(
                         AxiomFailure("filter-up", (u, DownSet(poset, r), DownSet(poset, s)))
                     )
                     break
         for r in fam:
             for s in fam:
-                if r & s not in fam:
+                if not covers >> pos[r & s] & 1:
                     failures.append(
                         AxiomFailure("filter-meet", (u, DownSet(poset, r), DownSet(poset, s)))
                     )
@@ -270,7 +270,7 @@ def filter_check(j: GrothendieckTopology) -> FilterReport:
         for r in fam:
             gen &= r
         generators.append(DownSet(poset, gen))
-        if fam and gen not in fam:
+        if fam and not covers >> pos[gen] & 1:
             failures.append(AxiomFailure("filter-principal", (u,)))
     return FilterReport(
         CheckReport("filter laws", tuple(failures)), tuple(generators)

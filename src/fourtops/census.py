@@ -22,14 +22,15 @@ from __future__ import annotations
 from ._kernels import enumerate_operator_tables, operator_lattice
 from .errors import DEFAULT_ORACLE_POINT_CAP, SizeCapExceeded
 from .heyting import Nucleus, nucleus_from_point_set
-from .poset import Poset, _bits, _subsets, enumerate_downsets, lattice_tables, sieve_restriction, sieves_on
-from .records import GrothendieckTopology, LTTopology, make_grotop
+from .poset import Poset, _bits, _subsets, enumerate_downsets, lattice_tables, sieve_positions, sieve_restriction, sieves_on
+from .records import GrothendieckTopology, LTTopology
 
 
 def enumerate_nucleus_tables(poset: Poset) -> list[tuple[int, ...]]:
     """Brute-force search for every table passing the nucleus axioms."""
-    lattice = operator_lattice(*lattice_tables(enumerate_downsets(poset)))
-    return enumerate_operator_tables(lattice, inflationary=True, top_fixed=False)
+    up, meet = lattice_tables(enumerate_downsets(poset))
+    # inflationary: t[i] lies above i
+    return enumerate_operator_tables(operator_lattice(up, meet), up)
 
 
 def enumerate_nuclei(
@@ -67,16 +68,18 @@ def enumerate_grotops(
     # checkable as soon as a point is placed
     order = _linear_extension(poset)
     sieve_masks = [sieves_on(poset, u) for u in poset.points]
+    positions = [sieve_positions(poset, u) for u in poset.points]
     # ups[i][a]: the sieves on point i containing sieve a, as bits over indices
     ups = [lattice_tables(masks)[0] for masks in sieve_masks]
     results: list[GrothendieckTopology] = []
-    chosen: dict[int, frozenset] = {}
+    # chosen[i]: the covers placed at point i, as bits over its sieve indices
+    chosen = [0] * len(poset.points)
 
     def covered_at(points: int, s: int) -> int:
         """The placed points among ``points`` where sieve s restricts to a cover."""
         where = 0
         for k in _bits(points):
-            if s & poset.down_mask_at(k) in chosen[k]:
+            if chosen[k] >> positions[k][s & poset.down_mask_at(k)] & 1:
                 where |= 1 << k
         return where
 
@@ -102,8 +105,7 @@ def enumerate_grotops(
 
     def walk(pos: int) -> None:
         if pos == len(order):
-            families = {poset.points[i]: fam for i, fam in chosen.items()}
-            results.append(make_grotop(poset, families))
+            results.append(GrothendieckTopology(poset, tuple(chosen)))
             return
         i = order[pos]
         masks = sieve_masks[i]
@@ -122,12 +124,14 @@ def enumerate_grotops(
         everything = (1 << len(masks)) - 1
         for fam in candidates(i, stable):
             if all(inside[a] & fam == 0 for a in _bits(everything & ~fam)):
-                chosen[i] = frozenset(masks[a] for a in _bits(fam))
+                chosen[i] = fam
                 walk(pos + 1)
-                del chosen[i]
 
     walk(0)
-    results.sort(key=lambda g: g.covers)
+    # by each point's covering masks, listed in sieve-index order
+    results.sort(
+        key=lambda g: [[m for k, m in enumerate(ms) if c >> k & 1] for ms, c in zip(sieve_masks, g.covers)]
+    )
     return results
 
 
@@ -167,9 +171,7 @@ def enumerate_lts(
             tv = tables[iv]
             for k in range(n):
                 allowed[k] &= fib[tv[restr[k]]]
-        for t in enumerate_operator_tables(
-            lattices[i], inflationary=False, top_fixed=True, allowed=tuple(allowed)
-        ):
+        for t in enumerate_operator_tables(lattices[i], tuple(allowed)):
             tables[i] = t
             walk(pos + 1)
 

@@ -45,7 +45,7 @@ from .poset import (
     sieve_positions,
     sieves_on,
 )
-from .records import LTTopology, make_grotop
+from .records import GrothendieckTopology, LTTopology
 
 
 class InputSpec:
@@ -318,10 +318,12 @@ def _realize_structure(spec: InputSpec) -> None:
             rows.append(_table(poset, raw.get(u, []), sieve_positions(poset, u), on_u))
         spec.payload = LTTopology(poset, tuple(rows))
     elif spec.kind == "grotop":
+        covers = [0] * len(poset.points)
         for u, fam in raw.items():
+            i, positions = poset.index(u), sieve_positions(poset, u)
             for m in fam:
-                _position(poset, sieve_positions(poset, u), m, f"the sieves on {u!r}")
-        spec.payload = make_grotop(poset, raw)
+                covers[i] |= 1 << _position(poset, positions, m, f"the sieves on {u!r}")
+        spec.payload = GrothendieckTopology(poset, tuple(covers))
 
 
 # -- JSON schema ---------------------------------------------------------------
@@ -397,14 +399,15 @@ def census_json(spec: InputSpec, kind: str, items: list) -> str:
             got = rows[s, d] = _json_list([names(s)[1], names(d)[1]], at[depth - 1])
         return got
 
-    def entry(i: int, value: tuple) -> tuple[str, str]:
+    def entry(i: int, value) -> tuple[str, str]:
         got = entries.get((i, value))
         if got is None:
+            masks = sieves[i]
             if kind == "lt":
-                masks, ranked = sieves[i]
-                cells = [row(masks[k], masks[value[k]]) for k in ranked]
+                cells = [row(masks[k], masks[value[k]]) for k in ranked[i]]
             else:
-                cells = [cell for _, cell in sorted(map(names, value))]
+                covering = [m for k, m in enumerate(masks) if value >> k & 1]
+                cells = [cell for _, cell in sorted(map(names, covering))]
             u = str(points[i])
             point = (encode_basestring(u), encode_basestring_ascii(u))
             got = entries[i, value] = _json_list([point, _json_list(cells, at[6])], at[5])
@@ -416,8 +419,9 @@ def census_json(spec: InputSpec, kind: str, items: list) -> str:
         order = by_names(masks)
         tables = [[row(masks[k], masks[v.table[k]]) for k in order] for v in items]
     else:
+        sieves = [sieves_on(poset, u) for u in points]
         if kind == "lt":
-            sieves = [(m, by_names(m)) for m in [sieves_on(poset, u) for u in points]]
+            ranked = [by_names(m) for m in sieves]
         order = sorted(range(len(points)), key=lambda i: str(points[i]))
         values = (v.tables if kind == "lt" else v.covers for v in items)
         tables = [[entry(i, vals[i]) for i in order] for vals in values]

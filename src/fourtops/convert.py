@@ -24,7 +24,7 @@ from typing import Iterable
 
 from .classifier import chi_tables, omega
 from .errors import InvalidTopology
-from .poset import Poset, _bits, _subsets, downset_positions, enumerate_downsets, sieve_positions
+from .poset import Poset, _bits, _subsets, downset_positions, enumerate_downsets, sieve_positions, sieves_on
 from .presheaf import terminal
 from .records import GrothendieckTopology, LTTopology
 
@@ -50,18 +50,17 @@ def point_set_to_grotop(poset: Poset, kept: Iterable) -> GrothendieckTopology:
     covers = []
     for i, u in enumerate(poset.points):
         need = kept_mask & poset.down_mask_at(i)
-        covers.append(tuple(m for m in sieve_positions(poset, u) if need & ~m == 0))
+        covers.append(sum(1 << k for k, m in enumerate(sieves_on(poset, u)) if need & ~m == 0))
     return GrothendieckTopology(poset, tuple(covers))
 
 
 def grotop_to_point_set(j: GrothendieckTopology) -> frozenset:
-    """The points whose only cover is the maximal sieve."""
+    """The points whose only cover is the maximal sieve, the last in the
+    sieve index."""
     poset = j.poset
-    out = []
-    for i, u in enumerate(poset.points):
-        if j.covers[i] == (poset.down_mask(u),):
-            out.append(u)
-    return frozenset(out)
+    return frozenset(
+        u for u, c in zip(poset.points, j.covers) if c == 1 << (len(sieves_on(poset, u)) - 1)
+    )
 
 
 # -- nucleus <-> covering families ------------------------------------------
@@ -73,7 +72,7 @@ def nucleus_to_grotop(n: Nucleus) -> GrothendieckTopology:
     els, pos = enumerate_downsets(poset), downset_positions(poset)
     covers = []
     for i, u in enumerate(poset.points):
-        covers.append(tuple(m for m in sieve_positions(poset, u) if els[table[pos[m]]] >> i & 1))
+        covers.append(sum(1 << k for k, m in enumerate(sieves_on(poset, u)) if els[table[pos[m]]] >> i & 1))
     return GrothendieckTopology(poset, tuple(covers))
 
 
@@ -82,14 +81,15 @@ def grotop_to_nucleus(j: GrothendieckTopology) -> Nucleus:
     poset = j.poset
     pos = downset_positions(poset)
     per_point = [
-        (1 << i, poset.down_mask_at(i), frozenset(fam)) for i, fam in enumerate(j.covers)
+        (1 << i, poset.down_mask_at(i), sieve_positions(poset, u), fam)
+        for i, (u, fam) in enumerate(zip(poset.points, j.covers))
     ]
     table = []
     try:
         for s in pos:
             mask = 0
-            for bit, down, fam in per_point:
-                if s & down in fam:
+            for bit, down, spos, fam in per_point:
+                if fam >> spos[s & down] & 1:
                     mask |= bit
             table.append(pos[mask])
     except KeyError:
@@ -118,17 +118,13 @@ def nucleus_to_lt(n: Nucleus) -> LTTopology:
 def grotop_to_lt(j: GrothendieckTopology) -> LTTopology:
     """Classifying map of the inclusion of the covering families, computed on
     the classifier's element masks."""
-    poset = j.poset
-    om = omega(poset)
-    mask = 0
-    try:
-        for u, start, fam in zip(poset.points, om.offset, j.covers):
-            pos = sieve_positions(poset, u)
-            for m in fam:
-                mask |= 1 << (start + pos[m])
-    except KeyError:
-        raise InvalidTopology(f"a covering family at {u!r} holds a mask that is not a sieve") from None
-    return LTTopology(poset, chi_tables(om, mask))
+    om = omega(j.poset)
+    offset = om.offset
+    if any(c >> (end - start) for start, end, c in zip(offset, offset[1:], j.covers)):
+        raise InvalidTopology("a covering family sets a bit past the last sieve on its point")
+    # sieve k of point i is Ω's element offset[i] + k
+    mask = sum(c << start for start, c in zip(offset, j.covers))
+    return LTTopology(j.poset, chi_tables(om, mask))
 
 
 def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
@@ -136,17 +132,16 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
     restricted sieve covers."""
     poset = j.poset
     downs = poset._down
-    families = [frozenset(fam) for fam in j.covers]
+    positions = [sieve_positions(poset, u) for u in poset.points]
     tables = []
     try:
-        for u, down_u in zip(poset.points, downs):
-            below = [(1 << i, downs[i], families[i]) for i in _bits(down_u)]
-            pos = sieve_positions(poset, u)
+        for pos, down_u in zip(positions, downs):
+            below = [(1 << i, downs[i], positions[i], j.covers[i]) for i in _bits(down_u)]
             row = []
             for s in pos:
                 mask = 0
-                for bit, down, fam in below:
-                    if s & down in fam:
+                for bit, down, spos, fam in below:
+                    if fam >> spos[s & down] & 1:
                         mask |= bit
                 row.append(pos[mask])
             tables.append(tuple(row))
@@ -157,13 +152,11 @@ def grotop_to_lt_direct(j: GrothendieckTopology) -> LTTopology:
 
 def lt_to_grotop(lt: LTTopology) -> GrothendieckTopology:
     """The sieves sent to the maximal sieve by each component."""
-    poset = lt.poset
     covers = []
-    for i, u in enumerate(poset.points):
-        pos = sieve_positions(poset, u)
-        top = len(pos) - 1
-        covers.append(tuple(m for m, k in pos.items() if lt.tables[i][k] == top))
-    return GrothendieckTopology(poset, tuple(covers))
+    for table in lt.tables:
+        top = len(table) - 1
+        covers.append(sum(1 << k for k, v in enumerate(table) if v == top))
+    return GrothendieckTopology(lt.poset, tuple(covers))
 
 
 # -- closure operator -> nucleus ---------------------------------------------

@@ -69,8 +69,9 @@ def structure_text(spec: InputSpec, kind: str, value) -> str:
         return "nucleus { " + rows + " }"
     if kind == "grotop":
         rows = []
-        for i, u in enumerate(poset.points):
-            fams = " ".join(_downset_str(spec, m) for m in value.covers[i])
+        for u, covers in zip(poset.points, value.covers):
+            sieves = sieves_on(poset, u)
+            fams = " ".join(_downset_str(spec, m) for k, m in enumerate(sieves) if covers >> k & 1)
             rows.append(f"{u}: {fams}")
         return "grotop { " + "; ".join(rows) + " }"
     if kind == "lt":
@@ -96,10 +97,11 @@ def structure_json(poset: Poset, kind: str, value) -> dict:
     if kind == "nucleus":
         return {"kind": "nucleus", "table": rows(enumerate_downsets(poset), value.table)}
     if kind == "grotop":
-        covers = [
-            [str(u), sorted(_downset_json(poset, m) for m in value.covers[i])]
-            for i, u in enumerate(poset.points)
-        ]
+        covers = []
+        for u, c in zip(poset.points, value.covers):
+            sieves = sieves_on(poset, u)
+            names = sorted(_downset_json(poset, m) for k, m in enumerate(sieves) if c >> k & 1)
+            covers.append([str(u), names])
         return {"kind": "grotop", "covers": sorted(covers)}
     if kind == "lt":
         table = [

@@ -347,12 +347,11 @@ class TwoColumnGraph:
         left = {left_name(k) for k in range(1, p + 1)}
         right = {right_name(k) for k in range(1, q + 1)}
         for u, v in cross:
-            if not (
-                (u in left and v in right) or (u in right and v in left)
-            ):
-                raise NotDownClosed(
-                    f"cross arrow {(u, v)!r} must connect distinct columns"
-                )
+            for w in (u, v):
+                if w not in left and w not in right:
+                    raise UnknownPoint(f"cross arrow {(u, v)!r}: unknown point {w!r}")
+            if (u in left) == (v in left):
+                raise NotDownClosed(f"cross arrow {(u, v)!r} must connect distinct columns")
         self.p = p
         self.q = q
         self.cross = cross

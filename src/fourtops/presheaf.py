@@ -89,7 +89,7 @@ class ElementIndex:
     def _name(self, k: int) -> tuple:
         """Element k as its point and its position in that point's component."""
         i = self.point[k]
-        return self.poset.points[i], k - self.point.index(i)
+        return self.poset.points[i], k - self.offset[i]
 
     def truth_groups(self, mask: int) -> dict:
         """The elements grouped by the truth value a classifying map of

@@ -1,15 +1,16 @@
 """The table records of two faces: classifier endomaps and covering families.
 
 An LT topology is stored as one table per point over that point's sieve
-indices, and a Grothendieck topology as one tuple of covering sieve masks per
-point.  The records need only the poset's sieve index, so the oracle searches
-that build them load no presheaf, classifier or closure-law code; the axiom
-checkers live in ``topology``.
+indices, and a Grothendieck topology as one bitmask per point over the same
+index: bit k is set when sieve k covers the point.  The records need only
+the poset's sieve index, so the oracle searches that build them load no
+presheaf, classifier or closure-law code; the axiom checkers live in
+``topology``.
 """
 
 from __future__ import annotations
 
-from .poset import DownSet, Poset, downset_sort_key, sieve_positions
+from .poset import Poset
 
 
 class LTTopology:
@@ -31,11 +32,12 @@ class LTTopology:
 
 
 class GrothendieckTopology:
-    """Per-point families of covering sieves, stored as canonical mask tuples."""
+    """Per-point families of covering sieves, stored as bitmasks over each
+    point's sieve index."""
 
     __slots__ = ("poset", "covers")
 
-    def __init__(self, poset: Poset, covers: tuple[tuple[int, ...], ...]):
+    def __init__(self, poset: Poset, covers: tuple[int, ...]):
         self.poset = poset
         self.covers = covers
 
@@ -46,19 +48,3 @@ class GrothendieckTopology:
 
     def __hash__(self) -> int:
         return hash((self.poset, self.covers))
-
-    def covers_mask_set(self, i: int) -> frozenset:
-        return frozenset(self.covers[i])
-
-
-def make_grotop(poset: Poset, families: dict) -> GrothendieckTopology:
-    """Build from a mapping point -> iterable of sieves (DownSets or masks)."""
-    covers = []
-    for u in poset.points:
-        fam = {s.mask if isinstance(s, DownSet) else int(s) for s in families.get(u, ())}
-        pos = sieve_positions(poset, u)
-        if fam <= pos.keys():  # sieve index order is downset_sort_key order
-            covers.append(tuple(sorted(fam, key=pos.__getitem__)))
-        else:
-            covers.append(tuple(sorted(fam, key=downset_sort_key)))
-    return GrothendieckTopology(poset, tuple(covers))

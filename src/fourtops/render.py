@@ -148,8 +148,10 @@ def render_grotop(g: TwoColumnGraph, j: GrothendieckTopology) -> str:
     """Per-point panels with covering sieves starred."""
     poset = g.poset()
     blocks = {}
-    for i, u in enumerate(poset.points):
-        blocks[u] = _panel(g, set(sieves_on(poset, u)), marked=set(j.covers[i]))
+    for u, covers in zip(poset.points, j.covers):
+        sieves = sieves_on(poset, u)
+        marked = {m for k, m in enumerate(sieves) if covers >> k & 1}
+        blocks[u] = _panel(g, set(sieves), marked=marked)
     return "\n".join(_point_panels(g, blocks))
 
 

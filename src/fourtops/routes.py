@@ -21,7 +21,7 @@ from typing import Iterable
 from . import convert
 from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology
 from .heyting import Nucleus, is_nucleus
-from .poset import Poset, _subsets, sieves_on
+from .poset import Poset, _subsets
 from .records import GrothendieckTopology, LTTopology
 from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
@@ -169,11 +169,9 @@ def _y_label(poset: Poset, y: frozenset) -> str:
 def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> str:
     """The first point whose covers differ from the class of the maximal sieve
     under the endomap, as a counterexample detail; "" if none does."""
-    for i, u in enumerate(poset.points):
-        sieves, table = sieves_on(poset, u), lt.tables[i]
-        top = table[len(sieves) - 1]
-        top_class = frozenset(m for m, k in zip(sieves, table) if k == top)
-        if top_class != j.covers_mask_set(i):
+    for u, table, covers in zip(poset.points, lt.tables, j.covers):
+        top = table[-1]
+        if sum(1 << k for k, v in enumerate(table) if v == top) != covers:
             return f"at point {u!r}"
     return ""
 

@@ -42,7 +42,8 @@ the classifier is listed as their input.
 The label-set constructions under them build presheaves the way the tests
 write them out, and the package has no use for them; with them are the
 subterminal inclusion, the identity, the bang, the identity endomap, the
-smallest and largest covering families, the equalizer, the element
+smallest and largest covering families with the builder of a covering
+family's bits from its sieves (``make_grotop``), the equalizer, the element
 down-sets, the truth-value ``cst`` of a subterminal and the exhaustive list
 of natural maps, which only the tests read.  The down-set operations that no
 command runs are functions of a poset and masks here: its down-set algebra's bottom, top,
@@ -68,7 +69,7 @@ each distinct row and per-point entry.
 
 import json
 from functools import lru_cache
-from itertools import combinations, islice, permutations
+from itertools import accumulate, combinations, islice, permutations
 from itertools import product as cartesian
 from typing import NamedTuple
 
@@ -185,6 +186,7 @@ class LabelIndex(ElementIndex):
         self.poset = poset
         self.keys = tuple((u, a) for u in poset.points for a in b.sorted_at(u))
         self.bit = {key: k for k, key in enumerate(self.keys)}
+        self.offset = tuple(accumulate((len(b.sorted_at(u)) for u in poset.points), initial=0))
         self.full = (1 << len(self.keys)) - 1
         self.width = len(poset.points)
         self._groups = {}
@@ -774,7 +776,6 @@ def canonical_grothendieck(base):
     the union of its members is that open.
     """
     from fourtops.poset import Poset, _bits, enumerate_downsets, sieves_on
-    from fourtops.records import make_grotop
 
     opens = enumerate_downsets(base)
     names = tuple("{" + ",".join(str(p) for p in base.names_of(o)) + "}" for o in opens)
@@ -966,7 +967,7 @@ def natural_endomaps(poset):
 def grotop_inclusion(j):
     """The covering families as a sub-presheaf of the classifier."""
     om = omega_presheaf(j.poset)
-    families = [j.covers_mask_set(i) for i in range(len(j.poset.points))]
+    families = [set(cover_masks(j, i)) for i in range(len(j.poset.points))]
     index = om.elements()
     mask = 0
     for k, ((_, s), i) in enumerate(zip(index.keys, index.point)):
@@ -1178,17 +1179,30 @@ def lt_identity(poset):
 
 def smallest_grotop(poset):
     """Only the maximal sieve covers each point."""
-    from fourtops.records import GrothendieckTopology
-
-    return GrothendieckTopology(poset, tuple((poset.down_mask(u),) for u in poset.points))
+    return make_grotop(poset, {u: [poset.down_mask(u)] for u in poset.points})
 
 
 def largest_grotop(poset):
     """Every sieve covers."""
     from fourtops.poset import sieves_on
-    from fourtops.records import make_grotop
 
     return make_grotop(poset, {u: sieves_on(poset, u) for u in poset.points})
+
+
+def make_grotop(poset, families):
+    """The covering families from a mapping point -> iterable of sieves
+    (``DownSet``s or masks), as bits over each point's sieve index; KeyError
+    for a mask that is not a sieve on its point."""
+    from fourtops.poset import DownSet, sieve_positions
+    from fourtops.records import GrothendieckTopology
+
+    covers = []
+    for u in poset.points:
+        pos, bits = sieve_positions(poset, u), 0
+        for s in families.get(u, ()):
+            bits |= 1 << pos[s.mask if isinstance(s, DownSet) else s]
+        covers.append(bits)
+    return GrothendieckTopology(poset, tuple(covers))
 
 
 def sub_from_sets(b, sets):
@@ -1362,9 +1376,23 @@ def lt_apply(lt, u, mask):
     return sieves[lt.tables[lt.poset.index(u)][sieves.index(mask)]]
 
 
+def cover_masks(grotop, i):
+    """The covering sieves on point i, as masks in sieve-index order."""
+    from fourtops.poset import sieves_on
+
+    sieves = sieves_on(grotop.poset, grotop.poset.points[i])
+    return tuple(m for k, m in enumerate(sieves) if grotop.covers[i] >> k & 1)
+
+
 def covers_at(grotop, u):
-    """The covering sieves on u, as masks."""
-    return grotop.covers[grotop.poset.index(u)]
+    """The covering sieves on u, as masks in sieve-index order."""
+    return cover_masks(grotop, grotop.poset.index(u))
+
+
+def cover_lists(grotop):
+    """Each point's covering masks in sieve-index order: the order of the
+    oracle covers census."""
+    return tuple(cover_masks(grotop, i) for i in range(len(grotop.poset.points)))
 
 
 def pile(graph, a, b):
@@ -1509,7 +1537,6 @@ def grotops_literal(poset):
     maximal one, placed minimal points first and filtered by stability and
     transitivity."""
     from fourtops.poset import DownSet, sieves_on
-    from fourtops.records import make_grotop
 
     order = sorted(
         range(len(poset.points)), key=lambda i: poset.down_mask_at(i).bit_count()
@@ -1572,7 +1599,7 @@ def grotops_literal(poset):
                 del chosen[i]
 
     walk(0)
-    results.sort(key=lambda g: g.covers)
+    results.sort(key=cover_lists)
     return results
 
 
@@ -1654,7 +1681,7 @@ def route_reports_literal(poset):
             top_class = frozenset(
                 sieves[k] for k in range(len(sieves)) if table[k] == table[top]
             )
-            if top_class != grotop.covers_mask_set(i):
+            if top_class != frozenset(cover_masks(grotop, i)):
                 agrees = False
                 detail = f"at point {u!r}"
                 break
@@ -1709,7 +1736,7 @@ def structure_json_literal(poset, kind, value):
     if kind == "grotop":
         covers = []
         for i, u in enumerate(poset.points):
-            covers.append([str(u), sorted(names(m) for m in value.covers[i])])
+            covers.append([str(u), sorted(names(m) for m in cover_masks(value, i))])
         return {"kind": "grotop", "covers": sorted(covers)}
     if kind == "lt":
         table = []

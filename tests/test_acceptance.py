@@ -34,6 +34,7 @@ from .oracles import (
     Presheaf,
     canonical_grothendieck,
     chi,
+    cover_masks,
     dense_closed_factor,
     downset_le,
     imp_map,
@@ -226,7 +227,7 @@ def test_criterion_08_axiom_suites(star):
                 for m in sieves_on(P, P.points[i])
                 if gen.mask | m == m
             }
-            ok = ok and members == grotop.covers_mask_set(i)
+            ok = ok and members == set(cover_masks(grotop, i))
     report("08 axiom suites", ok, "16 endomaps, closures, covering families")
 
 

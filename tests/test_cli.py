@@ -260,6 +260,17 @@ class TestEnumerate:
         assert code == 0
         assert out == (GOLDEN / "enumerate_nuclei_oracle_star.json").read_text()
 
+    @pytest.mark.parametrize("family", ["grotops", "lttops"])
+    @pytest.mark.parametrize(
+        "name, text",
+        [("star", STAR), ("cone5", "poset { points: a b c d e ; arrows: e > a e > b e > c e > d }")],
+    )
+    def test_oracle_text_golden(self, family, name, text):
+        # the text census lists the structures in the search's sorted order
+        code, out = run("enumerate", family, "--mode", "oracle", "-t", text)
+        assert code == 0
+        assert out == (GOLDEN / f"enumerate_{family}_oracle_{name}.txt").read_text()
+
     def test_modes_agree(self):
         _, a = run("enumerate", "lttops", "--mode", "oracle", "--json", "-t", STAR)
         _, b = run("enumerate", "lttops", "--mode", "formula", "--json", "-t", STAR)
@@ -1137,6 +1148,21 @@ def test_both_readers_refuse_the_same_bad_payloads(kind, defect, form, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert MESSAGES.get(defect, "") in err
+
+
+@pytest.mark.parametrize(
+    "header",
+    ["2cg p=1 q=1 cross { 1_ > _2 }", '{"poset": {"kind": "2cg", "p": 1, "q": 1, "cross": [["1_", "_2"]]}}'],
+    ids=["text", "json"],
+)
+def test_a_cross_arrow_to_a_missing_point_names_that_point(header, capsys):
+    """``_2`` is no point when q = 1, so the arrow is refused for naming it,
+    not for joining one column to itself."""
+    assert run("show", "h", "-t", header) == (2, "")
+    assert capsys.readouterr().err == "error: cross arrow ('1_', '_2'): unknown point '_2'\n"
+    # an arrow between two points of one column keeps its message
+    assert run("show", "h", "-t", "2cg p=2 q=1 cross { 2_ > 1_ }")[0] == 2
+    assert capsys.readouterr().err == "error: cross arrow ('2_', '1_') must connect distinct columns\n"
 
 
 @pytest.mark.parametrize("where", ["last", "first"])

@@ -39,13 +39,14 @@ from fourtops.poset import (
     sieves_on,
     star_graph,
 )
-from fourtops.records import GrothendieckTopology, LTTopology, make_grotop
+from fourtops.records import GrothendieckTopology, LTTopology
 from fourtops.routes import check_routes, complete_quad
 from fourtops.topology import ClosureOperator, is_grothendieck, j_from_closure
 
 from .conftest import pile_code_str
 from .oracles import (
     closure_to_nucleus_composite,
+    cover_lists,
     grotop_to_lt_composite,
     grotops_literal,
     j_from_closure_composite,
@@ -53,6 +54,7 @@ from .oracles import (
     lt_apply,
     lt_identity,
     lts_literal,
+    make_grotop,
     nucleus_apply,
     route_reports_literal,
     smallest_grotop,
@@ -359,13 +361,7 @@ class TestValidationAtTheBoundary:
 
     def test_every_invalid_covering_family_on_three_points(self):
         poset = Poset(["a", "b", "c"], [("c", "a"), ("c", "b")])
-        per_point = [
-            [
-                tuple(m for k, m in enumerate(sieves_on(poset, u)) if bits >> k & 1)
-                for bits in range(1 << len(sieves_on(poset, u)))
-            ]
-            for u in poset.points
-        ]
+        per_point = [range(1 << len(sieves_on(poset, u))) for u in poset.points]
         families = [GrothendieckTopology(poset, c) for c in itertools.product(*per_point)]
         invalid = [j for j in families if not is_grothendieck(j).ok]
         assert (len(families), len(invalid)) == (512, 504)
@@ -378,27 +374,28 @@ class TestValidationAtTheBoundary:
         }
 
     def test_random_invalid_covering_families_on_the_star(self, P):
-        # some families also hold a down-set that is not a sieve on its point
+        # some families also set a bit past the last sieve on their point
         rng = random.Random(21)
-        downsets = enumerate_downsets(P)
         invalid = []
         for _ in range(400):
             covers = []
             for u in P.points:
-                fam = [m for m in sieves_on(P, u) if rng.random() < 0.5]
+                n = len(sieves_on(P, u))
+                fam = sum(1 << k for k in range(n) if rng.random() < 0.5)
                 if rng.random() < 0.25:
-                    fam.append(rng.choice(downsets))
-                covers.append(tuple(fam))
+                    fam |= 1 << rng.randrange(n, 2 * n)
+                covers.append(fam)
             j = GrothendieckTopology(P, tuple(covers))
             if not is_grothendieck(j).ok:
                 invalid.append(j)
         outcomes = _outcomes(GROTOP_CONVERSIONS, invalid)
-        assert len(invalid) == 399
+        bounds = [j for j in invalid if any(f.axiom == "bounds" for f in is_grothendieck(j).failures)]
+        assert (len(invalid), len(bounds)) == (400, 278)
         assert outcomes == {
-            "grotop_to_nucleus": [44, 355],
-            "grotop_to_lt": [23, 376],
-            "grotop_to_lt_direct": [44, 355],
-            "grotop_to_point_set": [399, 0],
+            "grotop_to_nucleus": [39, 361],
+            "grotop_to_lt": [9, 391],
+            "grotop_to_lt_direct": [39, 361],
+            "grotop_to_point_set": [400, 0],
         }
 
     def test_every_invalid_nucleus_table_on_a_two_chain(self):
@@ -511,7 +508,7 @@ class TestEnumerators:
             got = enumerate_grotops(poset, "oracle")
             assert len(got) == 64
             formula = enumerate_grotops(poset, "formula")
-            assert got == sorted(formula, key=lambda g: g.covers)
+            assert got == sorted(formula, key=cover_lists)
 
 
 class TestQuad:

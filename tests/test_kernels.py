@@ -1,6 +1,8 @@
 """The oracle table search: fixed cases, agreement with the literal search,
 on small lattices and on the inputs the census feeds it, and the ``allowed``
-masks."""
+masks.  The kernel always fixes the top; the nucleus search passes the up
+masks as ``allowed``, and the literal search takes the constraints as flags,
+so each comparison names the flags that match."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -48,27 +50,29 @@ CENSUS_POSETS = {
 }
 
 
-def kernel(inputs, allowed=None, inflationary=False, top_fixed=True):
+def kernel(inputs, allowed=None):
     n, up, meet = inputs
-    return _kernels.enumerate_operator_tables(
-        _kernels.operator_lattice(up, meet), inflationary, top_fixed, allowed
-    )
+    return _kernels.enumerate_operator_tables(_kernels.operator_lattice(up, meet), allowed)
+
+
+def nucleus_kernel(inputs):
+    """The inflationary search: the up masks as the allowed values."""
+    return kernel(inputs, inputs[1])
 
 
 class TestPureKernel:
     def test_single_element_lattice(self):
-        assert kernel((1, (1,), (0,)), inflationary=True, top_fixed=False) == [(0,)]
+        assert nucleus_kernel((1, (1,), (0,))) == [(0,)]
 
     def test_empty_lattice(self):
         assert kernel((0, (), ())) == [()]
 
     def test_two_chain_nucleus_tables(self):
         # lattice 0 < 1: inflationary idempotent meet-preserving maps
-        got = kernel((2, (0b11, 0b10), (0, 0, 0, 1)), inflationary=True, top_fixed=False)
-        assert got == [(0, 1), (1, 1)]
+        assert nucleus_kernel((2, (0b11, 0b10), (0, 0, 0, 1))) == [(0, 1), (1, 1)]
 
     def test_top_fixed_drops_collapse(self):
-        got = kernel((2, (0b11, 0b10), (0, 0, 0, 1)), inflationary=False, top_fixed=True)
+        got = kernel((2, (0b11, 0b10), (0, 0, 0, 1)))
         assert (0, 1) in got and (1, 1) in got
         assert all(t[1] == 1 for t in got)
 
@@ -89,28 +93,28 @@ class TestPureKernel:
 
 
 class TestLiteralAgreement:
-    @given(small_posets(), st.booleans(), st.booleans())
+    @given(small_posets(), st.booleans())
     @settings(max_examples=30, deadline=None)
-    def test_same_tables_same_order_on_downset_lattices(self, poset, inflationary, top_fixed):
+    def test_same_tables_same_order_on_downset_lattices(self, poset, inflationary):
         n, up, meet = inputs = lattice_inputs(poset)
-        assert kernel(inputs, None, inflationary, top_fixed) == operator_tables_literal(
-            n, up, meet, inflationary, top_fixed
-        )
+        got = nucleus_kernel(inputs) if inflationary else kernel(inputs)
+        assert got == operator_tables_literal(n, up, meet, inflationary, not inflationary)
 
-    def test_every_flag_combination_on_the_star_and_a_cone(self, star_poset):
+    def test_both_searches_on_the_star_and_a_cone(self, star_poset):
         for n, up, meet in (lattice_inputs(star_poset), CONE):
-            for inflationary in (False, True):
-                for top_fixed in (False, True):
-                    got = kernel((n, up, meet), None, inflationary, top_fixed)
-                    assert got == operator_tables_literal(
-                        n, up, meet, inflationary, top_fixed
-                    )
-                    assert got  # the identity always qualifies
+            got = kernel((n, up, meet))
+            assert got == operator_tables_literal(n, up, meet, False, True)
+            assert got  # the identity always qualifies
+            # an inflationary table fixes the top: only the top is above it
+            got = nucleus_kernel((n, up, meet))
+            assert got == operator_tables_literal(n, up, meet, True, False)
+            assert got == operator_tables_literal(n, up, meet, True, True)
+            assert got
 
 
 def census_kernel_calls(monkeypatch, poset):
-    """The distinct (up, meet, allowed) inputs, with the flags, that the
-    oracle LT census on ``poset`` passes to the kernel."""
+    """The distinct (up, meet, allowed) inputs that the oracle LT census on
+    ``poset`` passes to the kernel."""
     raw = {}
     calls = set()
     prepare, search = census.operator_lattice, census.enumerate_operator_tables
@@ -120,9 +124,9 @@ def census_kernel_calls(monkeypatch, poset):
         raw[id(lattice)] = (up, meet)
         return lattice
 
-    def recorded_search(lattice, inflationary, top_fixed, allowed=None):
-        calls.add((*raw[id(lattice)], inflationary, top_fixed, allowed))
-        return search(lattice, inflationary, top_fixed, allowed)
+    def recorded_search(lattice, allowed=None):
+        calls.add((*raw[id(lattice)], allowed))
+        return search(lattice, allowed)
 
     monkeypatch.setattr(census, "operator_lattice", recorded_lattice)
     monkeypatch.setattr(census, "enumerate_operator_tables", recorded_search)
@@ -141,29 +145,23 @@ class TestTheCensusInputs:
         # the top's lattice and a two-sieve one on cone5, and a three-sieve
         # one as well on fan6, under the masks that naturality allows
         assert len(calls) == distinct
-        for up, meet, inflationary, top_fixed, allowed in calls:
-            assert (inflationary, top_fixed) == (False, True)
-            got = kernel((len(up), up, meet), allowed, inflationary, top_fixed)
-            assert got == operator_tables_literal(
-                len(up), up, meet, inflationary, top_fixed, allowed
-            )
+        for up, meet, allowed in calls:
+            got = kernel((len(up), up, meet), allowed)
+            assert got == operator_tables_literal(len(up), up, meet, False, True, allowed)
 
     @pytest.mark.parametrize("name", CENSUS_POSETS)
     def test_the_downset_algebra(self, name):
         inputs = lattice_inputs(CENSUS_POSETS[name])
-        got = kernel(inputs, None, inflationary=True, top_fixed=False)
+        got = census.enumerate_nucleus_tables(CENSUS_POSETS[name])
         assert len(got) == 2 ** len(CENSUS_POSETS[name].points)
-        assert got == operator_tables_literal(*inputs, True, False)
+        assert got == nucleus_kernel(inputs) == operator_tables_literal(*inputs, True, False)
 
 
 class TestAllowed:
     def test_all_ones_equals_unrestricted(self, star_poset):
         for inputs in (CONE, lattice_inputs(star_poset)):
             n = inputs[0]
-            for flags in ((False, True), (True, False)):
-                assert kernel(inputs, ((1 << n) - 1,) * n, *flags) == kernel(
-                    inputs, None, *flags
-                )
+            assert kernel(inputs, ((1 << n) - 1,) * n) == kernel(inputs)
 
     @given(st.sets(st.tuples(st.integers(0, 8), st.integers(0, 8)), max_size=6))
     @settings(max_examples=40, deadline=None)
@@ -184,4 +182,4 @@ class TestAllowed:
         for i in range(n):
             allowed = tuple(0 if k == i else (1 << n) - 1 for k in range(n))
             assert kernel(CONE, allowed) == []
-            assert kernel(CONE, allowed, inflationary=True, top_fixed=False) == []
+            assert kernel(CONE, tuple(a & u for a, u in zip(allowed, CONE[1]))) == []

@@ -544,3 +544,35 @@ class TestDirectIndexes:
         assert len(posets) == 50
         for poset in posets:
             self.check(poset)
+
+    def test_a_mask_that_is_not_down_closed_names_its_elements_by_position(self):
+        # each element is named by its point and its position in that point's
+        # component, found by searching the point list, on the package's Ω
+        # and Ω² and on the label-built ones, whose offsets come from their
+        # component sizes
+        poset = star_graph().poset()
+        labelled = omega_presheaf(poset)
+        indexes = (
+            omega(poset),
+            omega_square(poset),
+            labelled.elements(),
+            product(labelled, labelled).elements(),
+        )
+        for index in indexes:
+            refused = 0
+            for k, down in enumerate(index.down):
+                if down == 1 << k:
+                    continue
+                name = [
+                    (poset.points[index.point[e]], e - index.point.index(index.point[e]))
+                    for e in (k, (down & ~(1 << k)).bit_length() - 1)
+                ]
+                (u, a), (v, b) = name
+                with pytest.raises(FunctorialityError) as caught:
+                    index.require_down_closed(1 << k)
+                assert str(caught.value) == (
+                    f"element {a} at {u!r} restricts to element {b} at {v!r}, outside the sub-presheaf"
+                )
+                refused += 1
+            # every element above a minimal point restricts below itself
+            assert refused == sum(poset.down_mask_at(i) != 1 << i for i in index.point) > 0

@@ -13,7 +13,6 @@ from fourtops.heyting import AxiomFailure, CheckReport
 from fourtops.poset import (
     DownSet,
     Poset,
-    downset_sort_key,
     enumerate_downsets,
     interior_mask,
     sieve_positions,
@@ -21,7 +20,7 @@ from fourtops.poset import (
     star_graph,
 )
 from fourtops.presheaf import _pull_mask, terminal
-from fourtops.records import LTTopology, make_grotop
+from fourtops.records import LTTopology
 from fourtops.axioms import TestUniverse as Universe
 from fourtops.axioms import build_universe, check_closure_axioms, filter_check, omega_square
 from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
@@ -36,6 +35,7 @@ from .oracles import (
     check_closure_axioms_literal,
     closure_of,
     closure_of_composite,
+    cover_masks,
     covers_at,
     dense_closed_factor,
     direct_positions,
@@ -47,6 +47,7 @@ from .oracles import (
     lt_as_morphism,
     lt_identity,
     lt_laws_literal,
+    make_grotop,
     meet_square,
     natural_endomaps,
     nucleus_apply,
@@ -721,11 +722,12 @@ class TestGrothendieck:
         report = is_grothendieck(make_grotop(P, families))
         assert any(f.axiom == "trans" for f in report.failures)
 
-    def test_make_grotop_keeps_the_sort_key_order(self):
-        # sieve families sort by sieve index, families holding a mask that is
-        # not a sieve by downset_sort_key; both must give the key's order
+    def test_covers_are_bits_over_the_sieve_index(self):
+        # a family given as DownSets or masks, in any order and with repeats,
+        # is one int per point whose bit k marks sieves_on(poset, u)[k]; a
+        # mask that is not a sieve on its point has no bit
         rng = random.Random(7)
-        mixed = 0
+        refused = 0
         for _ in range(200):
             names = [f"p{i}" for i in range(rng.randrange(6))]
             pairs = [(a, b) for i, a in enumerate(names) for b in names[i + 1 :]]
@@ -733,18 +735,23 @@ class TestGrothendieck:
             poset = Poset(names, {p for p in pairs if rng.random() < 0.5})
             families = {}
             for u in poset.points:
-                fam = [s for s in sieves_on(poset, u) if rng.random() < 0.5]
-                fam = [DownSet(poset, s) if rng.random() < 0.5 else s for s in fam]
-                if rng.random() < 0.5:
-                    fam += [rng.randrange(1 << len(names)) for _ in range(3)]
-                families[u] = fam
-            expected = []
-            for u in poset.points:
+                fam = [s for s in sieves_on(poset, u) if rng.random() < 0.5] * 2
+                rng.shuffle(fam)
+                families[u] = [DownSet(poset, s) if rng.random() < 0.5 else s for s in fam]
+            j = make_grotop(poset, families)
+            for i, u in enumerate(poset.points):
                 masks = {s.mask if isinstance(s, DownSet) else s for s in families[u]}
-                mixed += not masks <= set(sieves_on(poset, u))
-                expected.append(tuple(sorted(masks, key=downset_sort_key)))
-            assert make_grotop(poset, families).covers == tuple(expected)
-        assert mixed > 100
+                sieves = sieves_on(poset, u)
+                assert j.covers[i] == sum(1 << k for k, s in enumerate(sieves) if s in masks)
+                assert cover_masks(j, i) == tuple(s for s in sieves if s in masks)
+            if names:
+                u = rng.choice(poset.points)
+                bad = rng.randrange(1 << len(names))
+                if bad not in sieves_on(poset, u):
+                    refused += 1
+                    with pytest.raises(KeyError):
+                        make_grotop(poset, {u: [bad]})
+        assert refused > 80
 
     def test_stab_equivalent_to_subpresheaf_condition(self, P):
         # for every candidate family bounded by the sieves, the two readings
@@ -798,7 +805,7 @@ class TestFilters:
                     for m in sieves_on(P, P.points[i])
                     if gen.mask | m == m
                 }
-                assert expected == j.covers_mask_set(i)
+                assert expected == set(cover_masks(j, i))
 
 
 def all_posets_up_to(n):
@@ -834,8 +841,8 @@ class TestCanonical:
         # the empty open is covered by both of its sieves
         full = j.poset.index("{u}")
         empty = j.poset.index("{}")
-        assert len(j.covers[full]) == 1
-        assert len(j.covers[empty]) == 2
+        assert j.covers[full].bit_count() == 1
+        assert j.covers[empty].bit_count() == 2
 
     def test_two_chain_base(self):
         base = Poset(["a", "b"], {("a", "b")})
@@ -847,7 +854,7 @@ class TestCanonical:
         base = Poset(["a", "b"], {("a", "b")})
         j = canonical_grothendieck(base)
         for i, u in enumerate(j.poset.points):
-            assert j.poset.down_mask(u) in j.covers_mask_set(i)
+            assert j.poset.down_mask(u) in cover_masks(j, i)
 
     def test_all_bases_up_to_three_points(self):
         for base in all_posets_up_to(3):
