@@ -3,8 +3,10 @@
 A closure operator (``topology.ClosureOperator``) is checked against the
 five closure laws, each "for all inclusions" quantifier instantiated over a
 finite, deterministic test universe of element masks, cut at a pair cap
-(see ``build_universe``).  A covering-sieve topology is checked against the
-filter laws, with the principal generator of each per-point family.
+(see ``build_universe``), on bit slices: a codomain's listed masks, and
+their closures, are the fields of one int (see ``TestUniverse``).  A
+covering-sieve topology is checked against the filter laws, with the
+principal generator of each per-point family.
 """
 
 from __future__ import annotations
@@ -55,34 +57,99 @@ class TestUniverse:
     per f, in pair order; ``map_pairs`` holds ``(domain, codomain, image
     bits, mask, pulled mask)`` per map pair, the image bits naming each
     domain element's image among the codomain's elements, and ``pulls`` the
-    ``_Pulls`` of each map pair's map, one per distinct map.  ``packed`` holds
-    per codomain its subobjects' masks, a field width in bytes and, per
-    truth-value key, one int with each subobject's group of that key in its
-    field, so that their closures are the fields of one sum.
+    ``_Pulls`` of each map pair's map, one per distinct map.
+
+    ``slices`` holds per codomain ``(whole, ones)``: its listed masks as the
+    fields of one int, in list order, and bit 0 of each field.  ``packed``
+    holds per codomain the masks, the field width in bytes and, per
+    truth-value key, one int with each mask's group of that key in its
+    field, so that their closures are the fields of one sum; each
+    element's membership column ``whole >> e & ones`` is split by the
+    elements of its row into its truth values, so no mask is grouped on its
+    own.  ``row_masks`` holds per row ``(NEST, CROSS, ((meet, SEL), ...))``,
+    all-ones fields at its nested and at its crossing g's and bit 0 at the
+    crossing g's of each distinct meet; or None where a mask of the row is
+    not listed in its codomain, and the row is read mask by mask.
 
     A closure law's witness names a subobject as ``(codomain name, mask)``,
     the names being ``"1"``, ``"Ω"`` and ``"Ω²"`` in codomain order, and
     C5's first entry is the name of the map's domain.
     """
 
-    __slots__ = ("poset", "codomains", "subobjects", "rows", "map_pairs", "pulls", "packed")
+    __slots__ = ("poset", "codomains", "subobjects", "rows", "map_pairs", "pulls", "packed", "slices", "row_masks")
 
     def __init__(self, poset: Poset, codomains: tuple, subobjects: tuple, rows: tuple, map_pairs: tuple):
         self.poset, self.codomains, self.subobjects = poset, codomains, subobjects
         self.rows, self.map_pairs = rows, map_pairs
         pulls = {images: _Pulls(images) for _, _, images, _, _ in map_pairs}
         self.pulls = tuple(pulls[images] for _, _, images, _, _ in map_pairs)
-        packed = []
+        packed, slices, fields = [], [], []
         for c, index in enumerate(codomains):
             masks, n = [mask for k, mask in subobjects if k == c], index.full.bit_length()
             width = next((w for w in _FORMATS if 8 * w >= n), n + 7 >> 3)
-            tables = list(map(index.truth_groups, masks))
-            fields = {
-                key: b"".join(t.get(key, 0).to_bytes(width, sys.byteorder) for t in tables)
-                for key in set().union(*tables)
-            }
-            packed.append((masks, width, {k: int.from_bytes(v, sys.byteorder) for k, v in fields.items()}))
-        self.packed = tuple(packed)
+            whole = int.from_bytes(b"".join(m.to_bytes(width, sys.byteorder) for m in masks), sys.byteorder)
+            ones = _select(range(len(masks)), len(masks), width)
+            packed.append((masks, width, _slice_groups(index, whole, ones)))
+            slices.append((whole, ones))
+            fields.append((len(masks), width, {m: j for j, m in enumerate(masks)}, index.full))
+        self.packed, self.slices = tuple(packed), tuple(slices)
+        self.row_masks = tuple(_row_masks(row, *fields[row[0]]) for row in rows)
+
+
+def _select(positions, count: int, width: int) -> int:
+    """Over ``count`` fields of ``width`` bytes, laid out as
+    ``TestUniverse.packed`` lays out its masks, the int with bit 0 of the
+    fields at ``positions`` set."""
+    flags = bytearray(count)
+    for j in positions:
+        flags[j] = 1
+    data = bytearray(count * width)
+    # bit 0 of field j is in its first byte, or its last on a big-endian host
+    data[0 if sys.byteorder == "little" else width - 1 :: width] = flags
+    return int.from_bytes(data, sys.byteorder)
+
+
+def _slice_groups(index: ElementIndex, whole: int, ones: int) -> dict:
+    """Truth-value key -> the int holding, in each mask's field, that mask's
+    group of the key, read off the membership columns of ``whole``."""
+    columns = [whole >> e & ones for e in range(index.full.bit_length())]
+    width, groups = index.width, {}
+    for k, (i, row) in enumerate(zip(index.point, index.rows)):
+        # the fields, split by the point mask of the points below where
+        # element k's image lies in their mask
+        split = [(0, ones)]
+        for pb, eb in row:
+            column, parts = columns[eb.bit_length() - 1], []
+            for s, fields in split:
+                inside = fields & column
+                if inside:
+                    parts.append((s | pb, inside))
+                if inside != fields:
+                    parts.append((s, fields ^ inside))
+            split = parts
+        for s, fields in split:
+            key = s * width + i
+            groups[key] = groups.get(key, 0) | fields << k
+    return groups
+
+
+def _row_masks(row: tuple, count: int, width: int, position: dict, full: int):
+    """A row's NEST, CROSS and meet selectors over its codomain's ``count``
+    fields, or None if a mask of the row is not a listed subobject there."""
+    _, f, _, nested, crossing, meets = row
+    try:
+        at_nested = list(map(position.__getitem__, nested))
+        at_crossing = list(map(position.__getitem__, crossing))
+    except KeyError:
+        return None
+    if not position.keys() >= {f, *meets}:
+        return None
+    by_meet: dict = {}
+    for j, m in zip(at_crossing, meets):
+        by_meet.setdefault(m, []).append(j)
+    nest = _select(at_nested, count, width) * full
+    cross = _select(at_crossing, count, width) * full
+    return nest, cross, tuple((m, _select(js, count, width)) for m, js in by_meet.items())
 
 
 def omega_square(poset: Poset) -> ElementIndex:
@@ -154,9 +221,10 @@ def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> Check
     closures over each codomain's element index; each closure must still be
     a sub-presheaf (FunctorialityError otherwise, as for any endomap table
     that is not a topology).  The closures of a codomain's subobjects are
-    the fields of one sum of its packed groups, and the laws are screened a
-    row at a time; only if a screen fails or raises do they run again pair
-    by pair (``_ordered_laws``), the one loop that slices witnesses or raises.
+    the fields of one sum of its packed groups, and the laws are screened on
+    that sum, a codomain and then a row at a time; only if a screen fails or
+    raises do they run again pair by pair (``_ordered_laws``), the one loop
+    that builds witnesses or raises.
     """
     if clop.poset != universe.poset:
         raise ShapeMismatch("inclusion lives on a different poset")
@@ -170,9 +238,16 @@ def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> Check
 
 
 def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
-    """Whether every law holds, read per codomain and per row; fills the tables."""
-    for close, (masks, width, ints) in zip(closed, universe.packed):
+    """Whether every law holds; fills the tables.  With ``total`` a
+    codomain's closures as fields and ``spread`` a row's closure of f in
+    every field: C1 is ``whole & ~total``, C3 ``spread & ~total & NEST``,
+    and C4 compares each meet's closure at its crossing g's with ``spread
+    & total & CROSS``; C2, the down-closure check and C5 read masks."""
+    totals = []
+    for close, (masks, width, ints), (whole, _) in zip(closed, universe.packed, universe.slices):
         total = sum(map(ints.__getitem__, cover.intersection(ints)))
+        if whole & ~total:
+            return False
         data = total.to_bytes(len(masks) * width, sys.byteorder)
         if width in _FORMATS:
             got = memoryview(data).cast(_FORMATS[width]).tolist()
@@ -182,14 +257,23 @@ def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
         if not index.passed.issuperset(got):
             index.passed.update(map(index.require_down_closed, set(got).difference(index.passed)))
         close.update(zip(masks, got))
-        if list(map(and_, masks, got)) != masks or list(map(close.__getitem__, got)) != got:
+        if list(map(close.__getitem__, got)) != got:
             return False
-    for c, f, _, nested, crossing, meets in universe.rows:
+        totals.append(total)
+    for (c, f, _, nested, crossing, meets), sliced in zip(universe.rows, universe.row_masks):
         close = closed[c]
         cf = close[f]
-        if cf & ~reduce(and_, map(close.__getitem__, nested)):
+        if sliced is None:
+            if cf & ~reduce(and_, map(close.__getitem__, nested)):
+                return False
+            if list(map(close.__getitem__, meets)) != list(map(cf.__and__, map(close.__getitem__, crossing))):
+                return False
+            continue
+        nest, cross, selectors = sliced
+        total, spread = totals[c], cf * universe.slices[c][1]
+        if spread & ~total & nest:
             return False
-        if list(map(close.__getitem__, meets)) != list(map(cf.__and__, map(close.__getitem__, crossing))):
+        if sum(close[m] * sel for m, sel in selectors) != spread & total & cross:
             return False
     return all(
         closed[a][p] == pulls[closed[b][d]]

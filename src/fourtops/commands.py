@@ -117,13 +117,14 @@ class _Parser:
         return ParseError(message)
 
 
-def _parse_arrows(p: _Parser) -> set[tuple[str, str]]:
-    arrows = set()
+def _parse_arrows(p: _Parser) -> list[tuple[str, str]]:
+    """The arrows in input order, so that a refusal names the first bad one."""
+    arrows = []
     while p.peek() not in (None, "}", ";"):
         src = p.take()
         p.take(">")
         dst = p.take()
-        arrows.add((src, dst))
+        arrows.append((src, dst))
     return arrows
 
 
@@ -185,13 +186,13 @@ def _parse_text(p: _Parser) -> InputSpec:
             p.take("=")
             qq = _take_count(p)
             _require_point_cap(pp + qq)
-            cross: set = set()
+            cross: list = []
             if p.peek() == "cross":
                 p.take("cross")
                 p.take("{")
                 cross = _parse_arrows(p)
                 p.take("}")
-            graph = TwoColumnGraph(pp, qq, frozenset(cross))
+            graph = TwoColumnGraph(pp, qq, cross)
             spec = InputSpec(graph.poset(), graph)
         elif head == "poset":
             p.take("{")

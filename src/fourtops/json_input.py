@@ -74,13 +74,13 @@ def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
         pp, qq = _json_typed(pj["p"], int, "p"), _json_typed(pj["q"], int, "q")
         _require_point_cap(pp + qq)
         cross = _json_list(pj.get("cross", []), "cross")
-        graph = TwoColumnGraph(pp, qq, frozenset(tuple(_json_names(a, "cross", 2)) for a in cross))
+        graph = TwoColumnGraph(pp, qq, [tuple(_json_names(a, "cross", 2)) for a in cross])
         spec = InputSpec(graph.poset(), graph)
     elif pj.get("kind") == "poset":
         points = _json_names(pj["points"], "points")
         _require_point_cap(len(points))
         arrows = _json_list(pj.get("arrows", []), "arrows")
-        spec = InputSpec(Poset(points, {tuple(_json_names(a, "arrows", 2)) for a in arrows}))
+        spec = InputSpec(Poset(points, [tuple(_json_names(a, "arrows", 2)) for a in arrows]))
     else:
         raise ParseError("poset.kind must be '2cg' or 'poset'")
     if sj is None:

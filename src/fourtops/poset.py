@@ -48,13 +48,16 @@ class Poset:
         if len(set(pts)) != len(pts):
             raise UnknownPoint(f"duplicate point names in {pts!r}")
         self.points = pts
-        self.arrows = frozenset(arrows)
         self._index = {u: i for i, u in enumerate(pts)}
-        for u, v in self.arrows:
-            if u not in self._index or v not in self._index:
-                raise UnknownPoint(f"arrow endpoint not a point: {(u, v)!r}")
+        # checked in the order given, so the first bad arrow is the one named
+        arrows = tuple(arrows)
+        for u, v in arrows:
+            for w in (u, v):
+                if w not in self._index:
+                    raise UnknownPoint(f"arrow {(u, v)!r}: unknown point {w!r}")
             if u == v:
                 raise CycleError(f"self-arrow on {u!r}")
+        self.arrows = frozenset(arrows)
         self._down = self._close()
         self._hash = hash((pts, self.arrows))
 
@@ -343,7 +346,8 @@ class TwoColumnGraph:
     def __init__(self, p: int, q: int, cross: Iterable = frozenset()):
         if p < 0 or q < 0:
             raise ValueError("column heights must be nonnegative")
-        cross = frozenset(cross)
+        # checked in the order given, so the first bad arrow is the one named
+        cross = tuple(cross)
         left = {left_name(k) for k in range(1, p + 1)}
         right = {right_name(k) for k in range(1, q + 1)}
         for u, v in cross:
@@ -354,7 +358,7 @@ class TwoColumnGraph:
                 raise NotDownClosed(f"cross arrow {(u, v)!r} must connect distinct columns")
         self.p = p
         self.q = q
-        self.cross = cross
+        self.cross = frozenset(cross)
         self._poset = None
 
     def __eq__(self, other) -> bool:

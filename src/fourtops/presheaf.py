@@ -32,8 +32,11 @@ class ElementIndex:
 
     The elements grouped by truth value against a mask (see
     :meth:`truth_groups`) depend on no topology, so they are kept here for
-    every closure operator that reads them; ``passed`` holds the masks a
-    closure has already found down-closed.
+    every closure operator that reads them: the route pass's, and in the
+    closure-law check those of masks outside a universe's lists (closures
+    and pullbacks), since the listed masks are packed from membership
+    columns without them (``axioms.TestUniverse``).  ``passed`` holds the
+    masks a closure has already found down-closed.
     """
 
     __slots__ = ("poset", "point", "rows", "down", "offset", "full", "width", "_groups", "passed")

@@ -1165,6 +1165,40 @@ def test_a_cross_arrow_to_a_missing_point_names_that_point(header, capsys):
     assert capsys.readouterr().err == "error: cross arrow ('2_', '1_') must connect distinct columns\n"
 
 
+# two bad arrows per input, each refused for the first of them in input order
+BAD_ARROWS = {
+    "unknown point": (
+        "poset { points: a ; arrows: a > b a > c }",
+        {"kind": "poset", "points": ["a"], "arrows": [["a", "b"], ["a", "c"]]},
+        "error: arrow ('a', 'b'): unknown point 'b'\n",
+    ),
+    "self-arrows": (
+        "poset { points: a b ; arrows: a > a b > b }",
+        {"kind": "poset", "points": ["a", "b"], "arrows": [["a", "a"], ["b", "b"]]},
+        "error: self-arrow on 'a'\n",
+    ),
+    "unknown cross points": (
+        "2cg p=1 q=1 cross { 1_ > _2 1_ > _3 }",
+        {"kind": "2cg", "p": 1, "q": 1, "cross": [["1_", "_2"], ["1_", "_3"]]},
+        "error: cross arrow ('1_', '_2'): unknown point '_2'\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("form", ["text", "json"])
+@pytest.mark.parametrize("case", BAD_ARROWS)
+def test_an_arrow_refusal_names_the_first_bad_arrow_under_any_hash_seed(case, form, monkeypatch):
+    """The arrows are checked in input order, not in the order of a set of
+    them, so two hash seeds (which named different arrows when they were)
+    give one identical error line and exit 2."""
+    text, poset, message = BAD_ARROWS[case]
+    header = text if form == "text" else _json_doc(poset)
+    for seed in ("0", "1"):
+        monkeypatch.setenv("PYTHONHASHSEED", seed)
+        got = _cli_child("show", "h", "-t", header)
+        assert (got.returncode, got.stdout, got.stderr) == (2, b"", message)
+
+
 @pytest.mark.parametrize("where", ["last", "first"])
 @pytest.mark.parametrize("form", ["text", "json"])
 @pytest.mark.parametrize("kind", ["nucleus", "lt"])

@@ -65,8 +65,11 @@ class TestPosetConstruction:
             Poset(["a", "b"], {("a", "a"), ("a", "b")})
 
     def test_unknown_arrow_endpoint(self):
-        with pytest.raises(UnknownPoint):
+        with pytest.raises(UnknownPoint, match=r"^arrow \('a', 'z'\): unknown point 'z'$"):
             Poset(["a"], {("a", "z")})
+        # the first unknown endpoint of the first bad arrow, in input order
+        with pytest.raises(UnknownPoint, match=r"^arrow \('y', 'z'\): unknown point 'y'$"):
+            Poset(["a"], [("y", "z"), ("a", "x")])
 
     def test_duplicate_points_rejected(self):
         with pytest.raises(UnknownPoint):

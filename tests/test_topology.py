@@ -1,6 +1,7 @@
 """Topology axiom suites, closure laws, and covering-sieve checks."""
 
 import random
+import sys
 from itertools import groupby
 
 import pytest
@@ -26,6 +27,7 @@ from fourtops.axioms import build_universe, check_closure_axioms, filter_check, 
 from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
 
 from . import oracles
+from .conftest import naturally_labelled_posets
 from .oracles import (
     Inclusion,
     Morphism,
@@ -90,6 +92,14 @@ def universe(P):
 @pytest.fixture(scope="module")
 def literal_universe(P):
     return build_universe_literal(P, pair_cap=600, omega_square_cap=10)
+
+
+@pytest.fixture(scope="module")
+def cone4():
+    """Three points below a fourth: Ω² has 93 elements, so its fields are 12
+    bytes wide and are read one by one, not through a memoryview cast."""
+    points = [f"p{i}" for i in range(4)]
+    return Poset(points, {(points[-1], p) for p in points[:-1]})
 
 
 @pytest.fixture(scope="module")
@@ -363,6 +373,18 @@ class TestOneKernel:
             enumerate_downsets(P)
         )
 
+    def test_universe_builds_no_group_of_a_listed_subobject(self, P, all_lts, built):
+        # the listed subobjects are packed from membership columns; the 16
+        # screens build groups only for masks outside the lists (here
+        # closures and pullbacks in Ω², whose list is cut at 24)
+        universe = build_universe(P)
+        assert built == []
+        for lt in all_lts:
+            assert check_closure_axioms(ClosureOperator(lt), universe).ok
+        listed = {(id(universe.codomains[c]), mask) for c, mask in universe.subobjects}
+        assert built
+        assert not listed.intersection((id(index), mask) for index, mask in built)
+
     def test_second_operator_builds_no_group(self, P, all_lts, built):
         from fourtops.convert import closure_to_nucleus
 
@@ -522,11 +544,24 @@ class TestPackedClosures:
             passed += got.ok
         assert passed == 16
 
-    def test_every_cone4_topology_gives_the_literal_outcome(self):
-        # Ω² of cone4 has 93 elements, so its fields are 12 bytes wide and
-        # are read one by one, not through a memoryview cast
-        points = [f"p{i}" for i in range(4)]
-        cone4 = Poset(points, {(points[-1], p) for p in points[:-1]})
+    def test_every_natural_endomap_up_to_three_points_gives_the_literal_outcome(self):
+        # the same report, witnesses included, on every natural endomap of
+        # Ω of every poset up to 3 points; every law but C5 fails somewhere
+        endomaps = passed = 0
+        failed = set()
+        for poset in naturally_labelled_posets(3):
+            universe, literal = build_universe(poset), build_universe_literal(poset)
+            for lt in natural_endomaps(poset):
+                clop = ClosureOperator(lt)
+                got = closure_law_outcome(check_closure_axioms, clop, universe)
+                assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal)
+                endomaps += 1
+                passed += got.ok
+                failed.update(f.axiom for f in got.failures)
+        assert (endomaps, passed) == (501, 66)
+        assert failed == {"C1-inflationary", "C2-idempotent", "C3-monotone", "C4-meets"}
+
+    def test_every_cone4_topology_gives_the_literal_outcome(self, cone4):
         universe = build_universe(cone4, pair_cap=600, omega_square_cap=10)
         literal = build_universe_literal(cone4, pair_cap=600, omega_square_cap=10)
         assert [width for _, width, _ in universe.packed] == [1, 2, 12]
@@ -536,6 +571,24 @@ class TestPackedClosures:
             clop = ClosureOperator(lt)
             got = closure_law_outcome(check_closure_axioms, clop, universe)
             assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal)
+
+    def test_packed_ints_equal_the_groups_mask_by_mask(self, P, cone4, sweep_classes):
+        # the ints packed from membership columns are the ones each listed
+        # mask's truth groups give field by field, on 1, Ω and Ω² of the
+        # star, of cone4 and of every class of the 2x2 sweep
+        widths = set()
+        for poset in [P, cone4, *sweep_classes]:
+            universe = build_universe(poset)
+            for c, (index, (masks, width, ints)) in enumerate(zip(universe.codomains, universe.packed)):
+                assert masks == [mask for k, mask in universe.subobjects if k == c]
+                tables = list(map(index.truth_groups, masks))
+                fields = {
+                    key: b"".join(t.get(key, 0).to_bytes(width, sys.byteorder) for t in tables)
+                    for key in set().union(*tables)
+                }
+                assert ints == {key: int.from_bytes(v, sys.byteorder) for key, v in fields.items()}
+                widths.add(width)
+        assert widths == {1, 2, 4, 8, 9, 12}
 
     def test_packed_closures_equal_the_row_loop(self, P, all_lts):
         from fourtops.axioms import _screen
@@ -559,6 +612,32 @@ class TestPackedClosures:
         cut = Universe(P, universe.codomains, (), rows, ())
         for lt in natural_endomaps(P):
             close = [ClosureOperator(lt).closures(index) for index in cut.codomains]
+            broken = [
+                (c, f, g)
+                for c, f, _, _, crossing, _ in rows
+                for g in crossing
+                if close[c][f & g] != close[c][f] & close[c][g]
+            ]
+            if broken:
+                break
+        c, f, g = broken[0]
+        name = ("1", "Ω", "Ω²")[c]
+        witness = AxiomFailure("C4-meets", ((name, f), (name, g)))
+        assert check_closure_axioms(ClosureOperator(lt), cut).failures == (witness,)
+
+    def test_a_failure_of_c4_alone_is_caught_on_the_slices(self, P, universe):
+        # the same cut rows over the universe's own listed subobjects, so
+        # every row is read on its NEST, CROSS and meet selectors; for the
+        # first natural endomap that keeps C1 and C2 on the listed
+        # subobjects and breaks a crossing meet, only the sliced meet
+        # screen can send the laws to the ordered loop
+        rows = tuple((c, f, gs, (f,), crossing, meets) for c, f, gs, _, crossing, meets in universe.rows)
+        cut = Universe(P, universe.codomains, universe.subobjects, rows, ())
+        assert None not in cut.row_masks
+        for lt in natural_endomaps(P):
+            close = [ClosureOperator(lt).closures(index) for index in cut.codomains]
+            if any(f & ~close[c][f] or close[c][close[c][f]] != close[c][f] for c, f in cut.subobjects):
+                continue
             broken = [
                 (c, f, g)
                 for c, f, _, _, crossing, _ in rows
