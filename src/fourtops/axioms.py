@@ -12,8 +12,6 @@ principal generator of each per-point family.
 from __future__ import annotations
 
 import sys
-from functools import reduce
-from operator import and_
 
 from .classifier import omega
 from .errors import DEFAULT_PAIR_CAP, FunctorialityError, ShapeMismatch
@@ -24,6 +22,9 @@ from .records import GrothendieckTopology
 from .topology import ClosureOperator
 
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+# how many subobjects of Ω² a closure-law universe lists
+OMEGA_SQUARE_CAP = 24
 
 # the names of the codomains of a closure-law universe, as its witnesses give them
 _NAMES = ("1", "Ω", "Ω²")
@@ -68,8 +69,8 @@ class TestUniverse:
     elements of its row into its truth values, so no mask is grouped on its
     own.  ``row_masks`` holds per row ``(NEST, CROSS, ((meet, SEL), ...))``,
     all-ones fields at its nested and at its crossing g's and bit 0 at the
-    crossing g's of each distinct meet; or None where a mask of the row is
-    not listed in its codomain, and the row is read mask by mask.
+    crossing g's of each distinct meet.  A row whose g's are not all listed
+    in its codomain is refused (ShapeMismatch).
 
     A closure law's witness names a subobject as ``(codomain name, mask)``,
     the names being ``"1"``, ``"Ω"`` and ``"Ω²"`` in codomain order, and
@@ -133,17 +134,15 @@ def _slice_groups(index: ElementIndex, whole: int, ones: int) -> dict:
     return groups
 
 
-def _row_masks(row: tuple, count: int, width: int, position: dict, full: int):
+def _row_masks(row: tuple, count: int, width: int, position: dict, full: int) -> tuple:
     """A row's NEST, CROSS and meet selectors over its codomain's ``count``
-    fields, or None if a mask of the row is not a listed subobject there."""
+    fields; ShapeMismatch if a g of the row is not a listed subobject there."""
     _, f, _, nested, crossing, meets = row
     try:
         at_nested = list(map(position.__getitem__, nested))
         at_crossing = list(map(position.__getitem__, crossing))
     except KeyError:
-        return None
-    if not position.keys() >= {f, *meets}:
-        return None
+        raise ShapeMismatch(f"row of {f:#x} has a g not listed in its codomain") from None
     by_meet: dict = {}
     for j, m in zip(at_crossing, meets):
         by_meet.setdefault(m, []).append(j)
@@ -165,10 +164,8 @@ def omega_square(poset: Poset) -> ElementIndex:
     return ElementIndex(poset, sizes, restrict)
 
 
-def build_universe(
-    poset: Poset, pair_cap: int = DEFAULT_PAIR_CAP, omega_square_cap: int = 24
-) -> TestUniverse:
-    """Subobjects of 1, of Ω and the first ``omega_square_cap`` of Ω²; as
+def build_universe(poset: Poset, pair_cap: int = DEFAULT_PAIR_CAP) -> TestUniverse:
+    """Subobjects of 1, of Ω and the first ``OMEGA_SQUARE_CAP`` of Ω²; as
     pairs, the first ``pair_cap`` pairs (f, g) of subobjects of one object
     with g not listed before f, in one row per f; as map pairs, the bang of
     each object into the subterminals and chi of each subterminal against
@@ -185,7 +182,7 @@ def build_universe(
     groups = (
         enumerate_downsets(poset),
         _downsets(om.down, om.full),
-        _downsets(square.down, square.full, omega_square_cap),
+        _downsets(square.down, square.full, OMEGA_SQUARE_CAP),
     )
     codomains = (one, om, square)
     subobjects = tuple((c, mask) for c, masks in enumerate(groups) for mask in masks)
@@ -260,17 +257,9 @@ def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
         if list(map(close.__getitem__, got)) != got:
             return False
         totals.append(total)
-    for (c, f, _, nested, crossing, meets), sliced in zip(universe.rows, universe.row_masks):
+    for (c, f, _, _, _, _), (nest, cross, selectors) in zip(universe.rows, universe.row_masks):
         close = closed[c]
-        cf = close[f]
-        if sliced is None:
-            if cf & ~reduce(and_, map(close.__getitem__, nested)):
-                return False
-            if list(map(close.__getitem__, meets)) != list(map(cf.__and__, map(close.__getitem__, crossing))):
-                return False
-            continue
-        nest, cross, selectors = sliced
-        total, spread = totals[c], cf * universe.slices[c][1]
+        total, spread = totals[c], close[f] * universe.slices[c][1]
         if spread & ~total & nest:
             return False
         if sum(close[m] * sel for m, sel in selectors) != spread & total & cross:

@@ -13,9 +13,10 @@ from typing import Iterable
 
 from .errors import NotElement
 from .poset import DownSet, Poset, downset_positions, enumerate_downsets, interior_mask
+from .records import Record
 
 
-class Nucleus:
+class Nucleus(Record):
     """A total table on the down-set algebra of a poset, stored by the index
     of each down-set in ``enumerate_downsets``."""
 
@@ -25,37 +26,20 @@ class Nucleus:
         self.poset = poset
         self.table = table
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Nucleus:
-            return NotImplemented
-        return (self.poset, self.table) == (other.poset, other.table)
 
-    def __hash__(self) -> int:
-        return hash((self.poset, self.table))
-
-
-class AxiomFailure:
+class AxiomFailure(Record):
     __slots__ = ("axiom", "witness")
 
     def __init__(self, axiom: str, witness: tuple):
         self.axiom = axiom
         self.witness = witness
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AxiomFailure:
-            return NotImplemented
-        return (self.axiom, self.witness) == (other.axiom, other.witness)
-
-    def __hash__(self) -> int:
-        return hash((self.axiom, self.witness))
-
-
     def __str__(self) -> str:
         parts = ", ".join(repr(w) for w in self.witness)
         return f"{self.axiom} fails at {parts}"
 
 
-class CheckReport:
+class CheckReport(Record):
     """Outcome of an axiom scan: empty failure list means pass."""
 
     __slots__ = ("subject", "failures")
@@ -63,15 +47,6 @@ class CheckReport:
     def __init__(self, subject: str, failures: tuple[AxiomFailure, ...]):
         self.subject = subject
         self.failures = failures
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not CheckReport:
-            return NotImplemented
-        return (self.subject, self.failures) == (other.subject, other.failures)
-
-    def __hash__(self) -> int:
-        return hash((self.subject, self.failures))
-
 
     @property
     def ok(self) -> bool:

@@ -13,6 +13,7 @@ from itertools import combinations, groupby, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from .errors import CycleError, NotDownClosed, SizeCapExceeded, UnknownPoint
+from .records import Record
 
 PointId = Hashable
 
@@ -38,7 +39,7 @@ def _subsets(points: tuple) -> list[frozenset]:
     return out
 
 
-class Poset:
+class Poset(Record):
     """A finite poset presented by points and generating arrows (a DAG)."""
 
     __slots__ = ("points", "arrows", "_index", "_down", "_hash")
@@ -93,14 +94,8 @@ class Poset:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poset)
-            and self.points == other.points
-            and self.arrows == other.arrows
-        )
-
     def __hash__(self) -> int:
+        # computed once: every lru_cache lookup hashes the poset
         return self._hash
 
     def __repr__(self) -> str:
@@ -145,7 +140,7 @@ class Poset:
         return acc == mask
 
 
-class DownSet:
+class DownSet(Record):
     """A downward-closed subset of a poset, stored as a bitmask and checked
     on construction: the form a down-set takes where it leaves the package.
     The enumerators give bare masks."""
@@ -163,17 +158,6 @@ class DownSet:
     @property
     def members(self) -> tuple[PointId, ...]:
         return self.poset.names_of(self.mask)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not DownSet:
-            return NotImplemented
-        return self.mask == other.mask and (
-            self.poset is other.poset or self.poset == other.poset
-        )
-
-    def __hash__(self) -> int:
-        # equal down-sets share a mask; equality still compares the poset
-        return hash(self.mask)
 
     def __repr__(self) -> str:
         return "{" + ",".join(str(u) for u in self.members) + "}"
@@ -334,7 +318,7 @@ def right_name(k: int) -> str:
     return f"_{k}"
 
 
-class TwoColumnGraph:
+class TwoColumnGraph(Record):
     """Two columns of heights p and q with optional cross arrows.
 
     Column arrows ``(k+1)_ -> k_`` and ``_(k+1) -> _k`` are implicit; cross
@@ -360,15 +344,6 @@ class TwoColumnGraph:
         self.q = q
         self.cross = frozenset(cross)
         self._poset = None
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not TwoColumnGraph:
-            return NotImplemented
-        return (self.p, self.q, self.cross) == (other.p, other.q, other.cross)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.q, self.cross))
-
 
     def point_names(self) -> tuple[str, ...]:
         lefts = [left_name(k) for k in range(self.p, 0, -1)]

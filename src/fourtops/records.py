@@ -1,4 +1,5 @@
-"""The table records of two faces: classifier endomaps and covering families.
+"""``Record``, the one equality of the package's values, and the table
+records of two faces.
 
 An LT topology is stored as one table per point over that point's sieve
 indices, and a Grothendieck topology as one bitmask per point over the same
@@ -10,10 +11,32 @@ presheaf, classifier or closure-law code; the axiom checkers live in
 
 from __future__ import annotations
 
-from .poset import Poset
+from operator import attrgetter
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from .poset import Poset
 
 
-class LTTopology:
+class Record:
+    """A slotted value: equal to a record of the same class whose fields,
+    its slots that do not start with ``_``, are equal; hashed over them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*(s for s in cls.__slots__ if not s.startswith("_")))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+
+class LTTopology(Record):
     """Per-point endomap of the classifier, stored by sieve index."""
 
     __slots__ = ("poset", "tables")
@@ -22,16 +45,8 @@ class LTTopology:
         self.poset = poset
         self.tables = tables
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not LTTopology:
-            return NotImplemented
-        return (self.poset, self.tables) == (other.poset, other.tables)
 
-    def __hash__(self) -> int:
-        return hash((self.poset, self.tables))
-
-
-class GrothendieckTopology:
+class GrothendieckTopology(Record):
     """Per-point families of covering sieves, stored as bitmasks over each
     point's sieve index."""
 
@@ -40,11 +55,3 @@ class GrothendieckTopology:
     def __init__(self, poset: Poset, covers: tuple[int, ...]):
         self.poset = poset
         self.covers = covers
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GrothendieckTopology:
-            return NotImplemented
-        return (self.poset, self.covers) == (other.poset, other.covers)
-
-    def __hash__(self) -> int:
-        return hash((self.poset, self.covers))

@@ -22,14 +22,14 @@ from . import convert
 from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology
 from .heyting import Nucleus, is_nucleus
 from .poset import Poset, _subsets
-from .records import GrothendieckTopology, LTTopology
+from .records import GrothendieckTopology, LTTopology, Record
 from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
 
 # -- quadruples ----------------------------------------------------------------
 
 
-class Quad:
+class Quad(Record):
     """A mutually coherent (point set, nucleus, covering families, endomap)."""
 
     __slots__ = ("y", "nucleus", "grotop", "lt")
@@ -41,14 +41,6 @@ class Quad:
         self.nucleus = nucleus
         self.grotop = grotop
         self.lt = lt
-
-    def _key(self) -> tuple:
-        return (self.y, self.nucleus, self.grotop, self.lt)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not Quad:
-            return NotImplemented
-        return self._key() == other._key()
 
     @property
     def poset(self) -> Poset:
@@ -112,7 +104,7 @@ def complete_quad(
 # -- route-agreement and round-trip checkers -----------------------------------
 
 
-class InstanceVerdict:
+class InstanceVerdict(Record):
     __slots__ = ("label", "agrees", "detail")
 
     def __init__(self, label: str, agrees: bool, detail: str = ""):
@@ -120,27 +112,13 @@ class InstanceVerdict:
         self.agrees = agrees
         self.detail = detail
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not InstanceVerdict:
-            return NotImplemented
-        return (self.label, self.agrees, self.detail) == (
-            other.label,
-            other.agrees,
-            other.detail,
-        )
 
-
-class RouteReport:
+class RouteReport(Record):
     __slots__ = ("name", "verdicts")
 
     def __init__(self, name: str, verdicts: tuple[InstanceVerdict, ...]):
         self.name = name
         self.verdicts = verdicts
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not RouteReport:
-            return NotImplemented
-        return (self.name, self.verdicts) == (other.name, other.verdicts)
 
     @property
     def ok(self) -> bool:

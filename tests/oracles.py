@@ -1033,18 +1033,19 @@ def direct_subobjects(b, limit=None):
     return [Inclusion._from_mask(b, permute_mask(back, m)) for m in masks]
 
 
-def build_universe_literal(poset, pair_cap=5000, omega_square_cap=24):
+def build_universe_literal(poset, pair_cap=5000):
     """The closure-law universe as validated objects: subterminal inclusions,
     the subobjects of Ω and of Ω², pairs of inclusions, and map pairs of a
     bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
     order (``direct_subobjects``)."""
+    from fourtops.axioms import OMEGA_SQUARE_CAP
     from fourtops.poset import enumerate_downsets
 
     om = omega_presheaf(poset)
     one = terminal_presheaf(poset)
     square = product(om, om)
     subterminals = [subterminal_inclusion(one, s) for s in enumerate_downsets(poset)]
-    objects = [subterminals, direct_subobjects(om), direct_subobjects(square, limit=omega_square_cap)]
+    objects = [subterminals, direct_subobjects(om), direct_subobjects(square, limit=OMEGA_SQUARE_CAP)]
     inclusions = tuple(f for group in objects for f in group)
     all_pairs = ((f, g) for group in objects for i, f in enumerate(group) for g in group[i:])
     pairs = tuple(islice(all_pairs, max(pair_cap, 0)))

@@ -359,3 +359,97 @@ class TestCanonicalForm:
                     moved += shuffled._down != poset._down
                     assert canonical_form(shuffled) == form
         assert moved > 40
+
+
+def _record_classes():
+    """Every subclass of ``Record`` that a module of the package defines."""
+    import pkgutil
+    from importlib import import_module
+
+    import fourtops
+    from fourtops.records import Record
+
+    for info in pkgutil.iter_modules(fourtops.__path__):
+        import_module(f"fourtops.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("fourtops.") and sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return found
+
+
+def _record_samples():
+    """Class name -> a builder of one record of that class, each call over
+    fresh field values: a fresh poset, fresh tuples and fresh records."""
+    from fourtops.heyting import AxiomFailure, CheckReport, Nucleus
+    from fourtops.records import GrothendieckTopology, LTTopology
+    from fourtops.routes import InstanceVerdict, Quad, RouteReport
+
+    def poset():
+        return Poset(["a", "b"], [("b", "a")])
+
+    def failure():
+        return AxiomFailure("C1-inflationary", (("1", 1),))
+
+    def verdict():
+        return InstanceVerdict("y={a}", False, "disagree")
+
+    return {
+        "Poset": poset,
+        "DownSet": lambda: DownSet(poset(), 1),
+        "TwoColumnGraph": lambda: TwoColumnGraph(2, 2, [("2_", "_1")]),
+        "Nucleus": lambda: Nucleus(poset(), (1, 1, 2)),
+        "AxiomFailure": failure,
+        "CheckReport": lambda: CheckReport("closure axioms", (failure(),)),
+        "LTTopology": lambda: LTTopology(poset(), ((0, 1), (0, 1, 2))),
+        "GrothendieckTopology": lambda: GrothendieckTopology(poset(), (2, 4)),
+        "Quad": lambda: Quad(
+            frozenset({"a"}),
+            Nucleus(poset(), (1, 1, 2)),
+            GrothendieckTopology(poset(), (2, 4)),
+            LTTopology(poset(), ((0, 1), (0, 1, 2))),
+        ),
+        "InstanceVerdict": verdict,
+        "RouteReport": lambda: RouteReport("pointset->nucleus", (verdict(),)),
+    }
+
+
+class TestRecords:
+    """One equality for the package's values: same class and equal fields,
+    the fields being the slots that do not start with ``_``."""
+
+    def test_every_record_class_has_a_sample(self):
+        assert {cls.__name__ for cls in _record_classes()} == set(_record_samples())
+
+    @pytest.mark.parametrize("name", sorted(_record_samples()))
+    def test_equal_fields_give_equal_values_and_hashes(self, name):
+        make = _record_samples()[name]
+        a, b = make(), make()
+        assert a is not b and a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        # a record is not its tuple of fields
+        assert a != a._values(a)
+
+    def test_records_of_other_classes_with_the_same_fields_differ(self):
+        from fourtops.heyting import Nucleus
+        from fourtops.records import GrothendieckTopology
+
+        P, t = Poset(["a", "b"], [("b", "a")]), (1, 2)
+        assert Nucleus(P, t) != GrothendieckTopology(P, t)
+        assert GrothendieckTopology(P, t) != Nucleus(P, t)
+
+    def test_private_slots_take_no_part(self):
+        built = TwoColumnGraph(2, 2, [("2_", "_1")])
+        built.poset()
+        fresh = TwoColumnGraph(2, 2, [("2_", "_1")])
+        assert built._poset is not None and fresh._poset is None
+        assert built == fresh and hash(built) == hash(fresh)
+        assert TwoColumnGraph(2, 2) != fresh
+
+    def test_a_poset_hashes_to_its_cached_hash(self):
+        P = Poset(["a", "b", "c"], [("c", "a"), ("c", "b")])
+        assert hash(P) == P._hash == hash(Poset(["a", "b", "c"], [("c", "b"), ("c", "a")]))
+        assert P != Poset(["a", "b", "c"], [("c", "a")]) and (P == "abc") is False

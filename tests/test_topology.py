@@ -86,12 +86,12 @@ def all_lts(P):
 
 @pytest.fixture(scope="module")
 def universe(P):
-    return build_universe(P, pair_cap=600, omega_square_cap=10)
+    return build_universe(P, pair_cap=600)
 
 
 @pytest.fixture(scope="module")
 def literal_universe(P):
-    return build_universe_literal(P, pair_cap=600, omega_square_cap=10)
+    return build_universe_literal(P, pair_cap=600)
 
 
 @pytest.fixture(scope="module")
@@ -488,9 +488,13 @@ class TestClosureUniverse:
 
     @pytest.mark.parametrize("square_cap", [10, 24])
     @pytest.mark.parametrize("cap", [-1, 0, 1, 600, 5000, 100_000])
-    def test_rows_equal_the_literal_universe_flattened(self, P, cap, square_cap):
-        rows = build_universe(P, pair_cap=cap, omega_square_cap=square_cap)
-        literal = build_universe_literal(P, pair_cap=cap, omega_square_cap=square_cap)
+    def test_rows_equal_the_literal_universe_flattened(self, P, cap, square_cap, monkeypatch):
+        # both builders read the cap on Ω²'s subobjects when they run
+        from fourtops import axioms
+
+        monkeypatch.setattr(axioms, "OMEGA_SQUARE_CAP", square_cap)
+        rows = build_universe(P, pair_cap=cap)
+        literal = build_universe_literal(P, pair_cap=cap)
         subobjects, pair_rows, map_pairs = flattened(literal)
         # the codomains are the indexes of 1, Ω and Ω², which the bridge
         # test in test_presheaf equates with the literal ones
@@ -562,8 +566,8 @@ class TestPackedClosures:
         assert failed == {"C1-inflationary", "C2-idempotent", "C3-monotone", "C4-meets"}
 
     def test_every_cone4_topology_gives_the_literal_outcome(self, cone4):
-        universe = build_universe(cone4, pair_cap=600, omega_square_cap=10)
-        literal = build_universe_literal(cone4, pair_cap=600, omega_square_cap=10)
+        universe = build_universe(cone4, pair_cap=600)
+        literal = build_universe_literal(cone4, pair_cap=600)
         assert [width for _, width, _ in universe.packed] == [1, 2, 12]
         lts = enumerate_lts(cone4, "formula")
         assert len(lts) == 16
@@ -603,37 +607,22 @@ class TestPackedClosures:
                 row_loop = _Closures(table.index, clop.cover)
                 assert [table[m] for m in masks] == [row_loop.__missing__(m) for m in masks]
 
-    def test_a_failure_of_c4_alone_is_witnessed(self, P, universe):
-        # on the universe's rows with each nested list cut to f itself, C3
-        # holds, so for the first natural endomap whose closure breaks a
-        # crossing meet, only the meet screen can send the laws to the
-        # ordered loop, which names that first crossing pair
-        rows = tuple((c, f, gs, (f,), crossing, meets) for c, f, gs, _, crossing, meets in universe.rows)
-        cut = Universe(P, universe.codomains, (), rows, ())
-        for lt in natural_endomaps(P):
-            close = [ClosureOperator(lt).closures(index) for index in cut.codomains]
-            broken = [
-                (c, f, g)
-                for c, f, _, _, crossing, _ in rows
-                for g in crossing
-                if close[c][f & g] != close[c][f] & close[c][g]
-            ]
-            if broken:
-                break
-        c, f, g = broken[0]
-        name = ("1", "Ω", "Ω²")[c]
-        witness = AxiomFailure("C4-meets", ((name, f), (name, g)))
-        assert check_closure_axioms(ClosureOperator(lt), cut).failures == (witness,)
+    def test_a_row_whose_gs_are_not_listed_is_refused(self, P, universe):
+        # every row is read on the slices of its codomain's listed masks,
+        # so a hand-built row over no listed subobject has no slice to read
+        with pytest.raises(ShapeMismatch, match="not listed"):
+            Universe(P, universe.codomains, (), universe.rows, ())
+        # a universe that lists every g of its rows is built
+        assert Universe(P, universe.codomains, universe.subobjects, universe.rows, ()).row_masks
 
     def test_a_failure_of_c4_alone_is_caught_on_the_slices(self, P, universe):
-        # the same cut rows over the universe's own listed subobjects, so
-        # every row is read on its NEST, CROSS and meet selectors; for the
-        # first natural endomap that keeps C1 and C2 on the listed
-        # subobjects and breaks a crossing meet, only the sliced meet
-        # screen can send the laws to the ordered loop
+        # on the universe's rows with each nested list cut to f itself, over
+        # its own listed subobjects, C3 holds; for the first natural
+        # endomap that keeps C1 and C2 on the listed subobjects and breaks a
+        # crossing meet, only the sliced meet screen can send the laws to
+        # the ordered loop, which names that first crossing pair
         rows = tuple((c, f, gs, (f,), crossing, meets) for c, f, gs, _, crossing, meets in universe.rows)
         cut = Universe(P, universe.codomains, universe.subobjects, rows, ())
-        assert None not in cut.row_masks
         for lt in natural_endomaps(P):
             close = [ClosureOperator(lt).closures(index) for index in cut.codomains]
             if any(f & ~close[c][f] or close[c][close[c][f]] != close[c][f] for c, f in cut.subobjects):
