@@ -1,139 +1,162 @@
-"""Command-line front door: the argument parser, the entry point and the
-sweep.  Importing it loads ``fourtops.errors`` alone, and the parser builds
-only the subparser that argv's first word names.  ``main`` imports the other
-commands' handlers only when one of them runs: ``enumerate`` with the input
-reader and the census writer from ``fourtops.commands``, ``check``
-from ``fourtops.check``, the rest from ``fourtops.handlers``.
+"""Command-line front door: the grammar, its reader and the entry point.
+Importing it loads ``fourtops.errors`` alone.  ``main`` reads the command
+line off ``GRAMMAR`` and imports argparse only for help and usage errors; it
+imports a command's handler only when that command runs: ``sweep`` from
+``fourtops.sweep``, ``enumerate`` with the input reader and the census
+writer from ``fourtops.commands``, ``check`` from ``fourtops.check``, the
+rest from ``fourtops.handlers``.
 Exit codes: 0 all checks pass, 1 counterexample found, 2 usage or parse error.
 ``run``, the entry point of ``python -m fourtops.cli`` and of the ``fourtops``
 script, ends the process with ``main``'s code once its output is flushed.
 """
 
-from __future__ import annotations
-
-import argparse
 import io
 import os
 import sys
+from types import SimpleNamespace
 
-from .errors import (
-    DEFAULT_ORACLE_POINT_CAP,
-    DEFAULT_PAIR_CAP,
-    STRUCTURE_KINDS,
-    FourtopsError,
-    SizeCapExceeded,
-    _require_at_least,
-)
+from .errors import DEFAULT_ORACLE_POINT_CAP, DEFAULT_PAIR_CAP, STRUCTURE_KINDS, FourtopsError
 
 
-def cmd_sweep(args, out) -> int:
-    """Every check on every configuration, computed once per isomorphism
-    class (see ``sweep.sweep_entries``)."""
-    for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax), ("--cap", args.cap)):
-        _require_at_least(flag, value, 0)
-    if args.pmax + args.qmax > args.cap:
-        raise SizeCapExceeded(f"--pmax + --qmax is {args.pmax + args.qmax}, over --cap {args.cap}")
-    from .sweep import sweep_entries
-
-    instances = []
-    ok = True
-    for label, entry in sweep_entries(args.pmax, args.qmax, args.cap):
-        instances.append(entry)
-        ok = ok and entry["ok"]
-        if not args.json:
-            out.write(f"{label}: {'ok' if entry['ok'] else 'FAIL'}\n")
-    if args.json:
-        from .emit import emit_json
-
-        out.write(emit_json({"result": {"instances": instances, "ok": ok}}))
-    else:
-        out.write(f"{sum(1 for e in instances if e['ok'])}/{len(instances)} instances ok\n")
-    return 0 if ok else 1
+# -- the command line --------------------------------------------------------------
 
 
-# -- entry point -------------------------------------------------------------------
+# A row of the grammar: spellings (none for a positional), dest, kind (``str``,
+# ``int``, ``bool`` for a flag, or the tuple of its choices), default, whether
+# it is required, and help.
+_INPUT = (("-i", "--input"), "input", str, None, False, "input file ('-' for stdin)")
+_TEXT = (("-t", "--text"), "text", str, None, False, "inline input text")
+_JSON = (("--json",), "json", bool, False, False, "structured output")
+_IO = (_INPUT, _TEXT, _JSON)
+_FROM = (("--from",), "source", STRUCTURE_KINDS, None, True, None)
+_TO = (("--to",), "target", STRUCTURE_KINDS, None, True, None)
+_MODE = "formula: one structure per point subset; oracle: search by the axioms alone (default formula)"
+_SWEEP_CAP = f"largest p + q, the oracle point cap (default {DEFAULT_ORACLE_POINT_CAP})"
 
 
-# the subcommands, in help order
-_SUBCOMMANDS = ("show", "chi", "convert", "fouruple", "enumerate", "check", "render", "sweep")
+def _positional(dest, *choices):
+    return ((), dest, choices, None, True, None)
 
 
-def build_parser(argv=()) -> argparse.ArgumentParser:
-    """The CLI's parser.  When ``argv``'s first word names a subcommand,
-    only that subparser is built; with no word, ``-h`` or an unknown word,
-    all of them are, so the top-level help and usage errors list every
-    subcommand.  The usage line names every subcommand either way."""
+# The CLI's grammar: each subcommand, in help order, with its help line and
+# its rows in usage order.  ``main`` reads the command line off it, and
+# ``build_parser`` builds argparse from it for help and usage errors.
+GRAMMAR = {
+    "show": ("display h, omega, or the true map", (_positional("what", "h", "omega", "true"), *_IO)),
+    "chi": ("classifying map of a subterminal (y payload)", _IO),
+    "convert": ("convert between representations", (_FROM, _TO, *_IO)),
+    "fouruple": ("complete all four representations", (_FROM, *_IO)),
+    "enumerate": ("enumerate structures on the poset", (
+        _positional("family", "nuclei", "grotops", "lttops"),
+        (("--mode",), "mode", ("formula", "oracle"), "formula", False, _MODE), *_IO,
+        (("--cap",), "cap", int, None, False, f"point cap of --mode oracle (default {DEFAULT_ORACLE_POINT_CAP})"),
+    )),
+    "check": ("run axiom or agreement checkers", (
+        _positional("what", "axioms", "conjectures", "topmost", "roundtrips"), *_IO,
+        (("--cap",), "cap", int, None, False, f"pair cap for check axioms (default {DEFAULT_PAIR_CAP})"),
+    )),
+    "render": ("text renderings", (_positional("what", "zha", "omega", "j", "grotop", "fouruple"), _INPUT, _TEXT)),
+    "sweep": ("batch checks over a 2cg family", (
+        (("--pmax",), "pmax", int, 2, False, "largest left-column height p (default 2)"),
+        (("--qmax",), "qmax", int, 2, False, "largest right-column height q (default 2)"),
+        _JSON,
+        (("--cap",), "cap", int, DEFAULT_ORACLE_POINT_CAP, False, _SWEEP_CAP),
+    )),
+}
+
+
+def _is_value(word: str) -> bool:
+    # the words every supported argparse reads as a value or a positional;
+    # which other words that start with '-' it does differs between versions
+    return word[:1] != "-" or word == "-" or word[1:].isdecimal()
+
+
+def read_command_line(argv: list) -> SimpleNamespace | None:
+    """The namespace argparse gives ``argv``, read off ``GRAMMAR``; None for
+    argparse to read: help, ``--``, an unknown or ambiguous option, a missing
+    value or required row, a bad choice or int, a stray word, or a value that
+    starts with '-' and is neither '-' nor a negative integer."""
+    if not argv or argv[0] not in GRAMMAR or "--" in argv:
+        return None
+    rows = GRAMMAR[argv[0]][1]
+    spelled = {"-h": None, "--help": None} | {s: row for row in rows for s in row[0]}
+    # argparse also takes a prefix of one long spelling alone
+    prefixes = [(s[:k], row) for s, row in spelled.items() if s[1] == "-" for k in range(3, len(s))]
+    heads = [head for head, _ in prefixes]
+    spelled = {head: row for head, row in prefixes if heads.count(head) == 1} | spelled
+    positionals = [row for row in rows if not row[0]]
+    values = {"command": argv[0]} | {row[1]: row[3] for row in rows}
+    words = iter(argv[1:])
+    for word in words:
+        name, eq, value = word.partition("=")
+        if _is_value(word):
+            row, value = positionals.pop(0) if positionals else None, word
+        elif word in spelled:
+            row, value = spelled[word], None
+        elif eq and name in spelled:
+            row = spelled[name]
+        else:  # -tVALUE
+            row, value = spelled.get(word[:2]) if word[1] != "-" else None, word[2:]
+        if row and row[2] is bool:
+            value = True if value is None else None
+        elif row and value is None:
+            value = next(words, None)
+            if value is not None and not _is_value(value):
+                return None
+        # argparse reads an attached '--' (``--cap=--``) as an empty list
+        if row is None or value is None or value == "--":
+            return None
+        if row[2] is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif row[2] not in (str, bool) and value not in row[2]:
+            return None
+        values[row[1]] = value
+    # no value read is None, so a required row that is still None was not given
+    if any(row[4] and values[row[1]] is None for row in rows):
+        return None
+    return SimpleNamespace(**values)
+
+
+def build_parser(argv=()):
+    """The CLI's argparse parser, built from ``GRAMMAR``, for help and usage
+    errors.  It builds only the subparser ``argv``'s first word names, or all
+    of them for no word, ``-h`` or an unknown word, so the top-level help and
+    usage errors list every subcommand."""
+    import argparse
+
     top = argparse.ArgumentParser(
         prog="fourtops",
         description="compute, convert, render, and check topologies on "
         "presheaves over finite posets",
     )
     # the metavar argparse gives the choices when all of them are built
-    sub = top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(_SUBCOMMANDS) + "}")
-    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-
-    def wanted(name, help):
-        return sub.add_parser(name, help=help) if named in (None, name) else None
-
-    def add_common(p, json=True):
-        p.add_argument("-i", "--input", help="input file ('-' for stdin)")
-        p.add_argument("-t", "--text", help="inline input text")
-        if json:
-            p.add_argument("--json", action="store_true", help="structured output")
-
-    if p := wanted("show", "display h, omega, or the true map"):
-        p.add_argument("what", choices=["h", "omega", "true"])
-        add_common(p)
-
-    if p := wanted("chi", "classifying map of a subterminal (y payload)"):
-        add_common(p)
-
-    if p := wanted("convert", "convert between representations"):
-        p.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
-        p.add_argument("--to", dest="target", choices=STRUCTURE_KINDS, required=True)
-        add_common(p)
-
-    if p := wanted("fouruple", "complete all four representations"):
-        p.add_argument("--from", dest="source", choices=STRUCTURE_KINDS, required=True)
-        add_common(p)
-
-    if p := wanted("enumerate", "enumerate structures on the poset"):
-        p.add_argument("family", choices=["nuclei", "grotops", "lttops"])
-        p.add_argument("--mode", choices=["formula", "oracle"], default="formula")
-        add_common(p)
-        p.add_argument(
-            "--cap", type=int, help=f"point cap of --mode oracle (default {DEFAULT_ORACLE_POINT_CAP})"
-        )
-
-    if p := wanted("check", "run axiom or agreement checkers"):
-        p.add_argument("what", choices=["axioms", "conjectures", "topmost", "roundtrips"])
-        add_common(p)
-        p.add_argument(
-            "--cap", type=int, help=f"pair cap for check axioms (default {DEFAULT_PAIR_CAP})"
-        )
-
-    if p := wanted("render", "text renderings"):
-        p.add_argument("what", choices=["zha", "omega", "j", "grotop", "fouruple"])
-        add_common(p, json=False)
-
-    if p := wanted("sweep", "batch checks over a 2cg family"):
-        p.add_argument("--pmax", type=int, default=2)
-        p.add_argument("--qmax", type=int, default=2)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--cap", type=int, default=DEFAULT_ORACLE_POINT_CAP)
+    sub = top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(GRAMMAR) + "}")
+    named = argv[0] if argv and argv[0] in GRAMMAR else None
+    for name, (help, rows) in GRAMMAR.items():
+        if named in (None, name):
+            p = sub.add_parser(name, help=help)
+            for spellings, dest, kind, default, required, help in rows:
+                how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
+                if spellings:
+                    how |= {"dest": dest, "required": required}
+                p.add_argument(*spellings or [dest], default=default, help=help, **how)
     return top
 
 
 def main(argv=None, out=None) -> int:
     out = sys.stdout if out is None else out
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return 2 if e.code not in (0, None) else 0
+    args = read_command_line(argv)
+    if args is None:
+        try:
+            args = build_parser(argv).parse_args(argv)
+        except SystemExit as e:
+            return 2 if e.code not in (0, None) else 0
     if args.command == "sweep":
-        handler = cmd_sweep
+        from .sweep import cmd_sweep as handler
     elif args.command == "enumerate":
         from .commands import cmd_enumerate as handler
     elif args.command == "check":

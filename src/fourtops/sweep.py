@@ -3,9 +3,10 @@
 Every acyclic cross-arrow configuration is listed by backtracking, and each
 configuration's poset gets every census and route check.  The checks are
 computed once per isomorphism class, since each verdict is invariant under
-relabelling the points; ``sweep`` in the CLI writes one entry per
-configuration.  The classes run on forked workers, one per CPU the process may
-use (``taskset -c 0`` keeps it in one process), with the same output.
+relabelling the points; ``cmd_sweep``, the CLI's ``sweep``, writes one entry
+per configuration.  The classes run on forked workers, one per CPU the
+process may use (``taskset -c 0`` keeps it in one process), with the same
+output.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import signal
 import threading
 
 from .census import enumerate_grotops, enumerate_lts, enumerate_nuclei
-from .errors import FourtopsError
+from .errors import FourtopsError, SizeCapExceeded, _require_at_least
 from .poset import TwoColumnGraph, canonical_form
 from .routes import route_pass, route_reports
 
@@ -165,3 +166,26 @@ def sweep_entries(pmax: int, qmax: int, cap: int):
     for p, q, cross, k in configs:
         label = f"p={p} q={q} cross={{{' '.join(f'{u}>{v}' for u, v in sorted(cross))}}}"
         yield label, {"p": p, "q": q, "cross": sorted([u, v] for (u, v) in cross), **results[k]}
+
+
+def cmd_sweep(args, out) -> int:
+    """The ``sweep`` command: every check on every configuration, computed
+    once per isomorphism class (see ``sweep_entries``)."""
+    for flag, value in (("--pmax", args.pmax), ("--qmax", args.qmax), ("--cap", args.cap)):
+        _require_at_least(flag, value, 0)
+    if args.pmax + args.qmax > args.cap:
+        raise SizeCapExceeded(f"--pmax + --qmax is {args.pmax + args.qmax}, over --cap {args.cap}")
+    instances = []
+    ok = True
+    for label, entry in sweep_entries(args.pmax, args.qmax, args.cap):
+        instances.append(entry)
+        ok = ok and entry["ok"]
+        if not args.json:
+            out.write(f"{label}: {'ok' if entry['ok'] else 'FAIL'}\n")
+    if args.json:
+        from .emit import emit_json
+
+        out.write(emit_json({"result": {"instances": instances, "ok": ok}}))
+    else:
+        out.write(f"{sum(1 for e in instances if e['ok'])}/{len(instances)} instances ok\n")
+    return 0 if ok else 1

@@ -836,16 +836,44 @@ def test_block_buffered_help_and_usage_errors_match_main(capsys):
     assert (got.returncode, got.stdout, got.stderr) == (2, b"", usage)
 
 
-# a line each subcommand parses without error
+# the command lines the tests give, one list per subcommand, input text as
+# STAR: each parses without error, and the table reads it as argparse does
 VALID_ARGS = {
-    "show": ["h", "-t", STAR],
-    "chi": ["--json"],
-    "convert": ["--from", "y", "--to", "lt", "-i", "-"],
-    "fouruple": ["--from", "grotop"],
-    "enumerate": ["lttops", "--mode", "oracle", "--cap", "3"],
-    "check": ["axioms", "--cap", "7", "--json"],
-    "render": ["zha", "-t", STAR],
-    "sweep": ["--pmax", "1", "--qmax", "0", "--json"],
+    "show": [["h", "-t", STAR], ["omega", "--json", "-t", STAR], ["true", "-t", STAR]],
+    "chi": [["--json"], ["-t", STAR], ["--json", "-t", STAR]],
+    "convert": [
+        ["--from", "y", "--to", "lt", "-i", "-"],
+        ["--from", "y", "--to", "grotop", "--json", "-t", STAR],
+        ["--from", "grotop", "--to", "grotop", "--json", "-i", "-"],
+        ["--from", "y", "--to", "lt", "-i", STAR, "-t", STAR],
+    ],
+    "fouruple": [["--from", "grotop"], ["--from", "y", "-t", STAR], ["--from", "nucleus", "--json", "-t", STAR]],
+    "enumerate": [
+        ["lttops", "--mode", "oracle", "--cap", "3"],
+        ["nuclei", "-t", ""],
+        ["nuclei", "--json", "-t", STAR],
+        ["grotops", "--mode", "oracle", "--json", "-t", STAR],
+        ["nuclei", "--mode", "oracle", "--cap", "-1", "-t", STAR],
+        ["lttops", "--mode", "oracle", "--json", "--cap", "-3", "-t", STAR],
+        ["nuclei", "--cap", "0", "-t", STAR],
+    ],
+    "check": [
+        ["axioms", "--cap", "7", "--json"],
+        ["axioms", "--json", "-t", STAR],
+        ["axioms", "--cap", "100000", "-t", STAR],
+        ["conjectures", "--json", "-t", STAR],
+        ["topmost", "--cap", "5000", "-t", STAR],
+        ["roundtrips", "-t", STAR],
+    ],
+    "render": [["zha", "-t", STAR], ["fouruple", "-t", STAR], ["j", "-i", "-"]],
+    "sweep": [
+        ["--pmax", "1", "--qmax", "0", "--json"],
+        ["--pmax", "2", "--qmax", "2", "--json"],
+        ["--pmax", "4", "--qmax", "3"],
+        ["--pmax", "-1", "--qmax", "2"],
+        ["--pmax", "3", "--qmax", "3", "--json", "--cap", "-3"],
+        [],
+    ],
 }
 
 
@@ -872,23 +900,139 @@ def test_the_named_subparser_alone_parses_as_the_full_parser(command):
     """A first word that names a subcommand builds only its subparser, and
     help, a missing positional or required option, an invalid choice, an
     unknown option, a stray word and a valid line give the same namespace or
-    exit code, stdout and stderr as the parser of every subcommand."""
-    from fourtops.cli import build_parser
+    exit code, stdout and stderr as the parser of every subcommand.  The
+    table reads each valid line as that namespace."""
+    from fourtops.cli import build_parser, read_command_line
 
     full = build_parser()
     assert _subcommands_built(full) == list(VALID_ARGS)
-    for rest in (["-h"], [], ["bogus"], ["--bogus"], ["--from", "bogus"], [*VALID_ARGS[command], "extra"]):
+    for rest in (["-h"], [], ["bogus"], ["--bogus"], ["--from", "bogus"], [*VALID_ARGS[command][0], "extra"]):
         argv = [command, *rest]
         parser = build_parser(argv)
         assert _subcommands_built(parser) == [command]
         assert _parse_outcome(parser, argv) == _parse_outcome(full, argv), argv
-    argv = [command, *VALID_ARGS[command]]
-    result, out, err = _parse_outcome(build_parser(argv), argv)
-    assert (result, out, err) == _parse_outcome(full, argv)
-    assert result["command"] == command and (out, err) == ("", "")
+    for rest in VALID_ARGS[command]:
+        argv = [command, *rest]
+        result, out, err = _parse_outcome(build_parser(argv), argv)
+        assert (result, out, err) == _parse_outcome(full, argv)
+        assert result["command"] == command and (out, err) == ("", "")
+        assert vars(read_command_line(argv)) == result, argv
     # no word, help and an unknown word build every subparser
     for argv in ([], ["-h"], ["--help"], ["bogus"], ["-t", STAR, command]):
         assert _subcommands_built(build_parser(argv)) == list(VALID_ARGS), argv
+
+
+def _documented_command_lines():
+    """The CLI's command lines in the CI workflow but its help runs, README's
+    examples and the benchmark's commands, with each input text as STAR."""
+    import re
+    import shlex
+
+    root = GOLDEN.parents[1]
+    lines = []
+    workflow = (root / ".github" / "workflows" / "tier1.yml").read_text()
+    for rest in re.findall(r"python (?:-X importtime )?-m fourtops\.cli (.*)", workflow):
+        # the one loop variable, a census family; every other variable is input
+        rest = re.sub(r"\$\{?\w+\}?", "STAR", rest.replace("$family", "grotops"))
+        rest = re.split(r" \|\|? ", rest)[0]
+        words = shlex.split(rest.rstrip(" \\"))
+        stop = next((i for i, w in enumerate(words) if w in ("2>", ">")), len(words))
+        # help is argparse's to print
+        if not any(w.startswith(("-h", "--h")) for w in words):
+            lines.append(words[:stop])
+    readme = (root / "README.md").read_text()
+    examples = readme.split("Examples:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    lines += [shlex.split(line) for line in re.split(r"\n(?=fourtops )", examples.strip())]
+    config = json.loads((root / "perfbench" / "config.json").read_text())
+    for workload in config["workloads"].values():
+        lines += [[*c["argv"], *(["-t", STAR] if "poset" in c else [])] for c in workload["commands"]]
+    lines = [line[1:] if line[0] == "fourtops" else line for line in lines]
+    return [[STAR if w.startswith(("2cg", "poset")) else w for w in line] for line in lines]
+
+
+def test_every_documented_command_line_is_read_by_the_table():
+    """The table reads every command line of the CI workflow, README and the
+    benchmark as argparse does, so none of them imports argparse."""
+    from fourtops.cli import build_parser, read_command_line
+
+    lines = _documented_command_lines()
+    assert len(lines) > 30
+    for argv in lines:
+        result, out, err = _parse_outcome(build_parser(), argv)
+        assert isinstance(result, dict) and (out, err) == ("", ""), argv
+        assert vars(read_command_line(argv)) == result, argv
+
+
+def _table_words(command):
+    """Words of a command line, half of them from ``command``'s own grammar:
+    option spellings (also as ``--opt=v`` and ``-tV``), long prefixes
+    (ambiguous ones too), choices, ints, bogus words, help and ``--``."""
+    from fourtops.cli import GRAMMAR
+
+    def words(grammars):
+        rows = [row for _, rows in grammars for row in rows]
+        choices = {c for row in rows if isinstance(row[2], tuple) for c in row[2]}
+        return sorted({s for row in rows for s in row[0]}), sorted(choices)
+
+    spellings, choices = words(GRAMMAR.values())
+    own_spellings, own_choices = words([GRAMMAR[command]] if command in GRAMMAR else [])
+    prefixes = ["--mo", "--pm", "--q", "--t", "--te", "--f", "--j", "--in", "--c", "--ca", "--h", "--he", "---x"]
+    ints = ["3", "0", "-3", "+3", "\u0663", "-\u0663", " 3", "3.5", "-1.5", "-3\n", "x3", "-1x", "3_0"]
+    bogus = ["bogus", "", "-", "-x", "-h", "--help", "--", "- x", "--text x", STAR]
+    values = st.sampled_from([*choices, *ints, *bogus])
+    everything = st.one_of(
+        st.sampled_from([*GRAMMAR, *spellings, *prefixes, *choices, *ints, *bogus]),
+        st.builds("{}={}".format, st.sampled_from(spellings + prefixes), values),
+        st.builds(str.__add__, st.sampled_from(["-t", "-i", "-h"]), values),
+    )
+    if not own_spellings:
+        return everything
+    own = st.sampled_from([*own_spellings, *own_choices, "3", "-3", "0", "-", STAR])
+    return st.one_of(own, everything)
+
+
+def _left_to_argparse(argv):
+    """The command lines argparse may accept that the table leaves to it:
+    ones with ``--``, as a word or as an option's attached value (Python 3.11
+    reads ``--cap=--`` as an empty list), and ones where a word that starts
+    with '-' and is neither '-' nor a negative integer is a value: one with a
+    space, or one that starts like a negative number (``-1.5``, ``-3\\n``, and
+    from Python 3.13 ``-1x``).  Which such words argparse reads as values
+    differs between Python versions, and no command line of the tests, CI,
+    README or benchmark holds one."""
+    import re
+
+    return any(re.fullmatch(r"(-[it]=?|--[a-z]+=)?--", w) or re.match(r"-(.* |\.?\d)", w, re.S) for w in argv)
+
+
+@settings(max_examples=600, deadline=None)
+@given(data=st.data())
+def test_the_table_reads_a_command_line_as_argparse_does(data):
+    """Where the table reads a command line, it gives argparse's namespace;
+    where it does not, argparse refuses it or prints help, and ``main`` gives
+    argparse's exit code, stdout and stderr, or the command line is one that
+    ``_left_to_argparse`` names."""
+    import contextlib
+
+    from fourtops.cli import build_parser, read_command_line
+
+    first = data.draw(st.sampled_from([*VALID_ARGS, "bogus", "-h", "--", "-t"]))
+    # words put anywhere into nothing or one of the valid lines
+    rest = list(data.draw(st.sampled_from([[], *VALID_ARGS.get(first, [])])))
+    for word in data.draw(st.lists(_table_words(first), max_size=5)):
+        rest.insert(data.draw(st.integers(0, len(rest))), word)
+    argv = [first, *rest]
+    result, out, err = _parse_outcome(build_parser(), argv)
+    args = read_command_line(argv)
+    if args is not None:
+        assert vars(args) == result and (out, err) == ("", ""), argv
+    elif isinstance(result, dict):
+        assert _left_to_argparse(argv), argv
+    else:
+        got_out, got_err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
+            code = main(argv, out=io.StringIO())
+        assert (code, got_out.getvalue(), got_err.getvalue()) == (2 if result else 0, out, err), argv
 
 
 def test_the_fourtops_script_ends_through_run():
@@ -1585,7 +1729,9 @@ def test_check_axioms_builds_only_the_downsets_it_prints():
 def test_import_loads_neither_dataclasses_nor_inspect():
     """Start-up cost guard: the CLI's import pulls in neither module (with
     ``dataclasses`` came ``inspect``, ``ast``, ``dis`` and ``tokenize``),
-    nor the panel renderers, which only the drawing commands import.  Nor
+    nor ``argparse`` with its ``gettext`` and ``locale``, which no census,
+    sweep or ``check axioms`` loads either, nor the panel renderers, which
+    only the drawing commands import.  Nor
     does it load the conversions, the closure-law checkers, the sweep, the
     classifier or the presheaf layer, and an oracle census runs without
     them; a sweep loads no closure-law checker and ``check axioms`` no
@@ -1600,8 +1746,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
     unwanted = {
+        "argparse",
         "dataclasses",
+        "gettext",
         "inspect",
+        "locale",
         "fourtops.axioms",
         "fourtops.classifier",
         "fourtops.convert",
@@ -1666,8 +1815,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     assert "fourtops.axioms" not in sweep_loads
     # the 2x2 sweep compiled 2,566 lines when the presheaf layer built
     # labelled presheaves
-    rc, _, _, lines_loaded = run_child(["sweep", "--pmax", "2", "--qmax", "2", "--json"])
+    rc, sweep_loads, _, lines_loaded = run_child(["sweep", "--pmax", "2", "--qmax", "2", "--json"])
     assert rc == 0 and lines_loaded <= 2427, lines_loaded
+    # the command line is read off the CLI's table, not by argparse
+    startup = ("'argparse'", "'gettext'", "'locale'")
+    assert not any(m in sweep_loads for m in startup), sweep_loads
 
     def loads(argv, module):
         code = (
@@ -1687,6 +1839,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     rc, axioms_loads, lazy_loaded, lines_loaded = run_child(argv)
     assert rc == 0 and "fourtops.axioms" in axioms_loads
     assert "fourtops.sweep" not in axioms_loads
+    assert not any(m in axioms_loads for m in startup), axioms_loads
     # ``check axioms`` compiled 3,297 lines when it loaded every handler, the
     # census, the kernel and the route checks, and 2,643 when the presheaf
     # layer built labelled presheaves
