@@ -1,14 +1,14 @@
 """The census: every structure of one face on a poset, two ways.
 
 Each enumerator has a formula mode, which builds one structure per point
-subset, and an oracle mode, which searches by the axioms alone and never
-consults a point set; the census law says both give exactly ``2^|points|``
-structures.  The oracle searches prune with the axioms they check: LT
-components are placed along a linear extension, and each component's table
-search (the pure-Python kernel in ``_kernels``) only offers values that are
-natural against the components already placed below; covering families are
-generated as upward-closed sets of the sieves that are stable over the covers
-already placed below, then filtered by transitivity.
+mask in ``downset_sort_key`` order, and an oracle mode, which searches by
+the axioms alone and never consults a point set; the census law says both
+give exactly ``2^|points|`` structures.  The oracle searches prune with the
+axioms they check: LT components are placed along a linear extension, and
+each component's table search (the pure-Python kernel in ``_kernels``) only
+offers values that are natural against the components already placed below;
+covering families are generated as upward-closed sets of the sieves that are
+stable over the covers already placed below, then filtered by transitivity.
 
 The oracle modes need only the poset's sieve index, the down-set algebra,
 the kernel and the two table records; the formula modes of the covering
@@ -22,7 +22,7 @@ from __future__ import annotations
 from ._kernels import enumerate_operator_tables, operator_lattice
 from .errors import DEFAULT_ORACLE_POINT_CAP, SizeCapExceeded
 from .heyting import Nucleus, nucleus_from_point_set
-from .poset import Poset, _bits, _subsets, enumerate_downsets, lattice_tables, sieve_positions, sieve_restriction, sieves_on
+from .poset import Poset, _bits, downset_sort_key, enumerate_downsets, lattice_tables, sieve_positions, sieve_restriction, sieves_on
 from .records import GrothendieckTopology, LTTopology
 
 
@@ -37,7 +37,8 @@ def enumerate_nuclei(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
     if mode == "formula":
-        return [nucleus_from_point_set(poset, y) for y in _subsets(poset.points)]
+        masks = sorted(range(1 << len(poset.points)), key=downset_sort_key)
+        return [nucleus_from_point_set(poset, y) for y in masks]
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     # the cap is read before the algebra, which has 2^n elements on n points
@@ -59,7 +60,8 @@ def enumerate_grotops(
     if mode == "formula":
         from .convert import point_set_to_grotop
 
-        return [point_set_to_grotop(poset, y) for y in _subsets(poset.points)]
+        masks = sorted(range(1 << len(poset.points)), key=downset_sort_key)
+        return [point_set_to_grotop(poset, y) for y in masks]
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:

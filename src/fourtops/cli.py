@@ -28,34 +28,38 @@ _INPUT = (("-i", "--input"), "input", str, None, False, "input file ('-' for std
 _TEXT = (("-t", "--text"), "text", str, None, False, "inline input text")
 _JSON = (("--json",), "json", bool, False, False, "structured output")
 _IO = (_INPUT, _TEXT, _JSON)
-_FROM = (("--from",), "source", STRUCTURE_KINDS, None, True, None)
-_TO = (("--to",), "target", STRUCTURE_KINDS, None, True, None)
+_FROM = (("--from",), "source", STRUCTURE_KINDS, None, True, "the face the input's structure payload gives")
+_TO = (("--to",), "target", STRUCTURE_KINDS, None, True, "the face to write")
 _MODE = "formula: one structure per point subset; oracle: search by the axioms alone (default formula)"
 _SWEEP_CAP = f"largest p + q, the oracle point cap (default {DEFAULT_ORACLE_POINT_CAP})"
+_SHOW = "h: the down-set algebra; omega: the sieves on each point; true: the maximal sieve on each point"
+_FAMILY = "nuclei, grotops (covering families) or lttops (classifier endomaps)"
+_CHECK = "axioms: the axiom suites of each LT topology; conjectures, topmost, roundtrips: the route reports"
+_RENDER = "zha: the down-set lattice; omega: the sieves; j, grotop, fouruple: the payload's endomap, covers or quad"
 
 
-def _positional(dest, *choices):
-    return ((), dest, choices, None, True, None)
+def _positional(dest, help, *choices):
+    return ((), dest, choices, None, True, help)
 
 
 # The CLI's grammar: each subcommand, in help order, with its help line and
 # its rows in usage order.  ``main`` reads the command line off it, and
 # ``build_parser`` builds argparse from it for help and usage errors.
 GRAMMAR = {
-    "show": ("display h, omega, or the true map", (_positional("what", "h", "omega", "true"), *_IO)),
+    "show": ("display h, omega, or the true map", (_positional("what", _SHOW, "h", "omega", "true"), *_IO)),
     "chi": ("classifying map of a subterminal (y payload)", _IO),
     "convert": ("convert between representations", (_FROM, _TO, *_IO)),
     "fouruple": ("complete all four representations", (_FROM, *_IO)),
     "enumerate": ("enumerate structures on the poset", (
-        _positional("family", "nuclei", "grotops", "lttops"),
+        _positional("family", _FAMILY, "nuclei", "grotops", "lttops"),
         (("--mode",), "mode", ("formula", "oracle"), "formula", False, _MODE), *_IO,
         (("--cap",), "cap", int, None, False, f"point cap of --mode oracle (default {DEFAULT_ORACLE_POINT_CAP})"),
     )),
     "check": ("run axiom or agreement checkers", (
-        _positional("what", "axioms", "conjectures", "topmost", "roundtrips"), *_IO,
+        _positional("what", _CHECK, "axioms", "conjectures", "topmost", "roundtrips"), *_IO,
         (("--cap",), "cap", int, None, False, f"pair cap for check axioms (default {DEFAULT_PAIR_CAP})"),
     )),
-    "render": ("text renderings", (_positional("what", "zha", "omega", "j", "grotop", "fouruple"), _INPUT, _TEXT)),
+    "render": ("text renderings", (_positional("what", _RENDER, "zha", "omega", "j", "grotop", "fouruple"), _INPUT, _TEXT)),
     "sweep": ("batch checks over a 2cg family", (
         (("--pmax",), "pmax", int, 2, False, "largest left-column height p (default 2)"),
         (("--qmax",), "qmax", int, 2, False, "largest right-column height q (default 2)"),
@@ -127,6 +131,13 @@ def build_parser(argv=()):
     usage errors list every subcommand."""
     import argparse
 
+    class Store(argparse.Action):
+        # argparse on Python 3.11 reads an attached '--' (``--cap=--``, ``-t--``) as []
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values in ([], "--"):
+                raise argparse.ArgumentError(self, "expected one argument")
+            setattr(namespace, self.dest, values)
+
     top = argparse.ArgumentParser(
         prog="fourtops",
         description="compute, convert, render, and check topologies on "
@@ -141,7 +152,7 @@ def build_parser(argv=()):
             for spellings, dest, kind, default, required, help in rows:
                 how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
                 if spellings:
-                    how |= {"dest": dest, "required": required}
+                    how = {"action": Store, "dest": dest, "required": required} | how
                 p.add_argument(*spellings or [dest], default=default, help=help, **how)
     return top
 

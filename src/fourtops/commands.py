@@ -229,7 +229,7 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
         while p.peek() != "}":
             members.append(p.take())
         p.take("}")
-        return frozenset(members)
+        return members
     if spec.graph is None:
         raise p.error(f"{kind} payloads use pile codes and need a 2cg input")
     graph = spec.graph
@@ -301,16 +301,17 @@ def _table(poset: Poset, rows: list, positions: dict, family: str) -> tuple[int,
 def _realize_structure(spec: InputSpec) -> None:
     """Build and check the structure from the raw payload either reader gives.
 
-    The raw payload is a set of point names for ``y``; a list of (mask,
-    mask) rows for ``nucleus``; and, per point name, a list of (mask, mask)
-    rows for ``lt`` or a list of masks for ``grotop``.  Masks are over the
-    points.
+    The raw payload is a list of point names for ``y``, which becomes their
+    mask; a list of (mask, mask) rows for ``nucleus``; and, per point name, a
+    list of (mask, mask) rows for ``lt`` or a list of masks for ``grotop``.
+    Masks are over the points.
     """
     poset, raw = spec.poset, spec.payload
-    if spec.kind in ("y", "lt", "grotop"):
-        for u in raw:
-            poset.index(u)
-    if spec.kind == "nucleus":
+    # the point names the payload gives, checked in input order
+    named = poset.mask_of(raw) if spec.kind in ("y", "lt", "grotop") else 0
+    if spec.kind == "y":
+        spec.payload = named
+    elif spec.kind == "nucleus":
         spec.payload = Nucleus(poset, _table(poset, raw, downset_positions(poset), "the down-set algebra"))
     elif spec.kind == "lt":
         rows = []

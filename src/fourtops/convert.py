@@ -20,11 +20,9 @@ for a library caller.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from .classifier import chi_tables, omega
 from .errors import InvalidTopology
-from .poset import Poset, _bits, _subsets, downset_positions, enumerate_downsets, sieve_positions, sieves_on
+from .poset import Poset, _bits, downset_positions, downset_sort_key, enumerate_downsets, sieve_positions, sieves_on
 from .presheaf import terminal
 from .records import GrothendieckTopology, LTTopology
 
@@ -44,23 +42,20 @@ _UNSTABLE = "covering families are not stable: the points where a sieve covers a
 # -- point set <-> covering families ----------------------------------------
 
 
-def point_set_to_grotop(poset: Poset, kept: Iterable) -> GrothendieckTopology:
+def point_set_to_grotop(poset: Poset, kept: int) -> GrothendieckTopology:
     """A sieve covers u exactly when it contains every kept point below u."""
-    kept_mask = poset.mask_of(kept)
     covers = []
     for i, u in enumerate(poset.points):
-        need = kept_mask & poset.down_mask_at(i)
+        need = kept & poset.down_mask_at(i)
         covers.append(sum(1 << k for k, m in enumerate(sieves_on(poset, u)) if need & ~m == 0))
     return GrothendieckTopology(poset, tuple(covers))
 
 
-def grotop_to_point_set(j: GrothendieckTopology) -> frozenset:
-    """The points whose only cover is the maximal sieve, the last in the
-    sieve index."""
-    poset = j.poset
-    return frozenset(
-        u for u, c in zip(poset.points, j.covers) if c == 1 << (len(sieves_on(poset, u)) - 1)
-    )
+def grotop_to_point_set(j: GrothendieckTopology) -> int:
+    """The mask of the points whose only cover is the maximal sieve, the last
+    in the sieve index."""
+    tops = [1 << (len(sieves_on(j.poset, u)) - 1) for u in j.poset.points]
+    return sum(1 << i for i, (c, top) in enumerate(zip(j.covers, tops)) if c == top)
 
 
 # -- nucleus <-> covering families ------------------------------------------
@@ -179,6 +174,7 @@ def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
 
 
 def formula_lts(poset: Poset) -> list[LTTopology]:
-    """The endomap of each point set, in ``_subsets`` order: the formula
-    mode of ``census.enumerate_lts``."""
-    return [nucleus_to_lt(nucleus_from_point_set(poset, y)) for y in _subsets(poset.points)]
+    """The endomap of each point mask, in ``downset_sort_key`` order: the
+    formula mode of ``census.enumerate_lts``."""
+    masks = sorted(range(1 << len(poset.points)), key=downset_sort_key)
+    return [nucleus_to_lt(nucleus_from_point_set(poset, y)) for y in masks]

@@ -59,7 +59,7 @@ def _downset_str(spec: InputSpec, mask: int) -> str:
 def structure_text(spec: InputSpec, kind: str, value) -> str:
     poset = spec.poset
     if kind == "y":
-        return "y { " + " ".join(str(u) for u in poset.points if u in value) + " }"
+        return "y { " + " ".join(str(u) for u in poset.names_of(value)) + " }"
     if kind == "nucleus":
         els = enumerate_downsets(poset)
         rows = "; ".join(
@@ -93,7 +93,7 @@ def structure_json(poset: Poset, kind: str, value) -> dict:
         return sorted([_downset_json(poset, s), _downset_json(poset, masks[t])] for s, t in pairs)
 
     if kind == "y":
-        return {"kind": "y", "members": sorted(str(u) for u in value)}
+        return {"kind": "y", "members": sorted(str(u) for u in poset.names_of(value))}
     if kind == "nucleus":
         return {"kind": "nucleus", "table": rows(enumerate_downsets(poset), value.table)}
     if kind == "grotop":
@@ -154,7 +154,7 @@ def cmd_chi(args, out) -> int:
     if spec.kind != "y":
         raise ParseError("chi needs a y payload naming a down-closed subterminal")
     poset = spec.poset
-    sub = DownSet(poset, poset.mask_of(spec.payload))
+    sub = DownSet(poset, spec.payload)
     # the terminal has one element per point, in point order, so the
     # down-set's point mask is its subterminal's element mask and the
     # classifier row loop gives one sieve per point

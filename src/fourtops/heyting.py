@@ -3,13 +3,12 @@
 H is read off the poset: its elements are ``enumerate_downsets(poset)``
 and ``downset_positions(poset)`` maps each to its index.  A nucleus is an
 inflationary, idempotent, binary-meet-preserving endomap of H.  Every
-subset Y of the points induces one via ``S -> interior(Q | S)`` where Q is
-the complement of Y, and every nucleus arises this way.
+subset Y of the points, a mask over them like a down-set, induces one via
+``S -> interior(Q | S)`` where Q is the complement of Y, and every nucleus
+arises this way.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 from .errors import NotElement
 from .poset import DownSet, Poset, downset_positions, enumerate_downsets, interior_mask
@@ -101,21 +100,16 @@ def is_nucleus(nucleus: Nucleus) -> CheckReport:
     return CheckReport("nucleus axioms", tuple(failures))
 
 
-def nucleus_from_point_set(poset: Poset, kept: Iterable) -> Nucleus:
+def nucleus_from_point_set(poset: Poset, kept: int) -> Nucleus:
     """Nucleus induced by a point set Y: S -> interior(Q | S), Q the complement."""
     pos = downset_positions(poset)
-    q_mask = poset.full_mask & ~poset.mask_of(kept)
+    q_mask = poset.full_mask & ~kept
     return Nucleus(poset, tuple(pos[interior_mask(poset, q_mask | s)] for s in pos))
 
 
-def point_set_of_nucleus(nucleus: Nucleus) -> frozenset:
-    """The points where the nucleus separates ``down u`` from ``strictly-down u``."""
-    poset = nucleus.poset
-    pos = downset_positions(poset)
-    out = []
-    for i, u in enumerate(poset.points):
-        full = pos[poset.down_mask_at(i)]
-        strict = pos[poset.down_mask_at(i) & ~(1 << i)]
-        if nucleus.table[full] != nucleus.table[strict]:
-            out.append(u)
-    return frozenset(out)
+def point_set_of_nucleus(nucleus: Nucleus) -> int:
+    """The mask of the points where the nucleus separates ``down u`` from
+    ``strictly-down u``."""
+    pos, table = downset_positions(nucleus.poset), nucleus.table
+    downs = nucleus.poset._down
+    return sum(1 << i for i, d in enumerate(downs) if table[pos[d]] != table[pos[d & ~(1 << i)]])

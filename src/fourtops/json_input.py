@@ -91,7 +91,7 @@ def _json_spec(pj: dict, sj: dict | None) -> InputSpec:
 
     kind = sj.get("kind")
     if kind == "y":
-        raw = frozenset(_json_names(sj["members"], "members"))
+        raw = _json_names(sj["members"], "members")
     elif kind == "nucleus":
         raw = []
         for row in _json_list(sj["table"], "table"):

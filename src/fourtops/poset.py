@@ -9,7 +9,7 @@ keeps meets, joins and interiors cheap for the enumerators downstream.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, groupby, permutations, product
+from itertools import groupby, permutations, product
 from typing import Hashable, Iterable, Sequence
 
 from .errors import CycleError, NotDownClosed, SizeCapExceeded, UnknownPoint
@@ -27,16 +27,6 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
-
-
-def _subsets(points: tuple) -> list[frozenset]:
-    """Every subset of ``points``, by size, then in ``combinations`` order:
-    the order of the formula censuses and of the route pass."""
-    out = []
-    for k in range(len(points) + 1):
-        for combo in combinations(points, k):
-            out.append(frozenset(combo))
-    return out
 
 
 class Poset(Record):
@@ -176,7 +166,8 @@ def interior_mask(poset: Poset, mask: int) -> int:
 
 
 def downset_sort_key(mask: int) -> tuple:
-    """Order: size first, then lexicographic membership in point order."""
+    """Order: size first, then lexicographic membership in point order; over
+    all point masks, the order of the formula censuses and the route pass."""
     return (mask.bit_count(), tuple(_bits(mask)))
 
 

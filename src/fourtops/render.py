@@ -161,16 +161,16 @@ def render_nucleus(g: TwoColumnGraph, nucleus: Nucleus) -> str:
     return "\n".join(_panel(g, set(classes), classes=classes))
 
 
-def render_point_set(g: TwoColumnGraph, kept) -> str:
-    """The graph's points, bracketing the members of the set."""
-    kept = set(kept)
+def render_point_set(g: TwoColumnGraph, kept: int) -> str:
+    """The graph's points, bracketing the members of the point mask."""
+    members = g.poset().names_of(kept)
     lines = []
     for k in range(max(g.p, g.q), 0, -1):
         cells = []
         for name, height in ((f"{k}_", g.p), (f"_{k}", g.q)):
             if k > height:
                 cells.append("    ")
-            elif name in kept:
+            elif name in members:
                 cells.append(f"[{name}]")
             else:
                 cells.append(f" {name} ")

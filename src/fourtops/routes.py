@@ -19,9 +19,9 @@ from __future__ import annotations
 from typing import Iterable
 
 from . import convert
-from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology
+from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology, UnknownPoint
 from .heyting import Nucleus, is_nucleus
-from .poset import Poset, _subsets
+from .poset import Poset, downset_sort_key
 from .records import GrothendieckTopology, LTTopology, Record
 from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
@@ -30,12 +30,13 @@ from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
 
 class Quad(Record):
-    """A mutually coherent (point set, nucleus, covering families, endomap)."""
+    """A mutually coherent (point set, nucleus, covering families, endomap);
+    the point set is a mask over the poset's points."""
 
     __slots__ = ("y", "nucleus", "grotop", "lt")
 
     def __init__(
-        self, y: frozenset, nucleus: Nucleus, grotop: GrothendieckTopology, lt: LTTopology
+        self, y: int, nucleus: Nucleus, grotop: GrothendieckTopology, lt: LTTopology
     ):
         self.y = y
         self.nucleus = nucleus
@@ -49,7 +50,7 @@ class Quad(Record):
 
 def complete_quad(
     poset: Poset,
-    y: Iterable | None = None,
+    y: int | None = None,
     nucleus: Nucleus | None = None,
     grotop: GrothendieckTopology | None = None,
     lt: LTTopology | None = None,
@@ -57,7 +58,8 @@ def complete_quad(
     """Fill in the other three representations from any single one.
 
     The given face must pass its checker, since no conversion checks it:
-    InvalidNucleus or InvalidTopology carries the checker's summary.  The
+    InvalidNucleus or InvalidTopology carries the checker's summary, and
+    UnknownPoint refuses a point mask with a bit past the last point.  The
     quad is the point set's faces in its ``route_row``, and it is coherent
     when every route of that row agrees: IncoherentQuad names the failed
     detail otherwise.
@@ -66,8 +68,9 @@ def complete_quad(
     if sum(given) != 1:
         raise IncoherentQuad("provide exactly one of y, nucleus, grotop, lt")
     if y is not None:
-        kept = frozenset(y)
-        _ = [poset.index(u) for u in kept]
+        if y & ~poset.full_mask:
+            raise UnknownPoint(f"mask {y:#x} has bits outside the poset")
+        kept = y
     elif nucleus is not None:
         report = is_nucleus(nucleus)
         if not report.ok:
@@ -139,9 +142,8 @@ class RouteReport(Record):
         return "\n".join(lines)
 
 
-def _y_label(poset: Poset, y: frozenset) -> str:
-    names = [str(u) for u in poset.points if u in y]
-    return "y={" + ",".join(names) + "}"
+def _y_label(poset: Poset, y: int) -> str:
+    return "y={" + ",".join(str(u) for u in poset.names_of(y)) + "}"
 
 
 def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> str:
@@ -157,8 +159,8 @@ def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> st
 ROUTE_NAMES = ("round trips", "truncation route", "closure route", "topmost region covers")
 
 
-def route_row(poset: Poset, kept: frozenset) -> tuple:
-    """One point set's label, its faces ``(n, j, lt)`` and the details of
+def route_row(poset: Poset, kept: int) -> tuple:
+    """One point mask's label, its faces ``(n, j, lt)`` and the details of
     the four routes of ``check_routes``, each empty exactly when its
     comparison agrees.  A FourtopsError that a conversion raises fails each
     route it stops, with the error's type and message as the detail.
@@ -228,8 +230,8 @@ def route_row(poset: Poset, kept: frozenset) -> tuple:
 
 
 def route_pass(poset: Poset):
-    """The ``route_row`` of each point set, in ``_subsets`` order."""
-    for kept in _subsets(poset.points):
+    """The ``route_row`` of each point mask, in ``downset_sort_key`` order."""
+    for kept in sorted(range(1 << len(poset.points)), key=downset_sort_key):
         yield route_row(poset, kept)
 
 

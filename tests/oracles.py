@@ -1604,6 +1604,13 @@ def grotops_literal(poset):
     return results
 
 
+def point_masks_literal(poset):
+    """Every point mask, by size, then in ``combinations`` order over the
+    points: the reference order of the formula censuses and the route pass."""
+    points = poset.points
+    return [poset.mask_of(c) for k in range(len(points) + 1) for c in combinations(points, k)]
+
+
 def route_reports_literal(poset):
     """The route reports the way four separate checkers made them, one loop
     over the point sets each, in the order of ``check_routes``: round trips,
@@ -1611,17 +1618,16 @@ def route_reports_literal(poset):
     is looked up on the ``convert`` module at call time, so one patched
     conversion reaches this side and ``check_routes`` alike."""
     from fourtops import convert, routes
-    from fourtops.poset import _subsets, sieves_on
+    from fourtops.poset import sieves_on
     from fourtops.routes import InstanceVerdict, RouteReport
 
-    subsets = _subsets(poset.points)
+    subsets = point_masks_literal(poset)
 
     def label(y):
         return routes._y_label(poset, y)
 
     roundtrips = []
-    for y in subsets:
-        kept = frozenset(y)
+    for kept in subsets:
         n = convert.nucleus_from_point_set(poset, kept)
         j = convert.point_set_to_grotop(poset, kept)
         lt = convert.nucleus_to_lt(n)
@@ -1728,7 +1734,7 @@ def structure_json_literal(poset, kind, value):
         return sorted(str(u) for u in poset.names_of(mask))
 
     if kind == "y":
-        return {"kind": "y", "members": sorted(str(u) for u in value)}
+        return {"kind": "y", "members": sorted(str(u) for u in poset.names_of(value))}
     if kind == "nucleus":
         table = [
             [names(s), names(nucleus_apply(value, s))] for s in enumerate_downsets(poset)

@@ -61,11 +61,24 @@ class TestGrammar:
 
     def test_y_payload(self):
         spec = parse_input(STAR + "\ny { _1 }")
-        assert spec.kind == "y" and spec.payload == frozenset({"_1"})
+        assert spec.kind == "y" and spec.payload == spec.poset.mask_of(["_1"])
 
     def test_unknown_y_member(self):
         with pytest.raises(Exception):
             parse_input(STAR + "\ny { zz }")
+
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_unknown_y_member_exits_2_naming_it(self, form, capsys):
+        # the first unknown name in input order is the one named
+        members = ["_1", "zz", "qq"]
+        if form == "text":
+            text = STAR + "\ny { " + " ".join(members) + " }"
+        else:
+            star = {"kind": "2cg", "p": 2, "q": 2, "cross": [["2_", "_1"]]}
+            text = json.dumps({"poset": star, "structure": {"kind": "y", "members": members}})
+        for argv in (["fouruple", "--from", "y"], ["chi"], ["convert", "--from", "y", "--to", "lt"], ["render", "fouruple"]):
+            assert main([*argv, "-t", text], out=io.StringIO()) == 2
+            assert capsys.readouterr().err == "error: unknown point 'zz'\n"
 
     def test_grotop_payload(self):
         spec = parse_input(STAR + "\ngrotop { 2_: 01 11 21; 1_: 00 10; _2: 01 02; _1: 01 }")
@@ -374,7 +387,7 @@ class TestSweepInstance:
         from fourtops import convert
 
         right = convert.point_set_to_grotop
-        monkeypatch.setattr(convert, "point_set_to_grotop", lambda poset, kept: right(poset, ()))
+        monkeypatch.setattr(convert, "point_set_to_grotop", lambda poset, kept: right(poset, 0))
         result = sweep_instance(TwoColumnGraph(2, 2, {("2_", "_1")}), 6)
         assert result["census"] == {"nuclei": True, "grotops": False, "lts": True}
         assert not result["ok"]
@@ -993,13 +1006,14 @@ def _table_words(command):
 
 def _left_to_argparse(argv):
     """The command lines argparse may accept that the table leaves to it:
-    ones with ``--``, as a word or as an option's attached value (Python 3.11
-    reads ``--cap=--`` as an empty list), and ones where a word that starts
-    with '-' and is neither '-' nor a negative integer is a value: one with a
-    space, or one that starts like a negative number (``-1.5``, ``-3\\n``, and
-    from Python 3.13 ``-1x``).  Which such words argparse reads as values
-    differs between Python versions, and no command line of the tests, CI,
-    README or benchmark holds one."""
+    ones with ``--``, as a word or as an option's attached value (the CLI's
+    argparse refuses that where it reads an empty list or ``--``, as Python
+    3.11 does, but another version may read it otherwise), and ones where a
+    word that starts with '-' and is neither '-' nor a negative integer is a
+    value: one with a space, or one that starts like a negative number
+    (``-1.5``, ``-3\\n``, and from Python 3.13 ``-1x``).  Which such words
+    argparse reads as values differs between Python versions, and no command
+    line of the tests, CI, README or benchmark holds one."""
     import re
 
     return any(re.fullmatch(r"(-[it]=?|--[a-z]+=)?--", w) or re.match(r"-(.* |\.?\d)", w, re.S) for w in argv)
@@ -1033,6 +1047,43 @@ def test_the_table_reads_a_command_line_as_argparse_does(data):
         with contextlib.redirect_stdout(got_out), contextlib.redirect_stderr(got_err):
             code = main(argv, out=io.StringIO())
         assert (code, got_out.getvalue(), got_err.getvalue()) == (2 if result else 0, out, err), argv
+
+
+def _attached_double_dash_lines():
+    """Each option row of every subcommand given an attached ``--``, as
+    ``--opt=--`` for a long spelling and ``-x--`` for a short one, after one
+    of the subcommand's valid lines."""
+    from fourtops.cli import GRAMMAR
+
+    for command, (_, rows) in GRAMMAR.items():
+        for spellings, *_ in rows:
+            for spelling in spellings:
+                word = spelling + ("=--" if spelling.startswith("--") else "--")
+                yield [command, *VALID_ARGS[command][0], word]
+
+
+@pytest.mark.parametrize("argv", list(_attached_double_dash_lines()), ids=" ".join)
+def test_an_attached_double_dash_is_a_usage_error(argv, capsys):
+    """argparse on Python 3.11 reads ``--cap=--`` and ``-t--`` as an empty
+    list; the CLI refuses them with its usage and one error line, exit 2,
+    where a handler once met the list and ended in a traceback."""
+    assert main(argv, out=io.StringIO()) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"usage: fourtops {argv[0]} ") and err.count("error:") == 1
+    assert err.splitlines()[-1].startswith(f"fourtops {argv[0]}: error: argument ")
+
+
+def test_every_argument_has_a_help_line(capsys):
+    """Each subcommand's ``-h`` describes every row of its grammar: options
+    and positionals alike."""
+    from fourtops.cli import GRAMMAR
+
+    for command, (_, rows) in GRAMMAR.items():
+        assert main([command, "-h"]) == 0
+        shown = " ".join(capsys.readouterr().out.split())
+        for row in rows:
+            assert row[5] and " ".join(row[5].split()) in shown, (command, row[1])
 
 
 def test_the_fourtops_script_ends_through_run():
@@ -1669,7 +1720,7 @@ def test_only_chi_validates_a_presheaf_morphism(argv, classifies, monkeypatch):
         mask = poset.mask_of(named[u])
         comp[u] = {"*": next(s for s in om.sets[u] if s.mask == mask)}
     printed = Morphism(one, om, comp)
-    assert printed == chi(subterminal_inclusion(one, poset.mask_of(spec.payload)))
+    assert printed == chi(subterminal_inclusion(one, spec.payload))
 
 
 def test_no_module_defines_a_presheaf_morphism():

@@ -27,13 +27,13 @@ from fourtops.errors import (
     InvalidNucleus,
     InvalidTopology,
     SizeCapExceeded,
+    UnknownPoint,
 )
 from fourtops.heyting import Nucleus, is_nucleus, nucleus_from_point_set, point_set_of_nucleus
 from fourtops.poset import (
     DownSet,
     Poset,
     TwoColumnGraph,
-    _subsets,
     downset_positions,
     enumerate_downsets,
     sieves_on,
@@ -43,7 +43,7 @@ from fourtops.records import GrothendieckTopology, LTTopology
 from fourtops.routes import check_routes, complete_quad
 from fourtops.topology import ClosureOperator, is_grothendieck, j_from_closure
 
-from .conftest import pile_code_str
+from .conftest import naturally_labelled_posets, pile_code_str
 from .oracles import (
     closure_to_nucleus_composite,
     cover_lists,
@@ -56,6 +56,7 @@ from .oracles import (
     lts_literal,
     make_grotop,
     nucleus_apply,
+    point_masks_literal,
     route_reports_literal,
     smallest_grotop,
 )
@@ -89,13 +90,6 @@ def sweep_posets():
                 poset = TwoColumnGraph(p, q, cross).poset()
                 seen.setdefault((poset.points, tuple(poset._down)), poset)
     return list(seen.values())
-
-
-def all_point_subsets(P):
-    from itertools import combinations
-
-    for k in range(len(P.points) + 1):
-        yield from (frozenset(c) for c in combinations(P.points, k))
 
 
 @st.composite
@@ -137,33 +131,33 @@ def reversed_order(poset):
 
 class TestPointSetGrotop:
     def test_full_set_gives_smallest(self, P):
-        assert point_set_to_grotop(P, P.points) == smallest_grotop(P)
+        assert point_set_to_grotop(P, P.full_mask) == smallest_grotop(P)
 
     def test_empty_set_gives_largest(self, P):
-        assert point_set_to_grotop(P, ()) == largest_grotop(P)
+        assert point_set_to_grotop(P, 0) == largest_grotop(P)
 
     def test_round_trip_on_star(self, P):
-        for y in all_point_subsets(P):
+        for y in point_masks_literal(P):
             assert grotop_to_point_set(point_set_to_grotop(P, y)) == y
 
     def test_smallest_maps_to_full(self, P):
-        assert grotop_to_point_set(smallest_grotop(P)) == frozenset(P.points)
+        assert grotop_to_point_set(smallest_grotop(P)) == P.full_mask
 
     def test_largest_maps_to_empty(self, P):
-        assert grotop_to_point_set(largest_grotop(P)) == frozenset()
+        assert grotop_to_point_set(largest_grotop(P)) == 0
 
 
 class TestNucleusGrotop:
     def test_identity_nucleus_gives_smallest(self, P):
-        n = nucleus_from_point_set(P, P.points)
+        n = nucleus_from_point_set(P, P.full_mask)
         assert nucleus_to_grotop(n) == smallest_grotop(P)
 
     def test_constant_top_gives_largest(self, P):
-        n = nucleus_from_point_set(P, ())
+        n = nucleus_from_point_set(P, 0)
         assert nucleus_to_grotop(n) == largest_grotop(P)
 
     def test_mutually_inverse_on_star(self, P):
-        for y in all_point_subsets(P):
+        for y in point_masks_literal(P):
             n = nucleus_from_point_set(P, y)
             j = point_set_to_grotop(P, y)
             assert grotop_to_nucleus(nucleus_to_grotop(n)) == n
@@ -172,11 +166,11 @@ class TestNucleusGrotop:
 
 class TestNucleusLT:
     def test_identity_to_identity(self, P):
-        n = nucleus_from_point_set(P, P.points)
+        n = nucleus_from_point_set(P, P.full_mask)
         assert nucleus_to_lt(n) == lt_identity(P)
 
     def test_constant_top_to_constant_true(self, P):
-        n = nucleus_from_point_set(P, ())
+        n = nucleus_from_point_set(P, 0)
         lt = nucleus_to_lt(n)
         for i, u in enumerate(P.points):
             top = len(sieves_on(P, u)) - 1
@@ -184,7 +178,7 @@ class TestNucleusLT:
 
     def test_frozen_component_values(self, star, P):
         # oracle-confirmed truncations of the one-kept-point nucleus
-        n = nucleus_from_point_set(P, {"_1"})
+        n = nucleus_from_point_set(P, P.mask_of(["_1"]))
         lt = nucleus_to_lt(n)
         sieves = sieves_on(P, "2_")
         table = lt.tables[P.index("2_")]
@@ -196,7 +190,7 @@ class TestNucleusLT:
 
     def test_each_component_is_the_nucleus_cut_down_to_the_point(self, P):
         # j_u(S) = n(S) meet down u, read through the test oracle's functions
-        for kept in _subsets(P.points):
+        for kept in point_masks_literal(P):
             n = nucleus_from_point_set(P, kept)
             lt = nucleus_to_lt(n)
             for u in P.points:
@@ -215,12 +209,12 @@ class TestGrotopLT:
             assert all(v == top for v in lt.tables[i])
 
     def test_classifier_route_equals_direct_formula(self, P):
-        for y in all_point_subsets(P):
+        for y in point_masks_literal(P):
             j = point_set_to_grotop(P, y)
             assert grotop_to_lt(j) == grotop_to_lt_direct(j)
 
     def test_round_trips(self, P):
-        for y in all_point_subsets(P):
+        for y in point_masks_literal(P):
             j = point_set_to_grotop(P, y)
             lt = nucleus_to_lt(nucleus_from_point_set(P, y))
             assert lt_to_grotop(grotop_to_lt(j)) == j
@@ -271,7 +265,7 @@ class TestTableRoutes:
 
     def test_one_algebra_per_poset(self, P):
         # a nucleus is keyed by its poset, whose down-set index is built once
-        j = point_set_to_grotop(P, {"_1"})
+        j = point_set_to_grotop(P, P.mask_of(["_1"]))
         assert grotop_to_nucleus(j).poset is P
         assert closure_to_nucleus(ClosureOperator(grotop_to_lt(j))).poset is P
         assert enumerate_nuclei(P, "oracle")[0].poset is P
@@ -286,7 +280,7 @@ class TestClosureToNucleus:
         assert all(n.table[i] == i for i in range(len(elements)))
 
     def test_equals_point_set_route_everywhere(self, P):
-        for y in all_point_subsets(P):
+        for y in point_masks_literal(P):
             n = nucleus_from_point_set(P, y)
             clop = ClosureOperator(nucleus_to_lt(n))
             assert closure_to_nucleus(clop) == n
@@ -295,7 +289,7 @@ class TestClosureToNucleus:
     @given(shuffled_posets())
     @settings(max_examples=25, deadline=None)
     def test_equals_composite_route_on_random_posets(self, poset):
-        for y in all_point_subsets(poset):
+        for y in point_masks_literal(poset):
             clop = ClosureOperator(nucleus_to_lt(nucleus_from_point_set(poset, y)))
             assert closure_to_nucleus(clop) == closure_to_nucleus_composite(clop)
 
@@ -415,7 +409,7 @@ class TestValidationAtTheBoundary:
         formula = convert.nucleus_from_point_set
 
         def one_bad(poset, kept):
-            if kept == frozenset({"_1"}):
+            if kept == poset.mask_of(["_1"]):
                 bad = Nucleus(poset, (0,) * len(enumerate_downsets(poset)))
                 assert not is_nucleus(bad).ok
                 return bad
@@ -435,18 +429,34 @@ class TestValidationAtTheBoundary:
             table = tuple(rng.randrange(8) for _ in range(8))
 
             def random_table(poset, kept, table=table):
-                if kept == frozenset({"_1"}):
+                if kept == poset.mask_of(["_1"]):
                     return Nucleus(poset, table)
                 return formula(poset, kept)
 
             monkeypatch.setattr(convert, "nucleus_from_point_set", random_table)
             assert sweep_instance(star, 6)["ok"] is False
-            details = routes.route_row(star.poset(), frozenset({"_1"}))[2]
+            details = routes.route_row(star.poset(), star.poset().mask_of(["_1"]))[2]
             if any(d.startswith("stopped by FunctorialityError: ") for d in details):
                 stopped += 1
                 with pytest.raises(IncoherentQuad, match="stopped by FunctorialityError"):
-                    complete_quad(star.poset(), y={"_1"})
+                    complete_quad(star.poset(), y=star.poset().mask_of(["_1"]))
         assert stopped == 27
+
+
+def test_the_point_mask_walk_is_the_combinations_order():
+    """The formula censuses and the route pass walk the point masks by size,
+    then in ``combinations`` order over the points: the order of the name
+    sets they walked before point sets were masks."""
+    antichain8 = Poset([f"a{i}" for i in range(8)])
+    for poset in [Poset([]), *naturally_labelled_posets(4), antichain8]:
+        masks = point_masks_literal(poset)
+        nuclei = [nucleus_from_point_set(poset, y) for y in masks]
+        assert enumerate_nuclei(poset, "formula") == nuclei
+        assert enumerate_grotops(poset, "formula") == [point_set_to_grotop(poset, y) for y in masks]
+        assert enumerate_lts(poset, "formula") == [nucleus_to_lt(n) for n in nuclei]
+        rows = list(routes.route_pass(poset))
+        assert [faces[0] for _, faces, _ in rows] == nuclei
+        assert [label for label, _, _ in rows] == ["y={" + ",".join(poset.names_of(y)) + "}" for y in masks]
 
 
 class TestEnumerators:
@@ -513,21 +523,29 @@ class TestEnumerators:
 
 class TestQuad:
     def test_from_full_point_set(self, P):
-        quad = complete_quad(P, y=P.points)
+        quad = complete_quad(P, y=P.full_mask)
         assert quad.grotop == smallest_grotop(P)
 
     def test_from_largest_grotop(self, P):
         quad = complete_quad(P, grotop=largest_grotop(P))
-        assert quad.y == frozenset()
+        assert quad.y == 0
 
     def test_every_entry_recovers_the_one_kept_point(self, P):
-        base = complete_quad(P, y={"_1"})
+        base = complete_quad(P, y=P.mask_of(["_1"]))
         for kwargs in (
             {"nucleus": base.nucleus},
             {"grotop": base.grotop},
             {"lt": base.lt},
         ):
             assert complete_quad(P, **kwargs) == base
+
+    def test_refuses_a_point_mask_with_a_bit_past_the_last_point(self, P):
+        # the star has 4 points, so bit 4 names no point; a negative mask
+        # sets every bit
+        for y in (1 << 4, P.full_mask | 1 << 9, -1):
+            with pytest.raises(UnknownPoint, match="has bits outside the poset"):
+                complete_quad(P, y=y)
+        assert complete_quad(P, y=P.full_mask).y == P.full_mask
 
     def test_requires_exactly_one_input(self, P):
         with pytest.raises(IncoherentQuad):
@@ -541,7 +559,7 @@ class TestQuad:
         monkeypatch.setattr(convert, "grotop_to_lt_direct", bottom)
         message = r"^pairwise conversions disagree: failed cycles: \[12\]$"
         with pytest.raises(IncoherentQuad, match=message):
-            complete_quad(P, y={"_1"})
+            complete_quad(P, y=P.mask_of(["_1"]))
 
 
 class TestRouteCheckers:
@@ -588,7 +606,7 @@ def _route_mutants():
     nucleus_to_lt_ = convert.nucleus_to_lt
 
     def lt_of_empty_point_set(n):
-        return nucleus_to_lt_(nucleus_from_point_set(n.poset, frozenset()))
+        return nucleus_to_lt_(nucleus_from_point_set(n.poset, 0))
 
     def identity_nucleus(clop):
         return Nucleus(clop.poset, tuple(range(len(enumerate_downsets(clop.poset)))))
@@ -603,7 +621,7 @@ def _route_mutants():
         "closure_to_nucleus": identity_nucleus,
         "grotop_to_lt_direct": bottom_lt,
         "nucleus_to_lt": lt_of_empty_point_set,
-        "nucleus_to_grotop": lambda n: point_set_to_grotop(n.poset, ()),
+        "nucleus_to_grotop": lambda n: point_set_to_grotop(n.poset, 0),
         "j_from_closure": lambda clop: lt_identity(clop.poset),
     }
 

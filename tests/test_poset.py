@@ -406,7 +406,7 @@ def _record_samples():
         "LTTopology": lambda: LTTopology(poset(), ((0, 1), (0, 1, 2))),
         "GrothendieckTopology": lambda: GrothendieckTopology(poset(), (2, 4)),
         "Quad": lambda: Quad(
-            frozenset({"a"}),
+            1,
             Nucleus(poset(), (1, 1, 2)),
             GrothendieckTopology(poset(), (2, 4)),
             LTTopology(poset(), ((0, 1), (0, 1, 2))),

@@ -29,7 +29,7 @@ def star():
 @pytest.fixture(scope="module")
 def quad(star):
     P = star.poset()
-    return complete_quad(P, y={"_1"})
+    return complete_quad(P, y=P.mask_of(["_1"]))
 
 
 class TestZha:
@@ -69,14 +69,14 @@ class TestPanels:
 
     def test_identity_lt_has_no_cut_glyphs(self, star):
         P = star.poset()
-        quad = complete_quad(P, y=P.points)
+        quad = complete_quad(P, y=P.full_mask)
         text = render_lt(star, quad.lt)
         # singleton regions: every drawn edge is a cut, so no plain edges repeat
         assert text.count("*") == 0
 
     def test_smallest_grotop_marks_only_the_top(self, star, quad):
         P = star.poset()
-        full = complete_quad(P, y=P.points)
+        full = complete_quad(P, y=P.full_mask)
         text = render_grotop(star, full.grotop)
         assert text.count("*") == len(P.points)
 
@@ -101,5 +101,5 @@ class TestQuadPanel:
             assert header in text
 
     def test_point_set_marking(self, star):
-        text = render_point_set(star, {"_1"})
+        text = render_point_set(star, star.poset().mask_of(["_1"]))
         assert "[_1]" in text and "[1_]" not in text

@@ -255,7 +255,7 @@ class TestClosure:
         from fourtops.heyting import nucleus_from_point_set
         from .oracles import cst
 
-        n = nucleus_from_point_set(P, {"_1"})
+        n = nucleus_from_point_set(P, P.mask_of(["_1"]))
         clop = ClosureOperator(nucleus_to_lt(n))
         for f, s in zip(subterminals, elements):
             closed = closure_of(clop, f)
@@ -269,7 +269,7 @@ class TestClosure:
         from fourtops.heyting import nucleus_from_point_set
         from .oracles import cst
 
-        n = nucleus_from_point_set(P, {"_1"})
+        n = nucleus_from_point_set(P, P.mask_of(["_1"]))
         clop = ClosureOperator(nucleus_to_lt(n))
         for r in elements:
             for s in elements:
@@ -761,7 +761,7 @@ class TestGrothendieck:
         assert is_grothendieck(largest_grotop(P)).ok
 
     def test_derived_example_from_point_set(self, star, P):
-        j = point_set_to_grotop(P, {"_1"})
+        j = point_set_to_grotop(P, P.mask_of(["_1"]))
         codes = {u: {"%d%d" % star.code_of_mask(m) for m in covers_at(j, u)} for u in P.points}
         assert codes["2_"] == {"01", "11", "21"} and codes["1_"] == {"00", "10"}
         assert codes["_2"] == {"01", "02"} and codes["_1"] == {"01"}
@@ -784,7 +784,7 @@ class TestGrothendieck:
 
     def test_trans_violation_detected(self, P):
         # close under stab but leave out a sieve the covers force
-        j = point_set_to_grotop(P, {"_1"})
+        j = point_set_to_grotop(P, P.mask_of(["_1"]))
         families = {u: list(covers_at(j, u)) for u in P.points}
         families["2_"] = [s for s in families["2_"] if s != P.mask_of(["_1"])]
         report = is_grothendieck(make_grotop(P, families))
