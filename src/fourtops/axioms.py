@@ -3,7 +3,7 @@
 A closure operator (``topology.ClosureOperator``) is checked against the
 five closure laws, each "for all inclusions" quantifier instantiated over a
 finite, deterministic test universe of element masks, cut at a pair cap
-(see ``build_universe``), on bit slices: a codomain's listed masks, and
+(see ``build_universe``), on bit slices: an object's listed masks, and
 their closures, are the fields of one int (see ``TestUniverse``).  A
 covering-sieve topology is checked against the filter laws, with the
 principal generator of each per-point family.
@@ -26,9 +26,6 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 # how many subobjects of Ω² a closure-law universe lists
 OMEGA_SQUARE_CAP = 24
 
-# the names of the codomains of a closure-law universe, as its witnesses give them
-_NAMES = ("1", "Ω", "Ω²")
-
 
 class _Pulls(dict):
     """Codomain element mask -> its pullback along one map, each pulled once
@@ -47,60 +44,83 @@ class _Pulls(dict):
         return got
 
 
+class _Object:
+    """One object of a closure-law universe: its name, as witnesses give it,
+    its element index and its listed masks, packed once.
+
+    ``whole`` holds the masks as the fields of one int, in list order, each
+    ``width`` bytes wide, and ``ones`` bit 0 of each field; ``groups``
+    holds, per truth-value key, one int with each mask's group of that key
+    in its field, so that their closures are the fields of one sum.  Each
+    element's membership column ``whole >> e & ones`` is split by the
+    elements of its row into its truth values, so no mask is grouped on its
+    own.
+    """
+
+    __slots__ = ("name", "index", "masks", "width", "whole", "ones", "groups")
+
+    def __init__(self, name: str, index: ElementIndex, masks):
+        self.name, self.index, self.masks = name, index, tuple(masks)
+        n, count = index.full.bit_length(), len(self.masks)
+        self.width = width = next((w for w in _FORMATS if 8 * w >= n), n + 7 >> 3)
+        self.whole = int.from_bytes(b"".join(m.to_bytes(width, sys.byteorder) for m in self.masks), sys.byteorder)
+        self.ones = _select(range(count), count, width)
+        self.groups = _slice_groups(index, self.whole, self.ones)
+
+
 class TestUniverse:
     """A finite, deterministic family of subobjects, pairs and map pairs used
     to instantiate the 'for all inclusions' quantifiers, as element masks.
 
-    ``subobjects`` holds ``(codomain, mask)`` per subobject, ``codomains``
-    the element indexes of the objects the masks live in, 1, Ω and Ω² as
-    ``build_universe`` lists them; ``rows`` holds the pairs as one row
-    ``(codomain, f, its g's, nested g's, crossing g's, their meets with f)``
-    per f, in pair order; ``map_pairs`` holds ``(domain, codomain, image
-    bits, mask, pulled mask)`` per map pair, the image bits naming each
-    domain element's image among the codomain's elements, and ``pulls`` the
-    ``_Pulls`` of each map pair's map, one per distinct map.
+    ``objects`` are given as ``(name, element index, listed masks)`` and
+    kept packed (``_Object``); ``maps`` as ``(domain, codomain, image bits,
+    masks)``, objects named by position, the image bits naming each domain
+    element's image among the codomain's elements.  The pairs are the first
+    ``pair_cap`` pairs (f, g) of listed masks of one object with g not
+    listed before f, as one row ``(object, f, its g's, NEST, CROSS, ((meet,
+    SEL), ...))`` per f, in pair order, the object by position: all-ones
+    fields at its nested and at its crossing g's, and bit 0 at the crossing
+    g's of each distinct meet with f.  ``map_pairs`` holds ``(domain,
+    codomain, mask, pulled mask, pulls)`` per map and mask, ``pulls`` the
+    ``_Pulls`` of its map.
 
-    ``slices`` holds per codomain ``(whole, ones)``: its listed masks as the
-    fields of one int, in list order, and bit 0 of each field.  ``packed``
-    holds per codomain the masks, the field width in bytes and, per
-    truth-value key, one int with each mask's group of that key in its
-    field, so that their closures are the fields of one sum; each
-    element's membership column ``whole >> e & ones`` is split by the
-    elements of its row into its truth values, so no mask is grouped on its
-    own.  ``row_masks`` holds per row ``(NEST, CROSS, ((meet, SEL), ...))``,
-    all-ones fields at its nested and at its crossing g's and bit 0 at the
-    crossing g's of each distinct meet.  A row whose g's are not all listed
-    in its codomain is refused (ShapeMismatch).
-
-    A closure law's witness names a subobject as ``(codomain name, mask)``,
-    the names being ``"1"``, ``"Ω"`` and ``"Ω²"`` in codomain order, and
-    C5's first entry is the name of the map's domain.
+    A closure law's witness names a subobject as ``(object name, mask)``,
+    and C5's first entry is the name of the map's domain.
     """
 
-    __slots__ = ("poset", "codomains", "subobjects", "rows", "map_pairs", "pulls", "packed", "slices", "row_masks")
+    __slots__ = ("poset", "objects", "rows", "map_pairs")
 
-    def __init__(self, poset: Poset, codomains: tuple, subobjects: tuple, rows: tuple, map_pairs: tuple):
-        self.poset, self.codomains, self.subobjects = poset, codomains, subobjects
-        self.rows, self.map_pairs = rows, map_pairs
-        pulls = {images: _Pulls(images) for _, _, images, _, _ in map_pairs}
-        self.pulls = tuple(pulls[images] for _, _, images, _, _ in map_pairs)
-        packed, slices, fields = [], [], []
-        for c, index in enumerate(codomains):
-            masks, n = [mask for k, mask in subobjects if k == c], index.full.bit_length()
-            width = next((w for w in _FORMATS if 8 * w >= n), n + 7 >> 3)
-            whole = int.from_bytes(b"".join(m.to_bytes(width, sys.byteorder) for m in masks), sys.byteorder)
-            ones = _select(range(len(masks)), len(masks), width)
-            packed.append((masks, width, _slice_groups(index, whole, ones)))
-            slices.append((whole, ones))
-            fields.append((len(masks), width, {m: j for j, m in enumerate(masks)}, index.full))
-        self.packed, self.slices = tuple(packed), tuple(slices)
-        self.row_masks = tuple(_row_masks(row, *fields[row[0]]) for row in rows)
+    def __init__(self, poset: Poset, objects, maps, pair_cap: int):
+        self.poset, self.objects = poset, tuple(_Object(*o) for o in objects)
+        rows, left = [], max(pair_cap, 0)
+        for c, o in enumerate(self.objects):
+            masks, count, width, full = o.masks, len(o.masks), o.width, o.index.full
+            for i in range(count if left else 0):
+                f, gs = masks[i], masks[i : i + left]
+                left -= len(gs)
+                nested, by_meet = [], {}
+                for j, g in enumerate(gs, i):
+                    if f & g == f:
+                        nested.append(j)
+                    else:
+                        by_meet.setdefault(f & g, []).append(j)
+                selectors = tuple((m, _select(js, count, width)) for m, js in by_meet.items())
+                nest, cross = _select(nested, count, width) * full, sum(sel for _, sel in selectors) * full
+                rows.append((c, f, gs, nest, cross, selectors))
+                if not left:
+                    break
+        self.rows = tuple(rows)
+        map_pairs = []
+        for a, b, images, ds in maps:
+            pulls = _Pulls(images)
+            map_pairs.extend((a, b, d, pulls[d], pulls) for d in ds)
+        self.map_pairs = tuple(map_pairs)
 
 
 def _select(positions, count: int, width: int) -> int:
-    """Over ``count`` fields of ``width`` bytes, laid out as
-    ``TestUniverse.packed`` lays out its masks, the int with bit 0 of the
-    fields at ``positions`` set."""
+    """Over ``count`` fields of ``width`` bytes, laid out as ``_Object``
+    lays out its masks, the int with bit 0 of the fields at ``positions``
+    set."""
     flags = bytearray(count)
     for j in positions:
         flags[j] = 1
@@ -134,23 +154,6 @@ def _slice_groups(index: ElementIndex, whole: int, ones: int) -> dict:
     return groups
 
 
-def _row_masks(row: tuple, count: int, width: int, position: dict, full: int) -> tuple:
-    """A row's NEST, CROSS and meet selectors over its codomain's ``count``
-    fields; ShapeMismatch if a g of the row is not a listed subobject there."""
-    _, f, _, nested, crossing, meets = row
-    try:
-        at_nested = list(map(position.__getitem__, nested))
-        at_crossing = list(map(position.__getitem__, crossing))
-    except KeyError:
-        raise ShapeMismatch(f"row of {f:#x} has a g not listed in its codomain") from None
-    by_meet: dict = {}
-    for j, m in zip(at_crossing, meets):
-        by_meet.setdefault(m, []).append(j)
-    nest = _select(at_nested, count, width) * full
-    cross = _select(at_crossing, count, width) * full
-    return nest, cross, tuple((m, _select(js, count, width)) for m, js in by_meet.items())
-
-
 def omega_square(poset: Poset) -> ElementIndex:
     """The element index of Ω×Ω: the pair of sieves k1, k2 on point i is
     element ``offset[i] + k1 * n + k2``, where n is the number of sieves on
@@ -179,53 +182,39 @@ def build_universe(poset: Poset, pair_cap: int = DEFAULT_PAIR_CAP) -> TestUniver
     the bang sends each element to the bit of its point.
     """
     om, one, square = omega(poset), terminal(poset), omega_square(poset)
-    groups = (
-        enumerate_downsets(poset),
-        _downsets(om.down, om.full),
-        _downsets(square.down, square.full, OMEGA_SQUARE_CAP),
+    subterminals, subomegas = enumerate_downsets(poset), _downsets(om.down, om.full)
+    objects = (
+        ("1", one, subterminals),
+        ("Ω", om, subomegas),
+        ("Ω²", square, _downsets(square.down, square.full, OMEGA_SQUARE_CAP)),
     )
-    codomains = (one, om, square)
-    subobjects = tuple((c, mask) for c, masks in enumerate(groups) for mask in masks)
-    rows, left = [], max(pair_cap, 0)
-    for c, masks in enumerate(groups):
-        for i in range(len(masks) if left else 0):
-            f, gs = masks[i], tuple(masks[i : i + left])
-            left -= len(gs)
-            nested = tuple(g for g in gs if f & g == f)
-            crossing = tuple(g for g in gs if f & g != f)
-            rows.append((c, f, gs, nested, crossing, tuple(map(f.__and__, crossing))))
-            if not left:
-                break
-
-    subterminals = groups[0]
     maps = [
         (c, 0, tuple(1 << i for i in index.point), subterminals)
-        for c, index in enumerate(codomains) if groups[c]
+        for c, (_, index, masks) in enumerate(objects) if masks
     ]
     positions = [sieve_positions(poset, u) for u in poset.points]
     for s in subterminals:
         truths = zip(one.point, _truth_values(one, s))
         chi_s = tuple(1 << (om.offset[i] + positions[i][v]) for i, v in truths)
-        maps.append((0, 1, chi_s, groups[1][:12]))
-    map_pairs = tuple((a, b, m, d, _pull_mask(m, d)) for a, b, m, ds in maps for d in ds)
-    return TestUniverse(poset, codomains, subobjects, tuple(rows), map_pairs)
+        maps.append((0, 1, chi_s, subomegas[:12]))
+    return TestUniverse(poset, objects, maps, pair_cap)
 
 
 def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> CheckReport:
     """The five closure laws, instantiated over the universe.
 
     Every law compares element masks, through the operator's table of
-    closures over each codomain's element index; each closure must still be
+    closures over each object's element index; each closure must still be
     a sub-presheaf (FunctorialityError otherwise, as for any endomap table
-    that is not a topology).  The closures of a codomain's subobjects are
+    that is not a topology).  The closures of an object's listed masks are
     the fields of one sum of its packed groups, and the laws are screened on
-    that sum, a codomain and then a row at a time; only if a screen fails or
+    that sum, an object and then a row at a time; only if a screen fails or
     raises do they run again pair by pair (``_ordered_laws``), the one loop
     that builds witnesses or raises.
     """
     if clop.poset != universe.poset:
         raise ShapeMismatch("inclusion lives on a different poset")
-    closed = [clop.closures(index) for index in universe.codomains]
+    closed = [clop.closures(o.index) for o in universe.objects]
     try:
         if _screen(clop.cover, universe, closed):
             return CheckReport("closure axioms", ())
@@ -235,15 +224,16 @@ def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> Check
 
 
 def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
-    """Whether every law holds; fills the tables.  With ``total`` a
-    codomain's closures as fields and ``spread`` a row's closure of f in
+    """Whether every law holds; fills the tables.  With ``total`` an
+    object's closures as fields and ``spread`` a row's closure of f in
     every field: C1 is ``whole & ~total``, C3 ``spread & ~total & NEST``,
     and C4 compares each meet's closure at its crossing g's with ``spread
     & total & CROSS``; C2, the down-closure check and C5 read masks."""
     totals = []
-    for close, (masks, width, ints), (whole, _) in zip(closed, universe.packed, universe.slices):
-        total = sum(map(ints.__getitem__, cover.intersection(ints)))
-        if whole & ~total:
+    for close, o in zip(closed, universe.objects):
+        masks, width, groups = o.masks, o.width, o.groups
+        total = sum(map(groups.__getitem__, cover.intersection(groups)))
+        if o.whole & ~total:
             return False
         data = total.to_bytes(len(masks) * width, sys.byteorder)
         if width in _FORMATS:
@@ -256,51 +246,51 @@ def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
         close.update(zip(masks, got))
         if list(map(close.__getitem__, got)) != got:
             return False
-        totals.append(total)
-    for (c, f, _, _, _, _), (nest, cross, selectors) in zip(universe.rows, universe.row_masks):
+        totals.append((total, o.ones))
+    for c, f, _, nest, cross, selectors in universe.rows:
         close = closed[c]
-        total, spread = totals[c], close[f] * universe.slices[c][1]
+        total, ones = totals[c]
+        spread = close[f] * ones
         if spread & ~total & nest:
             return False
         if sum(close[m] * sel for m, sel in selectors) != spread & total & cross:
             return False
-    return all(
-        closed[a][p] == pulls[closed[b][d]]
-        for (a, b, _, d, p), pulls in zip(universe.map_pairs, universe.pulls)
-    )
+    return all(closed[a][p] == pulls[closed[b][d]] for a, b, d, p, pulls in universe.map_pairs)
 
 
 def _ordered_laws(universe: TestUniverse, closed: list) -> CheckReport:
     """The laws in order, each stopping at its first failure, with witnesses."""
+    names = [o.name for o in universe.objects]
+    listed = [(c, f) for c, o in enumerate(universe.objects) for f in o.masks]
     failures = []
-    for c, f in universe.subobjects:
+    for c, f in listed:
         if f & ~closed[c][f]:
-            failures.append(AxiomFailure("C1-inflationary", ((_NAMES[c], f),)))
+            failures.append(AxiomFailure("C1-inflationary", ((names[c], f),)))
             break
-    for c, f in universe.subobjects:
+    for c, f in listed:
         close = closed[c]
         cf = close[f]
         if close[cf] != cf:
-            failures.append(AxiomFailure("C2-idempotent", ((_NAMES[c], f),)))
+            failures.append(AxiomFailure("C2-idempotent", ((names[c], f),)))
             break
     monotone = True
-    for c, f, g in ((r[0], r[1], g) for r in universe.rows for g in r[3]):
+    for c, f, g in ((c, f, g) for c, f, gs, *_ in universe.rows for g in gs if f & g == f):
         close = closed[c]
         if close[f] & ~close[g]:
-            failures.append(AxiomFailure("C3-monotone", ((_NAMES[c], f), (_NAMES[c], g))))
+            failures.append(AxiomFailure("C3-monotone", ((names[c], f), (names[c], g))))
             monotone = False
             break
     # On a nested pair C4 reads close f == close f & close g, which is C3 on
     # that pair: once C3 holds, only the crossing pairs can fail C4, and the
     # nested ones would ask for no closure that C3 has not computed.
-    for c, f, g in ((r[0], r[1], g) for r in universe.rows for g in r[4 if monotone else 2]):
+    for c, f, g in ((c, f, g) for c, f, gs, *_ in universe.rows for g in gs if not monotone or f & g != f):
         close = closed[c]
         if close[f & g] != close[f] & close[g]:
-            failures.append(AxiomFailure("C4-meets", ((_NAMES[c], f), (_NAMES[c], g))))
+            failures.append(AxiomFailure("C4-meets", ((names[c], f), (names[c], g))))
             break
-    for (a, b, _, d, pull), pulls in zip(universe.map_pairs, universe.pulls):
+    for a, b, d, pull, pulls in universe.map_pairs:
         if closed[a][pull] != pulls[closed[b][d]]:
-            failures.append(AxiomFailure("C5-pullback-stable", (_NAMES[a], (_NAMES[b], d))))
+            failures.append(AxiomFailure("C5-pullback-stable", (names[a], (names[b], d))))
             break
     return CheckReport("closure axioms", tuple(failures))
 

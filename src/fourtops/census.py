@@ -22,7 +22,7 @@ from __future__ import annotations
 from ._kernels import enumerate_operator_tables, operator_lattice
 from .errors import DEFAULT_ORACLE_POINT_CAP, SizeCapExceeded
 from .heyting import Nucleus, nucleus_from_point_set
-from .poset import Poset, _bits, downset_sort_key, enumerate_downsets, lattice_tables, sieve_positions, sieve_restriction, sieves_on
+from .poset import Poset, _bits, enumerate_downsets, lattice_tables, point_masks, sieve_positions, sieve_restriction, sieves_on
 from .records import GrothendieckTopology, LTTopology
 
 
@@ -37,8 +37,7 @@ def enumerate_nuclei(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
     if mode == "formula":
-        masks = sorted(range(1 << len(poset.points)), key=downset_sort_key)
-        return [nucleus_from_point_set(poset, y) for y in masks]
+        return [nucleus_from_point_set(poset, y) for y in point_masks(poset)]
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     # the cap is read before the algebra, which has 2^n elements on n points
@@ -60,8 +59,7 @@ def enumerate_grotops(
     if mode == "formula":
         from .convert import point_set_to_grotop
 
-        masks = sorted(range(1 << len(poset.points)), key=downset_sort_key)
-        return [point_set_to_grotop(poset, y) for y in masks]
+        return [point_set_to_grotop(poset, y) for y in point_masks(poset)]
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")
     if len(poset.points) > point_cap:

@@ -255,24 +255,19 @@ def _parse_structure(p: _Parser, kind: str, spec: InputSpec):
                 p.take(";")
         p.take("}")
         return entries
-    if kind == "grotop":
-        families: dict = {}
-        while p.peek() != "}":
-            point = p.take()
-            p.take(":")
-            fam = []
-            while p.peek() not in (";", "}"):
-                fam.append(_parse_pile(p, graph))
-            families.setdefault(point, []).extend(fam)
-            if p.peek() == ";":
-                p.take(";")
-        p.take("}")
-        return families
-    raise p.error(f"unknown structure kind {kind!r}")
-
-
-def _names(poset: Poset, mask: int) -> str:
-    return "{" + ",".join(str(u) for u in poset.names_of(mask)) + "}"
+    # grotop, the last of the kinds the grammar reads
+    families: dict = {}
+    while p.peek() != "}":
+        point = p.take()
+        p.take(":")
+        fam = []
+        while p.peek() not in (";", "}"):
+            fam.append(_parse_pile(p, graph))
+        families.setdefault(point, []).extend(fam)
+        if p.peek() == ";":
+            p.take(";")
+    p.take("}")
+    return families
 
 
 def _position(poset: Poset, positions: dict, mask: int, family: str) -> int:
@@ -280,8 +275,8 @@ def _position(poset: Poset, positions: dict, mask: int, family: str) -> int:
     k = positions.get(mask)
     if k is None:
         if not poset.is_down_closed(mask):
-            raise ParseError(f"value {_names(poset, mask)} is not down-closed")
-        raise ParseError(f"value {_names(poset, mask)} is not one of {family}")
+            raise ParseError(f"value {poset.braced(mask)} is not down-closed")
+        raise ParseError(f"value {poset.braced(mask)} is not one of {family}")
     return k
 
 
@@ -291,7 +286,7 @@ def _table(poset: Poset, rows: list, positions: dict, family: str) -> tuple[int,
     row: dict = {}
     for src, dst in rows:
         if src in row:
-            raise ParseError(f"table lists source {_names(poset, src)} twice on {family}")
+            raise ParseError(f"table lists source {poset.braced(src)} twice on {family}")
         row[src] = dst
     if set(row) != set(positions):
         raise ParseError(f"table must be total on {family}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .classifier import chi_tables, omega
 from .errors import InvalidTopology
-from .poset import Poset, _bits, downset_positions, downset_sort_key, enumerate_downsets, sieve_positions, sieves_on
+from .poset import Poset, _bits, downset_positions, enumerate_downsets, point_masks, sieve_positions, sieves_on
 from .presheaf import terminal
 from .records import GrothendieckTopology, LTTopology
 
@@ -176,5 +176,4 @@ def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:
 def formula_lts(poset: Poset) -> list[LTTopology]:
     """The endomap of each point mask, in ``downset_sort_key`` order: the
     formula mode of ``census.enumerate_lts``."""
-    masks = sorted(range(1 << len(poset.points)), key=downset_sort_key)
-    return [nucleus_to_lt(nucleus_from_point_set(poset, y)) for y in masks]
+    return [nucleus_to_lt(nucleus_from_point_set(poset, y)) for y in point_masks(poset)]

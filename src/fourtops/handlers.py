@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 from .commands import (
     InputSpec,
     _downset_json,
-    _names,
     _read_input,
     _write_result,
     poset_json,
@@ -53,7 +52,7 @@ def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
 def _downset_str(spec: InputSpec, mask: int) -> str:
     if spec.graph is not None:
         return _pile_str(spec.graph, mask)
-    return _names(spec.poset, mask)
+    return spec.poset.braced(mask)
 
 
 def structure_text(spec: InputSpec, kind: str, value) -> str:
@@ -74,15 +73,14 @@ def structure_text(spec: InputSpec, kind: str, value) -> str:
             fams = " ".join(_downset_str(spec, m) for k, m in enumerate(sieves) if covers >> k & 1)
             rows.append(f"{u}: {fams}")
         return "grotop { " + "; ".join(rows) + " }"
-    if kind == "lt":
-        rows = []
-        for i, u in enumerate(poset.points):
-            sieves = sieves_on(poset, u)
-            for s, k in zip(sieves, value.tables[i]):
-                t = sieves[k]
-                rows.append(f"{u}: {_downset_str(spec, s)} -> {_downset_str(spec, t)}")
-        return "j { " + "; ".join(rows) + " }"
-    raise ValueError(kind)
+    # lt, the last of STRUCTURE_KINDS
+    rows = []
+    for i, u in enumerate(poset.points):
+        sieves = sieves_on(poset, u)
+        for s, k in zip(sieves, value.tables[i]):
+            t = sieves[k]
+            rows.append(f"{u}: {_downset_str(spec, s)} -> {_downset_str(spec, t)}")
+    return "j { " + "; ".join(rows) + " }"
 
 
 def structure_json(poset: Poset, kind: str, value) -> dict:
@@ -103,12 +101,9 @@ def structure_json(poset: Poset, kind: str, value) -> dict:
             names = sorted(_downset_json(poset, m) for k, m in enumerate(sieves) if c >> k & 1)
             covers.append([str(u), names])
         return {"kind": "grotop", "covers": sorted(covers)}
-    if kind == "lt":
-        table = [
-            [str(u), rows(sieves_on(poset, u), value.tables[i])] for i, u in enumerate(poset.points)
-        ]
-        return {"kind": "lt", "table": sorted(table)}
-    raise ValueError(f"unknown structure kind {kind!r}")
+    # lt, the last of STRUCTURE_KINDS
+    table = [[str(u), rows(sieves_on(poset, u), value.tables[i])] for i, u in enumerate(poset.points)]
+    return {"kind": "lt", "table": sorted(table)}
 
 
 # -- subcommands -----------------------------------------------------------------
@@ -136,15 +131,14 @@ def cmd_show(args, out) -> int:
                 line = " ".join(_downset_str(spec, s) for s in sieves_on(poset, u))
                 out.write(f"{u}: {line}\n")
         return 0
-    if args.what == "true":
-        rows = [(str(u), _downset_json(poset, poset.down_mask(u))) for u in poset.points]
-        if args.json:
-            _write_result(out, spec, {"true": [[u, v] for u, v in sorted(rows)]})
-        else:
-            for u in poset.points:
-                out.write(f"{u}: {_downset_str(spec, poset.down_mask(u))}\n")
-        return 0
-    raise ParseError(f"unknown show target {args.what!r}")
+    # true, the last target the grammar allows
+    rows = [(str(u), _downset_json(poset, poset.down_mask(u))) for u in poset.points]
+    if args.json:
+        _write_result(out, spec, {"true": [[u, v] for u, v in sorted(rows)]})
+    else:
+        for u in poset.points:
+            out.write(f"{u}: {_downset_str(spec, poset.down_mask(u))}\n")
+    return 0
 
 
 def cmd_chi(args, out) -> int:
@@ -216,8 +210,6 @@ def cmd_render(args, out) -> int:
         out.write(render_lt(graph, quad.lt) + "\n")
     elif args.what == "grotop":
         out.write(render_grotop(graph, quad.grotop) + "\n")
-    elif args.what == "fouruple":
+    else:  # fouruple, the last target the grammar allows
         out.write(render_quad(graph, quad) + "\n")
-    else:
-        raise ParseError(f"unknown render target {args.what!r}")
     return 0

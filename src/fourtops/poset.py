@@ -120,6 +120,10 @@ class Poset(Record):
     def names_of(self, mask: int) -> tuple[PointId, ...]:
         return tuple(u for i, u in enumerate(self.points) if mask >> i & 1)
 
+    def braced(self, mask: int) -> str:
+        """The points of a mask as ``{a,b}``, in point order."""
+        return "{" + ",".join(str(u) for u in self.names_of(mask)) + "}"
+
     def is_down_closed(self, mask: int) -> bool:
         acc = 0
         rest = mask
@@ -150,7 +154,7 @@ class DownSet(Record):
         return self.poset.names_of(self.mask)
 
     def __repr__(self) -> str:
-        return "{" + ",".join(str(u) for u in self.members) + "}"
+        return self.poset.braced(self.mask)
 
 
 def interior_mask(poset: Poset, mask: int) -> int:
@@ -169,6 +173,12 @@ def downset_sort_key(mask: int) -> tuple:
     """Order: size first, then lexicographic membership in point order; over
     all point masks, the order of the formula censuses and the route pass."""
     return (mask.bit_count(), tuple(_bits(mask)))
+
+
+def point_masks(poset: Poset) -> list[int]:
+    """Every point mask in ``downset_sort_key`` order: the walk of the
+    formula censuses and the route pass."""
+    return sorted(range(1 << len(poset.points)), key=downset_sort_key)
 
 
 def _downsets(down: Sequence[int], top: int, limit: int | None = None) -> tuple[int, ...]:

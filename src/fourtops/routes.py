@@ -21,7 +21,7 @@ from typing import Iterable
 from . import convert
 from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology, UnknownPoint
 from .heyting import Nucleus, is_nucleus
-from .poset import Poset, downset_sort_key
+from .poset import Poset, point_masks
 from .records import GrothendieckTopology, LTTopology, Record
 from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
@@ -143,7 +143,7 @@ class RouteReport(Record):
 
 
 def _y_label(poset: Poset, y: int) -> str:
-    return "y={" + ",".join(str(u) for u in poset.names_of(y)) + "}"
+    return "y=" + poset.braced(y)
 
 
 def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> str:
@@ -231,7 +231,7 @@ def route_row(poset: Poset, kept: int) -> tuple:
 
 def route_pass(poset: Poset):
     """The ``route_row`` of each point mask, in ``downset_sort_key`` order."""
-    for kept in sorted(range(1 << len(poset.points)), key=downset_sort_key):
+    for kept in point_masks(poset):
         yield route_row(poset, kept)
 
 

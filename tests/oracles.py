@@ -34,7 +34,7 @@ Among them, the literal closure-law universe builds each subobject, bang and
 classifying map as a validated object, where the package lists masks and
 image bits; it lists the subobjects in the package's order
 (``direct_subobjects``), and ``direct_report`` moves its witnesses, given
-as inclusions, to the package's ``(codomain name, mask)`` form.  The
+as inclusions, to the package's ``(object name, mask)`` form.  The
 literal endomap laws are equations of validated morphisms (the endomap, the
 true map, the internal conjunction, its projections and a pairing), where
 the package decides them on sieve-index tables; every natural endomap of
@@ -1008,13 +1008,15 @@ def j_from_closure_composite(clop):
 
 class ObjectUniverse(NamedTuple):
     """The closure-law universe as inclusions, inclusion pairs and
-    (morphism, inclusion) map pairs, with its three codomains 1, Ω and Ω²."""
+    (morphism, inclusion) map pairs, with its codomains 1, Ω and Ω² and the
+    names its witnesses give them."""
 
     poset: object
     codomains: tuple
     inclusions: tuple
     pairs: tuple
     map_pairs: tuple
+    names: tuple
 
 
 def direct_subobjects(b, limit=None):
@@ -1037,8 +1039,8 @@ def build_universe_literal(poset, pair_cap=5000):
     """The closure-law universe as validated objects: subterminal inclusions,
     the subobjects of Ω and of Ω², pairs of inclusions, and map pairs of a
     bang or a ``chi`` morphism with an inclusion, in ``build_universe``'s
-    order (``direct_subobjects``)."""
-    from fourtops.axioms import OMEGA_SQUARE_CAP
+    order (``direct_subobjects``), and the names of the package's objects."""
+    from fourtops.axioms import OMEGA_SQUARE_CAP, build_universe
     from fourtops.poset import enumerate_downsets
 
     om = omega_presheaf(poset)
@@ -1057,17 +1059,18 @@ def build_universe_literal(poset, pair_cap=5000):
     for f in subterminals:
         g = chi(f)
         map_pairs.extend((g, d) for d in objects[1][:12])
-    return ObjectUniverse(poset, (one, om, square), inclusions, pairs, tuple(map_pairs))
+    names = tuple(o.name for o in build_universe(poset, pair_cap=0).objects)
+    return ObjectUniverse(poset, (one, om, square), inclusions, pairs, tuple(map_pairs), names)
 
 
 def direct_report(universe, report):
     """A report of ``check_closure_axioms_literal`` with its witnesses in
     the package's form: an inclusion into a codomain of the universe as
-    ``(codomain name, mask)``, the mask moved to the package's element order,
+    ``(object name, mask)``, the mask moved to the package's element order,
     and a codomain as its name."""
     from fourtops.heyting import AxiomFailure, CheckReport
 
-    names = {id(b): name for b, name in zip(universe.codomains, ("1", "Ω", "Ω²"))}
+    names = {id(b): name for b, name in zip(universe.codomains, universe.names)}
 
     def entry(w):
         if isinstance(w, Inclusion):

@@ -36,6 +36,7 @@ from fourtops.poset import (
     TwoColumnGraph,
     downset_positions,
     enumerate_downsets,
+    point_masks,
     sieves_on,
     star_graph,
 )
@@ -450,6 +451,7 @@ def test_the_point_mask_walk_is_the_combinations_order():
     antichain8 = Poset([f"a{i}" for i in range(8)])
     for poset in [Poset([]), *naturally_labelled_posets(4), antichain8]:
         masks = point_masks_literal(poset)
+        assert point_masks(poset) == masks
         nuclei = [nucleus_from_point_set(poset, y) for y in masks]
         assert enumerate_nuclei(poset, "formula") == nuclei
         assert enumerate_grotops(poset, "formula") == [point_set_to_grotop(poset, y) for y in masks]

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import groupby
+from itertools import groupby, islice
 
 import pytest
 
@@ -23,7 +23,7 @@ from fourtops.poset import (
 from fourtops.presheaf import _pull_mask, terminal
 from fourtops.records import LTTopology
 from fourtops.axioms import TestUniverse as Universe
-from fourtops.axioms import build_universe, check_closure_axioms, filter_check, omega_square
+from fourtops.axioms import _select, build_universe, check_closure_axioms, filter_check, omega_square
 from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
 
 from . import oracles
@@ -381,7 +381,7 @@ class TestOneKernel:
         assert built == []
         for lt in all_lts:
             assert check_closure_axioms(ClosureOperator(lt), universe).ok
-        listed = {(id(universe.codomains[c]), mask) for c, mask in universe.subobjects}
+        listed = {(id(o.index), mask) for o in universe.objects for mask in o.masks}
         assert built
         assert not listed.intersection((id(index), mask) for index, mask in built)
 
@@ -432,10 +432,9 @@ def full_universe(P):
 def flattened(literal):
     """An object universe as the mask universe's rows, each mask and image
     bit moved to the package's element order (``direct_positions``):
-    ``(codomain, mask)`` per inclusion, one pair row ``(codomain, f, g's,
-    nested g's, crossing g's, their meets with f)`` per f, and ``(domain,
-    codomain, image bits, mask, pulled mask)`` per map pair, a codomain
-    named by its position in the universe's 1, Ω, Ω²."""
+    ``(object, mask)`` per inclusion, one pair row ``(object, f, g's)`` per
+    f, and ``(domain, codomain, mask, pulled mask)`` per map pair, an
+    object named by its position in the universe's 1, Ω, Ω²."""
     codes = {id(b): c for c, b in enumerate(literal.codomains)}
     moves = [direct_positions(b) for b in literal.codomains]
 
@@ -445,12 +444,6 @@ def flattened(literal):
     def moved(f):
         return permute_mask(moves[code(f.cod)], f.mask)
 
-    def images(m):
-        out, to = [0] * len(m.image_bits()), moves[code(m.cod)]
-        for k, p in enumerate(moves[code(m.dom)]):
-            out[p] = permute_mask(to, m.image_bits()[k])
-        return tuple(out)
-
     subobjects = tuple((code(f.cod), moved(f)) for f in literal.inclusions)
     rows = []
     for (c, f), pairs in groupby(literal.pairs, lambda pair: (code(pair[0].cod), moved(pair[0]))):
@@ -458,11 +451,9 @@ def flattened(literal):
         for left, g in pairs:
             assert left.cod is g.cod
             gs.append(moved(g))
-        nested = tuple(g for g in gs if not f & ~g)
-        crossing = tuple(g for g in gs if f & ~g)
-        rows.append((c, f, tuple(gs), nested, crossing, tuple(f & g for g in crossing)))
+        rows.append((c, f, tuple(gs)))
     map_pairs = tuple(
-        (code(m.dom), code(d.cod), images(m), moved(d), permute_mask(moves[code(m.dom)], m.pull_mask(d.mask)))
+        (code(m.dom), code(d.cod), moved(d), permute_mask(moves[code(m.dom)], m.pull_mask(d.mask)))
         for m, d in literal.map_pairs
     )
     return subobjects, tuple(rows), map_pairs
@@ -496,20 +487,35 @@ class TestClosureUniverse:
         rows = build_universe(P, pair_cap=cap)
         literal = build_universe_literal(P, pair_cap=cap)
         subobjects, pair_rows, map_pairs = flattened(literal)
-        # the codomains are the indexes of 1, Ω and Ω², which the bridge
-        # test in test_presheaf equates with the literal ones
-        one, om, square = rows.codomains
+        # the objects are the indexes of 1, Ω and Ω², which the bridge test
+        # in test_presheaf equates with the literal ones
+        one, om, square = (o.index for o in rows.objects)
         assert (one, om) == (terminal(P), omega(P))
         assert (square.point, square.down) == (omega_square(P).point, omega_square(P).down)
-        assert rows.subobjects == subobjects
-        assert rows.rows == pair_rows
-        assert rows.map_pairs == map_pairs
+        assert [o.name for o in rows.objects] == ["1", "Ω", "Ω²"]
+        assert tuple((c, mask) for c, o in enumerate(rows.objects) for mask in o.masks) == subobjects
+        assert tuple(row[:3] for row in rows.rows) == pair_rows
+        assert tuple(pair[:4] for pair in rows.map_pairs) == map_pairs
+        # each row's selectors: all-ones fields at its nested and at its
+        # crossing g's, and bit 0 at the crossing g's of each meet with f
+        for c, f, gs, nest, cross, selectors in rows.rows:
+            o = rows.objects[c]
+            position = {mask: j for j, mask in enumerate(o.masks)}
+
+            def select(masks):
+                return _select([position[g] for g in masks], len(o.masks), o.width)
+
+            crossing = [g for g in gs if f & ~g]
+            assert nest == select(g for g in gs if not f & ~g) * o.index.full
+            assert cross == select(crossing) * o.index.full
+            meets = dict.fromkeys(f & g for g in crossing)
+            assert selectors == tuple((m, select(g for g in crossing if f & g == m)) for m in meets)
         # every subobject of the codomain pulls back alike along the image
         # bits and along the literal map, in the package's element order
         moves = [direct_positions(b) for b in literal.codomains]
-        for (a, b, images, *_), (m, _) in zip(rows.map_pairs, literal.map_pairs):
+        for (a, b, *_, pulls), (m, _) in zip(rows.map_pairs, literal.map_pairs):
             masks = [f.mask for f in literal.inclusions if f.cod is literal.codomains[b]]
-            got = [_pull_mask(images, permute_mask(moves[b], mask)) for mask in masks]
+            got = [_pull_mask(pulls.images, permute_mask(moves[b], mask)) for mask in masks]
             assert got == [permute_mask(moves[a], m.pull_mask(mask)) for mask in masks]
 
     def test_map_pair_witness_is_its_domain_and_sliced_subobject(self, P, universe):
@@ -518,10 +524,43 @@ class TestClosureUniverse:
         # sub-presheaf, so even the identity closure fails to commute
         swap = (1 << 1, 1 << 0, 1 << 2, 1 << 3)
         d = P.mask_of(["1_"])
-        bad = Universe(P, universe.codomains, (), (), ((0, 0, swap, d, _pull_mask(swap, d)),))
+        bad = Universe(P, [("1", terminal(P), ())], [(0, 0, swap, (d,))], 0)
         report = check_closure_axioms(ClosureOperator(lt_identity(P)), bad)
         witness = ("1", ("1", d))
         assert report.failures == (AxiomFailure("C5-pullback-stable", witness),)
+
+    def test_objects_reordered_and_renamed_keep_their_laws_and_name_the_witnesses(self, P, universe):
+        # the star's objects listed as Ω², 1, Ω under other names, their
+        # maps moved along: on every natural endomap the same laws fail as
+        # on the universe in 1, Ω, Ω² order, and the report, witnesses
+        # included, is the literal checker's on the object universe in the
+        # new order under the new names
+        order, names = (2, 0, 1), ("T", "W", "WW")
+        at = {c: k for k, c in enumerate(order)}
+        objects = [(names[c], universe.objects[c].index, universe.objects[c].masks) for c in order]
+        maps: dict = {}
+        for a, b, d, _, pulls in universe.map_pairs:
+            maps.setdefault(id(pulls), (at[a], at[b], pulls.images, []))[3].append(d)
+        renamed = Universe(P, objects, list(maps.values()), 600)
+        base = build_universe_literal(P, pair_cap=0)
+        groups = [[f for f in base.inclusions if f.cod is base.codomains[c]] for c in order]
+        pairs = ((f, g) for group in groups for i, f in enumerate(group) for g in group[i:])
+        literal = base._replace(
+            codomains=tuple(base.codomains[c] for c in order),
+            inclusions=tuple(f for group in groups for f in group),
+            pairs=tuple(islice(pairs, 600)),
+            names=tuple(names[c] for c in order),
+        )
+        named = set()
+        for lt in natural_endomaps(P):
+            clop = ClosureOperator(lt)
+            got = closure_law_outcome(check_closure_axioms, clop, renamed)
+            assert got == closure_law_outcome(check_closure_axioms_literal, clop, literal)
+            laws = {f.axiom for f in check_closure_axioms(clop, universe).failures}
+            assert {f.axiom for f in got.failures} == laws
+            named.update(name for f in got.failures for name, _ in f.witness)
+        # each law stops at its first failure, met on Ω² or 1, listed first
+        assert named == {"WW", "T"}
 
     def test_closure_operator_on_another_poset_is_refused(self, universe, literal_universe):
         clop = ClosureOperator(lt_identity(Poset(("a",), set())))
@@ -568,7 +607,7 @@ class TestPackedClosures:
     def test_every_cone4_topology_gives_the_literal_outcome(self, cone4):
         universe = build_universe(cone4, pair_cap=600)
         literal = build_universe_literal(cone4, pair_cap=600)
-        assert [width for _, width, _ in universe.packed] == [1, 2, 12]
+        assert [o.width for o in universe.objects] == [1, 2, 12]
         lts = enumerate_lts(cone4, "formula")
         assert len(lts) == 16
         for lt in lts:
@@ -583,15 +622,14 @@ class TestPackedClosures:
         widths = set()
         for poset in [P, cone4, *sweep_classes]:
             universe = build_universe(poset)
-            for c, (index, (masks, width, ints)) in enumerate(zip(universe.codomains, universe.packed)):
-                assert masks == [mask for k, mask in universe.subobjects if k == c]
-                tables = list(map(index.truth_groups, masks))
+            for o in universe.objects:
+                tables = list(map(o.index.truth_groups, o.masks))
                 fields = {
-                    key: b"".join(t.get(key, 0).to_bytes(width, sys.byteorder) for t in tables)
+                    key: b"".join(t.get(key, 0).to_bytes(o.width, sys.byteorder) for t in tables)
                     for key in set().union(*tables)
                 }
-                assert ints == {key: int.from_bytes(v, sys.byteorder) for key, v in fields.items()}
-                widths.add(width)
+                assert o.groups == {key: int.from_bytes(v, sys.byteorder) for key, v in fields.items()}
+                widths.add(o.width)
         assert widths == {1, 2, 4, 8, 9, 12}
 
     def test_packed_closures_equal_the_row_loop(self, P, all_lts):
@@ -601,42 +639,43 @@ class TestPackedClosures:
         universe = build_universe(P)
         for lt in all_lts:
             clop = ClosureOperator(lt)
-            closed = [_Closures(index, clop.cover) for index in universe.codomains]
+            closed = [_Closures(o.index, clop.cover) for o in universe.objects]
             assert _screen(clop.cover, universe, closed)
-            for table, (masks, _, _) in zip(closed, universe.packed):
+            for table, o in zip(closed, universe.objects):
                 row_loop = _Closures(table.index, clop.cover)
-                assert [table[m] for m in masks] == [row_loop.__missing__(m) for m in masks]
+                assert [table[m] for m in o.masks] == [row_loop.__missing__(m) for m in o.masks]
 
-    def test_a_row_whose_gs_are_not_listed_is_refused(self, P, universe):
-        # every row is read on the slices of its codomain's listed masks,
-        # so a hand-built row over no listed subobject has no slice to read
-        with pytest.raises(ShapeMismatch, match="not listed"):
-            Universe(P, universe.codomains, (), universe.rows, ())
-        # a universe that lists every g of its rows is built
-        assert Universe(P, universe.codomains, universe.subobjects, universe.rows, ()).row_masks
-
-    def test_a_failure_of_c4_alone_is_caught_on_the_slices(self, P, universe):
-        # on the universe's rows with each nested list cut to f itself, over
-        # its own listed subobjects, C3 holds; for the first natural
-        # endomap that keeps C1 and C2 on the listed subobjects and breaks a
-        # crossing meet, only the sliced meet screen can send the laws to
-        # the ordered loop, which names that first crossing pair
-        rows = tuple((c, f, gs, (f,), crossing, meets) for c, f, gs, _, crossing, meets in universe.rows)
-        cut = Universe(P, universe.codomains, universe.subobjects, rows, ())
+    def test_a_failure_of_c4_alone_is_caught_on_the_slices(self, P):
+        # on the universe's rows with each row's g's cut to f and its
+        # crossing g's, and its NEST to f's field, C3 holds; for the first
+        # natural endomap that keeps C1 and C2 on the listed subobjects and
+        # breaks a crossing meet, only the sliced meet screen can send the
+        # laws to the ordered loop, which names that first crossing pair
+        cut = build_universe(P, pair_cap=600)
+        rows = []
+        for c, f, gs, _, cross, selectors in cut.rows:
+            o = cut.objects[c]
+            own = _select([o.masks.index(f)], len(o.masks), o.width) * o.index.full
+            rows.append((c, f, (f, *(g for g in gs if f & g != f)), own, cross, selectors))
+        cut.rows = tuple(rows)
         for lt in natural_endomaps(P):
-            close = [ClosureOperator(lt).closures(index) for index in cut.codomains]
-            if any(f & ~close[c][f] or close[c][close[c][f]] != close[c][f] for c, f in cut.subobjects):
+            close = [ClosureOperator(lt).closures(o.index) for o in cut.objects]
+            if any(
+                f & ~close[c][f] or close[c][close[c][f]] != close[c][f]
+                for c, o in enumerate(cut.objects)
+                for f in o.masks
+            ):
                 continue
             broken = [
                 (c, f, g)
-                for c, f, _, _, crossing, _ in rows
-                for g in crossing
+                for c, f, gs, *_ in rows
+                for g in gs[1:]
                 if close[c][f & g] != close[c][f] & close[c][g]
             ]
             if broken:
                 break
         c, f, g = broken[0]
-        name = ("1", "Ω", "Ω²")[c]
+        name = cut.objects[c].name
         witness = AxiomFailure("C4-meets", ((name, f), (name, g)))
         assert check_closure_axioms(ClosureOperator(lt), cut).failures == (witness,)
 
@@ -659,9 +698,9 @@ class TestPackedClosures:
         for lt in all_lts:
             clop = ClosureOperator(lt)
             assert check_closure_axioms(clop, universe).ok
-            closed = [clop.closures(index) for index in universe.codomains]
-            for k, (_, b, images, d, _) in enumerate(universe.map_pairs):
-                per_map.add((images, closed[b][d]))
+            closed = [clop.closures(o.index) for o in universe.objects]
+            for k, (_, b, d, _, pulls) in enumerate(universe.map_pairs):
+                per_map.add((pulls.images, closed[b][d]))
                 per_pair.add((k, closed[b][d]))
         assert 0 < len(calls) <= len(per_map) < len(per_pair) < len(all_lts) * len(universe.map_pairs)
 
