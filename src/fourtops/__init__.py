@@ -21,17 +21,15 @@ _HOMES = {
         "grotop_to_lt_direct",
         "grotop_to_nucleus",
         "grotop_to_point_set",
+        "j_from_closure",
         "lt_to_grotop",
+        "nucleus_from_point_set",
         "nucleus_to_grotop",
         "nucleus_to_lt",
+        "point_set_of_nucleus",
         "point_set_to_grotop",
     ),
-    "heyting": (
-        "Nucleus",
-        "is_nucleus",
-        "nucleus_from_point_set",
-        "point_set_of_nucleus",
-    ),
+    "heyting": ("is_nucleus",),
     "poset": (
         "DownSet",
         "Poset",
@@ -41,9 +39,9 @@ _HOMES = {
         "star_graph",
     ),
     "presheaf": ("terminal",),
-    "records": ("GrothendieckTopology", "LTTopology"),
+    "records": ("GrothendieckTopology", "LTTopology", "Nucleus"),
     "routes": ("Quad", "check_routes", "complete_quad"),
-    "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology", "j_from_closure"),
+    "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology"),
 }
 # exported name -> the submodule it lives in
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}

@@ -11,19 +11,17 @@ covering families are generated as upward-closed sets of the sieves that are
 stable over the covers already placed below, then filtered by transitivity.
 
 The oracle modes need only the poset's sieve index, the down-set algebra,
-the kernel and the two table records; the formula modes of the covering
-families and the endomaps import ``point_set_to_grotop`` and
-``formula_lts`` from ``convert`` when they run.  ``check axioms`` reads
-``formula_lts`` itself, so neither it nor the kernel loads this module.
+the kernel and the face records, so they load no checker; each formula mode
+imports its conversion from ``convert`` when it runs.  ``check axioms``
+reads ``formula_lts`` itself, so neither it nor the kernel loads this module.
 """
 
 from __future__ import annotations
 
 from ._kernels import enumerate_operator_tables, operator_lattice
 from .errors import DEFAULT_ORACLE_POINT_CAP, SizeCapExceeded
-from .heyting import Nucleus, nucleus_from_point_set
 from .poset import Poset, _bits, enumerate_downsets, lattice_tables, point_masks, sieve_positions, sieve_restriction, sieves_on
-from .records import GrothendieckTopology, LTTopology
+from .records import GrothendieckTopology, LTTopology, Nucleus
 
 
 def enumerate_nucleus_tables(poset: Poset) -> list[tuple[int, ...]]:
@@ -37,6 +35,8 @@ def enumerate_nuclei(
     poset: Poset, mode: str = "formula", point_cap: int = DEFAULT_ORACLE_POINT_CAP
 ) -> list[Nucleus]:
     if mode == "formula":
+        from .convert import nucleus_from_point_set
+
         return [nucleus_from_point_set(poset, y) for y in point_masks(poset)]
     if mode != "oracle":
         raise ValueError(f"unknown mode {mode!r}")

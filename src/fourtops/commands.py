@@ -35,7 +35,6 @@ from .errors import (
     SizeCapExceeded,
     _require_at_least,
 )
-from .heyting import Nucleus
 from .poset import (
     Poset,
     TwoColumnGraph,
@@ -45,7 +44,7 @@ from .poset import (
     sieve_positions,
     sieves_on,
 )
-from .records import GrothendieckTopology, LTTopology
+from .records import GrothendieckTopology, LTTopology, Nucleus
 
 
 class InputSpec:

@@ -1,13 +1,13 @@
 """Conversions among the four equivalent topology representations.
 
 Point sets, nuclei on the down-set algebra, covering-sieve families, and
-classifier endomaps determine each other.  Every conversion here follows its
-defining formula directly, and ``formula_lts`` lists the endomap of each
-point set, which both the LT census's formula mode and ``check axioms``
-read.  The enumerators live in ``census``; the route checks, which compose
-these conversions along different paths and compare the results, and the
-quadruple of a CLI payload live in ``routes``.  A ``check axioms`` run
-loads this module but not those two.
+classifier endomaps determine each other, and a closure operator gives back
+its endomap and nucleus.  Every conversion lives here and follows its
+defining formula directly; ``formula_lts`` lists the endomap of each point
+set, which the LT census's formula mode and ``check axioms`` read.  The
+censuses (``census``) and the route checks and CLI quadruples (``routes``)
+look each conversion up here when they run, so a patched one reaches every
+formula path.  A ``check axioms`` run loads this module but not those two.
 
 The conversions take structures that pass their laws and check nothing: a
 face converted from a valid face is valid, which the route comparisons and
@@ -20,23 +20,39 @@ for a library caller.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .classifier import chi_tables, omega
 from .errors import InvalidTopology
-from .poset import Poset, _bits, downset_positions, enumerate_downsets, point_masks, sieve_positions, sieves_on
+from .poset import Poset, _bits, downset_positions, enumerate_downsets, interior_mask, point_masks, sieve_positions, sieves_on
 from .presheaf import terminal
-from .records import GrothendieckTopology, LTTopology
+from .records import GrothendieckTopology, LTTopology, Nucleus
 
-# ``routes`` looks each conversion up on this module when it runs, so a
-# patched one reaches every route; ``nucleus_from_point_set``,
-# ``point_set_of_nucleus`` and ``j_from_closure`` live beside their faces and
-# are looked up here too
-from .heyting import Nucleus, nucleus_from_point_set, point_set_of_nucleus
-from .topology import ClosureOperator, j_from_closure
+if TYPE_CHECKING:
+    from .topology import ClosureOperator
 
 
 # what the two covering-family routes raise when the points where a sieve
 # covers are not down-closed, which a stable family never gives
 _UNSTABLE = "covering families are not stable: the points where a sieve covers are not down-closed"
+
+
+# -- point set <-> nucleus --------------------------------------------------
+
+
+def nucleus_from_point_set(poset: Poset, kept: int) -> Nucleus:
+    """Nucleus induced by a point set Y: S -> interior(Q | S), Q the complement."""
+    pos = downset_positions(poset)
+    q_mask = poset.full_mask & ~kept
+    return Nucleus(poset, tuple(pos[interior_mask(poset, q_mask | s)] for s in pos))
+
+
+def point_set_of_nucleus(nucleus: Nucleus) -> int:
+    """The mask of the points where the nucleus separates ``down u`` from
+    ``strictly-down u``."""
+    pos, table = downset_positions(nucleus.poset), nucleus.table
+    downs = nucleus.poset._down
+    return sum(1 << i for i, d in enumerate(downs) if table[pos[d]] != table[pos[d & ~(1 << i)]])
 
 
 # -- point set <-> covering families ----------------------------------------
@@ -154,7 +170,17 @@ def lt_to_grotop(lt: LTTopology) -> GrothendieckTopology:
     return GrothendieckTopology(lt.poset, tuple(covers))
 
 
-# -- closure operator -> nucleus ---------------------------------------------
+# -- closure operator -> endomap and nucleus --------------------------------
+
+
+def j_from_closure(clop: ClosureOperator) -> LTTopology:
+    """Classifying map of the closure of the true inclusion, computed on the
+    classifier's element masks: FunctorialityError if that closure is not a
+    sub-presheaf."""
+    om = omega(clop.poset)
+    # the true map sends each point to its maximal sieve, the last element there
+    closed = clop.closures(om)[sum(1 << (end - 1) for end in om.offset[1:])]
+    return LTTopology(clop.poset, chi_tables(om, closed))
 
 
 def closure_to_nucleus(clop: ClosureOperator) -> Nucleus:

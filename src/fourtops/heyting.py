@@ -1,29 +1,18 @@
-"""Nuclei on the Heyting algebra H of down-sets, and axiom reports.
+"""The nucleus laws on the Heyting algebra H of down-sets, and axiom reports.
 
 H is read off the poset: its elements are ``enumerate_downsets(poset)``
 and ``downset_positions(poset)`` maps each to its index.  A nucleus is an
-inflationary, idempotent, binary-meet-preserving endomap of H.  Every
-subset Y of the points, a mask over them like a down-set, induces one via
-``S -> interior(Q | S)`` where Q is the complement of Y, and every nucleus
-arises this way.
+inflationary, idempotent, binary-meet-preserving endomap of H, held in a
+``records.Nucleus``; ``convert`` builds each point set's nucleus.
+``operator_failures`` decides idempotence and meets there and on each
+component of an LT topology; every checker reports in ``CheckReport``.
 """
 
 from __future__ import annotations
 
 from .errors import NotElement
-from .poset import DownSet, Poset, downset_positions, enumerate_downsets, interior_mask
-from .records import Record
-
-
-class Nucleus(Record):
-    """A total table on the down-set algebra of a poset, stored by the index
-    of each down-set in ``enumerate_downsets``."""
-
-    __slots__ = ("poset", "table")
-
-    def __init__(self, poset: Poset, table: tuple[int, ...]):
-        self.poset = poset
-        self.table = table
+from .poset import DownSet, downset_positions, enumerate_downsets
+from .records import Nucleus, Record
 
 
 class AxiomFailure(Record):
@@ -98,18 +87,3 @@ def is_nucleus(nucleus: Nucleus) -> CheckReport:
         witness = tuple(DownSet(poset, els[k]) for k in meet)
         failures.append(AxiomFailure("meet-preserving", witness))
     return CheckReport("nucleus axioms", tuple(failures))
-
-
-def nucleus_from_point_set(poset: Poset, kept: int) -> Nucleus:
-    """Nucleus induced by a point set Y: S -> interior(Q | S), Q the complement."""
-    pos = downset_positions(poset)
-    q_mask = poset.full_mask & ~kept
-    return Nucleus(poset, tuple(pos[interior_mask(poset, q_mask | s)] for s in pos))
-
-
-def point_set_of_nucleus(nucleus: Nucleus) -> int:
-    """The mask of the points where the nucleus separates ``down u`` from
-    ``strictly-down u``."""
-    pos, table = downset_positions(nucleus.poset), nucleus.table
-    downs = nucleus.poset._down
-    return sum(1 << i for i, d in enumerate(downs) if table[pos[d]] != table[pos[d & ~(1 << i)]])

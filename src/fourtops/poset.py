@@ -145,7 +145,7 @@ class DownSet(Record):
         if mask & ~poset.full_mask:
             raise UnknownPoint(f"mask {mask:#x} has bits outside the poset")
         if not poset.is_down_closed(mask):
-            raise NotDownClosed(f"{poset.names_of(mask)!r} is not down-closed")
+            raise NotDownClosed(f"{poset.braced(mask)} is not down-closed")
         self.poset = poset
         self.mask = mask
 

@@ -1,12 +1,12 @@
 """``Record``, the one equality of the package's values, and the table
-records of two faces.
+records of three faces.
 
-An LT topology is stored as one table per point over that point's sieve
-indices, and a Grothendieck topology as one bitmask per point over the same
-index: bit k is set when sieve k covers the point.  The records need only
-the poset's sieve index, so the oracle searches that build them load no
-presheaf, classifier or closure-law code; the axiom checkers live in
-``topology``.
+A nucleus is stored as one table over the down-set algebra, an LT topology
+as one table per point over that point's sieve indices, and a Grothendieck
+topology as one bitmask per point over the same index: bit k is set when
+sieve k covers the point.  The records need only the poset's indexes, so
+the oracle searches that build them load no presheaf, classifier or checker
+code; the checkers live in ``heyting`` and ``topology``.
 """
 
 from __future__ import annotations
@@ -34,6 +34,17 @@ class Record:
 
     def __hash__(self) -> int:
         return hash(self._values(self))
+
+
+class Nucleus(Record):
+    """A total table on the down-set algebra of a poset, stored by the index
+    of each down-set in ``enumerate_downsets``."""
+
+    __slots__ = ("poset", "table")
+
+    def __init__(self, poset: Poset, table: tuple[int, ...]):
+        self.poset = poset
+        self.table = table
 
 
 class LTTopology(Record):

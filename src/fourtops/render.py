@@ -11,9 +11,8 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import IncoherentQuad
-from .heyting import Nucleus
 from .poset import TwoColumnGraph, enumerate_downsets, sieves_on
-from .records import GrothendieckTopology, LTTopology
+from .records import GrothendieckTopology, LTTopology, Nucleus
 
 if TYPE_CHECKING:
     from .routes import Quad

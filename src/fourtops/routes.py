@@ -20,9 +20,9 @@ from typing import Iterable
 
 from . import convert
 from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology, UnknownPoint
-from .heyting import Nucleus, is_nucleus
+from .heyting import is_nucleus
 from .poset import Poset, point_masks
-from .records import GrothendieckTopology, LTTopology, Record
+from .records import GrothendieckTopology, LTTopology, Nucleus, Record
 from .topology import ClosureOperator, is_grothendieck, is_lt_topology
 
 

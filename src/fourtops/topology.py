@@ -1,17 +1,16 @@
-"""Topology structures on presheaves over a poset, with their checkers.
+"""The laws of the endomap and covering faces, and the closure operator.
 
-Three equivalent presentations live here: per-point endomaps of the
-classifier (checked against naturality and the three endomap laws), the
-closure operators they induce on sub-presheaves, read as element masks,
-and per-point families of covering sieves (checked against hasmax / stab /
-trans).  The endomap and covering-family records themselves live in
-``records``; the five closure laws over a finite test universe and the
-filter laws, which only ``check axioms`` runs, live in ``axioms``.
+Per-point endomaps of the classifier are checked against naturality and the
+three endomap laws, and per-point families of covering sieves against
+hasmax / stab / trans; the closure operator an endomap induces on
+sub-presheaves is read as element masks.  The endomap and covering-family
+records live in ``records``, and the conversions, ``j_from_closure`` among
+them, in ``convert``; the five closure laws over a finite test universe and
+the filter laws, which only ``check axioms`` runs, live in ``axioms``.
 """
 
 from __future__ import annotations
 
-from .classifier import chi_tables, omega
 from .errors import InvalidTopology
 from .heyting import AxiomFailure, CheckReport, operator_failures
 from .poset import DownSet, Poset, _bits, sieve_positions, sieve_restriction, sieves_on
@@ -114,16 +113,6 @@ class _Closures(dict):
             index.passed.add(got)
         self[mask] = got
         return got
-
-
-def j_from_closure(clop: ClosureOperator) -> LTTopology:
-    """Classifying map of the closure of the true inclusion, computed on the
-    classifier's element masks: FunctorialityError if that closure is not a
-    sub-presheaf."""
-    om = omega(clop.poset)
-    # the true map sends each point to its maximal sieve, the last element there
-    closed = clop.closures(om)[sum(1 << (end - 1) for end in om.offset[1:])]
-    return LTTopology(clop.poset, chi_tables(om, closed))
 
 
 # -- covering-sieve topologies ----------------------------------------------

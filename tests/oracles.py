@@ -858,8 +858,8 @@ def closure_to_nucleus_composite(clop):
     """Nucleus of a closure operator through presheaf objects: each subterminal
     inclusion into the terminal is closed with ``closure_of_composite`` and
     its truth-value read with ``cst``."""
-    from fourtops.heyting import Nucleus
     from fourtops.poset import enumerate_downsets
+    from fourtops.records import Nucleus
 
     one = terminal_presheaf(clop.poset)
     table = []
@@ -1623,6 +1623,7 @@ def route_reports_literal(poset):
     from fourtops import convert, routes
     from fourtops.poset import sieves_on
     from fourtops.routes import InstanceVerdict, RouteReport
+    from fourtops.topology import ClosureOperator
 
     subsets = point_masks_literal(poset)
 
@@ -1634,7 +1635,7 @@ def route_reports_literal(poset):
         n = convert.nucleus_from_point_set(poset, kept)
         j = convert.point_set_to_grotop(poset, kept)
         lt = convert.nucleus_to_lt(n)
-        clop = convert.ClosureOperator(lt)
+        clop = ClosureOperator(lt)
         j_of_n = convert.nucleus_to_grotop(n)
         n_of_j = convert.grotop_to_nucleus(j)
         lt_of_j = convert.grotop_to_lt(j)
@@ -1669,7 +1670,7 @@ def route_reports_literal(poset):
 
     closure = []
     for y in subsets:
-        clop = convert.ClosureOperator(
+        clop = ClosureOperator(
             convert.nucleus_to_lt(convert.nucleus_from_point_set(poset, y))
         )
         direct = convert.closure_to_nucleus(clop)

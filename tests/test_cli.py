@@ -161,9 +161,16 @@ class TestChi:
         # classifying the pile 10: true exactly where the pile reaches
         assert lines == {"2_": "10", "1_": "10", "_2": "00", "_1": "00"}
 
-    def test_requires_down_closed_payload(self):
-        code, _ = run("chi", "-t", STAR + "\ny { 2_ }")
-        assert code == 2
+    @pytest.mark.parametrize("form", ["text", "json"])
+    def test_requires_down_closed_payload(self, form, capsys):
+        # the refusal names the down-set as the input readers do
+        if form == "text":
+            text = "2cg p=2 q=0\ny { 2_ }"
+        else:
+            poset = {"kind": "2cg", "p": 2, "q": 0, "cross": []}
+            text = json.dumps({"poset": poset, "structure": {"kind": "y", "members": ["2_"]}})
+        assert run("chi", "-t", text) == (2, "")
+        assert capsys.readouterr().err == "error: {2_} is not down-closed\n"
 
     def test_every_subterminal_classifies_as_the_oracle_chi(self, sweep_classes):
         """On every down-set of every class of the 2x2 sweep, the text and
@@ -1783,9 +1790,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     nor ``argparse`` with its ``gettext`` and ``locale``, which no census,
     sweep or ``check axioms`` loads either, nor the panel renderers, which
     only the drawing commands import.  Nor
-    does it load the conversions, the closure-law checkers, the sweep, the
-    classifier or the presheaf layer, and an oracle census runs without
-    them; a sweep loads no closure-law checker and ``check axioms`` no
+    does it load the conversions, the axiom and closure-law checkers, the
+    sweep, the classifier or the presheaf layer, and an oracle census runs
+    without them; a sweep loads no closure-law checker and ``check axioms`` no
     sweep; importing the package alone loads no submodule.  Importing the CLI
     loads no ``fourtops`` module but ``fourtops.errors``, a sweep loads no
     handler, and ``show`` and ``fouruple`` never load the renderers.  A JSON
@@ -1805,6 +1812,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         "fourtops.axioms",
         "fourtops.classifier",
         "fourtops.convert",
+        "fourtops.heyting",
         "fourtops.presheaf",
         "fourtops.render",
         "fourtops.sweep",

@@ -15,9 +15,12 @@ from fourtops.convert import (
     grotop_to_lt_direct,
     grotop_to_nucleus,
     grotop_to_point_set,
+    j_from_closure,
     lt_to_grotop,
+    nucleus_from_point_set,
     nucleus_to_grotop,
     nucleus_to_lt,
+    point_set_of_nucleus,
     point_set_to_grotop,
 )
 from fourtops.errors import (
@@ -29,7 +32,7 @@ from fourtops.errors import (
     SizeCapExceeded,
     UnknownPoint,
 )
-from fourtops.heyting import Nucleus, is_nucleus, nucleus_from_point_set, point_set_of_nucleus
+from fourtops.heyting import is_nucleus
 from fourtops.poset import (
     DownSet,
     Poset,
@@ -40,9 +43,9 @@ from fourtops.poset import (
     sieves_on,
     star_graph,
 )
-from fourtops.records import GrothendieckTopology, LTTopology
+from fourtops.records import GrothendieckTopology, LTTopology, Nucleus
 from fourtops.routes import check_routes, complete_quad
-from fourtops.topology import ClosureOperator, is_grothendieck, j_from_closure
+from fourtops.topology import ClosureOperator, is_grothendieck
 
 from .conftest import naturally_labelled_posets, pile_code_str
 from .oracles import (
@@ -684,3 +687,50 @@ class TestCheckRoutes:
             monkeypatch.setattr(convert, name, counted)
         assert all(r.ok for r in check_routes(P))
         assert calls == dict.fromkeys(names, 16)
+
+
+# the paths that build a nucleus from each point set of a poset
+FORMULA_PATHS = {
+    "nuclei census": lambda poset: enumerate_nuclei(poset, "formula"),
+    "endomap census": lambda poset: enumerate_lts(poset, "formula"),
+    "route pass": lambda poset: list(routes.route_pass(poset)),
+}
+
+
+@pytest.mark.parametrize("path", FORMULA_PATHS)
+def test_a_patched_point_set_formula_reaches_every_formula_path(P, monkeypatch, path):
+    """The censuses and the route pass read ``nucleus_from_point_set`` off
+    ``convert`` when they run, so a patched one is called once per point set."""
+    calls = []
+    formula = convert.nucleus_from_point_set
+
+    def counted(poset, kept):
+        calls.append(kept)
+        return formula(poset, kept)
+
+    monkeypatch.setattr(convert, "nucleus_from_point_set", counted)
+    FORMULA_PATHS[path](P)
+    assert sorted(calls) == list(range(16))
+
+
+def test_every_conversion_the_routes_look_up_is_defined_in_convert():
+    """Each ``convert.<name>`` in the route module's source is defined in
+    ``convert``, and no other module of the package holds one under a second
+    name."""
+    import importlib
+    import pathlib
+    import pkgutil
+    import re
+
+    import fourtops
+
+    source = pathlib.Path(routes.__file__).read_text()
+    names = sorted(set(re.findall(r"\bconvert\.(\w+)", source)))
+    assert len(names) == 12
+    conversions = [getattr(convert, name) for name in names]
+    assert [name for name, f in zip(names, conversions) if f.__module__ != convert.__name__] == []
+    for info in pkgutil.iter_modules(fourtops.__path__):
+        if info.name != "convert":
+            module = importlib.import_module(f"fourtops.{info.name}")
+            held = [name for name, value in vars(module).items() if any(value is f for f in conversions)]
+            assert held == [], (info.name, held)

@@ -383,8 +383,8 @@ def _record_classes():
 def _record_samples():
     """Class name -> a builder of one record of that class, each call over
     fresh field values: a fresh poset, fresh tuples and fresh records."""
-    from fourtops.heyting import AxiomFailure, CheckReport, Nucleus
-    from fourtops.records import GrothendieckTopology, LTTopology
+    from fourtops.heyting import AxiomFailure, CheckReport
+    from fourtops.records import GrothendieckTopology, LTTopology, Nucleus
     from fourtops.routes import InstanceVerdict, Quad, RouteReport
 
     def poset():
@@ -434,8 +434,7 @@ class TestRecords:
         assert a != a._values(a)
 
     def test_records_of_other_classes_with_the_same_fields_differ(self):
-        from fourtops.heyting import Nucleus
-        from fourtops.records import GrothendieckTopology
+        from fourtops.records import GrothendieckTopology, Nucleus
 
         P, t = Poset(["a", "b"], [("b", "a")]), (1, 2)
         assert Nucleus(P, t) != GrothendieckTopology(P, t)

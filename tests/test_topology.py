@@ -8,7 +8,7 @@ import pytest
 
 from fourtops.census import enumerate_lts
 from fourtops.classifier import omega
-from fourtops.convert import lt_to_grotop, point_set_to_grotop
+from fourtops.convert import j_from_closure, lt_to_grotop, point_set_to_grotop
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
 from fourtops.heyting import AxiomFailure, CheckReport
 from fourtops.poset import (
@@ -24,7 +24,7 @@ from fourtops.presheaf import _pull_mask, terminal
 from fourtops.records import LTTopology
 from fourtops.axioms import TestUniverse as Universe
 from fourtops.axioms import _select, build_universe, check_closure_axioms, filter_check, omega_square
-from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology, j_from_closure
+from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology
 
 from . import oracles
 from .conftest import naturally_labelled_posets
@@ -251,8 +251,7 @@ class TestClosure:
     def test_closure_agrees_with_nucleus_on_subterminals(
         self, star, P, elements, subterminals
     ):
-        from fourtops.convert import nucleus_to_lt
-        from fourtops.heyting import nucleus_from_point_set
+        from fourtops.convert import nucleus_from_point_set, nucleus_to_lt
         from .oracles import cst
 
         n = nucleus_from_point_set(P, P.mask_of(["_1"]))
@@ -265,8 +264,7 @@ class TestClosure:
         self, P, elements
     ):
         # closing R inside S lands on (closure of R) meet S
-        from fourtops.convert import nucleus_to_lt
-        from fourtops.heyting import nucleus_from_point_set
+        from fourtops.convert import nucleus_from_point_set, nucleus_to_lt
         from .oracles import cst
 
         n = nucleus_from_point_set(P, P.mask_of(["_1"]))
