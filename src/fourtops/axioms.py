@@ -240,9 +240,7 @@ def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
             got = memoryview(data).cast(_FORMATS[width]).tolist()
         else:
             got = [int.from_bytes(data[k : k + width], sys.byteorder) for k in range(0, len(data), width)]
-        index = close.index
-        if not index.passed.issuperset(got):
-            index.passed.update(map(index.require_down_closed, set(got).difference(index.passed)))
+        close.index.require_all_down_closed(got)
         close.update(zip(masks, got))
         if list(map(close.__getitem__, got)) != got:
             return False
@@ -295,17 +293,10 @@ def _ordered_laws(universe: TestUniverse, closed: list) -> CheckReport:
     return CheckReport("closure axioms", tuple(failures))
 
 
-class FilterReport:
-    __slots__ = ("report", "generators")
-
-    def __init__(self, report: CheckReport, generators: tuple[DownSet, ...]):
-        self.report = report
-        self.generators = generators
-
-
-def filter_check(j: GrothendieckTopology) -> FilterReport:
+def filter_check(j: GrothendieckTopology) -> tuple[CheckReport, tuple[int, ...]]:
     """Top membership, upward closure, binary meets, and the principal
-    generator of each per-point family (finiteness makes filters principal)."""
+    generator of each per-point family as a mask (finiteness makes filters
+    principal)."""
     poset = j.poset
     failures = []
     generators = []
@@ -332,9 +323,7 @@ def filter_check(j: GrothendieckTopology) -> FilterReport:
         gen = down_u
         for r in fam:
             gen &= r
-        generators.append(DownSet(poset, gen))
+        generators.append(gen)
         if fam and not covers >> pos[gen] & 1:
             failures.append(AxiomFailure("filter-principal", (u,)))
-    return FilterReport(
-        CheckReport("filter laws", tuple(failures)), tuple(generators)
-    )
+    return CheckReport("filter laws", tuple(failures)), tuple(generators)

@@ -1,6 +1,7 @@
 """The ``check`` command: the axiom suites of every LT topology on the
 input's poset (``check axioms``), or one of the route reports
-(``conjectures``, ``topmost``, ``roundtrips``).
+(``conjectures``, ``topmost``, ``roundtrips``), each written as its count
+of agreeing point sets and the label and detail of each one that fails.
 
 ``cli.main`` imports this module only for ``check``.  ``check axioms``
 takes its LT topologies from ``convert.formula_lts``, and so loads neither
@@ -36,9 +37,9 @@ def _axiom_results(poset: Poset, cap: int) -> tuple[list, bool]:
         grotop = lt_to_grotop(lt)
         g_report = is_grothendieck(grotop)
         entry["covering_axioms"] = g_report.ok
-        f_report = filter_check(grotop)
-        entry["filter_laws"] = f_report.report.ok
-        entry["filter_generators"] = [_downset_json(poset, g.mask) for g in f_report.generators]
+        f_report, generators = filter_check(grotop)
+        entry["filter_laws"] = f_report.ok
+        entry["filter_generators"] = [_downset_json(poset, g) for g in generators]
         entry["nucleus_axioms"] = is_nucleus(grotop_to_nucleus(grotop)).ok
         results.append(entry)
         all_ok = all_ok and all(
@@ -78,10 +79,10 @@ def cmd_check(args, out) -> int:
             {
                 "name": r.name,
                 "ok": r.ok,
-                "agree": sum(v.agrees for v in r.verdicts),
-                "total": len(r.verdicts),
+                "agree": r.total - len(r.counterexamples),
+                "total": r.total,
                 "counterexamples": [
-                    {"label": v.label, "detail": v.detail} for v in r.counterexamples()
+                    {"label": label, "detail": detail} for label, detail in r.counterexamples
                 ],
             }
             for r in outputs

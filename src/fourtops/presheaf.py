@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Collection, Sequence
 
 from .errors import FunctorialityError
 from .poset import Poset
@@ -36,7 +36,8 @@ class ElementIndex:
     closure-law check those of masks outside a universe's lists (closures
     and pullbacks), since the listed masks are packed from membership
     columns without them (``axioms.TestUniverse``).  ``passed`` holds the
-    masks a closure has already found down-closed.
+    masks a closure has already found down-closed, and only
+    :meth:`require_all_down_closed` adds to it.
     """
 
     __slots__ = ("poset", "point", "rows", "down", "offset", "full", "width", "_groups", "passed")
@@ -88,6 +89,13 @@ class ElementIndex:
                     f"element {a} at {u!r} restricts to element {b} at {v!r}, outside the sub-presheaf"
                 )
         return mask
+
+    def require_all_down_closed(self, masks: Collection[int]) -> None:
+        """Raise FunctorialityError unless every mask names a sub-presheaf;
+        each one that does joins ``passed``, and is not checked again."""
+        passed = self.passed
+        if not passed.issuperset(masks):
+            passed.update(map(self.require_down_closed, set(masks).difference(passed)))
 
     def _name(self, k: int) -> tuple:
         """Element k as its point and its position in that point's component."""

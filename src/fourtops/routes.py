@@ -5,9 +5,10 @@
 full rather than asserting; ``route_pass`` runs it once per point set, so
 each point set's faces are built once for all four routes and each
 conversion runs once per distinct input value.  ``check_routes`` reads the
-pass as four reports, the sweep reads it as the formula side of its census,
-and ``complete_quad`` fills in the quadruple of one CLI payload through the
-row of its point set.
+pass as four reports, each the number of point sets and the label and
+detail of each one that fails; the sweep reads it as the formula side of
+its census, and ``complete_quad`` fills in the quadruple of one CLI
+payload through the row of its point set.
 
 Every conversion is looked up on ``convert`` when it runs, so a patched one
 reaches every route.  The sweep, the route targets of ``check``, ``convert``,
@@ -107,43 +108,26 @@ def complete_quad(
 # -- route-agreement and round-trip checkers -----------------------------------
 
 
-class InstanceVerdict(Record):
-    __slots__ = ("label", "agrees", "detail")
-
-    def __init__(self, label: str, agrees: bool, detail: str = ""):
-        self.label = label
-        self.agrees = agrees
-        self.detail = detail
-
-
 class RouteReport(Record):
-    __slots__ = ("name", "verdicts")
+    """One route over every point set: how many it checked, and the
+    ``(label, detail)`` of each that fails, in point-set order."""
 
-    def __init__(self, name: str, verdicts: tuple[InstanceVerdict, ...]):
+    __slots__ = ("name", "total", "counterexamples")
+
+    def __init__(self, name: str, total: int, counterexamples: tuple[tuple[str, str], ...]):
         self.name = name
-        self.verdicts = verdicts
+        self.total = total
+        self.counterexamples = counterexamples
 
     @property
     def ok(self) -> bool:
-        return all(v.agrees for v in self.verdicts)
-
-    def counterexamples(self) -> tuple[InstanceVerdict, ...]:
-        return tuple(v for v in self.verdicts if not v.agrees)
+        return not self.counterexamples
 
     def summary(self) -> str:
-        n = len(self.verdicts)
-        good = sum(v.agrees for v in self.verdicts)
-        head = f"{self.name}: {good}/{n} agree"
-        if self.ok:
-            return head
-        lines = [head]
-        for v in self.counterexamples():
-            lines.append(f"  counterexample at {v.label}: {v.detail}")
+        lines = [f"{self.name}: {self.total - len(self.counterexamples)}/{self.total} agree"]
+        for label, detail in self.counterexamples:
+            lines.append(f"  counterexample at {label}: {detail}")
         return "\n".join(lines)
-
-
-def _y_label(poset: Poset, y: int) -> str:
-    return "y=" + poset.braced(y)
 
 
 def _top_class_miss(poset: Poset, lt: LTTopology, j: GrothendieckTopology) -> str:
@@ -160,7 +144,7 @@ ROUTE_NAMES = ("round trips", "truncation route", "closure route", "topmost regi
 
 
 def route_row(poset: Poset, kept: int) -> tuple:
-    """One point mask's label, its faces ``(n, j, lt)`` and the details of
+    """One point mask, its faces ``(n, j, lt)`` and the details of
     the four routes of ``check_routes``, each empty exactly when its
     comparison agrees.  A FourtopsError that a conversion raises fails each
     route it stops, with the error's type and message as the detail.
@@ -226,7 +210,7 @@ def route_row(poset: Poset, kept: int) -> tuple:
             details.append(route())
         except FourtopsError as err:
             details.append(f"stopped by {type(err).__name__}: {err}")
-    return _y_label(poset, kept), (n, j, lt), tuple(details)
+    return kept, (n, j, lt), tuple(details)
 
 
 def route_pass(poset: Poset):
@@ -235,13 +219,17 @@ def route_pass(poset: Poset):
         yield route_row(poset, kept)
 
 
-def route_reports(rows: Iterable) -> tuple[RouteReport, ...]:
-    """The four route reports of the rows ``route_pass`` yields."""
-    verdicts: tuple[list, ...] = tuple([] for _ in ROUTE_NAMES)
-    for label, _, details in rows:
-        for out, detail in zip(verdicts, details):
-            out.append(InstanceVerdict(label, not detail, detail))
-    return tuple(RouteReport(name, tuple(v)) for name, v in zip(ROUTE_NAMES, verdicts))
+def route_reports(poset: Poset, rows: Iterable) -> tuple[RouteReport, ...]:
+    """The four route reports of the rows ``route_pass`` yields; a point
+    set is labelled ``y={...}`` only where a route fails on it."""
+    total = 0
+    found: tuple[list, ...] = tuple([] for _ in ROUTE_NAMES)
+    for kept, _, details in rows:
+        total += 1
+        for out, detail in zip(found, details):
+            if detail:
+                out.append(("y=" + poset.braced(kept), detail))
+    return tuple(RouteReport(name, total, tuple(c)) for name, c in zip(ROUTE_NAMES, found))
 
 
 def check_routes(poset: Poset) -> tuple[RouteReport, ...]:
@@ -255,4 +243,4 @@ def check_routes(poset: Poset) -> tuple[RouteReport, ...]:
     closure->endomap->covers->nucleus; the topmost check, the covers at each
     point with the class of the maximal sieve under the endomap.
     """
-    return route_reports(route_pass(poset))
+    return route_reports(poset, route_pass(poset))

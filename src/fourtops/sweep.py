@@ -65,7 +65,7 @@ def sweep_instance(graph: TwoColumnGraph, cap: int) -> dict:
         "lts": len(lo) == expected and set(lf) == set(lo),
     }
     names = ("roundtrips", "truncation_route", "closure_route", "topmost")
-    reports = {name: r.ok for name, r in zip(names, route_reports(rows))}
+    reports = {name: r.ok for name, r in zip(names, route_reports(poset, rows))}
     ok = all(census.values()) and all(reports.values())
     return {"census": census, "checks": reports, "expected_count": expected, "ok": ok}
 

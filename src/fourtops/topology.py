@@ -108,9 +108,7 @@ class _Closures(dict):
         index = self.index
         groups = index.truth_groups(mask)
         got = sum(map(groups.__getitem__, self.cover.intersection(groups)))
-        if got not in index.passed:
-            index.require_down_closed(got)
-            index.passed.add(got)
+        index.require_all_down_closed((got,))
         self[mask] = got
         return got
 

@@ -22,7 +22,7 @@ def one_point():
 
 
 def pile_code_str(graph: TwoColumnGraph, downset) -> str:
-    a, b = graph.pile_code(downset)
+    a, b = graph.code_of_mask(downset.mask)
     return f"{a}{b}"
 
 

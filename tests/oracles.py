@@ -1620,15 +1620,15 @@ def route_reports_literal(poset):
     truncation route, closure route, topmost region covers.  Every conversion
     is looked up on the ``convert`` module at call time, so one patched
     conversion reaches this side and ``check_routes`` alike."""
-    from fourtops import convert, routes
+    from fourtops import convert
     from fourtops.poset import sieves_on
-    from fourtops.routes import InstanceVerdict, RouteReport
+    from fourtops.routes import RouteReport
     from fourtops.topology import ClosureOperator
 
     subsets = point_masks_literal(poset)
 
     def label(y):
-        return routes._y_label(poset, y)
+        return "y={" + ",".join(poset.names_of(y)) + "}"
 
     roundtrips = []
     for kept in subsets:
@@ -1655,18 +1655,17 @@ def route_reports_literal(poset):
             lt_of_j == lt,
             convert.grotop_to_lt_direct(j) == lt,
         )
-        agrees = all(cycles)
-        detail = "" if agrees else f"failed cycles: {[i for i, c in enumerate(cycles) if not c]}"
-        roundtrips.append(InstanceVerdict(label(kept), agrees, detail))
+        if not all(cycles):
+            detail = f"failed cycles: {[i for i, c in enumerate(cycles) if not c]}"
+            roundtrips.append((label(kept), detail))
 
     truncation = []
     for y in subsets:
         n = convert.nucleus_from_point_set(poset, y)
         direct = convert.nucleus_to_lt(n)
         via_covers = convert.grotop_to_lt(convert.nucleus_to_grotop(n))
-        agrees = direct == via_covers
-        detail = "" if agrees else f"direct={direct.tables} via={via_covers.tables}"
-        truncation.append(InstanceVerdict(label(y), agrees, detail))
+        if direct != via_covers:
+            truncation.append((label(y), f"direct={direct.tables} via={via_covers.tables}"))
 
     closure = []
     for y in subsets:
@@ -1675,16 +1674,13 @@ def route_reports_literal(poset):
         )
         direct = convert.closure_to_nucleus(clop)
         via = convert.grotop_to_nucleus(convert.lt_to_grotop(convert.j_from_closure(clop)))
-        agrees = direct == via
-        detail = "" if agrees else f"direct={direct.table} via={via.table}"
-        closure.append(InstanceVerdict(label(y), agrees, detail))
+        if direct != via:
+            closure.append((label(y), f"direct={direct.table} via={via.table}"))
 
     topmost = []
     for y in subsets:
         tables = convert.nucleus_to_lt(convert.nucleus_from_point_set(poset, y)).tables
         grotop = convert.point_set_to_grotop(poset, y)
-        agrees = True
-        detail = ""
         for i, u in enumerate(poset.points):
             sieves = sieves_on(poset, u)
             table = tables[i]
@@ -1693,16 +1689,15 @@ def route_reports_literal(poset):
                 sieves[k] for k in range(len(sieves)) if table[k] == table[top]
             )
             if top_class != frozenset(cover_masks(grotop, i)):
-                agrees = False
-                detail = f"at point {u!r}"
+                topmost.append((label(y), f"at point {u!r}"))
                 break
-        topmost.append(InstanceVerdict(label(y), agrees, detail))
 
+    total = len(subsets)
     return (
-        RouteReport("round trips", tuple(roundtrips)),
-        RouteReport("truncation route", tuple(truncation)),
-        RouteReport("closure route", tuple(closure)),
-        RouteReport("topmost region covers", tuple(topmost)),
+        RouteReport("round trips", total, tuple(roundtrips)),
+        RouteReport("truncation route", total, tuple(truncation)),
+        RouteReport("closure route", total, tuple(closure)),
+        RouteReport("topmost region covers", total, tuple(topmost)),
     )
 
 

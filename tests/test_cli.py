@@ -297,6 +297,24 @@ class TestEnumerate:
         assert a == b
 
 
+def _wrong_off_the_empty_set(monkeypatch):
+    """Patch ``grotop_to_lt_direct`` to give the bottom endomap for every
+    point set but the empty one, so the round trips fail on 15 of 16."""
+    from fourtops import convert
+    from fourtops.poset import sieves_on
+    from fourtops.records import LTTopology
+
+    right = convert.grotop_to_lt_direct
+
+    def wrong(j):
+        if not convert.grotop_to_point_set(j):
+            return right(j)
+        P = j.poset
+        return LTTopology(P, tuple((0,) * len(sieves_on(P, u)) for u in P.points))
+
+    monkeypatch.setattr(convert, "grotop_to_lt_direct", wrong)
+
+
 class TestCheck:
     def test_conjectures_all_agree(self):
         code, out = run("check", "conjectures", "-t", STAR)
@@ -320,6 +338,27 @@ class TestCheck:
     def test_roundtrips(self):
         code, out = run("check", "roundtrips", "-t", STAR)
         assert code == 0
+
+    def test_a_report_that_fails_on_some_point_sets_is_written_whole(self, monkeypatch):
+        _wrong_off_the_empty_set(monkeypatch)
+        for extra, ext in (((), "txt"), (("--json",), "json")):
+            code, out = run("check", "roundtrips", *extra, "-t", STAR)
+            assert code == 1
+            assert out == (GOLDEN / f"check_roundtrips_failing_star.{ext}").read_text()
+
+    def test_only_a_failing_point_set_is_labelled(self, monkeypatch):
+        from fourtops.routes import check_routes
+
+        P = parse_input(STAR).poset
+        calls = []
+        braced = Poset.braced
+        monkeypatch.setattr(Poset, "braced", lambda self, mask: calls.append(mask) or braced(self, mask))
+        assert all(r.ok for r in check_routes(P)) and calls == []
+        _wrong_off_the_empty_set(monkeypatch)
+        reports = check_routes(P)
+        failing = [label for r in reports for label, _ in r.counterexamples]
+        assert len(failing) == len(calls) == 15
+        assert failing == ["y=" + braced(P, m) for m in calls]
 
 
 class TestRenderCommand:
@@ -1751,9 +1790,10 @@ def test_check_axioms_builds_only_the_downsets_it_prints():
     """The presheaf layer is three element indexes read off the sieve index:
     no module of the package defines ``Presheaf`` or ``product``, and in a
     fresh process ``check axioms --json`` on the star builds no presheaf and
-    exactly the 64 ``DownSet``s it prints, the filter generators of its 16
-    LTs at 4 points (a profile hook on every ``__init__``).  It built 3
-    presheaves and 76 down-sets, 12 of them Ω's labels, when Ω had labels."""
+    no ``DownSet`` (a profile hook on every ``__init__``), and prints the 64
+    filter generators of its 16 LTs at 4 points from their masks.  It built
+    3 presheaves and 76 down-sets, 12 of them Ω's labels, when Ω had labels,
+    and then one down-set per generator printed."""
     import importlib
     import itertools
     import pkgutil
@@ -1781,7 +1821,7 @@ def test_check_axioms_builds_only_the_downsets_it_prints():
         "instances = json.loads(out.getvalue())['result']['instances']\n"
         "print(rc, built['Presheaf'], built['DownSet'], sum(len(e['filter_generators']) for e in instances))"
     )
-    assert _fresh_child(code) == "0 0 64 64\n"
+    assert _fresh_child(code) == "0 0 0 64\n"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
@@ -1965,7 +2005,7 @@ def test_readme_library_quick_tour_gives_its_commented_values():
     (downset, sieves, count) = said.items()
     assert downset[0] == "the down-set {1_}" and repr(downset[1]) == "{1_}"
     assert sieves[0] == "sieves 01, 11, 21"
-    assert ["%d%d" % graph.pile_code(s) for s in sieves[1]] == ["01", "11", "21"]
+    assert ["%d%d" % graph.code_of_mask(s.mask) for s in sieves[1]] == ["01", "11", "21"]
     assert count[0].startswith("16,") and count[1] == 16
 
 

@@ -272,7 +272,7 @@ class TestTwoColumnGraph:
 
     def test_every_downset_is_a_pile(self, star, star_poset):
         for d in enumerate_downsets(star_poset):
-            a, b = star.pile_code(DownSet(star_poset, d))
+            a, b = star.code_of_mask(d)
             assert pile(star, a, b) == d
 
     def test_same_column_cross_rejected(self):
@@ -385,16 +385,13 @@ def _record_samples():
     fresh field values: a fresh poset, fresh tuples and fresh records."""
     from fourtops.heyting import AxiomFailure, CheckReport
     from fourtops.records import GrothendieckTopology, LTTopology, Nucleus
-    from fourtops.routes import InstanceVerdict, Quad, RouteReport
+    from fourtops.routes import Quad, RouteReport
 
     def poset():
         return Poset(["a", "b"], [("b", "a")])
 
     def failure():
         return AxiomFailure("C1-inflationary", (("1", 1),))
-
-    def verdict():
-        return InstanceVerdict("y={a}", False, "disagree")
 
     return {
         "Poset": poset,
@@ -411,8 +408,7 @@ def _record_samples():
             GrothendieckTopology(poset(), (2, 4)),
             LTTopology(poset(), ((0, 1), (0, 1, 2))),
         ),
-        "InstanceVerdict": verdict,
-        "RouteReport": lambda: RouteReport("pointset->nucleus", (verdict(),)),
+        "RouteReport": lambda: RouteReport("round trips", 2, (("y={a}", "disagree"),)),
     }
 
 
