@@ -14,7 +14,6 @@ from importlib import import_module
 _HOMES = {
     "axioms": ("TestUniverse", "build_universe", "check_closure_axioms", "filter_check"),
     "census": ("enumerate_grotops", "enumerate_lts", "enumerate_nuclei"),
-    "classifier": ("omega",),
     "convert": (
         "closure_to_nucleus",
         "grotop_to_lt",
@@ -29,19 +28,20 @@ _HOMES = {
         "point_set_of_nucleus",
         "point_set_to_grotop",
     ),
-    "heyting": ("is_nucleus",),
     "poset": (
         "DownSet",
+        "GrothendieckTopology",
+        "LTTopology",
+        "Nucleus",
         "Poset",
         "TwoColumnGraph",
         "enumerate_downsets",
         "sieves_on",
         "star_graph",
     ),
-    "presheaf": ("terminal",),
-    "records": ("GrothendieckTopology", "LTTopology", "Nucleus"),
+    "presheaf": ("omega", "terminal"),
     "routes": ("Quad", "check_routes", "complete_quad"),
-    "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology"),
+    "topology": ("ClosureOperator", "is_grothendieck", "is_lt_topology", "is_nucleus"),
 }
 # exported name -> the submodule it lives in
 _EXPORTS = {name: module for module, names in _HOMES.items() for name in names}

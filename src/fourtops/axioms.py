@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import sys
 
-from .classifier import omega
 from .errors import DEFAULT_PAIR_CAP, FunctorialityError, ShapeMismatch
-from .heyting import AxiomFailure, CheckReport
-from .poset import DownSet, Poset, _downsets, enumerate_downsets, sieve_positions, sieve_restriction, sieves_on
-from .presheaf import ElementIndex, _pull_mask, _truth_values, terminal
-from .records import GrothendieckTopology
-from .topology import ClosureOperator
+from .poset import DownSet, GrothendieckTopology, Poset, _downsets, enumerate_downsets, sieve_positions, sieve_restriction, sieves_on
+from .presheaf import ElementIndex, _pull_mask, _truth_values, omega, terminal
+from .topology import AxiomFailure, CheckReport, ClosureOperator
 
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 

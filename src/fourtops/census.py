@@ -10,9 +10,9 @@ offers values that are natural against the components already placed below;
 covering families are generated as upward-closed sets of the sieves that are
 stable over the covers already placed below, then filtered by transitivity.
 
-The oracle modes need only the poset's sieve index, the down-set algebra,
-the kernel and the face records, so they load no checker; each formula mode
-imports its conversion from ``convert`` when it runs.  ``check axioms``
+The oracle modes need only ``poset`` (the sieve index, the down-set algebra
+and the face records) and the kernel, so they load no checker; each formula
+mode imports its conversion from ``convert`` when it runs.  ``check axioms``
 reads ``formula_lts`` itself, so neither it nor the kernel loads this module.
 """
 
@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from ._kernels import enumerate_operator_tables, operator_lattice
 from .errors import DEFAULT_ORACLE_POINT_CAP, SizeCapExceeded
-from .poset import Poset, _bits, enumerate_downsets, lattice_tables, point_masks, sieve_positions, sieve_restriction, sieves_on
-from .records import GrothendieckTopology, LTTopology, Nucleus
+from .poset import GrothendieckTopology, LTTopology, Nucleus, Poset, _bits, enumerate_downsets, lattice_tables, point_masks, sieve_positions, sieve_restriction, sieves_on
 
 
 def enumerate_nucleus_tables(poset: Poset) -> list[tuple[int, ...]]:

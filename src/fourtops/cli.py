@@ -124,11 +124,9 @@ def read_command_line(argv: list) -> SimpleNamespace | None:
     return SimpleNamespace(**values)
 
 
-def build_parser(argv=()):
+def build_parser():
     """The CLI's argparse parser, built from ``GRAMMAR``, for help and usage
-    errors.  It builds only the subparser ``argv``'s first word names, or all
-    of them for no word, ``-h`` or an unknown word, so the top-level help and
-    usage errors list every subcommand."""
+    errors."""
     import argparse
 
     class Store(argparse.Action):
@@ -143,17 +141,15 @@ def build_parser(argv=()):
         description="compute, convert, render, and check topologies on "
         "presheaves over finite posets",
     )
-    # the metavar argparse gives the choices when all of them are built
+    # the errors of a missing or unknown subcommand name it by its choices
     sub = top.add_subparsers(dest="command", required=True, metavar="{" + ",".join(GRAMMAR) + "}")
-    named = argv[0] if argv and argv[0] in GRAMMAR else None
     for name, (help, rows) in GRAMMAR.items():
-        if named in (None, name):
-            p = sub.add_parser(name, help=help)
-            for spellings, dest, kind, default, required, help in rows:
-                how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
-                if spellings:
-                    how = {"action": Store, "dest": dest, "required": required} | how
-                p.add_argument(*spellings or [dest], default=default, help=help, **how)
+        p = sub.add_parser(name, help=help)
+        for spellings, dest, kind, default, required, help in rows:
+            how = {bool: {"action": "store_true"}, int: {"type": int}, str: {}}.get(kind, {"choices": kind})
+            if spellings:
+                how = {"action": Store, "dest": dest, "required": required} | how
+            p.add_argument(*spellings or [dest], default=default, help=help, **how)
     return top
 
 
@@ -163,7 +159,7 @@ def main(argv=None, out=None) -> int:
     args = read_command_line(argv)
     if args is None:
         try:
-            args = build_parser(argv).parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as e:
             return 2 if e.code not in (0, None) else 0
     if args.command == "sweep":

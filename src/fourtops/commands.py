@@ -36,6 +36,9 @@ from .errors import (
     _require_at_least,
 )
 from .poset import (
+    GrothendieckTopology,
+    LTTopology,
+    Nucleus,
     Poset,
     TwoColumnGraph,
     _require_point_cap,
@@ -44,7 +47,6 @@ from .poset import (
     sieve_positions,
     sieves_on,
 )
-from .records import GrothendieckTopology, LTTopology, Nucleus
 
 
 class InputSpec:
@@ -135,10 +137,13 @@ def _take_count(p: _Parser) -> int:
 
 
 def _parse_pile(p: _Parser, graph: TwoColumnGraph) -> int:
+    # each height has as many digits as its column's height: with at most 16
+    # points, two digits in all, or three beside a column of 10 or more
+    left, right = len(str(graph.p)), len(str(graph.q))
     tok = p.take()
-    if not tok.isdigit() or len(tok) != 2:
-        raise p.error(f"expected a two-digit pile code, found {tok!r}")
-    return graph.pile_mask(int(tok[0]), int(tok[1]))
+    if not tok.isdigit() or len(tok) != left + right:
+        raise p.error(f"expected a {'two' if left + right == 2 else 'three'}-digit pile code, found {tok!r}")
+    return graph.pile_mask(int(tok[:left]), int(tok[left:]))
 
 
 def parse_input(text: str) -> InputSpec:

@@ -6,8 +6,9 @@ its endomap and nucleus.  Every conversion lives here and follows its
 defining formula directly; ``formula_lts`` lists the endomap of each point
 set, which the LT census's formula mode and ``check axioms`` read.  The
 censuses (``census``) and the route checks and CLI quadruples (``routes``)
-look each conversion up here when they run, so a patched one reaches every
-formula path.  A ``check axioms`` run loads this module but not those two.
+look each conversion up here when they run, as ``check`` does, so a patched
+one reaches every formula path.  Every ``check`` target loads this module,
+and ``check axioms`` loads neither of those two.
 
 The conversions take structures that pass their laws and check nothing: a
 face converted from a valid face is valid, which the route comparisons and
@@ -22,11 +23,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .classifier import chi_tables, omega
 from .errors import InvalidTopology
-from .poset import Poset, _bits, downset_positions, enumerate_downsets, interior_mask, point_masks, sieve_positions, sieves_on
-from .presheaf import terminal
-from .records import GrothendieckTopology, LTTopology, Nucleus
+from .poset import GrothendieckTopology, LTTopology, Nucleus, Poset, _bits, downset_positions, enumerate_downsets, interior_mask, point_masks, sieve_positions, sieves_on
+from .presheaf import chi_tables, omega, terminal
 
 if TYPE_CHECKING:
     from .topology import ClosureOperator

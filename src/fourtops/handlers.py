@@ -45,8 +45,9 @@ def _quad(spec: InputSpec, source: str | None = None) -> Quad:
 
 
 def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
+    """Each height with as many digits as its column's height has."""
     a, b = graph.code_of_mask(mask)
-    return f"{a}{b}"
+    return f"{a:0{len(str(graph.p))}}{b:0{len(str(graph.q))}}"
 
 
 def _downset_str(spec: InputSpec, mask: int) -> str:

@@ -1,19 +1,23 @@
-"""Finite downward-directed posets, down-sets, and two-column graphs.
+"""Finite downward-directed posets, down-sets, two-column graphs, the indexes
+read off them, the face records over those indexes, and ``Record``, the one
+equality of the package's values.
 
 Convention: an arrow ``u -> v`` means "u is above v".  ``above(u, v)`` is the
 reflexive-transitive closure of the generating arrows.  Down-sets are closed
 under going below and are represented as bitmasks over the point list, which
-keeps meets, joins and interiors cheap for the enumerators downstream.
+keeps meets, joins and interiors cheap for the enumerators downstream.  The
+oracle searches build the face records from this module alone; their laws
+live in ``topology``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import groupby, permutations, product
+from operator import attrgetter
 from typing import Hashable, Iterable, Sequence
 
 from .errors import CycleError, NotDownClosed, SizeCapExceeded, UnknownPoint
-from .records import Record
 
 PointId = Hashable
 
@@ -27,6 +31,24 @@ def _bits(mask: int):
         low = mask & -mask
         mask ^= low
         yield low.bit_length() - 1
+
+
+class Record:
+    """A slotted value: equal to a record of the same class whose fields,
+    its slots that do not start with ``_``, are equal; hashed over them."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._values = attrgetter(*(s for s in cls.__slots__ if not s.startswith("_")))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
 
 
 class Poset(Record):
@@ -283,6 +305,41 @@ def sieve_restriction(
     for k, r in enumerate(restr):
         fib[r] |= 1 << k
     return restr, tuple(fib)
+
+
+# -- face records ------------------------------------------------------------
+
+
+class Nucleus(Record):
+    """A total table on the down-set algebra of a poset, stored by the index
+    of each down-set in ``enumerate_downsets``."""
+
+    __slots__ = ("poset", "table")
+
+    def __init__(self, poset: Poset, table: tuple[int, ...]):
+        self.poset = poset
+        self.table = table
+
+
+class LTTopology(Record):
+    """Per-point endomap of the classifier, stored by sieve index."""
+
+    __slots__ = ("poset", "tables")
+
+    def __init__(self, poset: Poset, tables: tuple[tuple[int, ...], ...]):
+        self.poset = poset
+        self.tables = tables
+
+
+class GrothendieckTopology(Record):
+    """Per-point families of covering sieves, stored as bitmasks over each
+    point's sieve index."""
+
+    __slots__ = ("poset", "covers")
+
+    def __init__(self, poset: Poset, covers: tuple[int, ...]):
+        self.poset = poset
+        self.covers = covers
 
 
 def canonical_form(poset: Poset) -> tuple[int, ...]:

@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from .errors import IncoherentQuad
-from .poset import TwoColumnGraph, enumerate_downsets, sieves_on
-from .records import GrothendieckTopology, LTTopology, Nucleus
+from .poset import GrothendieckTopology, LTTopology, Nucleus, TwoColumnGraph, enumerate_downsets, sieves_on
 
 if TYPE_CHECKING:
     from .routes import Quad

@@ -21,10 +21,8 @@ from typing import Iterable
 
 from . import convert
 from .errors import FourtopsError, IncoherentQuad, InvalidNucleus, InvalidTopology, UnknownPoint
-from .heyting import is_nucleus
-from .poset import Poset, point_masks
-from .records import GrothendieckTopology, LTTopology, Nucleus, Record
-from .topology import ClosureOperator, is_grothendieck, is_lt_topology
+from .poset import GrothendieckTopology, LTTopology, Nucleus, Poset, Record, point_masks
+from .topology import ClosureOperator, is_grothendieck, is_lt_topology, is_nucleus
 
 
 # -- quadruples ----------------------------------------------------------------

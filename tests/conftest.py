@@ -22,8 +22,9 @@ def one_point():
 
 
 def pile_code_str(graph: TwoColumnGraph, downset) -> str:
+    """Each height with as many digits as its column's height has."""
     a, b = graph.code_of_mask(downset.mask)
-    return f"{a}{b}"
+    return f"{a:0{len(str(graph.p))}}{b:0{len(str(graph.q))}}"
 
 
 def naturally_labelled_posets(most):

@@ -753,7 +753,7 @@ def restriction_check(clop, triple):
 
     ``triple`` is (m : C into D, d : D into E, c : C into E).
     """
-    from fourtops.heyting import AxiomFailure, CheckReport
+    from fourtops.topology import AxiomFailure, CheckReport
 
     m, d, c = triple
     failures = []
@@ -858,8 +858,7 @@ def closure_to_nucleus_composite(clop):
     """Nucleus of a closure operator through presheaf objects: each subterminal
     inclusion into the terminal is closed with ``closure_of_composite`` and
     its truth-value read with ``cst``."""
-    from fourtops.poset import enumerate_downsets
-    from fourtops.records import Nucleus
+    from fourtops.poset import Nucleus, enumerate_downsets
 
     one = terminal_presheaf(clop.poset)
     table = []
@@ -871,8 +870,7 @@ def closure_to_nucleus_composite(clop):
 
 def lt_from_morphism(m):
     """The sieve-index tables of an endomap of the classifier."""
-    from fourtops.poset import sieve_positions
-    from fourtops.records import LTTopology
+    from fourtops.poset import LTTopology, sieve_positions
 
     poset = m.dom.poset
     if not m.dom == m.cod == omega_presheaf(poset):
@@ -956,9 +954,8 @@ def natural_endomaps(poset):
     """Every natural endomap of the classifier, as sieve-index tables: each
     is the classifying map of a subobject of the classifier, so the down-set
     enumerator lists them over its element index."""
-    from fourtops.classifier import chi_tables, omega
-    from fourtops.poset import _downsets
-    from fourtops.records import LTTopology
+    from fourtops.poset import LTTopology, _downsets
+    from fourtops.presheaf import chi_tables, omega
 
     index = omega(poset)
     return [LTTopology(poset, chi_tables(index, m)) for m in _downsets(index.down, index.full)]
@@ -1068,7 +1065,7 @@ def direct_report(universe, report):
     the package's form: an inclusion into a codomain of the universe as
     ``(object name, mask)``, the mask moved to the package's element order,
     and a codomain as its name."""
-    from fourtops.heyting import AxiomFailure, CheckReport
+    from fourtops.topology import AxiomFailure, CheckReport
 
     names = {id(b): name for b, name in zip(universe.codomains, universe.names)}
 
@@ -1088,7 +1085,7 @@ def check_closure_axioms_literal(clop, universe):
     made on every closure miss and every pair.  A witness is the failing
     inclusion or pair of inclusions, and for C5 the map's domain and the
     inclusion pulled back."""
-    from fourtops.heyting import AxiomFailure, CheckReport
+    from fourtops.topology import AxiomFailure, CheckReport
     from fourtops.poset import sieves_on
 
     poset = clop.poset
@@ -1174,8 +1171,7 @@ def bang(b, one=None):
 
 def lt_identity(poset):
     """The identity endomap of the classifier: every sieve to itself."""
-    from fourtops.poset import sieves_on
-    from fourtops.records import LTTopology
+    from fourtops.poset import LTTopology, sieves_on
 
     tables = tuple(tuple(range(len(sieves_on(poset, u)))) for u in poset.points)
     return LTTopology(poset, tables)
@@ -1197,8 +1193,7 @@ def make_grotop(poset, families):
     """The covering families from a mapping point -> iterable of sieves
     (``DownSet``s or masks), as bits over each point's sieve index; KeyError
     for a mask that is not a sieve on its point."""
-    from fourtops.poset import DownSet, sieve_positions
-    from fourtops.records import GrothendieckTopology
+    from fourtops.poset import DownSet, GrothendieckTopology, sieve_positions
 
     covers = []
     for u in poset.points:
@@ -1487,8 +1482,7 @@ def sieve_lattice_literal(sieves):
 def lts_literal(poset):
     """Oracle LT topologies: every component table the kernel admits on its
     own, joined point by point in index order and filtered by naturality."""
-    from fourtops.poset import sieves_on
-    from fourtops.records import LTTopology
+    from fourtops.poset import LTTopology, sieves_on
 
     per_point = []
     sieve_lists = [sieves_on(poset, u) for u in poset.points]

@@ -3,9 +3,8 @@ connectives checked against the package's tables."""
 
 import pytest
 
-from fourtops.classifier import chi_tables, omega
 from fourtops.poset import DownSet, Poset, lattice_tables, sieve_positions, sieves_on, star_graph
-from fourtops.presheaf import _truth_values
+from fourtops.presheaf import _truth_values, chi_tables, omega
 
 from .conftest import pile_code_str
 from .oracles import (

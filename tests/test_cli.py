@@ -266,6 +266,22 @@ class TestConvertAndFouruple:
         code, _ = run("convert", "--from", "nucleus", "--to", "y", "-t", STAR + "\ny { _1 }")
         assert code == 2
 
+    @pytest.mark.parametrize("members", ["", "_1", "1_ 10_", "3_ 7_ _1"])
+    def test_pile_codes_beside_a_tall_column_read_back(self, members, capsys):
+        """Beside a column of 10 points a pile code gives each height as many
+        digits as its column's height has: each face's text reads back as the
+        point set's quad, and a two-digit code is refused."""
+        graph = "2cg p=10 q=1"
+        code, quad = run("fouruple", "--from", "y", "-t", f"{graph}\ny {{ {members} }}")
+        assert code == 0 and "nucleus { 000 -> " in quad
+        for kind in ("nucleus", "grotop", "lt"):
+            code, text = run("convert", "--from", "y", "--to", kind, "-t", f"{graph}\ny {{ {members} }}")
+            assert code == 0
+            assert run("fouruple", "--from", kind, "-t", f"{graph}\n{text}") == (0, quad), kind
+        capsys.readouterr()
+        assert run("fouruple", "--from", "nucleus", "-t", f"{graph}\nnucleus {{ 00 -> 10 }}") == (2, "")
+        assert "expected a three-digit pile code, found '00'" in capsys.readouterr().err
+
 
 class TestEnumerate:
     def test_oracle_nuclei_count(self):
@@ -301,8 +317,7 @@ def _wrong_off_the_empty_set(monkeypatch):
     """Patch ``grotop_to_lt_direct`` to give the bottom endomap for every
     point set but the empty one, so the round trips fail on 15 of 16."""
     from fourtops import convert
-    from fourtops.poset import sieves_on
-    from fourtops.records import LTTopology
+    from fourtops.poset import LTTopology, sieves_on
 
     right = convert.grotop_to_lt_direct
 
@@ -956,29 +971,17 @@ def _subcommands_built(parser):
 
 @pytest.mark.parametrize("command", sorted(VALID_ARGS))
 def test_the_named_subparser_alone_parses_as_the_full_parser(command):
-    """A first word that names a subcommand builds only its subparser, and
-    help, a missing positional or required option, an invalid choice, an
-    unknown option, a stray word and a valid line give the same namespace or
-    exit code, stdout and stderr as the parser of every subcommand.  The
-    table reads each valid line as that namespace."""
+    """The parser builds every subcommand, and the table reads each valid
+    line of ``command`` as the namespace argparse gives it."""
     from fourtops.cli import build_parser, read_command_line
 
-    full = build_parser()
-    assert _subcommands_built(full) == list(VALID_ARGS)
-    for rest in (["-h"], [], ["bogus"], ["--bogus"], ["--from", "bogus"], [*VALID_ARGS[command][0], "extra"]):
-        argv = [command, *rest]
-        parser = build_parser(argv)
-        assert _subcommands_built(parser) == [command]
-        assert _parse_outcome(parser, argv) == _parse_outcome(full, argv), argv
+    parser = build_parser()
+    assert _subcommands_built(parser) == list(VALID_ARGS)
     for rest in VALID_ARGS[command]:
         argv = [command, *rest]
-        result, out, err = _parse_outcome(build_parser(argv), argv)
-        assert (result, out, err) == _parse_outcome(full, argv)
+        result, out, err = _parse_outcome(parser, argv)
         assert result["command"] == command and (out, err) == ("", "")
         assert vars(read_command_line(argv)) == result, argv
-    # no word, help and an unknown word build every subparser
-    for argv in ([], ["-h"], ["--help"], ["bogus"], ["-t", STAR, command]):
-        assert _subcommands_built(build_parser(argv)) == list(VALID_ARGS), argv
 
 
 def _documented_command_lines():
@@ -1734,7 +1737,7 @@ def test_only_chi_validates_a_presheaf_morphism(argv, classifies, monkeypatch):
     check and equal the oracle's classifying map of the subterminal."""
     import sys
 
-    from fourtops.classifier import omega
+    from fourtops.presheaf import omega
 
     from .oracles import Morphism, chi, omega_presheaf, subterminal_inclusion, terminal_presheaf
 
@@ -1850,9 +1853,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
         "inspect",
         "locale",
         "fourtops.axioms",
-        "fourtops.classifier",
         "fourtops.convert",
-        "fourtops.heyting",
         "fourtops.presheaf",
         "fourtops.render",
         "fourtops.sweep",
@@ -2030,11 +2031,11 @@ EXPORTS = set(
 )
 
 # The validated presheaf-map calculus and the label-built presheaves, by the
-# module they left: no command builds a presheaf morphism or a labelled
-# presheaf (1, Ω and Ω² are element indexes read off the sieve index), and
-# the tests keep them in tests/oracles.py as the reference for the element
-# masks.  Methods moved as functions of the same name (Presheaf.restrict,
-# ElementIndex.mask_of).
+# module they left (``classifier``'s under ``presheaf``, which it joined): no
+# command builds a presheaf morphism or a labelled presheaf (1, Ω and Ω² are
+# element indexes read off the sieve index), and the tests keep them in
+# tests/oracles.py as the reference for the element masks.  Methods moved as
+# functions of the same name (Presheaf.restrict, ElementIndex.mask_of).
 MOVED = {
     "presheaf": (
         "Presheaf",
@@ -2050,8 +2051,12 @@ MOVED = {
         "intersection",
         "subobjects",
         "subterminal_of",
+        "chi",
+        "sigma",
+        "true_map",
+        "meet_map",
+        "imp_map",
     ),
-    "classifier": ("chi", "sigma", "true_map", "meet_map", "imp_map"),
     "topology": (
         "closure_of",
         "is_dense",
@@ -2063,13 +2068,14 @@ MOVED = {
     "errors": ("UnknownElement", "NaturalityError", "NotMonic", "NotInclusion", "NotSubterminal"),
 }
 
-# Names deleted from the module that defined them, since no command, route
-# check or test oracle needs them: the nucleus table is the one slashing, the
-# package works on down-set masks (down_mask, mask_of, interior_mask), and
-# H and Ω are indexes read off the poset (enumerate_downsets with
-# downset_positions, and omega's element index).
+# Names deleted from the module that defined them (``heyting``'s under
+# ``topology`` and ``classifier``'s under ``presheaf``, which each joined),
+# since no command, route check or test oracle needs them: the nucleus table
+# is the one slashing, the package works on down-set masks (down_mask,
+# mask_of, interior_mask), and H and Ω are indexes read off the poset
+# (enumerate_downsets with downset_positions, and omega's element index).
 REMOVED = {
-    "heyting": (
+    "topology": (
         "Slashing",
         "_build_slashing",
         "slashing_from_erased",
@@ -2080,7 +2086,7 @@ REMOVED = {
         "algebra_of",
     ),
     "poset": ("down_closure", "down_of_point", "strict_down", "interior"),
-    "classifier": ("OmegaObject",),
+    "presheaf": ("OmegaObject",),
 }
 
 
@@ -2088,7 +2094,9 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
     """Each exported name is the object its home module defines; an unknown
     name, a helper moved to the tests or a deleted name raises
     AttributeError, and a moved name is gone from its old home and defined
-    in the test oracle; and reading ``kernel_backend`` loads no submodule."""
+    in the test oracle; the modules folded into the module they always
+    loaded with cannot be imported; and reading ``kernel_backend`` loads no
+    submodule."""
     import importlib
 
     import fourtops
@@ -2119,6 +2127,10 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
                 getattr(fourtops, name)
             assert not hasattr(home, name), name
             assert getattr(oracles, name).__module__ == oracles.__name__, name
+    # heyting joined topology, classifier joined presheaf and records poset
+    for module in ("heyting", "classifier", "records"):
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(f"fourtops.{module}")
     assert not hasattr(oracles.Presheaf, "restrict") and not hasattr(ElementIndex, "mask_of")
     assert callable(oracles.restrict) and callable(oracles.mask_of)
     code = (
@@ -2126,3 +2138,81 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
         "print(fourtops.kernel_backend, sorted(m for m in sys.modules if m.startswith('fourtops.')))"
     )
     assert _fresh_child(code) == "pure []\n"
+
+
+# One structure of each face on the star, and one that fails its axioms,
+# which the CLI refuses with exit 2.
+FACE_PAYLOADS = {
+    "y": "y { _1 }",
+    "nucleus": "nucleus { 00 -> 10; 10 -> 10; 01 -> 22; 11 -> 22; 02 -> 22; 21 -> 22; 12 -> 22; 22 -> 22 }",
+    "grotop": "grotop { 2_: 01 11 21; 1_: 00 10; _2: 01 02; _1: 01 }",
+    "lt": "j { 2_: 00 -> 10; 2_: 10 -> 10; 2_: 01 -> 21; 2_: 11 -> 21; 2_: 21 -> 21; 1_: 00 -> 10;"
+    " 1_: 10 -> 10; _2: 00 -> 00; _2: 01 -> 02; _2: 02 -> 02; _1: 00 -> 00; _1: 01 -> 01 }",
+}
+REFUSED_PAYLOADS = {
+    "nucleus": "nucleus { 00 -> 00; 10 -> 10; 01 -> 01; 11 -> 11; 02 -> 02; 21 -> 22; 12 -> 12; 22 -> 22 }",
+    "grotop": "grotop { 2_: 01; 1_: 10; _2: 02; _1: 01 }",
+    "lt": "j { 2_: 00 -> 00; 2_: 10 -> 21; 2_: 01 -> 01; 2_: 11 -> 11; 2_: 21 -> 21; 1_: 00 -> 00;"
+    " 1_: 10 -> 10; _2: 00 -> 00; _2: 01 -> 01; _2: 02 -> 02; _1: 00 -> 00; _1: 01 -> 01 }",
+}
+
+
+def test_readme_lists_what_no_command_enters_and_what_only_a_refusal_enters(monkeypatch):
+    """Every subcommand runs on the star, and one structure of each face is
+    refused, under a profile hook, with the sweep in one process and the
+    exported caches cold.  README's library-only list is the exported
+    functions and public methods of exported classes that no run enters, and
+    its failure-only list those that only the refusals enter."""
+    import inspect
+    import re
+    import sys
+
+    import fourtops
+
+    readme = (GOLDEN.parents[1] / "README.md").read_text()
+
+    def listed(marker):
+        paragraph = readme.split(marker, 1)[1].split("\n\n", 1)[0]
+        return set(re.findall(r"`([\w.]+)`", paragraph))
+
+    y = STAR + "\n" + FACE_PAYLOADS["y"]
+    runs = [["show", what, "-t", STAR] for what in ("h", "omega", "true")]
+    runs += [["chi", "-t", y], ["convert", "--from", "y", "--to", "lt", "-t", y]]
+    runs += [["fouruple", "--from", kind, "-t", STAR + "\n" + p] for kind, p in FACE_PAYLOADS.items()]
+    runs += [["enumerate", family, "--mode", "oracle", "-t", STAR] for family in ("nuclei", "grotops", "lttops")]
+    runs += [["check", what, "-t", STAR] for what in ("axioms", "conjectures", "topmost", "roundtrips")]
+    runs += [["render", what, "-t", y] for what in ("zha", "omega", "j", "grotop", "fouruple")]
+    runs += [["sweep", "--pmax", "2", "--qmax", "2"]]
+    refusals = [["fouruple", "--from", kind, "-t", STAR + "\n" + p] for kind, p in REFUSED_PAYLOADS.items()]
+    # exported functions, and the public methods and properties of exported classes
+    functions = {}
+    for name in fourtops.__all__:
+        value = getattr(fourtops, name)
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+        value = getattr(value, "__wrapped__", value)
+        if inspect.isfunction(value):
+            functions[value.__code__] = name
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                member = getattr(member, "fget", member)
+                if not attr.startswith("_") and inspect.isfunction(member):
+                    functions[member.__code__] = f"{name}.{attr}"
+    _allow_cpus(monkeypatch, 1)
+    entered = {0: set(), 2: set()}
+    for argv in runs + refusals:
+        want = 0 if argv in runs else 2
+
+        def hook(frame, event, arg):
+            if event == "call" and frame.f_code in functions:
+                entered[want].add(functions[frame.f_code])
+
+        sys.setprofile(hook)
+        try:
+            code = main(argv, out=io.StringIO())
+        finally:
+            sys.setprofile(None)
+        assert code == want, argv[:3]
+    never = set(functions.values()) - entered[0] - entered[2]
+    assert never == listed("is library-only:")
+    assert entered[2] - entered[0] == listed("are failure-only:")

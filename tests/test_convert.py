@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from fourtops import convert, routes
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
-from fourtops.classifier import omega
 from fourtops.convert import (
     closure_to_nucleus,
     grotop_to_lt,
@@ -32,9 +31,11 @@ from fourtops.errors import (
     SizeCapExceeded,
     UnknownPoint,
 )
-from fourtops.heyting import is_nucleus
 from fourtops.poset import (
     DownSet,
+    GrothendieckTopology,
+    LTTopology,
+    Nucleus,
     Poset,
     TwoColumnGraph,
     downset_positions,
@@ -43,9 +44,9 @@ from fourtops.poset import (
     sieves_on,
     star_graph,
 )
-from fourtops.records import GrothendieckTopology, LTTopology, Nucleus
+from fourtops.presheaf import omega
 from fourtops.routes import check_routes, complete_quad
-from fourtops.topology import ClosureOperator, is_grothendieck
+from fourtops.topology import ClosureOperator, is_grothendieck, is_nucleus
 
 from .conftest import naturally_labelled_posets, pile_code_str
 from .oracles import (

@@ -8,9 +8,8 @@ from hypothesis import given, settings, strategies as st
 from fourtops.census import enumerate_nucleus_tables
 from fourtops.convert import nucleus_from_point_set, point_set_of_nucleus
 from fourtops.errors import NotElement, UnknownPoint
-from fourtops.heyting import is_nucleus
-from fourtops.poset import Poset, enumerate_downsets
-from fourtops.records import Nucleus
+from fourtops.poset import Nucleus, Poset, enumerate_downsets
+from fourtops.topology import is_nucleus
 
 from .oracles import (
     algebra_bottom,

@@ -9,7 +9,11 @@ from hypothesis import given, strategies as st
 from fourtops.errors import CycleError, NotDownClosed, UnknownPoint
 from fourtops.poset import (
     DownSet,
+    GrothendieckTopology,
+    LTTopology,
+    Nucleus,
     Poset,
+    Record,
     TwoColumnGraph,
     canonical_form,
     downset_positions,
@@ -367,7 +371,6 @@ def _record_classes():
     from importlib import import_module
 
     import fourtops
-    from fourtops.records import Record
 
     for info in pkgutil.iter_modules(fourtops.__path__):
         import_module(f"fourtops.{info.name}")
@@ -383,9 +386,8 @@ def _record_classes():
 def _record_samples():
     """Class name -> a builder of one record of that class, each call over
     fresh field values: a fresh poset, fresh tuples and fresh records."""
-    from fourtops.heyting import AxiomFailure, CheckReport
-    from fourtops.records import GrothendieckTopology, LTTopology, Nucleus
     from fourtops.routes import Quad, RouteReport
+    from fourtops.topology import AxiomFailure, CheckReport
 
     def poset():
         return Poset(["a", "b"], [("b", "a")])
@@ -430,8 +432,6 @@ class TestRecords:
         assert a != a._values(a)
 
     def test_records_of_other_classes_with_the_same_fields_differ(self):
-        from fourtops.records import GrothendieckTopology, Nucleus
-
         P, t = Poset(["a", "b"], [("b", "a")]), (1, 2)
         assert Nucleus(P, t) != GrothendieckTopology(P, t)
         assert GrothendieckTopology(P, t) != Nucleus(P, t)

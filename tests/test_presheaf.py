@@ -5,10 +5,9 @@ and limit toolkit of the test oracle."""
 import pytest
 
 from fourtops.axioms import omega_square
-from fourtops.classifier import omega
 from fourtops.errors import FunctorialityError, ShapeMismatch
 from fourtops.poset import DownSet, Poset, enumerate_downsets, sieves_on, star_graph
-from fourtops.presheaf import terminal
+from fourtops.presheaf import omega, terminal
 
 from .conftest import naturally_labelled_posets, pile_code_str
 from .oracles import (

@@ -7,12 +7,11 @@ from itertools import groupby, islice
 import pytest
 
 from fourtops.census import enumerate_lts
-from fourtops.classifier import omega
 from fourtops.convert import j_from_closure, lt_to_grotop, point_set_to_grotop
 from fourtops.errors import FourtopsError, FunctorialityError, ShapeMismatch
-from fourtops.heyting import AxiomFailure, CheckReport
 from fourtops.poset import (
     DownSet,
+    LTTopology,
     Poset,
     enumerate_downsets,
     interior_mask,
@@ -20,11 +19,10 @@ from fourtops.poset import (
     sieves_on,
     star_graph,
 )
-from fourtops.presheaf import _pull_mask, terminal
-from fourtops.records import LTTopology
+from fourtops.presheaf import _pull_mask, omega, terminal
 from fourtops.axioms import TestUniverse as Universe
 from fourtops.axioms import _select, build_universe, check_closure_axioms, filter_check, omega_square
-from fourtops.topology import ClosureOperator, is_grothendieck, is_lt_topology
+from fourtops.topology import AxiomFailure, CheckReport, ClosureOperator, is_grothendieck, is_lt_topology
 
 from . import oracles
 from .conftest import naturally_labelled_posets
