@@ -4,8 +4,9 @@ A closure operator (``topology.ClosureOperator``) is checked against the
 five closure laws, each "for all inclusions" quantifier instantiated over a
 finite, deterministic test universe of element masks, cut at a pair cap
 (see ``build_universe``), on bit slices: an object's listed masks, and
-their closures, are the fields of one int (see ``TestUniverse``).  A
-covering-sieve topology is checked against the filter laws, with the
+their closures, are the fields of one int (see ``TestUniverse``), grouped
+by ``ElementIndex.sliced_groups`` and closed by ``ClosureOperator.close``.
+A covering-sieve topology is checked against the filter laws, with the
 principal generator of each per-point family.
 """
 
@@ -48,10 +49,8 @@ class _Object:
     ``whole`` holds the masks as the fields of one int, in list order, each
     ``width`` bytes wide, and ``ones`` bit 0 of each field; ``groups``
     holds, per truth-value key, one int with each mask's group of that key
-    in its field, so that their closures are the fields of one sum.  Each
-    element's membership column ``whole >> e & ones`` is split by the
-    elements of its row into its truth values, so no mask is grouped on its
-    own.
+    in its field (``ElementIndex.sliced_groups``), so that their closures
+    are the fields of one sum (``ClosureOperator.close``).
     """
 
     __slots__ = ("name", "index", "masks", "width", "whole", "ones", "groups")
@@ -62,7 +61,7 @@ class _Object:
         self.width = width = next((w for w in _FORMATS if 8 * w >= n), n + 7 >> 3)
         self.whole = int.from_bytes(b"".join(m.to_bytes(width, sys.byteorder) for m in self.masks), sys.byteorder)
         self.ones = _select(range(count), count, width)
-        self.groups = _slice_groups(index, self.whole, self.ones)
+        self.groups = index.sliced_groups(self.whole, self.ones)
 
 
 class TestUniverse:
@@ -127,30 +126,6 @@ def _select(positions, count: int, width: int) -> int:
     return int.from_bytes(data, sys.byteorder)
 
 
-def _slice_groups(index: ElementIndex, whole: int, ones: int) -> dict:
-    """Truth-value key -> the int holding, in each mask's field, that mask's
-    group of the key, read off the membership columns of ``whole``."""
-    columns = [whole >> e & ones for e in range(index.full.bit_length())]
-    width, groups = index.width, {}
-    for k, (i, row) in enumerate(zip(index.point, index.rows)):
-        # the fields, split by the point mask of the points below where
-        # element k's image lies in their mask
-        split = [(0, ones)]
-        for pb, eb in row:
-            column, parts = columns[eb.bit_length() - 1], []
-            for s, fields in split:
-                inside = fields & column
-                if inside:
-                    parts.append((s | pb, inside))
-                if inside != fields:
-                    parts.append((s, fields ^ inside))
-            split = parts
-        for s, fields in split:
-            key = s * width + i
-            groups[key] = groups.get(key, 0) | fields << k
-    return groups
-
-
 def omega_square(poset: Poset) -> ElementIndex:
     """The element index of Ω×Ω: the pair of sieves k1, k2 on point i is
     element ``offset[i] + k1 * n + k2``, where n is the number of sieves on
@@ -213,14 +188,14 @@ def check_closure_axioms(clop: ClosureOperator, universe: TestUniverse) -> Check
         raise ShapeMismatch("inclusion lives on a different poset")
     closed = [clop.closures(o.index) for o in universe.objects]
     try:
-        if _screen(clop.cover, universe, closed):
+        if _screen(clop, universe, closed):
             return CheckReport("closure axioms", ())
     except FunctorialityError:
         pass
     return _ordered_laws(universe, closed)
 
 
-def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
+def _screen(clop: ClosureOperator, universe: TestUniverse, closed: list) -> bool:
     """Whether every law holds; fills the tables.  With ``total`` an
     object's closures as fields and ``spread`` a row's closure of f in
     every field: C1 is ``whole & ~total``, C3 ``spread & ~total & NEST``,
@@ -228,8 +203,8 @@ def _screen(cover: frozenset, universe: TestUniverse, closed: list) -> bool:
     & total & CROSS``; C2, the down-closure check and C5 read masks."""
     totals = []
     for close, o in zip(closed, universe.objects):
-        masks, width, groups = o.masks, o.width, o.groups
-        total = sum(map(groups.__getitem__, cover.intersection(groups)))
+        masks, width = o.masks, o.width
+        total = clop.close(o.groups)
         if o.whole & ~total:
             return False
         data = total.to_bytes(len(masks) * width, sys.byteorder)

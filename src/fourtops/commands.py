@@ -137,9 +137,9 @@ def _take_count(p: _Parser) -> int:
 
 
 def _parse_pile(p: _Parser, graph: TwoColumnGraph) -> int:
-    # each height has as many digits as its column's height: with at most 16
-    # points, two digits in all, or three beside a column of 10 or more
-    left, right = len(str(graph.p)), len(str(graph.q))
+    # with at most 16 points a code has two digits, or three beside a column
+    # of 10 or more
+    left, right = graph.code_widths()
     tok = p.take()
     if not tok.isdigit() or len(tok) != left + right:
         raise p.error(f"expected a {'two' if left + right == 2 else 'three'}-digit pile code, found {tok!r}")

@@ -21,7 +21,7 @@ from .commands import (
 )
 from .emit import emit_json
 from .errors import STRUCTURE_KINDS, ParseError
-from .poset import DownSet, Poset, TwoColumnGraph, enumerate_downsets, sieves_on
+from .poset import DownSet, Poset, enumerate_downsets, sieves_on
 
 # The route module, the presheaf layer and the panel renderers are imported
 # where they run, so each command compiles only the ones it uses.
@@ -44,15 +44,9 @@ def _quad(spec: InputSpec, source: str | None = None) -> Quad:
 # -- structure writers ------------------------------------------------------------
 
 
-def _pile_str(graph: TwoColumnGraph, mask: int) -> str:
-    """Each height with as many digits as its column's height has."""
-    a, b = graph.code_of_mask(mask)
-    return f"{a:0{len(str(graph.p))}}{b:0{len(str(graph.q))}}"
-
-
 def _downset_str(spec: InputSpec, mask: int) -> str:
     if spec.graph is not None:
-        return _pile_str(spec.graph, mask)
+        return spec.graph.pile_code(mask)
     return spec.poset.braced(mask)
 
 

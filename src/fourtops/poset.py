@@ -436,6 +436,13 @@ class TwoColumnGraph(Record):
             raise NotDownClosed(f"{self.poset().braced(mask)} is not a column segment")
         return (a, b)
 
+    def code_widths(self) -> tuple[int, int]:
+        """Digits per height in a pile code: as many as its column's height has."""
+        return len(str(self.p)), len(str(self.q))
+
+    def pile_code(self, mask: int) -> str:
+        return "".join(f"{h:0{w}}" for h, w in zip(self.code_of_mask(mask), self.code_widths()))
+
 
 def star_graph() -> TwoColumnGraph:
     """The running 4-point example: p = q = 2 with cross arrow 2_ -> _1."""

@@ -11,7 +11,8 @@ its domain; those masks are the only form in which the package handles
 subobjects and maps.  Ω's component at u is the sieves on u, and a
 classifying map sends an element to the sieve of the points below it where
 its image lies in the sub-presheaf; ``chi_tables`` reads those sieves off
-an element mask of Ω as per-point sieve-index tables.
+an element mask of Ω, and ``ElementIndex.sliced_groups`` groups elements by
+them, for one mask or for many packed into one int.
 """
 
 from __future__ import annotations
@@ -34,12 +35,12 @@ class ElementIndex:
     element at point i, and ``offset[-1]`` the number of elements.
 
     The elements grouped by truth value against a mask (see
-    :meth:`truth_groups`) depend on no topology, so they are kept here for
-    every closure operator that reads them: the route pass's, and in the
-    closure-law check those of masks outside a universe's lists (closures
-    and pullbacks), since the listed masks are packed from membership
-    columns without them (``axioms.TestUniverse``).  ``passed`` holds the
-    masks a closure has already found down-closed, and only
+    :meth:`sliced_groups`) depend on no topology, so they are kept here
+    (:meth:`truth_groups`) for every closure operator that reads them: the
+    route pass's, and in the closure-law check those of masks outside a
+    universe's lists (closures and pullbacks), since the listed masks are
+    grouped as the fields of one int (``axioms.TestUniverse``).  ``passed``
+    holds the masks a closure has already found down-closed, and only
     :meth:`require_all_down_closed` adds to it.
     """
 
@@ -107,14 +108,36 @@ class ElementIndex:
 
     def truth_groups(self, mask: int) -> dict:
         """The elements grouped by the truth value a classifying map of
-        ``mask`` sends them to; built on first use and kept.
-
-        A group is keyed ``sieve mask * width + point index`` and holds the
-        mask of the elements at that point sent to that sieve.
-        """
+        ``mask`` sends them to: :meth:`sliced_groups` of the one field
+        ``mask``, built on first use and kept."""
         groups = self._groups.get(mask)
         if groups is None:
-            groups = self._groups[mask] = _truth_groups(self, mask)
+            groups = self._groups[mask] = self.sliced_groups(mask, 1)
+        return groups
+
+    def sliced_groups(self, whole: int, ones: int) -> dict:
+        """Truth-value key ``sieve mask * width + point index`` -> the int
+        holding, in each field of ``whole`` (``ones`` has bit 0 of each), the
+        elements at that point that a classifying map of the field's mask
+        sends to that sieve, read off the membership columns of ``whole``."""
+        columns = [whole >> e & ones for e in range(self.full.bit_length())]
+        width, groups = self.width, {}
+        for k, (i, row) in enumerate(zip(self.point, self.rows)):
+            # the fields, split by the point mask of the points below where
+            # element k's image lies in their mask
+            split = [(0, ones)]
+            for pb, eb in row:
+                column, parts = columns[eb.bit_length() - 1], []
+                for s, fields in split:
+                    inside = fields & column
+                    if inside:
+                        parts.append((s | pb, inside))
+                    if inside != fields:
+                        parts.append((s, fields ^ inside))
+                split = parts
+            for s, fields in split:
+                key = s * width + i
+                groups[key] = groups.get(key, 0) | fields << k
         return groups
 
 
@@ -130,18 +153,6 @@ def _truth_values(index: ElementIndex, mask: int) -> list[int]:
                 s |= pb
         out.append(s)
     return out
-
-
-def _truth_groups(index: ElementIndex, mask: int) -> dict:
-    """The groups :meth:`ElementIndex.truth_groups` keeps, built anew."""
-    groups: dict = {}
-    width = index.width
-    bit = 1
-    for i, s in zip(index.point, _truth_values(index, mask)):
-        key = s * width + i
-        groups[key] = groups.get(key, 0) | bit
-        bit <<= 1
-    return groups
 
 
 @lru_cache(maxsize=4)

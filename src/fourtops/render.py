@@ -47,10 +47,10 @@ def _pos(g: TwoColumnGraph, a: int, b: int) -> tuple[int, int]:
 def render_zha(g: TwoColumnGraph) -> str:
     """The pile lattice alone, one label per valid pile."""
     piles = _valid_piles(g)
-    canvas = _Canvas(g.p + g.q + 1, (g.p + g.q) * 2 + 2)
-    for (a, b) in piles:
+    canvas = _Canvas(g.p + g.q + 1, (g.p + g.q) * 2 + sum(g.code_widths()))
+    for (a, b), mask in piles.items():
         y, x = _pos(g, a, b)
-        canvas.put(y, x, f"{a}{b}")
+        canvas.put(y, x, g.pile_code(mask))
     return "\n".join(canvas.lines())
 
 
@@ -65,14 +65,15 @@ def _panel(
     piles = _valid_piles(g)
     slashed = classes is not None
     height = (g.p + g.q) * 2 + 1 if slashed else g.p + g.q + 1
-    canvas = _Canvas(height, (g.p + g.q) * 2 + 4)
+    canvas = _Canvas(height, (g.p + g.q) * 2 + sum(g.code_widths()) + 2)
     for (a, b), mask in piles.items():
         y, x = _pos(g, a, b)
         y = 2 * y if slashed else y
         if mask in visible:
-            canvas.put(y, x, f"{a}{b}")
+            label = g.pile_code(mask)
+            canvas.put(y, x, label)
             if marked is not None and mask in marked:
-                canvas.put(y, x + 2, "*")
+                canvas.put(y, x + len(label), "*")
         else:
             canvas.put(y, x, "·")
     if slashed:

@@ -133,11 +133,12 @@ class ClosureOperator:
     validated against that action over a finite universe.  ``cover`` holds
     one key ``sieve mask * width + point index`` per sieve the endomap sends
     to the maximal one, the keys of the truth-value groups an element index
-    keeps; the closed masks are read through one table per element index
-    (see ``_Closures``).
+    builds (``ElementIndex.sliced_groups``), and :meth:`close` sums the
+    covered groups; the closed masks are read through a table over an
+    element index (see ``_Closures``).
     """
 
-    __slots__ = ("lt", "cover", "_closures")
+    __slots__ = ("lt", "cover")
 
     def __init__(self, lt: LTTopology):
         self.lt = lt
@@ -149,40 +150,42 @@ class ClosureOperator:
             top = len(sieves) - 1
             cover.extend(m * width + i for m, k in zip(sieves, lt.tables[i]) if k == top)
         self.cover = frozenset(cover)
-        self._closures: dict = {}
 
     @property
     def poset(self) -> Poset:
         return self.lt.poset
 
     def closures(self, index: ElementIndex) -> "_Closures":
-        """Element mask -> closed mask over ``index``, kept per index."""
-        table = self._closures.get(index)
-        if table is None:
-            table = self._closures[index] = _Closures(index, self.cover)
-        return table
+        """Element mask -> closed mask over ``index``, a new table that the
+        caller keeps as long as it reads it: the table keeps its operator,
+        so an operator that kept its tables would be freed only by the
+        cyclic collector, and every table with it."""
+        return _Closures(index, self)
+
+    def close(self, groups: dict) -> int:
+        """The closures of the masks grouped in ``groups``, in their fields:
+        the sum of the covered groups, which are disjoint."""
+        return sum(map(groups.__getitem__, self.cover.intersection(groups)))
 
 
 class _Closures(dict):
     """Element mask -> closed mask, for one closure operator on one element
     index.
 
-    The index's truth-value groups are disjoint, so the closure is the sum
-    of the covered ones; a closure that is not a sub-presheaf raises
-    FunctorialityError.
+    A mask is closed by the operator from the truth-value groups the index
+    keeps; a closure that is not a sub-presheaf raises FunctorialityError.
     """
 
-    __slots__ = ("index", "cover")
+    __slots__ = ("index", "clop")
 
-    def __init__(self, index: ElementIndex, cover: frozenset):
+    def __init__(self, index: ElementIndex, clop: ClosureOperator):
         super().__init__()
         self.index = index
-        self.cover = cover
+        self.clop = clop
 
     def __missing__(self, mask: int) -> int:
         index = self.index
-        groups = index.truth_groups(mask)
-        got = sum(map(groups.__getitem__, self.cover.intersection(groups)))
+        got = self.clop.close(index.truth_groups(mask))
         index.require_all_down_closed((got,))
         self[mask] = got
         return got

@@ -29,7 +29,9 @@ The composite routes keep the package's earlier, literal constructions of
 the mask-based fast paths: they build one sub-presheaf object per step, most
 of them validated from label sets, where the package reads element masks;
 they close inclusions through the classifier (``closure_of_composite``), not
-through the package's table of closed masks.
+through the package's table of closed masks.  ``truth_groups_literal``
+keeps the per-element grouping by truth value that the package replaced
+with one grouping of many masks at once.
 Among them, the literal closure-law universe builds each subobject, bang and
 classifying map as a validated object, where the package lists masks and
 image bits; it lists the subobjects in the package's order
@@ -993,6 +995,18 @@ def closure_of_composite(clop, f):
     if not is_inclusion(f):
         raise NotInclusion("closure acts on inclusions")
     return sigma(chi(f).then(lt_endomap(clop.lt)))
+
+
+def truth_groups_literal(index, mask):
+    """The package's earlier per-mask grouping of an element index: each
+    element, one at a time, joins the group keyed ``sieve mask * width +
+    point index`` of the sieve of the points below it where its image lies
+    in ``mask``."""
+    groups = {}
+    for k, (i, row) in enumerate(zip(index.point, index.rows)):
+        key = sum(pb for pb, eb in row if mask & eb) * index.width + i
+        groups[key] = groups.get(key, 0) | 1 << k
+    return groups
 
 
 def j_from_closure_composite(clop):

@@ -5,6 +5,7 @@ import json
 import os
 import pathlib
 import random
+import re
 import threading
 import time
 
@@ -18,10 +19,10 @@ from fourtops.handlers import structure_json
 from fourtops.emit import emit_json
 from fourtops.census import enumerate_grotops, enumerate_lts, enumerate_nuclei
 from fourtops.errors import ParseError
-from fourtops.poset import Poset, TwoColumnGraph
+from fourtops.poset import DownSet, Poset, TwoColumnGraph
 from fourtops.sweep import cross_configurations, sweep_instance
 
-from .conftest import naturally_labelled_posets
+from .conftest import naturally_labelled_posets, pile_code_str
 from .oracles import (
     brute_relabellings,
     census_json_literal,
@@ -281,6 +282,26 @@ class TestConvertAndFouruple:
         capsys.readouterr()
         assert run("fouruple", "--from", "nucleus", "-t", f"{graph}\nnucleus {{ 00 -> 10 }}") == (2, "")
         assert "expected a three-digit pile code, found '00'" in capsys.readouterr().err
+
+    def test_render_labels_beside_a_tall_column_are_the_pile_codes(self):
+        """Each label ``render zha`` prints, read back to its pile from where
+        it stands, is the code ``show h`` prints for that pile, and the
+        panels draw three-character labels."""
+        graph = TwoColumnGraph(10, 1)
+        code, zha = run("render", "zha", "-t", "2cg p=10 q=1")
+        assert code == 0
+        labels = []
+        for y, line in enumerate(zha.split("\n")):
+            for found in re.finditer(r"\d+", line):
+                # pile (a, b) stands at row p + q - (a + b), column (b - a + p) * 2
+                height, shift = 11 - y, found.start() // 2 - 10
+                a, b = (height - shift) // 2, (height + shift) // 2
+                assert found.group() == pile_code_str(graph, DownSet(graph.poset(), graph.pile_mask(a, b)))
+                labels.append(found.group())
+        code, h = run("show", "h", "-t", "2cg p=10 q=1")
+        assert code == 0 and sorted(labels) == sorted(h.split()) and "091" in labels
+        for what in ("omega", "j", "grotop", "fouruple"):
+            assert run("render", what, "-t", "2cg p=10 q=1\ny { 1_ }")[0] == 0, what
 
 
 class TestEnumerate:
@@ -1842,7 +1863,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     oracle census loads neither the JSON reader (``json_input``) nor the
     other handlers (``handlers``), within a budget of lines of source; JSON
     input loads the reader.  ``check axioms`` loads neither the other
-    handlers, the census, the table-search kernel nor the route module,
+    handlers, the census (with its table search) nor the route module,
     within a budget of lines of source."""
     submodules = "sorted(m for m in sys.modules if m.startswith('fourtops.'))"
     assert _fresh_child(f"import sys, fourtops; print({submodules})") == "[]\n"
@@ -1944,7 +1965,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     # census, the kernel and the route checks, and 2,643 when the presheaf
     # layer built labelled presheaves
     assert lazy_loaded == "[]" and lines_loaded <= 2521, lines_loaded
-    skipped = {"fourtops.handlers", "fourtops.census", "fourtops._kernels", "fourtops.routes"}
+    skipped = {"fourtops.handlers", "fourtops.census", "fourtops.routes"}
     code = (
         "import io, sys\n"
         "from fourtops import cli\n"
@@ -2127,8 +2148,9 @@ def test_package_exports_each_name_from_the_module_it_lives_in():
                 getattr(fourtops, name)
             assert not hasattr(home, name), name
             assert getattr(oracles, name).__module__ == oracles.__name__, name
-    # heyting joined topology, classifier joined presheaf and records poset
-    for module in ("heyting", "classifier", "records"):
+    # heyting joined topology, classifier presheaf, records poset and
+    # _kernels census
+    for module in ("heyting", "classifier", "records", "_kernels"):
         with pytest.raises(ModuleNotFoundError):
             importlib.import_module(f"fourtops.{module}")
     assert not hasattr(oracles.Presheaf, "restrict") and not hasattr(ElementIndex, "mask_of")

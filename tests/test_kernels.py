@@ -7,7 +7,7 @@ so each comparison names the flags that match."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fourtops import _kernels, census
+from fourtops import census
 from fourtops.poset import Poset, enumerate_downsets, lattice_tables, sieves_on
 
 from .oracles import operator_tables_literal
@@ -52,7 +52,7 @@ CENSUS_POSETS = {
 
 def kernel(inputs, allowed=None):
     n, up, meet = inputs
-    return _kernels.enumerate_operator_tables(_kernels.operator_lattice(up, meet), allowed)
+    return census.enumerate_operator_tables(census.operator_lattice(up, meet), allowed)
 
 
 def nucleus_kernel(inputs):
@@ -80,7 +80,7 @@ class TestPureKernel:
         # the cone's sieve lattice (the empty sieve, three atoms, three
         # pairs, the base and the maximal sieve) and the star's H
         for n, up, meet in (CONE, lattice_inputs(star_poset)):
-            _, _, checks, down = _kernels.operator_lattice(up, meet)
+            _, _, checks, down = census.operator_lattice(up, meet)
             for i in range(n):
                 tops = [k for k in range(i) if not any(up[k] >> j & 1 for j in range(k + 1, i))]
                 assert checks[i] == [(k, meet[i * n + k]) for k in tops]
@@ -88,7 +88,7 @@ class TestPureKernel:
         # an atom is checked against the atoms before it, a pair against the
         # pairs before it and the atoms they miss, and the maximal sieve
         # against the base alone, below it
-        checks = [[k for k, _ in c] for c in _kernels.operator_lattice(*CONE[1:])[2]]
+        checks = [[k for k, _ in c] for c in census.operator_lattice(*CONE[1:])[2]]
         assert checks == [[], [0], [1], [1, 2], [1, 2, 3], [3, 4], [4, 5], [4, 5, 6], [7]]
 
 

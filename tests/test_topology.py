@@ -19,7 +19,7 @@ from fourtops.poset import (
     sieves_on,
     star_graph,
 )
-from fourtops.presheaf import _pull_mask, omega, terminal
+from fourtops.presheaf import ElementIndex, _pull_mask, omega, terminal
 from fourtops.axioms import TestUniverse as Universe
 from fourtops.axioms import _select, build_universe, check_closure_axioms, filter_check, omega_square
 from fourtops.topology import AxiomFailure, CheckReport, ClosureOperator, is_grothendieck, is_lt_topology
@@ -59,6 +59,7 @@ from .oracles import (
     smallest_grotop,
     subterminal_of,
     terminal_presheaf,
+    truth_groups_literal,
 )
 
 
@@ -341,21 +342,28 @@ class TestOneKernel:
 
     @pytest.fixture
     def built(self, monkeypatch):
-        """The (index, mask) pairs whose groups are built, on fresh
-        classifier and terminal caches."""
-        from fourtops import presheaf
-
+        """The (index, mask) pairs whose groups are built one mask at a
+        time, on fresh classifier and terminal caches."""
         omega.cache_clear()
         terminal.cache_clear()
         calls = []
-        build = presheaf._truth_groups
+        build = ElementIndex.sliced_groups
 
-        def counted(index, mask):
-            calls.append((index, mask))
-            return build(index, mask)
+        def counted(index, whole, ones):
+            if ones == 1:
+                calls.append((index, whole))
+            return build(index, whole, ones)
 
-        monkeypatch.setattr(presheaf, "_truth_groups", counted)
+        monkeypatch.setattr(ElementIndex, "sliced_groups", counted)
         return calls
+
+    def test_groups_equal_the_literal_grouping(self, P, sweep_classes):
+        # every listed mask of the star's universe, and every subterminal
+        # on each class of the 2x2 sweep
+        cases = [(o.index, mask) for o in build_universe(P).objects for mask in o.masks]
+        cases += [(terminal(poset), mask) for poset in sweep_classes for mask in enumerate_downsets(poset)]
+        for index, mask in cases:
+            assert index.truth_groups(mask) == truth_groups_literal(index, mask)
 
     def test_route_pass_builds_each_group_once(self, P, built):
         from fourtops.routes import check_routes
@@ -619,7 +627,7 @@ class TestPackedClosures:
         for poset in [P, cone4, *sweep_classes]:
             universe = build_universe(poset)
             for o in universe.objects:
-                tables = list(map(o.index.truth_groups, o.masks))
+                tables = [truth_groups_literal(o.index, mask) for mask in o.masks]
                 fields = {
                     key: b"".join(t.get(key, 0).to_bytes(o.width, sys.byteorder) for t in tables)
                     for key in set().union(*tables)
@@ -635,10 +643,10 @@ class TestPackedClosures:
         universe = build_universe(P)
         for lt in all_lts:
             clop = ClosureOperator(lt)
-            closed = [_Closures(o.index, clop.cover) for o in universe.objects]
-            assert _screen(clop.cover, universe, closed)
+            closed = [_Closures(o.index, clop) for o in universe.objects]
+            assert _screen(clop, universe, closed)
             for table, o in zip(closed, universe.objects):
-                row_loop = _Closures(table.index, clop.cover)
+                row_loop = _Closures(table.index, clop)
                 assert [table[m] for m in o.masks] == [row_loop.__missing__(m) for m in o.masks]
 
     def test_a_failure_of_c4_alone_is_caught_on_the_slices(self, P):
@@ -699,6 +707,27 @@ class TestPackedClosures:
                 per_map.add((pulls.images, closed[b][d]))
                 per_pair.add((k, closed[b][d]))
         assert 0 < len(calls) <= len(per_map) < len(per_pair) < len(all_lts) * len(universe.map_pairs)
+
+    def test_operators_and_their_tables_are_freed_without_the_cyclic_collector(self, P, all_lts):
+        # a table keeps its operator, so an operator that kept its tables
+        # would leave them all to the cyclic collector: on the 7-point
+        # antichain that doubled the peak RSS of check axioms
+        import gc
+
+        from fourtops.convert import closure_to_nucleus
+
+        universe = build_universe(P)
+        gc.collect()
+        gc.disable()
+        try:
+            for lt in all_lts:
+                clop = ClosureOperator(lt)
+                assert check_closure_axioms(clop, universe).ok
+                assert j_from_closure(clop) == lt and closure_to_nucleus(clop)
+            del clop
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_topologies_never_enter_the_ordered_loop(self, P, all_lts, full_universe):
         # a screen that always fell back would pass every other test
